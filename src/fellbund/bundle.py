@@ -18,7 +18,7 @@ structure, not a separate runtime representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -96,6 +96,7 @@ class FellBundle:
         self._unit_coords: dict[str, Array] = {}
         self._plan: ConvolutionPlan | None = None
         self._star_mult: dict[str, Array] = {}
+        self._memo: dict[Hashable, Any] = {}
 
     def _check_shapes(self) -> None:
         G = self.groupoid
@@ -110,6 +111,12 @@ class FellBundle:
         for x, r in self.unit_rep.items():
             if r.ndim != 3 or r.shape[0] != self.dims[G.unit[x]] or r.shape[1] != r.shape[2]:
                 raise ValueError(f"unit representation at {x} has shape {r.shape}")
+
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """Derived data cached on the bundle: ``build()`` runs once per key."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- basic fibre operations ------------------------------------------------
 

@@ -297,9 +297,8 @@ def galois_data(bundle: FellBundle, tols: Tolerances = DEFAULT) -> GaloisData:
             phi_mats.append(reg.direct_sum_matrix(Section(bundle, {u: ei(bundle.dims[u], i)})))
         pos += bundle.dims[u]
     env_mats = [env.images[k] for k in range(env.images.shape[0])]
-    env_blocks = block_decomposition(env.images, tols) if env_mats else []
     side = env_mats[0].shape[0] if env_mats else 0
-    return GaloisData(bundle, side, pos, phi_mats, env_mats, env_blocks, offsets)
+    return GaloisData(bundle, side, pos, phi_mats, env_mats, env.blocks, offsets)
 
 
 def coefficient_ideals(data: GaloisData, tols: Tolerances = DEFAULT) -> list[Array]:

@@ -112,11 +112,15 @@ class Workspace:
         return list(self._table(kind))
 
     def find(self, name: str) -> tuple[str, Any]:
-        for kind in ("groupoids", "bundles", "actions", "sections", "ideals",
-                     "reps", "set_actions", "trafo"):
-            if name in self._table(kind):
-                return kind, self._table(kind)[name]
-        raise WorkspaceError(f"no entry named {name!r} in the workspace")
+        kinds = [kind for kind in ("groupoids", "bundles", "actions", "sections", "ideals",
+                                   "reps", "set_actions", "trafo")
+                 if name in self._table(kind)]
+        if not kinds:
+            raise WorkspaceError(f"no entry named {name!r} in the workspace")
+        if len(kinds) > 1:
+            raise WorkspaceError(f"name {name!r} is ambiguous: it names entries in "
+                                 f"{', '.join(kinds)}")
+        return kinds[0], self._table(kinds[0])[name]
 
     def groupoid(self, name: str) -> FiniteGroupoid:
         if name in self._groupoids:

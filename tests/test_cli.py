@@ -136,3 +136,14 @@ def test_seed_env_override(demo_workspace_path, capsys, monkeypatch):
     code, out2, _ = run_cli(capsys, "represent", demo_workspace_path, "z2-line",
                             "--roundtrip", "--fuzz", "3", "--seed", "5")
     assert out1 == out2
+
+
+def test_ambiguous_name_exits_2(tmp_path, capsys):
+    from conftest import demo_workspace_dict
+    raw = demo_workspace_dict()
+    raw["groupoids"]["z2-line"] = raw["groupoids"]["z2"]
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "validate", str(path), "z2-line")
+    assert code == 2 and out == ""
+    assert "ambiguous" in err and "groupoids, bundles" in err

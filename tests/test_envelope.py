@@ -137,6 +137,69 @@ def test_block_decomposition_random_conjugated_direct_sum():
     assert sorted((b.size, b.multiplicity) for b in blocks) == [(1, 1), (1, 1), (2, 1)]
 
 
+def _independent(mats):
+    """A linearly independent spanning subset of span(mats), by raw SVD."""
+    flat = np.stack([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
+    _, s, vh = np.linalg.svd(flat, full_matrices=False)
+    keep = s > 1e-10 * s[0]
+    n = np.asarray(mats[0]).shape[0]
+    return list(vh[keep].reshape(-1, n, n))
+
+
+def test_centre_dimension_matches_commutation_oracle():
+    # one block per minimal central projection: the block count is the
+    # centre dimension, which the oracle reads off the ambient system
+    for name, b in gallery.shipped_bundles().items():
+        stacks = [("envelope", envelope_algebra(b).images)]
+        stacks += [(f"unit fibre {x}", b.unit_rep[x]) for x in b.groupoid.objects
+                   if b.unit_rep[x].shape[0]]
+        for where, stack in stacks:
+            mats = _independent(list(stack))
+            blocks = block_decomposition(np.stack(mats))
+            assert len(blocks) == brute_center_dim(mats), (name, where)
+            assert sum(blk.size ** 2 for blk in blocks) == len(mats), (name, where)
+
+
+def _unit(n, i, j):
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+@pytest.mark.parametrize("mats", [
+    [_unit(2, 0, 1), _unit(2, 1, 0)],                 # E12 E21 = E11 is missing
+    [_unit(2, 0, 0), _unit(2, 0, 1), _unit(2, 1, 1)],  # upper triangular
+    [np.eye(2, dtype=complex), _unit(2, 0, 1)],        # commutative, not *-closed
+], ids=["not-product-closed", "upper-triangular", "unit-plus-nilpotent"])
+def test_block_decomposition_rejects_non_star_algebras(mats):
+    with pytest.raises(ValueError, match="not closed"):
+        block_decomposition(np.stack(mats))
+
+
+def test_block_decomposition_of_an_ideal_inside_a_larger_matrix_algebra():
+    # M_2 in the top corner of Mat(3): the unit is a proper support projection
+    mats = [np.pad(_unit(2, i, j), ((0, 1), (0, 1))) for i in range(2) for j in range(2)]
+    blocks = block_decomposition(np.stack(mats))
+    assert [(blk.size, blk.multiplicity) for blk in blocks] == [(2, 1)]
+    np.testing.assert_allclose(blocks[0].projection, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+
+
+def test_pair9_line_envelope_is_one_full_matrix_block():
+    # C*(pair(9)) = M_9, and the regular representation holds 9 copies of C^9
+    env = envelope_algebra(gallery.pair_line_bundle(9))
+    assert env.dim == 81 and env.injective
+    assert env.block_summary() == [{"size": 9, "multiplicity": 9}]
+
+
+def test_z48_line_envelope_is_48_characters():
+    from fellbund.groupoid import cyclic_group
+    env = envelope_algebra(gallery.trivial_line_bundle(cyclic_group(48)))
+    assert env.dim == 48 and env.injective
+    assert env.block_summary() == [{"size": 1, "multiplicity": 1}] * 48
+    total = sum(blk.projection for blk in env.blocks)
+    np.testing.assert_allclose(total, np.eye(48), atol=1e-9)
+
+
 def test_gram_borderline_notes_empty_for_clean_bundles():
     for name in ("z2-line", "a4", "m2-twisted"):
         b = gallery.shipped_bundles()[name]

@@ -101,3 +101,12 @@ def test_config_seed_precedence(monkeypatch):
     monkeypatch.setenv("FELLBUND_SEED", "7")
     assert Workspace.from_dict(raw).tols.seed == 7
     assert Workspace.from_dict(raw, seed=11).tols.seed == 11
+
+
+def test_find_rejects_a_name_shared_by_two_tables():
+    raw = demo_workspace_dict()
+    raw["groupoids"]["z2-line"] = raw["groupoids"]["z2"]
+    ws = Workspace.from_dict(raw)
+    with pytest.raises(WorkspaceError, match="ambiguous.*groupoids, bundles"):
+        ws.find("z2-line")
+    assert ws.find("z2")[0] == "groupoids"
