@@ -1,110 +1,42 @@
-"""Packed convolution kernels.
+"""Convolution kernel.
 
 Section coefficients for a whole bundle are flattened into one complex
-vector; the multiplication tensors for all composable pairs are packed into
-one flat array with offset tables.  The inner loop (for every pair, a small
-dense bilinear contraction) runs through numba when available.  Set
-FELLBUND_NUMBA=0 to force the pure-numpy path; the two implementations are
-kept byte-compatible and compared in benchmarks/bench_convolution.py.
+vector.  A plan keeps, for every composable pair (h, k) whose three fibres
+are nonzero, the slices of A_h, A_k and A_hk in that vector and the
+multiplication tensor reshaped to (d_hk, d_h * d_k); the product is then one
+small dense contraction per pair.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_WANT_NUMBA = os.environ.get("FELLBUND_NUMBA", "1") not in ("0", "off", "no")
-
-try:  # pragma: no cover - import guard
-    if not _WANT_NUMBA:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-def _convolve_numpy(out, x, y, h_off, h_dim, k_off, k_dim, o_off, o_dim, t_off, data):
-    for p in range(h_off.shape[0]):
-        dh, dk, do = h_dim[p], k_dim[p], o_dim[p]
-        if dh == 0 or dk == 0 or do == 0:
-            continue
-        xb = x[h_off[p]:h_off[p] + dh]
-        yb = y[k_off[p]:k_off[p] + dk]
-        tensor = data[t_off[p]:t_off[p] + do * dh * dk].reshape(do, dh, dk)
-        out[o_off[p]:o_off[p] + do] += tensor.reshape(do, dh * dk) @ np.outer(xb, yb).ravel()
-
-
-@njit(cache=False)
-def _convolve_njit(out, x, y, h_off, h_dim, k_off, k_dim, o_off, o_dim, t_off, data):  # pragma: no cover - jit
-    for p in range(h_off.shape[0]):
-        dh = h_dim[p]
-        dk = k_dim[p]
-        do = o_dim[p]
-        if dh == 0 or dk == 0 or do == 0:
-            continue
-        base = t_off[p]
-        for a in range(do):
-            acc = 0.0 + 0.0j
-            for i in range(dh):
-                xi = x[h_off[p] + i]
-                if xi == 0.0:
-                    continue
-                row = base + (a * dh + i) * dk
-                for j in range(dk):
-                    acc += data[row + j] * xi * y[k_off[p] + j]
-            out[o_off[p] + a] += acc
 
 
 class ConvolutionPlan:
-    """Precomputed pair table + packed tensors for one bundle."""
+    """Precomputed pair table and tensors for one bundle.
+
+    ``h_dim``, ``k_dim`` and ``o_dim`` list the fibre dimensions of every
+    composable pair, zero-dimensional ones included.
+    """
 
     def __init__(self, offsets: dict[str, int], dims: dict[str, int], total_dim: int,
                  pairs, tensors):
-        self.offsets = offsets
-        self.dims = dims
         self.total_dim = total_dim
-        n = len(pairs)
-        self.h_off = np.zeros(n, dtype=np.int64)
-        self.h_dim = np.zeros(n, dtype=np.int64)
-        self.k_off = np.zeros(n, dtype=np.int64)
-        self.k_dim = np.zeros(n, dtype=np.int64)
-        self.o_off = np.zeros(n, dtype=np.int64)
-        self.o_dim = np.zeros(n, dtype=np.int64)
-        self.t_off = np.zeros(n, dtype=np.int64)
-        chunks = []
-        pos = 0
-        for p, ((h, k, o), tensor) in enumerate(zip(pairs, tensors)):
-            self.h_off[p], self.h_dim[p] = offsets[h], dims[h]
-            self.k_off[p], self.k_dim[p] = offsets[k], dims[k]
-            self.o_off[p], self.o_dim[p] = offsets[o], dims[o]
-            self.t_off[p] = pos
-            flat = np.ascontiguousarray(tensor, dtype=np.complex128).ravel()
-            chunks.append(flat)
-            pos += flat.size
-        self.data = (np.concatenate(chunks) if chunks
-                     else np.zeros(0, dtype=np.complex128))
+        self.h_dim = np.array([dims[h] for h, _, _ in pairs], dtype=np.int64)
+        self.k_dim = np.array([dims[k] for _, k, _ in pairs], dtype=np.int64)
+        self.o_dim = np.array([dims[o] for _, _, o in pairs], dtype=np.int64)
+
+        def span(g: str) -> slice:
+            return slice(offsets[g], offsets[g] + dims[g])
+
+        self.live = [(span(h), span(k), span(o),
+                      np.ascontiguousarray(tensor, dtype=np.complex128)
+                      .reshape(dims[o], dims[h] * dims[k]))
+                     for (h, k, o), tensor in zip(pairs, tensors)
+                     if dims[h] and dims[k] and dims[o]]
 
     def convolve(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.zeros(self.total_dim, dtype=np.complex128)
-        args = (out, x, y, self.h_off, self.h_dim, self.k_off, self.k_dim,
-                self.o_off, self.o_dim, self.t_off, self.data)
-        if HAVE_NUMBA:
-            _convolve_njit(*args)
-        else:
-            _convolve_numpy(*args)
-        return out
-
-    def convolve_reference(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Pure-numpy path, regardless of the numba flag (for benchmarks)."""
-        out = np.zeros(self.total_dim, dtype=np.complex128)
-        _convolve_numpy(out, x, y, self.h_off, self.h_dim, self.k_off, self.k_dim,
-                        self.o_off, self.o_dim, self.t_off, self.data)
+        for h, k, o, tensor in self.live:
+            out[o] += tensor @ np.outer(x[h], y[k]).ravel()
         return out

@@ -235,11 +235,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> Array:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(n: int, rng: np.random.Generator) -> Array:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitian_part(z)
-
-
 def cluster_eigenvalues(vals: Array, gap: float) -> list[np.ndarray]:
     """Indices of eigenvalues grouped into clusters separated by > gap."""
     order = np.argsort(vals)

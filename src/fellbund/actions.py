@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _linalg as la
-from .bundle import FellBundle, UnitFiberAlgebra
+from .bundle import FellBundle, UnitFiberAlgebra, ei
 from .config import DEFAULT, Tolerances
 from .groupoid import FiniteGroupoid, composable_pairs, composable_triples
 from .report import ValidationReport
@@ -364,15 +364,15 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
         if P[g].shape[0] != bundle.dims[g]:
             raise ValueError(f"presentation at {g} has wrong rank")
         for i in range(bundle.dims[u]):
-            f = bundle.unit_matrix(x, _ei(bundle.dims[u], i))
+            f = bundle.unit_matrix(x, ei(bundle.dims[u], i))
             for j in range(bundle.dims[g]):
                 prod = f @ P[g][j]
                 res = la.residual_in_span(frame, prod.reshape(-1))
                 if res > 1e-7 * max(1.0, float(np.linalg.norm(prod))):
                     raise ValueError(f"presented fibre at {g} is not a left ideal "
                                      f"(residual {res:.3e})")
-                via_bundle = bundle.mult_coords(u, g, _ei(bundle.dims[u], i),
-                                                _ei(bundle.dims[g], j))
+                via_bundle = bundle.mult_coords(u, g, ei(bundle.dims[u], i),
+                                                ei(bundle.dims[g], j))
                 direct, res2 = la.stack_expand(P[g], prod)
                 if float(np.linalg.norm(via_bundle - direct)) > 1e-7:
                     raise ValueError(f"left module structure at {g} is not "
@@ -390,7 +390,7 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
         vecs = []
         for i in range(bundle.dims[g]):
             for j in range(bundle.dims[g]):
-                c = bundle.mult_coords(g, gi, _ei(bundle.dims[g], i), bundle.inv[g][:, j])
+                c = bundle.mult_coords(g, gi, ei(bundle.dims[g], i), bundle.inv[g][:, j])
                 vecs.append(la.stack_combine(P[G.unit[G.rng[g]]], c).reshape(-1))
         n = bundle.unit_dim(G.rng[g])
         span = la.orth_rows(np.array(vecs) if vecs else np.zeros((0, n * n)),
@@ -450,12 +450,6 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
         w[(g, h)] = la.stack_combine(inter, coeff)
     shell.w = w
     return shell
-
-
-def _ei(d: int, i: int) -> Array:
-    e = np.zeros(d, dtype=np.complex128)
-    e[i] = 1.0
-    return e
 
 
 def line_bundle_from_cocycle(G: FiniteGroupoid, w: Mapping[tuple[str, str], complex],

@@ -93,9 +93,6 @@ class FellBundle:
                                  else {g: la.as_complex(m) for g, m in left_ideal_model.items()})
         self.name = name
         self._check_shapes()
-        self._unit_coords: dict[str, Array] = {}
-        self._plan: ConvolutionPlan | None = None
-        self._star_mult: dict[str, Array] = {}
         self._memo: dict[Hashable, Any] = {}
 
     def _check_shapes(self) -> None:
@@ -148,37 +145,37 @@ class FellBundle:
 
     def unit_algebra_unit(self, x: str) -> Array:
         """Coordinates of the unit of A_{u(x)} (cached)."""
-        if x not in self._unit_coords:
+        def build() -> Array:
             c = la.algebra_unit(self.unit_rep[x])
             if c is None:
                 raise ValueError(f"unit fibre at {x} has no two-sided unit")
-            self._unit_coords[x] = c
-        return self._unit_coords[x]
+            return c
+        return self.memo(("unit", x), build)
 
     def star_mult_tensor(self, g: str) -> Array:
         """T with T[:, i, j] = coordinates of e_i^* . e_j in A_{u(s(g))}."""
-        if g not in self._star_mult:
-            gi = self.groupoid.inv[g]
-            self._star_mult[g] = np.einsum("kaj,ai->kij", self.mult[(gi, g)], self.inv[g])
-        return self._star_mult[g]
+        return self.memo(("star_mult", g), lambda: np.einsum(
+            "kaj,ai->kij", self.mult[(self.groupoid.inv[g], g)], self.inv[g]))
+
+    def star_mult_coords(self, g: str, a: Array, b: Array) -> Array:
+        """Coordinates of a* . b in A_{u(s(g))}, for a, b in A_g."""
+        return np.einsum("kij,i,j->k", self.star_mult_tensor(g), np.conj(a), b)
 
     def fiber_norm(self, g: str, a: Array) -> float:
         """sqrt of the top eigenvalue of rho_{s(g)}(a* a)."""
         a = la.as_complex(a)
         if a.size == 0:
             return 0.0
-        s = np.einsum("kij,i,j->k", self.star_mult_tensor(g), np.conj(a), a)
-        mat = self.unit_matrix(self.groupoid.src[g], s)
+        mat = self.unit_matrix(self.groupoid.src[g], self.star_mult_coords(g, a, a))
         return float(np.sqrt(max(la.top_eigenvalue(mat), 0.0)))
 
     def conv_plan(self) -> ConvolutionPlan:
-        if self._plan is None:
+        def build() -> ConvolutionPlan:
             pairs = composable_pairs(self.groupoid)
             keys = [(g, h, self.groupoid.comp[(g, h)]) for g, h in pairs]
             tensors = [self.mult[(g, h)] for g, h in pairs]
-            self._plan = ConvolutionPlan(self.offsets(), self.dims, self.total_dim,
-                                         keys, tensors)
-        return self._plan
+            return ConvolutionPlan(self.offsets(), self.dims, self.total_dim, keys, tensors)
+        return self.memo("conv_plan", build)
 
 
 def fiber_norm(bundle: FellBundle, g: str, a: Array) -> float:
@@ -361,7 +358,7 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
             nstar = bundle.fiber_norm(G.inv[g], bundle.star_coords(g, a))
             rep.check_residual(abs(na - nstar), 10 * tol * max(1.0, na),
                                "norm preserved by involution", f"{g} {label}")
-            s = np.einsum("kij,i,j->k", bundle.star_mult_tensor(g), np.conj(a), a)
+            s = bundle.star_mult_coords(g, a, a)
             mat = bundle.unit_matrix(x, s)
             mn = la.min_eigenvalue(mat)
             if mn < -tol:
@@ -397,8 +394,7 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
             for j in range(bundle.dims[gi]):
                 pair = bundle.mult[(g, gi)][:, i, j]
                 for k in range(d):
-                    vecs.append(np.einsum("kij,i,j->k", bundle.mult[(u, g)], pair,
-                                          np.eye(d, dtype=np.complex128)[k]))
+                    vecs.append(bundle.mult_coords(u, g, pair, ei(d, k)))
         span = la.orth_rows(np.array(vecs).reshape(-1, d) if vecs else np.zeros((0, d)),
                             tols.rank_threshold)
         rep.require(span.shape[0] == d, "nondegeneracy A_g A_g* A_g = A_g", f"arrow {g}",
@@ -419,7 +415,7 @@ def range_source_ideals(bundle: FellBundle, g: str,
     d = bundle.dims[g]
     r_vecs = [bundle.mult_coords(g, gi, ei(d, i), bundle.inv[g][:, j])
               for i in range(d) for j in range(d)]
-    s_vecs = [np.einsum("kij,i,j->k", bundle.star_mult_tensor(g), ei(d, i).conj(), ei(d, j))
+    s_vecs = [bundle.star_mult_coords(g, ei(d, i), ei(d, j))
               for i in range(d) for j in range(d)]
     du_r = bundle.dims[G.unit[G.rng[g]]]
     du_s = bundle.dims[G.unit[G.src[g]]]

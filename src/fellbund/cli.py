@@ -43,8 +43,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.human:
         print(render_human(payload))
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2, default=_json_default))
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default,
+                              allow_nan=False)
+        except ValueError as exc:
+            print(f"error: the report holds a non-finite number ({exc})", file=sys.stderr)
+            return 1
+        print(text)
     return 0 if ok else 1
+
+
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {raw!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,13 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fell bundles over finite groupoids: validation, norms, "
                     "envelopes, spectra, ideals, exactness, representations.")
     common = argparse.ArgumentParser(add_help=False)
+    # checked (finite, > 0) with the config values in Workspace.from_dict
     common.add_argument("--tolerance", type=float, default=None,
                         help="override the workspace tolerance")
     common.add_argument("--seed", type=int, default=None,
                         help="override the workspace seed (FELLBUND_SEED also works)")
     common.add_argument("--human", action="store_true",
                         help="text output instead of JSON")
-    common.add_argument("--fuzz", type=int, default=50,
+    common.add_argument("--fuzz", type=positive_int, default=50,
                         help="sample count for property commands")
     sub = parser.add_subparsers(dest="command", required=True)
 

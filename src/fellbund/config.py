@@ -20,9 +20,6 @@ class Tolerances:
     cluster_gap: float = 1e-7
     seed: int = 0
 
-    def with_seed(self, seed: int) -> "Tolerances":
-        return Tolerances(self.tolerance, self.rank_threshold, self.cluster_gap, seed)
-
 
 DEFAULT = Tolerances()
 

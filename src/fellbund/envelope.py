@@ -182,8 +182,7 @@ def sharper_norm_bound(bundle: FellBundle, f: Section,
     for g, v in f.entries.items():
         gi = G.inv[g]
         ff = bundle.unit_matrix(G.rng[g], bundle.mult_coords(g, gi, v, bundle.star_coords(g, v)))
-        sf = bundle.unit_matrix(G.src[g], np.einsum("kij,i,j->k", bundle.star_mult_tensor(g),
-                                                    np.conj(v), v))
+        sf = bundle.unit_matrix(G.src[g], bundle.star_mult_coords(g, v, v))
         n_r[G.rng[g]] += la.psd_power(ff, 0.5, tols.rank_threshold)
         n_s[G.src[g]] += la.psd_power(sf, 0.5, tols.rank_threshold)
     top_r = max((la.operator_norm(m) for m in n_r.values()), default=0.0)

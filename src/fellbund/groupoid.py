@@ -62,10 +62,6 @@ class FiniteGroupoid:
     def arrow_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.arrows)}
 
-    @cached_property
-    def object_index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.objects)}
-
     def source_fiber(self, x: str) -> tuple[str, ...]:
         """G_x: arrows with source x, in declared order."""
         return tuple(g for g in self.arrows if self.src[g] == x)
@@ -79,9 +75,6 @@ class FiniteGroupoid:
 
     def can_compose(self, g: str, h: str) -> bool:
         return self.src[g] == self.rng[h]
-
-    def is_unit(self, g: str) -> bool:
-        return any(self.unit[x] == g for x in self.objects)
 
 
 def composable_pairs(G: FiniteGroupoid) -> list[tuple[str, str]]:

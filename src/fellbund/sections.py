@@ -157,8 +157,7 @@ def module_action(bundle: FellBundle, coeffs: Mapping[str, Array], xi: Section) 
         x = G.rng[g]
         u = G.unit[x]
         if x in coeffs:
-            entries[g] = np.einsum("kij,i,j->k", bundle.mult[(u, g)],
-                                   la.as_complex(coeffs[x]), v)
+            entries[g] = bundle.mult_coords(u, g, la.as_complex(coeffs[x]), v)
     return Section(bundle, entries)
 
 
@@ -190,7 +189,7 @@ def factor(f: Section, tols: Tolerances = DEFAULT) -> tuple[dict[str, Array], Se
             raise ValueError(f"functional calculus left the unit fibre at {x} "
                              f"(residual {max(res_q, res_iq):.3e})")
         f1[g] = q_coords
-        f2_entries[g] = np.einsum("kij,i,j->k", bundle.mult[(u, g)], iq_coords, v)
+        f2_entries[g] = bundle.mult_coords(u, g, iq_coords, v)
     return f1, Section(bundle, f2_entries)
 
 

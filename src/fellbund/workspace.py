@@ -9,7 +9,9 @@ malformed entries raise WorkspaceError with the offending location.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -31,11 +33,30 @@ class WorkspaceError(ValueError):
 
 def parse_complex(v, where: str) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and \
+        parts = [v]
+    elif isinstance(v, (list, tuple)) and len(v) == 2 and \
             all(isinstance(t, (int, float)) for t in v):
-        return complex(v[0], v[1])
-    raise WorkspaceError(f"{where}: expected a number or [re, im], got {v!r}")
+        parts = v
+    else:
+        raise WorkspaceError(f"{where}: expected a number or [re, im], got {v!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        raise WorkspaceError(f"{where}: number too large for a float") from None
+    if not cmath.isfinite(z):
+        raise WorkspaceError(f"{where}: expected a finite number, got {v!r}")
+    return z
+
+
+def parse_positive(v, where: str) -> float:
+    """A finite float > 0 (tolerances and thresholds)."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise WorkspaceError(f"{where}: expected a number, got {v!r}") from None
+    if not (math.isfinite(x) and x > 0):
+        raise WorkspaceError(f"{where}: expected a finite number > 0, got {v!r}")
+    return x
 
 
 def parse_vector(v, where: str) -> np.ndarray:
@@ -80,6 +101,8 @@ class Workspace:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise WorkspaceError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+            except ValueError as exc:  # an integer literal too long to convert
+                raise WorkspaceError(f"{path}: {exc}") from exc
         return Workspace.from_dict(raw, tolerance=tolerance, seed=seed)
 
     @staticmethod
@@ -91,11 +114,14 @@ class Workspace:
             chosen_seed = int(seed)
         else:
             chosen_seed = env_seed(int(cfg.get("seed", 0)))
+        # config values are checked even when overridden
+        cfg_tolerance = parse_positive(cfg.get("tolerance", 1e-9), "config.tolerance")
         tols = Tolerances(
-            tolerance=float(tolerance if tolerance is not None
-                            else cfg.get("tolerance", 1e-9)),
-            rank_threshold=float(cfg.get("rank_threshold", 1e-10)),
-            cluster_gap=float(cfg.get("cluster_gap", 1e-7)),
+            tolerance=(cfg_tolerance if tolerance is None
+                       else parse_positive(tolerance, "tolerance")),
+            rank_threshold=parse_positive(cfg.get("rank_threshold", 1e-10),
+                                          "config.rank_threshold"),
+            cluster_gap=parse_positive(cfg.get("cluster_gap", 1e-7), "config.cluster_gap"),
             seed=chosen_seed,
         )
         return Workspace(raw, tols)

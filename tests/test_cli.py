@@ -147,3 +147,61 @@ def test_ambiguous_name_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(path), "z2-line")
     assert code == 2 and out == ""
     assert "ambiguous" in err and "groupoids, bundles" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_out_of_range_tolerance_exits_2(demo_workspace_path, capsys, value):
+    code, out, err = run_cli(capsys, "validate", demo_workspace_path, "z2-line",
+                             "--tolerance", value)
+    assert code == 2 and out == ""
+    assert "tolerance: expected a finite number > 0" in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_fuzz_below_one_exits_2(demo_workspace_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["represent", demo_workspace_path, "z2-line", "--roundtrip", "--fuzz", value])
+    assert exc.value.code == 2
+    assert "--fuzz" in capsys.readouterr().err
+
+
+def _write_demo(tmp_path, edit):
+    from conftest import demo_workspace_dict
+    raw = demo_workspace_dict()
+    edit(raw)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_config_tolerance_out_of_range_exits_2(tmp_path, capsys):
+    path = _write_demo(tmp_path, lambda raw: raw["config"].update(tolerance=-1))
+    code, out, err = run_cli(capsys, "validate", path, "z2-line")
+    assert code == 2 and out == ""
+    assert "config.tolerance" in err
+
+
+def test_nan_section_entry_exits_2(tmp_path, capsys):
+    path = _write_demo(tmp_path, lambda raw: raw["sections"]["f"]["entries"].update(
+        e=[float("nan")]))
+    code, out, err = run_cli(capsys, "norms", path, "f")
+    assert code == 2 and out == ""
+    assert "sections.f.entries.e" in err and "finite" in err
+
+
+def test_inf_matrix_fibre_entry_exits_2(tmp_path, capsys):
+    path = _write_demo(tmp_path, lambda raw: raw["bundles"]["z2-line"]["fibers"].update(
+        g1=[[[float("inf")]]]))
+    code, out, err = run_cli(capsys, "validate", path, "z2-line")
+    assert code == 2 and out == ""
+    assert "bundles.z2-line.fibers.g1" in err and "finite" in err
+
+
+def test_non_finite_report_is_an_error_not_bare_nan(tmp_path, capsys):
+    # i_norm overflows while forming a*a; the report must not print NaN
+    def scale(raw):
+        raw["sections"]["f"]["entries"] = {"e": [1e200], "g1": [[0.0, 1e200]]}
+    path = _write_demo(tmp_path, scale)
+    code, out, err = run_cli(capsys, "norms", path, "f")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

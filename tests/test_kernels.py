@@ -1,41 +1,22 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
-from fellbund import _kernels, gallery
+from fellbund import gallery
+from fellbund.bundle import FellBundle, subbundle_from_frames
+from fellbund.groupoid import trivial_group
+from fellbund.ideals import enumerate_fell_ideals
 from fellbund.sections import convolve, random_section
-
-
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(7)
-    for name, bundle in gallery.shipped_bundles().items():
-        plan = bundle.conv_plan()
-        for _ in range(3):
-            x = rng.standard_normal(plan.total_dim) + 1j * rng.standard_normal(plan.total_dim)
-            y = rng.standard_normal(plan.total_dim) + 1j * rng.standard_normal(plan.total_dim)
-            fast = plan.convolve(x, y)
-            ref = plan.convolve_reference(x, y)
-            np.testing.assert_allclose(fast, ref, atol=1e-12, err_msg=name)
-
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "import fellbund._kernels as k; "
-        "print(k.HAVE_NUMBA)"
-    )
-    env = dict(os.environ, FELLBUND_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_convolution_matches_direct_sum():
     # independent oracle: sum over composable pairs by hand
+    bundles = dict(gallery.shipped_bundles())
+    # 2 of 6 fibres nonzero: the plan must skip pairs with an empty fibre
+    a4 = gallery.a4_bundle()
+    ideal = enumerate_fell_ideals(a4)[1]
+    bundles["a4-ideal"] = subbundle_from_frames(a4, ideal.frames, name="a4-ideal")[0]
     rng = np.random.default_rng(11)
-    for name in ("a4-over-z2", "m2-twisted", "z3-phase"):
-        bundle = gallery.shipped_bundles()[name]
+    for name, bundle in bundles.items():
         G = bundle.groupoid
         xi = random_section(bundle, rng)
         eta = random_section(bundle, rng)
@@ -47,3 +28,23 @@ def test_convolution_matches_direct_sum():
                     if G.src[h] == G.rng[k] and G.comp[(h, k)] == g:
                         acc += bundle.mult_coords(h, k, xi.at(h), eta.at(k))
             np.testing.assert_allclose(got.at(g), acc, atol=1e-10, err_msg=name)
+
+
+def test_bundle_caches_return_the_same_object():
+    bundle = gallery.a4_bundle()
+    g = bundle.groupoid.arrows[-1]
+    x = bundle.groupoid.objects[0]
+    assert bundle.conv_plan() is bundle.conv_plan()
+    assert bundle.star_mult_tensor(g) is bundle.star_mult_tensor(g)
+    assert bundle.unit_algebra_unit(x) is bundle.unit_algebra_unit(x)
+
+
+def test_missing_unit_raises_on_every_call():
+    G = trivial_group()
+    e = G.unit[G.objects[0]]
+    nilpotent = np.array([[[0, 1], [0, 0]]], dtype=complex)
+    bundle = FellBundle(G, {e: 1}, {(e, e): np.zeros((1, 1, 1))}, {e: np.eye(1)},
+                        {G.objects[0]: nilpotent})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no two-sided unit"):
+            bundle.unit_algebra_unit(G.objects[0])

@@ -110,3 +110,33 @@ def test_find_rejects_a_name_shared_by_two_tables():
     with pytest.raises(WorkspaceError, match="ambiguous.*groupoids, bundles"):
         ws.find("z2-line")
     assert ws.find("z2")[0] == "groupoids"
+
+
+def test_parse_complex_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), [0.0, float("-inf")], [float("nan"), 1.0]):
+        with pytest.raises(WorkspaceError, match="x: expected a finite number"):
+            parse_complex(bad, "x")
+    with pytest.raises(WorkspaceError, match="x: number too large"):
+        parse_complex(10 ** 400, "x")
+
+
+def test_overlong_integer_literal_is_a_workspace_error(tmp_path):
+    path = tmp_path / "ws.json"
+    path.write_text('{"sections": {"s": {"bundle": "b", "entries": {"e": [1' + "0" * 5000 + ']}}}}')
+    with pytest.raises(WorkspaceError, match="ws.json"):
+        Workspace.load(str(path))
+
+
+@pytest.mark.parametrize("key", ["tolerance", "rank_threshold", "cluster_gap"])
+@pytest.mark.parametrize("value", [0, -1e-9, float("nan"), float("inf"), "tiny"])
+def test_config_thresholds_must_be_positive_and_finite(key, value):
+    with pytest.raises(WorkspaceError, match=f"config.{key}"):
+        Workspace.from_dict({"config": {key: value}})
+
+
+def test_tolerance_override_must_be_positive_and_finite():
+    with pytest.raises(WorkspaceError, match="tolerance"):
+        Workspace.from_dict({}, tolerance=-1.0)
+    with pytest.raises(WorkspaceError, match="config.tolerance"):
+        Workspace.from_dict({"config": {"tolerance": -1}}, tolerance=1e-6)
+    assert Workspace.from_dict({"config": {"tolerance": 1e-3}}, tolerance=1e-6).tols.tolerance == 1e-6
