@@ -8,6 +8,8 @@ count as zero.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Array = np.ndarray
@@ -40,6 +42,26 @@ def frame_project(frame: Array, vector: Array) -> Array:
 def residual_in_span(frame: Array, vector: Array) -> float:
     v = as_complex(vector)
     return float(np.linalg.norm(v - frame_project(frame, v)))
+
+
+def residuals_in_span(frame: Array, vectors: Array) -> Array:
+    """``residual_in_span`` of each row of ``vectors``: norms of V - (V F^H) F,
+    one matrix-vector product per row as ``frame_project`` forms it."""
+    v = as_complex(vectors)
+    coeff = np.matmul(frame.conj(), v[:, :, None])
+    return row_norms(v - np.matmul(frame.T, coeff)[:, :, 0])
+
+
+def row_norms(stack: Array) -> Array:
+    """Frobenius norm of each item of a stack (m, ...); robust for empty items.
+
+    Equal bit for bit to ``np.linalg.norm`` of each item: the same
+    real and imaginary dot products, one per item through batched matmul
+    (``norm(..., axis=1)`` sums in another order)."""
+    flat = flatten_stack(stack)
+    re, im = flat.real, np.imag(flat)
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
 
 
 def frame_contains(frame: Array, vectors: Array, tol: float) -> bool:
@@ -120,7 +142,8 @@ def operator_norm(a: Array) -> float:
 
 
 def hermitian_part(a: Array) -> Array:
-    return 0.5 * (a + a.conj().T)
+    """(a + a*) / 2; a stack (m, n, n) is taken matrix by matrix."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def top_eigenvalue(a: Array) -> float:
@@ -128,12 +151,6 @@ def top_eigenvalue(a: Array) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.eigvalsh(hermitian_part(a))[-1])
-
-
-def min_eigenvalue(a: Array) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(hermitian_part(a))[0])
 
 
 def psd_power(a: Array, power: float, rtol: float = 1e-10) -> Array:
@@ -170,7 +187,7 @@ def solve_lstsq(a: Array, b: Array) -> tuple[Array, float]:
 def flatten_stack(stack: Array) -> Array:
     """(d, n, m) stack -> (d, n*m) row matrix; robust for d = 0."""
     d = stack.shape[0]
-    rest = int(np.prod(stack.shape[1:])) if stack.ndim > 1 else 0
+    rest = math.prod(stack.shape[1:]) if stack.ndim > 1 else 0
     return stack.reshape(d, rest)
 
 

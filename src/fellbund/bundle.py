@@ -161,6 +161,20 @@ class FellBundle:
         """Coordinates of a* . b in A_{u(s(g))}, for a, b in A_g."""
         return np.einsum("kij,i,j->k", self.star_mult_tensor(g), np.conj(a), b)
 
+    def star_mult_rows(self, g: str, A: Array, B: Array) -> Array:
+        """Coordinates of a_m* . b_m for the rows of two (m, d_g) stacks."""
+        return np.einsum("kij,mi,mj->mk", self.star_mult_tensor(g), np.conj(A), B)
+
+    def unit_spectra(self, x: str, C: Array) -> Array:
+        """Ascending eigenvalues of the hermitian part of rho_x(c), one row
+        per row c of the (m, d_{u(x)}) stack ``C``: shape (m, n_x)."""
+        R = self.unit_rep[x]
+        d, n = R.shape[0], R.shape[1]
+        # one (1, d) @ (d, n*n) product per row, as ``unit_matrix`` forms it for
+        # one vector, so each matrix is bit-identical to the one-vector path
+        mats = np.matmul(C[:, None, :], R.reshape(d, n * n))[:, 0].reshape(len(C), n, n)
+        return np.linalg.eigvalsh(la.hermitian_part(mats))
+
     def fiber_norm(self, g: str, a: Array) -> float:
         """sqrt of the top eigenvalue of rho_{s(g)}(a* a)."""
         a = la.as_complex(a)
@@ -168,6 +182,12 @@ class FellBundle:
             return 0.0
         mat = self.unit_matrix(self.groupoid.src[g], self.star_mult_coords(g, a, a))
         return float(np.sqrt(max(la.top_eigenvalue(mat), 0.0)))
+
+    def fiber_norms(self, g: str, A: Array) -> Array:
+        """``fiber_norm`` of each row of the (m, d_g) stack ``A``: one einsum
+        for the a*a coordinates and one stacked ``eigvalsh``."""
+        A = la.as_complex(A)
+        return _top_norms(self.unit_spectra(self.groupoid.src[g], self.star_mult_rows(g, A, A)))
 
     def conv_plan(self) -> ConvolutionPlan:
         def build() -> ConvolutionPlan:
@@ -180,6 +200,14 @@ class FellBundle:
 
 def fiber_norm(bundle: FellBundle, g: str, a: Array) -> float:
     return bundle.fiber_norm(g, a)
+
+
+def _top_norms(spectra: Array) -> Array:
+    """sqrt of the top eigenvalue (clipped at 0) per row of ascending
+    spectra (m, n); 0 where n = 0."""
+    if spectra.shape[1] == 0:
+        return np.zeros(spectra.shape[0])
+    return np.sqrt(np.maximum(spectra[:, -1], 0.0))
 
 
 # -- matrix model --------------------------------------------------------------
@@ -199,6 +227,10 @@ class MatrixModelBundle:
         dims: dict[str, int] = dict(obj_dims or {})
         for g, mats in raw.items():
             for m in mats:
+                # with an inf, orth_rows keeps no direction (s > rtol * inf
+                # fails) and the fibre silently becomes zero; a NaN breaks the SVD
+                if not np.isfinite(m).all():
+                    raise ValueError(f"non-finite entry in a matrix of the fibre at arrow {g}")
                 r, s = groupoid.rng[g], groupoid.src[g]
                 for obj, size in ((r, m.shape[0]), (s, m.shape[1])):
                     if dims.setdefault(obj, size) != size:
@@ -270,13 +302,39 @@ class MatrixModelBundle:
 
 # -- validator -----------------------------------------------------------------
 
+# items grouped at a time, and elements per stacked tensor (1 MB of
+# complex128): together they bound the memory one stacked check holds
+_STACK_ITEMS = 1 << 10
+_STACK_CHUNK = 1 << 16
+
+
+def _stacked_groups(items: list, operands: Callable[[Any], tuple[Array, ...]],
+                    size: Callable[[tuple], int]) -> Iterable[tuple[list[int], list[Array]]]:
+    """Positions of items whose ``operands(item)`` tensors share their
+    shapes, with those tensors stacked: per slice of _STACK_ITEMS items, in
+    chunks of at most _STACK_CHUNK elements of ``size(shapes)`` each."""
+    for begin in range(0, len(items), _STACK_ITEMS):
+        groups: dict[tuple, list] = {}
+        for pos in range(begin, min(begin + _STACK_ITEMS, len(items))):
+            ops = operands(items[pos])
+            groups.setdefault(tuple(t.shape for t in ops), []).append((pos, ops))
+        for shapes, members in groups.items():
+            step = max(1, _STACK_CHUNK // max(1, size(shapes)))
+            for start in range(0, len(members), step):
+                part = members[start:start + step]
+                yield ([pos for pos, _ in part],
+                       [np.array([ops[i] for _, ops in part]) for i in range(len(shapes))])
+
+
 def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
                          samples: int = 4) -> ValidationReport:
     """Check the Fell bundle axioms with witnesses.
 
     Multilinear identities are verified exactly on structure tensors; the
     norm/positivity conditions additionally run on seeded random unit-norm
-    elements (``samples`` per fibre pair).
+    elements (``samples`` per fibre pair).  Each check runs as stacked numpy
+    calls (per group of triples or pairs with equal tensor shapes, per arrow,
+    per pair) and reports its violations in the order of the loops it replaces.
     """
     G = bundle.groupoid
     tol = tols.tolerance
@@ -287,15 +345,23 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         return rep
 
     rng = np.random.default_rng(tols.seed)
+    mult, dims, comp = bundle.mult, bundle.dims, G.comp
 
-    # associativity on composable triples
-    for g, h, k in composable_triples(G):
-        gh, hk = G.comp[(g, h)], G.comp[(h, k)]
-        left = np.einsum("kml,mij->kijl", bundle.mult[(gh, k)], bundle.mult[(g, h)])
-        right = np.einsum("kim,mjl->kijl", bundle.mult[(g, hk)], bundle.mult[(h, k)])
-        res = float(np.linalg.norm(left - right))
-        rep.check_residual(res, tol * max(1.0, float(np.linalg.norm(left))),
-                           "associativity", f"({g},{h},{k})")
+    # associativity on composable triples, stacked by tensor shapes
+    triples = composable_triples(G)
+    res, scale = np.zeros(len(triples)), np.zeros(len(triples))
+    # size: the (d_ghk, d_g, d_h, d_k) products
+    for chunk, (lk, gh, gk, hk) in _stacked_groups(
+            triples, lambda t: (mult[(comp[t[:2]], t[2])], mult[t[:2]],
+                                mult[(t[0], comp[t[1:]])], mult[t[1:]]),
+            lambda s: s[0][0] * s[1][1] * s[1][2] * s[0][2]):
+        left = np.einsum("tkml,tmij->tkijl", lk, gh)
+        scale[chunk] = la.row_norms(left)
+        left -= np.einsum("tkim,tmjl->tkijl", gk, hk)
+        res[chunk] = la.row_norms(left)
+    for p in np.flatnonzero(~(res <= tol * np.maximum(1.0, scale))):
+        rep.check_residual(res[p], tol * max(1.0, float(scale[p])),
+                           "associativity", "({},{},{})".format(*triples[p]))
 
     # involution: (a*)* = a and (ab)* = b* a*
     for g in G.arrows:
@@ -303,17 +369,20 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         eye = bundle.inv[gi] @ np.conj(bundle.inv[g])
         res = float(np.linalg.norm(eye - np.eye(bundle.dims[g])))
         rep.check_residual(res, tol, "involution involutive", f"arrow {g}")
-    for g, h in composable_pairs(G):
-        gh = G.comp[(g, h)]
-        gi, hi = G.inv[g], G.inv[h]
-        d_g, d_h = bundle.dims[g], bundle.dims[h]
-        if d_g == 0 or d_h == 0:
-            continue
-        lhs = np.einsum("lk,kij->lij", bundle.inv[gh], np.conj(bundle.mult[(g, h)]))
-        rhs = np.einsum("kab,aj,bi->kij", bundle.mult[(hi, gi)], bundle.inv[h], bundle.inv[g])
-        res = float(np.linalg.norm(lhs - rhs))
-        rep.check_residual(res, tol * max(1.0, float(np.linalg.norm(lhs))),
-                           "involution anti-multiplicative", f"({g},{h})")
+    pairs = [(g, h) for g, h in composable_pairs(G) if dims[g] and dims[h]]
+    res, scale = np.zeros(len(pairs)), np.zeros(len(pairs))
+    # size: the (d_{(gh)^-1}, d_g, d_h) products
+    for chunk, (j_gh, m_gh, m_hg, j_h, j_g) in _stacked_groups(
+            pairs, lambda p: (bundle.inv[comp[p]], mult[p], mult[(G.inv[p[1]], G.inv[p[0]])],
+                              bundle.inv[p[1]], bundle.inv[p[0]]),
+            lambda s: s[0][0] * s[1][1] * s[1][2]):
+        lhs = np.einsum("tlk,tkij->tlij", j_gh, np.conj(m_gh))
+        scale[chunk] = la.row_norms(lhs)
+        lhs -= np.einsum("tkab,taj,tbi->tkij", m_hg, j_h, j_g)
+        res[chunk] = la.row_norms(lhs)
+    for p in np.flatnonzero(~(res <= tol * np.maximum(1.0, scale))):
+        rep.check_residual(res[p], tol * max(1.0, float(scale[p])),
+                           "involution anti-multiplicative", "({},{})".format(*pairs[p]))
 
     # unit fibre representations are faithful *-homomorphisms with a unit
     for x in G.objects:
@@ -338,65 +407,88 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         except ValueError:
             rep.add("unit fibre has two-sided unit", f"object {x}")
 
-    # norm axioms and positivity, on basis and seeded random elements
-    def elements(g: str):
-        d = bundle.dims[g]
-        for i in range(d):
-            e = np.zeros(d, dtype=np.complex128)
-            e[i] = 1.0
-            yield f"basis {i}", e
-        for t in range(samples):
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            n = np.linalg.norm(v)
-            if n > 0:
-                yield f"random {t}", v / n
+    # norm axioms and positivity, on basis and seeded random elements.  A
+    # random element t of A_g is rng.standard_normal(d) + 1j *
+    # rng.standard_normal(d), normalised, and skipped if zero (d = 0); the
+    # normals of successive draws come from one standard_normal call.
+    def elements(g: str, z: Array) -> tuple[Array, Array]:
+        """Rows (blocks, d_g + samples, d_g) of the basis and the random unit
+        elements of A_g, one block per row of the normals ``z`` (blocks,
+        samples, 2, d_g); and the mask of the elements kept (nonzero ones)."""
+        d, blocks = bundle.dims[g], z.shape[0]
+        v = z[:, :, 0] + 1j * z[:, :, 1]
+        n = la.row_norms(v.reshape(blocks * samples, d)).reshape(blocks, samples)
+        rows = np.empty((blocks, d + samples, d), dtype=np.complex128)
+        rows[:, :d] = np.eye(d)
+        rows[:, d:] = v / np.where(n > 0, n, 1.0)[:, :, None]
+        keep = np.ones((blocks, d + samples), dtype=bool)
+        keep[:, d:] = n > 0
+        return rows, keep
+
+    def label(g: str, keep: Array, r: int) -> str:
+        """Label of the r-th kept element of ``keep`` for A_g."""
+        i = int(np.flatnonzero(keep)[r]) % keep.shape[-1]
+        return f"basis {i}" if i < bundle.dims[g] else f"random {i - bundle.dims[g]}"
 
     for g in G.arrows:
+        rows, keep = elements(g, rng.standard_normal((1, samples, 2, bundle.dims[g])))
+        E = rows[keep]
         x = G.src[g]
-        for label, a in elements(g):
-            na = bundle.fiber_norm(g, a)
-            nstar = bundle.fiber_norm(G.inv[g], bundle.star_coords(g, a))
-            rep.check_residual(abs(na - nstar), 10 * tol * max(1.0, na),
-                               "norm preserved by involution", f"{g} {label}")
-            s = bundle.star_mult_coords(g, a, a)
-            mat = bundle.unit_matrix(x, s)
-            mn = la.min_eigenvalue(mat)
-            if mn < -tol:
-                rep.add("a*a positive", f"{g} {label}", residual=-mn)
-            elif mn < -0.1 * tol:
-                rep.note(f"borderline positivity at {g} {label}: min eigenvalue {mn:.3e}")
-            nu = bundle.fiber_norm(G.unit[x], s)
-            rep.check_residual(abs(nu - na * na), 10 * tol * max(1.0, na * na),
-                               "C*-identity |a*a| = |a|^2", f"{g} {label}")
+        s = bundle.star_mult_rows(g, E, E)
+        spectra = bundle.unit_spectra(x, s)
+        na = _top_norms(spectra)
+        mn = spectra[:, 0] if spectra.shape[1] else np.zeros(len(E))
+        # a* row by row, one matrix-vector product each as ``star_coords`` forms it
+        stars = np.matmul(bundle.inv[g], np.conj(E)[:, :, None])[:, :, 0]
+        nstar = bundle.fiber_norms(G.inv[g], stars)
+        nu = bundle.fiber_norms(G.unit[x], s)
+        res_star, tol_star = np.abs(na - nstar), 10 * tol * np.maximum(1.0, na)
+        res_c, tol_c = np.abs(nu - na * na), 10 * tol * np.maximum(1.0, na * na)
+        flagged = ~(res_star <= tol_star) | (mn < -0.1 * tol) | ~(res_c <= tol_c)
+        for r in np.flatnonzero(flagged):
+            where = f"{g} {label(g, keep, r)}"
+            rep.check_residual(res_star[r], tol_star[r], "norm preserved by involution", where)
+            if mn[r] < -tol:
+                rep.add("a*a positive", where, residual=-float(mn[r]))
+            elif mn[r] < -0.1 * tol:
+                rep.note(f"borderline positivity at {where}: min eigenvalue {mn[r]:.3e}")
+            rep.check_residual(res_c[r], tol_c[r], "C*-identity |a*a| = |a|^2", where)
 
-    for g, h in composable_pairs(G):
-        if bundle.dims[g] == 0 or bundle.dims[h] == 0:
-            continue
+    for g, h in pairs:
         gh = G.comp[(g, h)]
-        for la_, a in elements(g):
-            for lb, b in elements(h):
-                prod = bundle.mult_coords(g, h, a, b)
-                lhs = bundle.fiber_norm(gh, prod)
-                bound = bundle.fiber_norm(g, a) * bundle.fiber_norm(h, b)
-                if lhs > bound + 10 * tol * max(1.0, bound):
-                    rep.add("submultiplicativity", f"({g} {la_}, {h} {lb})",
-                            residual=lhs - bound)
+        # elements(h) is drawn afresh for each element of A_g, after that
+        # element's own draw, as in a nested loop over lazy draws: first one
+        # block for each basis element of A_g, then per random element t its
+        # own normals and one block.  (A nonzero fibre draws the zero vector
+        # with probability 0; a lazy loop would skip it and not draw the block
+        # after it, here that block is drawn and dropped.)
+        d, e = bundle.dims[g], bundle.dims[h]
+        head = d * samples * 2 * e
+        z = rng.standard_normal(head + samples * (2 * d + samples * 2 * e))
+        tail = z[head:].reshape(samples, -1)
+        rows_g, keep_g = elements(g, tail[:, :2 * d].reshape(1, samples, 2, d))
+        rows_h, keep_h = elements(h, np.concatenate([
+            z[:head].reshape(d, samples, 2, e), tail[:, 2 * d:].reshape(samples, samples, 2, e)]))
+        keep_h &= keep_g[0][:, None]
+        A, B = rows_g[keep_g], rows_h[keep_h]
+        owner = np.repeat(np.arange(len(A)), keep_h.sum(axis=1)[keep_g[0]])
+        lhs = bundle.fiber_norms(gh, np.einsum("kij,ri,rj->rk", mult[(g, h)], A[owner], B))
+        bound = bundle.fiber_norms(g, A)[owner] * bundle.fiber_norms(h, B)
+        for r in np.flatnonzero(lhs > bound + 10 * tol * np.maximum(1.0, bound)):
+            rep.add("submultiplicativity",
+                    f"({g} {label(g, keep_g, owner[r])}, {h} {label(h, keep_h, r)})",
+                    residual=float(lhs[r] - bound[r]))
 
-    # nondegeneracy: span(A_g A_{g^-1} A_g) = A_g
+    # nondegeneracy: span(A_g A_{g^-1} A_g) = A_g, the products e_i e'_j e_k
+    # of basis vectors of A_g, A_{g^-1}, A_g in (i, j, k) order
     for g in G.arrows:
         d = bundle.dims[g]
         if d == 0:
             continue
         gi = G.inv[g]
         u = G.unit[G.rng[g]]
-        vecs = []
-        for i in range(d):
-            for j in range(bundle.dims[gi]):
-                pair = bundle.mult[(g, gi)][:, i, j]
-                for k in range(d):
-                    vecs.append(bundle.mult_coords(u, g, pair, ei(d, k)))
-        span = la.orth_rows(np.array(vecs).reshape(-1, d) if vecs else np.zeros((0, d)),
-                            tols.rank_threshold)
+        vecs = np.einsum("lmk,mij->ijkl", mult[(u, g)], mult[(g, gi)])
+        span = la.orth_rows(vecs.reshape(d * dims[gi] * d, d), tols.rank_threshold)
         rep.require(span.shape[0] == d, "nondegeneracy A_g A_g* A_g = A_g", f"arrow {g}",
                     detail=f"span rank {span.shape[0]} of {d}")
     return rep

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -100,62 +100,71 @@ def validate_fell_ideal(I: FellIdeal, tols: Tolerances = DEFAULT) -> ValidationR
 
 
 def validate_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) -> ValidationReport:
+    """Each F_x is a two-sided ideal of A_{u(x)}, and the family is invariant.
+
+    The ideal checks are one stacked product per object and the one-sided
+    criterion one per arrow, each followed by one residual computation; the
+    violations come in the order of the loops they replace.
+    """
     bundle = F.bundle
     G = bundle.groupoid
     tol = tols.tolerance
     rep = ValidationReport("invariant family")
     for x in G.objects:
         u = G.unit[x]
-        du = bundle.dims[u]
-        for i in range(F.dim(x)):
-            for j in range(du):
-                for a, b, side in ((F.frames[x][i], ei(du, j), "right"),
-                                   (ei(du, j), F.frames[x][i], "left")):
-                    prod = bundle.mult_coords(u, u, a, b)
-                    res = la.residual_in_span(F.frames[x], prod)
-                    rep.check_residual(res, tol * max(1.0, float(np.linalg.norm(prod))),
-                                       f"fibre subspace is {side} ideal", f"object {x}")
+        M = bundle.mult[(u, u)]
+        # prods[i, j, 0] = F_i . e_j ("right"), prods[i, j, 1] = e_j . F_i ("left")
+        prods = np.einsum("skaj,ia->ijsk", np.stack([M, M.transpose(0, 2, 1)]), F.frames[x])
+        _report_residuals(rep, F.frames[x], prods, tol,
+                          lambda p: (f"fibre subspace is {('right', 'left')[p[2]]} ideal",
+                                     f"object {x}"))
     for g in G.arrows:
         left = _left_product_frame(bundle, F, g, tols)
         right = _right_product_frame(bundle, F, g, tols)
         if not la.frame_eq(left, right, 1e-7):
             rep.add("invariance F_{r(g)} A_g = A_g F_{s(g)}", f"arrow {g}",
                     detail=f"left dim {left.shape[0]}, right dim {right.shape[0]}")
-        # equivalent one-sided criterion, reported separately
-        gi = G.inv[g]
-        x = G.rng[g]
-        for i in range(bundle.dims[g]):
-            for k in range(F.dim(G.src[g])):
-                mid = bundle.mult_coords(g, G.unit[G.src[g]], ei(bundle.dims[g], i),
-                                         F.frames[G.src[g]][k])
-                for j in range(bundle.dims[gi]):
-                    out = bundle.mult_coords(G.comp[(g, G.unit[G.src[g]])], gi, mid,
-                                             ei(bundle.dims[gi], j))
-                    res = la.residual_in_span(F.frames[x], out)
-                    rep.check_residual(res, tol * max(1.0, float(np.linalg.norm(out))),
-                                       "one-sided criterion A_g F_{s} A_{g^-1} in F_{r}",
-                                       f"arrow {g}")
+        # equivalent one-sided criterion, reported separately: out[i, k, j] =
+        # (e_i . F_k) . e'_j for e_i in A_g, F_k in F_{s(g)}, e'_j in A_{g^-1}
+        y = G.src[g]
+        mid = np.einsum("aib,kb->ika", bundle.mult[(g, G.unit[y])], F.frames[y])
+        out = np.einsum("laj,ika->ikjl", bundle.mult[(G.comp[(g, G.unit[y])], G.inv[g])], mid)
+        _report_residuals(rep, F.frames[G.rng[g]], out, tol,
+                          lambda p: ("one-sided criterion A_g F_{s} A_{g^-1} in F_{r}",
+                                     f"arrow {g}"))
     return rep
+
+
+def _report_residuals(rep: ValidationReport, frame: Array, vecs: Array, tol: float,
+                      witness: Callable[[tuple], tuple[str, str]]) -> None:
+    """Check that every vector of ``vecs`` (..., d) lies in span(frame), to
+    ``tol`` relative to its norm; ``witness(index)`` gives (check, where)."""
+    if not vecs.size:
+        return
+    flat = vecs.reshape(-1, frame.shape[1])
+    res = la.residuals_in_span(frame, flat)
+    scale = tol * np.maximum(1.0, la.row_norms(flat))
+    for p in np.flatnonzero(~(res <= scale)):
+        check, where = witness(np.unravel_index(p, vecs.shape[:-1]))
+        rep.check_residual(res[p], scale[p], check, where)
 
 
 def _left_product_frame(bundle: FellBundle, F: InvariantFamily, g: str,
                         tols: Tolerances) -> Array:
+    """span(F_{r(g)} . A_g): rows b . e_j for b in the frame, then j."""
     G = bundle.groupoid
-    u = G.unit[G.rng[g]]
-    vecs = [bundle.mult_coords(u, g, b, ei(bundle.dims[g], j))
-            for b in F.frames[G.rng[g]] for j in range(bundle.dims[g])]
-    return la.orth_rows(np.array(vecs) if vecs else np.zeros((0, bundle.dims[g])),
-                        tols.rank_threshold)
+    vecs = np.einsum("kij,bi->bjk", bundle.mult[(G.unit[G.rng[g]], g)], F.frames[G.rng[g]])
+    d = bundle.dims[g]
+    return la.orth_rows(vecs.reshape(len(vecs) * d, d), tols.rank_threshold)
 
 
 def _right_product_frame(bundle: FellBundle, F: InvariantFamily, g: str,
                          tols: Tolerances) -> Array:
+    """span(A_g . F_{s(g)}): rows e_j . b for b in the frame, then j."""
     G = bundle.groupoid
-    u = G.unit[G.src[g]]
-    vecs = [bundle.mult_coords(g, u, ei(bundle.dims[g], j), b)
-            for b in F.frames[G.src[g]] for j in range(bundle.dims[g])]
-    return la.orth_rows(np.array(vecs) if vecs else np.zeros((0, bundle.dims[g])),
-                        tols.rank_threshold)
+    vecs = np.einsum("kji,bi->bjk", bundle.mult[(g, G.unit[G.src[g]])], F.frames[G.src[g]])
+    d = bundle.dims[g]
+    return la.orth_rows(vecs.reshape(len(vecs) * d, d), tols.rank_threshold)
 
 
 def ideal_from_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) -> FellIdeal:
@@ -512,8 +521,15 @@ def enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances = DEFAULT,
     """Exhaustive search over families generated by central block supports.
 
     Sufficient because every invariant family of unit-fibre ideals is a sum
-    of full matrix blocks.  Guarded by ``cap`` candidates.
+    of full matrix blocks.  Guarded by ``cap`` candidates.  The search runs
+    once per bundle, tolerances and cap (``bundle.memo``); each call returns
+    a fresh list.
     """
+    return list(bundle.memo(("fell_ideals", tols, cap),
+                            lambda: _enumerate_fell_ideals(bundle, tols, cap)))
+
+
+def _enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances, cap: int) -> list[FellIdeal]:
     G = bundle.groupoid
     per_object_blocks = {}
     for x in G.objects:

@@ -22,7 +22,7 @@ from .bundle import FellBundle, ei
 from .config import DEFAULT, Tolerances
 from .envelope import SimpleBlock, block_decomposition, envelope_algebra
 from .groupoid import FiniteGroupoid
-from .ideals import (InvariantFamily, enumerate_fell_ideals,
+from .ideals import (InvariantFamily, _block_support_frame, enumerate_fell_ideals,
                      ideal_from_invariant_family, validate_invariant_family)
 from .report import ValidationReport
 from .sections import Section
@@ -213,24 +213,9 @@ def invariant_subsets(bundle: FellBundle, tols: Tolerances = DEFAULT,
 def family_from_subset(bundle: FellBundle, spec: FiberSpectrum,
                        subset: frozenset[tuple[str, int]],
                        tols: Tolerances = DEFAULT) -> InvariantFamily:
-    frames = {}
-    for x in bundle.groupoid.objects:
-        blocks = [b for b in spec.by_object[x] if b.key in subset]
-        u = bundle.groupoid.unit[x]
-        d = bundle.dims[u]
-        if not blocks:
-            frames[x] = np.zeros((0, d), dtype=np.complex128)
-            continue
-        p = sum(b.projection for b in blocks)
-        vecs = []
-        for i in range(d):
-            mat = p @ bundle.unit_matrix(x, ei(d, i))
-            coeff, res = la.solve_lstsq(la.flatten_stack(bundle.unit_rep[x]).T,
-                                        mat.reshape(-1))
-            if res > 1e-7 * max(1.0, float(np.linalg.norm(mat))):
-                raise ValueError(f"block support at {x} left the unit fibre")
-            vecs.append(coeff)
-        frames[x] = la.orth_rows(np.array(vecs), tols.rank_threshold)
+    frames = {x: _block_support_frame(bundle, x, [b for b in spec.by_object[x] if b.key in subset],
+                                      tols)
+              for x in bundle.groupoid.objects}
     return InvariantFamily(bundle, frames)
 
 

@@ -220,3 +220,44 @@ def test_zero_unit_fiber_object():
     assert i_norm(e) == 1.0
     env = envelope_algebra(b)
     assert env.dim == 1 and env.injective
+
+
+def _oracle_bundles():
+    """Every shipped bundle with a matrix model, plus one over pair({1,2})
+    whose two off-diagonal fibres are zero-dimensional."""
+    out = {name: b for name, b in gallery.shipped_bundles().items()
+           if b.matrix_model is not None}
+    G = pair_groupoid(["1", "2"])
+    diag = {G.unit["1"]: matrix_units(2, 2), G.unit["2"]: matrix_units(1, 1)}
+    out["pair2-diagonal"] = MatrixModelBundle(G, diag, obj_dims={"1": 2, "2": 1}).to_fell_bundle()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_bundles()))
+def test_fiber_norms_match_matrix_model_oracle(name):
+    # independent oracle: the norm of a in A_g is the largest singular value
+    # of the concrete matrix sum_i a_i M_i
+    b = _oracle_bundles()[name]
+    rng = np.random.default_rng(7)
+    for g in b.groupoid.arrows:
+        d = b.dims[g]
+        rows = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+        rows *= np.array([1.0, 1e-6, 1e6, 0.0, 3.0])[:, None]   # row 3 is zero
+        got = b.fiber_norms(g, rows)
+        mats = np.tensordot(rows, b.matrix_model[g], axes=1) if d else \
+            np.zeros((5,) + b.matrix_model[g].shape[1:])
+        want = np.array([np.linalg.norm(m, 2) if m.size else 0.0 for m in mats])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got[3] == 0.0
+        # the one-vector path gives the same numbers, bit for bit
+        assert list(got) == [b.fiber_norm(g, a) for a in rows]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_matrix_model_rejects_non_finite_entry(bad):
+    # before the check, inf gave an empty fibre that validated OK and NaN
+    # ended in a LinAlgError from the SVD
+    G = cyclic_group(2)
+    m = np.full((1, 1), bad, dtype=complex)
+    with pytest.raises(ValueError, match="arrow g1"):
+        MatrixModelBundle(G, {"e": [np.eye(1)], "g1": [m]})

@@ -159,6 +159,37 @@ def test_enumeration_cap_guard():
         enumerate_fell_ideals(gallery.a4_bundle(), cap=2)
 
 
+def test_enumeration_with_zero_unit_fibre():
+    # two one-object components, the second over the zero algebra: the Fell
+    # ideals are those of C over the first, 0 and everything
+    from fellbund.bundle import MatrixModelBundle
+    from fellbund.groupoid import FiniteGroupoid
+    G = FiniteGroupoid.from_data(
+        ["x", "y"], ["ex", "ey"], {"ex": "x", "ey": "y"}, {"ex": "x", "ey": "y"},
+        {"x": "ex", "y": "ey"}, {"ex": "ex", "ey": "ey"},
+        {("ex", "ex"): "ex", ("ey", "ey"): "ey"})
+    b = MatrixModelBundle(G, {"ex": [np.eye(1, dtype=complex)], "ey": []},
+                          obj_dims={"x": 1, "y": 1}).to_fell_bundle()
+    found = enumerate_fell_ideals(b)
+    assert [{g: I.dim(g) for g in G.arrows} for I in found] == \
+        [{"ex": 0, "ey": 0}, {"ex": 1, "ey": 0}]
+
+
+def test_enumeration_runs_once_per_bundle(monkeypatch):
+    import fellbund.ideals as ideals
+    calls = []
+    real = ideals.validate_invariant_family
+    monkeypatch.setattr(ideals, "validate_invariant_family",
+                        lambda F, tols: calls.append(F) or real(F, tols))
+    b = gallery.a4_bundle()
+    first, second = enumerate_fell_ideals(b), enumerate_fell_ideals(b)
+    assert len(calls) == 8                   # 2^3 candidate families, searched once
+    assert first is not second and len(first) == len(second) == 4
+    assert all(I is J for I, J in zip(first, second))
+    first.clear()
+    assert len(enumerate_fell_ideals(b)) == 4
+
+
 def test_quotient_hom_kills_inclusion():
     b, F = a4_pq_family()
     I = ideal_from_invariant_family(F)
