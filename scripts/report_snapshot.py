@@ -3,8 +3,8 @@
     python3 scripts/report_snapshot.py OUT [--root CHECKOUT] [--seeds 1 4]
 
 Runs, in process, the 11 README demo commands on ``examples_ws/demo.json``
-and ``validate``/``envelope``/``spectrum``/``ideals`` on every bundle of the
-seeded benchmark workspace ``perfbench/workloads.certify_workspace(seed)``.
+and ``validate``/``envelope``/``spectrum``/``quasi-orbits``/``ideals`` on every
+bundle of the seeded benchmark workspace ``perfbench/workloads.certify_workspace(seed)``.
 Each command's stdout goes to its own file under OUT, and ``exit_codes.txt``
 lists the exit status of every command.  fellbund is imported from
 CHECKOUT's ``src`` (default: the checkout holding this script), so two
@@ -38,7 +38,7 @@ DEMO_COMMANDS = [
     ["represent", "z2-line", "--roundtrip", "--fuzz", "50"],
     ["trafo", "pq-compare"],
 ]
-CERTIFY_COMMANDS = ["validate", "envelope", "spectrum", "ideals"]
+CERTIFY_COMMANDS = ["validate", "envelope", "spectrum", "quasi-orbits", "ideals"]
 
 
 def main(argv: list[str] | None = None) -> int:

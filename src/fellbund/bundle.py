@@ -143,6 +143,11 @@ class FellBundle:
     def unit_matrix(self, x: str, coords: Array) -> Array:
         return la.stack_combine(self.unit_rep[x], coords)
 
+    def unit_coords(self, x: str, mat: Array) -> tuple[Array, float]:
+        """Least-squares coordinates c with rho_x(c) = mat, and the residual
+        norm of rho_x(c) - mat (0 when mat lies in the unit fibre)."""
+        return la.solve_lstsq(la.flatten_stack(self.unit_rep[x]).T, mat.reshape(-1))
+
     def unit_algebra_unit(self, x: str) -> Array:
         """Coordinates of the unit of A_{u(x)} (cached)."""
         def build() -> Array:

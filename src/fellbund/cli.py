@@ -199,8 +199,8 @@ def cmd_envelope(ws: Workspace, args) -> tuple[dict, bool]:
 def _spectrum_payload(ws: Workspace, name: str) -> dict:
     bundle = ws.bundle(name)
     spec = fiber_spectrum(bundle, ws.tols)
-    dual = dual_groupoid(bundle, ws.tols, spec)
-    orbits = quasi_orbits(bundle, ws.tols, dual)
+    dual = dual_groupoid(bundle, ws.tols)
+    orbits = quasi_orbits(bundle, ws.tols)
     subsets = invariant_subsets(bundle, ws.tols)
     fell = enumerate_fell_ideals(bundle, ws.tols)
     return {

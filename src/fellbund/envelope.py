@@ -114,12 +114,8 @@ class RegularRepAt:
 
 
 class RegularRepresentation:
-    """Per-object regular representations, built lazily and cached.
-
-    The per-object constructions are independent of each other, so distinct
-    objects may be evaluated concurrently; direct sums always merge in the
-    declared object order.
-    """
+    """Per-object regular representations, built lazily and cached; direct
+    sums merge in the declared object order."""
 
     def __init__(self, bundle: FellBundle, tols: Tolerances = DEFAULT):
         self.bundle = bundle

@@ -106,40 +106,43 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         if G.src[g] != G.rng[h]:
             rep.add("composition defined on non-composable pair", f"({g},{h})")
 
-    def comp_ok(g, h):
-        return G.src[g] == G.rng[h] and (g, h) in G.comp
+    # the entries on composable pairs; an entry elsewhere is reported above
+    # and never read as a composite
+    comp = {(g, h): k for (g, h), k in G.comp.items() if G.src[g] == G.rng[h]}
 
     for g in G.arrows:
         ur, us = G.unit[G.rng[g]], G.unit[G.src[g]]
-        if comp_ok(ur, g) and G.comp[(ur, g)] != g:
-            rep.add("left unit law", f"arrow {g}", detail=f"u·{g} = {G.comp[(ur, g)]}")
-        if comp_ok(g, us) and G.comp[(g, us)] != g:
-            rep.add("right unit law", f"arrow {g}", detail=f"{g}·u = {G.comp[(g, us)]}")
+        left, right = comp.get((ur, g)), comp.get((g, us))
+        if left is not None and left != g:
+            rep.add("left unit law", f"arrow {g}", detail=f"u·{g} = {left}")
+        if right is not None and right != g:
+            rep.add("right unit law", f"arrow {g}", detail=f"{g}·u = {right}")
         gi = G.inv[g]
         rep.require(G.src[gi] == G.rng[g] and G.rng[gi] == G.src[g],
                     "inverse endpoints", f"arrow {g}")
-        if comp_ok(g, gi) and G.comp[(g, gi)] != G.unit[G.rng[g]]:
+        ggi, gig = comp.get((g, gi)), comp.get((gi, g))
+        if ggi is not None and ggi != G.unit[G.rng[g]]:
             rep.add("inverse axiom", f"arrow {g}",
-                    detail=f"{g}·{gi} = {G.comp[(g, gi)]} != unit({G.rng[g]})")
-        if comp_ok(gi, g) and G.comp[(gi, g)] != G.unit[G.src[g]]:
+                    detail=f"{g}·{gi} = {ggi} != unit({G.rng[g]})")
+        if gig is not None and gig != G.unit[G.src[g]]:
             rep.add("inverse axiom", f"arrow {g}",
-                    detail=f"{gi}·{g} = {G.comp[(gi, g)]} != unit({G.src[g]})")
+                    detail=f"{gi}·{g} = {gig} != unit({G.src[g]})")
         rep.require(G.inv[gi] == g, "inverse involutive", f"arrow {g}")
 
     for g, h in composable_pairs(G):
-        if not comp_ok(g, h):
-            continue
-        gh = G.comp[(g, h)]
-        rep.require(G.src[gh] == G.src[h] and G.rng[gh] == G.rng[g],
-                    "composite endpoints", f"({g},{h})")
+        gh = comp.get((g, h))
+        if gh is not None:
+            rep.require(G.src[gh] == G.src[h] and G.rng[gh] == G.rng[g],
+                        "composite endpoints", f"({g},{h})")
 
     for g, h, k in composable_triples(G):
-        if not (comp_ok(g, h) and comp_ok(h, k)):
+        gh, hk = comp.get((g, h)), comp.get((h, k))
+        if gh is None or hk is None:
             continue
-        gh, hk = G.comp[(g, h)], G.comp[(h, k)]
-        if comp_ok(gh, k) and comp_ok(g, hk) and G.comp[(gh, k)] != G.comp[(g, hk)]:
+        left, right = comp.get((gh, k)), comp.get((g, hk))
+        if left is not None and right is not None and left != right:
             rep.add("associativity", f"({g},{h},{k})",
-                    detail=f"({g}{h}){k} = {G.comp[(gh, k)]} != {G.comp[(g, hk)]}")
+                    detail=f"({g}{h}){k} = {left} != {right}")
     return rep
 
 

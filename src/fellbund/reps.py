@@ -23,6 +23,7 @@ import numpy as np
 from . import _linalg as la
 from .bundle import FellBundle, ei
 from .config import DEFAULT, Tolerances
+from .envelope import _cached_regular, envelope_algebra, irreducible_envelope_blocks
 from .report import ValidationReport
 from .sections import Section, basis_sections, unit_section
 
@@ -265,9 +266,8 @@ def regular_fellrep(bundle: FellBundle, x: str, tols: Tolerances = DEFAULT) -> F
     The space over object y collects the Gram quotients of A_g (x) C^{n_x}
     for g in G_x with r(g) = y, in declared arrow order.
     """
-    from .envelope import RegularRepAt
     G = bundle.groupoid
-    reg = RegularRepAt(bundle, x, tols)
+    reg = _cached_regular(bundle, tols).at(x)
     members = {y: [g for g in reg.summands if G.rng[g] == y] for y in G.objects}
     dims = {y: sum(reg.quot_dim[g] for g in members[y]) for y in G.objects}
     local = {}
@@ -334,7 +334,6 @@ def random_fellrep(bundle: FellBundle, rng: np.random.Generator,
                    tols: Tolerances = DEFAULT) -> FellRep:
     """Seeded random representation: random multiplicities of the envelope
     blocks conjugated by a Haar unitary, then disintegrated."""
-    from .envelope import envelope_algebra, irreducible_envelope_blocks
     env = envelope_algebra(bundle, tols)
     blocks = irreducible_envelope_blocks(bundle, tols)
     while True:

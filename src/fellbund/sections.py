@@ -182,8 +182,8 @@ def factor(f: Section, tols: Tolerances = DEFAULT) -> tuple[dict[str, Array], Se
         smat = bundle.unit_matrix(x, s_coords)
         quarter = la.psd_power(smat, 0.25, tols.rank_threshold)
         inv_quarter = la.psd_power(smat, -0.25, tols.rank_threshold)
-        q_coords, res_q = _expand_in_unit(bundle, x, quarter)
-        iq_coords, res_iq = _expand_in_unit(bundle, x, inv_quarter)
+        q_coords, res_q = bundle.unit_coords(x, quarter)
+        iq_coords, res_iq = bundle.unit_coords(x, inv_quarter)
         scale = max(1.0, float(np.linalg.norm(quarter)))
         if max(res_q, res_iq) > 1e2 * tols.tolerance * scale:
             raise ValueError(f"functional calculus left the unit fibre at {x} "
@@ -191,9 +191,3 @@ def factor(f: Section, tols: Tolerances = DEFAULT) -> tuple[dict[str, Array], Se
         f1[g] = q_coords
         f2_entries[g] = bundle.mult_coords(u, g, iq_coords, v)
     return f1, Section(bundle, f2_entries)
-
-
-def _expand_in_unit(bundle: FellBundle, x: str, mat: Array) -> tuple[Array, float]:
-    R = bundle.unit_rep[x]
-    coeff, res = la.solve_lstsq(la.flatten_stack(R).T, mat.reshape(-1))
-    return coeff, res

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .bundle import FellBundle, ei
 from .config import DEFAULT, Tolerances
 from .envelope import SimpleBlock, block_decomposition, envelope_algebra
 from .groupoid import FiniteGroupoid
-from .ideals import (InvariantFamily, _block_support_frame, enumerate_fell_ideals,
-                     ideal_from_invariant_family, validate_invariant_family)
+from .ideals import (InvariantFamily, enumerate_fell_ideals, ideal_from_invariant_family,
+                     validate_invariant_family)
 from .report import ValidationReport
 from .sections import Section
 
@@ -37,6 +37,8 @@ class SpectrumBlock:
     dim: int
     projection: Array   # minimal central projection in Mat(n_x)
     frame: Array        # (dim, n_x) rows spanning an irreducible subspace
+    coords: Array       # unit-fibre coordinates of the projection
+    support: Array      # orthonormal rows spanning p . A_{u(x)}, unit-fibre coordinates
 
     @property
     def key(self) -> tuple[str, int]:
@@ -59,15 +61,31 @@ class FiberSpectrum:
 
 
 def fiber_spectrum(bundle: FellBundle, tols: Tolerances = DEFAULT) -> FiberSpectrum:
+    """Blocks of every nonzero unit fibre, with irreducible frames.
+
+    Each unit fibre is decomposed once per bundle and tolerances
+    (``bundle.memo``); ideals, the dual groupoid and the Galois check read
+    the blocks' projection coordinates and supports from here.
+    """
+    return bundle.memo(("spectrum", tols), lambda: _fiber_spectrum(bundle, tols))
+
+
+def _fiber_spectrum(bundle: FellBundle, tols: Tolerances) -> FiberSpectrum:
+    G = bundle.groupoid
     by_object = {}
-    for x in bundle.groupoid.objects:
-        u = bundle.groupoid.unit[x]
-        if bundle.dims[u] == 0:
-            by_object[x] = []
-            continue
-        raw = block_decomposition(bundle.unit_rep[x], tols, want_irreps=True)
-        by_object[x] = [SpectrumBlock(x, i, b.size, b.projection, b.irrep_frame)
-                        for i, b in enumerate(raw)]
+    for x in G.objects:
+        u = G.unit[x]
+        raw = block_decomposition(bundle.unit_rep[x], tols, want_irreps=True) \
+            if bundle.dims[u] else []
+        by_object[x] = []
+        for i, b in enumerate(raw):
+            coords, res = bundle.unit_coords(x, b.projection)
+            if res > 1e-7 * max(1.0, float(np.linalg.norm(b.projection))):
+                raise ValueError(f"central projection at {x} left the unit fibre")
+            # columns of the left-multiplication matrix: coordinates of p . e_j
+            support = la.orth_rows(left_matrix(bundle, u, u, coords).T, tols.rank_threshold)
+            by_object[x].append(SpectrumBlock(x, i, b.size, b.projection, b.irrep_frame,
+                                              coords, support))
     return FiberSpectrum(bundle, by_object)
 
 
@@ -100,12 +118,8 @@ def dual_arrow_action(bundle: FellBundle, spec: FiberSpectrum, g: str,
     u = G.unit[y]
     target = None
     for cand in spec.by_object[y]:
-        p_coords, res = la.solve_lstsq(la.flatten_stack(bundle.unit_rep[y]).T,
-                                       cand.projection.reshape(-1))
-        if res > 1e-7:
-            raise ValueError(f"central projection at {y} left the unit fibre")
         # left multiplication by the projection on A_g (x) C^{dim pi}
-        op = np.kron(left_matrix(bundle, u, g, p_coords), np.eye(block.dim))
+        op = np.kron(left_matrix(bundle, u, g, cand.coords), np.eye(block.dim))
         compressed = phi @ op @ psi
         tr = abs(complex(np.trace(compressed)))
         if tr > 1e-6:
@@ -128,41 +142,33 @@ class DualGroupoid:
     # arrow id -> (base arrow, source block key, target block key)
 
 
-def dual_groupoid(bundle: FellBundle, tols: Tolerances = DEFAULT,
-                  spec: FiberSpectrum | None = None) -> DualGroupoid:
+def dual_groupoid(bundle: FellBundle, tols: Tolerances = DEFAULT) -> DualGroupoid:
+    """The groupoid of the partial dual action on spectrum blocks, built once
+    per bundle and tolerances (``bundle.memo``)."""
+    return bundle.memo(("dual", tols), lambda: _dual_groupoid(bundle, tols))
+
+
+def _dual_groupoid(bundle: FellBundle, tols: Tolerances) -> DualGroupoid:
     G = bundle.groupoid
-    spec = spec or fiber_spectrum(bundle, tols)
+    spec = fiber_spectrum(bundle, tols)
     node = {b.key: f"{b.obj}:{b.index}" for b in spec.blocks()}
     objects = [node[b.key] for b in spec.blocks()]
-    arrows, src, rng, inv_map, data = [], {}, {}, {}, {}
-
-    images: dict[tuple[str, tuple[str, int]], tuple[str, int] | None] = {}
-    for g in G.arrows:
-        for b in spec.by_object[G.src[g]]:
-            img = dual_arrow_action(bundle, spec, g, b, tols)
-            images[(g, b.key)] = img.key if img is not None else None
 
     def arrow_name(g: str, key: tuple[str, int]) -> str:
         return f"{g}|{key[0]}:{key[1]}"
 
+    arrows, src, rng, data = [], {}, {}, {}
     for g in G.arrows:
         for b in spec.by_object[G.src[g]]:
-            tgt = images[(g, b.key)]
-            if tgt is None:
+            img = dual_arrow_action(bundle, spec, g, b, tols)
+            if img is None:
                 continue
             a = arrow_name(g, b.key)
             arrows.append(a)
-            src[a] = node[b.key]
-            rng[a] = node[tgt]
-            data[a] = (g, b.key, tgt)
-    unit = {}
-    for b in spec.blocks():
-        u = G.unit[b.obj]
-        unit[node[b.key]] = arrow_name(u, b.key)
-    for a in arrows:
-        g, skey, tkey = data[a]
-        gi = G.inv[g]
-        inv_map[a] = arrow_name(gi, tkey)
+            src[a], rng[a] = node[b.key], node[img.key]
+            data[a] = (g, b.key, img.key)
+    unit = {node[b.key]: arrow_name(G.unit[b.obj], b.key) for b in spec.blocks()}
+    inv_map = {a: arrow_name(G.inv[g], tkey) for a, (g, _, tkey) in data.items()}
     comp = {}
     for a1 in arrows:
         g1, s1, t1 = data[a1]
@@ -175,10 +181,9 @@ def dual_groupoid(bundle: FellBundle, tols: Tolerances = DEFAULT,
     return DualGroupoid(H, node, data)
 
 
-def quasi_orbits(bundle: FellBundle, tols: Tolerances = DEFAULT,
-                 dual: DualGroupoid | None = None) -> list[list[tuple[str, int]]]:
+def quasi_orbits(bundle: FellBundle, tols: Tolerances = DEFAULT) -> list[list[tuple[str, int]]]:
     """Orbit partition of the spectrum; quasi-orbits = orbits (discrete)."""
-    dual = dual or dual_groupoid(bundle, tols)
+    dual = dual_groupoid(bundle, tols)
     parent = {k: k for k in dual.node_of_block}
 
     def find(k):
@@ -211,11 +216,15 @@ def invariant_subsets(bundle: FellBundle, tols: Tolerances = DEFAULT,
 
 
 def family_from_subset(bundle: FellBundle, spec: FiberSpectrum,
-                       subset: frozenset[tuple[str, int]],
+                       subset: Collection[tuple[str, int]],
                        tols: Tolerances = DEFAULT) -> InvariantFamily:
-    frames = {x: _block_support_frame(bundle, x, [b for b in spec.by_object[x] if b.key in subset],
-                                      tols)
-              for x in bundle.groupoid.objects}
+    """F_x = the sum of p . A_{u(x)} over the blocks at x whose keys are in
+    ``subset``."""
+    frames = {}
+    for x in bundle.groupoid.objects:
+        rows = [b.support for b in spec.by_object[x] if b.key in subset]
+        frames[x] = la.orth_rows(np.vstack(rows), tols.rank_threshold) if rows else \
+            np.zeros((0, bundle.dims[bundle.groupoid.unit[x]]), dtype=np.complex128)
     return InvariantFamily(bundle, frames)
 
 
@@ -289,31 +298,25 @@ def galois_data(bundle: FellBundle, tols: Tolerances = DEFAULT) -> GaloisData:
 def coefficient_ideals(data: GaloisData, tols: Tolerances = DEFAULT) -> list[Array]:
     """All ideals of the coefficient algebra B = (+) A_x: block-supported
     coordinate frames."""
-    bundle = data.bundle
-    G = bundle.groupoid
-    per_block_frames = []
-    for x in G.objects:
-        u = G.unit[x]
-        if bundle.dims[u] == 0:
-            continue
-        blocks = block_decomposition(bundle.unit_rep[x], tols)
-        for b in blocks:
-            vecs = []
-            for i in range(bundle.dims[u]):
-                mat = b.projection @ bundle.unit_matrix(x, ei(bundle.dims[u], i))
-                coeff, _ = la.solve_lstsq(la.flatten_stack(bundle.unit_rep[x]).T,
-                                          mat.reshape(-1))
-                full = np.zeros(data.coeff_total, dtype=np.complex128)
-                full[data.coeff_offsets[x]:data.coeff_offsets[x] + bundle.dims[u]] = coeff
-                vecs.append(full)
-            per_block_frames.append(la.orth_rows(np.array(vecs), tols.rank_threshold))
-    out = []
-    for r in range(len(per_block_frames) + 1):
-        for combo in itertools.combinations(range(len(per_block_frames)), r):
-            rows = [per_block_frames[i] for i in combo]
-            stacked = np.vstack(rows) if rows else np.zeros((0, data.coeff_total))
-            out.append(la.orth_rows(stacked, tols.rank_threshold))
-    return out
+    blocks = fiber_spectrum(data.bundle, tols).blocks()
+    return [_coefficient_frame(data, [blocks[i] for i in combo], tols)
+            for r in range(len(blocks) + 1)
+            for combo in itertools.combinations(range(len(blocks)), r)]
+
+
+def _coefficient_frame(data: GaloisData, blocks: list[SpectrumBlock],
+                       tols: Tolerances) -> Array:
+    """Orthonormal frame of the sum of the blocks' supports, embedded in the
+    coordinates of B = (+) A_x."""
+    rows = np.zeros((sum(b.support.shape[0] for b in blocks), data.coeff_total),
+                    dtype=np.complex128)
+    pos = 0
+    for b in blocks:
+        k, d = b.support.shape
+        start = data.coeff_offsets[b.obj]
+        rows[pos:pos + k, start:start + d] = b.support
+        pos += k
+    return la.orth_rows(rows, tols.rank_threshold)
 
 
 def envelope_ideals(data: GaloisData, tols: Tolerances = DEFAULT) -> list[Array]:
@@ -391,20 +394,9 @@ def galois_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> ValidationRe
         rep.require(la.frame_eq(rirJ, rJ, 1e-7), "r i r = r", f"env-ideal {ei_}")
 
     # restricted ideals are exactly the invariant families
-    spec = fiber_spectrum(bundle, tols)
-    invariant = []
-    for s in invariant_subsets(bundle, tols):
-        fam = family_from_subset(bundle, spec, s, tols)
-        rows = []
-        for x in bundle.groupoid.objects:
-            u = bundle.groupoid.unit[x]
-            for row in fam.frames[x]:
-                full = np.zeros(data.coeff_total, dtype=np.complex128)
-                full[data.coeff_offsets[x]:data.coeff_offsets[x] + bundle.dims[u]] = row
-                rows.append(full)
-        invariant.append(la.orth_rows(np.array(rows) if rows
-                                      else np.zeros((0, data.coeff_total)),
-                                      tols.rank_threshold))
+    blocks = fiber_spectrum(bundle, tols).blocks()
+    invariant = [_coefficient_frame(data, [b for b in blocks if b.key in s], tols)
+                 for s in invariant_subsets(bundle, tols)]
     restricted = []
     for J in e_ideals:
         rJ = restrict_ideal(data, J, tols)

@@ -17,14 +17,14 @@ from typing import Any
 
 import numpy as np
 
-from . import _linalg as la
 from .actions import TwistedPartialAction
 from .bundle import FellBundle, MatrixModelBundle, UnitFiberAlgebra
 from .config import Tolerances, env_seed
 from .groupoid import FiniteGroupoid, PartialActionOnSet, transformation_groupoid
-from .ideals import FellIdeal, InvariantFamily
+from .ideals import FellIdeal, ideal_from_invariant_family
 from .reps import FellRep
 from .sections import Section
+from .spectrum import FiberSpectrum, family_from_subset, fiber_spectrum
 
 
 class WorkspaceError(ValueError):
@@ -301,22 +301,10 @@ class Workspace:
         where = f"ideals.{name}"
         bundle = self.bundle(_ref(spec, "bundle", where))
         if "invariant_family" in spec:
-            from .envelope import block_decomposition
-            from .ideals import ideal_from_invariant_family
-            frames = {}
-            for x in bundle.groupoid.objects:
-                sel = spec["invariant_family"].get(x, [])
-                u = bundle.groupoid.unit[x]
-                blocks = block_decomposition(bundle.unit_rep[x], self.tols) \
-                    if bundle.dims[u] else []
-                bad = [b for b in sel if not (0 <= int(b) < len(blocks))]
-                if bad:
-                    raise WorkspaceError(f"{where}.invariant_family.{x}: "
-                                         f"block indices {bad} out of range")
-                from .ideals import _block_support_frame
-                frames[x] = _block_support_frame(bundle, x,
-                                                 [blocks[int(b)] for b in sel], self.tols)
-            return ideal_from_invariant_family(InvariantFamily(bundle, frames), self.tols)
+            spectrum = fiber_spectrum(bundle, self.tols)
+            keys = _block_keys(spec["invariant_family"], spectrum, f"{where}.invariant_family")
+            family = family_from_subset(bundle, spectrum, keys, self.tols)
+            return ideal_from_invariant_family(family, self.tols)
         vectors = {g: [parse_vector(v, f"{where}.fibers.{g}") for v in vs]
                    for g, vs in spec.get("fibers", {}).items()}
         return FellIdeal.from_spanning(bundle, vectors, self.tols.rank_threshold)
@@ -382,3 +370,24 @@ def _ref(spec: dict, key: str, where: str) -> str:
     if not isinstance(v, str):
         raise WorkspaceError(f"{where}: missing reference {key!r}")
     return v
+
+
+def _block_keys(raw, spectrum: FiberSpectrum, where: str) -> set[tuple[str, int]]:
+    """(object, block index) keys of an ``invariant_family`` entry: an object
+    from object names to lists of distinct block indices."""
+    if not isinstance(raw, dict):
+        raise WorkspaceError(f"{where}: expected an object mapping object names "
+                             f"to block indices, got {raw!r}")
+    for x, sel in raw.items():
+        if x not in spectrum.by_object:
+            raise WorkspaceError(f"{where}: unknown object {x!r}")
+        # bool is a subclass of int, and a float index would be truncated
+        if not isinstance(sel, list) or any(type(b) is not int for b in sel):
+            raise WorkspaceError(f"{where}.{x}: expected a list of integer block "
+                                 f"indices, got {sel!r}")
+        if len(set(sel)) != len(sel):
+            raise WorkspaceError(f"{where}.{x}: repeated block indices in {sel}")
+        bad = [b for b in sel if not 0 <= b < len(spectrum.by_object[x])]
+        if bad:
+            raise WorkspaceError(f"{where}.{x}: block indices {bad} out of range")
+    return {(x, b) for x, sel in raw.items() for b in sel}

@@ -205,3 +205,22 @@ def test_non_finite_report_is_an_error_not_bare_nan(tmp_path, capsys):
     code, out, err = run_cli(capsys, "norms", path, "f")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family, needle", [
+    ([["p", 0]], "expected an object"),
+    ({"p": 0}, "ideals.a4-pq-by-blocks.invariant_family.p"),
+    ({"p": ["x"]}, "integer block indices"),
+    ({"p": [0.7]}, "integer block indices"),
+    ({"p": [True]}, "integer block indices"),
+    ({"p": [0], "zz": [0]}, "unknown object 'zz'"),
+    ({"p": [0, 0]}, "repeated"),
+    ({"p": [1]}, "out of range"),
+], ids=["list", "scalar", "string", "float", "bool", "unknown-object", "repeated",
+        "out-of-range"])
+def test_malformed_invariant_family_exits_2(tmp_path, capsys, family, needle):
+    path = _write_demo(tmp_path, lambda raw: raw["ideals"]["a4-pq-by-blocks"].update(
+        invariant_family=family))
+    code, out, err = run_cli(capsys, "exactness", path, "a4-pq-by-blocks")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err and "Traceback" not in err

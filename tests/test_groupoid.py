@@ -126,3 +126,29 @@ def test_invalid_action_is_rejected():
     assert not rep.ok
     with pytest.raises(ValueError, match="invalid partial action"):
         transformation_groupoid(act)
+
+
+def test_broken_composition_table_violations_in_order():
+    # Z/3 and pair({x, y}) side by side, with a non-associative product, a
+    # missing entry, a composite with the wrong endpoints and an entry on a
+    # non-composable pair; (g1, x<y) must not be read as a composite
+    Z, P = cyclic_group(3), pair_groupoid(["x", "y"])
+    comp = {**Z.comp, **P.comp}
+    comp[("g1", "g1")] = "e"
+    del comp[("x<y", "y<x")]
+    comp[("y<x", "x<x")] = "g1"
+    comp[("g1", "x<y")] = "g2"
+    G = FiniteGroupoid.from_data(Z.objects + P.objects, Z.arrows + P.arrows,
+                                 {**Z.src, **P.src}, {**Z.rng, **P.rng},
+                                 {**Z.unit, **P.unit}, {**Z.inv, **P.inv}, comp)
+    got = [(v.check, v.where, v.detail) for v in validate_groupoid(G).violations]
+    assert got == [
+        ("composition missing", "(x<y,y<x)", ""),
+        ("composition defined on non-composable pair", "(g1,x<y)", ""),
+        ("right unit law", "arrow y<x", "y<x·u = g1"),
+        ("composite endpoints", "(y<x,x<x)", ""),
+        ("associativity", "(g1,g1,g2)", "(g1g1)g2 = g2 != g1"),
+        ("associativity", "(g1,g2,g2)", "(g1g2)g2 = g2 != e"),
+        ("associativity", "(g2,g1,g1)", "(g2g1)g1 = g1 != g2"),
+        ("associativity", "(g2,g2,g1)", "(g2g2)g1 = e != g2"),
+    ]

@@ -159,3 +159,68 @@ def test_restricted_of_induced_recovers_invariant_ideal():
     frame = la.orth_rows(np.eye(3, dtype=complex)[:2])
     back = restrict_ideal(data, induce_ideal(data, frame))
     assert la.frame_eq(back, frame, 1e-8)
+
+
+def test_spectrum_and_ideals_commands_decompose_each_unit_fibre_once(
+        demo_workspace_path, monkeypatch, capsys):
+    import fellbund.envelope as envelope
+    import fellbund.ideals as ideals
+    import fellbund.spectrum as spectrum
+    from fellbund.cli import main
+    decomposed, duals = [], []
+    real_bd, real_dual = envelope.block_decomposition, spectrum._dual_groupoid
+
+    def counting_bd(basis, *args, **kwargs):
+        decomposed.append(basis.shape)
+        return real_bd(basis, *args, **kwargs)
+
+    for module in (envelope, ideals, spectrum):
+        monkeypatch.setattr(module, "block_decomposition", counting_bd)
+    monkeypatch.setattr(spectrum, "_dual_groupoid",
+                        lambda b, tols: duals.append(b) or real_dual(b, tols))
+    a4 = gallery.a4_bundle()
+    unit_stacks = [a4.unit_rep[x].shape for x in a4.groupoid.objects]
+    for command in ("spectrum", "ideals"):
+        decomposed.clear()
+        duals.clear()
+        assert main([command, demo_workspace_path, "a4"]) == 0
+        capsys.readouterr()
+        assert decomposed == unit_stacks, command   # one per object, none of them zero
+        assert len(duals) == 1, command
+
+
+def test_spectrum_and_dual_are_memoised_and_skip_zero_unit_fibres():
+    from fellbund.bundle import subbundle_from_frames
+    from fellbund.ideals import enumerate_fell_ideals
+    b = gallery.a4_bundle()
+    assert fiber_spectrum(b) is fiber_spectrum(b)
+    assert dual_groupoid(b) is dual_groupoid(b)
+    # the ideal over {p, q} as a bundle of its own: its unit fibre at r is zero
+    pq = next(I for I in enumerate_fell_ideals(b)
+              if I.dim(b.groupoid.unit["r"]) == 0 and I.total_dim() > 0)
+    sub, _ = subbundle_from_frames(b, dict(pq.frames))
+    assert [len(fiber_spectrum(sub).by_object[x]) for x in ("p", "q", "r")] == [1, 1, 0]
+    assert quasi_orbits(sub) == [[("p", 0), ("q", 0)]]
+
+
+def test_block_supports_match_elementwise_reference():
+    # independent oracle: solve p . e_i in the unit representation one basis
+    # vector at a time
+    for name, b in gallery.shipped_bundles().items():
+        for blk in fiber_spectrum(b).blocks():
+            x = blk.obj
+            d = b.dims[b.groupoid.unit[x]]
+            flat = la.flatten_stack(b.unit_rep[x]).T
+            rows = []
+            for i in range(d):
+                e = np.zeros(d, dtype=complex)
+                e[i] = 1.0
+                coeff, res = la.solve_lstsq(flat, (blk.projection @ b.unit_matrix(x, e)).reshape(-1))
+                assert res < 1e-8, name
+                rows.append(coeff)
+            ref = la.orth_rows(np.array(rows))
+            assert la.frame_eq(blk.support, ref, 1e-8), (name, blk.key)
+            np.testing.assert_allclose(blk.support @ blk.support.conj().T,
+                                       np.eye(blk.support.shape[0]), atol=1e-10)
+            np.testing.assert_allclose(b.unit_matrix(x, blk.coords), blk.projection,
+                                       atol=1e-9)

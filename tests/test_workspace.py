@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fellbund._linalg as la
 from conftest import demo_workspace_dict
 from fellbund.workspace import (Workspace, WorkspaceError, dump_matrix,
                                 parse_complex, parse_matrix)
@@ -140,3 +141,17 @@ def test_tolerance_override_must_be_positive_and_finite():
     with pytest.raises(WorkspaceError, match="config.tolerance"):
         Workspace.from_dict({"config": {"tolerance": -1}}, tolerance=1e-6)
     assert Workspace.from_dict({"config": {"tolerance": 1e-3}}, tolerance=1e-6).tols.tolerance == 1e-6
+
+
+def test_block_family_ideal_equals_spectrum_subset():
+    from fellbund.ideals import ideal_from_invariant_family
+    from fellbund.spectrum import family_from_subset, fiber_spectrum
+    ws = Workspace.from_dict(demo_workspace_dict())
+    b = ws.bundle("a4")
+    family = family_from_subset(b, fiber_spectrum(b, ws.tols), {("p", 0), ("q", 0)}, ws.tols)
+    want = ideal_from_invariant_family(family, ws.tols)
+    for name in ("a4-pq", "a4-pq-by-blocks"):
+        got = ws.ideal(name)
+        assert all(la.frame_eq(got.frames[g], want.frames[g], 1e-9)
+                   for g in b.groupoid.arrows), name
+    assert want.total_dim() == 4
