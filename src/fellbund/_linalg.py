@@ -21,14 +21,8 @@ def as_complex(a) -> Array:
 
 def orth_rows(vectors: Array, rtol: float = 1e-10) -> Array:
     """Orthonormal rows spanning the row space of ``vectors``."""
-    v = as_complex(np.atleast_2d(vectors))
-    if v.size == 0 or v.shape[0] == 0:
-        return np.zeros((0, v.shape[1] if v.ndim == 2 else 0), dtype=np.complex128)
-    _, s, vh = np.linalg.svd(v, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, v.shape[1]), dtype=np.complex128)
-    rank = int(np.sum(s > rtol * s[0]))
-    return np.ascontiguousarray(vh[:rank])
+    vh, rank = stacked_orth_rows(as_complex(np.atleast_2d(vectors))[None], rtol)
+    return np.ascontiguousarray(vh[0, :rank[0]])
 
 
 def frame_project(frame: Array, vector: Array) -> Array:
@@ -44,12 +38,29 @@ def residual_in_span(frame: Array, vector: Array) -> float:
     return float(np.linalg.norm(v - frame_project(frame, v)))
 
 
-def residuals_in_span(frame: Array, vectors: Array) -> Array:
-    """``residual_in_span`` of each row of ``vectors``: norms of V - (V F^H) F,
-    one matrix-vector product per row as ``frame_project`` forms it."""
-    v = as_complex(vectors)
-    coeff = np.matmul(frame.conj(), v[:, :, None])
-    return row_norms(v - np.matmul(frame.T, coeff)[:, :, 0])
+def residuals_in_span(frames: Array, vectors: Array) -> tuple[Array, Array]:
+    """``residual_in_span`` of each row of each item: the residuals (t, m) of
+    the rows of ``vectors`` (t, m, d) in the spans of ``frames`` (t, r, d),
+    norms of V - (V F^H) F with one matrix-vector product per row as
+    ``frame_project`` forms it; and the norms (t, m) of those rows."""
+    t, m, d = vectors.shape
+    coeff = np.matmul(frames.conj()[:, None], vectors[..., None])
+    diff = vectors - np.matmul(np.swapaxes(frames, -1, -2)[:, None], coeff)[..., 0]
+    return (row_norms(diff.reshape(t * m, d)).reshape(t, m),
+            row_norms(vectors.reshape(t * m, d)).reshape(t, m))
+
+
+def stacked_orth_rows(vectors: Array, rtol: float = 1e-10) -> tuple[Array, Array]:
+    """``orth_rows`` of each item of a stack (t, m, d) from one stacked SVD:
+    the right singular vectors (t, min(m, d), d) and the rank of each item
+    (singular values above rtol times the largest), so that item i's frame
+    is ``vh[i, :rank[i]]``."""
+    t, m, d = vectors.shape
+    if m == 0 or d == 0:
+        return np.zeros((t, 0, d), dtype=np.complex128), np.zeros(t, dtype=np.intp)
+    _, s, vh = np.linalg.svd(vectors, full_matrices=False)
+    # an all-zero item has rank 0: no singular value exceeds rtol * 0
+    return vh, np.sum(s > rtol * s[:, :1], axis=1)
 
 
 def row_norms(stack: Array) -> Array:
@@ -64,12 +75,30 @@ def row_norms(stack: Array) -> Array:
     return np.sqrt(sq[:, 0, 0])
 
 
+def frames_contain(frames: Array, vectors: Array, tol: float) -> Array:
+    """Whether every row of ``vectors`` (..., m, d) lies in the span of the
+    orthonormal rows of ``frames`` (..., r, d), to ``tol`` times max(1, the
+    row's norm); one answer per leading index (a bool for one frame)."""
+    coeff = vectors @ np.swapaxes(frames, -1, -2).conj()
+    res = np.linalg.norm(vectors - coeff @ frames, axis=-1)
+    return (res <= tol * np.maximum(1.0, np.linalg.norm(vectors, axis=-1))).all(axis=-1)
+
+
+def stacked_frame_eq(a: Array, arank: Array, b: Array, brank: Array, tol: float) -> Array:
+    """``frame_eq`` of the frames ``a[i, :arank[i]]`` and ``b[i, :brank[i]]``
+    for each item i of the stacks (t, *, d), as ``stacked_orth_rows`` returns
+    them; the items of equal rank are checked together."""
+    out = arank == brank
+    for r in np.unique(arank[out]):
+        idx = np.flatnonzero(out & (arank == r))
+        sa, sb = a[idx, :r], b[idx, :r]
+        out[idx] = frames_contain(sb, sa, tol) & frames_contain(sa, sb, tol)
+    return out
+
+
 def frame_contains(frame: Array, vectors: Array, tol: float) -> bool:
     v = np.atleast_2d(as_complex(vectors))
-    if v.shape[0] == 0:
-        return True
-    return all(residual_in_span(frame, row) <= tol * max(1.0, np.linalg.norm(row))
-               for row in v)
+    return v.shape[0] == 0 or bool(frames_contain(as_complex(frame), v, tol))
 
 
 def frame_leq(sub: Array, sup: Array, tol: float) -> bool:

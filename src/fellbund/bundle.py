@@ -280,41 +280,53 @@ class MatrixModelBundle:
         return self.fibers[g].shape[0]
 
     def to_fell_bundle(self, rtol: float = 1e-10, name: str = "matrix bundle") -> FellBundle:
+        """Structure tensors from the matrix model: per composable pair, the
+        products of the basis pairs as stacked matmuls (over slices of the
+        basis of A_g, _STACK_CHUNK elements of products at a time), expanded
+        in the HS-orthonormal composite fibre by one stacked matrix-vector
+        product each; the involution the same way from the adjoints."""
         G = self.groupoid
         dims = {g: self.dims(g) for g in G.arrows}
+        flat = {g: la.flatten_stack(self.fibers[g]) for g in G.arrows}
         mult = {}
         for g, h in composable_pairs(G):
             gh = G.comp[(g, h)]
-            tensor = np.zeros((dims[gh], dims[g], dims[h]), dtype=np.complex128)
-            for i in range(dims[g]):
-                for j in range(dims[h]):
-                    coeff, res = la.stack_expand(self.fibers[gh],
-                                                 self.fibers[g][i] @ self.fibers[h][j])
-                    tensor[:, i, j] = coeff
+            n = flat[gh].shape[1]
+            tensor = np.empty((dims[gh], dims[g], dims[h]), dtype=np.complex128)
+            rows = max(1, _STACK_CHUNK // max(1, dims[h] * n))
+            for i in range(0, dims[g], rows):
+                prods = np.matmul(self.fibers[g][i:i + rows, None], self.fibers[h][None])
+                k = prods.shape[0]
+                tensor[:, i:i + k] = _expand(flat[gh], prods.reshape(k * dims[h], n)
+                                             ).reshape(dims[gh], k, dims[h])
             mult[(g, h)] = tensor
         inv = {}
         for g in G.arrows:
-            gi = G.inv[g]
-            mat = np.zeros((dims[gi], dims[g]), dtype=np.complex128)
-            for i in range(dims[g]):
-                coeff, _ = la.stack_expand(self.fibers[gi], self.fibers[g][i].conj().T)
-                mat[:, i] = coeff
-            inv[g] = mat
+            adjoints = np.conj(self.fibers[g]).transpose(0, 2, 1)
+            inv[g] = _expand(flat[G.inv[g]], adjoints.reshape(dims[g], flat[G.inv[g]].shape[1]))
         unit_rep = {x: self.fibers[G.unit[x]] for x in G.objects}
         return FellBundle(G, dims, mult, inv, unit_rep,
                           matrix_model=self.fibers, name=name)
 
 
+def _expand(flat: Array, mats: Array) -> Array:
+    """Coefficients (d, m) of the flattened matrices ``mats`` (m, N) in the
+    HS-orthonormal rows ``flat`` (d, N): one matrix-vector product per
+    matrix, as ``la.stack_expand`` forms it."""
+    return np.matmul(flat.conj(), mats[:, :, None])[:, :, 0].T
+
+
 # -- validator -----------------------------------------------------------------
 
 # items grouped at a time, and elements per stacked tensor (1 MB of
-# complex128): together they bound the memory one stacked check holds
+# complex128): together they bound the memory one stacked check holds;
+# MatrixModelBundle.to_fell_bundle slices its basis products by the latter
 _STACK_ITEMS = 1 << 10
 _STACK_CHUNK = 1 << 16
 
 
-def _stacked_groups(items: list, operands: Callable[[Any], tuple[Array, ...]],
-                    size: Callable[[tuple], int]) -> Iterable[tuple[list[int], list[Array]]]:
+def stacked_groups(items: list, operands: Callable[[Any], tuple[Array, ...]],
+                   size: Callable[[tuple], int]) -> Iterable[tuple[list[int], list[Array]]]:
     """Positions of items whose ``operands(item)`` tensors share their
     shapes, with those tensors stacked: per slice of _STACK_ITEMS items, in
     chunks of at most _STACK_CHUNK elements of ``size(shapes)`` each."""
@@ -356,7 +368,7 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
     triples = composable_triples(G)
     res, scale = np.zeros(len(triples)), np.zeros(len(triples))
     # size: the (d_ghk, d_g, d_h, d_k) products
-    for chunk, (lk, gh, gk, hk) in _stacked_groups(
+    for chunk, (lk, gh, gk, hk) in stacked_groups(
             triples, lambda t: (mult[(comp[t[:2]], t[2])], mult[t[:2]],
                                 mult[(t[0], comp[t[1:]])], mult[t[1:]]),
             lambda s: s[0][0] * s[1][1] * s[1][2] * s[0][2]):
@@ -377,7 +389,7 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
     pairs = [(g, h) for g, h in composable_pairs(G) if dims[g] and dims[h]]
     res, scale = np.zeros(len(pairs)), np.zeros(len(pairs))
     # size: the (d_{(gh)^-1}, d_g, d_h) products
-    for chunk, (j_gh, m_gh, m_hg, j_h, j_g) in _stacked_groups(
+    for chunk, (j_gh, m_gh, m_hg, j_h, j_g) in stacked_groups(
             pairs, lambda p: (bundle.inv[comp[p]], mult[p], mult[(G.inv[p[1]], G.inv[p[0]])],
                               bundle.inv[p[1]], bundle.inv[p[0]]),
             lambda s: s[0][0] * s[1][1] * s[1][2]):

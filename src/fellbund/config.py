@@ -9,6 +9,7 @@ through a seeded generator so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -19,6 +20,12 @@ class Tolerances:
     rank_threshold: float = 1e-10
     cluster_gap: float = 1e-7
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("tolerance", "rank_threshold", "cluster_gap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 DEFAULT = Tolerances()

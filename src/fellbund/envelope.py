@@ -441,8 +441,7 @@ class EnvelopeAlgebra:
     per_object_dims: dict[str, int]
     basis_index: list[tuple[str, int]]
     images: Array          # stack of Lambda(delta) matrices
-    image_frame: Array     # orthonormal frame of the image, flattened
-    dim: int
+    dim: int               # sum of size^2 over the blocks: the rank of the images
     blocks: list[SimpleBlock]
     injective: bool
 
@@ -463,16 +462,13 @@ def _envelope_algebra(bundle: FellBundle, tols: Tolerances) -> EnvelopeAlgebra:
     total = sum(reg.per_object_dims().values())
     if not basis:
         empty = np.zeros((0, total, total), dtype=np.complex128)
-        return EnvelopeAlgebra(bundle, reg, reg.per_object_dims(), [], empty,
-                               np.zeros((0, total * total), dtype=np.complex128), 0, [], True)
+        return EnvelopeAlgebra(bundle, reg, reg.per_object_dims(), [], empty, 0, [], True)
     images = np.stack([reg.direct_sum_matrix(s) for (_, _, s) in basis])
-    frame = la.orth_rows(la.flatten_stack(images), tols.rank_threshold)
-    dim = frame.shape[0]
-    injective = dim == bundle.total_dim
     blocks = block_decomposition(images, tols)
+    dim = sum(b.size ** 2 for b in blocks)
     return EnvelopeAlgebra(bundle, reg, reg.per_object_dims(),
-                           [(g, i) for (g, i, _) in basis], images, frame, dim,
-                           blocks, injective)
+                           [(g, i) for (g, i, _) in basis], images, dim,
+                           blocks, dim == bundle.total_dim)
 
 
 def irreducible_envelope_blocks(bundle: FellBundle,

@@ -11,13 +11,15 @@ the quotient hom is the orthogonal projection.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import _linalg as la
-from .bundle import BundleHom, FellBundle, ei, subbundle_from_frames, validate_bundle_hom
+from .bundle import (BundleHom, FellBundle, ei, stacked_groups, subbundle_from_frames,
+                     validate_bundle_hom)
 from .config import DEFAULT, Tolerances
 # block_decomposition is not called here; the name stays bound because
 # perfbench's tracer test reads it from this module
@@ -104,9 +106,12 @@ def validate_fell_ideal(I: FellIdeal, tols: Tolerances = DEFAULT) -> ValidationR
 def validate_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) -> ValidationReport:
     """Each F_x is a two-sided ideal of A_{u(x)}, and the family is invariant.
 
-    The ideal checks are one stacked product per object and the one-sided
-    criterion one per arrow, each followed by one residual computation; the
-    violations come in the order of the loops they replace.
+    The ideal checks are one stacked product per object.  The per-arrow
+    checks run on groups of arrows whose operands share their shapes
+    (``stacked_groups``): both product frames from one einsum and one
+    stacked SVD each, their containments and the one-sided criterion as
+    stacked residuals.  The violations come in the order of the loops
+    they replace, with the same residuals.
     """
     bundle = F.bundle
     G = bundle.groupoid
@@ -120,21 +125,55 @@ def validate_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) ->
         _report_residuals(rep, F.frames[x], prods, tol,
                           lambda p: (f"fibre subspace is {('right', 'left')[p[2]]} ideal",
                                      f"object {x}"))
-    for g in G.arrows:
-        left = _left_product_frame(bundle, F, g, tols)
-        right = _right_product_frame(bundle, F, g, tols)
-        if not la.frame_eq(left, right, 1e-7):
-            rep.add("invariance F_{r(g)} A_g = A_g F_{s(g)}", f"arrow {g}",
-                    detail=f"left dim {left.shape[0]}, right dim {right.shape[0]}")
+    arrows = list(G.arrows)
+    ranks = np.zeros((len(arrows), 2), dtype=np.intp)  # dims of the two product frames
+    equal = np.ones(len(arrows), dtype=bool)
+    one_sided: dict[int, tuple[Array, Array]] = {}  # failing arrows: residuals, bounds
+    for chunk, (L, Fr, R, Fs, M) in stacked_groups(
+            arrows, lambda g: _arrow_operands(bundle, F, g), _arrow_stack_size):
+        t, d = len(chunk), L.shape[1]
+        # span(F_{r(g)} . A_g): rows b . e_j; span(A_g . F_{s(g)}): rows e_j . b
+        (lvh, lrank), (rvh, rrank) = (
+            la.stacked_orth_rows(_left_products(L, Fr), tols.rank_threshold),
+            la.stacked_orth_rows(_right_products(R, Fs), tols.rank_threshold))
+        ranks[chunk, 0], ranks[chunk, 1] = lrank, rrank
+        equal[chunk] = la.stacked_frame_eq(lvh, lrank, rvh, rrank, 1e-7)
         # equivalent one-sided criterion, reported separately: out[i, k, j] =
         # (e_i . F_k) . e'_j for e_i in A_g, F_k in F_{s(g)}, e'_j in A_{g^-1}
-        y = G.src[g]
-        mid = np.einsum("aib,kb->ika", bundle.mult[(g, G.unit[y])], F.frames[y])
-        out = np.einsum("laj,ika->ikjl", bundle.mult[(G.comp[(g, G.unit[y])], G.inv[g])], mid)
-        _report_residuals(rep, F.frames[G.rng[g]], out, tol,
-                          lambda p: ("one-sided criterion A_g F_{s} A_{g^-1} in F_{r}",
-                                     f"arrow {g}"))
+        mid = np.einsum("taib,tkb->tika", R, Fs)
+        out = np.einsum("tlaj,tika->tikjl", M, mid).reshape(
+            t, d * Fs.shape[1] * M.shape[3], Fr.shape[2])
+        res, norms = la.residuals_in_span(Fr, out)
+        scale = tol * np.maximum(1.0, norms)
+        for i in np.flatnonzero((~(res <= scale)).any(axis=1)):
+            one_sided[chunk[i]] = (res[i], scale[i])
+    for pos, g in enumerate(arrows):
+        if not equal[pos]:
+            rep.add("invariance F_{r(g)} A_g = A_g F_{s(g)}", f"arrow {g}",
+                    detail=f"left dim {ranks[pos, 0]}, right dim {ranks[pos, 1]}")
+        if pos in one_sided:
+            res, scale = one_sided[pos]
+            for p in np.flatnonzero(~(res <= scale)):
+                rep.check_residual(res[p], scale[p],
+                                   "one-sided criterion A_g F_{s} A_{g^-1} in F_{r}", f"arrow {g}")
     return rep
+
+
+def _arrow_operands(bundle: FellBundle, F: InvariantFamily, g: str) -> tuple[Array, ...]:
+    """mult[(u_r, g)], F_{r(g)}, mult[(g, u_s)], F_{s(g)}, mult[(g . u_s, g^-1)]."""
+    G = bundle.groupoid
+    x, y = G.rng[g], G.src[g]
+    us = G.unit[y]
+    return (bundle.mult[(G.unit[x], g)], F.frames[x], bundle.mult[(g, us)], F.frames[y],
+            bundle.mult[(G.comp[(g, us)], G.inv[g])])
+
+
+def _arrow_stack_size(shapes: tuple) -> int:
+    """Elements per arrow of the largest of its operands, product frames and
+    one-sided products (d_g . dim F_{s(g)} . d_{g^-1} . d_{u(r(g))})."""
+    (dg, _, _), (rx, du), _, (ry, _), (_, _, dgi) = shapes
+    return max(max(math.prod(s) for s in shapes), rx * dg * dg, ry * dg * dg,
+               dg * ry * dgi * du)
 
 
 def _report_residuals(rep: ValidationReport, frame: Array, vecs: Array, tol: float,
@@ -143,9 +182,8 @@ def _report_residuals(rep: ValidationReport, frame: Array, vecs: Array, tol: flo
     ``tol`` relative to its norm; ``witness(index)`` gives (check, where)."""
     if not vecs.size:
         return
-    flat = vecs.reshape(-1, frame.shape[1])
-    res = la.residuals_in_span(frame, flat)
-    scale = tol * np.maximum(1.0, la.row_norms(flat))
+    res, norms = la.residuals_in_span(frame[None], vecs.reshape(1, -1, frame.shape[1]))
+    res, scale = res[0], tol * np.maximum(1.0, norms[0])
     for p in np.flatnonzero(~(res <= scale)):
         check, where = witness(np.unravel_index(p, vecs.shape[:-1]))
         rep.check_residual(res[p], scale[p], check, where)
@@ -155,18 +193,23 @@ def _left_product_frame(bundle: FellBundle, F: InvariantFamily, g: str,
                         tols: Tolerances) -> Array:
     """span(F_{r(g)} . A_g): rows b . e_j for b in the frame, then j."""
     G = bundle.groupoid
-    vecs = np.einsum("kij,bi->bjk", bundle.mult[(G.unit[G.rng[g]], g)], F.frames[G.rng[g]])
-    d = bundle.dims[g]
-    return la.orth_rows(vecs.reshape(len(vecs) * d, d), tols.rank_threshold)
+    x = G.rng[g]
+    vecs = _left_products(bundle.mult[(G.unit[x], g)][None], F.frames[x][None])
+    return la.orth_rows(vecs[0], tols.rank_threshold)
 
 
-def _right_product_frame(bundle: FellBundle, F: InvariantFamily, g: str,
-                         tols: Tolerances) -> Array:
-    """span(A_g . F_{s(g)}): rows e_j . b for b in the frame, then j."""
-    G = bundle.groupoid
-    vecs = np.einsum("kji,bi->bjk", bundle.mult[(g, G.unit[G.src[g]])], F.frames[G.src[g]])
-    d = bundle.dims[g]
-    return la.orth_rows(vecs.reshape(len(vecs) * d, d), tols.rank_threshold)
+def _left_products(L: Array, Fr: Array) -> Array:
+    """Rows b . e_j spanning F_{r(g)} . A_g (b in the frame, then j), for the
+    stacks L of mult[(u_r, g)] (t, d_g, d_u, d_g) and Fr of F_{r(g)}."""
+    t, d = L.shape[:2]
+    return np.einsum("tkij,tbi->tbjk", L, Fr).reshape(t, Fr.shape[1] * d, d)
+
+
+def _right_products(R: Array, Fs: Array) -> Array:
+    """Rows e_j . b spanning A_g . F_{s(g)}, for the stacks R of
+    mult[(g, u_s)] (t, d_g, d_g, d_u) and Fs of F_{s(g)}."""
+    t, d = R.shape[:2]
+    return np.einsum("tkji,tbi->tbjk", R, Fs).reshape(t, Fs.shape[1] * d, d)
 
 
 def ideal_from_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) -> FellIdeal:

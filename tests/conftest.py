@@ -1,9 +1,13 @@
 import json
+import os
 
 import pytest
 
 from fellbund import gallery
 from fellbund.groupoid import transformation_groupoid
+from fellbund.workspace import Workspace
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def groupoid_json(G):
@@ -89,3 +93,18 @@ def demo_workspace_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("ws") / "demo.json"
     path.write_text(json.dumps(demo_workspace_dict(), indent=2, sort_keys=True))
     return str(path)
+
+
+@pytest.fixture(scope="session")
+def certify_raw():
+    """A copy of the benchmark's seeded certify workspace (seed 1), kept as
+    data so that these tests do not follow changes to its generator: six
+    line bundles over pair(n) and Z/n and M_3 over pair(3)."""
+    with open(os.path.join(DATA, "certify_seed1.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture
+def certify_bundles(certify_raw):
+    ws = Workspace.from_dict(certify_raw)
+    return {name: ws.bundle(name) for name in ws.names("bundles")}

@@ -255,3 +255,20 @@ def test_induced_hom_contracts_cstar_norm():
     for _ in range(5):
         f = random_section(b, rng)
         assert cstar_norm(q, push(f)) <= cstar_norm(b, f) + 1e-9
+
+
+def _assert_dim_is_image_rank(env):
+    rank = la.matrix_rank(la.flatten_stack(env.images)) if env.images.shape[0] else 0
+    assert env.dim == sum(b.size ** 2 for b in env.blocks) == rank
+    assert env.injective == (rank == env.bundle.total_dim)
+
+
+@pytest.mark.parametrize("name", sorted(gallery.shipped_bundles()))
+def test_envelope_dim_is_rank_of_images_on_shipped_bundles(name):
+    _assert_dim_is_image_rank(envelope_algebra(gallery.shipped_bundles()[name]))
+
+
+def test_envelope_dim_is_rank_of_images_on_certify_bundles(certify_bundles):
+    assert len(certify_bundles) == 7
+    for b in certify_bundles.values():
+        _assert_dim_is_image_rank(envelope_algebra(b))

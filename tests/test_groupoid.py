@@ -128,7 +128,7 @@ def test_invalid_action_is_rejected():
         transformation_groupoid(act)
 
 
-def test_broken_composition_table_violations_in_order():
+def broken_table_groupoid():
     # Z/3 and pair({x, y}) side by side, with a non-associative product, a
     # missing entry, a composite with the wrong endpoints and an entry on a
     # non-composable pair; (g1, x<y) must not be read as a composite
@@ -138,9 +138,13 @@ def test_broken_composition_table_violations_in_order():
     del comp[("x<y", "y<x")]
     comp[("y<x", "x<x")] = "g1"
     comp[("g1", "x<y")] = "g2"
-    G = FiniteGroupoid.from_data(Z.objects + P.objects, Z.arrows + P.arrows,
-                                 {**Z.src, **P.src}, {**Z.rng, **P.rng},
-                                 {**Z.unit, **P.unit}, {**Z.inv, **P.inv}, comp)
+    return FiniteGroupoid.from_data(Z.objects + P.objects, Z.arrows + P.arrows,
+                                    {**Z.src, **P.src}, {**Z.rng, **P.rng},
+                                    {**Z.unit, **P.unit}, {**Z.inv, **P.inv}, comp)
+
+
+def test_broken_composition_table_violations_in_order():
+    G = broken_table_groupoid()
     got = [(v.check, v.where, v.detail) for v in validate_groupoid(G).violations]
     assert got == [
         ("composition missing", "(x<y,y<x)", ""),
@@ -152,3 +156,22 @@ def test_broken_composition_table_violations_in_order():
         ("associativity", "(g2,g1,g1)", "(g2g1)g1 = g1 != g2"),
         ("associativity", "(g2,g2,g1)", "(g2g2)g1 = e != g2"),
     ]
+
+
+def brute_triples(G):
+    return [(g, h, k) for g in G.arrows for h in G.arrows for k in G.arrows
+            if G.src[g] == G.rng[h] and G.src[h] == G.rng[k]]
+
+
+def brute_force_cases():
+    cases = {name: b.groupoid for name, b in gallery.shipped_bundles().items()}
+    cases.update({"pair9": pair_groupoid([f"x{i}" for i in range(9)]),
+                  "z24": cyclic_group(24), "broken-table": broken_table_groupoid()})
+    return cases
+
+
+@pytest.mark.parametrize("name", list(brute_force_cases()))
+def test_composable_pairs_and_triples_equal_brute_force(name):
+    G = brute_force_cases()[name]
+    assert composable_pairs(G) == brute_pairs(G)
+    assert composable_triples(G) == brute_triples(G)

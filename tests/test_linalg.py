@@ -97,3 +97,25 @@ def test_stack_expand_roundtrip():
     back, res = la.stack_expand(stack, mat)
     assert res < 1e-12
     np.testing.assert_allclose(back, coeff, atol=1e-12)
+
+
+def test_stacked_frame_eq_matches_frame_eq_item_by_item():
+    rng = np.random.default_rng(2)
+    u = la.random_unitary(5, rng)
+    a = la.orth_rows(u[:2])
+    same = la.orth_rows(np.stack([a[0] + a[1], a[0] - 2j * a[1]]))
+    other = la.orth_rows(u[1:3])
+    # (x, y, x spans y, x lies in y)
+    cases = [(a, same, True, True), (a, other, False, False), (a, u[:3], False, True),
+             (np.zeros((0, 5), complex), np.zeros((0, 5), complex), True, True)]
+    for x, y, eq, leq in cases:
+        assert la.frame_eq(x, y, 1e-9) is eq
+        assert la.frame_leq(x, y, 1e-9) is leq
+    # the same pairs as one stack, padded to three rows with their ranks
+    def pad(f):
+        return np.vstack([f, np.zeros((3 - f.shape[0], 5))])
+    got = la.stacked_frame_eq(np.stack([pad(c[0]) for c in cases]),
+                              np.array([c[0].shape[0] for c in cases]),
+                              np.stack([pad(c[1]) for c in cases]),
+                              np.array([c[1].shape[0] for c in cases]), 1e-9)
+    assert got.tolist() == [c[2] for c in cases]

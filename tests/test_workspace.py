@@ -135,6 +135,15 @@ def test_config_thresholds_must_be_positive_and_finite(key, value):
         Workspace.from_dict({"config": {key: value}})
 
 
+@pytest.mark.parametrize("key", ["tolerance", "rank_threshold", "cluster_gap"])
+@pytest.mark.parametrize("value", [0, 0.0, -1e-9, float("nan"), float("inf"), -float("inf")])
+def test_library_tolerances_must_be_positive_and_finite(key, value):
+    from fellbund.config import Tolerances
+    with pytest.raises(ValueError, match=f"{key} must be a finite number > 0"):
+        Tolerances(**{key: value})
+    assert getattr(Tolerances(**{key: 1e-3}), key) == 1e-3
+
+
 def test_tolerance_override_must_be_positive_and_finite():
     with pytest.raises(WorkspaceError, match="tolerance"):
         Workspace.from_dict({}, tolerance=-1.0)
