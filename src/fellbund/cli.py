@@ -8,6 +8,7 @@ workspace and seed; pass --human for text instead of JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -60,7 +61,9 @@ def positive_int(raw: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="fellbund",
         description="Fell bundles over finite groupoids: validation, norms, "

@@ -29,57 +29,68 @@ from .sections import Section, basis_sections, module_action, unit_section
 Array = np.ndarray
 
 
+def induced_gram(bundle: FellBundle, g: str, rep_stack: Array) -> Array:
+    """Gram matrix of A_g (x) C^m for a representation of the unit fibre at
+    s(g), given as one (m, m) matrix per basis element: entry ((i, v), (j, w))
+    is <e_i (x) e_v, e_j (x) e_w> = rep(e_i* e_j)[v, w]."""
+    raw = bundle.dims[g] * rep_stack.shape[1]
+    return np.einsum("kij,kvw->ivjw", bundle.star_mult_tensor(g), rep_stack).reshape(raw, raw)
+
+
+def induced_fibre(bundle: FellBundle, g: str, rep_stack: Array,
+                  tols: Tolerances = DEFAULT) -> tuple[Array, Array, int]:
+    """Gram quotient of the induced space A_g (x)_{A_{s(g)}} C^m.
+
+    The eigenvectors of ``induced_gram`` above rank_threshold·max(top, 1)
+    span the quotient.  Returns phi (q, d·m), which maps A_g (x) C^m onto
+    the quotient with phi* phi the Gram matrix, its right inverse psi
+    (d·m, q), and the number of eigenvalues within a decade of the cut (the
+    quotient dimension may flip under a small change of threshold).  Raises
+    ValueError when the Gram matrix is not positive.
+    """
+    raw = bundle.dims[g] * rep_stack.shape[1]
+    if raw == 0:
+        empty = np.zeros((0, 0), dtype=np.complex128)
+        return empty, empty, 0
+    vals, vecs = np.linalg.eigh(la.hermitian_part(induced_gram(bundle, g, rep_stack)))
+    top = max(float(vals[-1]), 0.0)
+    cut = tols.rank_threshold * max(top, 1.0)
+    if float(vals[0]) < -max(tols.tolerance, cut):
+        raise ValueError(f"Gram matrix at ({bundle.groupoid.src[g]},{g}) is not positive "
+                         f"(min eigenvalue {vals[0]:.3e}); bundle invalid")
+    keep = vals > cut
+    lam = vals[keep]
+    v = vecs[:, keep]
+    shaky = int(np.sum((vals > cut / 10) & (vals <= cut * 10)))
+    return np.sqrt(lam)[:, None] * v.conj().T, v / np.sqrt(lam)[None, :], shaky
+
+
 class RegularRepAt:
     """Quotient coordinates of the induced space at one object."""
 
     def __init__(self, bundle: FellBundle, x: str, tols: Tolerances = DEFAULT):
         self.bundle = bundle
         self.x = x
-        G = bundle.groupoid
-        n = bundle.unit_dim(x)
-        self.summands = list(G.source_fiber(x))
+        self.summands = list(bundle.groupoid.source_fiber(x))
         self.phi: dict[str, Array] = {}
         self.psi: dict[str, Array] = {}
         self.quot_dim: dict[str, int] = {}
         self.borderline: list[str] = []
         for g in self.summands:
-            d = bundle.dims[g]
-            raw = d * n
-            if raw == 0:
-                self.phi[g] = np.zeros((0, 0), dtype=np.complex128)
-                self.psi[g] = np.zeros((0, 0), dtype=np.complex128)
-                self.quot_dim[g] = 0
-                continue
-            T = bundle.star_mult_tensor(g)
-            gram = np.einsum("kij,kvw->ivjw", T, bundle.unit_rep[x]).reshape(raw, raw)
-            gram = la.hermitian_part(gram)
-            vals, vecs = np.linalg.eigh(gram)
-            top = max(float(vals[-1]), 0.0)
-            if float(vals[0]) < -max(tols.tolerance, tols.rank_threshold * max(top, 1.0)):
-                raise ValueError(f"Gram matrix at ({x},{g}) is not positive "
-                                 f"(min eigenvalue {vals[0]:.3e}); bundle invalid")
-            cut = tols.rank_threshold * max(top, 1.0)
-            keep = vals > cut
-            # the quotient dimension should not flip under small threshold
-            # perturbations; eigenvalues within a decade of the cut are noted
-            shaky = int(np.sum((vals > cut / 10) & (vals <= cut * 10)))
+            phi, psi, shaky = induced_fibre(bundle, g, bundle.unit_rep[x], tols)
             if shaky:
                 self.borderline.append(
-                    f"({x},{g}): {int(shaky)} Gram eigenvalue(s) within a decade "
+                    f"({x},{g}): {shaky} Gram eigenvalue(s) within a decade "
                     f"of the rank threshold; quotient dimension may be unstable")
-            lam = vals[keep]
-            v = vecs[:, keep]
-            self.phi[g] = (np.sqrt(lam)[:, None] * v.conj().T)
-            self.psi[g] = v / np.sqrt(lam)[None, :]
-            self.quot_dim[g] = int(lam.size)
+            self.phi[g], self.psi[g], self.quot_dim[g] = phi, psi, phi.shape[0]
         self.offsets: dict[str, int] = {}
         pos = 0
         for g in self.summands:
             self.offsets[g] = pos
             pos += self.quot_dim[g]
         self.dim = pos
-        self._blocks: dict[tuple[str, str], Array] = {}
-        self._build_blocks(n)
+        self.blocks: dict[tuple[str, str], Array] = {}
+        self._build_blocks(bundle.unit_dim(x))
 
     def _build_blocks(self, n: int) -> None:
         """K[(h, g)][q_out, m, q_in]: action of the m-th basis element of A_h
@@ -97,12 +108,12 @@ class RegularRepAt:
                     continue
                 phi3 = self.phi[out].reshape(self.quot_dim[out], bundle.dims[out], n)
                 tensor = np.einsum("qov,omi,ivp->qmp", phi3, bundle.mult[(h, g)], psi3)
-                self._blocks[(h, g)] = tensor
+                self.blocks[(h, g)] = tensor
 
     def matrix(self, f: Section) -> Array:
         """Matrix of left convolution by f on the quotient coordinates."""
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for (h, g), tensor in self._blocks.items():
+        for (h, g), tensor in self.blocks.items():
             coeff = f.entries.get(h)
             if coeff is None:
                 continue

@@ -23,7 +23,9 @@ import numpy as np
 from . import _linalg as la
 from .bundle import FellBundle, ei
 from .config import DEFAULT, Tolerances
-from .envelope import _cached_regular, envelope_algebra, irreducible_envelope_blocks
+from .envelope import (_cached_regular, envelope_algebra, induced_gram,
+                       irreducible_envelope_blocks)
+from .groupoid import composable_pairs
 from .report import ValidationReport
 from .sections import Section, basis_sections, unit_section
 
@@ -69,8 +71,7 @@ def validate_rep(R: FellRep, tols: Tolerances = DEFAULT) -> ValidationReport:
                                tol * max(1.0, float(np.linalg.norm(lhs))),
                                "involution compatibility S_g(a)* = S_{g^-1}(a*)",
                                f"({g},{i})")
-    for g, h in ((g, h) for g in G.arrows for h in G.arrows
-                 if G.src[g] == G.rng[h]):
+    for g, h in composable_pairs(G):
         gh = G.comp[(g, h)]
         for i in range(bundle.dims[g]):
             for j in range(bundle.dims[h]):
@@ -108,15 +109,11 @@ def partial_isometry_residuals(R: FellRep, g: str,
     d, ds, dr = bundle.dims[g], R.dims[x], R.dims[y]
     if d == 0 or ds == 0:
         return 0.0, 0.0
-    u = G.unit[x]
     W = np.zeros((dr, d * ds), dtype=np.complex128)
     for i in range(d):
         W[:, i * ds:(i + 1) * ds] = R.apply(g, ei(d, i))
-    T = bundle.star_mult_tensor(g)
-    gram = np.zeros((d * ds, d * ds), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            gram[i * ds:(i + 1) * ds, j * ds:(j + 1) * ds] = R.apply(u, T[:, i, j])
+    # the unit fibre at x acts on H_x through S_{u(x)}
+    gram = induced_gram(bundle, g, la.as_complex(R.maps[G.unit[x]]).transpose(2, 0, 1))
     iso_res = float(np.linalg.norm(W.conj().T @ W - gram))
     # support: projection onto span(S_{u(y)}(A_g A_g*) H_y)
     gi = G.inv[g]
@@ -281,9 +278,9 @@ def regular_fellrep(bundle: FellBundle, x: str, tols: Tolerances = DEFAULT) -> F
         yr, ys = G.rng[h], G.src[h]
         tensor = np.zeros((dims[yr], dims[ys], bundle.dims[h]), dtype=np.complex128)
         for g in members[ys]:
-            if (h, g) not in reg._blocks:
+            if (h, g) not in reg.blocks:
                 continue
-            block = reg._blocks[(h, g)]  # (q_out, d_h, q_in)
+            block = reg.blocks[(h, g)]  # (q_out, d_h, q_in)
             out = G.comp[(h, g)]
             r0, c0 = local[out], local[g]
             tensor[r0:r0 + block.shape[0], c0:c0 + block.shape[2], :] = \

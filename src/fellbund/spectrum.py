@@ -20,7 +20,7 @@ import numpy as np
 from . import _linalg as la
 from .bundle import FellBundle, ei
 from .config import DEFAULT, Tolerances
-from .envelope import SimpleBlock, block_decomposition, envelope_algebra
+from .envelope import SimpleBlock, block_decomposition, envelope_algebra, induced_fibre
 from .groupoid import FiniteGroupoid
 from .ideals import (InvariantFamily, enumerate_fell_ideals, ideal_from_invariant_family,
                      validate_invariant_family)
@@ -92,27 +92,16 @@ def _fiber_spectrum(bundle: FellBundle, tols: Tolerances) -> FiberSpectrum:
 def dual_arrow_action(bundle: FellBundle, spec: FiberSpectrum, g: str,
                       block: SpectrumBlock,
                       tols: Tolerances = DEFAULT) -> SpectrumBlock | None:
-    """Image of a source-fibre block under the arrow, or None if undefined."""
+    """Image of a source-fibre block under the arrow, or None if undefined
+    (the Gram quotient of A_g (x)_pi C^{dim pi} is zero).  Raises ValueError
+    when that Gram matrix is not positive."""
     G = bundle.groupoid
     if block.obj != G.src[g]:
         raise ValueError(f"block at {block.obj} is not in the source fibre of {g}")
-    d = bundle.dims[g]
-    if d == 0:
+    Rpi = np.stack([block.irrep(m) for m in bundle.unit_rep[block.obj]])
+    phi, psi, _ = induced_fibre(bundle, g, Rpi, tols)
+    if phi.shape[0] == 0:
         return None
-    x = G.src[g]
-    Rpi = np.stack([block.irrep(m) for m in bundle.unit_rep[x]])
-    T = bundle.star_mult_tensor(g)
-    gram = np.einsum("kij,kvw->ivjw", T, Rpi).reshape(d * block.dim, d * block.dim)
-    gram = la.hermitian_part(gram)
-    vals, vecs = np.linalg.eigh(gram)
-    top = max(float(vals[-1]), 0.0)
-    if top <= tols.rank_threshold:
-        return None
-    keep = vals > tols.rank_threshold * top
-    lam = vals[keep]
-    v = vecs[:, keep]
-    phi = np.sqrt(lam)[:, None] * v.conj().T
-    psi = v / np.sqrt(lam)[None, :]
 
     y = G.rng[g]
     u = G.unit[y]

@@ -20,7 +20,8 @@ import numpy as np
 from .actions import TwistedPartialAction
 from .bundle import FellBundle, MatrixModelBundle, UnitFiberAlgebra
 from .config import Tolerances, env_seed
-from .groupoid import FiniteGroupoid, PartialActionOnSet, transformation_groupoid
+from .groupoid import (FiniteGroupoid, PartialActionOnSet, composable_pairs,
+                       transformation_groupoid)
 from .ideals import FellIdeal, ideal_from_invariant_family
 from .reps import FellRep
 from .sections import Section
@@ -59,6 +60,14 @@ def parse_positive(v, where: str) -> float:
     return x
 
 
+def parse_count(v, where: str) -> int:
+    """A non-negative integer (dimensions)."""
+    # bool is a subclass of int, and a float would be truncated
+    if type(v) is not int or v < 0:
+        raise WorkspaceError(f"{where}: expected a non-negative integer, got {v!r}")
+    return v
+
+
 def parse_vector(v, where: str) -> np.ndarray:
     if not isinstance(v, list):
         raise WorkspaceError(f"{where}: expected a list")
@@ -73,6 +82,20 @@ def parse_matrix(v, where: str) -> np.ndarray:
     if rows and len({r.shape[0] for r in rows}) != 1:
         raise WorkspaceError(f"{where}: ragged matrix")
     return np.array(rows, dtype=np.complex128) if rows else np.zeros((0, 0), np.complex128)
+
+
+def parse_matrices(v, where: str) -> list[np.ndarray]:
+    if not isinstance(v, list):
+        raise WorkspaceError(f"{where}: expected a list of matrices")
+    return [parse_matrix(m, f"{where}[{i}]") for i, m in enumerate(v)]
+
+
+def parse_tensor(v, where: str) -> np.ndarray:
+    """A three-index array written as a list of matrices."""
+    mats = parse_matrices(v, where)
+    if len({m.shape for m in mats}) > 1:
+        raise WorkspaceError(f"{where}: ragged array")
+    return np.array(mats, dtype=np.complex128)
 
 
 def dump_complex(z: complex) -> Any:
@@ -196,27 +219,36 @@ class Workspace:
 
     def _structure_bundle(self, G: FiniteGroupoid, spec: dict, where: str,
                           name: str) -> FellBundle:
-        fibers = spec.get("fibers", {})
+        fibers = _object(spec.get("fibers", {}), f"{where}.fibers")
         dims = {}
         for g in G.arrows:
             entry = fibers.get(g)
             if entry is None:
                 raise WorkspaceError(f"{where}.fibers: missing arrow {g!r}")
-            dims[g] = int(entry["dim"])
-        mult = {}
-        for g, h in ((g, h) for g in G.arrows for h in G.arrows
-                     if G.src[g] == G.rng[h]):
-            gh = G.comp[(g, h)]
-            mult[(g, h)] = np.zeros((dims[gh], dims[g], dims[h]), dtype=np.complex128)
-        for entry in spec.get("mult", []):
+            dims[g] = parse_count(_object(entry, f"{where}.fibers.{g}").get("dim"),
+                                  f"{where}.fibers.{g}.dim")
+        mult = {(g, h): np.zeros((dims[G.comp[(g, h)]], dims[g], dims[h]), dtype=np.complex128)
+                for g, h in composable_pairs(G)}
+        entries = spec.get("mult", [])
+        if not isinstance(entries, list):
+            raise WorkspaceError(f"{where}.mult: expected a list of [g,h,k,i,j,value]")
+        for entry in entries:
             try:
                 g, h, k, i, j, value = entry
             except (TypeError, ValueError):
                 raise WorkspaceError(f"{where}.mult: entries are [g,h,k,i,j,value]")
-            mult[(g, h)][int(k), int(i), int(j)] = parse_complex(value, f"{where}.mult")
+            tensor = mult.get((g, h)) if isinstance(g, str) and isinstance(h, str) else None
+            if tensor is None:
+                raise WorkspaceError(f"{where}.mult: ({g!r}, {h!r}) is not a composable pair")
+            index = (k, i, j)
+            if not all(type(t) is int and 0 <= t < n for t, n in zip(index, tensor.shape)):
+                raise WorkspaceError(f"{where}.mult: expected integer indices within shape "
+                                     f"{tensor.shape} of ({g},{h}), got {list(index)}")
+            tensor[index] = parse_complex(value, f"{where}.mult")
         inv = {}
+        inv_table = _object(spec.get("inv", {}), f"{where}.inv")
         for g in G.arrows:
-            raw = spec.get("inv", {}).get(g)
+            raw = inv_table.get(g)
             if raw is None:
                 raise WorkspaceError(f"{where}.inv: missing arrow {g!r}")
             m = parse_matrix(raw, f"{where}.inv.{g}")
@@ -224,13 +256,14 @@ class Workspace:
                 m = np.zeros((dims[G.inv[g]], dims[g]), dtype=np.complex128)
             inv[g] = m
         unit_rep = {}
+        algebras = _object(spec.get("unit_algebras", {}), f"{where}.unit_algebras")
         for x in G.objects:
-            raw = spec.get("unit_algebras", {}).get(x)
+            raw = algebras.get(x)
             if raw is None:
                 raise WorkspaceError(f"{where}.unit_algebras: missing object {x!r}")
-            n = int(raw["n"])
-            mats = [parse_matrix(m, f"{where}.unit_algebras.{x}[{i}]")
-                    for i, m in enumerate(raw.get("basis", []))]
+            n = parse_count(_object(raw, f"{where}.unit_algebras.{x}").get("n"),
+                            f"{where}.unit_algebras.{x}.n")
+            mats = parse_matrices(raw.get("basis", []), f"{where}.unit_algebras.{x}")
             if len(mats) != dims[G.unit[x]]:
                 raise WorkspaceError(f"{where}.unit_algebras.{x}: "
                                      f"{len(mats)} matrices for fibre dim {dims[G.unit[x]]}")
@@ -316,17 +349,19 @@ class Workspace:
         spec = table[name]
         where = f"reps.{name}"
         bundle = self.bundle(_ref(spec, "bundle", where))
-        dims = {x: int(spec.get("dims", {}).get(x, 0)) for x in bundle.groupoid.objects}
+        dims_table = _object(spec.get("dims", {}), f"{where}.dims")
+        dims = {x: parse_count(dims_table.get(x, 0), f"{where}.dims.{x}")
+                for x in bundle.groupoid.objects}
         maps = {}
+        maps_table = _object(spec.get("maps", {}), f"{where}.maps")
         for g in bundle.groupoid.arrows:
-            raw = spec.get("maps", {}).get(g)
+            raw = maps_table.get(g)
             shape = (dims[bundle.groupoid.rng[g]], dims[bundle.groupoid.src[g]],
                      bundle.dims[g])
             if raw is None:
                 maps[g] = np.zeros(shape, dtype=np.complex128)
                 continue
-            arr = np.array([[[parse_complex(z, f"{where}.maps.{g}") for z in col]
-                             for col in row] for row in raw], dtype=np.complex128)
+            arr = parse_tensor(raw, f"{where}.maps.{g}")
             if arr.shape != shape:
                 raise WorkspaceError(f"{where}.maps.{g}: shape {arr.shape}, want {shape}")
             maps[g] = arr
@@ -369,6 +404,12 @@ def _ref(spec: dict, key: str, where: str) -> str:
     v = spec.get(key)
     if not isinstance(v, str):
         raise WorkspaceError(f"{where}: missing reference {key!r}")
+    return v
+
+
+def _object(v, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise WorkspaceError(f"{where}: expected an object, got {v!r}")
     return v
 
 

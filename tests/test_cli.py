@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from fellbund.cli import main
+from fellbund.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +104,19 @@ def test_human_flag(demo_workspace_path, capsys):
     code, out, _ = run_cli(capsys, "norms", demo_workspace_path, "e-plus-g", "--human")
     assert code == 0
     assert "i_norm: 2.0" in out
+
+
+def test_parser_is_built_once_and_options_do_not_leak(demo_workspace_path, capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "norms", demo_workspace_path, "e-plus-g", "--human")
+    assert code == 0 and "i_norm: 2.0" in out
+    code, out, _ = run_cli(capsys, "norms", demo_workspace_path, "e-plus-g")
+    assert code == 0 and json.loads(out)["i_norm"] == pytest.approx(2.0)
+    code, out, _ = run_cli(capsys, "represent", demo_workspace_path, "z2-line",
+                           "--roundtrip", "--fuzz", "2")
+    assert code == 0 and json.loads(out)["samples"] == 2
+    code, out, _ = run_cli(capsys, "represent", demo_workspace_path, "sign")
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_missing_name_is_usage_error(demo_workspace_path, capsys):
@@ -222,5 +236,74 @@ def test_malformed_invariant_family_exits_2(tmp_path, capsys, family, needle):
     path = _write_demo(tmp_path, lambda raw: raw["ideals"]["a4-pq-by-blocks"].update(
         invariant_family=family))
     code, out, err = run_cli(capsys, "exactness", path, "a4-pq-by-blocks")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+
+def _add_longhand_a4(raw):
+    """The demo bundle ``a4`` written again in the structure-tensor form, as
+    ``a4-long``."""
+    from fellbund.workspace import Workspace, dump_complex, dump_matrix
+    b = Workspace.from_dict(raw).bundle("a4")
+    G = b.groupoid
+    raw["bundles"]["a4-long"] = {
+        "groupoid": raw["bundles"]["a4"]["groupoid"],
+        "fibers": {g: {"dim": b.dims[g]} for g in G.arrows},
+        "mult": [[g, h, *idx, dump_complex(t[idx])]
+                 for (g, h), t in b.mult.items() for idx in np.ndindex(t.shape) if t[idx]],
+        "inv": {g: dump_matrix(b.inv[g]) for g in G.arrows},
+        "unit_algebras": {x: {"n": b.unit_dim(x), "basis": [dump_matrix(m) for m in b.unit_rep[x]]}
+                          for x in G.objects},
+    }
+    return raw["bundles"]["a4-long"]
+
+
+def test_longhand_bundle_validates(tmp_path, capsys):
+    path = _write_demo(tmp_path, _add_longhand_a4)
+    code, out, _ = run_cli(capsys, "validate", path, "a4-long")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("edit, name, needle", [
+    (lambda raw: _add_longhand_a4(raw)["mult"].append(["p|e|p", "zz", 0, 0, 0, 1.0]),
+     "a4-long", "('p|e|p', 'zz') is not a composable pair"),
+    (lambda raw: _add_longhand_a4(raw)["mult"].append(["p|e|p", "q|e|q", 0, 0, 0, 1.0]),
+     "a4-long", "('p|e|p', 'q|e|q') is not a composable pair"),
+    (lambda raw: _add_longhand_a4(raw)["mult"].append(["p|e|p", "p|e|p", 1, 0, 0, 1.0]),
+     "a4-long", "integer indices within shape (1, 1, 1) of (p|e|p,p|e|p), got [1, 0, 0]"),
+    (lambda raw: _add_longhand_a4(raw)["mult"].append(["p|e|p", "p|e|p", -1, 0, 0, 1.0]),
+     "a4-long", "integer indices within shape (1, 1, 1) of (p|e|p,p|e|p), got [-1, 0, 0]"),
+    (lambda raw: _add_longhand_a4(raw)["fibers"].update({"p|e|p": 1}),
+     "a4-long", "bundles.a4-long.fibers.p|e|p: expected an object"),
+    (lambda raw: _add_longhand_a4(raw)["unit_algebras"]["p"].pop("n"),
+     "a4-long", "bundles.a4-long.unit_algebras.p.n: expected a non-negative integer"),
+    (lambda raw: _add_longhand_a4(raw)["fibers"]["p|e|p"].update(dim=1.5),
+     "a4-long", "bundles.a4-long.fibers.p|e|p.dim: expected a non-negative integer"),
+    (lambda raw: _add_longhand_a4(raw)["fibers"]["p|e|p"].update(dim=-1),
+     "a4-long", "bundles.a4-long.fibers.p|e|p.dim: expected a non-negative integer"),
+    (lambda raw: _add_longhand_a4(raw).update(mult=5),
+     "a4-long", "bundles.a4-long.mult: expected a list"),
+    (lambda raw: _add_longhand_a4(raw)["unit_algebras"]["p"].update(basis=1.0),
+     "a4-long", "bundles.a4-long.unit_algebras.p: expected a list of matrices"),
+    (lambda raw: raw["reps"]["sign"].update(dims=[1]),
+     "sign", "reps.sign.dims: expected an object"),
+    (lambda raw: raw["reps"]["sign"]["maps"].update(g1=-1.0),
+     "sign", "reps.sign.maps.g1: expected a list of matrices"),
+    (lambda raw: raw["reps"]["sign"]["maps"].update(g1=[[[-1.0], [1.0, 2.0]]]),
+     "sign", "reps.sign.maps.g1[0]: ragged matrix"),
+    (lambda raw: raw["reps"]["sign"]["maps"].update(g1=[[[-1.0]], [[1.0, 2.0]]]),
+     "sign", "reps.sign.maps.g1: ragged array"),
+    (lambda raw: raw["reps"]["sign"]["dims"].update(pt=1.5),
+     "sign", "reps.sign.dims.pt: expected a non-negative integer"),
+    (lambda raw: raw["reps"]["sign"]["dims"].update(pt="1"),
+     "sign", "reps.sign.dims.pt: expected a non-negative integer"),
+], ids=["mult-unknown-pair", "mult-non-composable-pair", "mult-index-out-of-range",
+        "mult-negative-index", "fibre-not-an-object", "unit-algebra-without-n",
+        "non-integer-dim", "negative-dim", "mult-not-a-list", "unit-basis-scalar",
+        "rep-dims-not-an-object", "rep-map-scalar", "rep-map-ragged-matrix",
+        "rep-map-ragged-array", "rep-dims-float", "rep-dims-string"])
+def test_malformed_structure_bundle_or_rep_exits_2(tmp_path, capsys, edit, name, needle):
+    path = _write_demo(tmp_path, edit)
+    code, out, err = run_cli(capsys, "validate", path, name)
     assert code == 2 and out == ""
     assert err.startswith("error:") and needle in err and "Traceback" not in err

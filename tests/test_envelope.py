@@ -217,10 +217,9 @@ def test_per_object_norms_and_determinism():
     assert cstar_norm(b, f) == pytest.approx(max(n1.values()), abs=1e-12)
 
 
-def test_non_positive_gram_signals_invalid_bundle():
-    # mult tensor with a flipped sign makes a* a negative; the Gram matrix of
-    # the induced space is then non-positive and construction must fail
-    import pytest as _pytest
+def negative_gram_bundle():
+    """A Z/2 line bundle whose mult tensor at (g1, g1) has a flipped sign, so
+    a* a is negative for a in A_g1."""
     from fellbund.bundle import FellBundle
     from fellbund.groupoid import cyclic_group
     G = cyclic_group(2)
@@ -228,9 +227,15 @@ def test_non_positive_gram_signals_invalid_bundle():
             for g in G.arrows for h in G.arrows}
     mult[("g1", "g1")] = -np.ones((1, 1, 1), dtype=complex)
     inv = {g: np.eye(1, dtype=complex) for g in G.arrows}
-    bad = FellBundle(G, {"e": 1, "g1": 1}, mult, inv,
-                     {"pt": np.ones((1, 1, 1), dtype=complex)}, name="negative")
-    with _pytest.raises(ValueError, match="Gram"):
+    return FellBundle(G, {"e": 1, "g1": 1}, mult, inv,
+                      {"pt": np.ones((1, 1, 1), dtype=complex)}, name="negative")
+
+
+def test_non_positive_gram_signals_invalid_bundle():
+    # the Gram matrix of the induced space is non-positive and construction
+    # must fail
+    bad = negative_gram_bundle()
+    with pytest.raises(ValueError, match="Gram"):
         regular_rep_matrix(bad, "pt", unit_section(bad))
 
 
