@@ -128,11 +128,15 @@ class FellBundle:
         return sum(self.dims[g] for g in self.groupoid.arrows)
 
     def offsets(self) -> dict[str, int]:
-        out, pos = {}, 0
-        for g in self.groupoid.arrows:
-            out[g] = pos
-            pos += self.dims[g]
-        return out
+        """Start of each fibre in the packed coefficient vector (cached and
+        shared: callers do not mutate it)."""
+        def build() -> dict[str, int]:
+            out, pos = {}, 0
+            for g in self.groupoid.arrows:
+                out[g] = pos
+                pos += self.dims[g]
+            return out
+        return self.memo("offsets", build)
 
     def mult_coords(self, g: str, h: str, a: Array, b: Array) -> Array:
         return np.einsum("kij,i,j->k", self.mult[(g, h)], a, b)
@@ -173,26 +177,45 @@ class FellBundle:
     def unit_spectra(self, x: str, C: Array) -> Array:
         """Ascending eigenvalues of the hermitian part of rho_x(c), one row
         per row c of the (m, d_{u(x)}) stack ``C``: shape (m, n_x)."""
-        R = self.unit_rep[x]
-        d, n = R.shape[0], R.shape[1]
-        # one (1, d) @ (d, n*n) product per row, as ``unit_matrix`` forms it for
-        # one vector, so each matrix is bit-identical to the one-vector path
-        mats = np.matmul(C[:, None, :], R.reshape(d, n * n))[:, 0].reshape(len(C), n, n)
-        return np.linalg.eigvalsh(la.hermitian_part(mats))
+        return _spectra(self.unit_rep[x], C)
 
     def fiber_norm(self, g: str, a: Array) -> float:
-        """sqrt of the top eigenvalue of rho_{s(g)}(a* a)."""
+        """sqrt of the top eigenvalue of rho_{s(g)}(a* a), formed for a / 2^e
+        with 2^e the power of two just above max |a|, and scaled back by 2^e:
+        a* a can then neither overflow nor underflow."""
         a = la.as_complex(a)
         if a.size == 0:
             return 0.0
+        e = _exponents(a)
+        a = _ldexp(a, -e)
         mat = self.unit_matrix(self.groupoid.src[g], self.star_mult_coords(g, a, a))
-        return float(np.sqrt(max(la.top_eigenvalue(mat), 0.0)))
+        return float(np.ldexp(np.sqrt(max(la.top_eigenvalue(mat), 0.0)), e))
 
     def fiber_norms(self, g: str, A: Array) -> Array:
         """``fiber_norm`` of each row of the (m, d_g) stack ``A``: one einsum
         for the a*a coordinates and one stacked ``eigvalsh``."""
         A = la.as_complex(A)
-        return _top_norms(self.unit_spectra(self.groupoid.src[g], self.star_mult_rows(g, A, A)))
+        e = _exponents(A)
+        A = _ldexp(A, -e[:, None])
+        return np.ldexp(_top_norms(self.unit_spectra(self.groupoid.src[g],
+                                                     self.star_mult_rows(g, A, A))), e)
+
+    def norm_stacks(self) -> list[tuple[list[str], Array, Array]]:
+        """The arrows with a nonzero fibre, grouped by the shapes (d_g,
+        d_{u(s(g))}, n_{s(g)}) in declared arrow order, each group with its
+        ``star_mult_tensor``s (A, d_u, d_g, d_g) and the unit representations
+        at the sources (A, d_u, n, n) stacked, for ``entry_norms``."""
+        def build() -> list:
+            G = self.groupoid
+            groups: dict[tuple[int, ...], list[str]] = {}
+            for g in G.arrows:
+                if self.dims[g]:
+                    shape = (self.dims[g],) + self.unit_rep[G.src[g]].shape[:2]
+                    groups.setdefault(shape, []).append(g)
+            return [(arrows, np.array([self.star_mult_tensor(g) for g in arrows]),
+                     np.array([self.unit_rep[G.src[g]] for g in arrows]))
+                    for arrows in groups.values()]
+        return self.memo("norm_stacks", build)
 
     def conv_plan(self) -> ConvolutionPlan:
         def build() -> ConvolutionPlan:
@@ -205,6 +228,51 @@ class FellBundle:
 
 def fiber_norm(bundle: FellBundle, g: str, a: Array) -> float:
     return bundle.fiber_norm(g, a)
+
+
+def entry_norms(bundle: FellBundle, entries: Mapping[str, Array]) -> dict[str, float]:
+    """``fiber_norm`` of every entry of a section, bit for bit: per group of
+    ``norm_stacks``, the entries present are stacked and go through one
+    einsum for their a*a coordinates and one stacked ``eigvalsh``."""
+    norms: dict[str, float] = {}
+    for arrows, tensors, reps in bundle.norm_stacks():
+        rows = [m for m, g in enumerate(arrows) if g in entries]
+        if not rows:
+            continue
+        if len(rows) < len(arrows):
+            arrows, tensors, reps = [arrows[m] for m in rows], tensors[rows], reps[rows]
+        A = la.as_complex([entries[g] for g in arrows])
+        e = _exponents(A)
+        A = _ldexp(A, -e[:, None])
+        coords = np.einsum("mkij,mi,mj->mk", tensors, np.conj(A), A)
+        norms.update(zip(arrows, np.ldexp(_top_norms(_spectra(reps, coords)), e).tolist()))
+    return norms
+
+
+def _spectra(R: Array, C: Array) -> Array:
+    """Ascending eigenvalues of the hermitian part of sum_k c_k R_k, per row
+    c of the (m, d) stack ``C``, with R (d, n, n) shared by the rows or
+    (m, d, n, n) one per row: shape (m, n)."""
+    d, n = R.shape[-3], R.shape[-1]
+    # one (1, d) @ (d, n*n) product per row, as ``unit_matrix`` forms it for
+    # one vector, so each matrix is bit-identical to the one-vector path
+    flat = R.reshape(R.shape[:-3] + (d, n * n))
+    mats = np.matmul(C[:, None, :], flat)[:, 0].reshape(len(C), n, n)
+    return np.linalg.eigvalsh(la.hermitian_part(mats))
+
+
+def _exponents(A: Array) -> Array:
+    """Per vector (last axis) of the complex ``A``, the exponent e with
+    max(|Re|, |Im|) in [2^(e-1), 2^e); 0 for a zero vector.  Dividing by 2^e
+    is exact."""
+    parts = np.ascontiguousarray(A).view(np.float64)
+    return np.frexp(np.abs(parts).max(axis=-1, initial=0.0))[1]
+
+
+def _ldexp(A: Array, e) -> Array:
+    """A · 2^e for a complex array (e broadcast against A), exact down to
+    the subnormals."""
+    return np.ldexp(np.ascontiguousarray(A).view(np.float64), e).view(np.complex128)
 
 
 def _top_norms(spectra: Array) -> Array:

@@ -181,7 +181,8 @@ def cmd_norms(ws: Workspace, args) -> tuple[dict, bool]:
         "sharper_upper_bound": sharper_norm_bound(bundle, f, ws.tols),
         "per_object_norms": per_object_norms(bundle, f, ws.tols),
     }
-    return payload, c <= i + ws.tols.tolerance
+    # relative, so that it holds at every scale of f
+    return payload, c <= i + ws.tols.tolerance * max(1.0, i)
 
 
 def cmd_envelope(ws: Workspace, args) -> tuple[dict, bool]:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .bundle import FellBundle, ei
+from ._kernels import _spans
+from .bundle import FellBundle, _exponents, _ldexp, ei
 from .config import DEFAULT, Tolerances
 from .report import ValidationReport
 from .sections import Section, basis_sections, module_action, unit_section
@@ -94,8 +95,10 @@ class RegularRepAt:
 
     def _build_blocks(self, n: int) -> None:
         """K[(h, g)][q_out, m, q_in]: action of the m-th basis element of A_h
-        mapping the summand at g into the summand at h.g."""
+        mapping the summand at g into the summand at h.g.  The blocks of equal
+        shape are stacked; ``blocks`` holds views into the stacks."""
         bundle, G = self.bundle, self.bundle.groupoid
+        by_shape: dict[tuple[int, ...], list[tuple[str, str]]] = {}
         for g in self.summands:
             if self.quot_dim[g] == 0:
                 continue
@@ -109,18 +112,31 @@ class RegularRepAt:
                 phi3 = self.phi[out].reshape(self.quot_dim[out], bundle.dims[out], n)
                 tensor = np.einsum("qov,omi,ivp->qmp", phi3, bundle.mult[(h, g)], psi3)
                 self.blocks[(h, g)] = tensor
+                by_shape.setdefault(tensor.shape, []).append((h, g))
+        # per shape (q_out, m, q_in): the stacked tensors (P, q_out, m, q_in),
+        # the positions of the coefficients of A_h in the packed section
+        # (P, m), and the rows (P, q_out, 1) and columns (P, 1, q_in) of the
+        # blocks; h = target.g^-1 is unique, so each block has one writer
+        packed = bundle.offsets()
+        self._groups = []
+        for (q_out, m, q_in), keys in by_shape.items():
+            stack = np.array([self.blocks[key] for key in keys])
+            for key, view in zip(keys, stack):
+                self.blocks[key] = view
+            self._groups.append((
+                stack,
+                _spans([packed[h] for h, _ in keys], m),
+                _spans([self.offsets[G.comp[key]] for key in keys], q_out)[:, :, None],
+                _spans([self.offsets[g] for _, g in keys], q_in)[:, None, :]))
 
     def matrix(self, f: Section) -> Array:
-        """Matrix of left convolution by f on the quotient coordinates."""
+        """Matrix of left convolution by f on the quotient coordinates: one
+        gather, contraction and block assignment per group of block shapes."""
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for (h, g), tensor in self.blocks.items():
-            coeff = f.entries.get(h)
-            if coeff is None:
-                continue
-            target = self.bundle.groupoid.comp[(h, g)]
-            block = np.einsum("qmp,m->qp", tensor, coeff)
-            o, i = self.offsets[target], self.offsets[g]
-            out[o:o + block.shape[0], i:i + block.shape[1]] += block
+        if self._groups:
+            coeffs = f.pack()
+            for stack, coeff, rows, cols in self._groups:
+                out[rows, cols] = np.einsum("pqmr,pm->pqr", stack, coeffs[coeff])
         return out
 
 
@@ -180,13 +196,19 @@ def per_object_norms(bundle: FellBundle, f: Section,
 
 def sharper_norm_bound(bundle: FellBundle, f: Section,
                        tols: Tolerances = DEFAULT) -> float:
-    """Reported upper bound from the pointwise square-root sums; not tight."""
+    """Reported upper bound from the pointwise square-root sums; not tight.
+
+    Computed for f / 2^e, with 2^e the power of two just above the largest
+    coefficient of f, and scaled back: the products f(g) f(g)* and
+    f(g)* f(g) stay in range for any finite f."""
     G = bundle.groupoid
+    e = int(max((_exponents(v) for v in f.entries.values()), default=0))
     n_r = {x: np.zeros((bundle.unit_dim(x), bundle.unit_dim(x)), dtype=np.complex128)
            for x in G.objects}
     n_s = {x: np.zeros((bundle.unit_dim(x), bundle.unit_dim(x)), dtype=np.complex128)
            for x in G.objects}
     for g, v in f.entries.items():
+        v = _ldexp(v, -e)
         gi = G.inv[g]
         ff = bundle.unit_matrix(G.rng[g], bundle.mult_coords(g, gi, v, bundle.star_coords(g, v)))
         sf = bundle.unit_matrix(G.src[g], bundle.star_mult_coords(g, v, v))
@@ -194,7 +216,7 @@ def sharper_norm_bound(bundle: FellBundle, f: Section,
         n_s[G.src[g]] += la.psd_power(sf, 0.5, tols.rank_threshold)
     top_r = max((la.operator_norm(m) for m in n_r.values()), default=0.0)
     top_s = max((la.operator_norm(m) for m in n_s.values()), default=0.0)
-    return float(np.sqrt(top_r * top_s))
+    return float(np.ldexp(np.sqrt(top_r * top_s), e))
 
 
 # -- block decomposition ---------------------------------------------------------

@@ -62,13 +62,24 @@ class FiniteGroupoid:
     def arrow_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.arrows)}
 
+    @cached_property
+    def _fibers(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """G_x and G^x of every object, in declared arrow order."""
+        by_src: dict[str, list[str]] = {}
+        by_rng: dict[str, list[str]] = {}
+        for g in self.arrows:
+            by_src.setdefault(self.src[g], []).append(g)
+            by_rng.setdefault(self.rng[g], []).append(g)
+        return ({x: tuple(a) for x, a in by_src.items()},
+                {x: tuple(a) for x, a in by_rng.items()})
+
     def source_fiber(self, x: str) -> tuple[str, ...]:
         """G_x: arrows with source x, in declared order."""
-        return tuple(g for g in self.arrows if self.src[g] == x)
+        return self._fibers[0].get(x, ())
 
     def range_fiber(self, x: str) -> tuple[str, ...]:
         """G^x: arrows with range x, in declared order."""
-        return tuple(g for g in self.arrows if self.rng[g] == x)
+        return self._fibers[1].get(x, ())
 
     def compose(self, g: str, h: str) -> str:
         return self.comp[(g, h)]

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _linalg as la
-from .bundle import BundleHom, FellBundle
+from .bundle import BundleHom, FellBundle, entry_norms
 from .config import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -116,8 +116,10 @@ def involute(xi: Section) -> Section:
 
 
 def i_norm(xi: Section) -> float:
+    """The I-norm, from the fibre norms of all entries at once
+    (``entry_norms``) summed over each range and source fibre."""
     G = xi.bundle.groupoid
-    norms = {g: xi.bundle.fiber_norm(g, v) for g, v in xi.entries.items()}
+    norms = entry_norms(xi.bundle, xi.entries)
     range_sums = [sum(norms.get(g, 0.0) for g in G.range_fiber(x)) for x in G.objects]
     source_sums = [sum(norms.get(g, 0.0) for g in G.source_fiber(x)) for x in G.objects]
     candidates = range_sums + source_sums

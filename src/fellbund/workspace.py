@@ -177,8 +177,8 @@ class Workspace:
         table = self._table("groupoids")
         if name not in table:
             raise WorkspaceError(f"groupoid {name!r} not found")
-        spec = table[name]
         where = f"groupoids.{name}"
+        spec = _object(table[name], where)
         arrows = spec.get("arrows", [])
         try:
             G = FiniteGroupoid.from_data(
@@ -201,8 +201,8 @@ class Workspace:
         table = self._table("bundles")
         if name not in table:
             raise WorkspaceError(f"bundle {name!r} not found")
-        spec = table[name]
         where = f"bundles.{name}"
+        spec = _object(table[name], where)
         G = self.groupoid(_ref(spec, "groupoid", where))
         if spec.get("model") == "matrix":
             fibers = {g: [parse_matrix(m, f"{where}.fibers.{g}[{i}]")
@@ -278,23 +278,25 @@ class Workspace:
         table = self._table("actions")
         if name not in table:
             raise WorkspaceError(f"action {name!r} not found")
-        spec = table[name]
         where = f"actions.{name}"
+        spec = _object(table[name], where)
         G = self.groupoid(_ref(spec, "groupoid", where))
         fibers = {}
+        fiber_table = _object(spec.get("fibers", {}), f"{where}.fibers")
         for x in G.objects:
-            raw = spec.get("fibers", {}).get(x)
+            raw = fiber_table.get(x)
             if raw is None:
                 raise WorkspaceError(f"{where}.fibers: missing object {x!r}")
-            mats = [parse_matrix(m, f"{where}.fibers.{x}") for m in raw.get("basis", [])]
-            fibers[x] = UnitFiberAlgebra.from_matrices(int(raw["n"]), mats,
-                                                       self.tols.rank_threshold)
-        ideals = {g: [parse_matrix(m, f"{where}.ideals.{g}") for m in mats]
-                  for g, mats in spec.get("ideals", {}).items()}
+            raw = _object(raw, f"{where}.fibers.{x}")
+            n = parse_count(raw.get("n"), f"{where}.fibers.{x}.n")
+            mats = parse_matrices(raw.get("basis", []), f"{where}.fibers.{x}")
+            fibers[x] = UnitFiberAlgebra.from_matrices(n, mats, self.tols.rank_threshold)
+        ideals = {g: parse_matrices(mats, f"{where}.ideals.{g}")
+                  for g, mats in _object(spec.get("ideals", {}), f"{where}.ideals").items()}
         alpha = {g: parse_matrix(m, f"{where}.alpha.{g}")
-                 for g, m in spec.get("alpha", {}).items()}
+                 for g, m in _object(spec.get("alpha", {}), f"{where}.alpha").items()}
         w = {}
-        for key, value in spec.get("w", {}).items():
+        for key, value in _object(spec.get("w", {}), f"{where}.w").items():
             try:
                 g, h = key.split(",")
             except ValueError:
@@ -313,11 +315,11 @@ class Workspace:
         table = self._table("sections")
         if name not in table:
             raise WorkspaceError(f"section {name!r} not found")
-        spec = table[name]
         where = f"sections.{name}"
+        spec = _object(table[name], where)
         bundle = self.bundle(_ref(spec, "bundle", where))
         entries = {}
-        for g, v in spec.get("entries", {}).items():
+        for g, v in _object(spec.get("entries", {}), f"{where}.entries").items():
             if g not in bundle.dims:
                 raise WorkspaceError(f"{where}.entries: unknown arrow {g!r}")
             entries[g] = parse_vector(v, f"{where}.entries.{g}")
@@ -330,8 +332,8 @@ class Workspace:
         table = self._table("ideals")
         if name not in table:
             raise WorkspaceError(f"ideal {name!r} not found")
-        spec = table[name]
         where = f"ideals.{name}"
+        spec = _object(table[name], where)
         bundle = self.bundle(_ref(spec, "bundle", where))
         if "invariant_family" in spec:
             spectrum = fiber_spectrum(bundle, self.tols)
@@ -346,8 +348,8 @@ class Workspace:
         table = self._table("reps")
         if name not in table:
             raise WorkspaceError(f"rep {name!r} not found")
-        spec = table[name]
         where = f"reps.{name}"
+        spec = _object(table[name], where)
         bundle = self.bundle(_ref(spec, "bundle", where))
         dims_table = _object(spec.get("dims", {}), f"{where}.dims")
         dims = {x: parse_count(dims_table.get(x, 0), f"{where}.dims.{x}")
@@ -371,25 +373,32 @@ class Workspace:
         table = self._table("set_actions")
         if name not in table:
             raise WorkspaceError(f"set action {name!r} not found")
-        spec = table[name]
         where = f"set_actions.{name}"
+        spec = _object(table[name], where)
         G = self.groupoid(_ref(spec, "groupoid", where))
+        points = spec.get("points", [])
+        if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+            raise WorkspaceError(f"{where}.points: expected a list of point names, "
+                                 f"got {points!r}")
+        entries = spec.get("act", [])
+        if not isinstance(entries, list):
+            raise WorkspaceError(f"{where}.act: expected a list of [g, y, g.y]")
         act = {}
-        for entry in spec.get("act", []):
+        for entry in entries:
             try:
                 g, y, x = entry
             except (TypeError, ValueError):
                 raise WorkspaceError(f"{where}.act: entries are [g, y, g.y]")
             act[(g, y)] = x
-        return PartialActionOnSet(G, tuple(spec.get("points", [])),
-                                  dict(spec.get("anchor", {})), act)
+        return PartialActionOnSet(G, tuple(points),
+                                  dict(_object(spec.get("anchor", {}), f"{where}.anchor")), act)
 
     def trafo_instance(self, name: str):
         table = self._table("trafo")
         if name not in table:
             raise WorkspaceError(f"trafo comparison {name!r} not found")
-        spec = table[name]
         where = f"trafo.{name}"
+        spec = _object(table[name], where)
         action = self.set_action(_ref(spec, "action", where))
         H, arrow_dict = transformation_groupoid(action)
         bundle = self.bundle(_ref(spec, "bundle", where))

@@ -211,14 +211,30 @@ def test_inf_matrix_fibre_entry_exits_2(tmp_path, capsys):
     assert "bundles.z2-line.fibers.g1" in err and "finite" in err
 
 
-def test_non_finite_report_is_an_error_not_bare_nan(tmp_path, capsys):
-    # i_norm overflows while forming a*a; the report must not print NaN
-    def scale(raw):
-        raw["sections"]["f"]["entries"] = {"e": [1e200], "g1": [[0.0, 1e200]]}
-    path = _write_demo(tmp_path, scale)
-    code, out, err = run_cli(capsys, "norms", path, "f")
+def test_non_finite_report_is_an_error_not_bare_nan(tmp_path, capsys, monkeypatch):
+    # a norm that comes out NaN must not be printed as a bare NaN
+    monkeypatch.setattr("fellbund.cli.i_norm", lambda f: float("nan"))
+    code, out, err = run_cli(capsys, "norms", _write_demo(tmp_path, lambda raw: None), "f")
     assert code == 1 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_norms_of_a_scaled_section_scale_the_report(tmp_path, capsys, scale):
+    # at 1e200 an unscaled a*a overflows (NaN norms) and at 1e-200 it
+    # underflows (zero norms); fibre norms are formed for a / 2^e instead
+    def scaled(raw):
+        raw["sections"]["f"]["entries"] = {"e": [scale], "g1": [[0.0, scale]]}
+    code, out, _ = run_cli(capsys, "norms", _write_demo(tmp_path, lambda raw: None), "f")
+    assert code == 0
+    want = json.loads(out)
+    code, out, err = run_cli(capsys, "norms", _write_demo(tmp_path, scaled), "f")
+    assert code == 0 and err == ""
+    got = json.loads(out)
+    for key in ("i_norm", "cstar_norm", "sharper_upper_bound"):
+        assert got[key] == pytest.approx(scale * want[key], rel=1e-14), key
+    for x, norm in want["per_object_norms"].items():
+        assert got["per_object_norms"][x] == pytest.approx(scale * norm, rel=1e-14), x
 
 
 @pytest.mark.parametrize("family, needle", [
@@ -305,5 +321,40 @@ def test_longhand_bundle_validates(tmp_path, capsys):
 def test_malformed_structure_bundle_or_rep_exits_2(tmp_path, capsys, edit, name, needle):
     path = _write_demo(tmp_path, edit)
     code, out, err = run_cli(capsys, "validate", path, name)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, command, name, needle", [
+    (lambda raw: raw["actions"]["swap-c2"]["fibers"]["pt"].pop("n"), "validate", "swap-c2",
+     "actions.swap-c2.fibers.pt.n: expected a non-negative integer"),
+    (lambda raw: raw["actions"]["swap-c2"]["fibers"].update(pt=2), "validate", "swap-c2",
+     "actions.swap-c2.fibers.pt: expected an object"),
+    (lambda raw: raw["actions"]["swap-c2"]["fibers"]["pt"].update(basis=1.0), "validate",
+     "swap-c2", "actions.swap-c2.fibers.pt: expected a list of matrices"),
+    (lambda raw: raw["actions"]["swap-c2"]["ideals"].update(e=1.0), "validate", "swap-c2",
+     "actions.swap-c2.ideals.e: expected a list of matrices"),
+    (lambda raw: raw["actions"]["swap-c2"].update(alpha=[]), "validate", "swap-c2",
+     "actions.swap-c2.alpha: expected an object"),
+    (lambda raw: raw["set_actions"]["swap-pq"].update(points=5), "validate", "swap-pq",
+     "set_actions.swap-pq.points: expected a list of point names"),
+    (lambda raw: raw["set_actions"]["swap-pq"].update(act=5), "validate", "swap-pq",
+     "set_actions.swap-pq.act: expected a list"),
+    (lambda raw: raw["set_actions"]["swap-pq"].update(anchor=["p"]), "validate", "swap-pq",
+     "set_actions.swap-pq.anchor: expected an object"),
+    (lambda raw: raw["sections"].update(f=[1]), "norms", "f",
+     "sections.f: expected an object"),
+    (lambda raw: raw["sections"]["f"].update(entries=[1.0]), "norms", "f",
+     "sections.f.entries: expected an object"),
+    (lambda raw: raw["trafo"].update({"pq-compare": "swap-pq"}), "trafo", "pq-compare",
+     "trafo.pq-compare: expected an object"),
+], ids=["action-fibre-without-n", "action-fibre-scalar", "action-basis-scalar",
+        "action-ideal-scalar", "action-alpha-list", "set-action-points-scalar",
+        "set-action-act-scalar", "set-action-anchor-list", "section-list",
+        "section-entries-list", "trafo-string"])
+def test_malformed_action_set_action_section_or_trafo_exits_2(tmp_path, capsys, edit, command,
+                                                              name, needle):
+    path = _write_demo(tmp_path, edit)
+    code, out, err = run_cli(capsys, command, path, name)
     assert code == 2 and out == ""
     assert err.startswith("error:") and needle in err and "Traceback" not in err

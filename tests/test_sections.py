@@ -4,6 +4,7 @@ import pytest
 import fellbund._linalg as la
 from fellbund import gallery
 from fellbund.bundle import BundleHom, ei
+from fellbund.envelope import cstar_norm, sharper_norm_bound
 from fellbund.sections import (Section, basis_sections, convolve, delta_section,
                                factor, i_norm, induced_hom, involute,
                                module_action, random_section, unit_section)
@@ -100,6 +101,24 @@ def test_i_norm_submultiplicative_and_star_invariant():
             x, y = random_section(b, rng), random_section(b, rng)
             assert i_norm(convolve(x, y)) <= i_norm(x) * i_norm(y) + 1e-9, name
             assert i_norm(involute(x)) == pytest.approx(i_norm(x), abs=1e-9), name
+
+
+SHIPPED = gallery.shipped_bundles()
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_norms_are_homogeneous_under_powers_of_two(name):
+    # at 2^664 an unscaled a*a overflows (NaN I-norm, zero sharper bound)
+    # and at 2^-664 it underflows (both zero)
+    b = SHIPPED[name]
+    f = random_section(b, np.random.default_rng(14))
+    i, c, s = i_norm(f), cstar_norm(b, f), sharper_norm_bound(b, f)
+    for k in (-664, -1, 0, 1, 664):
+        fk = Section(b, {g: np.ldexp(v.real, k) + 1j * np.ldexp(v.imag, k)
+                         for g, v in f.entries.items()})
+        assert i_norm(fk) == np.ldexp(i, k), k
+        assert cstar_norm(b, fk) == pytest.approx(np.ldexp(c, k), rel=1e-14, abs=0), k
+        assert sharper_norm_bound(b, fk) == pytest.approx(np.ldexp(s, k), rel=1e-14, abs=0), k
 
 
 def test_section_space_dimension():
