@@ -2,8 +2,9 @@
 
     python3 scripts/report_snapshot.py OUT [--root CHECKOUT] [--seeds 1 4]
 
-Runs, in process, the 11 README demo commands on ``examples_ws/demo.json``
-and ``validate``/``envelope``/``spectrum``/``quasi-orbits``/``ideals`` on every
+Runs, in process, the 11 README demo commands and ``validate`` on the demo's
+two twisted partial actions on ``examples_ws/demo.json``, and
+``validate``/``envelope``/``spectrum``/``quasi-orbits``/``ideals`` on every
 bundle of the seeded benchmark workspace ``perfbench/workloads.certify_workspace(seed)``.
 Each command's stdout goes to its own file under OUT, and ``exit_codes.txt``
 lists the exit status of every command.  fellbund is imported from
@@ -27,6 +28,8 @@ import tempfile
 
 DEMO_COMMANDS = [
     ["validate", "z2"],
+    ["validate", "swap-c2"],
+    ["validate", "klein-twisted"],
     ["norms", "e-plus-g"],
     ["envelope", "a4"],
     ["spectrum", "a4"],

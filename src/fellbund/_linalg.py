@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 Array = np.ndarray
+_EPS = float(np.finfo(float).eps)
 
 
 def as_complex(a) -> Array:
@@ -137,11 +138,52 @@ def frame_intersection(a: Array, b: Array, dim: int, rtol: float = 1e-10) -> Arr
     """
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((0, dim), dtype=np.complex128)
-    eye = np.eye(dim, dtype=np.complex128)
-    pa = a.T @ a.conj()
-    pb = b.T @ b.conj()
-    stacked = np.vstack([eye - pa, eye - pb])
-    return null_space_rows(stacked, rtol)
+    return frame_intersections([(a, b)], rtol)[0]
+
+
+def frame_intersections(pairs: list[tuple[Array, Array]], rtol: float = 1e-10) -> list[Array]:
+    """``frame_intersection`` of each pair of frames (r_a, d), (r_b, d).
+
+    Equal bit for bit to one ``frame_intersection`` per pair: the pairs of
+    equal shapes form their complement projections with one batched matmul
+    each, the pairs of equal d share one stacked SVD, and the null rows of
+    equal shape one ``stacked_orth_rows``.
+    """
+    out: list = [None] * len(pairs)
+    shapes: dict[tuple[int, int, int], list[int]] = {}
+    for idx, (a, b) in enumerate(pairs):
+        if a.shape[0] == 0 or b.shape[0] == 0:
+            out[idx] = np.zeros((0, a.shape[1]), dtype=np.complex128)
+        else:
+            shapes.setdefault((a.shape[0], b.shape[0], a.shape[1]), []).append(idx)
+    complements: dict[int, list] = {}
+    for (_, _, dim), idxs in shapes.items():
+        eye = np.eye(dim, dtype=np.complex128)
+        a = np.stack([pairs[i][0] for i in idxs])
+        b = np.stack([pairs[i][1] for i in idxs])
+        stacked = np.concatenate([eye - np.swapaxes(a, 1, 2) @ a.conj(),
+                                  eye - np.swapaxes(b, 1, 2) @ b.conj()], axis=1)
+        full = ~stacked.reshape(len(idxs), -1).any(axis=1)
+        for idx, m, f in zip(idxs, stacked, full):
+            if f:
+                out[idx] = eye.copy()
+            else:
+                complements.setdefault(dim, []).append((idx, m))
+    null: dict[tuple[int, int], list] = {}
+    for dim, items in complements.items():
+        _, s, vh = np.linalg.svd(np.stack([m for _, m in items]), full_matrices=False)
+        cutoff = rtol * np.maximum(s[:, 0], 1.0)
+        for (idx, _), s_i, vh_i, cut in zip(items, s, vh, cutoff):
+            rows = np.conj(vh_i[s_i <= cut])
+            if rows.shape[0]:
+                null.setdefault(rows.shape, []).append((idx, rows))
+            else:
+                out[idx] = np.zeros((0, dim), dtype=np.complex128)
+    for items in null.values():
+        vh, rank = stacked_orth_rows(np.stack([rows for _, rows in items]), rtol)
+        for (idx, _), vh_i, r in zip(items, vh, rank):
+            out[idx] = np.ascontiguousarray(vh_i[:r])
+    return out
 
 
 def frame_complement(frame: Array, dim: int, rtol: float = 1e-10) -> Array:
@@ -249,29 +291,42 @@ def stack_combine(stack: Array, coeff: Array) -> Array:
 def algebra_unit(stack: Array, tol: float = 1e-8) -> Array | None:
     """Coefficients of the two-sided unit of span(stack), or None.
 
-    Solves sum_j c_j B_j B_i = B_i for all i; works for any *-closed matrix
-    algebra or ideal (finite-dimensional C*-algebras are unital).
+    Solves sum_j c_j B_j B_i = B_i for all i in the least-squares sense, then
+    checks the residual and that the solution is a unit on both sides; works
+    for any *-closed matrix algebra or ideal (finite-dimensional
+    C*-algebras are unital).
     """
-    d = stack.shape[0]
-    if d == 0:
-        return np.zeros(0, dtype=np.complex128)
-    rows = []
-    rhs = []
-    for i in range(d):
-        prod = np.einsum("jab,bc->jac", stack, stack[i])  # B_j B_i
-        rows.append(prod.reshape(d, -1).T)
-        rhs.append(stack[i].reshape(-1))
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-    c, res = solve_lstsq(a, b)
-    if res > tol * max(1.0, np.linalg.norm(b)):
-        return None
-    unit = stack_combine(stack, c)
-    lres = max(float(np.linalg.norm(unit @ stack[i] - stack[i])) for i in range(d))
-    rres = max(float(np.linalg.norm(stack[i] @ unit - stack[i])) for i in range(d))
-    if max(lres, rres) > tol:
-        return None
-    return c
+    return algebra_units([stack], tol)[0]
+
+
+def algebra_units(stacks: list[Array], tol: float = 1e-8) -> list[Array | None]:
+    """``algebra_unit`` of each stack (d, n, n); the stacks of equal shape
+    are solved together, by one batched SVD that cuts singular values as
+    ``lstsq`` does."""
+    out: list = [None] * len(stacks)
+    groups: dict[tuple, list[int]] = {}
+    for idx, stack in enumerate(stacks):
+        if stack.shape[0] == 0:
+            out[idx] = np.zeros(0, dtype=np.complex128)
+        else:
+            groups.setdefault(stack.shape, []).append(idx)
+    for (d, n, _), idxs in groups.items():
+        s_ = np.stack([stacks[i] for i in idxs])                      # (t, d, n, n)
+        t, m = len(idxs), d * n * n
+        # column j of block row i: B_j B_i, flattened
+        a = np.moveaxis(np.matmul(s_[:, None], s_[:, :, None]), 2, 4).reshape(t, m, d)
+        b = s_.reshape(t, m, 1)
+        u, sv, vh = np.linalg.svd(a, full_matrices=False)
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > _EPS * m * sv[:, :1])
+        c = np.swapaxes(vh, 1, 2).conj() @ (inv[:, :, None] * (np.swapaxes(u, 1, 2).conj() @ b))
+        res = np.linalg.norm((a @ c - b)[:, :, 0], axis=1)
+        unit = (np.swapaxes(c, 1, 2) @ s_.reshape(t, d, n * n)).reshape(t, 1, n, n)
+        sided = np.linalg.norm(np.stack([unit @ s_ - s_, s_ @ unit - s_]), axis=(3, 4))
+        ok = ~(res > tol * np.maximum(1.0, np.linalg.norm(b[:, :, 0], axis=1))) \
+            & ~(sided.max(axis=(0, 2)) > tol)
+        for idx, c_i, ok_i in zip(idxs, c[:, :, 0], ok):
+            out[idx] = c_i if ok_i else None
+    return out
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> Array:

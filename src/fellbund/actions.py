@@ -11,6 +11,18 @@ uses
 
 and reconstruction recovers (D, a, w) from a bundle whose fibres are
 presented as left ideals in the range unit fibres.
+
+Every a_g acts through one operator on row-major flattened matrices,
+
+    A_g = F_g^T . a_g . conj(F_{g^-1})      (n_{r(g)}^2 x n_{s(g)}^2),
+
+F_g the rows of the flattened ideal basis of D_g: a_g(b) = A_g vec(b), and a
+stack of matrices maps with one matmul.  The validator, the compiler, the
+reconstruction and the restriction build the operators, the intersections
+D_{g^-1} ∩ D_h of the composable pairs (g, h) (which are also the
+D_g ∩ D_{gh}, at the pair (g^-1, gh)) and their units once per call, and
+evaluate every axiom on stacks of equal shape.  Nothing is kept on the
+action: callers may replace its maps.
 """
 
 from __future__ import annotations
@@ -18,10 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import math
+
 import numpy as np
 
 from . import _linalg as la
-from .bundle import FellBundle, UnitFiberAlgebra, ei
+from .bundle import FellBundle, UnitFiberAlgebra
 from .config import DEFAULT, Tolerances
 from .groupoid import FiniteGroupoid, composable_pairs, composable_triples
 from .report import ValidationReport
@@ -45,13 +59,27 @@ class TwistedPartialAction:
         """Normalise the input: unit-arrow ideals are the fibre algebras, and
         missing w entries default to the unit of the intersection ideal.
 
-        Ideal bases must come HS-orthonormal (alpha and w refer to them)."""
+        Ideal bases must come HS-orthonormal (alpha and w refer to them);
+        entries keyed by an unknown arrow or a non-composable pair, and
+        entries of the wrong shape, are errors."""
+        w = w or {}
+        for label, table in (("ideals", ideals), ("alpha", alpha)):
+            unknown = [g for g in table if g not in G.rng]
+            if unknown:
+                raise ValueError(f"{label}: unknown arrow {unknown[0]!r}")
+        stray = [key for key in w if key not in G.comp]
+        if stray:
+            raise ValueError(f"w: {stray[0]!r} is not a composable pair")
         basis: dict[str, Array] = {}
         for g in G.arrows:
             n = fibers[G.rng[g]].n
             mats = [la.as_complex(m) for m in ideals.get(g, [])]
+            if any(m.shape != (n, n) for m in mats):
+                raise ValueError(f"ideal basis at {g}: expected {n}x{n} matrices")
             stack = (np.stack(mats) if mats
                      else np.zeros((0, n, n), dtype=np.complex128))
+            if not np.isfinite(stack).all():
+                raise ValueError(f"ideal basis at {g} has non-finite entries")
             if stack.shape[0]:
                 gram = la.flatten_stack(stack)
                 gram = gram.conj() @ gram.T
@@ -65,19 +93,23 @@ class TwistedPartialAction:
         amaps = {g: la.as_complex(alpha[g]) if g in alpha
                  else np.eye(basis[g].shape[0], dtype=np.complex128)
                  for g in G.arrows}
+        for g, a in amaps.items():
+            want = (basis[g].shape[0], basis[G.inv[g]].shape[0])
+            if a.shape != want:
+                raise ValueError(f"alpha at {g} has shape {a.shape}, want {want}")
         act = TwistedPartialAction(G, dict(fibers), basis, amaps, {})
-        wmap: dict[tuple[str, str], Array] = {}
-        for g, h in composable_pairs(G):
-            key = (g, h)
-            if w is not None and key in w:
-                raw = w[key]
-                if np.isscalar(raw) or np.asarray(raw).ndim == 0:
-                    wmap[key] = complex(raw) * act.intersection_unit(g, h)
-                else:
-                    wmap[key] = la.as_complex(raw)
-            else:
-                wmap[key] = act.intersection_unit(g, h)
-        act.w = wmap
+        pairs = composable_pairs(G)
+        scalar = {key: key in w and (np.isscalar(w[key]) or np.asarray(w[key]).ndim == 0)
+                  for key in pairs}
+        for g, h in pairs:
+            n = fibers[G.rng[g]].n
+            if (g, h) in w and not scalar[(g, h)] and np.shape(w[(g, h)]) != (n, n):
+                raise ValueError(f"w({g},{h}) has shape {np.shape(w[(g, h)])}, want {(n, n)}")
+        units = _intersection_units(act, [key for key in pairs
+                                          if key not in w or scalar[key]], rtol)
+        act.w = {key: (complex(w[key]) * units[key] if scalar[key]
+                       else la.as_complex(w[key]) if key in w else units[key])
+                 for key in pairs}
         return act
 
     # -- fibre helpers ---------------------------------------------------------
@@ -88,211 +120,354 @@ class TwistedPartialAction:
     def ideal_dim(self, g: str) -> int:
         return self.ideal_basis[g].shape[0]
 
-    def ideal_frame(self, g: str) -> Array:
-        s = self.ideal_basis[g]
-        return la.flatten_stack(s)
-
     def coords_of(self, g: str, mat: Array) -> tuple[Array, float]:
+        """Coordinates of ``mat`` in the basis of D_g (the conj(F_g) factor of
+        the α-operators), and the residual of ``mat`` off D_g."""
         return la.stack_expand(self.ideal_basis[g], mat)
 
-    def mat_of(self, g: str, coords: Array) -> Array:
-        return la.stack_combine(self.ideal_basis[g], coords)
-
     def apply_alpha(self, g: str, mat: Array) -> Array:
-        """a_g applied to a matrix in D_{g^-1}."""
-        gi = self.groupoid.inv[g]
-        coords, _ = self.coords_of(gi, mat)
-        return self.mat_of(g, self.alpha[g] @ coords)
+        """a_g applied to a matrix in D_{g^-1}, through ``alpha_operator``."""
+        n = self.n_at(self.groupoid.rng[g])
+        return (alpha_operator(self, g) @ la.as_complex(mat).reshape(-1)).reshape(n, n)
 
     def apply_alpha_inv(self, g: str, mat: Array) -> Array:
         """a_g^{-1} (matrix inverse of the stored map), D_g -> D_{g^-1}."""
-        gi = self.groupoid.inv[g]
-        coords, _ = self.coords_of(g, mat)
-        if coords.size == 0:
-            return np.zeros((self.n_at(self.groupoid.src[g]),) * 2, dtype=np.complex128)
-        sol = np.linalg.solve(self.alpha[g], coords) if coords.size else coords
-        return self.mat_of(gi, sol)
+        n = self.n_at(self.groupoid.src[g])
+        return (alpha_inverse_operator(self, g) @ la.as_complex(mat).reshape(-1)).reshape(n, n)
 
-    def intersection_basis(self, g: str, h: str, rtol: float = 1e-10) -> Array:
-        """Stack for D_g ∩ D_{gh} inside Mat(n_{r(g)})."""
-        gh = self.groupoid.comp[(g, h)]
-        n = self.n_at(self.groupoid.rng[g])
-        frame = la.frame_intersection(self.ideal_frame(g), self.ideal_frame(gh),
-                                      n * n, rtol)
-        return frame.reshape(-1, n, n)
 
-    def intersection_unit(self, g: str, h: str) -> Array:
-        stack = self.intersection_basis(g, h)
-        n = self.n_at(self.groupoid.rng[g])
-        if stack.shape[0] == 0:
-            return np.zeros((n, n), dtype=np.complex128)
-        c = la.algebra_unit(stack)
-        if c is None:
+def alpha_operator(T: TwistedPartialAction, g: str) -> Array:
+    """A_g = F_g^T a_g conj(F_{g^-1}): vec(D_{g^-1}) -> vec(D_g), shape
+    (n_{r(g)}^2, n_{s(g)}^2); zero off D_{g^-1}."""
+    gi = T.groupoid.inv[g]
+    return _frame(T, g).T @ (T.alpha[g] @ _frame(T, gi).conj())
+
+
+def alpha_inverse_operator(T: TwistedPartialAction, g: str) -> Array:
+    """F_{g^-1}^T a_g^{-1} conj(F_g), the inverse of ``alpha_operator`` on
+    D_g, shape (n_{s(g)}^2, n_{r(g)}^2); a_g must be invertible."""
+    fg, fgi = _frame(T, g), _frame(T, T.groupoid.inv[g])
+    if fg.shape[0] == 0:
+        return np.zeros((fgi.shape[1], fg.shape[1]), dtype=np.complex128)
+    return fgi.T @ np.linalg.solve(T.alpha[g], fg.conj())
+
+
+# -- stacked helpers -----------------------------------------------------------
+
+
+def _frame(T: TwistedPartialAction, g: str) -> Array:
+    return la.flatten_stack(T.ideal_basis[g])
+
+
+def _stacked(items: list[tuple[Array, ...]], fn) -> list[tuple]:
+    """``fn`` on the items' arrays stacked along a new first axis, one call
+    per group of items whose arrays have equal shapes.  ``fn`` returns a
+    tuple of stacks; each item gets the tuple of its rows, in item order."""
+    groups: dict[tuple, list[int]] = {}
+    for idx, arrays in enumerate(items):
+        groups.setdefault(tuple(a.shape for a in arrays), []).append(idx)
+    out: list = [None] * len(items)
+    for idxs in groups.values():
+        width = len(items[idxs[0]])
+        res = fn(*(np.stack([items[i][p] for i in idxs]) for p in range(width)))
+        for pos, i in enumerate(idxs):
+            out[i] = tuple(r[pos] for r in res)
+    return out
+
+
+def _t(a: Array) -> Array:
+    """Transpose of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _expand(frames: Array, vectors: Array) -> tuple[Array, Array, Array]:
+    """Coordinates (..., m, r) of the rows of ``vectors`` (..., m, d) in the
+    orthonormal rows of ``frames`` (..., r, d), the residual norms (..., m)
+    off their span and the norms (..., m) of the rows."""
+    coords = vectors @ _t(frames).conj()
+    diff = vectors - coords @ frames
+    return coords, np.linalg.norm(diff, axis=-1), np.linalg.norm(vectors, axis=-1)
+
+
+def _intersections(T: TwistedPartialAction, rtol: float) -> dict[tuple[str, str], Array]:
+    """Frame of D_{g^-1} ∩ D_h, keyed (g^-1, h), for every composable pair
+    (g, h); the same table holds D_g ∩ D_{gh} under (g, gh)."""
+    G = T.groupoid
+    keys = [(G.inv[g], h) for g, h in composable_pairs(G)]
+    return dict(zip(keys, la.frame_intersections(
+        [(_frame(T, a), _frame(T, b)) for a, b in keys], rtol)))
+
+
+def _units(stacks: list[Array]) -> list[Array | None]:
+    """The unit matrix of the span of each stack (d, n, n): zero for d = 0,
+    None when the span has no two-sided unit."""
+    return [None if c is None else (c @ la.flatten_stack(s)).reshape(s.shape[1:])
+            for s, c in zip(stacks, la.algebra_units(stacks))]
+
+
+def _intersection_units(T: TwistedPartialAction, pairs: list[tuple[str, str]],
+                        rtol: float) -> dict[tuple[str, str], Array]:
+    """Unit of D_g ∩ D_{gh} for each listed pair (g, h)."""
+    G = T.groupoid
+    keys = [(g, G.comp[(g, h)]) for g, h in pairs]
+    frames = la.frame_intersections([(_frame(T, a), _frame(T, b)) for a, b in keys], rtol)
+    stacks = [f.reshape(-1, T.n_at(G.rng[g]), T.n_at(G.rng[g]))
+              for f, (g, _) in zip(frames, pairs)]
+    out = {}
+    for (g, h), unit in zip(pairs, _units(stacks)):
+        if unit is None:
             raise ValueError(f"intersection ideal at ({g},{h}) has no unit")
-        return la.stack_combine(stack, c)
+        out[(g, h)] = unit
+    return out
 
-    def ideal_unit(self, g: str) -> Array:
-        n = self.n_at(self.groupoid.rng[g])
-        if self.ideal_dim(g) == 0:
-            return np.zeros((n, n), dtype=np.complex128)
-        c = la.algebra_unit(self.ideal_basis[g])
-        if c is None:
-            raise ValueError(f"ideal at {g} has no unit")
-        return self.mat_of(g, c)
+
+# -- validation ------------------------------------------------------------------
+
+_FINITE = "finite entries"
+
+
+def _non_finite(T: TwistedPartialAction, rep: ValidationReport) -> None:
+    G = T.groupoid
+    for x in G.objects:
+        if not np.isfinite(T.fibers[x].basis).all():
+            rep.add(_FINITE, f"object {x}", detail="fibre basis")
+    for g in G.arrows:
+        for label, data in (("ideal basis", T.ideal_basis[g]), ("alpha", T.alpha[g])):
+            if not np.isfinite(data).all():
+                rep.add(_FINITE, f"arrow {g}", detail=label)
+    for g, h in composable_pairs(G):
+        if not np.isfinite(T.w[(g, h)]).all():
+            rep.add(_FINITE, f"({g},{h})", detail="w")
+
+
+def _ideal_residuals(B: Array, Fb: Array) -> tuple[Array, Array, Array]:
+    """For ideal bases B (t, k, n, n) in fibres with bases Fb (t, d, n, n):
+    the residuals (t, k) of B off the fibre, and the residuals and norms
+    (t, k, d, 2) of b B and B b (b in Fb) off span(B)."""
+    t, k, n = B.shape[:3]
+    d = Fb.shape[1]
+    fB = B.reshape(t, k, n * n)
+    _, inside, _ = _expand(Fb.reshape(t, d, n * n), fB)
+    left = np.matmul(Fb[:, None], B[:, :, None])          # (t, k, d, n, n)
+    right = np.matmul(B[:, :, None], Fb[:, None])
+    prods = np.stack([left, right], axis=3).reshape(t, k * d * 2, n * n)
+    _, res, norms = _expand(fB, prods)
+    return inside, res.reshape(t, k, d, 2), norms.reshape(t, k, d, 2)
+
+
+def _star_mult_residuals(Bgi: Array, A: Array) -> tuple[Array, Array, Array]:
+    """For domain bases a_i = Bgi (t, k, n, n) and operators A (t, N, n^2):
+    |a_g(a_i^*) - a_g(a_i)^*| (t, k), and |a_g(a_i a_j) - a_g(a_i) a_g(a_j)|
+    with |a_g(a_i) a_g(a_j)| (t, k, k)."""
+    t, k, n = Bgi.shape[:3]
+    m = math.isqrt(A.shape[1])
+    At = _t(A)
+    img = (Bgi.reshape(t, k, n * n) @ At).reshape(t, k, m, m)
+    img_star = (_t(Bgi).conj().reshape(t, k, n * n) @ At).reshape(t, k, m, m)
+    star = np.linalg.norm(img_star - _t(img).conj(), axis=(-2, -1))
+    prods = np.matmul(Bgi[:, :, None], Bgi[:, None]).reshape(t, k * k, n * n)
+    lhs = (prods @ At).reshape(t, k, k, m, m)
+    rhs = np.matmul(img[:, :, None], img[:, None])
+    return star, np.linalg.norm(lhs - rhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1))
+
+
+def _pair_residuals(w, tgt, q, dom, Ag, Ah, Ahi, Agh, Fgh, rtol):
+    """Per composable pair (g, h), stacked: w (n, n) against D_g ∩ D_{gh}
+    (frame tgt, unit q); conditions 6 and 7 on the rows of
+    dom = D_{g^-1} ∩ D_h; and whether a_g(dom) spans tgt."""
+    t, n = w.shape[:2]
+    r = dom.shape[1]
+    _, supported, wnorm = _expand(tgt, w.reshape(t, 1, n * n))
+    ws = _t(w).conj()
+    unitary = np.linalg.norm(np.stack([w @ ws - q, ws @ w - q], axis=1), axis=(-2, -1))
+    img = dom @ _t(Ag)                                       # a_g(b), (t, r, n^2)
+    _, c6, c6_norm = _expand(Fgh, img)
+    a = dom @ _t(Ahi)                                        # a_{h^-1}(b)
+    lhs = (a @ _t(Ah) @ _t(Ag)).reshape(t, r, n, n)
+    rhs = w[:, None] @ (a @ _t(Agh)).reshape(t, r, n, n) @ ws[:, None]
+    c7 = np.linalg.norm(lhs - rhs, axis=(-2, -1))
+    vh, rank = la.stacked_orth_rows(img, rtol)
+    spans = la.stacked_frame_eq(vh, rank, tgt, np.full(t, tgt.shape[1]), 1e-7)
+    return (supported[:, 0], wnorm[:, 0], unitary, c6, c6_norm, c7,
+            np.linalg.norm(lhs, axis=(-2, -1)), spans, rank)
+
+
+def _cocycle_residuals(a, Ag, w_hk, w_g_hk, w_gh, w_gh_k):
+    """|a_g(a w(h,k)) w(g,hk) - a_g(a) w(g,h) w(gh,k)| and |rhs| for the rows
+    a of D_{g^-1} ∩ D_h ∩ D_{hk}, (t, r) each."""
+    t, r = a.shape[:2]
+    ns, n = w_hk.shape[-1], w_gh.shape[-1]
+    a = a.reshape(t, r, ns, ns)
+    At = _t(Ag)
+    lhs = ((a @ w_hk[:, None]).reshape(t, r, ns * ns) @ At).reshape(t, r, n, n) @ w_g_hk[:, None]
+    rhs = (a.reshape(t, r, ns * ns) @ At).reshape(t, r, n, n) @ w_gh[:, None] @ w_gh_k[:, None]
+    return np.linalg.norm(lhs - rhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1))
 
 
 def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> ValidationReport:
     """Axioms 5-8 on basis elements, plus *-isomorphism checks; the derived
-    identities are reported as diagnostics in the notes."""
+    identities are reported as diagnostics in the notes.  Non-finite input is
+    reported (``finite entries``) and nothing else is checked."""
     G = T.groupoid
-    tol = tols.tolerance
+    tol, rtol = tols.tolerance, tols.rank_threshold
     rep = ValidationReport("twisted partial action")
+    _non_finite(T, rep)
+    if not rep.ok:
+        return rep
+    for g in G.arrows:
+        want = (T.ideal_dim(g), T.ideal_dim(G.inv[g]))
+        if np.shape(T.alpha[g]) != want:
+            raise ValueError(f"alpha at {g} has shape {np.shape(T.alpha[g])}, want {want}")
+    pairs, triples = composable_pairs(G), composable_triples(G)
+    B = T.ideal_basis
+    frames = {g: _frame(T, g) for g in G.arrows}
+    ops = {g: alpha_operator(T, g) for g in G.arrows}
+    inter = _intersections(T, rtol)
+    dom = {(g, h): inter[(G.inv[g], h)] for g, h in pairs}
+    tgt = {(g, h): inter[(g, G.comp[(g, h)])] for g, h in pairs}
 
     # ideals sit inside the fibre algebras and absorb multiplication
-    for g in G.arrows:
-        x = G.rng[g]
-        F = T.fibers[x]
-        frame_F = F.basis.reshape(F.dim, -1)
-        for i, mat in enumerate(T.ideal_basis[g]):
-            res = la.residual_in_span(frame_F, mat.reshape(-1))
-            rep.check_residual(res, tol, "ideal inside fibre algebra", f"D_{g}[{i}]")
-            for b in F.basis:
-                for prod, side in ((b @ mat, "left"), (mat @ b, "right")):
-                    res = la.residual_in_span(T.ideal_frame(g), prod.reshape(-1))
-                    rep.check_residual(res, tol * max(1.0, float(np.linalg.norm(prod))),
-                                       f"ideal absorbs {side} multiplication", f"D_{g}[{i}]")
+    rows = _stacked([(B[g], T.fibers[G.rng[g]].basis) for g in G.arrows], _ideal_residuals)
+    for g, (inside, res, norms) in zip(G.arrows, rows):
+        bad = ~(res <= tol * np.maximum(1.0, norms))
+        for i in np.flatnonzero(~(inside <= tol) | bad.any(axis=(1, 2))):
+            rep.check_residual(inside[i], tol, "ideal inside fibre algebra", f"D_{g}[{i}]")
+            for b, side in zip(*np.nonzero(bad[i])):
+                rep.add(f"ideal absorbs {('left', 'right')[side]} multiplication",
+                        f"D_{g}[{i}]", float(res[i, b, side]))
 
     # condition 5: units
     for x in G.objects:
         u = G.unit[x]
-        ok = la.frame_eq(T.ideal_frame(u), T.fibers[x].basis.reshape(T.fibers[x].dim, -1), tol)
+        F = T.fibers[x]
+        ok = la.frame_eq(frames[u], F.basis.reshape(F.dim, -1), tol)
         rep.require(ok, "D at unit equals fibre algebra", f"object {x}")
         res = float(np.linalg.norm(T.alpha[u] - np.eye(T.ideal_dim(u))))
         rep.check_residual(res, tol, "alpha at unit is identity", f"object {x}")
-    for g in G.arrows:
+    for g, pg in zip(G.arrows, _units([B[g] for g in G.arrows])):
+        if pg is None:
+            raise ValueError(f"ideal at {g} has no unit")
         us, ur = G.unit[G.src[g]], G.unit[G.rng[g]]
-        pg = T.ideal_unit(g)
         for key, label in (((g, us), "w(g, unit)"), ((ur, g), "w(unit, g)")):
             res = float(np.linalg.norm(T.w[key] - pg))
             rep.check_residual(res, tol, f"normalisation {label} = 1", f"arrow {g}")
 
     # alpha is a *-isomorphism D_{g^-1} -> D_g
+    square = [g for g in G.arrows if T.ideal_dim(g) == T.ideal_dim(G.inv[g]) > 0]
+    ranks = {g: rank for g, (rank,) in zip(square, _stacked(
+        [(T.alpha[g],) for g in square], lambda a: la.stacked_orth_rows(a, rtol)[1:]))}
+    invertible = [g for g in G.arrows if T.ideal_dim(g) == T.ideal_dim(G.inv[g])
+                  and ranks.get(g, 0) == T.ideal_dim(g)]
+    alpha_rows = dict(zip(invertible, _stacked([(B[G.inv[g]], ops[g]) for g in invertible],
+                                               _star_mult_residuals)))
     for g in G.arrows:
         gi = G.inv[g]
         kg, kgi = T.ideal_dim(g), T.ideal_dim(gi)
-        if T.alpha[g].shape != (kg, kgi):
-            raise ValueError(f"alpha at {g} has shape {T.alpha[g].shape}, want {(kg, kgi)}")
         if kg != kgi:
             rep.add("alpha domain/codomain dimensions", f"arrow {g}",
                     detail=f"dim D_{g}={kg}, dim D_{gi}={kgi}")
             continue
-        if kg and la.matrix_rank(T.alpha[g], tols.rank_threshold) != kg:
+        if g not in alpha_rows:
             rep.add("alpha invertible", f"arrow {g}")
             continue
-        for i in range(kgi):
-            a = T.ideal_basis[gi][i]
-            img_star = T.apply_alpha(g, a.conj().T)
-            res = float(np.linalg.norm(img_star - T.apply_alpha(g, a).conj().T))
-            rep.check_residual(res, tol, "alpha star-preserving", f"{g}, basis {i}")
-            for j in range(kgi):
-                b = T.ideal_basis[gi][j]
-                lhs = T.apply_alpha(g, a @ b)
-                rhs = T.apply_alpha(g, a) @ T.apply_alpha(g, b)
-                rep.check_residual(float(np.linalg.norm(lhs - rhs)),
-                                   tol * max(1.0, float(np.linalg.norm(rhs))),
-                                   "alpha multiplicative", f"{g}, basis ({i},{j})")
+        star, mult, rhs = alpha_rows[g]
+        bad = ~(mult <= tol * np.maximum(1.0, rhs))
+        for i in np.flatnonzero(~(star <= tol) | bad.any(axis=1)):
+            rep.check_residual(star[i], tol, "alpha star-preserving", f"{g}, basis {i}")
+            for j in np.flatnonzero(bad[i]):
+                rep.add("alpha multiplicative", f"{g}, basis ({i},{j})", float(mult[i, j]))
 
-    # w unitary in its ideal
-    for g, h in composable_pairs(G):
-        wmat = T.w[(g, h)]
-        stack = T.intersection_basis(g, h, tols.rank_threshold)
-        frame = la.flatten_stack(stack)
-        res = la.residual_in_span(frame, wmat.reshape(-1))
-        rep.check_residual(res, tol * max(1.0, float(np.linalg.norm(wmat))),
+    # w unitary in its ideal; conditions 6 and 7; the derived domain identity
+    units = dict(zip(pairs, _units([tgt[p].reshape(-1, *T.w[p].shape) for p in pairs])))
+    for (g, h), unit in units.items():
+        if unit is None:
+            raise ValueError(f"intersection ideal at ({g},{h}) has no unit")
+    pair_rows = _stacked(
+        [(T.w[p], tgt[p], units[p], dom[p], ops[p[0]], ops[p[1]], ops[G.inv[p[1]]],
+          ops[G.comp[p]], frames[G.comp[p]]) for p in pairs],
+        lambda *arrays: _pair_residuals(*arrays, rtol))
+    for (g, h), (supported, wnorm, unitary, *_) in zip(pairs, pair_rows):
+        rep.check_residual(supported, tol * max(1.0, float(wnorm)),
                            "w supported on intersection ideal", f"({g},{h})")
-        if stack.shape[0]:
-            q = T.intersection_unit(g, h)
-            for prod, side in ((wmat @ wmat.conj().T, "w w*"), ((wmat.conj().T) @ wmat, "w* w")):
-                rep.check_residual(float(np.linalg.norm(prod - q)), tol,
-                                   f"unitarity {side} = unit", f"({g},{h})")
-
-    # condition 6
-    for g, h in composable_pairs(G):
-        gi, gh = G.inv[g], G.comp[(g, h)]
-        n = T.n_at(G.src[g])
-        inter = la.frame_intersection(T.ideal_frame(gi), T.ideal_frame(h), n * n,
-                                      tols.rank_threshold)
-        for row in inter:
-            img = T.apply_alpha(g, row.reshape(n, n))
-            res = la.residual_in_span(T.ideal_frame(gh), img.reshape(-1))
-            rep.check_residual(res, tol * max(1.0, float(np.linalg.norm(img))),
-                               "alpha_g(D_{g^-1} ∩ D_h) inside D_{gh}", f"({g},{h})")
-
-    # condition 7
-    for g, h in composable_pairs(G):
-        gi = G.inv[g]
-        hi = G.inv[h]
-        gh = G.comp[(g, h)]
-        n = T.n_at(G.src[g])
-        inter = la.frame_intersection(T.ideal_frame(gi), T.ideal_frame(h), n * n,
-                                      tols.rank_threshold)
-        wm = T.w[(g, h)]
-        for row in inter:
-            a = T.apply_alpha(hi, row.reshape(n, n))
-            lhs = T.apply_alpha(g, T.apply_alpha(h, a))
-            rhs = wm @ T.apply_alpha(gh, a) @ wm.conj().T
-            rep.check_residual(float(np.linalg.norm(lhs - rhs)),
-                               tol * max(1.0, float(np.linalg.norm(lhs))),
-                               "twisted composition alpha_g alpha_h = Ad(w) alpha_{gh}",
-                               f"({g},{h})")
+        if tgt[(g, h)].shape[0]:
+            for res, side in zip(unitary, ("w w*", "w* w")):
+                rep.check_residual(res, tol, f"unitarity {side} = unit", f"({g},{h})")
+    for (g, h), (_, _, _, res, norms, *_) in zip(pairs, pair_rows):      # condition 6
+        for i in np.flatnonzero(~(res <= tol * np.maximum(1.0, norms))):
+            rep.add("alpha_g(D_{g^-1} ∩ D_h) inside D_{gh}", f"({g},{h})", float(res[i]))
+    for (g, h), (*_, res, norms, _, _) in zip(pairs, pair_rows):         # condition 7
+        for i in np.flatnonzero(~(res <= tol * np.maximum(1.0, norms))):
+            rep.add("twisted composition alpha_g alpha_h = Ad(w) alpha_{gh}", f"({g},{h})",
+                    float(res[i]))
 
     # condition 8 (cocycle identity on the stated domain)
-    for g, h, k in composable_triples(G):
-        gi = G.inv[g]
-        gh, hk = G.comp[(g, h)], G.comp[(h, k)]
-        n = T.n_at(G.src[g])
-        frame = la.frame_intersection(T.ideal_frame(gi), T.ideal_frame(h), n * n,
-                                      tols.rank_threshold)
-        frame = la.frame_intersection(frame, T.ideal_frame(hk), n * n,
-                                      tols.rank_threshold)
-        for row in frame:
-            a = row.reshape(n, n)
-            lhs = T.apply_alpha(g, a @ T.w[(h, k)]) @ T.w[(g, hk)]
-            rhs = T.apply_alpha(g, a) @ T.w[(g, h)] @ T.w[(gh, k)]
-            rep.check_residual(float(np.linalg.norm(lhs - rhs)),
-                               tol * max(1.0, float(np.linalg.norm(rhs)) + 1.0),
-                               "cocycle identity", f"({g},{h},{k})")
+    frames3 = la.frame_intersections(
+        [(dom[(g, h)], frames[G.comp[(h, k)]]) for g, h, k in triples], rtol)
+    rows = _stacked(
+        [(a, ops[g], T.w[(h, k)], T.w[(g, G.comp[(h, k)])], T.w[(g, h)],
+          T.w[(G.comp[(g, h)], k)]) for a, (g, h, k) in zip(frames3, triples)],
+        _cocycle_residuals)
+    for (g, h, k), (res, norms) in zip(triples, rows):
+        for i in np.flatnonzero(~(res <= tol * (np.maximum(1.0, norms + 1.0)))):
+            rep.add("cocycle identity", f"({g},{h},{k})", float(res[i]))
 
     # derived diagnostics (failures signal numerical trouble, not user error)
-    for g, h in composable_pairs(G):
-        gi, gh = G.inv[g], G.comp[(g, h)]
-        n = T.n_at(G.src[g])
-        dom = la.frame_intersection(T.ideal_frame(gi), T.ideal_frame(h), n * n,
-                                    tols.rank_threshold)
-        img = [T.apply_alpha(g, row.reshape(n, n)).reshape(-1) for row in dom]
-        img_frame = la.orth_rows(np.array(img) if img else np.zeros((0, n * n)),
-                                 tols.rank_threshold)
-        tgt = la.frame_intersection(T.ideal_frame(g), T.ideal_frame(gh), n * n,
-                                    tols.rank_threshold)
-        if not la.frame_eq(img_frame, tgt, 1e-7):
+    for (g, h), (*_, spans, rank) in zip(pairs, pair_rows):
+        if not spans:
             rep.note(f"derived domain identity failed at ({g},{h}): "
-                     f"alpha_g(D_g^-1 ∩ D_h) has dim {img_frame.shape[0]}, "
-                     f"D_g ∩ D_gh has dim {tgt.shape[0]}")
+                     f"alpha_g(D_g^-1 ∩ D_h) has dim {rank}, "
+                     f"D_g ∩ D_gh has dim {tgt[(g, h)].shape[0]}")
     for g in G.arrows:
         gi = G.inv[g]
-        lhs = T.apply_alpha(g, T.w[(gi, g)])
-        res = float(np.linalg.norm(lhs - T.w[(g, gi)]))
+        wg = T.w[(gi, g)]
+        res = float(np.linalg.norm(ops[g] @ wg.reshape(-1) - T.w[(g, gi)].reshape(-1)))
         if res > 1e-7:
             rep.note(f"derived unitary identity alpha_g(w(g^-1,g)) = w(g,g^-1) "
                      f"failed at {g} (residual {res:.3e})")
-        for i in range(T.ideal_dim(g)):
-            a = T.ideal_basis[g][i]
-            lhs = T.apply_alpha(gi, a)
-            rhs = T.w[(gi, g)] @ T.apply_alpha_inv(g, a) @ T.w[(gi, g)].conj().T
-            res = float(np.linalg.norm(lhs - rhs))
-            if res > 1e-7 * max(1.0, float(np.linalg.norm(rhs))):
-                rep.note(f"derived inverse identity failed at {g}[{i}] (residual {res:.3e})")
+        if g not in invertible or not T.ideal_dim(g):
+            continue
+        ns = T.n_at(G.src[g])
+        lhs = (frames[g] @ ops[gi].T).reshape(-1, ns, ns)
+        rhs = wg @ (frames[g] @ alpha_inverse_operator(T, g).T).reshape(-1, ns, ns) @ wg.conj().T
+        res = np.linalg.norm(lhs - rhs, axis=(-2, -1))
+        bound = 1e-7 * np.maximum(1.0, np.linalg.norm(rhs, axis=(-2, -1)))
+        for i in np.flatnonzero(res > bound):
+            rep.note(f"derived inverse identity failed at {g}[{i}] (residual {res[i]:.3e})")
     return rep
+
+
+# -- compilation and reconstruction ------------------------------------------------
+
+
+def _products(Bg, Bh, Ag, Ag_inv, w, Fgh):
+    """Coordinates (t, k_gh, k_g, k_h) in D_{gh} of a_g(a_g^{-1}(a_i) b_j) w
+    for the bases a_i of D_g and b_j of D_h, with the residuals and norms
+    (t, k_g, k_h) of the products off D_{gh}."""
+    t, kg, n = Bg.shape[:3]
+    kh, ns = Bh.shape[1:3]
+    pulled = (Bg.reshape(t, kg, n * n) @ _t(Ag_inv)).reshape(t, kg, ns, ns)
+    prods = np.matmul(pulled[:, :, None], Bh[:, None]).reshape(t, kg * kh, ns * ns)
+    img = ((prods @ _t(Ag)).reshape(t, kg * kh, n, n) @ w[:, None]).reshape(t, kg * kh, n * n)
+    coords, res, norms = _expand(Fgh, img)
+    k = Fgh.shape[1]
+    return (np.moveaxis(coords.reshape(t, kg, kh, k), 3, 1),
+            res.reshape(t, kg, kh), norms.reshape(t, kg, kh))
+
+
+def _involutes(Bg, Ag_inv, w_star, Fgi):
+    """Coordinates (t, k_{g^-1}, k_g) in D_{g^-1} of a_g^{-1}(a_i^*) w(g^-1,g)^*
+    for the basis a_i of D_g, with their residuals and norms (t, k_g)."""
+    t, k, n = Bg.shape[:3]
+    ns = w_star.shape[-1]
+    img = (_t(Bg).conj().reshape(t, k, n * n) @ _t(Ag_inv)).reshape(t, k, ns, ns)
+    coords, res, norms = _expand(Fgi, (img @ w_star[:, None]).reshape(t, k, ns * ns))
+    return _t(coords), res, norms
+
+
+def _first_failure(res: Array, norms: Array, rel: float) -> tuple | None:
+    """Index of the first entry (in C order) with res > rel * max(1, norm)."""
+    bad = np.argwhere(res > rel * np.maximum(1.0, norms))
+    return tuple(bad[0]) if bad.size else None
 
 
 def compile_to_fell_bundle(T: TwistedPartialAction, tols: Tolerances = DEFAULT,
@@ -300,46 +475,79 @@ def compile_to_fell_bundle(T: TwistedPartialAction, tols: Tolerances = DEFAULT,
     """Fell bundle of a validated twisted partial action.
 
     Fibres are the ideals D_g in their stored bases; the concrete left-ideal
-    presentation is attached for reconstruction.
+    presentation is attached for reconstruction.  Each structure tensor is
+    one contraction through the α-operators of its pair or arrow.
     """
     check = validate_action(T, tols)
     if not check.ok:
         raise ValueError("invalid twisted partial action:\n" + check.summary())
     G = T.groupoid
+    B = T.ideal_basis
     dims = {g: T.ideal_dim(g) for g in G.arrows}
+    frames = {g: _frame(T, g) for g in G.arrows}
+    ops = {g: alpha_operator(T, g) for g in G.arrows}
+    inv_ops = {g: alpha_inverse_operator(T, g) for g in G.arrows}
+    pairs = composable_pairs(G)
     mult = {}
-    for g, h in composable_pairs(G):
-        gh = G.comp[(g, h)]
-        tensor = np.zeros((dims[gh], dims[g], dims[h]), dtype=np.complex128)
-        wm = T.w[(g, h)]
-        for i in range(dims[g]):
-            a = T.ideal_basis[g][i]
-            pulled = T.apply_alpha_inv(g, a)
-            for j in range(dims[h]):
-                b = T.ideal_basis[h][j]
-                prod = T.apply_alpha(g, pulled @ b) @ wm
-                coords, res = T.coords_of(gh, prod)
-                if res > 1e-7 * max(1.0, float(np.linalg.norm(prod))):
-                    raise ValueError(f"product left D_{gh} (residual {res:.3e})")
-                tensor[:, i, j] = coords
-        mult[(g, h)] = tensor
+    rows = _stacked([(B[g], B[h], ops[g], inv_ops[g], T.w[(g, h)], frames[G.comp[(g, h)]])
+                     for g, h in pairs], _products)
+    for (g, h), (tensor, res, norms) in zip(pairs, rows):
+        bad = _first_failure(res, norms, 1e-7)
+        if bad is not None:
+            raise ValueError(f"product left D_{G.comp[(g, h)]} (residual {res[bad]:.3e})")
+        mult[(g, h)] = np.ascontiguousarray(tensor)
     inv = {}
-    for g in G.arrows:
-        gi = G.inv[g]
-        mat = np.zeros((dims[gi], dims[g]), dtype=np.complex128)
-        wstar = T.w[(gi, g)].conj().T
-        for i in range(dims[g]):
-            a = T.ideal_basis[g][i]
-            img = T.apply_alpha_inv(g, a.conj().T) @ wstar
-            coords, res = T.coords_of(gi, img)
-            if res > 1e-7 * max(1.0, float(np.linalg.norm(img))):
-                raise ValueError(f"involute left D_{gi} (residual {res:.3e})")
-            mat[:, i] = coords
-        inv[g] = mat
-    unit_rep = {x: T.ideal_basis[G.unit[x]] for x in G.objects}
+    rows = _stacked([(B[g], inv_ops[g], T.w[(G.inv[g], g)].conj().T, frames[G.inv[g]])
+                     for g in G.arrows], _involutes)
+    for g, (mat, res, norms) in zip(G.arrows, rows):
+        bad = _first_failure(res, norms, 1e-7)
+        if bad is not None:
+            raise ValueError(f"involute left D_{G.inv[g]} (residual {res[bad]:.3e})")
+        inv[g] = np.ascontiguousarray(mat)
+    unit_rep = {x: B[G.unit[x]] for x in G.objects}
     return FellBundle(G, dims, mult, inv, unit_rep,
-                      left_ideal_model={g: T.ideal_basis[g] for g in G.arrows},
+                      left_ideal_model={g: B[g] for g in G.arrows},
                       name=name or "compiled twisted partial action")
+
+
+def _left_module(U, P, M, F):
+    """For unit-fibre matrices U (t, d, n, n), a presented fibre P (t, k, n, n)
+    with flat frame F and the bundle's left action M = mult[(u, g)]
+    (t, k, d, k): residuals and norms (t, d, k) of U_i P_j off span(P), and
+    |M[:, i, j] - coords(U_i P_j)|."""
+    t, d, n = U.shape[:3]
+    k = P.shape[1]
+    prods = np.matmul(U[:, :, None], P[:, None]).reshape(t, d * k, n * n)
+    coords, res, norms = _expand(F, prods)
+    direct = coords.reshape(t, d, k, k)
+    gap = np.linalg.norm(np.moveaxis(M, 1, 3) - direct, axis=-1)
+    return res.reshape(t, d, k), norms.reshape(t, d, k), gap
+
+
+def _range_spans(M, inv, Pu, F, rtol):
+    """Whether span(A_g A_g^*) (the products of the basis of A_g with the
+    involutes of the basis, M = mult[(g, g^-1)] (t, d_u, k, k), inv (t, k, k),
+    in the range unit fibre Pu (t, d_u, N)) equals span(F), F (t, k, N)."""
+    t, d, k, _ = M.shape
+    vecs = np.einsum("tcim,tmj->tijc", M, inv).reshape(t, k * k, d) @ Pu
+    vh, rank = la.stacked_orth_rows(vecs, rtol)
+    fh, frank = la.stacked_orth_rows(F)
+    return (la.stacked_frame_eq(vh, rank, fh, frank, 1e-7),)
+
+
+def _w_systems(dom, Ag, inter, Fh, M, unit_c, Fgh):
+    """The linear system for w(g,h) on the rows b of D_{g^-1} ∩ D_h:
+    columns vec(a_g(b) q_m) over the basis q_m of D_g ∩ D_{gh}, right-hand
+    side vec(1_g . b) from the bundle product M = mult[(g, h)]."""
+    t, r = dom.shape[:2]
+    m = inter.shape[1]
+    n = math.isqrt(Ag.shape[1])
+    cb = (dom @ _t(Ag)).reshape(t, r, n, n)
+    q = inter.reshape(t, m, n, n)
+    system = np.moveaxis(np.matmul(cb[:, :, None], q[:, None]).reshape(t, r, m, n * n), 2, 3)
+    b_coords = dom @ _t(Fh).conj()                            # (t, r, k_h)
+    prod = np.einsum("tcij,ti,tbj->tbc", M, unit_c, b_coords)  # (t, r, k_gh)
+    return system.reshape(t, r * n * n, m), (prod @ Fgh).reshape(t, r * n * n)
 
 
 def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> TwistedPartialAction:
@@ -354,29 +562,27 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
     if bundle.left_ideal_model is None:
         raise ValueError("bundle carries no left-ideal presentation")
     G = bundle.groupoid
-    tol = tols.tolerance
     P = {g: bundle.left_ideal_model[g] for g in G.arrows}
+    F = {g: la.flatten_stack(P[g]) for g in G.arrows}
+    U = {g: G.unit[G.rng[g]] for g in G.arrows}
 
+    ranked = [g for g in G.arrows if P[g].shape[0] == bundle.dims[g]]
+    rows = dict(zip(ranked, _stacked(
+        [(bundle.unit_rep[G.rng[g]], P[g], bundle.mult[(U[g], g)], F[g]) for g in ranked],
+        _left_module)))
     for g in G.arrows:
-        x = G.rng[g]
-        u = G.unit[x]
-        frame = la.flatten_stack(P[g])
-        if P[g].shape[0] != bundle.dims[g]:
+        if g not in rows:
             raise ValueError(f"presentation at {g} has wrong rank")
-        for i in range(bundle.dims[u]):
-            f = bundle.unit_matrix(x, ei(bundle.dims[u], i))
-            for j in range(bundle.dims[g]):
-                prod = f @ P[g][j]
-                res = la.residual_in_span(frame, prod.reshape(-1))
-                if res > 1e-7 * max(1.0, float(np.linalg.norm(prod))):
-                    raise ValueError(f"presented fibre at {g} is not a left ideal "
-                                     f"(residual {res:.3e})")
-                via_bundle = bundle.mult_coords(u, g, ei(bundle.dims[u], i),
-                                                ei(bundle.dims[g], j))
-                direct, res2 = la.stack_expand(P[g], prod)
-                if float(np.linalg.norm(via_bundle - direct)) > 1e-7:
-                    raise ValueError(f"left module structure at {g} is not "
-                                     "multiplication in the range fibre")
+        res, norms, gap = rows[g]
+        left = res > 1e-7 * np.maximum(1.0, norms)
+        bad = np.argwhere(left | (gap > 1e-7))
+        if bad.size:
+            i, j = bad[0]
+            if left[i, j]:
+                raise ValueError(f"presented fibre at {g} is not a left ideal "
+                                 f"(residual {res[i, j]:.3e})")
+            raise ValueError(f"left module structure at {g} is not "
+                             "multiplication in the range fibre")
 
     fibers = {x: UnitFiberAlgebra(bundle.unit_dim(x), bundle.unit_rep[x])
               for x in G.objects}
@@ -385,69 +591,51 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
                                   for g in G.arrows}, {})
 
     # range ideals D_g = span(A_g A_g*) must match the presentation
-    for g in G.arrows:
-        gi = G.inv[g]
-        vecs = []
-        for i in range(bundle.dims[g]):
-            for j in range(bundle.dims[g]):
-                c = bundle.mult_coords(g, gi, ei(bundle.dims[g], i), bundle.inv[g][:, j])
-                vecs.append(la.stack_combine(P[G.unit[G.rng[g]]], c).reshape(-1))
-        n = bundle.unit_dim(G.rng[g])
-        span = la.orth_rows(np.array(vecs) if vecs else np.zeros((0, n * n)),
-                            tols.rank_threshold)
-        if not la.frame_eq(span, la.orth_rows(la.flatten_stack(P[g])), 1e-7):
+    spans = _stacked([(bundle.mult[(g, G.inv[g])], bundle.inv[g], F[U[g]], F[g])
+                      for g in G.arrows],
+                     lambda M, inv, Pu, Fg: _range_spans(M, inv, Pu, Fg, tols.rank_threshold))
+    for g, (ok,) in zip(G.arrows, spans):
+        if not ok:
             raise ValueError(f"span(A_g A_g*) differs from the presented ideal at {g}")
 
+    units = dict(zip(G.arrows, la.algebra_units([P[g] for g in G.arrows])))
     alpha: dict[str, Array] = {}
     for g in G.arrows:
-        gi = G.inv[g]
-        us = G.unit[G.src[g]]
-        k = bundle.dims[g]
-        alpha_g = np.zeros((k, bundle.dims[gi]), dtype=np.complex128)
-        if k:
-            unit_c = la.algebra_unit(P[g])
-            if unit_c is None:
+        gi, us = G.inv[g], G.unit[G.src[g]]
+        alpha_g = np.zeros((bundle.dims[g], bundle.dims[gi]), dtype=np.complex128)
+        if bundle.dims[g]:
+            if units[g] is None:
                 raise ValueError(f"presented ideal at {g} has no unit")
-            for j in range(bundle.dims[gi]):
-                a_coords, res = la.stack_expand(P[us], P[gi][j])
-                if res > 1e-7:
-                    raise ValueError(f"D_{gi} does not sit inside the source fibre of {g}")
-                alpha_g[:, j] = bundle.mult_coords(g, us, unit_c, a_coords)
+            a_coords, res, _ = _expand(F[us], F[gi])
+            if (res > 1e-7).any():
+                raise ValueError(f"D_{gi} does not sit inside the source fibre of {g}")
+            alpha_g = np.einsum("cij,i,mj->cm", bundle.mult[(g, us)], units[g], a_coords)
         alpha[g] = alpha_g
     shell.alpha = alpha
 
+    inter = _intersections(shell, tols.rank_threshold)
+    ops = {g: alpha_operator(shell, g) for g in G.arrows}
+    pairs = [(g, h) for g, h in composable_pairs(G) if inter[(g, G.comp[(g, h)])].shape[0]]
+    systems = _stacked(
+        [(inter[(G.inv[g], h)], ops[g], inter[(g, G.comp[(g, h)])], F[h], bundle.mult[(g, h)],
+          units[g], F[G.comp[(g, h)]]) for g, h in pairs], _w_systems)
+    solved = dict(zip(pairs, systems))
     w: dict[tuple[str, str], Array] = {}
     for g, h in composable_pairs(G):
-        gh = G.comp[(g, h)]
-        gi = G.inv[g]
         n = bundle.unit_dim(G.rng[g])
-        inter = shell.intersection_basis(g, h, tols.rank_threshold)
-        if inter.shape[0] == 0:
+        stack = inter[(g, G.comp[(g, h)])].reshape(-1, n, n)
+        if (g, h) not in solved:
             w[(g, h)] = np.zeros((n, n), dtype=np.complex128)
             continue
-        ns = bundle.unit_dim(G.src[g])
-        dom = la.frame_intersection(shell.ideal_frame(gi), shell.ideal_frame(h),
-                                    ns * ns, tols.rank_threshold)
-        unit_c = la.algebra_unit(P[g])
-        rows, rhs = [], []
-        for row in dom:
-            b = row.reshape(ns, ns)
-            cb = shell.apply_alpha(g, b)
-            b_coords, _ = la.stack_expand(P[h], b)
-            prod = bundle.mult_coords(g, h, unit_c, b_coords)
-            prod_mat = la.stack_combine(P[gh], prod)
-            rows.append(np.stack([(cb @ q).reshape(-1) for q in inter]).T)
-            rhs.append(prod_mat.reshape(-1))
-        system = np.vstack(rows)
-        target = np.concatenate(rhs)
-        if la.matrix_rank(system, tols.rank_threshold) < inter.shape[0]:
+        system, target = solved[(g, h)]
+        if la.matrix_rank(system, tols.rank_threshold) < stack.shape[0]:
             raise ValueError(f"w({g},{h}) is underdetermined "
                              "(intersection ideal mismatch)")
         coeff, res = la.solve_lstsq(system, target)
         if res > 1e-6 * max(1.0, float(np.linalg.norm(target))):
             raise ValueError(f"product formula inconsistent at ({g},{h}) "
                              f"(residual {res:.3e})")
-        w[(g, h)] = la.stack_combine(inter, coeff)
+        w[(g, h)] = la.stack_combine(stack, coeff)
     shell.w = w
     return shell
 
@@ -496,49 +684,38 @@ def restrict_action(T: TwistedPartialAction, family: Mapping[str, list],
     w restrict.  Validate the result before compiling.
     """
     G = T.groupoid
+    rtol = tols.rank_threshold
     new_fibers = {}
     fam_frame = {}
     for x in G.objects:
         n = T.n_at(x)
-        stack = la.stack_orth([la.as_complex(m) for m in family.get(x, [])], n, n,
-                              tols.rank_threshold)
+        stack = la.stack_orth([la.as_complex(m) for m in family.get(x, [])], n, n, rtol)
         new_fibers[x] = UnitFiberAlgebra(n, stack)
         fam_frame[x] = la.flatten_stack(stack)
 
-    new_basis: dict[str, Array] = {}
-    for g in G.arrows:
-        x, y = G.rng[g], G.src[g]
-        n = T.n_at(x)
-        gi = G.inv[g]
-        s1 = la.frame_intersection(T.ideal_frame(g), fam_frame[x], n * n, tols.rank_threshold)
-        ns = T.n_at(y)
-        dom = la.frame_intersection(T.ideal_frame(gi), fam_frame[y], ns * ns,
-                                    tols.rank_threshold)
-        imgs = [T.apply_alpha(g, row.reshape(ns, ns)).reshape(-1) for row in dom]
-        s2 = la.orth_rows(np.array(imgs) if imgs else np.zeros((0, n * n)),
-                          tols.rank_threshold)
-        frame = la.frame_intersection(s1, s2, n * n, tols.rank_threshold)
-        new_basis[g] = frame.reshape(-1, n, n)
+    ops = {g: alpha_operator(T, g) for g in G.arrows}
+    s1 = la.frame_intersections([(_frame(T, g), fam_frame[G.rng[g]]) for g in G.arrows], rtol)
+    dom = la.frame_intersections([(_frame(T, G.inv[g]), fam_frame[G.src[g]])
+                                  for g in G.arrows], rtol)
+    images = _stacked([(d @ ops[g].T,) for g, d in zip(G.arrows, dom)],
+                      lambda v: la.stacked_orth_rows(v, rtol))
+    frames = la.frame_intersections(
+        [(a, vh[:rank]) for a, (vh, rank) in zip(s1, images)], rtol)
+    new_basis = {g: f.reshape(-1, T.n_at(G.rng[g]), T.n_at(G.rng[g]))
+                 for g, f in zip(G.arrows, frames)}
     for x in G.objects:
         new_basis[G.unit[x]] = new_fibers[x].basis
 
     alpha = {}
     for g in G.arrows:
-        gi = G.inv[g]
-        k, ki = new_basis[g].shape[0], new_basis[gi].shape[0]
-        mat = np.zeros((k, ki), dtype=np.complex128)
-        for j in range(ki):
-            img = T.apply_alpha(g, new_basis[gi][j])
-            coords, res = la.stack_expand(new_basis[g], img)
-            if res > 1e-7 * max(1.0, float(np.linalg.norm(img))):
-                raise ValueError(f"restricted domain at {g} is not alpha-closed")
-            mat[:, j] = coords
-        alpha[g] = mat
+        img = la.flatten_stack(new_basis[G.inv[g]]) @ ops[g].T
+        coords, res, norms = _expand(la.flatten_stack(new_basis[g]), img)
+        if (res > 1e-7 * np.maximum(1.0, norms)).any():
+            raise ValueError(f"restricted domain at {g} is not alpha-closed")
+        alpha[g] = np.ascontiguousarray(coords.T)
 
     shell = TwistedPartialAction(G, new_fibers, new_basis, alpha, {})
-    w = {}
-    for g, h in composable_pairs(G):
-        q = shell.intersection_unit(g, h)
-        w[(g, h)] = q @ T.w[(g, h)] @ q
-    shell.w = w
+    pairs = composable_pairs(G)
+    units = _intersection_units(shell, pairs, rtol)
+    shell.w = {p: units[p] @ T.w[p] @ units[p] for p in pairs}
     return shell

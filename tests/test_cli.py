@@ -336,6 +336,14 @@ def test_malformed_structure_bundle_or_rep_exits_2(tmp_path, capsys, edit, name,
      "actions.swap-c2.ideals.e: expected a list of matrices"),
     (lambda raw: raw["actions"]["swap-c2"].update(alpha=[]), "validate", "swap-c2",
      "actions.swap-c2.alpha: expected an object"),
+    (lambda raw: raw["actions"]["swap-c2"]["ideals"].update(nope=[[[1.0, 0.0], [0.0, 0.0]]]),
+     "validate", "swap-c2", "actions.swap-c2: ideals: unknown arrow 'nope'"),
+    (lambda raw: raw["actions"]["swap-c2"].update(w={"g1,nope": 1.0}), "validate", "swap-c2",
+     "actions.swap-c2: w: ('g1', 'nope') is not a composable pair"),
+    (lambda raw: raw["actions"]["swap-c2"]["alpha"].update(g1=[[1.0]]), "validate", "swap-c2",
+     "actions.swap-c2: alpha at g1 has shape (1, 1), want (2, 2)"),
+    (lambda raw: raw["actions"]["swap-c2"].update(w={"g1,g1": np.eye(3).tolist()}), "validate",
+     "swap-c2", "actions.swap-c2: w(g1,g1) has shape (3, 3), want (2, 2)"),
     (lambda raw: raw["set_actions"]["swap-pq"].update(points=5), "validate", "swap-pq",
      "set_actions.swap-pq.points: expected a list of point names"),
     (lambda raw: raw["set_actions"]["swap-pq"].update(act=5), "validate", "swap-pq",
@@ -349,7 +357,9 @@ def test_malformed_structure_bundle_or_rep_exits_2(tmp_path, capsys, edit, name,
     (lambda raw: raw["trafo"].update({"pq-compare": "swap-pq"}), "trafo", "pq-compare",
      "trafo.pq-compare: expected an object"),
 ], ids=["action-fibre-without-n", "action-fibre-scalar", "action-basis-scalar",
-        "action-ideal-scalar", "action-alpha-list", "set-action-points-scalar",
+        "action-ideal-scalar", "action-alpha-list", "action-ideal-unknown-arrow",
+        "action-w-non-composable-pair", "action-alpha-wrong-shape", "action-w-wrong-shape",
+        "set-action-points-scalar",
         "set-action-act-scalar", "set-action-anchor-list", "section-list",
         "section-entries-list", "trafo-string"])
 def test_malformed_action_set_action_section_or_trafo_exits_2(tmp_path, capsys, edit, command,

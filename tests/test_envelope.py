@@ -3,9 +3,11 @@ import pytest
 
 import fellbund._linalg as la
 from fellbund import gallery
+from fellbund.bundle import FellBundle
 from fellbund.envelope import (block_decomposition, coefficient_embedding_check,
                                cstar_norm, envelope_algebra, per_object_norms,
                                regular_rep_matrix, sharper_norm_bound)
+from fellbund.groupoid import FiniteGroupoid
 from fellbund.sections import (Section, convolve, i_norm, involute,
                                random_section, unit_section)
 
@@ -277,3 +279,32 @@ def test_envelope_dim_is_rank_of_images_on_certify_bundles(certify_bundles):
     assert len(certify_bundles) == 7
     for b in certify_bundles.values():
         _assert_dim_is_image_rank(envelope_algebra(b))
+
+
+def relabelled(bundle, seed):
+    """The bundle over a copy of its groupoid whose arrows carry a seeded
+    permutation of the arrow names (not the identity), listed in a seeded
+    order."""
+    G = bundle.groupoid
+    rng = np.random.default_rng(seed)
+    names = list(G.arrows)
+    perm = rng.permutation(len(names))
+    if (perm == np.arange(len(names))).all():
+        perm = np.roll(perm, 1)
+    new = dict(zip(names, (names[p] for p in perm)))
+    H = FiniteGroupoid.from_data(
+        G.objects, [new[names[p]] for p in rng.permutation(len(names))],
+        {new[g]: G.src[g] for g in names}, {new[g]: G.rng[g] for g in names},
+        {x: new[G.unit[x]] for x in G.objects}, {new[g]: new[G.inv[g]] for g in names},
+        {(new[g], new[h]): new[k] for (g, h), k in G.comp.items()})
+    return FellBundle(H, {new[g]: bundle.dims[g] for g in names},
+                      {(new[g], new[h]): m for (g, h), m in bundle.mult.items()},
+                      {new[g]: m for g, m in bundle.inv.items()}, bundle.unit_rep,
+                      name=f"{bundle.name} (relabelled)")
+
+
+def test_block_summary_is_invariant_under_arrow_relabelling(certify_bundles):
+    bundles = {**gallery.shipped_bundles(), **certify_bundles}
+    for seed, (name, b) in enumerate(sorted(bundles.items())):
+        r = relabelled(b, seed)
+        assert envelope_algebra(r).block_summary() == envelope_algebra(b).block_summary(), name

@@ -119,3 +119,55 @@ def test_stacked_frame_eq_matches_frame_eq_item_by_item():
                               np.stack([pad(c[1]) for c in cases]),
                               np.array([c[1].shape[0] for c in cases]), 1e-9)
     assert got.tolist() == [c[2] for c in cases]
+
+
+def random_frame_pairs(seed, count=200):
+    """Pairs of frames in C^d (d < 8) sharing a random common subspace; many
+    pairs share their shapes, so the batched paths take stacks."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        d = int(rng.integers(1, 8))
+        common = rng.standard_normal((int(rng.integers(0, d + 1)), d)) + 0j
+        frames = []
+        for _ in range(2):
+            extra = rng.standard_normal((int(rng.integers(0, d - common.shape[0] + 1)), d))
+            rows = np.vstack([common, extra + 1j * rng.standard_normal(extra.shape)])
+            frames.append(la.orth_rows(rows) if rows.shape[0] else np.zeros((0, d), complex))
+        pairs.append(tuple(frames))
+    return pairs
+
+
+def test_frame_intersections_equal_one_pair_at_a_time_bit_for_bit():
+    pairs = random_frame_pairs(3)
+    together = la.frame_intersections(pairs)
+    for (a, b), got in zip(pairs, together):
+        want = la.frame_intersections([(a, b)])[0]
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert la.frame_contains(a, got, 1e-9) and la.frame_contains(b, got, 1e-9)
+        # dim(A ∩ B) = dim A + dim B - dim(A + B)
+        span = la.orth_rows(np.vstack([a, b])) if a.shape[0] + b.shape[0] else a
+        assert got.shape[0] == a.shape[0] + b.shape[0] - span.shape[0]
+
+
+def test_algebra_units_equal_one_stack_at_a_time():
+    rng = np.random.default_rng(4)
+    stacks = []
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        u = la.random_unitary(n, rng)
+        keep = rng.random(n) < 0.7
+        # a diagonal ideal, rotated; or a nilpotent span without a unit
+        mats = [u @ np.diag(np.eye(n)[i]) @ u.conj().T for i in range(n) if keep[i]]
+        if rng.random() < 0.2:
+            mats = [np.eye(n, k=1)] if n > 1 else []
+        stacks.append(la.stack_orth(mats, n, n))
+    together = la.algebra_units(stacks)
+    for stack, got in zip(stacks, together):
+        want = la.algebra_unit(stack)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+            proj = la.stack_combine(stack, got)
+            for m in stack:
+                assert np.linalg.norm(proj @ m - m) < 1e-9
