@@ -13,6 +13,12 @@ direction in BENCHMARK.json; ties count for neither side), with the commits,
 the numpy version and the processor count the runs report, and each
 commit's ``src`` tree (``git rev-parse HEAD:src``), which names the measured
 sources also after the change is rebased or amended.
+
+Every run gets ``PYTHONDONTWRITEBYTECODE=1`` and a fresh, empty
+``PYTHONPYCACHEPREFIX``, so both checkouts compile fellbund from source
+whatever bytecode they hold, as in a fresh checkout; otherwise a side with
+a ``__pycache__`` imports several times faster and ``setup_s`` compares
+bytecode states rather than code.
 """
 
 from __future__ import annotations
@@ -23,16 +29,20 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its details line and its result line."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=False)
+    """One benchmark run, compiling from source: its details line and its
+    result line."""
+    with tempfile.TemporaryDirectory() as pycache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=root, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{root}: {workload} seed {seed} exited {proc.returncode}:\n"

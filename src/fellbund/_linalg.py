@@ -9,15 +9,49 @@ count as zero.
 from __future__ import annotations
 
 import math
+from typing import Callable, Iterator
 
 import numpy as np
 
 Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
+# elements per item times items per stack (1 MB of complex128): bounds the
+# memory of one stacked call; MatrixModelBundle.to_fell_bundle slices its
+# basis products by it too
+_STACK_CHUNK = 1 << 16
 
 
 def as_complex(a) -> Array:
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
+
+
+def stacks(items: list[tuple[Array, ...]], size: Callable[[tuple], int] | None = None
+           ) -> Iterator[tuple[list[int], tuple[Array, ...]]]:
+    """The positions of the items (tuples of arrays) whose arrays share their
+    shapes, with those arrays stacked along a new first axis: per group of
+    equal shapes, in chunks of at most _STACK_CHUNK elements of
+    ``size(shapes)`` per item (default: the item's largest array)."""
+    groups: dict[tuple, list[int]] = {}
+    for pos, arrays in enumerate(items):
+        groups.setdefault(tuple(a.shape for a in arrays), []).append(pos)
+    for shapes, positions in groups.items():
+        per = size(shapes) if size else max((math.prod(s) for s in shapes), default=0)
+        step = max(1, _STACK_CHUNK // max(1, per))
+        for start in range(0, len(positions), step):
+            part = positions[start:start + step]
+            yield part, tuple(np.array([items[p][i] for p in part]) for i in range(len(shapes)))
+
+
+def stacked(items: list[tuple[Array, ...]], fn: Callable[..., tuple],
+            size: Callable[[tuple], int] | None = None) -> list[tuple]:
+    """``fn`` on each chunk of ``stacks(items, size)``; ``fn`` returns a
+    tuple of stacks, and each item gets the tuple of its rows, in item order."""
+    out: list = [None] * len(items)
+    for positions, arrays in stacks(items, size):
+        res = fn(*arrays)
+        for row, pos in enumerate(positions):
+            out[pos] = tuple(r[row] for r in res)
+    return out
 
 
 def orth_rows(vectors: Array, rtol: float = 1e-10) -> Array:
@@ -145,45 +179,36 @@ def frame_intersections(pairs: list[tuple[Array, Array]], rtol: float = 1e-10) -
     """``frame_intersection`` of each pair of frames (r_a, d), (r_b, d).
 
     Equal bit for bit to one ``frame_intersection`` per pair: the pairs of
-    equal shapes form their complement projections with one batched matmul
-    each, the pairs of equal d share one stacked SVD, and the null rows of
-    equal shape one ``stacked_orth_rows``.
+    equal shapes share one batched matmul for their complement projections
+    and one stacked SVD, and the null rows of equal shape one
+    ``stacked_orth_rows``.
     """
-    out: list = [None] * len(pairs)
-    shapes: dict[tuple[int, int, int], list[int]] = {}
-    for idx, (a, b) in enumerate(pairs):
-        if a.shape[0] == 0 or b.shape[0] == 0:
-            out[idx] = np.zeros((0, a.shape[1]), dtype=np.complex128)
-        else:
-            shapes.setdefault((a.shape[0], b.shape[0], a.shape[1]), []).append(idx)
-    complements: dict[int, list] = {}
-    for (_, _, dim), idxs in shapes.items():
-        eye = np.eye(dim, dtype=np.complex128)
-        a = np.stack([pairs[i][0] for i in idxs])
-        b = np.stack([pairs[i][1] for i in idxs])
-        stacked = np.concatenate([eye - np.swapaxes(a, 1, 2) @ a.conj(),
-                                  eye - np.swapaxes(b, 1, 2) @ b.conj()], axis=1)
-        full = ~stacked.reshape(len(idxs), -1).any(axis=1)
-        for idx, m, f in zip(idxs, stacked, full):
-            if f:
-                out[idx] = eye.copy()
-            else:
-                complements.setdefault(dim, []).append((idx, m))
-    null: dict[tuple[int, int], list] = {}
-    for dim, items in complements.items():
-        _, s, vh = np.linalg.svd(np.stack([m for _, m in items]), full_matrices=False)
-        cutoff = rtol * np.maximum(s[:, 0], 1.0)
-        for (idx, _), s_i, vh_i, cut in zip(items, s, vh, cutoff):
-            rows = np.conj(vh_i[s_i <= cut])
-            if rows.shape[0]:
-                null.setdefault(rows.shape, []).append((idx, rows))
-            else:
-                out[idx] = np.zeros((0, dim), dtype=np.complex128)
-    for items in null.values():
-        vh, rank = stacked_orth_rows(np.stack([rows for _, rows in items]), rtol)
-        for (idx, _), vh_i, r in zip(items, vh, rank):
-            out[idx] = np.ascontiguousarray(vh_i[:r])
+    out = [np.zeros((0, a.shape[1]), dtype=np.complex128) for a, _ in pairs]
+    live = [i for i, (a, b) in enumerate(pairs) if a.shape[0] and b.shape[0]]
+    null = []
+    for i, (full, s, vh) in zip(live, stacked([pairs[i] for i in live], _complement_svds,
+                                              lambda shapes: 2 * shapes[0][1] ** 2)):
+        cut = s <= rtol * max(s[0], 1.0)
+        if full:
+            out[i] = np.eye(vh.shape[1], dtype=np.complex128)
+        elif cut.any():
+            null.append((i, np.conj(vh[cut])))
+    rows = stacked([(v,) for _, v in null], lambda v: stacked_orth_rows(v, rtol))
+    for (i, _), (vh, rank) in zip(null, rows):
+        out[i] = np.ascontiguousarray(vh[:rank])
     return out
+
+
+def _complement_svds(a: Array, b: Array) -> tuple[Array, Array, Array]:
+    """For stacks of frames a (t, r_a, d), b (t, r_b, d): whether both
+    complement projections vanish, and the singular values and right
+    singular vectors of the complements stacked (t, 2d, d); v lies in both
+    spans iff both complements kill it."""
+    eye = np.eye(a.shape[2], dtype=np.complex128)
+    m = np.concatenate([eye - np.swapaxes(a, 1, 2) @ a.conj(),
+                        eye - np.swapaxes(b, 1, 2) @ b.conj()], axis=1)
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    return ~m.reshape(len(m), -1).any(axis=1), s, vh
 
 
 def frame_complement(frame: Array, dim: int, rtol: float = 1e-10) -> Array:
@@ -251,6 +276,19 @@ def solve_lstsq(a: Array, b: Array) -> tuple[Array, float]:
     return x, float(np.linalg.norm(a @ x - b))
 
 
+def stacked_lstsq(a: Array, b: Array) -> tuple[Array, Array, Array]:
+    """Least-squares solutions (t, N) of the systems a (t, M, N), b (t, M)
+    from one stacked SVD, with the residual norms |a x - b| (t,) and the
+    singular values (t, min(M, N)).  Singular values at or below
+    eps * max(M, N) * s_0 count as zero, as in ``np.linalg.lstsq``."""
+    _, m, n = a.shape
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > _EPS * max(m, n) * s[:, :1])
+    x = np.swapaxes(vh, 1, 2).conj() @ (inv[:, :, None] * (np.swapaxes(u, 1, 2).conj()
+                                                          @ b[:, :, None]))
+    return x[:, :, 0], np.linalg.norm((a @ x)[:, :, 0] - b, axis=1), s
+
+
 # -- matrix stacks -----------------------------------------------------------
 #
 # A "stack" is an array of shape (d, n, m): d basis matrices of shape (n, m).
@@ -301,32 +339,27 @@ def algebra_unit(stack: Array, tol: float = 1e-8) -> Array | None:
 
 def algebra_units(stacks: list[Array], tol: float = 1e-8) -> list[Array | None]:
     """``algebra_unit`` of each stack (d, n, n); the stacks of equal shape
-    are solved together, by one batched SVD that cuts singular values as
-    ``lstsq`` does."""
-    out: list = [None] * len(stacks)
-    groups: dict[tuple, list[int]] = {}
-    for idx, stack in enumerate(stacks):
-        if stack.shape[0] == 0:
-            out[idx] = np.zeros(0, dtype=np.complex128)
-        else:
-            groups.setdefault(stack.shape, []).append(idx)
-    for (d, n, _), idxs in groups.items():
-        s_ = np.stack([stacks[i] for i in idxs])                      # (t, d, n, n)
-        t, m = len(idxs), d * n * n
-        # column j of block row i: B_j B_i, flattened
-        a = np.moveaxis(np.matmul(s_[:, None], s_[:, :, None]), 2, 4).reshape(t, m, d)
-        b = s_.reshape(t, m, 1)
-        u, sv, vh = np.linalg.svd(a, full_matrices=False)
-        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > _EPS * m * sv[:, :1])
-        c = np.swapaxes(vh, 1, 2).conj() @ (inv[:, :, None] * (np.swapaxes(u, 1, 2).conj() @ b))
-        res = np.linalg.norm((a @ c - b)[:, :, 0], axis=1)
-        unit = (np.swapaxes(c, 1, 2) @ s_.reshape(t, d, n * n)).reshape(t, 1, n, n)
-        sided = np.linalg.norm(np.stack([unit @ s_ - s_, s_ @ unit - s_]), axis=(3, 4))
-        ok = ~(res > tol * np.maximum(1.0, np.linalg.norm(b[:, :, 0], axis=1))) \
-            & ~(sided.max(axis=(0, 2)) > tol)
-        for idx, c_i, ok_i in zip(idxs, c[:, :, 0], ok):
-            out[idx] = c_i if ok_i else None
-    return out
+    are solved together by ``stacked_lstsq``."""
+    # size: the d^2 products B_j B_i of each stack
+    return [c if ok else None for c, ok in stacked(
+        [(stack,) for stack in stacks], lambda s_: _unit_coords(s_, tol),
+        lambda shapes: shapes[0][0] * math.prod(shapes[0]))]
+
+
+def _unit_coords(s_: Array, tol: float) -> tuple[Array, Array]:
+    """Least-squares unit coefficients (t, d) of the stacks s_ (t, d, n, n)
+    and whether each solves the unit system and is a unit on both sides."""
+    t, d, n, _ = s_.shape
+    m = d * n * n
+    # column j of block row i: B_j B_i, flattened
+    a = np.moveaxis(np.matmul(s_[:, None], s_[:, :, None]), 2, 4).reshape(t, m, d)
+    b = s_.reshape(t, m)
+    c, res, _ = stacked_lstsq(a, b)
+    unit = (c[:, None] @ s_.reshape(t, d, n * n)).reshape(t, 1, n, n)
+    sided = np.linalg.norm(np.stack([unit @ s_ - s_, s_ @ unit - s_]), axis=(3, 4))
+    ok = ~(res > tol * np.maximum(1.0, np.linalg.norm(b, axis=1))) \
+        & ~(sided.max(axis=(0, 2), initial=0.0) > tol)
+    return c, ok
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> Array:

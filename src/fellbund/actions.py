@@ -120,11 +120,6 @@ class TwistedPartialAction:
     def ideal_dim(self, g: str) -> int:
         return self.ideal_basis[g].shape[0]
 
-    def coords_of(self, g: str, mat: Array) -> tuple[Array, float]:
-        """Coordinates of ``mat`` in the basis of D_g (the conj(F_g) factor of
-        the α-operators), and the residual of ``mat`` off D_g."""
-        return la.stack_expand(self.ideal_basis[g], mat)
-
     def apply_alpha(self, g: str, mat: Array) -> Array:
         """a_g applied to a matrix in D_{g^-1}, through ``alpha_operator``."""
         n = self.n_at(self.groupoid.rng[g])
@@ -157,22 +152,6 @@ def alpha_inverse_operator(T: TwistedPartialAction, g: str) -> Array:
 
 def _frame(T: TwistedPartialAction, g: str) -> Array:
     return la.flatten_stack(T.ideal_basis[g])
-
-
-def _stacked(items: list[tuple[Array, ...]], fn) -> list[tuple]:
-    """``fn`` on the items' arrays stacked along a new first axis, one call
-    per group of items whose arrays have equal shapes.  ``fn`` returns a
-    tuple of stacks; each item gets the tuple of its rows, in item order."""
-    groups: dict[tuple, list[int]] = {}
-    for idx, arrays in enumerate(items):
-        groups.setdefault(tuple(a.shape for a in arrays), []).append(idx)
-    out: list = [None] * len(items)
-    for idxs in groups.values():
-        width = len(items[idxs[0]])
-        res = fn(*(np.stack([items[i][p] for i in idxs]) for p in range(width)))
-        for pos, i in enumerate(idxs):
-            out[i] = tuple(r[pos] for r in res)
-    return out
 
 
 def _t(a: Array) -> Array:
@@ -327,7 +306,9 @@ def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> Vali
     tgt = {(g, h): inter[(g, G.comp[(g, h)])] for g, h in pairs}
 
     # ideals sit inside the fibre algebras and absorb multiplication
-    rows = _stacked([(B[g], T.fibers[G.rng[g]].basis) for g in G.arrows], _ideal_residuals)
+    # size: the k_g . d . 2 products b B, B b
+    rows = la.stacked([(B[g], T.fibers[G.rng[g]].basis) for g in G.arrows], _ideal_residuals,
+                      lambda s: 2 * s[0][0] * math.prod(s[1]))
     for g, (inside, res, norms) in zip(G.arrows, rows):
         bad = ~(res <= tol * np.maximum(1.0, norms))
         for i in np.flatnonzero(~(inside <= tol) | bad.any(axis=(1, 2))):
@@ -354,12 +335,14 @@ def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> Vali
 
     # alpha is a *-isomorphism D_{g^-1} -> D_g
     square = [g for g in G.arrows if T.ideal_dim(g) == T.ideal_dim(G.inv[g]) > 0]
-    ranks = {g: rank for g, (rank,) in zip(square, _stacked(
+    ranks = {g: rank for g, (rank,) in zip(square, la.stacked(
         [(T.alpha[g],) for g in square], lambda a: la.stacked_orth_rows(a, rtol)[1:]))}
     invertible = [g for g in G.arrows if T.ideal_dim(g) == T.ideal_dim(G.inv[g])
                   and ranks.get(g, 0) == T.ideal_dim(g)]
-    alpha_rows = dict(zip(invertible, _stacked([(B[G.inv[g]], ops[g]) for g in invertible],
-                                               _star_mult_residuals)))
+    # size: the k^2 products a_i a_j and their images
+    alpha_rows = dict(zip(invertible, la.stacked([(B[G.inv[g]], ops[g]) for g in invertible],
+                                                 _star_mult_residuals,
+                                                 lambda s: s[0][0] ** 2 * max(s[1]))))
     for g in G.arrows:
         gi = G.inv[g]
         kg, kgi = T.ideal_dim(g), T.ideal_dim(gi)
@@ -382,7 +365,7 @@ def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> Vali
     for (g, h), unit in units.items():
         if unit is None:
             raise ValueError(f"intersection ideal at ({g},{h}) has no unit")
-    pair_rows = _stacked(
+    pair_rows = la.stacked(
         [(T.w[p], tgt[p], units[p], dom[p], ops[p[0]], ops[p[1]], ops[G.inv[p[1]]],
           ops[G.comp[p]], frames[G.comp[p]]) for p in pairs],
         lambda *arrays: _pair_residuals(*arrays, rtol))
@@ -403,7 +386,7 @@ def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> Vali
     # condition 8 (cocycle identity on the stated domain)
     frames3 = la.frame_intersections(
         [(dom[(g, h)], frames[G.comp[(h, k)]]) for g, h, k in triples], rtol)
-    rows = _stacked(
+    rows = la.stacked(
         [(a, ops[g], T.w[(h, k)], T.w[(g, G.comp[(h, k)])], T.w[(g, h)],
           T.w[(G.comp[(g, h)], k)]) for a, (g, h, k) in zip(frames3, triples)],
         _cocycle_residuals)
@@ -489,16 +472,17 @@ def compile_to_fell_bundle(T: TwistedPartialAction, tols: Tolerances = DEFAULT,
     inv_ops = {g: alpha_inverse_operator(T, g) for g in G.arrows}
     pairs = composable_pairs(G)
     mult = {}
-    rows = _stacked([(B[g], B[h], ops[g], inv_ops[g], T.w[(g, h)], frames[G.comp[(g, h)]])
-                     for g, h in pairs], _products)
+    # size: the k_g . k_h products and their images
+    rows = la.stacked([(B[g], B[h], ops[g], inv_ops[g], T.w[(g, h)], frames[G.comp[(g, h)]])
+                       for g, h in pairs], _products, lambda s: s[0][0] * s[1][0] * max(s[2]))
     for (g, h), (tensor, res, norms) in zip(pairs, rows):
         bad = _first_failure(res, norms, 1e-7)
         if bad is not None:
             raise ValueError(f"product left D_{G.comp[(g, h)]} (residual {res[bad]:.3e})")
         mult[(g, h)] = np.ascontiguousarray(tensor)
     inv = {}
-    rows = _stacked([(B[g], inv_ops[g], T.w[(G.inv[g], g)].conj().T, frames[G.inv[g]])
-                     for g in G.arrows], _involutes)
+    rows = la.stacked([(B[g], inv_ops[g], T.w[(G.inv[g], g)].conj().T, frames[G.inv[g]])
+                       for g in G.arrows], _involutes)
     for g, (mat, res, norms) in zip(G.arrows, rows):
         bad = _first_failure(res, norms, 1e-7)
         if bad is not None:
@@ -535,10 +519,13 @@ def _range_spans(M, inv, Pu, F, rtol):
     return (la.stacked_frame_eq(vh, rank, fh, frank, 1e-7),)
 
 
-def _w_systems(dom, Ag, inter, Fh, M, unit_c, Fgh):
+def _w_solutions(dom, Ag, inter, Fh, M, unit_c, Fgh, rtol):
     """The linear system for w(g,h) on the rows b of D_{g^-1} ∩ D_h:
     columns vec(a_g(b) q_m) over the basis q_m of D_g ∩ D_{gh}, right-hand
-    side vec(1_g . b) from the bundle product M = mult[(g, h)]."""
+    side vec(1_g . b) from the bundle product M = mult[(g, h)].  Returns its
+    least-squares coefficients (t, m), the residual and right-hand side
+    norms (t,), and the rank of each system (singular values above rtol
+    times the largest)."""
     t, r = dom.shape[:2]
     m = inter.shape[1]
     n = math.isqrt(Ag.shape[1])
@@ -547,7 +534,9 @@ def _w_systems(dom, Ag, inter, Fh, M, unit_c, Fgh):
     system = np.moveaxis(np.matmul(cb[:, :, None], q[:, None]).reshape(t, r, m, n * n), 2, 3)
     b_coords = dom @ _t(Fh).conj()                            # (t, r, k_h)
     prod = np.einsum("tcij,ti,tbj->tbc", M, unit_c, b_coords)  # (t, r, k_gh)
-    return system.reshape(t, r * n * n, m), (prod @ Fgh).reshape(t, r * n * n)
+    target = (prod @ Fgh).reshape(t, r * n * n)
+    coeff, res, s = la.stacked_lstsq(system.reshape(t, r * n * n, m), target)
+    return coeff, res, la.row_norms(target), np.sum(s > rtol * s[:, :1], axis=1)
 
 
 def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> TwistedPartialAction:
@@ -567,9 +556,10 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
     U = {g: G.unit[G.rng[g]] for g in G.arrows}
 
     ranked = [g for g in G.arrows if P[g].shape[0] == bundle.dims[g]]
-    rows = dict(zip(ranked, _stacked(
+    # size: the d_u . k products U_i P_j
+    rows = dict(zip(ranked, la.stacked(
         [(bundle.unit_rep[G.rng[g]], P[g], bundle.mult[(U[g], g)], F[g]) for g in ranked],
-        _left_module)))
+        _left_module, lambda s: s[0][0] * math.prod(s[1]))))
     for g in G.arrows:
         if g not in rows:
             raise ValueError(f"presentation at {g} has wrong rank")
@@ -591,9 +581,11 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
                                   for g in G.arrows}, {})
 
     # range ideals D_g = span(A_g A_g*) must match the presentation
-    spans = _stacked([(bundle.mult[(g, G.inv[g])], bundle.inv[g], F[U[g]], F[g])
-                      for g in G.arrows],
-                     lambda M, inv, Pu, Fg: _range_spans(M, inv, Pu, Fg, tols.rank_threshold))
+    # size: the k^2 products of A_g A_g^*, as matrices
+    spans = la.stacked([(bundle.mult[(g, G.inv[g])], bundle.inv[g], F[U[g]], F[g])
+                        for g in G.arrows],
+                       lambda M, inv, Pu, Fg: _range_spans(M, inv, Pu, Fg, tols.rank_threshold),
+                       lambda s: math.prod(s[1]) * s[2][1])
     for g, (ok,) in zip(G.arrows, spans):
         if not ok:
             raise ValueError(f"span(A_g A_g*) differs from the presented ideal at {g}")
@@ -616,10 +608,12 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
     inter = _intersections(shell, tols.rank_threshold)
     ops = {g: alpha_operator(shell, g) for g in G.arrows}
     pairs = [(g, h) for g, h in composable_pairs(G) if inter[(g, G.comp[(g, h)])].shape[0]]
-    systems = _stacked(
+    # size: the r * m products a_g(b) q_m
+    solved = dict(zip(pairs, la.stacked(
         [(inter[(G.inv[g], h)], ops[g], inter[(g, G.comp[(g, h)])], F[h], bundle.mult[(g, h)],
-          units[g], F[G.comp[(g, h)]]) for g, h in pairs], _w_systems)
-    solved = dict(zip(pairs, systems))
+          units[g], F[G.comp[(g, h)]]) for g, h in pairs],
+        lambda *arrays: _w_solutions(*arrays, tols.rank_threshold),
+        lambda s: s[0][0] * math.prod(s[2]))))
     w: dict[tuple[str, str], Array] = {}
     for g, h in composable_pairs(G):
         n = bundle.unit_dim(G.rng[g])
@@ -627,12 +621,11 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
         if (g, h) not in solved:
             w[(g, h)] = np.zeros((n, n), dtype=np.complex128)
             continue
-        system, target = solved[(g, h)]
-        if la.matrix_rank(system, tols.rank_threshold) < stack.shape[0]:
+        coeff, res, norm, rank = solved[(g, h)]
+        if rank < stack.shape[0]:
             raise ValueError(f"w({g},{h}) is underdetermined "
                              "(intersection ideal mismatch)")
-        coeff, res = la.solve_lstsq(system, target)
-        if res > 1e-6 * max(1.0, float(np.linalg.norm(target))):
+        if res > 1e-6 * max(1.0, float(norm)):
             raise ValueError(f"product formula inconsistent at ({g},{h}) "
                              f"(residual {res:.3e})")
         w[(g, h)] = la.stack_combine(stack, coeff)
@@ -697,8 +690,8 @@ def restrict_action(T: TwistedPartialAction, family: Mapping[str, list],
     s1 = la.frame_intersections([(_frame(T, g), fam_frame[G.rng[g]]) for g in G.arrows], rtol)
     dom = la.frame_intersections([(_frame(T, G.inv[g]), fam_frame[G.src[g]])
                                   for g in G.arrows], rtol)
-    images = _stacked([(d @ ops[g].T,) for g, d in zip(G.arrows, dom)],
-                      lambda v: la.stacked_orth_rows(v, rtol))
+    images = la.stacked([(d @ ops[g].T,) for g, d in zip(G.arrows, dom)],
+                        lambda v: la.stacked_orth_rows(v, rtol))
     frames = la.frame_intersections(
         [(a, vh[:rank]) for a, (vh, rank) in zip(s1, images)], rtol)
     new_basis = {g: f.reshape(-1, T.n_at(G.rng[g]), T.n_at(G.rng[g]))

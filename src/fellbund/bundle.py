@@ -24,6 +24,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._kernels import ConvolutionPlan
+from ._linalg import _STACK_CHUNK
 from .config import DEFAULT, Tolerances
 from .groupoid import FiniteGroupoid, composable_pairs, composable_triples, validate_groupoid
 from .report import ValidationReport
@@ -386,30 +387,6 @@ def _expand(flat: Array, mats: Array) -> Array:
 
 # -- validator -----------------------------------------------------------------
 
-# items grouped at a time, and elements per stacked tensor (1 MB of
-# complex128): together they bound the memory one stacked check holds;
-# MatrixModelBundle.to_fell_bundle slices its basis products by the latter
-_STACK_ITEMS = 1 << 10
-_STACK_CHUNK = 1 << 16
-
-
-def stacked_groups(items: list, operands: Callable[[Any], tuple[Array, ...]],
-                   size: Callable[[tuple], int]) -> Iterable[tuple[list[int], list[Array]]]:
-    """Positions of items whose ``operands(item)`` tensors share their
-    shapes, with those tensors stacked: per slice of _STACK_ITEMS items, in
-    chunks of at most _STACK_CHUNK elements of ``size(shapes)`` each."""
-    for begin in range(0, len(items), _STACK_ITEMS):
-        groups: dict[tuple, list] = {}
-        for pos in range(begin, min(begin + _STACK_ITEMS, len(items))):
-            ops = operands(items[pos])
-            groups.setdefault(tuple(t.shape for t in ops), []).append((pos, ops))
-        for shapes, members in groups.items():
-            step = max(1, _STACK_CHUNK // max(1, size(shapes)))
-            for start in range(0, len(members), step):
-                part = members[start:start + step]
-                yield ([pos for pos, _ in part],
-                       [np.array([ops[i] for _, ops in part]) for i in range(len(shapes))])
-
 
 def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
                          samples: int = 4) -> ValidationReport:
@@ -436,9 +413,9 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
     triples = composable_triples(G)
     res, scale = np.zeros(len(triples)), np.zeros(len(triples))
     # size: the (d_ghk, d_g, d_h, d_k) products
-    for chunk, (lk, gh, gk, hk) in stacked_groups(
-            triples, lambda t: (mult[(comp[t[:2]], t[2])], mult[t[:2]],
-                                mult[(t[0], comp[t[1:]])], mult[t[1:]]),
+    for chunk, (lk, gh, gk, hk) in la.stacks(
+            [(mult[(comp[t[:2]], t[2])], mult[t[:2]], mult[(t[0], comp[t[1:]])], mult[t[1:]])
+             for t in triples],
             lambda s: s[0][0] * s[1][1] * s[1][2] * s[0][2]):
         left = np.einsum("tkml,tmij->tkijl", lk, gh)
         scale[chunk] = la.row_norms(left)
@@ -457,9 +434,9 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
     pairs = [(g, h) for g, h in composable_pairs(G) if dims[g] and dims[h]]
     res, scale = np.zeros(len(pairs)), np.zeros(len(pairs))
     # size: the (d_{(gh)^-1}, d_g, d_h) products
-    for chunk, (j_gh, m_gh, m_hg, j_h, j_g) in stacked_groups(
-            pairs, lambda p: (bundle.inv[comp[p]], mult[p], mult[(G.inv[p[1]], G.inv[p[0]])],
-                              bundle.inv[p[1]], bundle.inv[p[0]]),
+    for chunk, (j_gh, m_gh, m_hg, j_h, j_g) in la.stacks(
+            [(bundle.inv[comp[p]], mult[p], mult[(G.inv[p[1]], G.inv[p[0]])],
+              bundle.inv[p[1]], bundle.inv[p[0]]) for p in pairs],
             lambda s: s[0][0] * s[1][1] * s[1][2]):
         lhs = np.einsum("tlk,tkij->tlij", j_gh, np.conj(m_gh))
         scale[chunk] = la.row_norms(lhs)

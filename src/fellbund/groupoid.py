@@ -81,9 +81,6 @@ class FiniteGroupoid:
         """G^x: arrows with range x, in declared order."""
         return self._fibers[1].get(x, ())
 
-    def compose(self, g: str, h: str) -> str:
-        return self.comp[(g, h)]
-
     def can_compose(self, g: str, h: str) -> bool:
         return self.src[g] == self.rng[h]
 

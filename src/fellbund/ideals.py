@@ -18,8 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _linalg as la
-from .bundle import (BundleHom, FellBundle, ei, stacked_groups, subbundle_from_frames,
-                     validate_bundle_hom)
+from .bundle import BundleHom, FellBundle, ei, subbundle_from_frames, validate_bundle_hom
 from .config import DEFAULT, Tolerances
 # block_decomposition is not called here; the name stays bound because
 # perfbench's tracer test reads it from this module
@@ -108,7 +107,7 @@ def validate_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) ->
 
     The ideal checks are one stacked product per object.  The per-arrow
     checks run on groups of arrows whose operands share their shapes
-    (``stacked_groups``): both product frames from one einsum and one
+    (``la.stacks``): both product frames from one einsum and one
     stacked SVD each, their containments and the one-sided criterion as
     stacked residuals.  The violations come in the order of the loops
     they replace, with the same residuals.
@@ -129,8 +128,8 @@ def validate_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) ->
     ranks = np.zeros((len(arrows), 2), dtype=np.intp)  # dims of the two product frames
     equal = np.ones(len(arrows), dtype=bool)
     one_sided: dict[int, tuple[Array, Array]] = {}  # failing arrows: residuals, bounds
-    for chunk, (L, Fr, R, Fs, M) in stacked_groups(
-            arrows, lambda g: _arrow_operands(bundle, F, g), _arrow_stack_size):
+    for chunk, (L, Fr, R, Fs, M) in la.stacks(
+            [_arrow_operands(bundle, F, g) for g in arrows], _arrow_stack_size):
         t, d = len(chunk), L.shape[1]
         # span(F_{r(g)} . A_g): rows b . e_j; span(A_g . F_{s(g)}): rows e_j . b
         (lvh, lrank), (rvh, rrank) = (

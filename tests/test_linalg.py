@@ -1,6 +1,21 @@
+import json
+import os
+
 import numpy as np
 
 from fellbund import _linalg as la
+from fellbund import gallery
+from fellbund.actions import compile_to_fell_bundle, reconstruct_action, validate_action
+from fellbund.bundle import validate_fell_bundle
+from fellbund.config import DEFAULT
+from fellbund.ideals import validate_invariant_family
+from fellbund.spectrum import fiber_spectrum
+from fellbund.workspace import Workspace
+from test_stacked_oracles import candidate_families
+from test_witnesses import perturbed
+
+DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "examples_ws", "demo.json")
 
 
 def test_orth_rows_rank_and_orthonormality():
@@ -171,3 +186,108 @@ def test_algebra_units_equal_one_stack_at_a_time():
             proj = la.stack_combine(stack, got)
             for m in stack:
                 assert np.linalg.norm(proj @ m - m) < 1e-9
+
+
+# -- shape-grouped stacks --------------------------------------------------------
+
+def mixed_items():
+    """Items of three shape groups, interleaved, with zero-size operands."""
+    rng = np.random.default_rng(6)
+    shapes = [((2, 3), (3,)), ((0, 3), (3,)), ((2, 3), (3,)), ((1, 0), (0,)), ((0, 3), (3,)),
+              ((2, 3), (3,)), ((1, 0), (0,))]
+    return [tuple(rng.standard_normal(s) for s in pair) for pair in shapes]
+
+
+def test_stacks_group_by_shapes_and_stacked_keeps_item_order():
+    items = mixed_items()
+    chunks = list(la.stacks(items))
+    assert [pos for pos, _ in chunks] == [[0, 2, 5], [1, 4], [3, 6]]
+    for pos, arrays in chunks:
+        for k, array in enumerate(arrays):
+            assert np.array_equal(array, np.stack([items[p][k] for p in pos]))
+    rows = la.stacked(items, lambda a, v: (a @ v[:, :, None], a.shape[1] + np.zeros(len(a))))
+    for (a, v), (prod, size) in zip(items, rows):
+        assert np.array_equal(prod, (a @ v[:, None]))
+        assert size == a.shape[0]
+    assert list(la.stacks([])) == [] and la.stacked([], lambda: ()) == []
+
+
+def test_stacks_cap_each_chunk_at_the_element_budget(monkeypatch):
+    items = [(np.zeros((2, 3)),) for _ in range(7)]
+    assert [pos for pos, _ in la.stacks(items)] == [list(range(7))]
+    monkeypatch.setattr(la, "_STACK_CHUNK", 13)
+    # default size: 6 elements per item, so 2 items per chunk
+    assert [pos for pos, _ in la.stacks(items)] == [[0, 1], [2, 3], [4, 5], [6]]
+    # a size larger than the budget still stacks one item at a time
+    assert [pos for pos, _ in la.stacks(items, lambda s: 100)] == [[p] for p in range(7)]
+    assert [pos for pos, _ in la.stacks(items, lambda s: 4)] == [[0, 1, 2], [3, 4, 5], [6]]
+    # zero-size items count as one element
+    empty = [(np.zeros((0, 3)),) for _ in range(20)]
+    assert [len(pos) for pos, _ in la.stacks(empty)] == [13, 7]
+    rows = la.stacked(items + empty, lambda a: (a.shape[1] + np.zeros(len(a)),))
+    assert [r for (r,) in rows] == [2] * 7 + [0] * 20
+
+
+def test_stacked_lstsq_agrees_with_lstsq_item_by_item():
+    rng = np.random.default_rng(7)
+    for m, n, rank in ((6, 3, 3), (6, 3, 2), (3, 5, 3), (4, 4, 1), (5, 2, 0), (0, 3, 0)):
+        t = 5
+        left = rng.standard_normal((t, m, rank)) + 1j * rng.standard_normal((t, m, rank))
+        right = rng.standard_normal((t, rank, n)) + 1j * rng.standard_normal((t, rank, n))
+        a = left @ right
+        b = rng.standard_normal((t, m)) + 1j * rng.standard_normal((t, m))
+        x, res, s = la.stacked_lstsq(a, b)
+        assert x.shape == (t, n) and res.shape == (t,) and s.shape == (t, min(m, n))
+        for i in range(t):
+            want, *_ = np.linalg.lstsq(a[i], b[i], rcond=None)
+            assert np.abs(x[i] - want).max(initial=0.0) <= 1e-12
+            assert abs(res[i] - np.linalg.norm(a[i] @ want - b[i])) <= 1e-12
+            assert np.array_equal(np.sum(s[i] > 1e-10 * s[i, :1]),
+                                  la.matrix_rank(a[i]) if a[i].size else 0)
+
+
+def chunked_subjects(certify_bundles):
+    bundles = dict(gallery.shipped_bundles())
+    bundles.update({f"certify {k}": b for k, b in certify_bundles.items()})
+    bundles.update({f"perturbed {k}": perturbed(b, seed=len(k))
+                    for k, b in gallery.shipped_bundles().items()})
+    ws = Workspace.load(DEMO)
+    actions = {name: ws.action(name) for name in ws.names("actions")}
+    actions.update({name: getattr(gallery, name)() for name in (
+        "z2_swap_action_on_c2", "restricted_swap_action", "a4_action",
+        "matrix_twisted_action", "klein_twisted_action")})
+    return bundles, actions
+
+
+def every_report(bundles, actions):
+    """The stacked validators' reports on every subject, every candidate
+    family of the unperturbed bundles, and the compiled and reconstructed
+    actions' arrays, as JSON strings by subject."""
+    def arrays(table):
+        return {str(k): v.tobytes().hex() for k, v in table.items()}
+    out = {}
+    for name, b in bundles.items():
+        out[f"bundle {name}"] = validate_fell_bundle(b).to_json()
+        if not name.startswith("perturbed"):
+            out[f"families {name}"] = [
+                validate_invariant_family(F).to_json()
+                for F in candidate_families(b, fiber_spectrum(b, DEFAULT))]
+    for name, T in actions.items():
+        out[f"action {name}"] = validate_action(T).to_json()
+        b = compile_to_fell_bundle(T)
+        out[f"compiled {name}"] = [arrays(b.mult), arrays(b.inv)]
+        R = reconstruct_action(b)
+        out[f"reconstructed {name}"] = [arrays(R.alpha), arrays(R.w),
+                                        validate_action(R).to_json()]
+    return {key: json.dumps(value) for key, value in out.items()}
+
+
+def test_one_item_chunks_give_the_same_reports(monkeypatch, certify_bundles):
+    bundles, actions = chunked_subjects(certify_bundles)
+    default = every_report(bundles, actions)
+    assert any('"ok": false' in text for text in default.values())  # residuals reported
+    monkeypatch.setattr(la, "_STACK_CHUNK", 1)
+    chunked = every_report(bundles, actions)
+    assert chunked.keys() == default.keys()
+    for key, text in default.items():
+        assert chunked[key] == text, key
