@@ -33,13 +33,13 @@ def stacks(items: list[tuple[Array, ...]], size: Callable[[tuple], int] | None =
     ``size(shapes)`` per item (default: the item's largest array)."""
     groups: dict[tuple, list[int]] = {}
     for pos, arrays in enumerate(items):
-        groups.setdefault(tuple(a.shape for a in arrays), []).append(pos)
+        groups.setdefault(tuple([a.shape for a in arrays]), []).append(pos)
     for shapes, positions in groups.items():
         per = size(shapes) if size else max((math.prod(s) for s in shapes), default=0)
         step = max(1, _STACK_CHUNK // max(1, per))
         for start in range(0, len(positions), step):
             part = positions[start:start + step]
-            yield part, tuple(np.array([items[p][i] for p in part]) for i in range(len(shapes)))
+            yield part, tuple([np.array([items[p][i] for p in part]) for i in range(len(shapes))])
 
 
 def stacked(items: list[tuple[Array, ...]], fn: Callable[..., tuple],
@@ -48,9 +48,8 @@ def stacked(items: list[tuple[Array, ...]], fn: Callable[..., tuple],
     tuple of stacks, and each item gets the tuple of its rows, in item order."""
     out: list = [None] * len(items)
     for positions, arrays in stacks(items, size):
-        res = fn(*arrays)
-        for row, pos in enumerate(positions):
-            out[pos] = tuple(r[row] for r in res)
+        for pos, rows in zip(positions, zip(*fn(*arrays))):
+            out[pos] = rows
     return out
 
 
@@ -179,36 +178,44 @@ def frame_intersections(pairs: list[tuple[Array, Array]], rtol: float = 1e-10) -
     """``frame_intersection`` of each pair of frames (r_a, d), (r_b, d).
 
     Equal bit for bit to one ``frame_intersection`` per pair: the pairs of
-    equal shapes share one batched matmul for their complement projections
-    and one stacked SVD, and the null rows of equal shape one
-    ``stacked_orth_rows``.
+    equal shapes form their complement projections with one batched matmul,
+    the complements of equal d share one stacked SVD, and the null rows of
+    equal shape one ``stacked_orth_rows``.
     """
     out = [np.zeros((0, a.shape[1]), dtype=np.complex128) for a, _ in pairs]
     live = [i for i, (a, b) in enumerate(pairs) if a.shape[0] and b.shape[0]]
-    null = []
-    for i, (full, s, vh) in zip(live, stacked([pairs[i] for i in live], _complement_svds,
-                                              lambda shapes: 2 * shapes[0][1] ** 2)):
-        cut = s <= rtol * max(s[0], 1.0)
+    complements = []
+    for i, (full, eye, m) in zip(live, stacked([pairs[i] for i in live], _complements,
+                                               lambda shapes: 2 * shapes[0][1] ** 2)):
         if full:
-            out[i] = np.eye(vh.shape[1], dtype=np.complex128)
-        elif cut.any():
-            null.append((i, np.conj(vh[cut])))
+            out[i] = eye
+        else:
+            complements.append((i, m))
+    null = [(i, np.conj(vh[cut])) for (i, _), (some, cut, vh) in zip(complements, stacked(
+        [(m,) for _, m in complements], lambda m: _null_directions(m, rtol))) if some]
     rows = stacked([(v,) for _, v in null], lambda v: stacked_orth_rows(v, rtol))
     for (i, _), (vh, rank) in zip(null, rows):
         out[i] = np.ascontiguousarray(vh[:rank])
     return out
 
 
-def _complement_svds(a: Array, b: Array) -> tuple[Array, Array, Array]:
-    """For stacks of frames a (t, r_a, d), b (t, r_b, d): whether both
-    complement projections vanish, and the singular values and right
-    singular vectors of the complements stacked (t, 2d, d); v lies in both
-    spans iff both complements kill it."""
+def _complements(a: Array, b: Array) -> tuple[Array, Array, Array]:
+    """Whether both complement projections of the frames a (t, r_a, d) and
+    b (t, r_b, d) vanish, t identities (t, d, d), and the complements stacked
+    (t, 2d, d): v lies in both spans iff both complements kill it."""
     eye = np.eye(a.shape[2], dtype=np.complex128)
     m = np.concatenate([eye - np.swapaxes(a, 1, 2) @ a.conj(),
                         eye - np.swapaxes(b, 1, 2) @ b.conj()], axis=1)
+    return ~m.reshape(len(m), -1).any(axis=1), np.repeat(eye[None], len(m), axis=0), m
+
+
+def _null_directions(m: Array, rtol: float) -> tuple[Array, Array, Array]:
+    """The right singular vectors vh (t, d, d) of a stack m (t, 2d, d), the
+    mask (t, d) of those whose singular values are at most rtol times
+    max(1, the largest), and whether each item has any."""
     _, s, vh = np.linalg.svd(m, full_matrices=False)
-    return ~m.reshape(len(m), -1).any(axis=1), s, vh
+    cut = s <= rtol * np.maximum(s[:, :1], 1.0)
+    return cut.any(axis=1), cut, vh
 
 
 def frame_complement(frame: Array, dim: int, rtol: float = 1e-10) -> Array:
@@ -267,13 +274,10 @@ def psd_power(a: Array, power: float, rtol: float = 1e-10) -> Array:
 
 
 def solve_lstsq(a: Array, b: Array) -> tuple[Array, float]:
-    """Least-squares solve; returns (solution, residual norm of a@x-b)."""
-    a = as_complex(np.atleast_2d(a))
-    b = as_complex(b)
-    if a.shape[1] == 0:
-        return np.zeros((0,) + b.shape[1:], dtype=np.complex128), float(np.linalg.norm(b))
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return x, float(np.linalg.norm(a @ x - b))
+    """Least-squares solve of one system (``stacked_lstsq``); returns
+    (solution, residual norm of a@x-b)."""
+    x, res, _ = stacked_lstsq(as_complex(np.atleast_2d(a))[None], as_complex(b)[None])
+    return x[0], float(res[0])
 
 
 def stacked_lstsq(a: Array, b: Array) -> tuple[Array, Array, Array]:
@@ -340,10 +344,14 @@ def algebra_unit(stack: Array, tol: float = 1e-8) -> Array | None:
 def algebra_units(stacks: list[Array], tol: float = 1e-8) -> list[Array | None]:
     """``algebra_unit`` of each stack (d, n, n); the stacks of equal shape
     are solved together by ``stacked_lstsq``."""
+    live = [i for i, stack in enumerate(stacks) if stack.shape[0]]
+    out: list = [np.zeros(0, dtype=np.complex128) for _ in stacks]
     # size: the d^2 products B_j B_i of each stack
-    return [c if ok else None for c, ok in stacked(
-        [(stack,) for stack in stacks], lambda s_: _unit_coords(s_, tol),
-        lambda shapes: shapes[0][0] * math.prod(shapes[0]))]
+    for i, (c, ok) in zip(live, stacked([(stacks[i],) for i in live],
+                                        lambda s_: _unit_coords(s_, tol),
+                                        lambda shapes: shapes[0][0] * math.prod(shapes[0]))):
+        out[i] = c if ok else None
+    return out
 
 
 def _unit_coords(s_: Array, tol: float) -> tuple[Array, Array]:
@@ -358,7 +366,7 @@ def _unit_coords(s_: Array, tol: float) -> tuple[Array, Array]:
     unit = (c[:, None] @ s_.reshape(t, d, n * n)).reshape(t, 1, n, n)
     sided = np.linalg.norm(np.stack([unit @ s_ - s_, s_ @ unit - s_]), axis=(3, 4))
     ok = ~(res > tol * np.maximum(1.0, np.linalg.norm(b, axis=1))) \
-        & ~(sided.max(axis=(0, 2), initial=0.0) > tol)
+        & ~(sided.max(axis=(0, 2)) > tol)
     return c, ok
 
 

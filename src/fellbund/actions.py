@@ -105,8 +105,8 @@ class TwistedPartialAction:
             n = fibers[G.rng[g]].n
             if (g, h) in w and not scalar[(g, h)] and np.shape(w[(g, h)]) != (n, n):
                 raise ValueError(f"w({g},{h}) has shape {np.shape(w[(g, h)])}, want {(n, n)}")
-        units = _intersection_units(act, [key for key in pairs
-                                          if key not in w or scalar[key]], rtol)
+        units = _intersection_units(act, _intersections(act, rtol),
+                                    [key for key in pairs if key not in w or scalar[key]])
         act.w = {key: (complex(w[key]) * units[key] if scalar[key]
                        else la.as_complex(w[key]) if key in w else units[key])
                  for key in pairs}
@@ -177,27 +177,25 @@ def _intersections(T: TwistedPartialAction, rtol: float) -> dict[tuple[str, str]
         [(_frame(T, a), _frame(T, b)) for a, b in keys], rtol)))
 
 
-def _units(stacks: list[Array]) -> list[Array | None]:
-    """The unit matrix of the span of each stack (d, n, n): zero for d = 0,
-    None when the span has no two-sided unit."""
-    return [None if c is None else (c @ la.flatten_stack(s)).reshape(s.shape[1:])
-            for s, c in zip(stacks, la.algebra_units(stacks))]
-
-
-def _intersection_units(T: TwistedPartialAction, pairs: list[tuple[str, str]],
-                        rtol: float) -> dict[tuple[str, str], Array]:
-    """Unit of D_g ∩ D_{gh} for each listed pair (g, h)."""
-    G = T.groupoid
-    keys = [(g, G.comp[(g, h)]) for g, h in pairs]
-    frames = la.frame_intersections([(_frame(T, a), _frame(T, b)) for a, b in keys], rtol)
-    stacks = [f.reshape(-1, T.n_at(G.rng[g]), T.n_at(G.rng[g]))
-              for f, (g, _) in zip(frames, pairs)]
-    out = {}
-    for (g, h), unit in zip(pairs, _units(stacks)):
-        if unit is None:
-            raise ValueError(f"intersection ideal at ({g},{h}) has no unit")
-        out[(g, h)] = unit
+def _units(stacks: list[Array], labels: list[str]) -> list[Array]:
+    """The unit matrix of the span of each stack (d, n, n), zero for d = 0;
+    the first span without a two-sided unit raises, named by its label."""
+    out = []
+    for s, c, label in zip(stacks, la.algebra_units(stacks), labels):
+        if c is None:
+            raise ValueError(f"{label} has no unit")
+        out.append((c @ la.flatten_stack(s)).reshape(s.shape[1:]))
     return out
+
+
+def _intersection_units(T: TwistedPartialAction, inter: dict[tuple[str, str], Array],
+                        pairs: list[tuple[str, str]]) -> dict[tuple[str, str], Array]:
+    """Unit of D_g ∩ D_{gh} for each listed pair (g, h), from ``_intersections``."""
+    G = T.groupoid
+    stacks = [inter[(g, G.comp[(g, h)])].reshape(-1, T.n_at(G.rng[g]), T.n_at(G.rng[g]))
+              for g, h in pairs]
+    return dict(zip(pairs, _units(stacks, [f"intersection ideal at ({g},{h})"
+                                           for g, h in pairs])))
 
 
 # -- validation ------------------------------------------------------------------
@@ -325,9 +323,8 @@ def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> Vali
         rep.require(ok, "D at unit equals fibre algebra", f"object {x}")
         res = float(np.linalg.norm(T.alpha[u] - np.eye(T.ideal_dim(u))))
         rep.check_residual(res, tol, "alpha at unit is identity", f"object {x}")
-    for g, pg in zip(G.arrows, _units([B[g] for g in G.arrows])):
-        if pg is None:
-            raise ValueError(f"ideal at {g} has no unit")
+    for g, pg in zip(G.arrows, _units([B[g] for g in G.arrows],
+                                      [f"ideal at {g}" for g in G.arrows])):
         us, ur = G.unit[G.src[g]], G.unit[G.rng[g]]
         for key, label in (((g, us), "w(g, unit)"), ((ur, g), "w(unit, g)")):
             res = float(np.linalg.norm(T.w[key] - pg))
@@ -361,10 +358,7 @@ def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> Vali
                 rep.add("alpha multiplicative", f"{g}, basis ({i},{j})", float(mult[i, j]))
 
     # w unitary in its ideal; conditions 6 and 7; the derived domain identity
-    units = dict(zip(pairs, _units([tgt[p].reshape(-1, *T.w[p].shape) for p in pairs])))
-    for (g, h), unit in units.items():
-        if unit is None:
-            raise ValueError(f"intersection ideal at ({g},{h}) has no unit")
+    units = _intersection_units(T, inter, pairs)
     pair_rows = la.stacked(
         [(T.w[p], tgt[p], units[p], dom[p], ops[p[0]], ops[p[1]], ops[G.inv[p[1]]],
           ops[G.comp[p]], frames[G.comp[p]]) for p in pairs],
@@ -522,10 +516,8 @@ def _range_spans(M, inv, Pu, F, rtol):
 def _w_solutions(dom, Ag, inter, Fh, M, unit_c, Fgh, rtol):
     """The linear system for w(g,h) on the rows b of D_{g^-1} ∩ D_h:
     columns vec(a_g(b) q_m) over the basis q_m of D_g ∩ D_{gh}, right-hand
-    side vec(1_g . b) from the bundle product M = mult[(g, h)].  Returns its
-    least-squares coefficients (t, m), the residual and right-hand side
-    norms (t,), and the rank of each system (singular values above rtol
-    times the largest)."""
+    side vec(1_g . b) from M = mult[(g, h)]; its least-squares coefficients
+    (t, m), residual and right-hand side norms (t,), and rank (rtol s_0 cut)."""
     t, r = dom.shape[:2]
     m = inter.shape[1]
     n = math.isqrt(Ag.shape[1])
@@ -709,6 +701,6 @@ def restrict_action(T: TwistedPartialAction, family: Mapping[str, list],
 
     shell = TwistedPartialAction(G, new_fibers, new_basis, alpha, {})
     pairs = composable_pairs(G)
-    units = _intersection_units(shell, pairs, rtol)
+    units = _intersection_units(shell, _intersections(shell, rtol), pairs)
     shell.w = {p: units[p] @ T.w[p] @ units[p] for p in pairs}
     return shell
