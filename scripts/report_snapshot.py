@@ -2,8 +2,9 @@
 
     python3 scripts/report_snapshot.py OUT [--root CHECKOUT] [--seeds 1 4]
 
-Runs, in process, the 11 README demo commands and ``validate`` on the demo's
-two twisted partial actions on ``examples_ws/demo.json``, and
+Runs, in process, the 11 README demo commands, two more ``represent
+--roundtrip`` fuzz runs and ``validate`` on the demo's two twisted partial
+actions on ``examples_ws/demo.json``, and
 ``validate``/``envelope``/``spectrum``/``quasi-orbits``/``ideals`` on every
 bundle of the seeded benchmark workspace ``perfbench/workloads.certify_workspace(seed)``.
 Each command's stdout goes to its own file under OUT, and ``exit_codes.txt``
@@ -39,6 +40,10 @@ DEMO_COMMANDS = [
     ["compile-action", "swap-c2"],
     ["represent", "sign"],
     ["represent", "z2-line", "--roundtrip", "--fuzz", "50"],
+    # the round trips whose digits follow disintegrate's maps bit for bit:
+    # z2-line's maps are 1 x 1
+    ["represent", "a4", "--roundtrip", "--fuzz", "20"],
+    ["represent", "pq-line", "--roundtrip", "--fuzz", "20"],
     ["trafo", "pq-compare"],
 ]
 CERTIFY_COMMANDS = ["validate", "envelope", "spectrum", "quasi-orbits", "ideals"]

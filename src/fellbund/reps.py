@@ -11,6 +11,17 @@ disintegration recovers the dimensions from the central projections of the
 unit-supported sections and compresses L on delta sections.  Counting
 measures make quasi-invariance automatic; nondegeneracy is normalised to
 L(unit section) = identity by compressing to the essential subspace.
+
+Both directions check the same equations on the same data, a stack of
+basis images in delta order (``basis_sections``): ``validate_rep`` takes the
+S_g(e_i) straight from ``maps``, ``disintegrate`` the L(delta_{g,i}).  One
+core, ``_star_hom_residuals``, compares the stack with the involution and
+the structure constants in one contraction per stack of equal fibre
+shapes, through index tables built once per bundle (``_delta_table``);
+``disintegrate`` also checks that the products of non-composable basis
+images vanish, by a screen with one stacked QR and exact products only for
+the rows it cannot clear.  Witnesses come from the flagged entries, in the
+order of the element-at-a-time loops these replace.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _linalg as la
-from .bundle import FellBundle, ei
+from .bundle import FellBundle
 from .config import DEFAULT, Tolerances
 from .envelope import (_cached_regular, envelope_algebra, induced_gram,
                        irreducible_envelope_blocks)
@@ -53,6 +64,9 @@ class FellRep:
 
 
 def validate_rep(R: FellRep, tols: Tolerances = DEFAULT) -> ValidationReport:
+    """The *-homomorphism equations on the basis images S_g(e_i) (slices of
+    ``maps``), each to ``tol`` times max(1, the norm of the image it is
+    compared with), then nondegeneracy of the unit fibres."""
     bundle = R.bundle
     G = bundle.groupoid
     tol = tols.tolerance
@@ -62,24 +76,14 @@ def validate_rep(R: FellRep, tols: Tolerances = DEFAULT) -> ValidationReport:
         want = (R.dims[G.rng[g]], R.dims[G.src[g]], bundle.dims[g])
         if m.shape != want:
             raise ValueError(f"map at {g} has shape {m.shape}, want {want}")
-    for g in G.arrows:
-        gi = G.inv[g]
-        for i in range(bundle.dims[g]):
-            lhs = R.apply(g, ei(bundle.dims[g], i)).conj().T
-            rhs = R.apply(gi, bundle.inv[g][:, i])
-            rep.check_residual(float(np.linalg.norm(lhs - rhs)),
-                               tol * max(1.0, float(np.linalg.norm(lhs))),
-                               "involution compatibility S_g(a)* = S_{g^-1}(a*)",
-                               f"({g},{i})")
-    for g, h in composable_pairs(G):
-        gh = G.comp[(g, h)]
-        for i in range(bundle.dims[g]):
-            for j in range(bundle.dims[h]):
-                lhs = R.apply(g, ei(bundle.dims[g], i)) @ R.apply(h, ei(bundle.dims[h], j))
-                rhs = R.apply(gh, bundle.mult[(g, h)][:, i, j])
-                rep.check_residual(float(np.linalg.norm(lhs - rhs)),
-                                   tol * max(1.0, float(np.linalg.norm(rhs))),
-                                   "multiplicativity S_g S_h = S_{gh}", f"({g},{h})")
+    table = _delta_table(bundle)
+    inv, mult = _star_hom_residuals(bundle, _basis_images(R))
+    for n in np.flatnonzero(~(inv[0] <= tol * np.fmax(1.0, inv[1]))):
+        rep.add("involution compatibility S_g(a)* = S_{g^-1}(a*)",
+                "({},{})".format(*table.deltas[n]), float(inv[0, n]))
+    for k in np.flatnonzero(~(mult[0] <= tol * np.fmax(1.0, mult[1]))):
+        rep.add("multiplicativity S_g S_h = S_{gh}",
+                "({},{})".format(*table.pairs[table.pair_of[k]]), float(mult[0, k]))
     degenerate = True
     for x in G.objects:
         u = G.unit[x]
@@ -93,6 +97,164 @@ def validate_rep(R: FellRep, tols: Tolerances = DEFAULT) -> ValidationReport:
     if degenerate:
         rep.note("degenerate representation: all Hilbert dimensions are zero")
     return rep
+
+
+def _basis_images(R: FellRep) -> Array:
+    """The images S_g(e_i) in delta order, each in the top left corner of an
+    (m, m) block of zeros, m the largest Hilbert dimension: the corners
+    multiply and take adjoints as the blocks do, so every residual of the
+    *-homomorphism equations is the blocks' own."""
+    bundle = R.bundle
+    G = bundle.groupoid
+    m = max(R.dims.values(), default=0)
+    X = np.zeros((bundle.total_dim, m, m), dtype=np.complex128)
+    for g, off in bundle.offsets().items():
+        X[off:off + bundle.dims[g], :R.dims[G.rng[g]], :R.dims[G.src[g]]] = \
+            la.as_complex(R.maps[g]).transpose(2, 0, 1)
+    return X
+
+
+@dataclass(frozen=True)
+class _DeltaTable:
+    """Index tables over the basis of the packed sections, the deltas e_i^g
+    in ``basis_sections`` order, for checking a stack X of their images.
+
+    The products e_i^g e_j^h of composable basis elements are numbered in
+    the order (pair (g, h) of ``composable_pairs``, i, j); ``pair_of``,
+    ``rows`` and ``cols`` give each one's pair and the deltas of its
+    factors.  ``involution``: per stack of arrows g with equal (d_g,
+    d_{g^-1}), the deltas of g (t, d_g) and of g^-1 (t, d_{g^-1}) and
+    ``inv[g]`` transposed (t, d_g, d_{g^-1}).  ``products``: per stack of
+    pairs with equal (d_g, d_h, d_gh), the deltas of g, h and gh, the
+    coordinates of the products in A_gh (t, d_g d_h, d_gh) and the numbers
+    of the products (t, d_g d_h).  ``ranges``: per object z, the deltas
+    with r(g) = z, padded with N (an index past the last delta).
+    """
+
+    deltas: list[tuple[str, int]]
+    src: Array
+    pairs: list[tuple[str, str]]
+    pair_of: Array
+    rows: Array
+    cols: Array
+    involution: list[tuple[Array, ...]]
+    products: list[tuple[Array, ...]]
+    ranges: Array
+
+
+def _delta_table(bundle: FellBundle) -> _DeltaTable:
+    def build() -> _DeltaTable:
+        G = bundle.groupoid
+        off, dims = bundle.offsets(), bundle.dims
+        objects = {x: k for k, x in enumerate(G.objects)}
+        live = [g for g in G.arrows if dims[g]]
+        idx = {g: off[g] + np.arange(dims[g]) for g in G.arrows}
+        deltas = [(g, i) for g in live for i in range(dims[g])]
+        pairs = [(g, h) for g, h in composable_pairs(G) if dims[g] and dims[h]]
+        numbers, rows, cols = [], [], []
+        start = 0
+        for g, h in pairs:
+            numbers.append(start + np.arange(dims[g] * dims[h]))
+            start += dims[g] * dims[h]
+            rows.append(np.repeat(idx[g], dims[h]))
+            cols.append(np.tile(idx[h], dims[g]))
+        sizes = [len(k) for k in numbers]
+
+        def cat(parts: list[Array]) -> Array:
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+        # stacks of any length: the caller cuts them by the size of the images
+        involution = [arrays for _, arrays in la.stacks(
+            [(idx[g], idx[G.inv[g]], bundle.inv[g].T) for g in live], lambda shapes: 0)]
+        products = [arrays for _, arrays in la.stacks(
+            [(idx[g], idx[h], idx[G.comp[(g, h)]],
+              bundle.mult[(g, h)].reshape(-1, dims[g] * dims[h]).T, k)
+             for (g, h), k in zip(pairs, numbers)], lambda shapes: 0)]
+        by_range = [[k for g in live if G.rng[g] == x for k in idx[g]] for x in G.objects]
+        ranges = np.full((len(by_range), max(map(len, by_range), default=0)),
+                         bundle.total_dim, dtype=np.intp)
+        for z, members in enumerate(by_range):
+            ranges[z, :len(members)] = members
+        return _DeltaTable(deltas, np.array([objects[G.src[g]] for g, _ in deltas], dtype=np.intp),
+                           pairs, np.repeat(np.arange(len(pairs), dtype=np.intp), sizes),
+                           cat(rows), cat(cols), involution, products, ranges)
+    return bundle.memo("delta_table", build)
+
+
+def _star_hom_residuals(bundle: FellBundle, X: Array) -> tuple[Array, Array]:
+    """How far the basis images X (N, m, m), one per delta in delta order,
+    are from a *-homomorphism.  Returns two arrays (2, .):
+
+    * per delta e_i^g, the residual |X(e_i)* - X(e_i*)|, with e_i* = sum_k
+      inv[g][k, i] e_k in A_{g^-1}, and the norm |X(e_i)|;
+    * per product of ``_delta_table``, the residual |X(e_i) X(e_j) -
+      X(e_i e_j)| and the norm |X(e_i e_j)|.
+
+    Each comparison is one contraction per stack of the table, the products
+    in slices of at most ``_STACK_CHUNK`` matrix entries.
+    """
+    table = _delta_table(bundle)
+    n, m = X.shape[0], X.shape[-1]
+    flat = X.reshape(n, m * m)
+    inv = np.empty((2, n))
+    inv[1] = la.row_norms(flat)
+    for rows, inv_rows, J in table.involution:
+        t, d = rows.shape
+        lhs = np.swapaxes(X[rows].conj(), -1, -2).reshape(t, d, m * m)
+        inv[0, rows.ravel()] = la.row_norms((lhs - J @ flat[inv_rows]).reshape(t * d, -1))
+    mult = np.empty((2, len(table.rows)))
+    for g_rows, h_rows, gh_rows, M, numbers in table.products:
+        t, dg = g_rows.shape
+        dh = h_rows.shape[1]
+        per = max(1, dh * m * m)  # entries of the products of one row e_i^g
+        items, step = max(1, la._STACK_CHUNK // (dg * per)), max(1, la._STACK_CHUNK // per)
+        for a in range(0, t, items):
+            Y, Z = X[h_rows[a:a + items]], flat[gh_rows[a:a + items]]
+            for i in range(0, dg, step):
+                prods = (slice(a, a + items), slice(i * dh, (i + step) * dh))
+                conv = M[prods] @ Z
+                prod = (X[g_rows[a:a + items, i:i + step]][:, :, None] @ Y[:, None])
+                k = numbers[prods].ravel()
+                mult[0, k] = la.row_norms((prod.reshape(conv.shape) - conv).reshape(k.size, -1))
+                mult[1, k] = la.row_norms(conv.reshape(k.size, -1))
+    return inv, mult
+
+
+def _vanishing_failures(bundle: FellBundle, X: Array, tol: float) -> Array:
+    """The pairs (n, k) of deltas with s(g_n) != r(g_k) whose images have a
+    product X[n] X[k] of norm above ``tol``, as an array (c, 2) in delta
+    order; X stacks the (D, D) images in delta order.
+
+    Screen first.  For the q images B_1, ..., B_q with range z, sum_j
+    |A B_j|^2 = |A R_z*|^2 with R_z the triangular factor of [B_1 ... B_q]*
+    (one stacked QR for all objects), so summing over z != s(A) gives the
+    sum of |A B|^2 over the products to check.  Its square root is off by at
+    most about (qD + D) D eps |A| |B| (backward error of QR and product), so
+    a row A whose screen plus that slack stays below tol / 2 has every
+    product below tol.  Only the other rows form their products.
+    """
+    table = _delta_table(bundle)
+    n, D = X.shape[0], X.shape[-1]
+    zs, q = table.ranges.shape
+    if zs < 2 or D == 0:
+        return np.zeros((0, 2), dtype=np.intp)
+    B = np.concatenate([X, np.zeros((1, D, D), dtype=X.dtype)])[table.ranges]
+    r_adj = np.swapaxes(np.linalg.qr(np.swapaxes(B.conj(), -1, -2).reshape(zs, q * D, D),
+                                     mode="r").conj(), -1, -2)
+    others = table.src[:, None] != np.arange(zs)  # per row A, the ranges z != s(A)
+    b_sq = la.row_norms(B.reshape(zs, -1)) ** 2
+    slack = (q * D + D) * D * la._EPS * la.row_norms(X.reshape(n, -1)) * np.sqrt(others @ b_sq)
+    found = []
+    step, width = max(1, la._STACK_CHUNK // (zs * D * D)), max(1, la._STACK_CHUNK // (D * D))
+    for a in range(0, n, step):
+        sq = la.row_norms((X[a:a + step, None] @ r_adj).reshape(-1, D * D)).reshape(-1, zs) ** 2
+        screen = np.sqrt((sq * others[a:a + step]).sum(axis=1))
+        for row in a + np.flatnonzero(~(screen + slack[a:a + step] <= tol / 2)):
+            cols = table.ranges[others[row]].ravel()
+            cols = np.sort(cols[cols < n])
+            for c in range(0, len(cols), width):
+                block = cols[c:c + width]
+                found.extend((row, k) for k in block[la.row_norms(X[row] @ X[block]) > tol])
+    return np.array(found, dtype=np.intp).reshape(-1, 2)
 
 
 def partial_isometry_residuals(R: FellRep, g: str,
@@ -109,21 +271,17 @@ def partial_isometry_residuals(R: FellRep, g: str,
     d, ds, dr = bundle.dims[g], R.dims[x], R.dims[y]
     if d == 0 or ds == 0:
         return 0.0, 0.0
-    W = np.zeros((dr, d * ds), dtype=np.complex128)
-    for i in range(d):
-        W[:, i * ds:(i + 1) * ds] = R.apply(g, ei(d, i))
+    # W = [S_g(e_0) ... S_g(e_{d-1})]
+    W = np.swapaxes(la.as_complex(R.maps[g]), 1, 2).reshape(dr, d * ds)
     # the unit fibre at x acts on H_x through S_{u(x)}
     gram = induced_gram(bundle, g, la.as_complex(R.maps[G.unit[x]]).transpose(2, 0, 1))
     iso_res = float(np.linalg.norm(W.conj().T @ W - gram))
-    # support: projection onto span(S_{u(y)}(A_g A_g*) H_y)
+    # support: projection onto span(S_{u(y)}(A_g A_g*) H_y), spanned by the
+    # columns of S_{u(y)}(e_i e_j*) for all (i, j)
     gi = G.inv[g]
-    vecs = []
-    for i in range(d):
-        for j in range(d):
-            c = bundle.mult_coords(g, gi, ei(d, i), bundle.inv[g][:, j])
-            vecs.append(R.apply(G.unit[y], c))
-    cols = np.hstack(vecs) if vecs else np.zeros((dr, 0))
-    frame = la.orth_rows(cols.T, tols.rank_threshold)
+    coords = np.einsum("kil,lj->kij", bundle.mult[(g, gi)], bundle.inv[g])
+    cols = np.einsum("abk,kij->aijb", la.as_complex(R.maps[G.unit[y]]), coords)
+    frame = la.orth_rows(cols.reshape(dr, -1).T, tols.rank_threshold)
     proj = frame.T @ frame.conj()
     ww = W @ la.psd_power(gram, -1.0, tols.rank_threshold) @ W.conj().T
     support_res = float(np.linalg.norm(ww - proj))
@@ -158,27 +316,33 @@ def integrate(R: FellRep) -> IntegratedRep:
 def _pivoted_range_frame(P: Array, rtol: float) -> Array:
     """Isometry onto range(P) by greedy column pivoting (stable, earliest
     index wins ties), so coordinate projections yield coordinate frames."""
-    work = P.astype(np.complex128).copy()
+    work = P.astype(np.complex128)
     n = work.shape[1]
-    scale = max(float(np.linalg.norm(work, axis=0).max(initial=0.0)), 1.0)
+    norms = _column_norms(work)
+    scale = max(float(norms.max(initial=0.0)), 1.0)
     cols = []
     for _ in range(n):
-        norms = np.linalg.norm(work, axis=0)
         top = float(norms.max(initial=0.0))
         if top <= rtol * scale * 10:
             break
         # earliest column within a tolerance band of the maximum, so exact
         # coordinate projections (up to float noise) give coordinate frames
-        j = int(np.nonzero(norms >= top * (1.0 - 1e-8))[0][0])
+        j = int(np.argmax(norms >= top * (1.0 - 1e-8)))
         v = work[:, j] / norms[j]
-        pivot_band = np.nonzero(np.abs(v) >= np.abs(v).max() * (1.0 - 1e-8))[0]
-        pivot = int(pivot_band[0])
-        v = v * (np.abs(v[pivot]) / v[pivot])
+        size = np.abs(v)
+        pivot = int(np.argmax(size >= size.max() * (1.0 - 1e-8)))
+        v = v * (size[pivot] / v[pivot])
         cols.append(v)
         work -= np.outer(v, v.conj() @ work)
+        norms = _column_norms(work)
     if not cols:
         return np.zeros((P.shape[0], 0), dtype=np.complex128)
     return np.stack(cols, axis=1)
+
+
+def _column_norms(a: Array) -> Array:
+    """``np.linalg.norm(a, axis=0)`` of a complex matrix, as numpy forms it."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=0))
 
 
 def disintegrate(bundle: FellBundle, L: Callable[[Section], Array], dim: int,
@@ -187,74 +351,90 @@ def disintegrate(bundle: FellBundle, L: Callable[[Section], Array], dim: int,
 
     The central projections L(1_x at unit) decompose the space into the
     H_x; S_g(a) is the compression of L(a delta_g) to the (r(g), s(g))
-    corner.  Raises on non-multiplicative, non-involutive or degenerate L.
+    corner.  Raises on non-finite or misshapen images and on
+    non-multiplicative, non-involutive or degenerate L.  The basis images
+    L(delta_{g,i}) are checked as one stack by ``_star_hom_residuals``:
+    involution, products of composable pairs, and vanishing of the
+    non-composable products, each to 1e-7; the first failure in delta order
+    is the one raised.
     """
     G = bundle.groupoid
     tol = max(tols.tolerance, 1e-12)
-    e = unit_section(bundle)
+    e, ones, deltas = bundle.memo("rep_sections", lambda: (
+        unit_section(bundle),
+        {x: Section(bundle, {G.unit[x]: bundle.unit_algebra_unit(x)}) for x in G.objects},
+        basis_sections(bundle)))
     Le = L(e)
-    if Le.shape != (dim, dim):
+    if np.shape(Le) != (dim, dim):
         raise ValueError("L has the wrong dimension")
-    if float(np.linalg.norm(Le @ Le - Le)) > 1e-8 * max(1.0, float(np.linalg.norm(Le))) or \
+    _require_finite(Le, "L(unit section)")
+    size = float(np.linalg.norm(Le))
+    if float(np.linalg.norm(Le @ Le - Le)) > 1e-8 * max(1.0, size) or \
             float(np.linalg.norm(Le - Le.conj().T)) > 1e-8:
         raise ValueError("L(unit section) is not a projection; L is not a *-homomorphism")
-    if float(np.linalg.norm(Le)) <= tol:
+    if size <= tol:
         raise ValueError("degenerate representation: L(unit section) = 0")
+    V0 = None
     if float(np.linalg.norm(Le - np.eye(dim))) > 1e-8:
         V0 = _pivoted_range_frame(Le, tols.rank_threshold)
-        base = L
 
-        def L(f: Section, _V0=V0, _base=base):  # noqa: E743
-            return _V0.conj().T @ _base(f) @ _V0
+    shape = (dim, dim)
+
+    def image(f: Section, label: str) -> Array:
+        m = L(f)
+        if np.shape(m) != shape:
+            raise ValueError(f"{label} has shape {np.shape(m)}, want {shape}")
+        return m
+
+    X = np.array([image(s, f"L(delta ({g},{i}))") for g, i, s in deltas],
+                 dtype=np.complex128).reshape(-1, dim, dim)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError("L(delta ({},{})) has a non-finite entry".format(*deltas[bad[0]][:2]))
+    if V0 is not None:
+        X = V0.conj().T @ X @ V0
         dim = V0.shape[1]
-
-    # sanity: multiplicative and involutive on delta sections (images cached)
-    deltas = basis_sections(bundle)
-    images: dict[str, list[Array]] = {g: [] for g in G.arrows}
-    for (g, i, s) in deltas:
-        images[g].append(L(s))
-    for (g, i, s) in deltas:
-        star = sum((c * m for c, m in zip(bundle.inv[g][:, i], images[G.inv[g]])),
-                   np.zeros((dim, dim), dtype=np.complex128))
-        if float(np.linalg.norm(images[g][i].conj().T - star)) > 1e-7:
-            raise ValueError(f"L is not involutive at ({g},{i})")
-    for (g, i, s) in deltas:
-        for (h, j, t) in deltas:
-            prod = images[g][i] @ images[h][j]
-            if G.src[g] != G.rng[h]:
-                if float(np.linalg.norm(prod)) > 1e-7:
-                    raise ValueError(f"L is not multiplicative at ({g},{h})")
-                continue
-            gh = G.comp[(g, h)]
-            conv = sum((c * m for c, m in zip(bundle.mult[(g, h)][:, i, j], images[gh])),
-                       np.zeros((dim, dim), dtype=np.complex128))
-            if float(np.linalg.norm(prod - conv)) > 1e-7:
-                raise ValueError(f"L is not multiplicative at ({g},{h})")
+    table = _delta_table(bundle)
+    inv, mult = _star_hom_residuals(bundle, X)
+    bad = np.flatnonzero(inv[0] > 1e-7)
+    if bad.size:
+        raise ValueError("L is not involutive at ({},{})".format(*table.deltas[bad[0]]))
+    bad = np.flatnonzero(mult[0] > 1e-7)
+    failed = np.concatenate([np.stack([table.rows[bad], table.cols[bad]], axis=1),
+                             _vanishing_failures(bundle, X, 1e-7)])
+    if failed.size:
+        # the first failing product in delta order: rows (g, i), then columns (h, j)
+        n, m = failed[np.lexsort(failed.T[::-1])[0]]
+        raise ValueError(f"L is not multiplicative at ({table.deltas[n][0]},{table.deltas[m][0]})")
 
     frames = {}
     dims = {}
     for x in G.objects:
-        u = G.unit[x]
-        one_x = Section(bundle, {u: bundle.unit_algebra_unit(x)})
-        P = L(one_x)
+        P = image(ones[x], f"L(1_{x})")
+        _require_finite(P, f"L(1_{x})")
+        if V0 is not None:
+            P = V0.conj().T @ P @ V0
         frames[x] = _pivoted_range_frame(P, tols.rank_threshold)
         dims[x] = frames[x].shape[1]
     total = sum(dims.values())
     if total != dim:
         raise ValueError(f"central projections decompose {total} of {dim} dimensions")
     maps = {}
-    for g in G.arrows:
+    for g, off in bundle.offsets().items():
         x, y = G.rng[g], G.src[g]
-        tensor = np.zeros((dims[x], dims[y], bundle.dims[g]), dtype=np.complex128)
-        for i in range(bundle.dims[g]):
-            tensor[:, :, i] = frames[x].conj().T @ images[g][i] @ frames[y]
-        maps[g] = tensor
+        corner = frames[x].conj().T @ X[off:off + bundle.dims[g]] @ frames[y]
+        maps[g] = np.ascontiguousarray(corner.transpose(1, 2, 0))
     R = FellRep(bundle, dims, maps)
     check = validate_rep(R, tols)
     if not check.ok:
         raise ValueError("disintegration produced an invalid representation:\n"
                          + check.summary())
     return R
+
+
+def _require_finite(m: Array, label: str) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{label} has a non-finite entry")
 
 
 def regular_fellrep(bundle: FellBundle, x: str, tols: Tolerances = DEFAULT) -> FellRep:
@@ -303,12 +483,12 @@ def intertwiner_check(R1: FellRep, R2: FellRep, T: Mapping[str, Array],
             raise ValueError(f"intertwiner at {x} has shape {t.shape}")
     for g in G.arrows:
         x, y = G.rng[g], G.src[g]
-        for i in range(bundle.dims[g]):
-            lhs = la.as_complex(T[x]) @ R1.apply(g, ei(bundle.dims[g], i))
-            rhs = R2.apply(g, ei(bundle.dims[g], i)) @ la.as_complex(T[y])
-            rep.check_residual(float(np.linalg.norm(lhs - rhs)),
-                               tol * max(1.0, float(np.linalg.norm(rhs))),
-                               "fibre intertwining", f"({g},{i})")
+        # the basis images S_g(e_i) of both representations, (d_g, ., .)
+        lhs = la.as_complex(T[x]) @ la.as_complex(R1.maps[g]).transpose(2, 0, 1)
+        rhs = la.as_complex(R2.maps[g]).transpose(2, 0, 1) @ la.as_complex(T[y])
+        res, norms = la.row_norms(lhs - rhs), la.row_norms(rhs)
+        for i in np.flatnonzero(~(res <= tol * np.fmax(1.0, norms))):
+            rep.add("fibre intertwining", f"({g},{i})", float(res[i]))
     L1, L2 = integrate(R1), integrate(R2)
     off1, off2 = R1.offsets(), R2.offsets()
     big = np.zeros((R2.total_dim(), R1.total_dim()), dtype=np.complex128)

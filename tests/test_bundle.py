@@ -261,3 +261,32 @@ def test_matrix_model_rejects_non_finite_entry(bad):
     m = np.full((1, 1), bad, dtype=complex)
     with pytest.raises(ValueError, match="arrow g1"):
         MatrixModelBundle(G, {"e": [np.eye(1)], "g1": [m]})
+
+
+def test_fiber_norms_invariant_under_unitary_change_of_unit_basis(certify_bundles):
+    # metamorphic: conjugating every unit-fibre representation rho_x by a
+    # Haar unitary V_x is a change of basis of C^{n_x}; the spectra of
+    # rho_x(a* a), hence every fibre norm, stay the same
+    from fellbund.bundle import entry_norms
+    rng = np.random.default_rng(12)
+    bundles = dict(gallery.shipped_bundles(), **certify_bundles)
+    for name, b in bundles.items():
+        G = b.groupoid
+        V = {x: la.random_unitary(b.unit_dim(x), rng) for x in G.objects}
+        rotated = FellBundle(G, b.dims, b.mult, b.inv,
+                             {x: V[x] @ b.unit_rep[x] @ V[x].conj().T for x in G.objects},
+                             name=f"{b.name} rotated")
+        entries = {}
+        for g in G.arrows:
+            d = b.dims[g]
+            rows = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+            np.testing.assert_allclose(rotated.fiber_norms(g, rows), b.fiber_norms(g, rows),
+                                       rtol=1e-12, atol=0, err_msg=f"{name} at {g}")
+            if d:
+                entries[g] = rows[0]
+                assert rotated.fiber_norm(g, rows[0]) == pytest.approx(
+                    b.fiber_norm(g, rows[0]), rel=1e-12, abs=0), (name, g)
+        got, want = entry_norms(rotated, entries), entry_norms(b, entries)
+        assert got.keys() == want.keys()
+        for g in got:
+            assert got[g] == pytest.approx(want[g], rel=1e-12, abs=0), (name, g)

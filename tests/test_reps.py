@@ -204,3 +204,126 @@ def test_partial_isometry_property():
             iso, supp = partial_isometry_residuals(R, g)
             assert iso < 1e-8, name
             assert supp < 1e-7, name
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_disintegrate_rejects_non_finite_l(bad):
+    # before the check, an inf L went through the V0 compression to a
+    # zero-dimensional representation that validate_rep called OK, and a
+    # NaN L ended in an IndexError from the pivoted range frame
+    b = gallery.z2_line_bundle()
+    with pytest.raises(ValueError, match=r"^L\(unit section\) has a non-finite entry$"):
+        disintegrate(b, lambda f: np.full((2, 2), bad), 2)
+
+
+def regular_l_with(b, x, fault):
+    """The regular representation's L at x, with ``fault(f, m)`` applied to
+    every image."""
+    L = integrate(regular_fellrep(b, x))
+    return (lambda f: fault(f, L.matrix(f))), L.dim
+
+
+def test_disintegrate_names_a_misshapen_or_non_finite_delta_image():
+    b = gallery.z2_line_bundle()
+    L, dim = regular_l_with(b, "pt", lambda f, m: np.zeros((3, 3)) if "g1" in f.entries else m)
+    # before the check: numpy's "matmul: Input operand 1 has a mismatch"
+    with pytest.raises(ValueError, match=r"^L\(delta \(g1,0\)\) has shape \(3, 3\), "
+                                         r"want \(2, 2\)$"):
+        disintegrate(b, L, dim)
+    L, dim = regular_l_with(b, "pt", lambda f, m: m * np.nan if "g1" in f.entries else m)
+    with pytest.raises(ValueError, match=r"^L\(delta \(g1,0\)\) has a non-finite entry$"):
+        disintegrate(b, L, dim)
+
+
+def test_disintegrate_names_a_non_finite_unit_image():
+    # on a line bundle the unit at x0 is a delta section too, so the fault
+    # comes from the number of calls: L(e), the deltas, then the L(1_x)
+    b = gallery.pair_line_bundle(2)
+    calls = []
+
+    def late_nan(f, m):
+        calls.append(f)
+        return m * np.nan if len(calls) > 1 + b.total_dim else m
+    L, dim = regular_l_with(b, "x0", late_nan)
+    with pytest.raises(ValueError, match=r"^L\(1_x0\) has a non-finite entry$"):
+        disintegrate(b, L, dim)
+
+
+def conjugated(R, U):
+    """R conjugated object by object: S_g -> U_{r(g)} S_g U_{s(g)}*."""
+    G = R.bundle.groupoid
+    return FellRep(R.bundle, dict(R.dims), {g: np.einsum(
+        "ab,bck,dc->adk", U[G.rng[g]], np.asarray(R.maps[g]), U[G.src[g]].conj())
+        for g in G.arrows})
+
+
+def test_validate_rep_witnesses_invariant_under_unitary_conjugation():
+    # metamorphic: a unitary change of basis of each H_x preserves every
+    # residual's Frobenius norm, hence the verdict and the witness list
+    rng = np.random.default_rng(9)
+    for name, b in gallery.shipped_bundles().items():
+        R = random_fellrep(b, rng)
+        G = b.groupoid
+        g = [h for h in G.arrows if np.asarray(R.maps[h]).size][-1]
+        maps = dict(R.maps)
+        maps[g] = 1.5 * np.asarray(R.maps[g]) + 1e-3j
+        broken = FellRep(b, dict(R.dims), maps)
+        U = {x: la.random_unitary(R.dims[x], rng) for x in G.objects}
+        for S in (R, broken):
+            want = validate_rep(S)
+            got = validate_rep(conjugated(S, U))
+            assert got.ok == want.ok, name
+            assert [(v.check, v.where) for v in got.violations] == \
+                [(v.check, v.where) for v in want.violations], name
+        assert not validate_rep(broken).ok, name
+
+
+def test_partial_isometry_residuals_match_basis_loop():
+    # W and the support vectors assembled one basis element at a time
+    from fellbund.bundle import ei
+    from fellbund.envelope import induced_gram
+    rng = np.random.default_rng(4)
+    for name in ("z2-line", "a4-over-z2", "z2-swap-compiled", "pair2-line", "m2-twisted"):
+        b = gallery.shipped_bundles()[name]
+        R = random_fellrep(b, rng)
+        G = b.groupoid
+        for g in G.arrows:
+            x, y = G.src[g], G.rng[g]
+            d, ds, dr = b.dims[g], R.dims[x], R.dims[y]
+            if d == 0 or ds == 0:
+                continue
+            W = np.hstack([R.apply(g, ei(d, i)) for i in range(d)])
+            gram = induced_gram(b, g, np.asarray(R.maps[G.unit[x]]).transpose(2, 0, 1))
+            cols = np.hstack([R.apply(G.unit[y], b.mult_coords(g, G.inv[g], ei(d, i),
+                                                               b.inv[g][:, j]))
+                              for i in range(d) for j in range(d)])
+            frame = la.orth_rows(cols.T)
+            ww = W @ la.psd_power(gram, -1.0) @ W.conj().T
+            iso, supp = partial_isometry_residuals(R, g)
+            assert iso == pytest.approx(float(np.linalg.norm(W.conj().T @ W - gram)),
+                                        abs=1e-12), (name, g)
+            assert supp == pytest.approx(float(np.linalg.norm(ww - frame.T @ frame.conj())),
+                                         abs=1e-12), (name, g)
+
+
+def test_intertwiner_fibre_residuals_match_basis_loop():
+    from fellbund.bundle import ei
+    rng = np.random.default_rng(10)
+    for name in ("a4-over-z2", "pair2-line", "m2-twisted"):
+        b = gallery.shipped_bundles()[name]
+        G = b.groupoid
+        R = random_fellrep(b, rng)
+        T = {x: rng.standard_normal((R.dims[x],) * 2) + 0j for x in G.objects}
+        want = []
+        for g in G.arrows:
+            for i in range(b.dims[g]):
+                lhs = T[G.rng[g]] @ R.apply(g, ei(b.dims[g], i))
+                rhs = R.apply(g, ei(b.dims[g], i)) @ T[G.src[g]]
+                res = float(np.linalg.norm(lhs - rhs))
+                if not res <= 1e-9 * max(1.0, float(np.linalg.norm(rhs))):
+                    want.append((f"({g},{i})", res))
+        got = [(v.where, v.residual) for v in intertwiner_check(R, R, T).violations
+               if v.check == "fibre intertwining"]
+        assert want and [w for w, _ in got] == [w for w, _ in want], name
+        for (_, a), (_, c) in zip(got, want):
+            assert a == pytest.approx(c, rel=1e-12, abs=1e-12), name
