@@ -71,16 +71,13 @@ def validate_rep(R: FellRep, tols: Tolerances = DEFAULT) -> ValidationReport:
     G = bundle.groupoid
     tol = tols.tolerance
     rep = ValidationReport("fell-bundle representation")
-    for g in G.arrows:
-        m = la.as_complex(R.maps[g])
-        want = (R.dims[G.rng[g]], R.dims[G.src[g]], bundle.dims[g])
-        if m.shape != want:
-            raise ValueError(f"map at {g} has shape {m.shape}, want {want}")
+    X = _basis_images(R)
     table = _delta_table(bundle)
-    inv, mult = _star_hom_residuals(bundle, _basis_images(R))
-    for n in np.flatnonzero(~(inv[0] <= tol * np.fmax(1.0, inv[1]))):
+    inv, mult = _star_hom_residuals(bundle, X)
+    bound = tol * np.fmax(1.0, la.row_norms(X.reshape(len(X), -1)))
+    for n in np.flatnonzero(~(inv <= bound)):
         rep.add("involution compatibility S_g(a)* = S_{g^-1}(a*)",
-                "({},{})".format(*table.deltas[n]), float(inv[0, n]))
+                "({},{})".format(*table.deltas[n]), float(inv[n]))
     for k in np.flatnonzero(~(mult[0] <= tol * np.fmax(1.0, mult[1]))):
         rep.add("multiplicativity S_g S_h = S_{gh}",
                 "({},{})".format(*table.pairs[table.pair_of[k]]), float(mult[0, k]))
@@ -103,14 +100,18 @@ def _basis_images(R: FellRep) -> Array:
     """The images S_g(e_i) in delta order, each in the top left corner of an
     (m, m) block of zeros, m the largest Hilbert dimension: the corners
     multiply and take adjoints as the blocks do, so every residual of the
-    *-homomorphism equations is the blocks' own."""
+    *-homomorphism equations is the blocks' own.  Raises on a map of the
+    wrong shape."""
     bundle = R.bundle
     G = bundle.groupoid
     m = max(R.dims.values(), default=0)
     X = np.zeros((bundle.total_dim, m, m), dtype=np.complex128)
     for g, off in bundle.offsets().items():
-        X[off:off + bundle.dims[g], :R.dims[G.rng[g]], :R.dims[G.src[g]]] = \
-            la.as_complex(R.maps[g]).transpose(2, 0, 1)
+        S = la.as_complex(R.maps[g])
+        want = (R.dims[G.rng[g]], R.dims[G.src[g]], bundle.dims[g])
+        if S.shape != want:
+            raise ValueError(f"map at {g} has shape {S.shape}, want {want}")
+        X[off:off + want[2], :want[0], :want[1]] = S.transpose(2, 0, 1)
     return X
 
 
@@ -182,12 +183,12 @@ def _delta_table(bundle: FellBundle) -> _DeltaTable:
 
 def _star_hom_residuals(bundle: FellBundle, X: Array) -> tuple[Array, Array]:
     """How far the basis images X (N, m, m), one per delta in delta order,
-    are from a *-homomorphism.  Returns two arrays (2, .):
+    are from a *-homomorphism.  Returns
 
-    * per delta e_i^g, the residual |X(e_i)* - X(e_i*)|, with e_i* = sum_k
-      inv[g][k, i] e_k in A_{g^-1}, and the norm |X(e_i)|;
+    * per delta e_i^g, the residual |X(e_i)* - X(e_i*)| (N,), with e_i* =
+      sum_k inv[g][k, i] e_k in A_{g^-1};
     * per product of ``_delta_table``, the residual |X(e_i) X(e_j) -
-      X(e_i e_j)| and the norm |X(e_i e_j)|.
+      X(e_i e_j)| and the norm |X(e_i e_j)|, as an array (2, K).
 
     Each comparison is one contraction per stack of the table, the products
     in slices of at most ``_STACK_CHUNK`` matrix entries.
@@ -195,12 +196,11 @@ def _star_hom_residuals(bundle: FellBundle, X: Array) -> tuple[Array, Array]:
     table = _delta_table(bundle)
     n, m = X.shape[0], X.shape[-1]
     flat = X.reshape(n, m * m)
-    inv = np.empty((2, n))
-    inv[1] = la.row_norms(flat)
+    inv = np.empty(n)
     for rows, inv_rows, J in table.involution:
         t, d = rows.shape
         lhs = np.swapaxes(X[rows].conj(), -1, -2).reshape(t, d, m * m)
-        inv[0, rows.ravel()] = la.row_norms((lhs - J @ flat[inv_rows]).reshape(t * d, -1))
+        inv[rows.ravel()] = la.row_norms((lhs - J @ flat[inv_rows]).reshape(t * d, -1))
     mult = np.empty((2, len(table.rows)))
     for g_rows, h_rows, gh_rows, M, numbers in table.products:
         t, dg = g_rows.shape
@@ -388,21 +388,21 @@ def disintegrate(bundle: FellBundle, L: Callable[[Section], Array], dim: int,
 
     X = np.array([image(s, f"L(delta ({g},{i}))") for g, i, s in deltas],
                  dtype=np.complex128).reshape(-1, dim, dim)
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=(1, 2)))
-    if bad.size:
-        raise ValueError("L(delta ({},{})) has a non-finite entry".format(*deltas[bad[0]][:2]))
+    if not np.isfinite(X).all():
+        n = np.flatnonzero(~np.isfinite(X).all(axis=(1, 2)))[0]
+        raise ValueError("L(delta ({},{})) has a non-finite entry".format(*deltas[n][:2]))
     if V0 is not None:
         X = V0.conj().T @ X @ V0
         dim = V0.shape[1]
     table = _delta_table(bundle)
     inv, mult = _star_hom_residuals(bundle, X)
-    bad = np.flatnonzero(inv[0] > 1e-7)
+    bad = np.flatnonzero(inv > 1e-7)
     if bad.size:
         raise ValueError("L is not involutive at ({},{})".format(*table.deltas[bad[0]]))
     bad = np.flatnonzero(mult[0] > 1e-7)
-    failed = np.concatenate([np.stack([table.rows[bad], table.cols[bad]], axis=1),
-                             _vanishing_failures(bundle, X, 1e-7)])
-    if failed.size:
+    failed = _vanishing_failures(bundle, X, 1e-7)
+    if bad.size or failed.size:
+        failed = np.concatenate([np.stack([table.rows[bad], table.cols[bad]], axis=1), failed])
         # the first failing product in delta order: rows (g, i), then columns (h, j)
         n, m = failed[np.lexsort(failed.T[::-1])[0]]
         raise ValueError(f"L is not multiplicative at ({table.deltas[n][0]},{table.deltas[m][0]})")

@@ -6,9 +6,10 @@ kept here as references, written against ``FellRep.apply`` and the bundle's
 structure tensors only: on regular and seeded random representations of the
 shipped and certify bundles the reports agree entry for entry and the
 disintegrated maps bit for bit; on perturbed representations the ordered
-witness lists agree, with residuals to 1e-9 relative; and on broken L the
-first error raised is the same.  Every comparison is repeated with stacks of
-one item.
+witness lists agree, with residuals to 1e-9 relative; on broken L the first
+error raised is the same; and the screen for non-composable products finds
+the products that forming each one finds.  Every comparison is repeated
+with stacks of one item.
 """
 
 import numpy as np
@@ -20,8 +21,8 @@ from fellbund.bundle import ei
 from fellbund.config import DEFAULT
 from fellbund.groupoid import composable_pairs
 from fellbund.report import ValidationReport
-from fellbund.reps import (FellRep, disintegrate, integrate, random_fellrep,
-                           regular_fellrep, validate_rep)
+from fellbund.reps import (FellRep, _vanishing_failures, disintegrate, integrate,
+                           random_fellrep, regular_fellrep, validate_rep)
 from fellbund.sections import Section, basis_sections, unit_section
 
 # -- loop references ------------------------------------------------------------
@@ -274,6 +275,40 @@ def test_compressed_l_maps_match_loop_reference():
         assert got.dims == want.dims, name
         for g in b.groupoid.arrows:
             assert np.array_equal(got.maps[g], want.maps[g]), (name, g)
+
+
+def brute_vanishing_failures(bundle, X, tol):
+    G = bundle.groupoid
+    deltas = [g for g in G.arrows for _ in range(bundle.dims[g])]
+    return [[n, k] for n, g in enumerate(deltas) for k, h in enumerate(deltas)
+            if G.src[g] != G.rng[h] and float(np.linalg.norm(X[n] @ X[k])) > tol]
+
+
+def test_vanishing_screen_matches_all_products(certify_raw):
+    # every product of non-composable basis images, formed one by one: none
+    # above tol for a representation, some after one image gets a corner
+    # block E (A E and E B vanish for different B), all for random images
+    rng = np.random.default_rng(21)
+    shipped = gallery.shipped_bundles()
+    cases = [shipped["pair2-line"], shipped["a4"], shipped["a4-partial"],
+             bundles(certify_raw)["line-pair3"]]
+    failing = []
+    for b in cases:
+        R = regular_fellrep(b, b.groupoid.objects[0])
+        L = integrate(R)
+        off = R.offsets()
+        X = np.array([L.matrix(s) for _, _, s in basis_sections(b)])
+        assert _vanishing_failures(b, X, 1e-7).tolist() == [], b.name
+        z1, *_, z2 = [x for x in b.groupoid.objects if R.dims[x]]
+        for n in (0, len(X) - 1):
+            Y = X.copy()
+            Y[n, off[z1]:off[z1] + R.dims[z1], off[z2]:off[z2] + R.dims[z2]] += 0.5
+            want = brute_vanishing_failures(b, Y, 1e-7)
+            assert _vanishing_failures(b, Y, 1e-7).tolist() == want, (b.name, n)
+            failing.append(len(want))
+        Y = rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
+        assert _vanishing_failures(b, Y, 1e-7).tolist() == brute_vanishing_failures(b, Y, 1e-7)
+    assert sum(failing) > 0 and failing.count(0) < len(failing) - 1
 
 
 @pytest.mark.parametrize("name", sorted(perturbed_reps()))
