@@ -6,7 +6,10 @@ Runs, in process, the 11 README demo commands, two more ``represent
 --roundtrip`` fuzz runs and ``validate`` on the demo's two twisted partial
 actions on ``examples_ws/demo.json``, and
 ``validate``/``envelope``/``spectrum``/``quasi-orbits``/``ideals`` on every
-bundle of the seeded benchmark workspace ``perfbench/workloads.certify_workspace(seed)``.
+bundle of the seeded benchmark workspace ``perfbench/workloads.certify_workspace(seed)``,
+and ``validate`` on the seeded 1e-6 perturbation of ``a4-over-z2`` that
+``tests/test_witnesses.py`` checks, written as a structure-tensor workspace:
+its report lists norm-check witnesses with their residuals.
 Each command's stdout goes to its own file under OUT, and ``exit_codes.txt``
 lists the exit status of every command.  fellbund is imported from
 CHECKOUT's ``src`` (default: the checkout holding this script), so two
@@ -49,6 +52,35 @@ DEMO_COMMANDS = [
 CERTIFY_COMMANDS = ["validate", "envelope", "spectrum", "quasi-orbits", "ideals"]
 
 
+def perturbed_workspace(fb) -> dict:
+    """``perturbed(a4-over-z2, seed=len("a4-over-z2"))`` of
+    tests/test_witnesses.py: every entry of every structure tensor plus 1e-6
+    times a seeded complex normal, as a structure-tensor workspace (config
+    seed 3, as there)."""
+    import numpy as np
+    b = fb.gallery.a4_over_z2_bundle()
+    G = b.groupoid
+    rng = np.random.default_rng(len("a4-over-z2"))
+
+    def noisy(tensors: dict) -> dict:
+        return {k: t + 1e-6 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
+                for k, t in tensors.items()}
+    mult, inv, unit_rep = noisy(b.mult), noisy(b.inv), noisy(b.unit_rep)
+    dump_complex, dump_matrix = fb.workspace.dump_complex, fb.workspace.dump_matrix
+    groupoid = {"objects": list(G.objects),
+                "arrows": [{"id": g, "src": G.src[g], "rng": G.rng[g]} for g in G.arrows],
+                "units": dict(G.unit), "inv": dict(G.inv),
+                "comp": [[g, h, k] for (g, h), k in G.comp.items()]}
+    bundle = {"groupoid": "G", "fibers": {g: {"dim": b.dims[g]} for g in G.arrows},
+              "mult": [[g, h, *map(int, index), dump_complex(t[index])]
+                       for (g, h), t in mult.items() for index in np.ndindex(t.shape)],
+              "inv": {g: dump_matrix(m) for g, m in inv.items()},
+              "unit_algebras": {x: {"n": int(r.shape[1]), "basis": [dump_matrix(m) for m in r]}
+                                for x, r in unit_rep.items()}}
+    return {"config": {"seed": 3}, "groupoids": {"G": groupoid},
+            "bundles": {"a4-over-z2-perturbed": bundle}}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="directory for the report files (created)")
@@ -61,6 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     # the library and the benchmark's workspace generator of that checkout
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import fellbund.cli
+    import fellbund.gallery
+    import fellbund.workspace
     from workloads import CERTIFY_BUNDLES, certify_workspace
 
     jobs = []  # (file name, argv)
@@ -77,6 +111,10 @@ def main(argv: list[str] | None = None) -> int:
             for name, *_ in CERTIFY_BUNDLES:
                 for cmd in CERTIFY_COMMANDS:
                     jobs.append((f"certify{seed} {cmd} {name}", [cmd, ws, name]))
+        ws = os.path.join(tmp, "perturbed.json")
+        with open(ws, "w") as fh:
+            json.dump(perturbed_workspace(fellbund), fh)
+        jobs.append(("perturbed validate a4-over-z2", ["validate", ws, "a4-over-z2-perturbed"]))
         for label, cli_argv in jobs:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

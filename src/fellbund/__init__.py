@@ -11,7 +11,7 @@ from .config import DEFAULT, Tolerances
 from .groupoid import (FiniteGroupoid, PartialActionOnSet, composable_pairs,
                        composable_triples, transformation_groupoid, validate_groupoid)
 from .bundle import (BundleHom, FellBundle, MatrixModelBundle, UnitFiberAlgebra,
-                     fiber_norm, range_source_ideals, saturation_check,
+                     range_source_ideals, saturation_check,
                      validate_bundle_hom, validate_fell_bundle)
 from .sections import (Section, convolve, delta_section, factor, i_norm,
                        induced_hom, involute, unit_section)
@@ -39,7 +39,7 @@ __all__ = [
     "FiniteGroupoid", "PartialActionOnSet", "composable_pairs", "composable_triples",
     "transformation_groupoid", "validate_groupoid",
     "BundleHom", "FellBundle", "MatrixModelBundle", "UnitFiberAlgebra",
-    "fiber_norm", "range_source_ideals", "saturation_check",
+    "range_source_ideals", "saturation_check",
     "validate_bundle_hom", "validate_fell_bundle",
     "Section", "convolve", "delta_section", "factor", "i_norm", "induced_hom",
     "involute", "unit_section",

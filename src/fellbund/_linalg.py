@@ -249,13 +249,6 @@ def hermitian_part(a: Array) -> Array:
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
-def top_eigenvalue(a: Array) -> float:
-    """Largest eigenvalue of the hermitian part; 0 for empty matrices."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(hermitian_part(a))[-1])
-
-
 def psd_power(a: Array, power: float, rtol: float = 1e-10) -> Array:
     """Spectral power of a PSD matrix; eigenvalues below threshold become 0.
 

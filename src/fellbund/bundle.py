@@ -8,7 +8,9 @@ with structure tensors:
   matrix applied to the conjugated coordinate vector;
 * ``unit_rep[x]``: stack (d_{u(x)}, n_x, n_x), a faithful *-representation of
   the unit fibre on C^{n_x}.  This is the norm oracle: the norm of a in A_g
-  is sqrt(lambda_max(rho_{s(g)}(a* a))).
+  is sqrt(lambda_max(rho_{s(g)}(a* a))).  One core, ``FellBundle.norm_rows``,
+  forms it (and the bottom of the spectrum) for every caller: the I-norm, the
+  validator's norm axioms and ``fiber_norm``, a request of one element.
 
 The matrix model (fibres given as subspaces of rectangular matrices, product
 = matrix product, involution = conjugate transpose) is a constructor for this
@@ -18,6 +20,7 @@ structure, not a separate runtime representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
@@ -171,41 +174,69 @@ class FellBundle:
         """Coordinates of a* . b in A_{u(s(g))}, for a, b in A_g."""
         return np.einsum("kij,i,j->k", self.star_mult_tensor(g), np.conj(a), b)
 
-    def star_mult_rows(self, g: str, A: Array, B: Array) -> Array:
-        """Coordinates of a_m* . b_m for the rows of two (m, d_g) stacks."""
-        return np.einsum("kij,mi,mj->mk", self.star_mult_tensor(g), np.conj(A), B)
-
-    def unit_spectra(self, x: str, C: Array) -> Array:
-        """Ascending eigenvalues of the hermitian part of rho_x(c), one row
-        per row c of the (m, d_{u(x)}) stack ``C``: shape (m, n_x)."""
-        return _spectra(self.unit_rep[x], C)
-
     def fiber_norm(self, g: str, a: Array) -> float:
-        """sqrt of the top eigenvalue of rho_{s(g)}(a* a), formed for a / 2^e
-        with 2^e the power of two just above max |a|, and scaled back by 2^e:
-        a* a can then neither overflow nor underflow."""
-        a = la.as_complex(a)
-        if a.size == 0:
-            return 0.0
-        e = _exponents(a)
-        a = _ldexp(a, -e)
-        mat = self.unit_matrix(self.groupoid.src[g], self.star_mult_coords(g, a, a))
-        return float(np.ldexp(np.sqrt(max(la.top_eigenvalue(mat), 0.0)), e))
+        """The norm of a in A_g: ``norm_rows`` of the one row a."""
+        return float(self.norm_rows([(g, la.as_complex(a)[None])])[0][0])
 
-    def fiber_norms(self, g: str, A: Array) -> Array:
-        """``fiber_norm`` of each row of the (m, d_g) stack ``A``: one einsum
-        for the a*a coordinates and one stacked ``eigvalsh``."""
-        A = la.as_complex(A)
-        e = _exponents(A)
-        A = _ldexp(A, -e[:, None])
-        return np.ldexp(_top_norms(self.unit_spectra(self.groupoid.src[g],
-                                                     self.star_mult_rows(g, A, A))), e)
+    def norm_rows(self, requests: list[tuple[str, Array]]) -> tuple[Array, Array]:
+        """Per row a of the requests (g, rows (m, d_g)), in order: the fibre norm
+        sqrt(lambda_max(rho_{s(g)}(a* a))) and the bottom eigenvalue of rho_{s(g)}(a* a),
+        as two arrays; 0 where d_g or n_{s(g)} is 0.  Each row is formed as a / 2^e,
+        2^e the power of two just above max |a|, and the results scaled back, so
+        a* a neither overflows nor underflows.  The rows of one ``norm_stacks``
+        group take one einsum for their a* a coordinates, one batched (1, d_u) @
+        (d_u, n^2) product and one ``eigvalsh``, in chunks of at most _STACK_CHUNK
+        elements of per-row stacks.  A non-finite row raises ValueError naming its arrow."""
+        index = self.memo("norm_index", lambda: {  # arrow with d_g > 0 -> (group, place)
+            g: (k, i) for k, (arrows, _, _) in enumerate(self.norm_stacks())
+            for i, g in enumerate(arrows)})
+        sizes = [len(rows) for _, rows in requests]
+        ends = list(accumulate(sizes))
+        members: dict[int, list[int]] = {}
+        for r, (g, _) in enumerate(requests):
+            if self.dims[g]:
+                members.setdefault(index[g][0], []).append(r)
+        norms, bottoms = np.zeros((2, sum(sizes)))
+        with np.errstate(over="ignore"):  # a* a itself may exceed the range
+            for k, rs in members.items():
+                arrows, tensors, reps = self.norm_stacks()[k]
+                A = np.concatenate([requests[r][1] for r in rs], dtype=np.complex128)
+                at = [index[requests[r][0]][1] for r in rs]
+                # slices, not gathers, when the rows are the group's arrows in order
+                whole = len(A) == len(arrows) and at == list(range(len(arrows)))
+                if not whole:
+                    at = np.repeat(at, [sizes[r] for r in rs])
+                rows = None if len(A) == len(norms) else np.concatenate(
+                    [np.arange(ends[r] - sizes[r], ends[r]) for r in rs])
+                d, du, n = tensors.shape[-1], reps.shape[1], reps.shape[-1]
+                # per row: the row, its tensor and representation, a* a, n x n matrices
+                step = max(1, la._STACK_CHUNK // (d + du * (d * d + n * n + 1) + 4 * n * n))
+                for c in range(0, len(A), step):
+                    C, p = A[c:c + step], (slice(c, c + step) if whole else at[c:c + step])
+                    top = np.abs(C.view(np.float64)).max(axis=1)  # as in ``_exponents``
+                    if not top.max() < np.inf:  # an inf, or a NaN (it fails every comparison)
+                        bad = at[c + np.flatnonzero(~np.isfinite(top))[0]]
+                        raise ValueError(f"non-finite fibre element at arrow {arrows[bad]}")
+                    if n == 0:
+                        continue
+                    e = np.frexp(top)[1]
+                    C = _ldexp(C, -e[:, None])
+                    coords = np.einsum("mkij,mi,mj->mk", tensors[p], np.conj(C), C)
+                    # one (1, d_u) @ (d_u, n^2) product per row
+                    mats = np.matmul(coords[:, None], reps[p].reshape(len(C), du, n * n))
+                    # (a 1 x 1 hermitian part is the real part, its one eigenvalue)
+                    spectra = mats.real.reshape(len(C), 1) if n == 1 else \
+                        np.linalg.eigvalsh(la.hermitian_part(mats.reshape(len(C), n, n)))
+                    out = slice(c, c + step) if rows is None else rows[c:c + step]
+                    norms[out] = np.ldexp(np.sqrt(np.maximum(spectra[:, -1], 0.0)), e)
+                    bottoms[out] = np.ldexp(spectra[:, 0], 2 * e)
+        return norms, bottoms
 
     def norm_stacks(self) -> list[tuple[list[str], Array, Array]]:
         """The arrows with a nonzero fibre, grouped by the shapes (d_g,
         d_{u(s(g))}, n_{s(g)}) in declared arrow order, each group with its
         ``star_mult_tensor``s (A, d_u, d_g, d_g) and the unit representations
-        at the sources (A, d_u, n, n) stacked, for ``entry_norms``."""
+        at the sources (A, d_u, n, n) stacked, for ``norm_rows``."""
         def build() -> list:
             G = self.groupoid
             groups: dict[tuple[int, ...], list[str]] = {}
@@ -227,41 +258,6 @@ class FellBundle:
         return self.memo("conv_plan", build)
 
 
-def fiber_norm(bundle: FellBundle, g: str, a: Array) -> float:
-    return bundle.fiber_norm(g, a)
-
-
-def entry_norms(bundle: FellBundle, entries: Mapping[str, Array]) -> dict[str, float]:
-    """``fiber_norm`` of every entry of a section, bit for bit: per group of
-    ``norm_stacks``, the entries present are stacked and go through one
-    einsum for their a*a coordinates and one stacked ``eigvalsh``."""
-    norms: dict[str, float] = {}
-    for arrows, tensors, reps in bundle.norm_stacks():
-        rows = [m for m, g in enumerate(arrows) if g in entries]
-        if not rows:
-            continue
-        if len(rows) < len(arrows):
-            arrows, tensors, reps = [arrows[m] for m in rows], tensors[rows], reps[rows]
-        A = la.as_complex([entries[g] for g in arrows])
-        e = _exponents(A)
-        A = _ldexp(A, -e[:, None])
-        coords = np.einsum("mkij,mi,mj->mk", tensors, np.conj(A), A)
-        norms.update(zip(arrows, np.ldexp(_top_norms(_spectra(reps, coords)), e).tolist()))
-    return norms
-
-
-def _spectra(R: Array, C: Array) -> Array:
-    """Ascending eigenvalues of the hermitian part of sum_k c_k R_k, per row
-    c of the (m, d) stack ``C``, with R (d, n, n) shared by the rows or
-    (m, d, n, n) one per row: shape (m, n)."""
-    d, n = R.shape[-3], R.shape[-1]
-    # one (1, d) @ (d, n*n) product per row, as ``unit_matrix`` forms it for
-    # one vector, so each matrix is bit-identical to the one-vector path
-    flat = R.reshape(R.shape[:-3] + (d, n * n))
-    mats = np.matmul(C[:, None, :], flat)[:, 0].reshape(len(C), n, n)
-    return np.linalg.eigvalsh(la.hermitian_part(mats))
-
-
 def _exponents(A: Array) -> Array:
     """Per vector (last axis) of the complex ``A``, the exponent e with
     max(|Re|, |Im|) in [2^(e-1), 2^e); 0 for a zero vector.  Dividing by 2^e
@@ -274,14 +270,6 @@ def _ldexp(A: Array, e) -> Array:
     """A · 2^e for a complex array (e broadcast against A), exact down to
     the subnormals."""
     return np.ldexp(np.ascontiguousarray(A).view(np.float64), e).view(np.complex128)
-
-
-def _top_norms(spectra: Array) -> Array:
-    """sqrt of the top eigenvalue (clipped at 0) per row of ascending
-    spectra (m, n); 0 where n = 0."""
-    if spectra.shape[1] == 0:
-        return np.zeros(spectra.shape[0])
-    return np.sqrt(np.maximum(spectra[:, -1], 0.0))
 
 
 # -- matrix model --------------------------------------------------------------
@@ -409,21 +397,14 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
     rng = np.random.default_rng(tols.seed)
     mult, dims, comp = bundle.mult, bundle.dims, G.comp
 
-    # associativity on composable triples, stacked by tensor shapes
-    triples = composable_triples(G)
-    res, scale = np.zeros(len(triples)), np.zeros(len(triples))
-    # size: the (d_ghk, d_g, d_h, d_k) products
-    for chunk, (lk, gh, gk, hk) in la.stacks(
-            [(mult[(comp[t[:2]], t[2])], mult[t[:2]], mult[(t[0], comp[t[1:]])], mult[t[1:]])
-             for t in triples],
-            lambda s: s[0][0] * s[1][1] * s[1][2] * s[0][2]):
-        left = np.einsum("tkml,tmij->tkijl", lk, gh)
-        scale[chunk] = la.row_norms(left)
-        left -= np.einsum("tkim,tmjl->tkijl", gk, hk)
-        res[chunk] = la.row_norms(left)
-    for p in np.flatnonzero(~(res <= tol * np.maximum(1.0, scale))):
-        rep.check_residual(res[p], tol * max(1.0, float(scale[p])),
-                           "associativity", "({},{},{})".format(*triples[p]))
+    # associativity on composable triples, stacked by tensor shapes; size:
+    # the (d_ghk, d_g, d_h, d_k) products
+    _stacked_check(rep, tol, "associativity", composable_triples(G),
+                   lambda t: (mult[(comp[t[:2]], t[2])], mult[t[:2]],
+                              mult[(t[0], comp[t[1:]])], mult[t[1:]]),
+                   lambda s: s[0][0] * s[1][1] * s[1][2] * s[0][2],
+                   lambda lk, gh, gk, hk: np.einsum("tkml,tmij->tkijl", lk, gh),
+                   lambda lk, gh, gk, hk: np.einsum("tkim,tmjl->tkijl", gk, hk))
 
     # involution: (a*)* = a and (ab)* = b* a*
     for g in G.arrows:
@@ -432,19 +413,13 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         res = float(np.linalg.norm(eye - np.eye(bundle.dims[g])))
         rep.check_residual(res, tol, "involution involutive", f"arrow {g}")
     pairs = [(g, h) for g, h in composable_pairs(G) if dims[g] and dims[h]]
-    res, scale = np.zeros(len(pairs)), np.zeros(len(pairs))
     # size: the (d_{(gh)^-1}, d_g, d_h) products
-    for chunk, (j_gh, m_gh, m_hg, j_h, j_g) in la.stacks(
-            [(bundle.inv[comp[p]], mult[p], mult[(G.inv[p[1]], G.inv[p[0]])],
-              bundle.inv[p[1]], bundle.inv[p[0]]) for p in pairs],
-            lambda s: s[0][0] * s[1][1] * s[1][2]):
-        lhs = np.einsum("tlk,tkij->tlij", j_gh, np.conj(m_gh))
-        scale[chunk] = la.row_norms(lhs)
-        lhs -= np.einsum("tkab,taj,tbi->tkij", m_hg, j_h, j_g)
-        res[chunk] = la.row_norms(lhs)
-    for p in np.flatnonzero(~(res <= tol * np.maximum(1.0, scale))):
-        rep.check_residual(res[p], tol * max(1.0, float(scale[p])),
-                           "involution anti-multiplicative", "({},{})".format(*pairs[p]))
+    _stacked_check(rep, tol, "involution anti-multiplicative", pairs,
+                   lambda p: (bundle.inv[comp[p]], mult[p], mult[(G.inv[p[1]], G.inv[p[0]])],
+                              bundle.inv[p[1]], bundle.inv[p[0]]),
+                   lambda s: s[0][0] * s[1][1] * s[1][2],
+                   lambda j_gh, m_gh, *_: np.einsum("tlk,tkij->tlij", j_gh, np.conj(m_gh)),
+                   lambda _, __, m_hg, j_h, j_g: np.einsum("tkab,taj,tbi->tkij", m_hg, j_h, j_g))
 
     # unit fibre representations are faithful *-homomorphisms with a unit
     for x in G.objects:
@@ -492,18 +467,47 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         i = int(np.flatnonzero(keep)[r]) % keep.shape[-1]
         return f"basis {i}" if i < bundle.dims[g] else f"random {i - bundle.dims[g]}"
 
-    for g in G.arrows:
-        rows, keep = elements(g, rng.standard_normal((1, samples, 2, bundle.dims[g])))
-        E = rows[keep]
-        x = G.src[g]
-        s = bundle.star_mult_rows(g, E, E)
-        spectra = bundle.unit_spectra(x, s)
-        na = _top_norms(spectra)
-        mn = spectra[:, 0] if spectra.shape[1] else np.zeros(len(E))
-        # a* row by row, one matrix-vector product each as ``star_coords`` forms it
-        stars = np.matmul(bundle.inv[g], np.conj(E)[:, :, None])[:, :, 0]
-        nstar = bundle.fiber_norms(G.inv[g], stars)
-        nu = bundle.fiber_norms(G.unit[x], s)
+    # every element is drawn first (no draw depends on a norm): per arrow its
+    # elements E, then per pair the factors a, b of its products
+    drawn = [elements(g, rng.standard_normal((1, samples, 2, dims[g]))) for g in G.arrows]
+    E = [rows[keep] for rows, keep in drawn]
+    factors = []
+    for g, h in pairs:
+        # elements(h) is drawn afresh for each element of A_g, after that
+        # element's own draw, as in a nested loop over lazy draws: first one
+        # block for each basis element of A_g, then per random element t its
+        # own normals and one block.  (A nonzero fibre draws the zero vector
+        # with probability 0; a lazy loop would skip it and not draw the block
+        # after it, here that block is drawn and dropped.)
+        d, e = dims[g], dims[h]
+        head = d * samples * 2 * e
+        z = rng.standard_normal(head + samples * (2 * d + samples * 2 * e))
+        tail = z[head:].reshape(samples, -1)
+        rows_g, keep_g = elements(g, tail[:, :2 * d].reshape(1, samples, 2, d))
+        rows_h, keep_h = elements(h, np.concatenate([
+            z[:head].reshape(d, samples, 2, e), tail[:, 2 * d:].reshape(samples, samples, 2, e)]))
+        keep_h &= keep_g[0][:, None]
+        owner = np.repeat(np.arange(keep_g.sum()), keep_h.sum(axis=1)[keep_g[0]])
+        factors.append((rows_g[keep_g], rows_h[keep_h], keep_g, keep_h, owner))
+
+    # two norm-core calls: the elements, their stars (a* row by row as ``star_coords``
+    # forms it), the products and their factors; then the elements' a* a coordinates
+    requests = list(zip(G.arrows, E)) + [
+        (G.inv[g], np.matmul(bundle.inv[g], np.conj(e)[:, :, None])[:, :, 0])
+        for g, e in zip(G.arrows, E)] + [
+        (comp[p], np.einsum("kij,ri,rj->rk", mult[p], a[owner], b))
+        for p, (a, b, _, _, owner) in zip(pairs, factors)]
+    requests += [(g, a) for (g, _), (a, *_) in zip(pairs, factors)]
+    requests += [(h, b) for (_, h), (_, b, *_) in zip(pairs, factors)]
+    cuts = np.cumsum([len(rows) for _, rows in requests])[:-1]
+    norms, mins = (np.split(v, cuts) for v in bundle.norm_rows(requests))
+    units = np.split(bundle.norm_rows([(G.unit[G.src[g]], np.einsum(
+        "kij,mi,mj->mk", bundle.star_mult_tensor(g), np.conj(e), e))
+        for g, e in zip(G.arrows, E)])[0], cuts[:len(E) - 1])
+
+    # the flagged rows only, in the order of the element-at-a-time loops
+    for k, (g, (_, keep)) in enumerate(zip(G.arrows, drawn)):
+        na, mn, nstar, nu = norms[k], mins[k], norms[len(E) + k], units[k]
         res_star, tol_star = np.abs(na - nstar), 10 * tol * np.maximum(1.0, na)
         res_c, tol_c = np.abs(nu - na * na), 10 * tol * np.maximum(1.0, na * na)
         flagged = ~(res_star <= tol_star) | (mn < -0.1 * tol) | ~(res_c <= tol_c)
@@ -515,27 +519,9 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
             elif mn[r] < -0.1 * tol:
                 rep.note(f"borderline positivity at {where}: min eigenvalue {mn[r]:.3e}")
             rep.check_residual(res_c[r], tol_c[r], "C*-identity |a*a| = |a|^2", where)
-
-    for g, h in pairs:
-        gh = G.comp[(g, h)]
-        # elements(h) is drawn afresh for each element of A_g, after that
-        # element's own draw, as in a nested loop over lazy draws: first one
-        # block for each basis element of A_g, then per random element t its
-        # own normals and one block.  (A nonzero fibre draws the zero vector
-        # with probability 0; a lazy loop would skip it and not draw the block
-        # after it, here that block is drawn and dropped.)
-        d, e = bundle.dims[g], bundle.dims[h]
-        head = d * samples * 2 * e
-        z = rng.standard_normal(head + samples * (2 * d + samples * 2 * e))
-        tail = z[head:].reshape(samples, -1)
-        rows_g, keep_g = elements(g, tail[:, :2 * d].reshape(1, samples, 2, d))
-        rows_h, keep_h = elements(h, np.concatenate([
-            z[:head].reshape(d, samples, 2, e), tail[:, 2 * d:].reshape(samples, samples, 2, e)]))
-        keep_h &= keep_g[0][:, None]
-        A, B = rows_g[keep_g], rows_h[keep_h]
-        owner = np.repeat(np.arange(len(A)), keep_h.sum(axis=1)[keep_g[0]])
-        lhs = bundle.fiber_norms(gh, np.einsum("kij,ri,rj->rk", mult[(g, h)], A[owner], B))
-        bound = bundle.fiber_norms(g, A)[owner] * bundle.fiber_norms(h, B)
+    for k, ((g, h), (_, _, keep_g, keep_h, owner)) in enumerate(zip(pairs, factors)):
+        lhs, na, nb = (norms[2 * len(E) + j * len(pairs) + k] for j in range(3))
+        bound = na[owner] * nb
         for r in np.flatnonzero(lhs > bound + 10 * tol * np.maximum(1.0, bound)):
             rep.add("submultiplicativity",
                     f"({g} {label(g, keep_g, owner[r])}, {h} {label(h, keep_h, r)})",
@@ -554,6 +540,23 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         rep.require(span.shape[0] == d, "nondegeneracy A_g A_g* A_g = A_g", f"arrow {g}",
                     detail=f"span rank {span.shape[0]} of {d}")
     return rep
+
+
+def _stacked_check(rep: ValidationReport, tol: float, check: str, keys: list[tuple],
+                   operands: Callable[[tuple], tuple], size: Callable[[tuple], int],
+                   left: Callable[..., Array], right: Callable[..., Array]) -> None:
+    """Reports ``check``, in key order, where |left - right| > tol max(1, |left|),
+    both formed from the ``operands`` of the keys stacked by ``la.stacks``."""
+    items = [operands(k) for k in keys]
+    res, scale = np.zeros(len(items)), np.zeros(len(items))
+    for chunk, arrays in la.stacks(items, size):
+        lhs = left(*arrays)
+        scale[chunk] = la.row_norms(lhs)
+        lhs -= right(*arrays)
+        res[chunk] = la.row_norms(lhs)
+    for p in np.flatnonzero(~(res <= tol * np.maximum(1.0, scale))):
+        rep.check_residual(res[p], tol * max(1.0, float(scale[p])), check,
+                           "({})".format(",".join(keys[p])))
 
 
 # -- derived fibre data --------------------------------------------------------

@@ -129,14 +129,12 @@ class RegularRepAt:
                 _spans([self.offsets[G.comp[key]] for key in keys], q_out)[:, :, None],
                 _spans([self.offsets[g] for _, g in keys], q_in)[:, None, :]))
 
-    def matrix(self, f: Section) -> Array:
-        """Matrix of left convolution by f on the quotient coordinates: one
+    def matrix(self, coeffs: Array) -> Array:
+        """Matrix of left convolution by the section packed in ``coeffs``: one
         gather, contraction and block assignment per group of block shapes."""
         out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        if self._groups:
-            coeffs = f.pack()
-            for stack, coeff, rows, cols in self._groups:
-                out[rows, cols] = np.einsum("pqmr,pm->pqr", stack, coeffs[coeff])
+        for stack, coeff, rows, cols in self._groups:
+            out[rows, cols] = np.einsum("pqmr,pm->pqr", stack, coeffs[coeff])
         return out
 
 
@@ -154,11 +152,9 @@ class RegularRepresentation:
             self._at[x] = RegularRepAt(self.bundle, x, self.tols)
         return self._at[x]
 
-    def matrix(self, x: str, f: Section) -> Array:
-        return self.at(x).matrix(f)
-
     def direct_sum_matrix(self, f: Section) -> Array:
-        blocks = [self.matrix(x, f) for x in self.bundle.groupoid.objects]
+        coeffs = f.pack()
+        blocks = [self.at(x).matrix(coeffs) for x in self.bundle.groupoid.objects]
         dim = sum(b.shape[0] for b in blocks)
         out = np.zeros((dim, dim), dtype=np.complex128)
         pos = 0
@@ -179,19 +175,20 @@ def _cached_regular(bundle: FellBundle, tols: Tolerances) -> RegularRepresentati
 
 def regular_rep_matrix(bundle: FellBundle, x: str, f: Section,
                        tols: Tolerances = DEFAULT) -> Array:
-    return _cached_regular(bundle, tols).matrix(x, f)
+    return _cached_regular(bundle, tols).at(x).matrix(f.pack())
 
 
 def cstar_norm(bundle: FellBundle, f: Section, tols: Tolerances = DEFAULT) -> float:
-    reg = _cached_regular(bundle, tols)
-    return max((la.operator_norm(reg.matrix(x, f)) for x in bundle.groupoid.objects),
-               default=0.0)
+    return max(per_object_norms(bundle, f, tols).values(), default=0.0)
 
 
 def per_object_norms(bundle: FellBundle, f: Section,
                      tols: Tolerances = DEFAULT) -> dict[str, float]:
-    reg = _cached_regular(bundle, tols)
-    return {x: la.operator_norm(reg.matrix(x, f)) for x in bundle.groupoid.objects}
+    coeffs = f.pack()
+    if not np.isfinite(coeffs).all():  # one check: the norm core names the arrow
+        f.bundle.norm_rows([(g, v[None]) for g, v in f.entries.items()])
+    at = _cached_regular(bundle, tols).at
+    return {x: la.operator_norm(at(x).matrix(coeffs)) for x in bundle.groupoid.objects}
 
 
 def sharper_norm_bound(bundle: FellBundle, f: Section,

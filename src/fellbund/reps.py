@@ -32,7 +32,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _linalg as la
-from .bundle import FellBundle
+from .bundle import FellBundle, _exponents, _ldexp
 from .config import DEFAULT, Tolerances
 from .envelope import (_cached_regular, envelope_algebra, induced_gram,
                        irreducible_envelope_blocks)
@@ -74,7 +74,7 @@ def validate_rep(R: FellRep, tols: Tolerances = DEFAULT) -> ValidationReport:
     X = _basis_images(R)
     table = _delta_table(bundle)
     inv, mult = _star_hom_residuals(bundle, X)
-    bound = tol * np.fmax(1.0, la.row_norms(X.reshape(len(X), -1)))
+    bound = tol * np.fmax(1.0, _scaled_row_norms(X.reshape(len(X), -1)))
     for n in np.flatnonzero(~(inv <= bound)):
         rep.add("involution compatibility S_g(a)* = S_{g^-1}(a*)",
                 "({},{})".format(*table.deltas[n]), float(inv[n]))
@@ -215,8 +215,14 @@ def _star_hom_residuals(bundle: FellBundle, X: Array) -> tuple[Array, Array]:
                 prod = (X[g_rows[a:a + items, i:i + step]][:, :, None] @ Y[:, None])
                 k = numbers[prods].ravel()
                 mult[0, k] = la.row_norms((prod.reshape(conv.shape) - conv).reshape(k.size, -1))
-                mult[1, k] = la.row_norms(conv.reshape(k.size, -1))
+                mult[1, k] = _scaled_row_norms(conv.reshape(k.size, -1))
     return inv, mult
+
+
+def _scaled_row_norms(rows: Array) -> Array:
+    """``la.row_norms`` formed for row / 2^e, 2^e just above max |row|: finite rows, finite norms."""
+    e = _exponents(rows)
+    return np.ldexp(la.row_norms(_ldexp(rows, -e[:, None])), e)
 
 
 def _vanishing_failures(bundle: FellBundle, X: Array, tol: float) -> Array:

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _linalg as la
-from .bundle import BundleHom, FellBundle, entry_norms
+from .bundle import BundleHom, FellBundle
 from .config import DEFAULT, Tolerances
 
 Array = np.ndarray
@@ -116,14 +116,14 @@ def involute(xi: Section) -> Section:
 
 
 def i_norm(xi: Section) -> float:
-    """The I-norm, from the fibre norms of all entries at once
-    (``entry_norms``) summed over each range and source fibre."""
+    """The I-norm, from the fibre norms of all entries at once (one
+    ``norm_rows`` request per entry) summed over each range and source fibre."""
     G = xi.bundle.groupoid
-    norms = entry_norms(xi.bundle, xi.entries)
-    range_sums = [sum(norms.get(g, 0.0) for g in G.range_fiber(x)) for x in G.objects]
-    source_sums = [sum(norms.get(g, 0.0) for g in G.source_fiber(x)) for x in G.objects]
-    candidates = range_sums + source_sums
-    return max(candidates) if candidates else 0.0
+    norms = dict.fromkeys(G.arrows, 0.0)
+    norms.update(zip(xi.entries, xi.bundle.norm_rows(
+        [(g, v[None]) for g, v in xi.entries.items()])[0].tolist()))
+    return max((sum(map(norms.__getitem__, fibre(x)))
+                for fibre in (G.range_fiber, G.source_fiber) for x in G.objects), default=0.0)
 
 
 def unit_section(bundle: FellBundle) -> Section:

@@ -9,6 +9,7 @@ from fellbund.bundle import (BundleHom, FellBundle, MatrixModelBundle,
                              subbundle_from_frames, validate_bundle_hom,
                              validate_fell_bundle)
 from fellbund.groupoid import cyclic_group, pair_groupoid
+from fellbund.sections import Section, i_norm
 
 
 def matrix_units(n, m):
@@ -83,7 +84,8 @@ def test_fiber_norm_invariances():
             # C*-symmetry: norm via the range side of a a*
             gi = G.inv[g]
             aa = b.mult_coords(g, gi, a, b.star_coords(g, a))
-            nr = np.sqrt(max(la.top_eigenvalue(b.unit_matrix(G.rng[g], aa)), 0.0))
+            mat = la.hermitian_part(b.unit_matrix(G.rng[g], aa))
+            nr = np.sqrt(max(np.linalg.eigvalsh(mat)[-1], 0.0))
             assert nr == pytest.approx(na, abs=1e-9), name
 
 
@@ -207,7 +209,7 @@ def test_zero_unit_fiber_object():
     # zero algebra, which forces every fibre over it to vanish
     from fellbund.groupoid import FiniteGroupoid
     from fellbund.envelope import envelope_algebra
-    from fellbund.sections import Section, i_norm, unit_section
+    from fellbund.sections import unit_section
     G = FiniteGroupoid.from_data(
         ["x", "y"], ["ex", "ey"], {"ex": "x", "ey": "y"}, {"ex": "x", "ey": "y"},
         {"x": "ex", "y": "ey"}, {"ex": "ex", "ey": "ey"},
@@ -243,12 +245,15 @@ def test_fiber_norms_match_matrix_model_oracle(name):
         d = b.dims[g]
         rows = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
         rows *= np.array([1.0, 1e-6, 1e6, 0.0, 3.0])[:, None]   # row 3 is zero
-        got = b.fiber_norms(g, rows)
+        got, bottoms = b.norm_rows([(g, rows)])
         mats = np.tensordot(rows, b.matrix_model[g], axes=1) if d else \
             np.zeros((5,) + b.matrix_model[g].shape[1:])
         want = np.array([np.linalg.norm(m, 2) if m.size else 0.0 for m in mats])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert got[3] == 0.0
+        # and rho_{s(g)}(a* a) is the matrix M* M, with M = sum_i a_i M_i
+        low = np.array([np.linalg.eigvalsh(m.conj().T @ m)[0] if m.size else 0.0 for m in mats])
+        assert np.all(np.abs(bottoms - low) <= 1e-12 * want ** 2), (g, bottoms, low)
         # the one-vector path gives the same numbers, bit for bit
         assert list(got) == [b.fiber_norm(g, a) for a in rows]
 
@@ -267,7 +272,6 @@ def test_fiber_norms_invariant_under_unitary_change_of_unit_basis(certify_bundle
     # metamorphic: conjugating every unit-fibre representation rho_x by a
     # Haar unitary V_x is a change of basis of C^{n_x}; the spectra of
     # rho_x(a* a), hence every fibre norm, stay the same
-    from fellbund.bundle import entry_norms
     rng = np.random.default_rng(12)
     bundles = dict(gallery.shipped_bundles(), **certify_bundles)
     for name, b in bundles.items():
@@ -276,17 +280,107 @@ def test_fiber_norms_invariant_under_unitary_change_of_unit_basis(certify_bundle
         rotated = FellBundle(G, b.dims, b.mult, b.inv,
                              {x: V[x] @ b.unit_rep[x] @ V[x].conj().T for x in G.objects},
                              name=f"{b.name} rotated")
-        entries = {}
+        requests = []
         for g in G.arrows:
             d = b.dims[g]
             rows = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
-            np.testing.assert_allclose(rotated.fiber_norms(g, rows), b.fiber_norms(g, rows),
-                                       rtol=1e-12, atol=0, err_msg=f"{name} at {g}")
+            requests.append((g, rows))
             if d:
-                entries[g] = rows[0]
                 assert rotated.fiber_norm(g, rows[0]) == pytest.approx(
                     b.fiber_norm(g, rows[0]), rel=1e-12, abs=0), (name, g)
-        got, want = entry_norms(rotated, entries), entry_norms(b, entries)
-        assert got.keys() == want.keys()
-        for g in got:
-            assert got[g] == pytest.approx(want[g], rel=1e-12, abs=0), (name, g)
+        # norms and bottom eigenvalues of a* a, all arrows in one call
+        got, want = rotated.norm_rows(requests), b.norm_rows(requests)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0, err_msg=name)
+        np.testing.assert_allclose(got[1], want[1], rtol=0,
+                                   atol=1e-12 * max(1.0, *want[0] ** 2), err_msg=name)
+        entries = {g: rows[0] for g, rows in requests if b.dims[g]}
+        assert i_norm(Section(rotated, entries)) == pytest.approx(
+            i_norm(Section(b, entries)), rel=1e-12, abs=0), name
+
+
+def _loop_fiber_norm(b, g, a):
+    """Loop reference: the norm of one element and the bottom eigenvalue of
+    rho_{s(g)}(a* a), formed for a / 2^e as the element-at-a-time path did
+    (``star_mult_coords``, ``unit_matrix``, ``eigvalsh`` of the hermitian
+    part)."""
+    from fellbund.bundle import _exponents, _ldexp
+    x = b.groupoid.src[g]
+    if a.size == 0 or b.unit_dim(x) == 0:
+        return 0.0, 0.0
+    e = _exponents(a)
+    a = _ldexp(a, -e)
+    spectrum = np.linalg.eigvalsh(la.hermitian_part(b.unit_matrix(x, b.star_mult_coords(g, a, a))))
+    with np.errstate(over="ignore"):
+        return (float(np.ldexp(np.sqrt(max(spectrum[-1], 0.0)), e)),
+                float(np.ldexp(spectrum[0], 2 * e)))
+
+
+def test_norm_rows_mixed_requests_match_one_row_requests(monkeypatch, certify_bundles):
+    # several shape groups (a4-over-z2), zero-dimensional fibres
+    # (pair2-diagonal), chunks of many rows (m3-pair3) and 1 x 1 unit
+    # representations (line-z8), with repeated arrows, requests of 0 rows
+    # and rows scaled by 1e300 and 1e-300: every row is bit-identical to its
+    # own one-row request and to the loop reference, whatever the chunk size
+    # (z2-skew: rho(a* a) has a negative real and a nonzero imaginary part)
+    rng = np.random.default_rng(21)
+    z2 = gallery.z2_line_bundle()
+    bundles = {"a4-over-z2": gallery.a4_over_z2_bundle(),
+               "pair2-diagonal": _oracle_bundles()["pair2-diagonal"],
+               "m3-pair3": certify_bundles["m3-pair3"], "line-z8": certify_bundles["line-z8"],
+               "z2-skew": FellBundle(z2.groupoid, z2.dims, z2.mult, z2.inv,
+                                     {"pt": np.full((1, 1, 1), -0.5 + 0.25j)})}
+    for name, b in bundles.items():
+        arrows = list(b.groupoid.arrows)
+        requests = []
+        for g in rng.permutation(arrows + arrows[:2]):
+            d, m = b.dims[g], int(rng.choice([0, 1, 3, 40]))
+            rows = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+            requests.append((str(g), rows * rng.choice([1.0, 1e300, 1e-300, 0.0], (m, 1))))
+        # and, as the I-norm asks, one row per arrow in declared order
+        requests += [(g, rng.standard_normal((1, b.dims[g])) + 0j) for g in arrows]
+        norms, bottoms = b.norm_rows(requests)
+        assert len(norms) == len(bottoms) == sum(len(rows) for _, rows in requests)
+        ones = [b.norm_rows([(g, a[None])]) for g, rows in requests for a in rows]
+        assert norms.tolist() == [n[0] for n, _ in ones], name
+        assert bottoms.tolist() == [m[0] for _, m in ones], name
+        loop = [_loop_fiber_norm(b, g, a) for g, rows in requests for a in rows]
+        assert norms.tolist() == [n for n, _ in loop], name
+        assert bottoms.tolist() == [m for _, m in loop], name
+        assert norms.tolist() == [b.fiber_norm(g, a) for g, rows in requests for a in rows]
+        tail = (requests[-len(arrows):], norms[-len(arrows):], bottoms[-len(arrows):])
+        for chunk in (la._STACK_CHUNK, 1):
+            monkeypatch.setattr(la, "_STACK_CHUNK", chunk)
+            for part, n, m in ((requests, norms, bottoms), tail):
+                got = b.norm_rows(part)
+                assert got[0].tolist() == n.tolist() and got[1].tolist() == m.tolist(), (name, chunk)
+        monkeypatch.undo()
+    assert [len(out) for out in gallery.a4_bundle().norm_rows([])] == [0, 0]
+
+
+@pytest.mark.parametrize("name", ["line-z24", "a4-over-z2"])
+def test_validator_makes_at_most_three_norm_core_calls(monkeypatch, certify_bundles, name):
+    b = dict(gallery.shipped_bundles(), **certify_bundles)[name]
+    calls = []
+    core = FellBundle.norm_rows
+
+    def counted(self, requests):
+        calls.append(len(requests))
+        return core(self, requests)
+    monkeypatch.setattr(FellBundle, "norm_rows", counted)
+    validate_fell_bundle(b)
+    assert 1 <= len(calls) <= 3, calls
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_section_norms_raise_naming_the_arrow(bad):
+    # before, i_norm and cstar_norm read 0.0 (max dropped the NaN),
+    # per_object_norms NaN and a NaN entry ended in a LinAlgError
+    from fellbund.envelope import cstar_norm, per_object_norms
+    b = gallery.a4_bundle()
+    f = Section(b, {"p|e|p": [1.0], "r|g1|r": [bad]})
+    for norm in (i_norm, lambda f: cstar_norm(b, f), lambda f: per_object_norms(b, f),
+                 lambda f: b.fiber_norm("r|g1|r", f.at("r|g1|r"))):
+        with pytest.raises(ValueError, match=r"non-finite .* arrow r\|g1\|r"):
+            norm(f)
+    with pytest.raises(ValueError, match=r"arrow r\|g1\|r"):
+        b.norm_rows([("p|e|p", np.ones((2, 1))), ("r|g1|r", np.array([[1.0], [bad]]))])

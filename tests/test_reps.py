@@ -72,6 +72,19 @@ def test_regular_fellrep_matches_regular_matrix_norms():
                     la.operator_norm(direct), abs=1e-9), name
 
 
+@pytest.mark.parametrize("scale", [2.0, 1e200])
+def test_validate_rep_reports_multiplicativity_at_any_scale(scale):
+    # S_e = S_g1 = scale on z2-line: S_e S_e = scale^2 but S_e(e e) = scale.
+    # At 1e200 the product overflows to inf; the bounds tol * max(1, |.|)
+    # must stay finite, or the residual inf passes against a bound of inf
+    b = gallery.z2_line_bundle()
+    R = FellRep(b, {"pt": 1}, {g: np.full((1, 1, 1), scale) for g in b.groupoid.arrows})
+    with np.errstate(over="ignore"):
+        rep = validate_rep(R)
+    assert [v.where for v in rep.violations if v.check.startswith("multiplicativity")] == [
+        "(e,e)", "(e,g1)", "(g1,e)", "(g1,g1)"]
+
+
 def test_z2_regular_fellrep_permutes_basis():
     b = gallery.z2_line_bundle()
     R = regular_fellrep(b, "pt")

@@ -144,9 +144,9 @@ def test_factorisation():
             back = np.einsum("kij,i,j->k", b.mult[(G.unit[x], g)], star, f2.at(g))
             assert np.linalg.norm(back - v) < 1e-8 * max(1.0, np.linalg.norm(v)), name
             nf = b.fiber_norm(g, v)
-            n1 = np.sqrt(max(la.top_eigenvalue(
+            n1 = np.sqrt(max(np.linalg.eigvalsh(la.hermitian_part(
                 b.unit_matrix(x, np.einsum("kij,i,j->k", b.mult[(G.unit[x], G.unit[x])],
-                                           b.star_coords(G.unit[x], f1[g]), f1[g]))), 0))
+                                           b.star_coords(G.unit[x], f1[g]), f1[g]))))[-1], 0))
             n2 = b.fiber_norm(g, f2.at(g))
             assert n1 ** 2 == pytest.approx(nf, abs=1e-7), name
             assert n2 ** 2 == pytest.approx(nf, abs=1e-7), name
