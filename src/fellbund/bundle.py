@@ -19,6 +19,7 @@ structure, not a separate runtime representation.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Hashable, Iterable, Mapping
@@ -181,12 +182,11 @@ class FellBundle:
     def norm_rows(self, requests: list[tuple[str, Array]]) -> tuple[Array, Array]:
         """Per row a of the requests (g, rows (m, d_g)), in order: the fibre norm
         sqrt(lambda_max(rho_{s(g)}(a* a))) and the bottom eigenvalue of rho_{s(g)}(a* a),
-        as two arrays; 0 where d_g or n_{s(g)} is 0.  Each row is formed as a / 2^e,
-        2^e the power of two just above max |a|, and the results scaled back, so
-        a* a neither overflows nor underflows.  The rows of one ``norm_stacks``
-        group take one einsum for their a* a coordinates, one batched (1, d_u) @
-        (d_u, n^2) product and one ``eigvalsh``, in chunks of at most _STACK_CHUNK
-        elements of per-row stacks.  A non-finite row raises ValueError naming its arrow."""
+        two arrays (0 where d_g or n_{s(g)} is 0), formed for a / 2^e, 2^e just above
+        max |a|, and scaled back, so a* a neither overflows nor underflows.  The rows
+        of one ``norm_stacks`` group take one einsum for their a* a coordinates, one
+        batched (1, d_u) @ (d_u, n^2) product and one ``eigvalsh``, in chunks of at most
+        _STACK_CHUNK per-row stack elements.  A non-finite row raises ValueError naming its arrow."""
         index = self.memo("norm_index", lambda: {  # arrow with d_g > 0 -> (group, place)
             g: (k, i) for k, (arrows, _, _) in enumerate(self.norm_stacks())
             for i, g in enumerate(arrows)})
@@ -196,39 +196,39 @@ class FellBundle:
         for r, (g, _) in enumerate(requests):
             if self.dims[g]:
                 members.setdefault(index[g][0], []).append(r)
-        norms, bottoms = np.zeros((2, sum(sizes)))
-        with np.errstate(over="ignore"):  # a* a itself may exceed the range
-            for k, rs in members.items():
-                arrows, tensors, reps = self.norm_stacks()[k]
-                A = np.concatenate([requests[r][1] for r in rs], dtype=np.complex128)
-                at = [index[requests[r][0]][1] for r in rs]
-                # slices, not gathers, when the rows are the group's arrows in order
-                whole = len(A) == len(arrows) and at == list(range(len(arrows)))
-                if not whole:
-                    at = np.repeat(at, [sizes[r] for r in rs])
-                rows = None if len(A) == len(norms) else np.concatenate(
-                    [np.arange(ends[r] - sizes[r], ends[r]) for r in rs])
-                d, du, n = tensors.shape[-1], reps.shape[1], reps.shape[-1]
-                # per row: the row, its tensor and representation, a* a, n x n matrices
-                step = max(1, la._STACK_CHUNK // (d + du * (d * d + n * n + 1) + 4 * n * n))
-                for c in range(0, len(A), step):
-                    C, p = A[c:c + step], (slice(c, c + step) if whole else at[c:c + step])
-                    top = np.abs(C.view(np.float64)).max(axis=1)  # as in ``_exponents``
-                    if not top.max() < np.inf:  # an inf, or a NaN (it fails every comparison)
-                        bad = at[c + np.flatnonzero(~np.isfinite(top))[0]]
-                        raise ValueError(f"non-finite fibre element at arrow {arrows[bad]}")
-                    if n == 0:
-                        continue
-                    e = np.frexp(top)[1]
-                    C = _ldexp(C, -e[:, None])
-                    coords = np.einsum("mkij,mi,mj->mk", tensors[p], np.conj(C), C)
-                    # one (1, d_u) @ (d_u, n^2) product per row
-                    mats = np.matmul(coords[:, None], reps[p].reshape(len(C), du, n * n))
-                    # (a 1 x 1 hermitian part is the real part, its one eigenvalue)
-                    spectra = mats.real.reshape(len(C), 1) if n == 1 else \
-                        np.linalg.eigvalsh(la.hermitian_part(mats.reshape(len(C), n, n)))
-                    out = slice(c, c + step) if rows is None else rows[c:c + step]
-                    norms[out] = np.ldexp(np.sqrt(np.maximum(spectra[:, -1], 0.0)), e)
+        norms, bottoms = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+        for k, rs in members.items():
+            arrows, tensors, reps = self.norm_stacks()[k]
+            A = np.concatenate([requests[r][1] for r in rs], dtype=np.complex128)
+            at = [index[requests[r][0]][1] for r in rs]
+            # slices, not gathers, when the rows are the group's arrows in order
+            whole = len(A) == len(arrows) and at == list(range(len(arrows)))
+            at = at if whole else np.repeat(at, [sizes[r] for r in rs])
+            rows = None if len(A) == len(norms) else np.concatenate(
+                [np.arange(ends[r] - sizes[r], ends[r]) for r in rs])
+            d, du, n = tensors.shape[-1], reps.shape[1], reps.shape[-1]
+            # per row: the row, its tensor and representation, a* a, n x n matrices
+            step = max(1, la._STACK_CHUNK // (d + du * (d * d + n * n + 1) + 4 * n * n))
+            for c in range(0, len(A), step):
+                C, p = A[c:c + step], (slice(c, c + step) if whole else at[c:c + step])
+                top = np.abs(C.view(np.float64)).max(axis=1)  # as in ``_exponents``
+                if not (biggest := top.max()) < np.inf:  # an inf, or a NaN (fails every <)
+                    bad = at[c + np.flatnonzero(~np.isfinite(top))[0]]
+                    raise ValueError(f"non-finite fibre element at arrow {arrows[bad]}")
+                if n == 0:
+                    continue
+                e = np.frexp(top)[1]
+                C = _ldexp(C, -e[:, None])
+                coords = np.einsum("mkij,mi,mj->mk", tensors[p], np.conj(C), C)
+                # one (1, d_u) @ (d_u, n^2) product per row
+                mats = np.matmul(coords[:, None], reps[p].reshape(len(C), du, n * n))
+                # (a 1 x 1 hermitian part is the real part, its one eigenvalue)
+                spectra = mats.real.reshape(len(C), 1) if n == 1 else \
+                    np.linalg.eigvalsh(la.hermitian_part(mats.reshape(len(C), n, n)))
+                out = slice(c, c + step) if rows is None else rows[c:c + step]
+                norms[out] = np.ldexp(np.sqrt(np.maximum(spectra[:, -1], 0.0)), e)
+                # the bottom of a* a for a row above 2^256 may exceed the float range
+                with np.errstate(over="ignore") if biggest > 2.0 ** 256 else nullcontext():
                     bottoms[out] = np.ldexp(spectra[:, 0], 2 * e)
         return norms, bottoms
 
