@@ -246,7 +246,7 @@ def operator_norm(a: Array) -> float:
 
 def hermitian_part(a: Array) -> Array:
     """(a + a*) / 2; a stack (m, n, n) is taken matrix by matrix."""
-    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def psd_power(a: Array, power: float, rtol: float = 1e-10) -> Array:

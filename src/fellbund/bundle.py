@@ -220,9 +220,8 @@ class FellBundle:
                 e = np.frexp(top)[1]
                 C = _ldexp(C, -e[:, None])
                 coords = np.einsum("mkij,mi,mj->mk", tensors[p], np.conj(C), C)
-                # one (1, d_u) @ (d_u, n^2) product per row
+                # per row one (1, d_u) @ (d_u, n^2) product; for n = 1 the real part is the eigenvalue
                 mats = np.matmul(coords[:, None], reps[p].reshape(len(C), du, n * n))
-                # (a 1 x 1 hermitian part is the real part, its one eigenvalue)
                 spectra = mats.real.reshape(len(C), 1) if n == 1 else \
                     np.linalg.eigvalsh(la.hermitian_part(mats.reshape(len(C), n, n)))
                 out = slice(c, c + step) if rows is None else rows[c:c + step]
@@ -467,8 +466,7 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         i = int(np.flatnonzero(keep)[r]) % keep.shape[-1]
         return f"basis {i}" if i < bundle.dims[g] else f"random {i - bundle.dims[g]}"
 
-    # every element is drawn first (no draw depends on a norm): per arrow its
-    # elements E, then per pair the factors a, b of its products
+    # every element is drawn first, in the old order (no draw depends on a norm)
     drawn = [elements(g, rng.standard_normal((1, samples, 2, dims[g]))) for g in G.arrows]
     E = [rows[keep] for rows, keep in drawn]
     factors = []

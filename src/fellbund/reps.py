@@ -220,7 +220,9 @@ def _star_hom_residuals(bundle: FellBundle, X: Array) -> tuple[Array, Array]:
 
 
 def _scaled_row_norms(rows: Array) -> Array:
-    """``la.row_norms`` formed for row / 2^e, 2^e just above max |row|: finite rows, finite norms."""
+    """``la.row_norms``, formed for row / 2^e (2^e just above max |row|) if a square overflows."""
+    if np.isfinite(norms := la.row_norms(rows)).all():
+        return norms
     e = _exponents(rows)
     return np.ldexp(la.row_norms(_ldexp(rows, -e[:, None])), e)
 
