@@ -7,7 +7,8 @@ Runs, in process, the 11 README demo commands, two more ``represent
 actions on ``examples_ws/demo.json``, and
 ``validate``/``envelope``/``spectrum``/``quasi-orbits``/``ideals`` on every
 bundle of the seeded benchmark workspace ``perfbench/workloads.certify_workspace(seed)``,
-and ``validate`` on the seeded 1e-6 perturbation of ``a4-over-z2`` that
+``norms`` on a seeded section over its ``m3-pair3`` (M_3 fibres over the pair
+groupoid on three objects) added to that workspace, and ``validate`` on the seeded 1e-6 perturbation of ``a4-over-z2`` that
 ``tests/test_witnesses.py`` checks, written as a structure-tensor workspace:
 its report lists norm-check witnesses with their residuals.
 Each command's stdout goes to its own file under OUT, and ``exit_codes.txt``
@@ -81,6 +82,22 @@ def perturbed_workspace(fb) -> dict:
             "bundles": {"a4-over-z2-perturbed": bundle}}
 
 
+def seeded_section(fb, raw: dict, bundle: str, seed: int) -> dict:
+    """A section of ``bundle`` in the workspace ``raw``: per arrow with a
+    nonzero fibre, in declared order, d standard normal real parts and then d
+    imaginary parts from numpy's generator ``[seed, 19]``, so that every
+    checkout reads the same coefficients."""
+    import numpy as np
+    b = fb.workspace.Workspace.from_dict(raw).bundle(bundle)
+    rng = np.random.default_rng([seed, 19])
+    entries = {}
+    for g in b.groupoid.arrows:
+        if d := b.dims[g]:
+            coords = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            entries[g] = [fb.workspace.dump_complex(z) for z in coords]
+    return {"bundle": bundle, "entries": entries}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="directory for the report files (created)")
@@ -106,11 +123,14 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             ws = os.path.join(tmp, f"certify-{seed}.json")
+            raw = certify_workspace(seed)
+            raw["sections"] = {"m3-pair3-seeded": seeded_section(fellbund, raw, "m3-pair3", seed)}
             with open(ws, "w") as fh:
-                json.dump(certify_workspace(seed), fh)
+                json.dump(raw, fh)
             for name, *_ in CERTIFY_BUNDLES:
                 for cmd in CERTIFY_COMMANDS:
                     jobs.append((f"certify{seed} {cmd} {name}", [cmd, ws, name]))
+            jobs.append((f"certify{seed} norms m3-pair3-seeded", ["norms", ws, "m3-pair3-seeded"]))
         ws = os.path.join(tmp, "perturbed.json")
         with open(ws, "w") as fh:
             json.dump(perturbed_workspace(fellbund), fh)

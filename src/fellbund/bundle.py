@@ -130,7 +130,7 @@ class FellBundle:
 
     @property
     def total_dim(self) -> int:
-        return sum(self.dims[g] for g in self.groupoid.arrows)
+        return self.memo("total_dim", lambda: sum(self.dims[g] for g in self.groupoid.arrows))
 
     def offsets(self) -> dict[str, int]:
         """Start of each fibre in the packed coefficient vector (cached and
@@ -198,37 +198,47 @@ class FellBundle:
                 members.setdefault(index[g][0], []).append(r)
         norms, bottoms = np.zeros(sum(sizes)), np.zeros(sum(sizes))
         for k, rs in members.items():
-            arrows, tensors, reps = self.norm_stacks()[k]
             A = np.concatenate([requests[r][1] for r in rs], dtype=np.complex128)
             at = [index[requests[r][0]][1] for r in rs]
-            # slices, not gathers, when the rows are the group's arrows in order
-            whole = len(A) == len(arrows) and at == list(range(len(arrows)))
-            at = at if whole else np.repeat(at, [sizes[r] for r in rs])
-            rows = None if len(A) == len(norms) else np.concatenate(
+            # no gather when the rows are the group's arrows in order
+            group = len(self.norm_stacks()[k][0])
+            whole = len(A) == group and at == list(range(group))
+            out = slice(None) if len(A) == len(norms) else np.concatenate(
                 [np.arange(ends[r] - sizes[r], ends[r]) for r in rs])
-            d, du, n = tensors.shape[-1], reps.shape[1], reps.shape[-1]
-            # per row: the row, its tensor and representation, a* a, n x n matrices
-            step = max(1, la._STACK_CHUNK // (d + du * (d * d + n * n + 1) + 4 * n * n))
-            for c in range(0, len(A), step):
-                C, p = A[c:c + step], (slice(c, c + step) if whole else at[c:c + step])
-                top = np.abs(C.view(np.float64)).max(axis=1)  # as in ``_exponents``
-                if not (biggest := top.max()) < np.inf:  # an inf, or a NaN (fails every <)
-                    bad = at[c + np.flatnonzero(~np.isfinite(top))[0]]
-                    raise ValueError(f"non-finite fibre element at arrow {arrows[bad]}")
-                if n == 0:
-                    continue
-                e = np.frexp(top)[1]
-                C = _ldexp(C, -e[:, None])
-                coords = np.einsum("mkij,mi,mj->mk", tensors[p], np.conj(C), C)
-                # per row one (1, d_u) @ (d_u, n^2) product; for n = 1 the real part is the eigenvalue
-                mats = np.matmul(coords[:, None], reps[p].reshape(len(C), du, n * n))
-                spectra = mats.real.reshape(len(C), 1) if n == 1 else \
-                    np.linalg.eigvalsh(la.hermitian_part(mats.reshape(len(C), n, n)))
-                out = slice(c, c + step) if rows is None else rows[c:c + step]
-                norms[out] = np.ldexp(np.sqrt(np.maximum(spectra[:, -1], 0.0)), e)
-                # the bottom of a* a for a row above 2^256 may exceed the float range
-                with np.errstate(over="ignore") if biggest > 2.0 ** 256 else nullcontext():
-                    bottoms[out] = np.ldexp(spectra[:, 0], 2 * e)
+            norms[out], bottoms[out] = self._group_norms(
+                k, A, None if whole else np.repeat(at, [sizes[r] for r in rs]))
+        return norms, bottoms
+
+    def _group_norms(self, k: int, A: Array, at: Array | None = None) -> tuple[Array, Array]:
+        """``norm_rows`` of the rows A (m, d) of the k-th ``norm_stacks`` group,
+        row i an element of the fibre at the group's arrow at[i]; ``at=None``
+        when the rows are the group's arrows in order, whose stacked tensors
+        are then sliced, not gathered."""
+        arrows, tensors, reps = self.norm_stacks()[k]
+        norms, bottoms = np.zeros(len(A)), np.zeros(len(A))
+        d, du, n = tensors.shape[-1], reps.shape[1], reps.shape[-1]
+        # per row: the row, its tensor and representation, a* a, n x n matrices
+        step = max(1, la._STACK_CHUNK // (d + du * (d * d + n * n + 1) + 4 * n * n))
+        for c in range(0, len(A), step):
+            C, p = A[c:c + step], (slice(c, c + step) if at is None else at[c:c + step])
+            top = np.abs(C.view(np.float64)).max(axis=1)  # as in ``_exponents``
+            if not (biggest := top.max()) < np.inf:  # an inf, or a NaN (fails every <)
+                bad = c + np.flatnonzero(~np.isfinite(top))[0]
+                raise ValueError("non-finite fibre element at arrow "
+                                 f"{arrows[bad if at is None else at[bad]]}")
+            if n == 0:
+                continue
+            e = np.frexp(top)[1]
+            C = _ldexp(C, -e[:, None])
+            coords = np.einsum("mkij,mi,mj->mk", tensors[p], np.conj(C), C)
+            # per row one (1, d_u) @ (d_u, n^2) product; for n = 1 the real part is the eigenvalue
+            mats = np.matmul(coords[:, None], reps[p].reshape(len(C), du, n * n))
+            spectra = mats.real.reshape(len(C), 1) if n == 1 else \
+                np.linalg.eigvalsh(la.hermitian_part(mats.reshape(len(C), n, n)))
+            norms[c:c + step] = np.ldexp(np.sqrt(np.maximum(spectra[:, -1], 0.0)), e)
+            # the bottom of a* a for a row above 2^256 may exceed the float range
+            with np.errstate(over="ignore") if biggest > 2.0 ** 256 else nullcontext():
+                bottoms[c:c + step] = np.ldexp(spectra[:, 0], 2 * e)
         return norms, bottoms
 
     def norm_stacks(self) -> list[tuple[list[str], Array, Array]]:

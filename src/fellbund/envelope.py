@@ -188,7 +188,14 @@ def per_object_norms(bundle: FellBundle, f: Section,
     if not np.isfinite(coeffs).all():  # one check: the norm core names the arrow
         f.bundle.norm_rows([(g, v[None]) for g, v in f.entries.items()])
     at = _cached_regular(bundle, tols).at
-    return {x: la.operator_norm(at(x).matrix(coeffs)) for x in bundle.groupoid.objects}
+    objects = bundle.groupoid.objects
+    # one SVD per stack of equal-size matrices; an empty matrix has norm 0
+    norms = dict.fromkeys(objects, 0.0)
+    for part, (stack,) in la.stacks([(at(x).matrix(coeffs),) for x in objects]):
+        if stack.size:
+            norms.update(zip([objects[p] for p in part],
+                             np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()))
+    return norms
 
 
 def sharper_norm_bound(bundle: FellBundle, f: Section,

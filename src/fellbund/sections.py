@@ -8,73 +8,97 @@ arrow (absent arrow = zero fibre element) and
     |xi|_I        = max( max_x sum_{g in G^x} |xi(g)|,
                          max_x sum_{g in G_x} |xi(g)| ).
 
-Sections are value types; every operation returns a fresh section.
+A section holds one read-only packed coefficient vector: the fibres in
+declared arrow order, each at ``bundle.offsets()[g]``.  Every operation
+works on that vector, with index tables built once per bundle and kept in
+``bundle.memo``: convolution is one ``ConvolutionPlan.convolve``, sums and
+scalar multiples are one vector operation, the involution is one stacked
+``matmul`` per shape group (d_{g^-1}, d_g), a random section is one normal
+draw and one gather, and the I-norm feeds each ``norm_stacks`` group of
+fibres to the fibre-norm core at once.  ``entries``, the nonzero fibres in
+declared order, is derived from the vector on first use.
+
+Sections are value types; every operation returns a fresh section, and
+``pack()``, ``at(g)`` and ``entries`` are read-only views of the vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from . import _linalg as la
+from ._kernels import _spans
 from .bundle import BundleHom, FellBundle
 from .config import DEFAULT, Tolerances
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
 class Section:
-    bundle: FellBundle
-    entries: Mapping[str, Array] = field(default_factory=dict)
+    __slots__ = ("bundle", "_packed", "_entries")
 
-    def __post_init__(self) -> None:
-        clean = {}
-        for g, v in self.entries.items():
+    def __init__(self, bundle: FellBundle, entries: Mapping[str, Array] = MappingProxyType({})):
+        packed = np.zeros(bundle.total_dim, dtype=np.complex128)
+        where = _fibres(bundle)
+        for g, v in entries.items():
             v = la.as_complex(v)
-            if v.shape != (self.bundle.dims[g],):
+            if v.shape != (bundle.dims[g],):
                 raise ValueError(f"entry at {g} has shape {v.shape}, "
-                                 f"fibre dimension is {self.bundle.dims[g]}")
-            if np.any(v):
-                clean[g] = v
-        object.__setattr__(self, "entries", clean)
+                                 f"fibre dimension is {bundle.dims[g]}")
+            packed[where[g]] = v
+        self._wrap(bundle, packed)
+
+    @classmethod
+    def _of(cls, bundle: FellBundle, packed: Array) -> "Section":
+        """The section whose packed vector is ``packed``, a complex vector
+        that the caller has just built and hands over (it becomes read-only)."""
+        self = cls.__new__(cls)
+        self._wrap(bundle, packed)
+        return self
+
+    def _wrap(self, bundle: FellBundle, packed: Array) -> None:
+        packed.flags.writeable = False
+        self.bundle, self._packed, self._entries = bundle, packed, None
+
+    @property
+    def entries(self) -> Mapping[str, Array]:
+        """The nonzero fibres in declared arrow order (read-only views)."""
+        if self._entries is None:
+            packed = self._packed
+            self._entries = MappingProxyType(
+                {g: v for g, s in _fibres(self.bundle).items() if (v := packed[s]).any()})
+        return self._entries
 
     def at(self, g: str) -> Array:
-        if g in self.entries:
-            return self.entries[g]
-        return np.zeros(self.bundle.dims[g], dtype=np.complex128)
+        return self._packed[_fibres(self.bundle)[g]]
 
     def pack(self) -> Array:
-        out = np.zeros(self.bundle.total_dim, dtype=np.complex128)
-        for g, off in self.bundle.offsets().items():
-            if g in self.entries:
-                out[off:off + self.bundle.dims[g]] = self.entries[g]
-        return out
+        return self._packed
 
     @staticmethod
     def unpack(bundle: FellBundle, packed: Array) -> "Section":
-        entries = {}
-        for g, off in bundle.offsets().items():
-            d = bundle.dims[g]
-            if d and np.any(packed[off:off + d]):
-                entries[g] = packed[off:off + d].copy()
-        return Section(bundle, entries)
+        packed = np.array(packed, dtype=np.complex128)
+        if packed.shape != (bundle.total_dim,):
+            raise ValueError(f"packed vector has shape {packed.shape}, "
+                             f"total dimension is {bundle.total_dim}")
+        return Section._of(bundle, packed)
 
     def __add__(self, other: "Section") -> "Section":
         _same_bundle(self, other)
-        keys = set(self.entries) | set(other.entries)
-        return Section(self.bundle, {g: self.at(g) + other.at(g) for g in keys})
+        return Section._of(self.bundle, self._packed + other._packed)
 
     def __sub__(self, other: "Section") -> "Section":
-        return self + (-1.0) * other
+        _same_bundle(self, other)
+        return Section._of(self.bundle, self._packed - other._packed)
 
     def __rmul__(self, scalar: complex) -> "Section":
-        return Section(self.bundle, {g: scalar * v for g, v in self.entries.items()})
+        return Section._of(self.bundle, scalar * self._packed)
 
     def coefficient_norm(self) -> float:
-        return float(np.linalg.norm(self.pack()))
+        return float(np.linalg.norm(self._packed))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.coefficient_norm() <= tol
@@ -85,45 +109,87 @@ def _same_bundle(xi: Section, eta: Section) -> None:
         raise ValueError("sections live over different bundles")
 
 
+def _fibres(bundle: FellBundle) -> dict[str, slice]:
+    """Per arrow in declared order, its slice of the packed vector."""
+    return bundle.memo("fibre_slices", lambda: {
+        g: slice(off, off + bundle.dims[g]) for g, off in bundle.offsets().items()})
+
+
 def delta_section(bundle: FellBundle, g: str, coords: Array) -> Section:
     return Section(bundle, {g: la.as_complex(coords)})
 
 
 def basis_sections(bundle: FellBundle) -> list[tuple[str, int, Section]]:
-    """All delta sections e_i^g in declared order."""
+    """All delta sections e_i^g in declared order, the order of the packed vector."""
     out = []
     for g in bundle.groupoid.arrows:
         for i in range(bundle.dims[g]):
-            c = np.zeros(bundle.dims[g], dtype=np.complex128)
-            c[i] = 1.0
-            out.append((g, i, Section(bundle, {g: c})))
+            c = np.zeros(bundle.total_dim, dtype=np.complex128)
+            c[len(out)] = 1.0
+            out.append((g, i, Section._of(bundle, c)))
     return out
 
 
 def convolve(xi: Section, eta: Section) -> Section:
     _same_bundle(xi, eta)
-    plan = xi.bundle.conv_plan()
-    return Section.unpack(xi.bundle, plan.convolve(xi.pack(), eta.pack()))
+    return Section._of(xi.bundle, xi.bundle.conv_plan().convolve(xi._packed, eta._packed))
+
+
+def _involution_groups(bundle: FellBundle) -> list[tuple[Array, Array, Array]]:
+    """Per shape (d_{g^-1}, d_g) of the arrows whose two fibres are nonzero:
+    their ``inv`` matrices stacked (P, d_{g^-1}, d_g), the positions of A_g
+    (P, d_g) and of A_{g^-1} (P, d_{g^-1}) in the packed vector."""
+    def build() -> list:
+        G, offsets = bundle.groupoid, bundle.offsets()
+        groups: dict[tuple[int, int], list[str]] = {}
+        for g in G.arrows:
+            if bundle.dims[g] and bundle.dims[G.inv[g]]:
+                groups.setdefault(bundle.inv[g].shape, []).append(g)
+        return [(np.array([bundle.inv[g] for g in arrows]),
+                 _spans([offsets[g] for g in arrows], d),
+                 _spans([offsets[G.inv[g]] for g in arrows], di))
+                for (di, d), arrows in groups.items()]
+    return bundle.memo("involution_groups", build)
 
 
 def involute(xi: Section) -> Section:
-    G = xi.bundle.groupoid
-    entries = {}
-    for g, v in xi.entries.items():
-        gi = G.inv[g]
-        entries[gi] = entries.get(gi, 0) + xi.bundle.star_coords(g, v)
-    return Section(xi.bundle, entries)
+    """xi*(g^-1) = inv[g] conj(xi(g)): one stacked product per shape group;
+    ``inv`` is a bijection of the arrows, so each fibre is written once."""
+    x = xi._packed
+    out = np.zeros(len(x), dtype=np.complex128)
+    for J, src, dst in _involution_groups(xi.bundle):
+        out[dst] = np.matmul(J, np.conj(x[src])[..., None])[..., 0]
+    return Section._of(xi.bundle, out)
+
+
+def _i_norm_tables(bundle: FellBundle) -> tuple[list[tuple[Array, Array]], Array, Array]:
+    """Per ``norm_stacks`` group, the positions of its fibres in the packed
+    vector (A, d) and of its arrows in declared order (A,); per arrow, the
+    index of its range and of its source object."""
+    def build() -> tuple:
+        G, offsets = bundle.groupoid, bundle.offsets()
+        place = {g: i for i, g in enumerate(G.arrows)}
+        obj = {x: i for i, x in enumerate(G.objects)}
+        groups = [(_spans([offsets[g] for g in arrows], tensors.shape[-1]),
+                   np.array([place[g] for g in arrows], dtype=np.intp))
+                  for arrows, tensors, _ in bundle.norm_stacks()]
+        return (groups, np.array([obj[G.rng[g]] for g in G.arrows], dtype=np.intp),
+                np.array([obj[G.src[g]] for g in G.arrows], dtype=np.intp))
+    return bundle.memo("i_norm_tables", build)
 
 
 def i_norm(xi: Section) -> float:
-    """The I-norm, from the fibre norms of all entries at once (one
-    ``norm_rows`` request per entry) summed over each range and source fibre."""
-    G = xi.bundle.groupoid
-    norms = dict.fromkeys(G.arrows, 0.0)
-    norms.update(zip(xi.entries, xi.bundle.norm_rows(
-        [(g, v[None]) for g, v in xi.entries.items()])[0].tolist()))
-    return max((sum(map(norms.__getitem__, fibre(x)))
-                for fibre in (G.range_fiber, G.source_fiber) for x in G.objects), default=0.0)
+    """The I-norm: the fibre norms of every ``norm_stacks`` group at once
+    (``FellBundle._group_norms``), summed over each range and source fibre
+    in declared arrow order."""
+    bundle = xi.bundle
+    groups, rng, src = _i_norm_tables(bundle)
+    norms = np.zeros(len(rng))
+    for k, (where, place) in enumerate(groups):
+        norms[place] = bundle._group_norms(k, xi._packed[where])[0]
+    objects = len(bundle.groupoid.objects)
+    return float(max(np.bincount(rng, norms, objects).max(initial=0.0),
+                     np.bincount(src, norms, objects).max(initial=0.0)))
 
 
 def unit_section(bundle: FellBundle) -> Section:
@@ -132,14 +198,23 @@ def unit_section(bundle: FellBundle) -> Section:
     return Section(bundle, {G.unit[x]: bundle.unit_algebra_unit(x) for x in G.objects})
 
 
+def _normal_order(bundle: FellBundle) -> Array:
+    """The gather that takes one draw of 2 * total_dim normals, arrow by arrow
+    d real parts then d imaginary parts, to the packed vector viewed as floats."""
+    def build() -> Array:
+        d = np.array([bundle.dims[g] for g in bundle.groupoid.arrows], dtype=np.intp)
+        # coefficient p of the fibre at offset o draws its real part at o + p
+        real = np.repeat(np.cumsum(d) - d, d) + np.arange(bundle.total_dim)
+        return np.stack([real, real + np.repeat(d, d)], axis=1).ravel()
+    return bundle.memo("normal_order", build)
+
+
 def random_section(bundle: FellBundle, rng: np.random.Generator,
                    scale: float = 1.0) -> Section:
-    entries = {}
-    for g in bundle.groupoid.arrows:
-        d = bundle.dims[g]
-        if d:
-            entries[g] = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    return Section(bundle, entries)
+    """Standard complex normal coefficients times ``scale``, drawn per arrow
+    in declared order: d real parts, then d imaginary parts."""
+    z = rng.standard_normal(2 * bundle.total_dim)
+    return Section._of(bundle, scale * z[_normal_order(bundle)].view(np.complex128))
 
 
 def induced_hom(hom: BundleHom):

@@ -35,31 +35,28 @@ class AssembledBundle:
     # per base arrow: [(trafo arrow, offset, dim)] in declared trafo order
 
     def to_base(self, f: Section) -> Section:
-        entries = {}
-        for g, parts in self.components.items():
-            total = self.base_bundle.dims[g]
-            if total == 0:
-                continue
-            v = np.zeros(total, dtype=np.complex128)
-            hit = False
-            for (t, off, d) in parts:
-                if t in f.entries:
-                    v[off:off + d] = f.entries[t]
-                    hit = True
-            if hit:
-                entries[g] = v
-        return Section(self.base_bundle, entries)
+        if f.bundle is not self.fiber_bundle:
+            raise ValueError("section does not live over the fibre bundle")
+        return Section._of(self.base_bundle, f.pack()[self._base_order()])
 
     def to_fibers(self, f: Section) -> Section:
-        entries = {}
-        for g, parts in self.components.items():
-            if g not in f.entries:
-                continue
-            for (t, off, d) in parts:
-                chunk = f.entries[g][off:off + d]
-                if np.any(chunk):
-                    entries[t] = chunk
-        return Section(self.fiber_bundle, entries)
+        if f.bundle is not self.base_bundle:
+            raise ValueError("section does not live over the base bundle")
+        return Section._of(self.fiber_bundle, f.pack()[self._fiber_order()])
+
+    def _base_order(self) -> Array:
+        """Per coefficient of the base bundle's packed vector, its position in
+        the fibre bundle's: the components of each base arrow in order."""
+        def build() -> Array:
+            offsets = self.fiber_bundle.offsets()
+            return np.array([offsets[t] + i for parts in self.components.values()
+                             for t, _, d in parts for i in range(d)], dtype=np.intp)
+        return self.base_bundle.memo("trafo_base_order", build)
+
+    def _fiber_order(self) -> Array:
+        """The inverse permutation of ``_base_order``."""
+        return self.base_bundle.memo("trafo_fiber_order",
+                                     lambda: np.argsort(self._base_order()))
 
 
 def assemble_over_base(action: PartialActionOnSet, H: FiniteGroupoid,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,12 +79,17 @@ def test_validate_rep_reports_multiplicativity_at_any_scale(scale):
     # S_e = S_g1 = scale on z2-line: S_e S_e = scale^2 but S_e(e e) = scale.
     # At 1e200 the product overflows to inf; the bounds tol * max(1, |.|)
     # must stay finite, or the residual inf passes against a bound of inf
+    # without a numpy overflow warning, and the nondegeneracy residual
+    # |S_e(1) - 1| = scale - 1 stays finite
     b = gallery.z2_line_bundle()
     R = FellRep(b, {"pt": 1}, {g: np.full((1, 1, 1), scale) for g in b.groupoid.arrows})
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = validate_rep(R)
     assert [v.where for v in rep.violations if v.check.startswith("multiplicativity")] == [
         "(e,e)", "(e,g1)", "(g1,e)", "(g1,g1)"]
+    [unit] = [v for v in rep.violations if v.check.startswith("unit fibre")]
+    assert (unit.where, unit.residual) == ("object pt", scale - 1.0)
 
 
 def test_z2_regular_fellrep_permutes_basis():

@@ -198,3 +198,166 @@ def test_bundle_mismatch_rejected():
     y = Section(b2, {"e": [1.0]})
     with pytest.raises(ValueError, match="different bundles"):
         convolve(x, y)
+
+
+# -- the packed vector against the per-arrow loops it replaced ----------------
+
+
+def _ref_random_entries(bundle, rng, scale=1.0):
+    entries = {}
+    for g in bundle.groupoid.arrows:
+        d = bundle.dims[g]
+        if d:
+            entries[g] = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    return entries
+
+
+def _ref_pack(bundle, entries):
+    out = np.zeros(bundle.total_dim, dtype=np.complex128)
+    for g, off in bundle.offsets().items():
+        if g in entries:
+            out[off:off + bundle.dims[g]] = entries[g]
+    return out
+
+
+def _ref_unpack(bundle, packed):
+    entries = {}
+    for g, off in bundle.offsets().items():
+        d = bundle.dims[g]
+        if d and np.any(packed[off:off + d]):
+            entries[g] = packed[off:off + d].copy()
+    return entries
+
+
+def _ref_involute(bundle, entries):
+    out = {}
+    for g, v in entries.items():
+        gi = bundle.groupoid.inv[g]
+        out[gi] = out.get(gi, 0) + bundle.star_coords(g, v)
+    return out
+
+
+def _ref_add(bundle, e1, e2):
+    def at(e, g):
+        return e[g] if g in e else np.zeros(bundle.dims[g], dtype=np.complex128)
+    return {g: at(e1, g) + at(e2, g) for g in set(e1) | set(e2)}
+
+
+def _ref_i_norm(bundle, entries):
+    G = bundle.groupoid
+    norms = dict.fromkeys(G.arrows, 0.0)
+    norms.update(zip(entries, bundle.norm_rows(
+        [(g, v[None]) for g, v in entries.items()])[0].tolist()))
+    return max((sum(map(norms.__getitem__, fibre(x)))
+                for fibre in (G.range_fiber, G.source_fiber) for x in G.objects), default=0.0)
+
+
+def _bits_equal(a, b):
+    return np.array_equal(np.asarray(a).view(np.float64), np.asarray(b).view(np.float64))
+
+
+def _oracle_bundles(certify_bundles):
+    from fellbund.bundle import subbundle_from_frames
+    from fellbund.ideals import InvariantFamily, ideal_from_invariant_family
+    b = gallery.a4_bundle()
+    frames = {x: (np.eye(1, dtype=complex) if x in ("p", "q")
+                  else np.zeros((0, 1), dtype=complex)) for x in b.groupoid.objects}
+    I = ideal_from_invariant_family(InvariantFamily(b, frames))
+    sub, _ = subbundle_from_frames(b, dict(I.frames), name="a4 ideal subbundle")
+    assert 0 in sub.dims.values() and sub.total_dim
+    return {**gallery.shipped_bundles(), **certify_bundles, "a4-ideal-sub": sub}
+
+
+def test_packed_ops_match_the_per_arrow_loops_bit_for_bit(certify_bundles):
+    for name, b in _oracle_bundles(certify_bundles).items():
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for scale in (1.0, 0.5 - 2j):
+            f = random_section(b, rng, scale)
+            want = _ref_random_entries(b, ref_rng, scale)
+            assert _bits_equal(f.pack(), _ref_pack(b, want)), name
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, name
+        g = random_section(b, rng)
+        fe, ge = dict(f.entries), dict(g.entries)
+        assert _bits_equal(involute(f).pack(), _ref_pack(b, _ref_involute(b, fe))), name
+        assert _bits_equal((f + g).pack(), _ref_pack(b, _ref_add(b, fe, ge))), name
+        assert _bits_equal((f - g).pack(), _ref_pack(b, _ref_add(b, fe, {
+            k: -1.0 * v for k, v in ge.items()}))), name
+        assert _bits_equal((2.5j * f).pack(), _ref_pack(b, {k: 2.5j * v for k, v in fe.items()}))
+        assert i_norm(f) == _ref_i_norm(b, fe), name
+        # a sparse section: every other arrow, and a whole zero fibre given
+        sparse = {k: v for i, (k, v) in enumerate(fe.items()) if i % 2}
+        s = Section(b, {**sparse, b.groupoid.arrows[0]: np.zeros(b.dims[b.groupoid.arrows[0]])})
+        assert _bits_equal(s.pack(), _ref_pack(b, sparse)), name
+        assert i_norm(s) == _ref_i_norm(b, sparse), name
+        assert _bits_equal(involute(s).pack(), _ref_pack(b, _ref_involute(b, sparse))), name
+        packed = convolve(f, g).pack()
+        back = Section.unpack(b, packed)
+        assert _bits_equal(back.pack(), _ref_pack(b, _ref_unpack(b, packed))), name
+        assert list(back.entries) == list(_ref_unpack(b, packed)), name
+
+
+def test_per_object_norms_match_one_svd_per_matrix(certify_bundles):
+    from fellbund.envelope import per_object_norms, regular_rep_matrix
+    for name, b in _oracle_bundles(certify_bundles).items():
+        f = random_section(b, np.random.default_rng(12))
+        want = {x: la.operator_norm(regular_rep_matrix(b, x, f)) for x in b.groupoid.objects}
+        assert per_object_norms(b, f) == want, name
+
+
+def test_section_views_are_read_only():
+    b = gallery.a4_over_z2_bundle()
+    f = random_section(b, np.random.default_rng(13))
+    g = next(iter(f.entries))
+    for view in (f.pack(), f.at(g), f.entries[g]):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+    with pytest.raises(TypeError):
+        f.entries[g] = np.ones(b.dims[g])
+
+
+def test_entries_omit_zero_fibres_in_declared_order():
+    b = gallery.a4_bundle()
+    arrows = [g for g in b.groupoid.arrows if b.dims[g]]
+    first, middle, last = arrows[0], arrows[len(arrows) // 2], arrows[-1]
+    v = np.arange(1, b.dims[last] + 1) * 1j
+    given = {last: v, middle: np.zeros(b.dims[middle]), first: np.ones(b.dims[first])}
+    f = Section(b, given)
+    assert list(f.entries) == [first, last]
+    v[0] = 7.0  # the section keeps its own copy
+    assert f.at(last)[0] == 1j
+    assert not f.at(middle).any() and f.at(middle).shape == (b.dims[middle],)
+    assert list((f + f).entries) == [first, last]
+    assert dict(Section(b, {}).entries) == {}
+    with pytest.raises(ValueError, match="shape"):
+        Section(b, {first: np.ones(b.dims[first] + 1)})
+    with pytest.raises(ValueError, match="total dimension"):
+        Section.unpack(b, np.ones(b.total_dim + 1))
+
+
+def test_sum_is_independent_of_the_hash_seed(certify_raw, tmp_path):
+    # the sum's entries once came from a set of arrow names, so the sharper
+    # bound summed them in an order that changed with PYTHONHASHSEED
+    import json
+    import os
+    import subprocess
+    import sys
+    path = tmp_path / "certify.json"
+    path.write_text(json.dumps(certify_raw))
+    script = (
+        "import sys, numpy as np\n"
+        "from fellbund.workspace import Workspace\n"
+        "from fellbund.sections import random_section\n"
+        "from fellbund.envelope import sharper_norm_bound\n"
+        "b = Workspace.from_dict(__import__('json').load(open(sys.argv[1]))).bundle('line-z16')\n"
+        "rng = np.random.default_rng(7)\n"
+        "f, g = random_section(b, rng), random_section(b, rng)\n"
+        "print(sharper_norm_bound(b, f + g).hex(), sharper_norm_bound(b, g - f).hex())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outs.add(proc.stdout)
+    assert len(outs) == 1, outs

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 
 from fellbund import gallery
@@ -58,3 +60,45 @@ def test_section_transport_is_bijective():
     f = random_section(B, rng)
     back = asm.to_fibers(asm.to_base(f))
     assert np.linalg.norm((back - f).pack()) < 1e-12
+
+
+def _ref_to_base(asm, f):
+    entries = {}
+    for g, parts in asm.components.items():
+        v = np.zeros(asm.base_bundle.dims[g], dtype=np.complex128)
+        for (t, off, d) in parts:
+            v[off:off + d] = f.at(t)
+        entries[g] = v
+    return entries
+
+
+def _ref_to_fibers(asm, f):
+    return {t: f.at(g)[off:off + d] for g, parts in asm.components.items()
+            for (t, off, d) in parts}
+
+
+def test_section_transport_matches_the_per_component_loops():
+    from fellbund.sections import Section
+    # with the trafo arrows declared in reverse, a base fibre gathers its
+    # components from across the fibre bundle's packed vector
+    cases = [(gallery.swap_fix_action(), None, False), (gallery.partial_swap_action(), None, True),
+             (gallery.swap_action_on_two_points(), "M2", False),
+             (gallery.swap_fix_action(), "M2", True)]
+    for act, fibres, reverse in cases:
+        H, arrow_dict = transformation_groupoid(act)
+        if reverse:
+            H = dataclasses.replace(H, arrows=H.arrows[::-1])
+        if fibres is None:
+            B = gallery.trivial_line_bundle(H)
+        else:
+            units = [np.eye(2, dtype=complex)[:, [i]] @ np.eye(2, dtype=complex)[[j]]
+                     for i in range(2) for j in range(2)]
+            B = MatrixModelBundle(H, {t: units for t in H.arrows}).to_fell_bundle()
+        asm = assemble_over_base(act, H, arrow_dict, B)
+        f = random_section(B, np.random.default_rng(3))
+        base = asm.to_base(f)
+        want = Section(asm.base_bundle, _ref_to_base(asm, f)).pack()
+        assert np.array_equal(base.pack(), want)
+        back = Section(B, _ref_to_fibers(asm, base)).pack()
+        assert np.array_equal(asm.to_fibers(base).pack(), back)
+        assert np.array_equal(back, f.pack())
