@@ -10,7 +10,11 @@ bundle of the seeded benchmark workspace ``perfbench/workloads.certify_workspace
 ``norms`` on a seeded section over its ``m3-pair3`` (M_3 fibres over the pair
 groupoid on three objects) added to that workspace, and ``validate`` on the seeded 1e-6 perturbation of ``a4-over-z2`` that
 ``tests/test_witnesses.py`` checks, written as a structure-tensor workspace:
-its report lists norm-check witnesses with their residuals.
+its report lists norm-check witnesses with their residuals.  A last temp
+workspace holds two twisted partial actions: one on the pair groupoid of
+{p, q} with fibres C and the diagonal C^2 (``validate`` and
+``compile-action``), and Z/2 on M_2 with the ideal span{E12}, which has no
+unit (``validate``: a report of witnesses).
 Each command's stdout goes to its own file under OUT, and ``exit_codes.txt``
 lists the exit status of every command.  fellbund is imported from
 CHECKOUT's ``src`` (default: the checkout holding this script), so two
@@ -82,6 +86,42 @@ def perturbed_workspace(fb) -> dict:
             "bundles": {"a4-over-z2-perturbed": bundle}}
 
 
+def actions_workspace() -> dict:
+    """Two twisted partial actions: "two-objects" on pair({p, q}) with F_p = C
+    and F_q the diagonal C^2 in M_2, D_{q<p} = span{E11}, D_{p<q} = F_p,
+    alpha = 1 both ways and w defaulted; "nilpotent", Z/2 on M_2 with
+    D_g1 = span{E12}, alpha = 1 and w = 1 on every pair."""
+    def unit(i: int, j: int, n: int = 2) -> list:
+        return [[1.0 if (a, b) == (i, j) else 0.0 for b in range(n)] for a in range(n)]
+
+    def group(objects: list, arrows: list, src: dict, rng: dict, units: dict, inv: dict,
+              comp: dict) -> dict:
+        return {"objects": objects,
+                "arrows": [{"id": g, "src": src[g], "rng": rng[g]} for g in arrows],
+                "units": units, "inv": inv, "comp": [[g, h, k] for (g, h), k in comp.items()]}
+    objs = ["p", "q"]
+    pq = [f"{x}<{y}" for x in objs for y in objs]
+    pair = group(objs, pq, {f"{x}<{y}": y for x in objs for y in objs},
+                 {f"{x}<{y}": x for x in objs for y in objs}, {x: f"{x}<{x}" for x in objs},
+                 {f"{x}<{y}": f"{y}<{x}" for x in objs for y in objs},
+                 {(f"{x}<{y}", f"{y}<{z}"): f"{x}<{z}" for x in objs for y in objs for z in objs})
+    z2 = group(["pt"], ["e", "g1"], {"e": "pt", "g1": "pt"}, {"e": "pt", "g1": "pt"},
+               {"pt": "e"}, {"e": "e", "g1": "g1"},
+               {("e", "e"): "e", ("e", "g1"): "g1", ("g1", "e"): "g1", ("g1", "g1"): "e"})
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    return {"groupoids": {"pq": pair, "z2": z2}, "actions": {
+        "two-objects": {"groupoid": "pq",
+                        "fibers": {"p": {"n": 1, "basis": [[[1.0]]]},
+                                   "q": {"n": 2, "basis": [unit(0, 0), unit(1, 1)]}},
+                        "ideals": {"q<p": [unit(0, 0)], "p<q": [[[1.0]]]},
+                        "alpha": {"q<p": [[1.0]], "p<q": [[1.0]]}},
+        "nilpotent": {"groupoid": "z2",
+                      "fibers": {"pt": {"n": 2, "basis": [unit(0, 0), unit(0, 1), unit(1, 0),
+                                                          unit(1, 1)]}},
+                      "ideals": {"g1": [unit(0, 1)]}, "alpha": {"g1": [[1.0]]},
+                      "w": {key: eye for key in ("e,e", "e,g1", "g1,e", "g1,g1")}}}}
+
+
 def seeded_section(fb, raw: dict, bundle: str, seed: int) -> dict:
     """A section of ``bundle`` in the workspace ``raw``: per arrow with a
     nonzero fibre, in declared order, d standard normal real parts and then d
@@ -135,6 +175,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(ws, "w") as fh:
             json.dump(perturbed_workspace(fellbund), fh)
         jobs.append(("perturbed validate a4-over-z2", ["validate", ws, "a4-over-z2-perturbed"]))
+        ws = os.path.join(tmp, "actions.json")
+        with open(ws, "w") as fh:
+            json.dump(actions_workspace(), fh)
+        for cmd, name in (("validate", "two-objects"), ("compile-action", "two-objects"),
+                          ("validate", "nilpotent")):
+            jobs.append((f"actions {cmd} {name}", [cmd, ws, name]))
         for label, cli_argv in jobs:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -121,12 +121,14 @@ def frames_contain(frames: Array, vectors: Array, tol: float) -> Array:
 def stacked_frame_eq(a: Array, arank: Array, b: Array, brank: Array, tol: float) -> Array:
     """``frame_eq`` of the frames ``a[i, :arank[i]]`` and ``b[i, :brank[i]]``
     for each item i of the stacks (t, *, d), as ``stacked_orth_rows`` returns
-    them; the items of equal rank are checked together."""
+    them; the items of equal rank are checked together, both inclusions in
+    one ``frames_contain``."""
     out = arank == brank
-    for r in np.unique(arank[out]):
+    for r in set(arank[out].tolist()):
         idx = np.flatnonzero(out & (arank == r))
         sa, sb = a[idx, :r], b[idx, :r]
-        out[idx] = frames_contain(sb, sa, tol) & frames_contain(sa, sb, tol)
+        both = frames_contain(np.concatenate([sb, sa]), np.concatenate([sa, sb]), tol)
+        out[idx] = both[:len(idx)] & both[len(idx):]
     return out
 
 
@@ -177,45 +179,47 @@ def frame_intersection(a: Array, b: Array, dim: int, rtol: float = 1e-10) -> Arr
 def frame_intersections(pairs: list[tuple[Array, Array]], rtol: float = 1e-10) -> list[Array]:
     """``frame_intersection`` of each pair of frames (r_a, d), (r_b, d).
 
-    Equal bit for bit to one ``frame_intersection`` per pair: the pairs of
-    equal shapes form their complement projections with one batched matmul,
-    the complements of equal d share one stacked SVD, and the null rows of
-    equal shape one ``stacked_orth_rows``.
+    Equal bit for bit to one ``frame_intersection`` per pair, in two
+    stacked passes: the pairs of equal shapes form their complement
+    projections with one batched matmul and take one stacked SVD of them,
+    and the null rows of equal shape share one ``stacked_orth_rows``.
     """
     out = [np.zeros((0, a.shape[1]), dtype=np.complex128) for a, _ in pairs]
     live = [i for i, (a, b) in enumerate(pairs) if a.shape[0] and b.shape[0]]
-    complements = []
-    for i, (full, eye, m) in zip(live, stacked([pairs[i] for i in live], _complements,
-                                               lambda shapes: 2 * shapes[0][1] ** 2)):
+    null = []
+    for i, (full, some, cut, vh) in zip(live, stacked(
+            [pairs[i] for i in live], lambda a, b: _null_directions(a, b, rtol),
+            lambda shapes: 2 * shapes[0][1] ** 2)):
         if full:
-            out[i] = eye
-        else:
-            complements.append((i, m))
-    null = [(i, np.conj(vh[cut])) for (i, _), (some, cut, vh) in zip(complements, stacked(
-        [(m,) for _, m in complements], lambda m: _null_directions(m, rtol))) if some]
+            out[i] = vh
+        elif some:
+            null.append((i, np.conj(vh[cut])))
     rows = stacked([(v,) for _, v in null], lambda v: stacked_orth_rows(v, rtol))
     for (i, _), (vh, rank) in zip(null, rows):
         out[i] = np.ascontiguousarray(vh[:rank])
     return out
 
 
-def _complements(a: Array, b: Array) -> tuple[Array, Array, Array]:
-    """Whether both complement projections of the frames a (t, r_a, d) and
-    b (t, r_b, d) vanish, t identities (t, d, d), and the complements stacked
-    (t, 2d, d): v lies in both spans iff both complements kill it."""
-    eye = np.eye(a.shape[2], dtype=np.complex128)
+def _null_directions(a: Array, b: Array, rtol: float) -> tuple[Array, Array, Array, Array]:
+    """For the frames a (t, r_a, d) and b (t, r_b, d): whether both
+    complement projections vanish (v lies in both spans iff both
+    complements kill it), and of the other items the right singular vectors
+    vh (t, d, d) of the complements stacked (2d, d), the mask (t, d) of
+    those whose singular values are at most rtol times max(1, the largest)
+    and whether each item has any; items with vanishing complements keep
+    the identity as vh."""
+    t, _, d = a.shape
+    eye = np.eye(d, dtype=np.complex128)
     m = np.concatenate([eye - np.swapaxes(a, 1, 2) @ a.conj(),
                         eye - np.swapaxes(b, 1, 2) @ b.conj()], axis=1)
-    return ~m.reshape(len(m), -1).any(axis=1), np.repeat(eye[None], len(m), axis=0), m
-
-
-def _null_directions(m: Array, rtol: float) -> tuple[Array, Array, Array]:
-    """The right singular vectors vh (t, d, d) of a stack m (t, 2d, d), the
-    mask (t, d) of those whose singular values are at most rtol times
-    max(1, the largest), and whether each item has any."""
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
-    cut = s <= rtol * np.maximum(s[:, :1], 1.0)
-    return cut.any(axis=1), cut, vh
+    full = ~m.reshape(t, -1).any(axis=1)
+    vh = np.repeat(eye[None], t, axis=0)
+    cut = np.zeros((t, d), dtype=bool)
+    if not full.all():
+        _, s, v = np.linalg.svd(m[~full], full_matrices=False)
+        vh[~full] = v
+        cut[~full] = s <= rtol * np.maximum(s[:, :1], 1.0)
+    return full, cut.any(axis=1), cut, vh
 
 
 def frame_complement(frame: Array, dim: int, rtol: float = 1e-10) -> Array:

@@ -17,18 +17,33 @@ Every a_g acts through one operator on row-major flattened matrices,
     A_g = F_g^T . a_g . conj(F_{g^-1})      (n_{r(g)}^2 x n_{s(g)}^2),
 
 F_g the rows of the flattened ideal basis of D_g: a_g(b) = A_g vec(b), and a
-stack of matrices maps with one matmul.  The validator, the compiler, the
-reconstruction and the restriction build the operators, the intersections
-D_{g^-1} ∩ D_h of the composable pairs (g, h) (which are also the
-D_g ∩ D_{gh}, at the pair (g^-1, gh)) and their units once per call, and
-evaluate every axiom on stacks of equal shape.  Nothing is kept on the
-action: callers may replace its maps.
+stack of matrices maps with one matmul.
+
+Each call builds one table (``_tables``): the frames F_g and operators A_g,
+the intersections D_{g^-1} ∩ D_h of the composable pairs (g, h) (which are
+also the D_g ∩ D_{gh}, at the pair (g^-1, gh)), the units of the ideals
+and of the D_g ∩ D_{gh} from one ``algebra_units`` call, and for the
+validator the triple intersections (D_{g^-1} ∩ D_h) ∩ D_{hk}.  Each
+intersection list takes two ``_linalg.stacks`` passes, so the table takes
+five.  The validator then checks the axioms in one stacked pass per stage,
+each over the items of equal shapes: the arrows (the ideals in their fibres,
+the rank and *-homomorphism residuals of a_g, the normalisation of w, the
+derived identities at g and A_g^{-1}), the composable pairs (w in its
+ideal, conditions 6 and 7, the derived domain identity) and the composable
+triples (the cocycle identity), eight passes in all.  Every stage flags its
+items at once; witnesses are read off the flagged items only, in the order
+of the element-at-a-time loops kept in tests/test_action_witnesses.py.
+``compile_to_fell_bundle`` compiles from the table of its own validation
+(A_g^{-1} included), in two more passes; ``reconstruct_action``,
+``restrict_action`` and ``build`` take the parts they need.  Nothing is kept
+on the action, and nothing is cached across calls: callers may replace its
+maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple
 
 import math
 
@@ -105,8 +120,11 @@ class TwistedPartialAction:
             n = fibers[G.rng[g]].n
             if (g, h) in w and not scalar[(g, h)] and np.shape(w[(g, h)]) != (n, n):
                 raise ValueError(f"w({g},{h}) has shape {np.shape(w[(g, h)])}, want {(n, n)}")
-        units = _intersection_units(act, _intersections(act, rtol),
-                                    [key for key in pairs if key not in w or scalar[key]])
+        need = [key for key in pairs if key not in w or scalar[key]]
+        units = _tables(act, rtol).inter_units if need else {}
+        for g, h in need:
+            if units[(g, h)] is None:
+                raise ValueError(f"intersection ideal at ({g},{h}) has no unit")
         act.w = {key: (complex(w[key]) * units[key] if scalar[key]
                        else la.as_complex(w[key]) if key in w else units[key])
                  for key in pairs}
@@ -134,20 +152,26 @@ class TwistedPartialAction:
 def alpha_operator(T: TwistedPartialAction, g: str) -> Array:
     """A_g = F_g^T a_g conj(F_{g^-1}): vec(D_{g^-1}) -> vec(D_g), shape
     (n_{r(g)}^2, n_{s(g)}^2); zero off D_{g^-1}."""
-    gi = T.groupoid.inv[g]
-    return _frame(T, g).T @ (T.alpha[g] @ _frame(T, gi).conj())
+    return _operator(T.alpha[g], _frame(T, g), _frame(T, T.groupoid.inv[g]))
 
 
 def alpha_inverse_operator(T: TwistedPartialAction, g: str) -> Array:
     """F_{g^-1}^T a_g^{-1} conj(F_g), the inverse of ``alpha_operator`` on
     D_g, shape (n_{s(g)}^2, n_{r(g)}^2); a_g must be invertible."""
-    fg, fgi = _frame(T, g), _frame(T, T.groupoid.inv[g])
+    return _inverse_operator(T.alpha[g], _frame(T, g), _frame(T, T.groupoid.inv[g]))
+
+
+def _operator(a: Array, fg: Array, fgi: Array) -> Array:
+    return fg.T @ (a @ fgi.conj())
+
+
+def _inverse_operator(a: Array, fg: Array, fgi: Array) -> Array:
     if fg.shape[0] == 0:
         return np.zeros((fgi.shape[1], fg.shape[1]), dtype=np.complex128)
-    return fgi.T @ np.linalg.solve(T.alpha[g], fg.conj())
+    return fgi.T @ np.linalg.solve(a, fg.conj())
 
 
-# -- stacked helpers -----------------------------------------------------------
+# -- the per-call table --------------------------------------------------------------
 
 
 def _frame(T: TwistedPartialAction, g: str) -> Array:
@@ -156,7 +180,13 @@ def _frame(T: TwistedPartialAction, g: str) -> Array:
 
 def _t(a: Array) -> Array:
     """Transpose of each matrix of a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
+
+
+def _norms(a: Array, axis: int | tuple[int, int] = -1) -> Array:
+    """``np.linalg.norm(a, axis=axis)`` (Frobenius norms over two axes), by
+    its own arithmetic, without its argument handling."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=axis))
 
 
 def _expand(frames: Array, vectors: Array) -> tuple[Array, Array, Array]:
@@ -165,46 +195,67 @@ def _expand(frames: Array, vectors: Array) -> tuple[Array, Array, Array]:
     off their span and the norms (..., m) of the rows."""
     coords = vectors @ _t(frames).conj()
     diff = vectors - coords @ frames
-    return coords, np.linalg.norm(diff, axis=-1), np.linalg.norm(vectors, axis=-1)
+    return coords, _norms(diff), _norms(vectors)
 
 
-def _intersections(T: TwistedPartialAction, rtol: float) -> dict[tuple[str, str], Array]:
+def _intersections(G: FiniteGroupoid, frames: Mapping[str, Array],
+                   rtol: float) -> dict[tuple[str, str], Array]:
     """Frame of D_{g^-1} ∩ D_h, keyed (g^-1, h), for every composable pair
     (g, h); the same table holds D_g ∩ D_{gh} under (g, gh)."""
-    G = T.groupoid
     keys = [(G.inv[g], h) for g, h in composable_pairs(G)]
-    return dict(zip(keys, la.frame_intersections(
-        [(_frame(T, a), _frame(T, b)) for a, b in keys], rtol)))
+    return dict(zip(keys, la.frame_intersections([(frames[a], frames[b]) for a, b in keys],
+                                                 rtol)))
 
 
-def _units(stacks: list[Array], labels: list[str]) -> list[Array]:
-    """The unit matrix of the span of each stack (d, n, n), zero for d = 0;
-    the first span without a two-sided unit raises, named by its label."""
-    out = []
-    for s, c, label in zip(stacks, la.algebra_units(stacks), labels):
-        if c is None:
-            raise ValueError(f"{label} has no unit")
-        out.append((c @ la.flatten_stack(s)).reshape(s.shape[1:]))
-    return out
+@dataclass
+class _Table:
+    """What the checks of one action are built from, formed once per call:
+    units are None where the span has no two-sided unit."""
+    frames: dict[str, Array]                          # F_g, (k_g, n_{r(g)}^2)
+    ops: dict[str, Array]                             # A_g
+    inter: dict[tuple[str, str], Array]               # D_{g^-1} ∩ D_h under (g^-1, h)
+    units: dict[str, Array | None]                    # of D_g, per arrow
+    inter_units: dict[tuple[str, str], Array | None]  # of D_g ∩ D_{gh}, per pair (g, h)
+    triples: list[Array]                              # (D_{g^-1} ∩ D_h) ∩ D_{hk}, per triple
+    inv_ops: dict[str, Array] = field(default_factory=dict)  # A_g^{-1}, once validated
 
 
-def _intersection_units(T: TwistedPartialAction, inter: dict[tuple[str, str], Array],
-                        pairs: list[tuple[str, str]]) -> dict[tuple[str, str], Array]:
-    """Unit of D_g ∩ D_{gh} for each listed pair (g, h), from ``_intersections``."""
+def _tables(T: TwistedPartialAction, rtol: float, triples: bool = False) -> _Table:
+    """The table of T: frames, operators, pair intersections (two stacked
+    passes), the units of the ideals and of the D_g ∩ D_{gh} (one
+    ``algebra_units`` pass) and, if asked, the triple intersections (two
+    passes)."""
     G = T.groupoid
-    stacks = [inter[(g, G.comp[(g, h)])].reshape(-1, T.n_at(G.rng[g]), T.n_at(G.rng[g]))
-              for g, h in pairs]
-    return dict(zip(pairs, _units(stacks, [f"intersection ideal at ({g},{h})"
-                                           for g, h in pairs])))
+    frames = {g: _frame(T, g) for g in G.arrows}
+    ops = {g: _operator(T.alpha[g], frames[g], frames[G.inv[g]]) for g in G.arrows}
+    inter = _intersections(G, frames, rtol)
+    pairs = composable_pairs(G)
+    stacks = [T.ideal_basis[g] for g in G.arrows] + [
+        inter[(g, G.comp[(g, h)])].reshape(-1, T.n_at(G.rng[g]), T.n_at(G.rng[g]))
+        for g, h in pairs]
+    units = [None if c is None else (c @ la.flatten_stack(s)).reshape(s.shape[1:])
+             for s, c in zip(stacks, la.algebra_units(stacks))]
+    split = len(G.arrows)
+    frames3 = la.frame_intersections(
+        [(inter[(G.inv[g], h)], frames[G.comp[(h, k)]]) for g, h, k in composable_triples(G)],
+        rtol) if triples else []
+    return _Table(frames, ops, inter, dict(zip(G.arrows, units[:split])),
+                  dict(zip(pairs, units[split:])), frames3)
 
 
 # -- validation ------------------------------------------------------------------
 
 _FINITE = "finite entries"
+_UNIT = "ideal has a two-sided unit"
 
 
 def _non_finite(T: TwistedPartialAction, rep: ValidationReport) -> None:
     G = T.groupoid
+    pairs = composable_pairs(G)
+    data = ([T.fibers[x].basis for x in G.objects] + [T.ideal_basis[g] for g in G.arrows]
+            + [T.alpha[g] for g in G.arrows] + [T.w[p] for p in pairs])
+    if np.isfinite(np.concatenate([np.zeros(0)] + [np.ravel(a) for a in data])).all():
+        return
     for x in G.objects:
         if not np.isfinite(T.fibers[x].basis).all():
             rep.add(_FINITE, f"object {x}", detail="fibre basis")
@@ -212,24 +263,38 @@ def _non_finite(T: TwistedPartialAction, rep: ValidationReport) -> None:
         for label, data in (("ideal basis", T.ideal_basis[g]), ("alpha", T.alpha[g])):
             if not np.isfinite(data).all():
                 rep.add(_FINITE, f"arrow {g}", detail=label)
-    for g, h in composable_pairs(G):
+    for g, h in pairs:
         if not np.isfinite(T.w[(g, h)]).all():
             rep.add(_FINITE, f"({g},{h})", detail="w")
 
 
-def _ideal_residuals(B: Array, Fb: Array) -> tuple[Array, Array, Array]:
+def _any(mask: Array) -> Array:
+    """Per item (first axis), whether any entry of the mask is set."""
+    return mask.reshape(len(mask), -1).any(axis=1)
+
+
+def _ideal_residuals(B: Array, Fb: Array, tol: float) -> tuple[Array, Array, Array, Array]:
     """For ideal bases B (t, k, n, n) in fibres with bases Fb (t, d, n, n):
-    the residuals (t, k) of B off the fibre, and the residuals and norms
-    (t, k, d, 2) of b B and B b (b in Fb) off span(B)."""
+    the residuals (t, k) of B off the fibre; the mask and the residuals
+    (t, k, d, 2) of the products b B and B b (b in Fb) off span(B) beyond
+    tol times max(1, their norm); and whether span(B) is the fibre, as
+    ``la.frame_eq`` decides it."""
     t, k, n = B.shape[:3]
     d = Fb.shape[1]
-    fB = B.reshape(t, k, n * n)
-    _, inside, _ = _expand(Fb.reshape(t, d, n * n), fB)
+    fB, fF = B.reshape(t, k, n * n), Fb.reshape(t, d, n * n)
+    _, inside, size = _expand(fF, fB)
     left = np.matmul(Fb[:, None], B[:, :, None])          # (t, k, d, n, n)
     right = np.matmul(B[:, :, None], Fb[:, None])
     prods = np.stack([left, right], axis=3).reshape(t, k * d * 2, n * n)
     _, res, norms = _expand(fB, prods)
-    return inside, res.reshape(t, k, d, 2), norms.reshape(t, k, d, 2)
+    res = res.reshape(t, k, d, 2)
+    absorb = ~(res <= tol * np.maximum(1.0, norms.reshape(t, k, d, 2)))
+    equal = np.zeros(t, dtype=bool)
+    if k == d:
+        _, back, back_size = _expand(fB, fF)
+        equal = ((inside <= tol * np.maximum(1.0, size)).all(axis=1)
+                 & (back <= tol * np.maximum(1.0, back_size)).all(axis=1))
+    return inside, absorb, res, equal
 
 
 def _star_mult_residuals(Bgi: Array, A: Array) -> tuple[Array, Array, Array]:
@@ -241,176 +306,266 @@ def _star_mult_residuals(Bgi: Array, A: Array) -> tuple[Array, Array, Array]:
     At = _t(A)
     img = (Bgi.reshape(t, k, n * n) @ At).reshape(t, k, m, m)
     img_star = (_t(Bgi).conj().reshape(t, k, n * n) @ At).reshape(t, k, m, m)
-    star = np.linalg.norm(img_star - _t(img).conj(), axis=(-2, -1))
+    star = _norms(img_star - _t(img).conj(), (-2, -1))
     prods = np.matmul(Bgi[:, :, None], Bgi[:, None]).reshape(t, k * k, n * n)
     lhs = (prods @ At).reshape(t, k, k, m, m)
     rhs = np.matmul(img[:, :, None], img[:, None])
-    return star, np.linalg.norm(lhs - rhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1))
+    return star, _norms(lhs - rhs, (-2, -1)), _norms(rhs, (-2, -1))
 
 
-def _pair_residuals(w, tgt, q, dom, Ag, Ah, Ahi, Agh, Fgh, rtol):
+class _Arrow(NamedTuple):
+    """What the validator finds at one arrow g (``_arrow_residuals``)."""
+    inside: Array        # (k,) residuals of the basis of D_g off the fibre
+    absorb: Array        # (k, d, 2) failed absorptions b B, B b
+    absorb_res: Array    # (k, d, 2) their residuals
+    ideal_bad: bool      # any of those
+    equal: bool          # D_g is the fibre algebra
+    alpha_unit: float    # |a_g - 1| (square a_g)
+    rank: int            # of a_g
+    star: Array          # (k,) star residuals of a_g
+    mult_bad: Array      # (k, k) failed multiplicativity
+    mult: Array          # (k, k) its residuals
+    alpha_bad: bool      # any star or multiplicativity failure
+    normal: Array        # (2,) |w(g, s(g)) - 1_g|, |w(r(g), g) - 1_g|
+    unitary: float       # |a_g(w(g^-1, g)) - w(g, g^-1)|
+    inv_op: Array        # A_g^{-1} where a_g is invertible (zero otherwise)
+    inverse: Array       # (k,) derived inverse identity residuals
+    inverse_bad: Array   # (k,) those beyond 1e-7 times max(1, |rhs|)
+
+
+def _arrow_residuals(B, Fb, alpha, Bgi, A, Agi, w_s, w_r, unit, w_back, w_forth, tol, rtol):
+    """Every check at an arrow g, stacked over arrows of equal shapes (one
+    ``_Arrow`` per item), from: the bases B of D_g, Fb of the range fibre and
+    Bgi of D_{g^-1}; a_g, A_g and A_{g^-1}; w(g, s(g)), w(r(g), g), the unit
+    of D_g (zero if it has none), w(g^-1, g) and w(g, g^-1)."""
+    t, k, n = B.shape[:3]
+    kgi, ns = Bgi.shape[1:3]
+    inside, absorb, absorb_res, equal = _ideal_residuals(B, Fb, tol)
+    alpha_unit = (la.row_norms(alpha - np.eye(k)) if k == kgi
+                  else np.full(t, np.nan))
+    _, rank = la.stacked_orth_rows(alpha, rtol)
+    star, mult, rhs = _star_mult_residuals(Bgi, A)
+    mult_bad = ~(mult <= tol * np.maximum(1.0, rhs))
+    # |w(g, s(g)) - 1_g|, |w(r(g), g) - 1_g| and |a_g(w(g^-1, g)) - w(g, g^-1)|
+    normal = la.row_norms(np.stack([
+        w_s - unit, w_r - unit,
+        ((A @ w_back.reshape(t, -1, 1))[..., 0] - w_forth.reshape(t, -1)).reshape(t, n, n)],
+        axis=1).reshape(3 * t, n, n)).reshape(t, 3)
+    # A_g^{-1} and the derived inverse identity a_{g^-1}(b) = Ad(w(g^-1,g)) a_g^{-1}(b)
+    # on the basis b of D_g, where a_g is invertible
+    inv_op = np.zeros((t, ns * ns, n * n), dtype=np.complex128)
+    inverse = np.zeros((t, k))
+    inverse_bad = np.zeros((t, k), dtype=bool)
+    ok = rank == k if k == kgi else np.zeros(t, dtype=bool)
+    if k and ok.any():
+        ok = slice(None) if ok.all() else ok
+        fB = B[ok].reshape(-1, k, n * n)
+        inv_op[ok] = _t(Bgi[ok].reshape(-1, k, ns * ns)) @ np.linalg.solve(alpha[ok], fB.conj())
+        wg = w_back[ok]
+        lhs = (fB @ _t(Agi[ok])).reshape(-1, k, ns, ns)
+        rhs = wg[:, None] @ (fB @ _t(inv_op[ok])).reshape(-1, k, ns, ns) @ _t(wg.conj())[:, None]
+        inverse[ok] = _norms(lhs - rhs, (-2, -1))
+        inverse_bad[ok] = inverse[ok] > 1e-7 * np.maximum(1.0, _norms(rhs, (-2, -1)))
+    return (inside, absorb, absorb_res, _any(~(inside <= tol)) | _any(absorb), equal,
+            alpha_unit, rank, star, mult_bad, mult, _any(~(star <= tol)) | _any(mult_bad),
+            normal[:, :2], normal[:, 2], inv_op, inverse, inverse_bad)
+
+
+def _pair_residuals(w, tgt, q, dom, Ag, Ah, Ahi, Agh, Fgh, tol, rtol):
     """Per composable pair (g, h), stacked: w (n, n) against D_g ∩ D_{gh}
     (frame tgt, unit q); conditions 6 and 7 on the rows of
-    dom = D_{g^-1} ∩ D_h; and whether a_g(dom) spans tgt."""
+    dom = D_{g^-1} ∩ D_h; whether a_g(dom) spans tgt; and per group of
+    checks whether any residual exceeds its bound."""
     t, n = w.shape[:2]
     r = dom.shape[1]
     _, supported, wnorm = _expand(tgt, w.reshape(t, 1, n * n))
     ws = _t(w).conj()
-    unitary = np.linalg.norm(np.stack([w @ ws - q, ws @ w - q], axis=1), axis=(-2, -1))
+    unitary = _norms(np.stack([w @ ws - q, ws @ w - q], axis=1), (-2, -1))
     img = dom @ _t(Ag)                                       # a_g(b), (t, r, n^2)
     _, c6, c6_norm = _expand(Fgh, img)
     a = dom @ _t(Ahi)                                        # a_{h^-1}(b)
     lhs = (a @ _t(Ah) @ _t(Ag)).reshape(t, r, n, n)
     rhs = w[:, None] @ (a @ _t(Agh)).reshape(t, r, n, n) @ ws[:, None]
-    c7 = np.linalg.norm(lhs - rhs, axis=(-2, -1))
+    c7 = _norms(lhs - rhs, (-2, -1))
+    c7_norm = _norms(lhs, (-2, -1))
     vh, rank = la.stacked_orth_rows(img, rtol)
     spans = la.stacked_frame_eq(vh, rank, tgt, np.full(t, tgt.shape[1]), 1e-7)
-    return (supported[:, 0], wnorm[:, 0], unitary, c6, c6_norm, c7,
-            np.linalg.norm(lhs, axis=(-2, -1)), spans, rank)
+    # unitarity is checked where the intersection is not zero
+    bad = ~(supported[:, 0] <= tol * np.maximum(1.0, wnorm[:, 0]))
+    if tgt.shape[1]:
+        bad |= _any(~(unitary <= tol))
+    return (supported[:, 0], wnorm[:, 0], unitary, bad,
+            c6, c6_norm, _any(~(c6 <= tol * np.maximum(1.0, c6_norm))),
+            c7, c7_norm, _any(~(c7 <= tol * np.maximum(1.0, c7_norm))), spans, rank)
 
 
-def _cocycle_residuals(a, Ag, w_hk, w_g_hk, w_gh, w_gh_k):
+class _Pair(NamedTuple):
+    """What the validator finds at one composable pair (``_pair_residuals``)."""
+    supported: float     # |w off D_g ∩ D_{gh}|
+    wnorm: float         # |w|
+    unitary: Array       # (2,) |w w* - 1|, |w* w - 1|
+    w_bad: bool          # any of those beyond its bound
+    c6: Array            # (r,) condition 6 residuals
+    c6_norm: Array
+    c6_bad: bool
+    c7: Array            # (r,) condition 7 residuals
+    c7_norm: Array
+    c7_bad: bool
+    spans: bool          # a_g(D_{g^-1} ∩ D_h) = D_g ∩ D_{gh}
+    rank: int            # of a_g(D_{g^-1} ∩ D_h)
+
+
+def _cocycle_residuals(a, Ag, w_hk, w_g_hk, w_gh, w_gh_k, tol):
     """|a_g(a w(h,k)) w(g,hk) - a_g(a) w(g,h) w(gh,k)| and |rhs| for the rows
-    a of D_{g^-1} ∩ D_h ∩ D_{hk}, (t, r) each."""
+    a of D_{g^-1} ∩ D_h ∩ D_{hk}, (t, r) each, and whether any exceeds its
+    bound."""
     t, r = a.shape[:2]
     ns, n = w_hk.shape[-1], w_gh.shape[-1]
     a = a.reshape(t, r, ns, ns)
     At = _t(Ag)
     lhs = ((a @ w_hk[:, None]).reshape(t, r, ns * ns) @ At).reshape(t, r, n, n) @ w_g_hk[:, None]
     rhs = (a.reshape(t, r, ns * ns) @ At).reshape(t, r, n, n) @ w_gh[:, None] @ w_gh_k[:, None]
-    return np.linalg.norm(lhs - rhs, axis=(-2, -1)), np.linalg.norm(rhs, axis=(-2, -1))
+    res, norms = _norms(lhs - rhs, (-2, -1)), _norms(rhs, (-2, -1))
+    return res, norms, _any(~(res <= tol * (np.maximum(1.0, norms + 1.0))))
 
 
 def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> ValidationReport:
     """Axioms 5-8 on basis elements, plus *-isomorphism checks; the derived
     identities are reported as diagnostics in the notes.  Non-finite input is
-    reported (``finite entries``) and nothing else is checked."""
+    reported (``finite entries``) and nothing else is checked; an ideal or
+    intersection without a two-sided unit is reported, and only the checks
+    that need that unit are skipped."""
+    return _validated(T, tols)[0]
+
+
+def _validated(T: TwistedPartialAction, tols: Tolerances) -> tuple[ValidationReport,
+                                                                   _Table | None]:
+    """``validate_action``'s report, with the table it was checked on (None
+    for non-finite input); the table holds A_g^{-1} wherever a_g is
+    invertible.  One stacked pass per stage (arrows, pairs, triples); each
+    stage flags its items at once, and only the flagged ones are walked for
+    witnesses, in the order of the element-at-a-time checks."""
     G = T.groupoid
     tol, rtol = tols.tolerance, tols.rank_threshold
     rep = ValidationReport("twisted partial action")
     _non_finite(T, rep)
     if not rep.ok:
-        return rep
+        return rep, None
     for g in G.arrows:
         want = (T.ideal_dim(g), T.ideal_dim(G.inv[g]))
         if np.shape(T.alpha[g]) != want:
             raise ValueError(f"alpha at {g} has shape {np.shape(T.alpha[g])}, want {want}")
     pairs, triples = composable_pairs(G), composable_triples(G)
-    B = T.ideal_basis
-    frames = {g: _frame(T, g) for g in G.arrows}
-    ops = {g: alpha_operator(T, g) for g in G.arrows}
-    inter = _intersections(T, rtol)
-    dom = {(g, h): inter[(G.inv[g], h)] for g, h in pairs}
-    tgt = {(g, h): inter[(g, G.comp[(g, h)])] for g, h in pairs}
+    B, w = T.ideal_basis, T.w
+    tab = _tables(T, rtol, triples=True)
+    frames, ops = tab.frames, tab.ops
+    dom = {(g, h): tab.inter[(G.inv[g], h)] for g, h in pairs}
+    tgt = {(g, h): tab.inter[(g, G.comp[(g, h)])] for g, h in pairs}
+
+    def unit(q: Array | None, n: int) -> Array:
+        return np.zeros((n, n), dtype=np.complex128) if q is None else q
+
+    # size: the k_g . d . 2 products b B, B b, or the k^2 products a_i a_j and their images
+    arrow = {g: _Arrow(*row) for g, row in zip(G.arrows, la.stacked(
+        [(B[g], T.fibers[G.rng[g]].basis, T.alpha[g], B[G.inv[g]], ops[g], ops[G.inv[g]],
+          w[(g, G.unit[G.src[g]])], w[(G.unit[G.rng[g]], g)],
+          unit(tab.units[g], T.n_at(G.rng[g])), w[(G.inv[g], g)], w[(g, G.inv[g])])
+         for g in G.arrows],
+        lambda *arrays: _arrow_residuals(*arrays, tol, rtol),
+        lambda s: max(2 * s[0][0] * math.prod(s[1]), s[3][0] ** 2 * max(s[4]))))}
 
     # ideals sit inside the fibre algebras and absorb multiplication
-    # size: the k_g . d . 2 products b B, B b
-    rows = la.stacked([(B[g], T.fibers[G.rng[g]].basis) for g in G.arrows], _ideal_residuals,
-                      lambda s: 2 * s[0][0] * math.prod(s[1]))
-    for g, (inside, res, norms) in zip(G.arrows, rows):
-        bad = ~(res <= tol * np.maximum(1.0, norms))
-        for i in np.flatnonzero(~(inside <= tol) | bad.any(axis=(1, 2))):
-            rep.check_residual(inside[i], tol, "ideal inside fibre algebra", f"D_{g}[{i}]")
-            for b, side in zip(*np.nonzero(bad[i])):
+    for g, a in arrow.items():
+        if not a.ideal_bad:
+            continue
+        for i in np.flatnonzero(~(a.inside <= tol) | a.absorb.any(axis=(1, 2))):
+            rep.check_residual(a.inside[i], tol, "ideal inside fibre algebra", f"D_{g}[{i}]")
+            for b, side in zip(*np.nonzero(a.absorb[i])):
                 rep.add(f"ideal absorbs {('left', 'right')[side]} multiplication",
-                        f"D_{g}[{i}]", float(res[i, b, side]))
+                        f"D_{g}[{i}]", float(a.absorb_res[i, b, side]))
 
     # condition 5: units
     for x in G.objects:
-        u = G.unit[x]
-        F = T.fibers[x]
-        ok = la.frame_eq(frames[u], F.basis.reshape(F.dim, -1), tol)
-        rep.require(ok, "D at unit equals fibre algebra", f"object {x}")
-        res = float(np.linalg.norm(T.alpha[u] - np.eye(T.ideal_dim(u))))
-        rep.check_residual(res, tol, "alpha at unit is identity", f"object {x}")
-    for g, pg in zip(G.arrows, _units([B[g] for g in G.arrows],
-                                      [f"ideal at {g}" for g in G.arrows])):
-        us, ur = G.unit[G.src[g]], G.unit[G.rng[g]]
-        for key, label in (((g, us), "w(g, unit)"), ((ur, g), "w(unit, g)")):
-            res = float(np.linalg.norm(T.w[key] - pg))
+        a = arrow[G.unit[x]]
+        rep.require(a.equal, "D at unit equals fibre algebra", f"object {x}")
+        rep.check_residual(a.alpha_unit, tol, "alpha at unit is identity", f"object {x}")
+    for g, a in arrow.items():
+        if tab.units[g] is None:
+            rep.add(_UNIT, f"arrow {g}")
+            continue
+        for res, label in zip(a.normal, ("w(g, unit)", "w(unit, g)")):
             rep.check_residual(res, tol, f"normalisation {label} = 1", f"arrow {g}")
 
     # alpha is a *-isomorphism D_{g^-1} -> D_g
-    square = [g for g in G.arrows if T.ideal_dim(g) == T.ideal_dim(G.inv[g]) > 0]
-    ranks = {g: rank for g, (rank,) in zip(square, la.stacked(
-        [(T.alpha[g],) for g in square], lambda a: la.stacked_orth_rows(a, rtol)[1:]))}
-    invertible = [g for g in G.arrows if T.ideal_dim(g) == T.ideal_dim(G.inv[g])
-                  and ranks.get(g, 0) == T.ideal_dim(g)]
-    # size: the k^2 products a_i a_j and their images
-    alpha_rows = dict(zip(invertible, la.stacked([(B[G.inv[g]], ops[g]) for g in invertible],
-                                                 _star_mult_residuals,
-                                                 lambda s: s[0][0] ** 2 * max(s[1]))))
-    for g in G.arrows:
+    for g, a in arrow.items():
         gi = G.inv[g]
         kg, kgi = T.ideal_dim(g), T.ideal_dim(gi)
         if kg != kgi:
             rep.add("alpha domain/codomain dimensions", f"arrow {g}",
                     detail=f"dim D_{g}={kg}, dim D_{gi}={kgi}")
             continue
-        if g not in alpha_rows:
+        if a.rank != kg:
             rep.add("alpha invertible", f"arrow {g}")
             continue
-        star, mult, rhs = alpha_rows[g]
-        bad = ~(mult <= tol * np.maximum(1.0, rhs))
-        for i in np.flatnonzero(~(star <= tol) | bad.any(axis=1)):
-            rep.check_residual(star[i], tol, "alpha star-preserving", f"{g}, basis {i}")
-            for j in np.flatnonzero(bad[i]):
-                rep.add("alpha multiplicative", f"{g}, basis ({i},{j})", float(mult[i, j]))
+        tab.inv_ops[g] = a.inv_op
+        if not a.alpha_bad:
+            continue
+        for i in np.flatnonzero(~(a.star <= tol) | a.mult_bad.any(axis=1)):
+            rep.check_residual(a.star[i], tol, "alpha star-preserving", f"{g}, basis {i}")
+            for j in np.flatnonzero(a.mult_bad[i]):
+                rep.add("alpha multiplicative", f"{g}, basis ({i},{j})", float(a.mult[i, j]))
 
     # w unitary in its ideal; conditions 6 and 7; the derived domain identity
-    units = _intersection_units(T, inter, pairs)
-    pair_rows = la.stacked(
-        [(T.w[p], tgt[p], units[p], dom[p], ops[p[0]], ops[p[1]], ops[G.inv[p[1]]],
-          ops[G.comp[p]], frames[G.comp[p]]) for p in pairs],
-        lambda *arrays: _pair_residuals(*arrays, rtol))
-    for (g, h), (supported, wnorm, unitary, *_) in zip(pairs, pair_rows):
-        rep.check_residual(supported, tol * max(1.0, float(wnorm)),
+    pair = {p: _Pair(*row) for p, row in zip(pairs, la.stacked(
+        [(w[p], tgt[p], unit(tab.inter_units[p], len(w[p])), dom[p], ops[p[0]], ops[p[1]],
+          ops[G.inv[p[1]]], ops[G.comp[p]], frames[G.comp[p]]) for p in pairs],
+        lambda *arrays: _pair_residuals(*arrays, tol, rtol)))}
+    for (g, h), p in pair.items():
+        unitless = tab.inter_units[(g, h)] is None
+        if not (p.w_bad or unitless):
+            continue
+        rep.check_residual(p.supported, tol * max(1.0, float(p.wnorm)),
                            "w supported on intersection ideal", f"({g},{h})")
-        if tgt[(g, h)].shape[0]:
-            for res, side in zip(unitary, ("w w*", "w* w")):
+        if unitless:
+            rep.add(_UNIT, f"({g},{h})", detail=f"D_{g} ∩ D_{G.comp[(g, h)]}")
+        elif tgt[(g, h)].shape[0]:
+            for res, side in zip(p.unitary, ("w w*", "w* w")):
                 rep.check_residual(res, tol, f"unitarity {side} = unit", f"({g},{h})")
-    for (g, h), (_, _, _, res, norms, *_) in zip(pairs, pair_rows):      # condition 6
-        for i in np.flatnonzero(~(res <= tol * np.maximum(1.0, norms))):
-            rep.add("alpha_g(D_{g^-1} ∩ D_h) inside D_{gh}", f"({g},{h})", float(res[i]))
-    for (g, h), (*_, res, norms, _, _) in zip(pairs, pair_rows):         # condition 7
-        for i in np.flatnonzero(~(res <= tol * np.maximum(1.0, norms))):
-            rep.add("twisted composition alpha_g alpha_h = Ad(w) alpha_{gh}", f"({g},{h})",
-                    float(res[i]))
+    for (g, h), p in pair.items():                                      # condition 6
+        if p.c6_bad:
+            for i in np.flatnonzero(~(p.c6 <= tol * np.maximum(1.0, p.c6_norm))):
+                rep.add("alpha_g(D_{g^-1} ∩ D_h) inside D_{gh}", f"({g},{h})", float(p.c6[i]))
+    for (g, h), p in pair.items():                                      # condition 7
+        if p.c7_bad:
+            for i in np.flatnonzero(~(p.c7 <= tol * np.maximum(1.0, p.c7_norm))):
+                rep.add("twisted composition alpha_g alpha_h = Ad(w) alpha_{gh}",
+                        f"({g},{h})", float(p.c7[i]))
 
     # condition 8 (cocycle identity on the stated domain)
-    frames3 = la.frame_intersections(
-        [(dom[(g, h)], frames[G.comp[(h, k)]]) for g, h, k in triples], rtol)
     rows = la.stacked(
-        [(a, ops[g], T.w[(h, k)], T.w[(g, G.comp[(h, k)])], T.w[(g, h)],
-          T.w[(G.comp[(g, h)], k)]) for a, (g, h, k) in zip(frames3, triples)],
-        _cocycle_residuals)
-    for (g, h, k), (res, norms) in zip(triples, rows):
-        for i in np.flatnonzero(~(res <= tol * (np.maximum(1.0, norms + 1.0)))):
-            rep.add("cocycle identity", f"({g},{h},{k})", float(res[i]))
+        [(a, ops[g], w[(h, k)], w[(g, G.comp[(h, k)])], w[(g, h)], w[(G.comp[(g, h)], k)])
+         for a, (g, h, k) in zip(tab.triples, triples)],
+        lambda *arrays: _cocycle_residuals(*arrays, tol))
+    for (g, h, k), (res, norms, flagged) in zip(triples, rows):
+        if flagged:
+            for i in np.flatnonzero(~(res <= tol * (np.maximum(1.0, norms + 1.0)))):
+                rep.add("cocycle identity", f"({g},{h},{k})", float(res[i]))
 
     # derived diagnostics (failures signal numerical trouble, not user error)
-    for (g, h), (*_, spans, rank) in zip(pairs, pair_rows):
-        if not spans:
+    for (g, h), p in pair.items():
+        if not p.spans:
             rep.note(f"derived domain identity failed at ({g},{h}): "
-                     f"alpha_g(D_g^-1 ∩ D_h) has dim {rank}, "
+                     f"alpha_g(D_g^-1 ∩ D_h) has dim {p.rank}, "
                      f"D_g ∩ D_gh has dim {tgt[(g, h)].shape[0]}")
-    for g in G.arrows:
-        gi = G.inv[g]
-        wg = T.w[(gi, g)]
-        res = float(np.linalg.norm(ops[g] @ wg.reshape(-1) - T.w[(g, gi)].reshape(-1)))
-        if res > 1e-7:
+    for g, a in arrow.items():
+        if a.unitary > 1e-7:
             rep.note(f"derived unitary identity alpha_g(w(g^-1,g)) = w(g,g^-1) "
-                     f"failed at {g} (residual {res:.3e})")
-        if g not in invertible or not T.ideal_dim(g):
-            continue
-        ns = T.n_at(G.src[g])
-        lhs = (frames[g] @ ops[gi].T).reshape(-1, ns, ns)
-        rhs = wg @ (frames[g] @ alpha_inverse_operator(T, g).T).reshape(-1, ns, ns) @ wg.conj().T
-        res = np.linalg.norm(lhs - rhs, axis=(-2, -1))
-        bound = 1e-7 * np.maximum(1.0, np.linalg.norm(rhs, axis=(-2, -1)))
-        for i in np.flatnonzero(res > bound):
-            rep.note(f"derived inverse identity failed at {g}[{i}] (residual {res[i]:.3e})")
-    return rep
+                     f"failed at {g} (residual {a.unitary:.3e})")
+        if g in tab.inv_ops:
+            for i in np.flatnonzero(a.inverse_bad):
+                rep.note(f"derived inverse identity failed at {g}[{i}] "
+                         f"(residual {a.inverse[i]:.3e})")
+    return rep, tab
 
 
 # -- compilation and reconstruction ------------------------------------------------
@@ -419,7 +574,8 @@ def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> Vali
 def _products(Bg, Bh, Ag, Ag_inv, w, Fgh):
     """Coordinates (t, k_gh, k_g, k_h) in D_{gh} of a_g(a_g^{-1}(a_i) b_j) w
     for the bases a_i of D_g and b_j of D_h, with the residuals and norms
-    (t, k_g, k_h) of the products off D_{gh}."""
+    (t, k_g, k_h) of the products off D_{gh}, and whether any residual
+    exceeds 1e-7 times max(1, its norm)."""
     t, kg, n = Bg.shape[:3]
     kh, ns = Bh.shape[1:3]
     pulled = (Bg.reshape(t, kg, n * n) @ _t(Ag_inv)).reshape(t, kg, ns, ns)
@@ -427,18 +583,20 @@ def _products(Bg, Bh, Ag, Ag_inv, w, Fgh):
     img = ((prods @ _t(Ag)).reshape(t, kg * kh, n, n) @ w[:, None]).reshape(t, kg * kh, n * n)
     coords, res, norms = _expand(Fgh, img)
     k = Fgh.shape[1]
-    return (np.moveaxis(coords.reshape(t, kg, kh, k), 3, 1),
-            res.reshape(t, kg, kh), norms.reshape(t, kg, kh))
+    res, norms = res.reshape(t, kg, kh), norms.reshape(t, kg, kh)
+    return (np.moveaxis(coords.reshape(t, kg, kh, k), 3, 1), res, norms,
+            _any(res > 1e-7 * np.maximum(1.0, norms)))
 
 
 def _involutes(Bg, Ag_inv, w_star, Fgi):
     """Coordinates (t, k_{g^-1}, k_g) in D_{g^-1} of a_g^{-1}(a_i^*) w(g^-1,g)^*
-    for the basis a_i of D_g, with their residuals and norms (t, k_g)."""
+    for the basis a_i of D_g, with their residuals and norms (t, k_g), and
+    whether any residual exceeds 1e-7 times max(1, its norm)."""
     t, k, n = Bg.shape[:3]
     ns = w_star.shape[-1]
     img = (_t(Bg).conj().reshape(t, k, n * n) @ _t(Ag_inv)).reshape(t, k, ns, ns)
     coords, res, norms = _expand(Fgi, (img @ w_star[:, None]).reshape(t, k, ns * ns))
-    return _t(coords), res, norms
+    return _t(coords), res, norms, _any(res > 1e-7 * np.maximum(1.0, norms))
 
 
 def _first_failure(res: Array, norms: Array, rel: float) -> tuple | None:
@@ -453,33 +611,38 @@ def compile_to_fell_bundle(T: TwistedPartialAction, tols: Tolerances = DEFAULT,
 
     Fibres are the ideals D_g in their stored bases; the concrete left-ideal
     presentation is attached for reconstruction.  Each structure tensor is
-    one contraction through the α-operators of its pair or arrow.
+    one contraction through the α-operators of its pair or arrow, taken
+    from the table the validation built.
     """
-    check = validate_action(T, tols)
+    check, tab = _validated(T, tols)
     if not check.ok:
         raise ValueError("invalid twisted partial action:\n" + check.summary())
+    return _compiled(T, tab, name)
+
+
+def _compiled(T: TwistedPartialAction, tab: _Table, name: str | None) -> FellBundle:
+    """``compile_to_fell_bundle`` of an action that passed validation, from
+    the table of that validation."""
     G = T.groupoid
     B = T.ideal_basis
     dims = {g: T.ideal_dim(g) for g in G.arrows}
-    frames = {g: _frame(T, g) for g in G.arrows}
-    ops = {g: alpha_operator(T, g) for g in G.arrows}
-    inv_ops = {g: alpha_inverse_operator(T, g) for g in G.arrows}
+    frames, ops, inv_ops = tab.frames, tab.ops, tab.inv_ops
     pairs = composable_pairs(G)
     mult = {}
     # size: the k_g . k_h products and their images
     rows = la.stacked([(B[g], B[h], ops[g], inv_ops[g], T.w[(g, h)], frames[G.comp[(g, h)]])
                        for g, h in pairs], _products, lambda s: s[0][0] * s[1][0] * max(s[2]))
-    for (g, h), (tensor, res, norms) in zip(pairs, rows):
-        bad = _first_failure(res, norms, 1e-7)
-        if bad is not None:
+    for (g, h), (tensor, res, norms, flagged) in zip(pairs, rows):
+        if flagged:
+            bad = _first_failure(res, norms, 1e-7)
             raise ValueError(f"product left D_{G.comp[(g, h)]} (residual {res[bad]:.3e})")
         mult[(g, h)] = np.ascontiguousarray(tensor)
     inv = {}
     rows = la.stacked([(B[g], inv_ops[g], T.w[(G.inv[g], g)].conj().T, frames[G.inv[g]])
                        for g in G.arrows], _involutes)
-    for g, (mat, res, norms) in zip(G.arrows, rows):
-        bad = _first_failure(res, norms, 1e-7)
-        if bad is not None:
+    for g, (mat, res, norms, flagged) in zip(G.arrows, rows):
+        if flagged:
+            bad = _first_failure(res, norms, 1e-7)
             raise ValueError(f"involute left D_{G.inv[g]} (residual {res[bad]:.3e})")
         inv[g] = np.ascontiguousarray(mat)
     unit_rep = {x: B[G.unit[x]] for x in G.objects}
@@ -492,14 +655,16 @@ def _left_module(U, P, M, F):
     """For unit-fibre matrices U (t, d, n, n), a presented fibre P (t, k, n, n)
     with flat frame F and the bundle's left action M = mult[(u, g)]
     (t, k, d, k): residuals and norms (t, d, k) of U_i P_j off span(P), and
-    |M[:, i, j] - coords(U_i P_j)|."""
+    |M[:, i, j] - coords(U_i P_j)|, and whether any of them exceeds 1e-7
+    (the residuals: times max(1, the norm))."""
     t, d, n = U.shape[:3]
     k = P.shape[1]
     prods = np.matmul(U[:, :, None], P[:, None]).reshape(t, d * k, n * n)
     coords, res, norms = _expand(F, prods)
     direct = coords.reshape(t, d, k, k)
-    gap = np.linalg.norm(np.moveaxis(M, 1, 3) - direct, axis=-1)
-    return res.reshape(t, d, k), norms.reshape(t, d, k), gap
+    gap = _norms(np.moveaxis(M, 1, 3) - direct)
+    res, norms = res.reshape(t, d, k), norms.reshape(t, d, k)
+    return res, norms, gap, _any(res > 1e-7 * np.maximum(1.0, norms)) | _any(gap > 1e-7)
 
 
 def _range_spans(M, inv, Pu, F, rtol):
@@ -538,7 +703,8 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
     fibre at its range, and left multiplication by unit-fibre elements agrees
     with the bundle product.  a_g is read off from the right module action
     through the unit of D_g, and w(g,h) is solved from the product formula;
-    a rank-deficient system is reported as an error.
+    a rank-deficient system is reported as an error.  Of the table it takes
+    the frames and the pair intersections.
     """
     if bundle.left_ideal_model is None:
         raise ValueError("bundle carries no left-ideal presentation")
@@ -555,22 +721,16 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
     for g in G.arrows:
         if g not in rows:
             raise ValueError(f"presentation at {g} has wrong rank")
-        res, norms, gap = rows[g]
+        res, norms, gap, flagged = rows[g]
+        if not flagged:
+            continue
         left = res > 1e-7 * np.maximum(1.0, norms)
-        bad = np.argwhere(left | (gap > 1e-7))
-        if bad.size:
-            i, j = bad[0]
-            if left[i, j]:
-                raise ValueError(f"presented fibre at {g} is not a left ideal "
-                                 f"(residual {res[i, j]:.3e})")
-            raise ValueError(f"left module structure at {g} is not "
-                             "multiplication in the range fibre")
-
-    fibers = {x: UnitFiberAlgebra(bundle.unit_dim(x), bundle.unit_rep[x])
-              for x in G.objects}
-    shell = TwistedPartialAction(G, fibers, P,
-                                 {g: np.eye(bundle.dims[g], dtype=np.complex128)
-                                  for g in G.arrows}, {})
+        i, j = np.argwhere(left | (gap > 1e-7))[0]
+        if left[i, j]:
+            raise ValueError(f"presented fibre at {g} is not a left ideal "
+                             f"(residual {res[i, j]:.3e})")
+        raise ValueError(f"left module structure at {g} is not "
+                         "multiplication in the range fibre")
 
     # range ideals D_g = span(A_g A_g*) must match the presentation
     # size: the k^2 products of A_g A_g^*, as matrices
@@ -595,10 +755,12 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
                 raise ValueError(f"D_{gi} does not sit inside the source fibre of {g}")
             alpha_g = np.einsum("cij,i,mj->cm", bundle.mult[(g, us)], units[g], a_coords)
         alpha[g] = alpha_g
-    shell.alpha = alpha
+    fibers = {x: UnitFiberAlgebra(bundle.unit_dim(x), bundle.unit_rep[x])
+              for x in G.objects}
+    shell = TwistedPartialAction(G, fibers, P, alpha, {})
 
-    inter = _intersections(shell, tols.rank_threshold)
-    ops = {g: alpha_operator(shell, g) for g in G.arrows}
+    inter = _intersections(G, F, tols.rank_threshold)
+    ops = {g: _operator(alpha[g], F[g], F[G.inv[g]]) for g in G.arrows}
     pairs = [(g, h) for g, h in composable_pairs(G) if inter[(g, G.comp[(g, h)])].shape[0]]
     # size: the r * m products a_g(b) q_m
     solved = dict(zip(pairs, la.stacked(
@@ -679,9 +841,11 @@ def restrict_action(T: TwistedPartialAction, family: Mapping[str, list],
         fam_frame[x] = la.flatten_stack(stack)
 
     ops = {g: alpha_operator(T, g) for g in G.arrows}
-    s1 = la.frame_intersections([(_frame(T, g), fam_frame[G.rng[g]]) for g in G.arrows], rtol)
-    dom = la.frame_intersections([(_frame(T, G.inv[g]), fam_frame[G.src[g]])
-                                  for g in G.arrows], rtol)
+    # D_g ∩ F'_{r(g)}, then D_{g^-1} ∩ F'_{s(g)}, in one call
+    both = la.frame_intersections(
+        [(_frame(T, g), fam_frame[G.rng[g]]) for g in G.arrows]
+        + [(_frame(T, G.inv[g]), fam_frame[G.src[g]]) for g in G.arrows], rtol)
+    s1, dom = both[:len(G.arrows)], both[len(G.arrows):]
     images = la.stacked([(d @ ops[g].T,) for g, d in zip(G.arrows, dom)],
                         lambda v: la.stacked_orth_rows(v, rtol))
     frames = la.frame_intersections(
@@ -700,7 +864,9 @@ def restrict_action(T: TwistedPartialAction, family: Mapping[str, list],
         alpha[g] = np.ascontiguousarray(coords.T)
 
     shell = TwistedPartialAction(G, new_fibers, new_basis, alpha, {})
-    pairs = composable_pairs(G)
-    units = _intersection_units(shell, _intersections(shell, rtol), pairs)
-    shell.w = {p: units[p] @ T.w[p] @ units[p] for p in pairs}
+    units = _tables(shell, rtol).inter_units
+    for g, h in composable_pairs(G):
+        if units[(g, h)] is None:
+            raise ValueError(f"intersection ideal at ({g},{h}) has no unit")
+    shell.w = {p: units[p] @ T.w[p] @ units[p] for p in units}
     return shell

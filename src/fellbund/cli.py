@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import _linalg as la
-from .actions import compile_to_fell_bundle, validate_action
+from .actions import _compiled, _validated, validate_action
 from .bundle import saturation_check, validate_fell_bundle
 from .envelope import cstar_norm, envelope_algebra, per_object_norms, sharper_norm_bound
 from .groupoid import validate_groupoid, validate_partial_action
@@ -153,10 +153,10 @@ def cmd_validate(ws: Workspace, args) -> tuple[dict, bool]:
 
 def cmd_compile_action(ws: Workspace, args) -> tuple[dict, bool]:
     action = ws.action(args.name)
-    check = validate_action(action, ws.tols)
+    check, table = _validated(action, ws.tols)
     if not check.ok:
         return check.to_json(), False
-    bundle = compile_to_fell_bundle(action, ws.tols, name=args.name)
+    bundle = _compiled(action, table, args.name)
     bcheck = validate_fell_bundle(bundle, ws.tols)
     sat = saturation_check(bundle, ws.tols)
     payload = {

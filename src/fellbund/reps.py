@@ -370,12 +370,38 @@ def disintegrate(bundle: FellBundle, L: Callable[[Section], Array], dim: int,
     non-composable products, each to 1e-7; the first failure in delta order
     is the one raised.
     """
+    def delta_images() -> Array:
+        return np.array([_image(L, s, f"L(delta ({g},{i}))", dim)
+                         for g, i, s in _rep_sections(bundle)[2]],
+                        dtype=np.complex128).reshape(-1, dim, dim)
+    return _disintegrate(bundle, L, dim, tols, delta_images)
+
+
+def _rep_sections(bundle: FellBundle) -> tuple[Section, dict[str, Section], list]:
+    """The unit section, the unit of each unit fibre as a section, and the
+    delta sections (``basis_sections``), memoised on the bundle."""
     G = bundle.groupoid
-    tol = max(tols.tolerance, 1e-12)
-    e, ones, deltas = bundle.memo("rep_sections", lambda: (
+    return bundle.memo("rep_sections", lambda: (
         unit_section(bundle),
         {x: Section(bundle, {G.unit[x]: bundle.unit_algebra_unit(x)}) for x in G.objects},
         basis_sections(bundle)))
+
+
+def _image(L: Callable[[Section], Array], f: Section, label: str, dim: int) -> Array:
+    m = L(f)
+    if np.shape(m) != (dim, dim):
+        raise ValueError(f"{label} has shape {np.shape(m)}, want {(dim, dim)}")
+    return m
+
+
+def _disintegrate(bundle: FellBundle, L: Callable[[Section], Array], dim: int,
+                  tols: Tolerances, delta_images: Callable[[], Array]) -> FellRep:
+    """``disintegrate``, with the stack (N, dim, dim) of the images
+    L(delta_{g,i}) in delta order gathered by ``delta_images`` after L(unit
+    section) is checked."""
+    G = bundle.groupoid
+    tol = max(tols.tolerance, 1e-12)
+    e, ones, _ = _rep_sections(bundle)
     Le = L(e)
     if np.shape(Le) != (dim, dim):
         raise ValueError("L has the wrong dimension")
@@ -390,22 +416,15 @@ def disintegrate(bundle: FellBundle, L: Callable[[Section], Array], dim: int,
     if float(np.linalg.norm(Le - np.eye(dim))) > 1e-8:
         V0 = _pivoted_range_frame(Le, tols.rank_threshold)
 
-    shape = (dim, dim)
-
-    def image(f: Section, label: str) -> Array:
-        m = L(f)
-        if np.shape(m) != shape:
-            raise ValueError(f"{label} has shape {np.shape(m)}, want {shape}")
-        return m
-
-    X = np.array([image(s, f"L(delta ({g},{i}))") for g, i, s in deltas],
-                 dtype=np.complex128).reshape(-1, dim, dim)
+    X = delta_images()
     if not np.isfinite(X).all():
         n = np.flatnonzero(~np.isfinite(X).all(axis=(1, 2)))[0]
-        raise ValueError("L(delta ({},{})) has a non-finite entry".format(*deltas[n][:2]))
+        raise ValueError("L(delta ({},{})) has a non-finite entry".format(
+            *_rep_sections(bundle)[2][n][:2]))
+    inner = dim
     if V0 is not None:
         X = V0.conj().T @ X @ V0
-        dim = V0.shape[1]
+        inner = V0.shape[1]
     table = _delta_table(bundle)
     inv, mult = _star_hom_residuals(bundle, X)
     bad = np.flatnonzero(inv > 1e-7)
@@ -422,15 +441,15 @@ def disintegrate(bundle: FellBundle, L: Callable[[Section], Array], dim: int,
     frames = {}
     dims = {}
     for x in G.objects:
-        P = image(ones[x], f"L(1_{x})")
+        P = _image(L, ones[x], f"L(1_{x})", dim)
         _require_finite(P, f"L(1_{x})")
         if V0 is not None:
             P = V0.conj().T @ P @ V0
         frames[x] = _pivoted_range_frame(P, tols.rank_threshold)
         dims[x] = frames[x].shape[1]
     total = sum(dims.values())
-    if total != dim:
-        raise ValueError(f"central projections decompose {total} of {dim} dimensions")
+    if total != inner:
+        raise ValueError(f"central projections decompose {total} of {inner} dimensions")
     maps = {}
     for g, off in bundle.offsets().items():
         x, y = G.rng[g], G.src[g]
@@ -532,19 +551,18 @@ def random_fellrep(bundle: FellBundle, rng: np.random.Generator,
     dim = sum(m * b.size for m, b in zip(mults, blocks))
     U = la.random_unitary(dim, rng)
 
-    def L(f: Section) -> Array:
-        big = env.lambda_of(f)
-        parts = []
-        for m, b in zip(mults, blocks):
-            if m == 0:
-                continue
-            small = b.irrep(big)
-            parts.extend([small] * m)
-        out = np.zeros((dim, dim), dtype=np.complex128)
+    def embed(big: Array) -> Array:
+        """The images of regular-representation matrices (..., N, N): each
+        block's irrep m times down the diagonal, conjugated by U."""
+        out = np.zeros(big.shape[:-2] + (dim, dim), dtype=np.complex128)
         pos = 0
-        for p in parts:
-            out[pos:pos + p.shape[0], pos:pos + p.shape[0]] = p
-            pos += p.shape[0]
+        for m, b in zip(mults, blocks):
+            small = b.irrep(big) if m else None
+            for _ in range(m):
+                out[..., pos:pos + b.size, pos:pos + b.size] = small
+                pos += b.size
         return U @ out @ U.conj().T
 
-    return disintegrate(bundle, L, dim, tols)
+    # the delta images from the stored Lambda(delta) stack, in one product
+    return _disintegrate(bundle, lambda f: embed(env.lambda_of(f)), dim, tols,
+                         lambda: embed(env.images))

@@ -21,7 +21,9 @@ from fellbund.actions import (TwistedPartialAction, compile_to_fell_bundle,
                               reconstruct_action, restrict_action, validate_action)
 from fellbund.bundle import UnitFiberAlgebra
 from fellbund.config import DEFAULT
-from fellbund.groupoid import composable_pairs, composable_triples, cyclic_group
+from fellbund.envelope import envelope_algebra
+from fellbund.groupoid import (composable_pairs, composable_triples, cyclic_group,
+                              pair_groupoid)
 from fellbund.report import ValidationReport
 from fellbund.workspace import Workspace
 from test_random_pipeline import SEEDS, random_instance
@@ -57,17 +59,21 @@ def _inter_basis(T, g, h, rtol=1e-10):
     return frame.reshape(-1, n, n)
 
 
-def _inter_unit(T, g, h):
-    stack = _inter_basis(T, g, h)
+def _unit(stack, n):
+    """The unit matrix of span(stack), zero for an empty stack, None if the
+    span has no two-sided unit."""
     if stack.shape[0] == 0:
-        return np.zeros((T.n_at(T.groupoid.rng[g]),) * 2, dtype=np.complex128)
-    return la.stack_combine(stack, la.algebra_unit(stack))
+        return np.zeros((n, n), dtype=np.complex128)
+    c = la.algebra_unit(stack)
+    return None if c is None else la.stack_combine(stack, c)
+
+
+def _inter_unit(T, g, h):
+    return _unit(_inter_basis(T, g, h), T.n_at(T.groupoid.rng[g]))
 
 
 def _ideal_unit(T, g):
-    if T.ideal_dim(g) == 0:
-        return np.zeros((T.n_at(T.groupoid.rng[g]),) * 2, dtype=np.complex128)
-    return la.stack_combine(T.ideal_basis[g], la.algebra_unit(T.ideal_basis[g]))
+    return _unit(T.ideal_basis[g], T.n_at(T.groupoid.rng[g]))
 
 
 def loop_validate(T, tols=DEFAULT):
@@ -96,6 +102,9 @@ def loop_validate(T, tols=DEFAULT):
     for g in G.arrows:
         us, ur = G.unit[G.src[g]], G.unit[G.rng[g]]
         pg = _ideal_unit(T, g)
+        if pg is None:
+            rep.add("ideal has a two-sided unit", f"arrow {g}")
+            continue
         for key, label in (((g, us), "w(g, unit)"), ((ur, g), "w(unit, g)")):
             rep.check_residual(float(np.linalg.norm(T.w[key] - pg)), tol,
                                f"normalisation {label} = 1", f"arrow {g}")
@@ -133,6 +142,10 @@ def loop_validate(T, tols=DEFAULT):
                            "w supported on intersection ideal", f"({g},{h})")
         if stack.shape[0]:
             q = _inter_unit(T, g, h)
+            if q is None:
+                rep.add("ideal has a two-sided unit", f"({g},{h})",
+                        detail=f"D_{g} ∩ D_{G.comp[(g, h)]}")
+                continue
             for prod, side in ((wmat @ wmat.conj().T, "w w*"), (wmat.conj().T @ wmat, "w* w")):
                 rep.check_residual(float(np.linalg.norm(prod - q)), tol,
                                    f"unitarity {side} = unit", f"({g},{h})")
@@ -274,6 +287,18 @@ E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
 
 
+def two_object_action():
+    """An action on pair({p, q}) with unequal fibres: F_p = C, F_q the
+    diagonal C^2 in M_2, D_{q<p} = span{E11}, D_{p<q} = F_p, alpha = 1 both
+    ways and w defaulted."""
+    G = pair_groupoid(("p", "q"))
+    one = np.ones((1, 1), dtype=complex)
+    fibers = {"p": UnitFiberAlgebra.from_matrices(1, [one]),
+              "q": UnitFiberAlgebra.from_matrices(2, [E11, E22])}
+    return TwistedPartialAction.build(G, fibers, {"q<p": [E11], "p<q": [one]},
+                                      {"q<p": np.eye(1), "p<q": np.eye(1)})
+
+
 def valid_actions():
     out = {name: getattr(gallery, name)() for name in (
         "z2_swap_action_on_c2", "restricted_swap_action", "a4_action",
@@ -289,6 +314,7 @@ def valid_actions():
     out["a4 restricted to {p,r}"] = restrict_action(a4, {"pt": [e[0], e[2]]})
     for seed in SEEDS:
         out[f"random {seed}"] = random_instance(seed)
+    out["two objects"] = two_object_action()
     return out
 
 
@@ -321,6 +347,16 @@ def klein_one_sign_flipped():
     return rebuilt(T, w)
 
 
+def nilpotent_action():
+    """Z/2 on M_2 with D_g1 = span{E12}: an ideal of no algebra, with no
+    unit, that E21 E12 = E22 and E12 E21 = E11 leave."""
+    basis = UnitFiberAlgebra.full_matrix_algebra(2).basis
+    G = cyclic_group(2)
+    return TwistedPartialAction.build(G, {"pt": UnitFiberAlgebra(2, basis)},
+                                      {"g1": [basis[1]]}, {"g1": np.eye(1)},
+                                      {(g, h): np.eye(2) for g in G.arrows for h in G.arrows})
+
+
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 BROKEN = {
     "bad normalisation": lambda: c2_action(SWAP, {("g1", "e"): 2.0}),
@@ -330,11 +366,13 @@ BROKEN = {
     "w off intersection": lambda: rebuilt(gallery.a4_action(), {("g1", "g1"): np.eye(3)}),
     "non-unitary w": lambda: c2_action(SWAP, {("g1", "g1"): 2.0}),
     "klein one sign flipped": klein_one_sign_flipped,
+    "nilpotent ideal": nilpotent_action,
 }
 
 STAR, MULT = "alpha star-preserving", "alpha multiplicative"
 TWIST = "twisted composition alpha_g alpha_h = Ad(w) alpha_{gh}"
 LEFT, RIGHT = "ideal absorbs left multiplication", "ideal absorbs right multiplication"
+UNIT, SUPPORT = "ideal has a two-sided unit", "w supported on intersection ideal"
 WITNESSES = {
     "bad normalisation": [("normalisation w(g, unit) = 1", "arrow g1", ""),
                           ("unitarity w w* = unit", "(g1,e)", ""),
@@ -355,6 +393,11 @@ WITNESSES = {
     "non-unitary w": [("unitarity w w* = unit", "(g1,g1)", ""),
                       ("unitarity w* w = unit", "(g1,g1)", ""),
                       (TWIST, "(g1,g1)", ""), (TWIST, "(g1,g1)", "")],
+    "nilpotent ideal": [(LEFT, "D_g1[0]", ""), (RIGHT, "D_g1[0]", ""),
+                        (UNIT, "arrow g1", ""), (STAR, "g1, basis 0", ""),
+                        (SUPPORT, "(e,g1)", ""), (UNIT, "(e,g1)", "D_e ∩ D_g1"),
+                        (SUPPORT, "(g1,e)", ""), (UNIT, "(g1,e)", "D_g1 ∩ D_g1"),
+                        (SUPPORT, "(g1,g1)", ""), (UNIT, "(g1,g1)", "D_g1 ∩ D_e")],
     "klein one sign flipped": [("cocycle identity", f"({t})", "") for t in (
         "g01,g01,g10", "g01,g01,g11", "g01,g10,g01", "g01,g10,g10", "g01,g10,g11",
         "g01,g11,g01", "g10,g01,g10", "g10,g11,g10", "g11,g01,g10", "g11,g10,g10")],
@@ -502,3 +545,59 @@ def test_build_rejects_unknown_keys(ideals, alpha, w, needle):
     with pytest.raises(ValueError) as err:
         TwistedPartialAction.build(G, fibers, ideals, alpha, w)
     assert needle in str(err.value)
+
+
+def test_an_ideal_without_a_unit_is_reported_with_its_witnesses():
+    # the absorption failures (E21 E12 = E22 is not in span{E12}) are
+    # reported; only the normalisation and unitarity checks, which need the
+    # unit, are skipped.  w cannot default without it, so build raises.
+    T = nilpotent_action()
+    rep = validate_action(T)
+    assert [v.residual is not None for v in rep.violations] == \
+        [True, True, False, True, True, False, True, False, True, False]
+    assert rep.notes == ["derived unitary identity alpha_g(w(g^-1,g)) = w(g,g^-1) "
+                         "failed at g1 (residual 1.414e+00)"]
+    with pytest.raises(ValueError, match="invalid twisted partial action"):
+        compile_to_fell_bundle(T)
+    with pytest.raises(ValueError, match=r"intersection ideal at \(e,g1\) has no unit"):
+        TwistedPartialAction.build(T.groupoid, T.fibers, {"g1": list(T.ideal_basis["g1"])},
+                                   T.alpha)
+
+
+def test_two_object_action_compiles_to_c_plus_m2():
+    T = two_object_action()
+    b = compile_to_fell_bundle(T)
+    assert dict(b.dims) == {"p<p": 1, "p<q": 1, "q<p": 1, "q<q": 2}
+    assert validate_action(reconstruct_action(b)).ok
+    # C + M_2: the regular representation holds the 1x1 block once and the
+    # 2x2 block twice
+    env = envelope_algebra(b)
+    assert env.block_summary() == [{"size": 1, "multiplicity": 1},
+                                   {"size": 2, "multiplicity": 2}]
+    assert env.dim == 5 == b.total_dim and env.injective
+
+
+ACTION_PASSES = {"validate": 8, "compile": 10, "reconstruct": 6}
+
+
+@pytest.mark.parametrize("name", ["z2_swap_action_on_c2", "restricted_swap_action", "a4_action",
+                                  "matrix_twisted_action", "klein_twisted_action"])
+def test_action_layer_makes_few_stacked_passes(monkeypatch, name):
+    T = getattr(gallery, name)()
+    calls = []
+    stacks = la.stacks
+
+    def counted(items, size=None):
+        calls.append(len(items))
+        return stacks(items, size)
+    monkeypatch.setattr(la, "stacks", counted)
+    counts = {}
+    for step, run in (("validate", lambda: validate_action(T)),
+                      ("compile", lambda: compile_to_fell_bundle(T)),
+                      ("reconstruct", lambda: reconstruct_action(compiled))):
+        calls.clear()
+        out = run()
+        counts[step] = len(calls)
+        if step == "compile":
+            compiled = out
+    assert all(counts[step] <= most for step, most in ACTION_PASSES.items()), counts

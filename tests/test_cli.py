@@ -141,6 +141,36 @@ def test_failing_validation_exit_one(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+def test_action_without_a_unit_prints_its_report(tmp_path, capsys):
+    # D_g1 = span{E12} has no unit: a witness in the report (exit 1), not an
+    # error without one
+    def unit(i, j):
+        return [[1.0 if (a, b) == (i, j) else 0.0 for b in range(2)] for a in range(2)]
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    ws = {"groupoids": {"z2": {
+        "objects": ["pt"], "arrows": [{"id": "e", "src": "pt", "rng": "pt"},
+                                      {"id": "g1", "src": "pt", "rng": "pt"}],
+        "units": {"pt": "e"}, "inv": {"e": "e", "g1": "g1"},
+        "comp": [["e", "e", "e"], ["e", "g1", "g1"], ["g1", "e", "g1"], ["g1", "g1", "e"]]}},
+        "actions": {"nilpotent": {
+            "groupoid": "z2",
+            "fibers": {"pt": {"n": 2, "basis": [unit(0, 0), unit(0, 1), unit(1, 0), unit(1, 1)]}},
+            "ideals": {"g1": [unit(0, 1)]}, "alpha": {"g1": [[1.0]]},
+            "w": {key: eye for key in ("e,e", "e,g1", "g1,e", "g1,g1")}}}}
+    p = tmp_path / "nilpotent.json"
+    p.write_text(json.dumps(ws))
+    code, out, err = run_cli(capsys, "validate", str(p), "nilpotent")
+    assert code == 1 and not err
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert [(v["check"], v["where"]) for v in report["violations"]][:3] == [
+        ("ideal absorbs left multiplication", "D_g1[0]"),
+        ("ideal absorbs right multiplication", "D_g1[0]"),
+        ("ideal has a two-sided unit", "arrow g1")]
+    code, out, err = run_cli(capsys, "compile-action", str(p), "nilpotent")
+    assert code == 1 and json.loads(out) == report
+
+
 def test_seed_env_override(demo_workspace_path, capsys, monkeypatch):
     monkeypatch.setenv("FELLBUND_SEED", "5")
     code, out1, _ = run_cli(capsys, "represent", demo_workspace_path, "z2-line",

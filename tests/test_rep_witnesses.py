@@ -19,6 +19,7 @@ import fellbund._linalg as la
 from fellbund import gallery
 from fellbund.bundle import ei
 from fellbund.config import DEFAULT
+from fellbund.envelope import envelope_algebra, irreducible_envelope_blocks
 from fellbund.groupoid import composable_pairs
 from fellbund.report import ValidationReport
 from fellbund.reps import (FellRep, _vanishing_failures, disintegrate, integrate,
@@ -147,6 +148,34 @@ def loop_disintegrate(bundle, L, dim, tols=DEFAULT):
     return R
 
 
+def loop_random_fellrep(bundle, rng, tols=DEFAULT):
+    """``random_fellrep`` with its L evaluated on one section at a time: the
+    regular representation of the section, one irrep per block, the blocks
+    down the diagonal and conjugated by the Haar unitary."""
+    env = envelope_algebra(bundle, tols)
+    blocks = irreducible_envelope_blocks(bundle, tols)
+    while True:
+        mults = [int(rng.integers(0, 3)) for _ in blocks]
+        if any(mults):
+            break
+    dim = sum(m * b.size for m, b in zip(mults, blocks))
+    U = la.random_unitary(dim, rng)
+
+    def L(f):
+        big = env.lambda_of(f)
+        parts = []
+        for m, b in zip(mults, blocks):
+            if m:
+                parts.extend([b.irrep(big)] * m)
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        pos = 0
+        for p in parts:
+            out[pos:pos + p.shape[0], pos:pos + p.shape[0]] = p
+            pos += p.shape[0]
+        return U @ out @ U.conj().T
+    return disintegrate(bundle, L, dim, tols)
+
+
 # -- instances ------------------------------------------------------------------
 
 
@@ -257,6 +286,18 @@ def test_random_reps_match_loop_reference(certify_raw):
         assert got.dims == want.dims, label
         for g in b.groupoid.arrows:
             assert np.array_equal(got.maps[g], want.maps[g]), (label, g)
+
+
+def test_random_fellrep_matches_the_per_delta_l(certify_raw):
+    # the delta images come from the stored Lambda(delta) stack in one
+    # product; evaluating L on each delta section gives the same bits
+    for name, b in bundles(certify_raw).items():
+        for seed in range(2):
+            got = random_fellrep(b, np.random.default_rng([seed, len(name)]))
+            want = loop_random_fellrep(b, np.random.default_rng([seed, len(name)]))
+            assert got.dims == want.dims, (name, seed)
+            for g in b.groupoid.arrows:
+                assert np.array_equal(got.maps[g], want.maps[g]), (name, seed, g)
 
 
 def test_compressed_l_maps_match_loop_reference():
