@@ -3,8 +3,9 @@
     python3 scripts/report_snapshot.py OUT [--root CHECKOUT] [--seeds 1 4]
 
 Runs, in process, the 11 README demo commands, two more ``represent
---roundtrip`` fuzz runs and ``validate`` on the demo's two twisted partial
-actions on ``examples_ws/demo.json``, and
+--roundtrip`` fuzz runs, ``validate`` on the demo's two twisted partial
+actions, ``exactness`` on the ideal given by blocks and ``validate``/``ideals``
+on the ideal given by vectors on ``examples_ws/demo.json``, and
 ``validate``/``envelope``/``spectrum``/``quasi-orbits``/``ideals`` on every
 bundle of the seeded benchmark workspace ``perfbench/workloads.certify_workspace(seed)``,
 ``norms`` on a seeded section over its ``m3-pair3`` (M_3 fibres over the pair
@@ -45,6 +46,9 @@ DEMO_COMMANDS = [
     ["quasi-orbits", "a4"],
     ["ideals", "a4"],
     ["exactness", "a4-pq"],
+    ["exactness", "a4-pq-by-blocks"],
+    ["validate", "a4-pq"],
+    ["ideals", "a4-pq"],
     ["compile-action", "swap-c2"],
     ["represent", "sign"],
     ["represent", "z2-line", "--roundtrip", "--fuzz", "50"],

@@ -691,14 +691,9 @@ def is_surjective(hom: BundleHom, tols: Tolerances = DEFAULT) -> bool:
 
 # -- subbundles ------------------------------------------------------------------
 
-def subbundle_from_frames(bundle: FellBundle, frames: Mapping[str, Array],
-                          name: str = "subbundle") -> tuple[FellBundle, BundleHom]:
-    """Bundle structure on per-arrow subspaces, plus the inclusion hom.
-
-    ``frames[g]`` must have orthonormal rows spanning a subspace of C^{d_g};
-    the caller is responsible for the family being closed under the structure
-    maps (validate the result otherwise).
-    """
+def compressed_structure(bundle: FellBundle, frames: Mapping[str, Array]) -> tuple[dict, ...]:
+    """Fibre dimensions, ``mult`` and ``inv`` compressed to the spans of the
+    orthonormal rows ``frames[g]``: the projection of sub-bundles and quotients."""
     G = bundle.groupoid
     dims = {g: frames[g].shape[0] for g in G.arrows}
     mult = {}
@@ -708,6 +703,19 @@ def subbundle_from_frames(bundle: FellBundle, frames: Mapping[str, Array],
         mult[(g, h)] = np.einsum("lk,kab->lab", frames[gh].conj(), raw)
     inv = {g: frames[G.inv[g]].conj() @ bundle.inv[g] @ np.conj(frames[g]).T
            for g in G.arrows}
+    return dims, mult, inv
+
+
+def subbundle_from_frames(bundle: FellBundle, frames: Mapping[str, Array],
+                          name: str = "subbundle") -> tuple[FellBundle, BundleHom]:
+    """Bundle structure on per-arrow subspaces, plus the inclusion hom.
+
+    ``frames[g]`` must have orthonormal rows spanning a subspace of C^{d_g};
+    the caller is responsible for the family being closed under the structure
+    maps (validate the result otherwise).
+    """
+    G = bundle.groupoid
+    dims, mult, inv = compressed_structure(bundle, frames)
     unit_rep = {}
     for x in G.objects:
         u = G.unit[x]

@@ -17,7 +17,8 @@ import numpy as np
 from . import _linalg as la
 from .actions import _compiled, _validated, validate_action
 from .bundle import saturation_check, validate_fell_bundle
-from .envelope import cstar_norm, envelope_algebra, per_object_norms, sharper_norm_bound
+from .envelope import (cstar_norm, envelope_algebra, per_object_norms, regular_at,
+                       sharper_norm_bound)
 from .groupoid import validate_groupoid, validate_partial_action
 from .ideals import enumerate_fell_ideals, exactness_verify, validate_fell_ideal
 from .report import ValidationReport
@@ -188,7 +189,7 @@ def cmd_norms(ws: Workspace, args) -> tuple[dict, bool]:
 def cmd_envelope(ws: Workspace, args) -> tuple[dict, bool]:
     env = envelope_algebra(ws.bundle(args.name), ws.tols)
     notes = [n for x in env.bundle.groupoid.objects
-             for n in env.regular.at(x).borderline]
+             for n in regular_at(env.bundle, x, ws.tols).borderline]
     payload = {
         "bundle": args.name,
         "blocks": env.block_summary(),

@@ -32,8 +32,10 @@ DEFAULT = Tolerances()
 
 
 def env_seed(default: int = 0) -> int:
-    """Seed from FELLBUND_SEED if set, else ``default``."""
+    """Seed from FELLBUND_SEED if set, else ``default``; a value that is not
+    an integer raises ValueError naming the variable."""
     raw = os.environ.get("FELLBUND_SEED")
-    if raw is None:
-        return default
-    return int(raw)
+    try:
+        return default if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"FELLBUND_SEED: expected an integer, got {raw!r}") from None

@@ -130,52 +130,50 @@ class RegularRepAt:
                 _spans([self.offsets[g] for _, g in keys], q_in)[:, None, :]))
 
     def matrix(self, coeffs: Array) -> Array:
-        """Matrix of left convolution by the section packed in ``coeffs``: one
-        gather, contraction and block assignment per group of block shapes."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        """Matrices of left convolution by the sections packed in ``coeffs``
+        (..., total_dim), of shape (..., dim, dim): one gather, contraction
+        and block assignment per group of block shapes."""
+        out = np.zeros(coeffs.shape[:-1] + (self.dim, self.dim), dtype=np.complex128)
         for stack, coeff, rows, cols in self._groups:
-            out[rows, cols] = np.einsum("pqmr,pm->pqr", stack, coeffs[coeff])
+            out[..., rows, cols] = np.einsum("pqmr,...pm->...pqr", stack, coeffs.take(coeff, -1))
         return out
 
 
-class RegularRepresentation:
-    """Per-object regular representations, built lazily and cached; direct
-    sums merge in the declared object order."""
-
-    def __init__(self, bundle: FellBundle, tols: Tolerances = DEFAULT):
-        self.bundle = bundle
-        self.tols = tols
-        self._at: dict[str, RegularRepAt] = {}
-
-    def at(self, x: str) -> RegularRepAt:
-        if x not in self._at:
-            self._at[x] = RegularRepAt(self.bundle, x, self.tols)
-        return self._at[x]
-
-    def direct_sum_matrix(self, f: Section) -> Array:
-        coeffs = f.pack()
-        blocks = [self.at(x).matrix(coeffs) for x in self.bundle.groupoid.objects]
-        dim = sum(b.shape[0] for b in blocks)
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        pos = 0
-        for b in blocks:
-            out[pos:pos + b.shape[0], pos:pos + b.shape[0]] = b
-            pos += b.shape[0]
-        return out
-
-    def per_object_dims(self) -> dict[str, int]:
-        return {x: self.at(x).dim for x in self.bundle.groupoid.objects}
+def regular_at(bundle: FellBundle, x: str, tols: Tolerances = DEFAULT) -> RegularRepAt:
+    """The regular representation at x, built on first use and cached on the
+    bundle; the Gram quotient uses only the two thresholds, so seeded runs
+    share it."""
+    return bundle.memo(("regular", x, tols.tolerance, tols.rank_threshold),
+                       lambda: RegularRepAt(bundle, x, tols))
 
 
-def _cached_regular(bundle: FellBundle, tols: Tolerances) -> RegularRepresentation:
-    # the Gram quotient uses only these two thresholds, so seeded runs share it
-    return bundle.memo(("regular", tols.tolerance, tols.rank_threshold),
-                       lambda: RegularRepresentation(bundle, tols))
+def _direct_sum(bundle: FellBundle, coeffs: Array, tols: Tolerances) -> Array:
+    """Lambda of the sections packed in ``coeffs`` (..., total_dim): the
+    matrices at the objects down the diagonal, in declared object order."""
+    blocks = [regular_at(bundle, x, tols).matrix(coeffs) for x in bundle.groupoid.objects]
+    dim = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(coeffs.shape[:-1] + (dim, dim), dtype=np.complex128)
+    pos = 0
+    for b in blocks:
+        n = b.shape[-1]
+        out[..., pos:pos + n, pos:pos + n] = b
+        pos += n
+    return out
+
+
+def delta_images(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Array:
+    """The read-only stack (total_dim, N, N) of Lambda(delta_{g,i}) in packed
+    order, formed once per pair of thresholds from the identity coefficients."""
+    def build() -> Array:
+        images = _direct_sum(bundle, np.eye(bundle.total_dim, dtype=np.complex128), tols)
+        images.flags.writeable = False
+        return images
+    return bundle.memo(("delta_images", tols.tolerance, tols.rank_threshold), build)
 
 
 def regular_rep_matrix(bundle: FellBundle, x: str, f: Section,
                        tols: Tolerances = DEFAULT) -> Array:
-    return _cached_regular(bundle, tols).at(x).matrix(f.pack())
+    return regular_at(bundle, x, tols).matrix(f.pack())
 
 
 def cstar_norm(bundle: FellBundle, f: Section, tols: Tolerances = DEFAULT) -> float:
@@ -187,11 +185,11 @@ def per_object_norms(bundle: FellBundle, f: Section,
     coeffs = f.pack()
     if not np.isfinite(coeffs).all():  # one check: the norm core names the arrow
         f.bundle.norm_rows([(g, v[None]) for g, v in f.entries.items()])
-    at = _cached_regular(bundle, tols).at
     objects = bundle.groupoid.objects
     # one SVD per stack of equal-size matrices; an empty matrix has norm 0
     norms = dict.fromkeys(objects, 0.0)
-    for part, (stack,) in la.stacks([(at(x).matrix(coeffs),) for x in objects]):
+    for part, (stack,) in la.stacks([(regular_at(bundle, x, tols).matrix(coeffs),)
+                                     for x in objects]):
         if stack.size:
             norms.update(zip([objects[p] for p in part],
                              np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()))
@@ -474,16 +472,15 @@ def _irrep_frame(basis: Array, c: Array, proj: Array, size: int, mult: int,
 @dataclass
 class EnvelopeAlgebra:
     bundle: FellBundle
-    regular: RegularRepresentation
+    tols: Tolerances
     per_object_dims: dict[str, int]
-    basis_index: list[tuple[str, int]]
-    images: Array          # stack of Lambda(delta) matrices
+    images: Array          # the Lambda(delta) stack of ``delta_images``, in packed order
     dim: int               # sum of size^2 over the blocks: the rank of the images
     blocks: list[SimpleBlock]
     injective: bool
 
     def lambda_of(self, f: Section) -> Array:
-        return self.regular.direct_sum_matrix(f)
+        return _direct_sum(self.bundle, f.pack(), self.tols)
 
     def block_summary(self) -> list[dict]:
         return [{"size": b.size, "multiplicity": b.multiplicity} for b in self.blocks]
@@ -494,18 +491,12 @@ def envelope_algebra(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Envelope
 
 
 def _envelope_algebra(bundle: FellBundle, tols: Tolerances) -> EnvelopeAlgebra:
-    reg = _cached_regular(bundle, tols)
-    basis = basis_sections(bundle)
-    total = sum(reg.per_object_dims().values())
-    if not basis:
-        empty = np.zeros((0, total, total), dtype=np.complex128)
-        return EnvelopeAlgebra(bundle, reg, reg.per_object_dims(), [], empty, 0, [], True)
-    images = np.stack([reg.direct_sum_matrix(s) for (_, _, s) in basis])
-    blocks = block_decomposition(images, tols)
+    G = bundle.groupoid
+    images = delta_images(bundle, tols)
+    blocks = block_decomposition(images, tols) if images.shape[0] else []
     dim = sum(b.size ** 2 for b in blocks)
-    return EnvelopeAlgebra(bundle, reg, reg.per_object_dims(),
-                           [(g, i) for (g, i, _) in basis], images, dim,
-                           blocks, dim == bundle.total_dim)
+    return EnvelopeAlgebra(bundle, tols, {x: regular_at(bundle, x, tols).dim for x in G.objects},
+                           images, dim, blocks, dim == bundle.total_dim)
 
 
 def irreducible_envelope_blocks(bundle: FellBundle,
@@ -525,53 +516,52 @@ def coefficient_embedding_check(bundle: FellBundle, tols: Tolerances = DEFAULT) 
     that it implements the module action: phi(b) Lambda(f) = Lambda(b † f).
     """
     G = bundle.groupoid
-    reg = _cached_regular(bundle, tols)
+    images = delta_images(bundle, tols)
+    offsets = bundle.offsets()
     rep = ValidationReport("coefficient embedding")
     tol = tols.tolerance
 
-    unit_basis: list[tuple[str, int, Section]] = []
-    for x in G.objects:
-        u = G.unit[x]
-        for i in range(bundle.dims[u]):
-            unit_basis.append((x, i, Section(bundle, {u: ei(bundle.dims[u], i)})))
+    def lam(f: Section) -> Array:
+        return _direct_sum(bundle, f.pack(), tols)
 
     def phi_sec(x: str, coords: Array) -> Section:
         return Section(bundle, {G.unit[x]: coords})
 
-    mats = [reg.direct_sum_matrix(s) for (_, _, s) in unit_basis]
-    if mats:
-        rank = la.matrix_rank(np.stack([m.reshape(-1) for m in mats]), tols.rank_threshold)
-        rep.require(rank == len(mats), "embedding injective", "unit fibre sum",
-                    detail=f"rank {rank} of {len(mats)}")
+    # (object, index, row of the unit-fibre delta in the stack)
+    unit_basis = [(x, i, offsets[G.unit[x]] + i)
+                  for x in G.objects for i in range(bundle.dims[G.unit[x]])]
+    if unit_basis:
+        mats = images[[k for _, _, k in unit_basis]]
+        rank = la.matrix_rank(mats.reshape(len(unit_basis), -1), tols.rank_threshold)
+        rep.require(rank == len(unit_basis), "embedding injective", "unit fibre sum",
+                    detail=f"rank {rank} of {len(unit_basis)}")
 
-    for (x, i, s) in unit_basis:
-        m = reg.direct_sum_matrix(s)
-        star = reg.direct_sum_matrix(phi_sec(x, bundle.star_coords(G.unit[x], ei(bundle.dims[G.unit[x]], i))))
+    for (x, i, k) in unit_basis:
+        u = G.unit[x]
+        m = images[k]
+        star = lam(phi_sec(x, bundle.star_coords(u, ei(bundle.dims[u], i))))
         rep.check_residual(float(np.linalg.norm(m.conj().T - star)), tol,
                            "embedding involutive", f"({x},{i})")
         for (y, j, t) in unit_basis:
             if x != y:
                 continue
-            u = G.unit[x]
             prod = bundle.mult[(u, u)][:, i, j]
-            lhs = m @ reg.direct_sum_matrix(t)
-            rhs = reg.direct_sum_matrix(phi_sec(x, prod))
+            lhs = m @ images[t]
+            rhs = lam(phi_sec(x, prod))
             rep.check_residual(float(np.linalg.norm(lhs - rhs)),
                                tol * max(1.0, float(np.linalg.norm(rhs))),
                                "embedding multiplicative", f"({x},{i},{j})")
 
-    for (x, i, s) in unit_basis:
-        m = reg.direct_sum_matrix(s)
+    for (x, i, k) in unit_basis:
         coeffs = {x: ei(bundle.dims[G.unit[x]], i)}
-        for (g, k, f) in basis_sections(bundle):
-            lhs = m @ reg.direct_sum_matrix(f)
-            rhs = reg.direct_sum_matrix(module_action(bundle, coeffs, f))
+        for n, (g, j, f) in enumerate(basis_sections(bundle)):
+            lhs = images[k] @ images[n]
+            rhs = lam(module_action(bundle, coeffs, f))
             rep.check_residual(float(np.linalg.norm(lhs - rhs)),
                                tol * max(1.0, float(np.linalg.norm(lhs))),
-                               "module action compatibility", f"phi({x},{i}) on ({g},{k})")
+                               "module action compatibility", f"phi({x},{i}) on ({g},{j})")
 
-    e = unit_section(bundle)
-    ident = reg.direct_sum_matrix(e)
+    ident = lam(unit_section(bundle))
     rep.check_residual(float(np.linalg.norm(ident - np.eye(ident.shape[0]))), tol,
                        "unit section acts as identity", "envelope")
     return rep

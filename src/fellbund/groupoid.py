@@ -85,26 +85,16 @@ class FiniteGroupoid:
         return self.src[g] == self.rng[h]
 
 
-def _arrows_by_range(G: FiniteGroupoid) -> dict[str, list[str]]:
-    """G^x for every range x that occurs, each in declared arrow order."""
-    out: dict[str, list[str]] = {}
-    for h in G.arrows:
-        out.setdefault(G.rng[h], []).append(h)
-    return out
-
-
 def composable_pairs(G: FiniteGroupoid) -> list[tuple[str, str]]:
     """All (g, h) with src(g) = rng(h), lexicographic in arrow indices; in
     time proportional to their number."""
-    by_rng = _arrows_by_range(G)
-    return [(g, h) for g in G.arrows for h in by_rng.get(G.src[g], ())]
+    return [(g, h) for g in G.arrows for h in G.range_fiber(G.src[g])]
 
 
 def composable_triples(G: FiniteGroupoid) -> list[tuple[str, str, str]]:
     """All (g, h, k) with src(g) = rng(h) and src(h) = rng(k), lexicographic."""
-    by_rng = _arrows_by_range(G)
-    return [(g, h, k) for g in G.arrows for h in by_rng.get(G.src[g], ())
-            for k in by_rng.get(G.src[h], ())]
+    return [(g, h, k) for g in G.arrows for h in G.range_fiber(G.src[g])
+            for k in G.range_fiber(G.src[h])]
 
 
 def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:

@@ -18,7 +18,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _linalg as la
-from .bundle import BundleHom, FellBundle, ei, subbundle_from_frames, validate_bundle_hom
+from .bundle import (BundleHom, FellBundle, compressed_structure, ei, subbundle_from_frames,
+                     validate_bundle_hom)
 from .config import DEFAULT, Tolerances
 # block_decomposition is not called here; the name stays bound because
 # perfbench's tracer test reads it from this module
@@ -314,14 +315,7 @@ def quotient_bundle(bundle: FellBundle, I: FellIdeal,
     G = bundle.groupoid
     comp = {g: la.frame_complement(I.frames[g], bundle.dims[g], tols.rank_threshold)
             for g in G.arrows}
-    dims = {g: comp[g].shape[0] for g in G.arrows}
-    mult = {}
-    for g, h in composable_pairs(G):
-        gh = G.comp[(g, h)]
-        raw = np.einsum("kij,ai,bj->kab", bundle.mult[(g, h)], comp[g], comp[h])
-        mult[(g, h)] = np.einsum("lk,kab->lab", comp[gh].conj(), raw)
-    inv = {g: comp[G.inv[g]].conj() @ bundle.inv[g] @ np.conj(comp[g]).T
-           for g in G.arrows}
+    dims, mult, inv = compressed_structure(bundle, comp)
     unit_rep = {}
     for x in G.objects:
         u = G.unit[x]
@@ -409,8 +403,7 @@ def exactness_verify(bundle: FellBundle, I: FellIdeal,
     inclusion_injective = dim_ideal == sub.total_dim
 
     image_is_ideal = True
-    for (_, _, s) in basis_sections(bundle):
-        m = env_total.lambda_of(s)
+    for m in env_total.images:
         for img in ideal_images:
             for prod in (m @ img, img @ m):
                 if la.residual_in_span(image_frame, prod.reshape(-1)) > \
@@ -441,8 +434,7 @@ def exactness_verify(bundle: FellBundle, I: FellIdeal,
 
     # essential-ideal diagnostic: trivial annihilator of the image in C*(A)
     ann_rows = []
-    for (_, _, s) in parent_basis:
-        m = env_total.lambda_of(s)
+    for m in env_total.images:
         row = np.concatenate([(m @ img).reshape(-1) for img in ideal_images]) \
             if ideal_images else np.zeros(0)
         ann_rows.append(row)

@@ -34,8 +34,8 @@ import numpy as np
 from . import _linalg as la
 from .bundle import FellBundle, _exponents, _ldexp
 from .config import DEFAULT, Tolerances
-from .envelope import (_cached_regular, envelope_algebra, induced_gram,
-                       irreducible_envelope_blocks)
+from .envelope import (envelope_algebra, induced_gram, irreducible_envelope_blocks,
+                       regular_at)
 from .groupoid import composable_pairs
 from .report import ValidationReport
 from .sections import Section, basis_sections, unit_section
@@ -475,7 +475,7 @@ def regular_fellrep(bundle: FellBundle, x: str, tols: Tolerances = DEFAULT) -> F
     for g in G_x with r(g) = y, in declared arrow order.
     """
     G = bundle.groupoid
-    reg = _cached_regular(bundle, tols).at(x)
+    reg = regular_at(bundle, x, tols)
     members = {y: [g for g in reg.summands if G.rng[g] == y] for y in G.objects}
     dims = {y: sum(reg.quot_dim[g] for g in members[y]) for y in G.objects}
     local = {}

@@ -18,7 +18,7 @@ from typing import Collection, Mapping
 import numpy as np
 
 from . import _linalg as la
-from .bundle import FellBundle, ei
+from .bundle import FellBundle
 from .config import DEFAULT, Tolerances
 from .envelope import SimpleBlock, block_decomposition, envelope_algebra, induced_fibre
 from .groupoid import FiniteGroupoid
@@ -258,30 +258,21 @@ def ideal_bijection_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Val
 @dataclass
 class GaloisData:
     bundle: FellBundle
-    env_dim_side: int
-    coeff_total: int
-    phi_mats: list[Array]          # images of the unit-fibre basis
-    env_mats: list[Array]          # images of the section basis
+    images: Array                  # the envelope's Lambda(delta) stack
+    units: Array                   # its rows at the unit-fibre deltas: phi of B's basis
     env_blocks: list[SimpleBlock]
-    coeff_offsets: dict[str, int]
+
+    @property
+    def coeff_total(self) -> int:
+        return self.units.shape[0]
 
 
 def galois_data(bundle: FellBundle, tols: Tolerances = DEFAULT) -> GaloisData:
     env = envelope_algebra(bundle, tols)
     G = bundle.groupoid
-    reg = env.regular
-    phi_mats = []
-    offsets = {}
-    pos = 0
-    for x in G.objects:
-        u = G.unit[x]
-        offsets[x] = pos
-        for i in range(bundle.dims[u]):
-            phi_mats.append(reg.direct_sum_matrix(Section(bundle, {u: ei(bundle.dims[u], i)})))
-        pos += bundle.dims[u]
-    env_mats = [env.images[k] for k in range(env.images.shape[0])]
-    side = env_mats[0].shape[0] if env_mats else 0
-    return GaloisData(bundle, side, pos, phi_mats, env_mats, env.blocks, offsets)
+    offsets = bundle.offsets()
+    rows = [offsets[G.unit[x]] + i for x in G.objects for i in range(bundle.dims[G.unit[x]])]
+    return GaloisData(bundle, env.images, env.images[rows], env.blocks)
 
 
 def coefficient_ideals(data: GaloisData, tols: Tolerances = DEFAULT) -> list[Array]:
@@ -297,12 +288,15 @@ def _coefficient_frame(data: GaloisData, blocks: list[SpectrumBlock],
                        tols: Tolerances) -> Array:
     """Orthonormal frame of the sum of the blocks' supports, embedded in the
     coordinates of B = (+) A_x."""
+    G = data.bundle.groupoid
+    starts = dict(zip(G.objects, itertools.accumulate(
+        (data.bundle.dims[G.unit[x]] for x in G.objects), initial=0)))
     rows = np.zeros((sum(b.support.shape[0] for b in blocks), data.coeff_total),
                     dtype=np.complex128)
     pos = 0
     for b in blocks:
         k, d = b.support.shape
-        start = data.coeff_offsets[b.obj]
+        start = starts[b.obj]
         rows[pos:pos + k, start:start + d] = b.support
         pos += k
     return la.orth_rows(rows, tols.rank_threshold)
@@ -317,27 +311,27 @@ def envelope_ideals(data: GaloisData, tols: Tolerances = DEFAULT) -> list[Array]
             vecs = []
             for i in combo:
                 p = data.env_blocks[i].projection
-                for m in data.env_mats:
+                for m in data.images:
                     vecs.append((p @ m).reshape(-1))
-            side2 = data.env_dim_side ** 2
+            side2 = data.images.shape[-1] ** 2
             out.append(la.orth_rows(np.array(vecs) if vecs else np.zeros((0, side2)),
                                     tols.rank_threshold))
     return out
 
 
 def phi_of(data: GaloisData, coeff: Array) -> Array:
-    return np.tensordot(coeff, np.stack(data.phi_mats), axes=1)
+    return np.tensordot(coeff, data.units, axes=1)
 
 
 def induce_ideal(data: GaloisData, family_frame: Array,
                  tols: Tolerances = DEFAULT) -> Array:
     """i(I): the two-sided ideal of the envelope generated by phi(I)."""
-    side2 = data.env_dim_side ** 2
+    side2 = data.images.shape[-1] ** 2
     vecs = []
     for row in family_frame:
         mid = phi_of(data, row)
-        for a in data.env_mats:
-            for b in data.env_mats:
+        for a in data.images:
+            for b in data.images:
                 vecs.append((a @ mid @ b).reshape(-1))
     return la.orth_rows(np.array(vecs) if vecs else np.zeros((0, side2)),
                         tols.rank_threshold)
@@ -406,10 +400,9 @@ def galois_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> ValidationRe
         sub_vecs = []
         for g in bundle.groupoid.arrows:
             for row in I.frames[g]:
-                sub_vecs.append(env.regular.direct_sum_matrix(
-                    Section(bundle, {g: row})).reshape(-1))
+                sub_vecs.append(env.lambda_of(Section(bundle, {g: row})).reshape(-1))
         fell_frames.append(la.orth_rows(np.array(sub_vecs) if sub_vecs
-                                        else np.zeros((0, data.env_dim_side ** 2)),
+                                        else np.zeros((0, data.images.shape[-1] ** 2)),
                                         tols.rank_threshold))
     induced = []
     for I in b_ideals:

@@ -131,12 +131,15 @@ class Workspace:
     @staticmethod
     def from_dict(raw: dict, tolerance: float | None = None,
                   seed: int | None = None) -> "Workspace":
-        cfg = raw.get("config", {})
-        # precedence: explicit CLI seed, then FELLBUND_SEED, then the config
-        if seed is not None:
-            chosen_seed = int(seed)
-        else:
-            chosen_seed = env_seed(int(cfg.get("seed", 0)))
+        cfg = _object(_object(raw, "workspace").get("config", {}), "config")
+        try:
+            cfg_seed = int(cfg.get("seed", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise WorkspaceError(f"config.seed: expected an integer, got {cfg['seed']!r}") from None
+        try:  # precedence: explicit CLI seed, then FELLBUND_SEED, then the config
+            chosen_seed = int(seed) if seed is not None else env_seed(cfg_seed)
+        except ValueError as exc:
+            raise WorkspaceError(str(exc)) from None
         # config values are checked even when overridden
         cfg_tolerance = parse_positive(cfg.get("tolerance", 1e-9), "config.tolerance")
         tols = Tolerances(
@@ -205,13 +208,17 @@ class Workspace:
         spec = _object(table[name], where)
         G = self.groupoid(_ref(spec, "groupoid", where))
         if spec.get("model") == "matrix":
-            fibers = {g: [parse_matrix(m, f"{where}.fibers.{g}[{i}]")
-                          for i, m in enumerate(mats)]
-                      for g, mats in spec.get("fibers", {}).items()}
-            obj_dims = {x: int(n) for x, n in spec.get("obj_dims", {}).items()} or None
-            bundle = MatrixModelBundle(G, fibers, obj_dims,
-                                       self.tols.rank_threshold).to_fell_bundle(
-                self.tols.rank_threshold, name=name)
+            fibers = {g: parse_matrices(mats, f"{where}.fibers.{g}") for g, mats in
+                      _keyed(spec.get("fibers", {}), G.arrow_index, "arrow", f"{where}.fibers")}
+            obj_dims = {x: parse_count(n, f"{where}.obj_dims.{x}") for x, n in
+                        _keyed(spec.get("obj_dims", {}), G.objects, "object",
+                               f"{where}.obj_dims")} or None
+            try:
+                bundle = MatrixModelBundle(G, fibers, obj_dims,
+                                           self.tols.rank_threshold).to_fell_bundle(
+                    self.tols.rank_threshold, name=name)
+            except ValueError as exc:
+                raise WorkspaceError(f"{where}: {exc}") from exc
         else:
             bundle = self._structure_bundle(G, spec, where, name)
         self._bundles[name] = bundle
@@ -340,8 +347,12 @@ class Workspace:
             keys = _block_keys(spec["invariant_family"], spectrum, f"{where}.invariant_family")
             family = family_from_subset(bundle, spectrum, keys, self.tols)
             return ideal_from_invariant_family(family, self.tols)
-        vectors = {g: [parse_vector(v, f"{where}.fibers.{g}") for v in vs]
-                   for g, vs in spec.get("fibers", {}).items()}
+        vectors = {}
+        for g, vs in _keyed(spec.get("fibers", {}), bundle.dims, "arrow", f"{where}.fibers"):
+            vectors[g] = parse_matrix(vs, f"{where}.fibers.{g}")  # one row per vector
+            if vectors[g].size and vectors[g].shape[1] != bundle.dims[g]:
+                raise WorkspaceError(f"{where}.fibers.{g}: vectors of length "
+                                     f"{vectors[g].shape[1]}, want {bundle.dims[g]}")
         return FellIdeal.from_spanning(bundle, vectors, self.tols.rank_threshold)
 
     def rep(self, name: str) -> FellRep:
@@ -420,6 +431,15 @@ def _object(v, where: str) -> dict:
     if not isinstance(v, dict):
         raise WorkspaceError(f"{where}: expected an object, got {v!r}")
     return v
+
+
+def _keyed(v, known, kind: str, where: str) -> list[tuple[str, Any]]:
+    """The items of an object keyed by names from ``known``."""
+    items = list(_object(v, where).items())
+    for key, _ in items:
+        if key not in known:
+            raise WorkspaceError(f"{where}: unknown {kind} {key!r}")
+    return items
 
 
 def _block_keys(raw, spectrum: FiberSpectrum, where: str) -> set[tuple[str, int]]:

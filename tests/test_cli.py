@@ -343,11 +343,40 @@ def test_longhand_bundle_validates(tmp_path, capsys):
      "sign", "reps.sign.dims.pt: expected a non-negative integer"),
     (lambda raw: raw["reps"]["sign"]["dims"].update(pt="1"),
      "sign", "reps.sign.dims.pt: expected a non-negative integer"),
+    (lambda raw: raw["bundles"]["z2-line"].update(fibers=[[[[1.0]]], [[[1.0]]]]),
+     "z2-line", "bundles.z2-line.fibers: expected an object"),
+    (lambda raw: raw["bundles"]["z2-line"]["fibers"].update(g1=1.0),
+     "z2-line", "bundles.z2-line.fibers.g1: expected a list of matrices"),
+    (lambda raw: raw["bundles"]["z2-line"].update(obj_dims={"pt": 1.5}),
+     "z2-line", "bundles.z2-line.obj_dims.pt: expected a non-negative integer"),
+    (lambda raw: raw["bundles"]["z2-line"].update(obj_dims={"pt": "1"}),
+     "z2-line", "bundles.z2-line.obj_dims.pt: expected a non-negative integer"),
+    (lambda raw: raw["bundles"]["z2-line"].update(obj_dims={"nowhere": 1}),
+     "z2-line", "bundles.z2-line.obj_dims: unknown object 'nowhere'"),
+    (lambda raw: raw["bundles"]["z2-line"]["fibers"].update(g1=[[[1.0, 0.0]]]),
+     "z2-line", "bundles.z2-line: inconsistent matrix size at object pt"),
+    (lambda raw: raw["bundles"]["z2-line"]["fibers"].update(nope=[[[1.0]]]),
+     "z2-line", "bundles.z2-line.fibers: unknown arrow 'nope'"),
+    (lambda raw: raw["ideals"]["a4-pq"].update(fibers=[[1.0]]),
+     "a4-pq", "ideals.a4-pq.fibers: expected an object"),
+    (lambda raw: raw["ideals"]["a4-pq"]["fibers"].update(nope=[[1.0]]),
+     "a4-pq", "ideals.a4-pq.fibers: unknown arrow 'nope'"),
+    (lambda raw: raw["ideals"]["a4-pq"]["fibers"].update({"p|e|p": 1.0}),
+     "a4-pq", "ideals.a4-pq.fibers.p|e|p: expected a matrix (list of rows)"),
+    (lambda raw: raw["ideals"]["a4-pq"]["fibers"].update({"p|e|p": [[1.0, 0.0]]}),
+     "a4-pq", "ideals.a4-pq.fibers.p|e|p: vectors of length 2, want 1"),
+    (lambda raw: raw.update(config={"seed": "abc"}), "z2", "config.seed: expected an integer"),
+    (lambda raw: raw.update(config=[1]), "z2", "config: expected an object"),
 ], ids=["mult-unknown-pair", "mult-non-composable-pair", "mult-index-out-of-range",
         "mult-negative-index", "fibre-not-an-object", "unit-algebra-without-n",
         "non-integer-dim", "negative-dim", "mult-not-a-list", "unit-basis-scalar",
         "rep-dims-not-an-object", "rep-map-scalar", "rep-map-ragged-matrix",
-        "rep-map-ragged-array", "rep-dims-float", "rep-dims-string"])
+        "rep-map-ragged-array", "rep-dims-float", "rep-dims-string",
+        "matrix-fibers-list", "matrix-fibre-scalar", "matrix-obj-dims-float",
+        "matrix-obj-dims-string", "matrix-obj-dims-unknown-object", "matrix-inconsistent-sizes",
+        "matrix-fibre-unknown-arrow", "ideal-fibers-list", "ideal-unknown-arrow",
+        "ideal-fibre-scalar", "ideal-vector-wrong-length",
+        "config-seed-string", "config-list"])
 def test_malformed_structure_bundle_or_rep_exits_2(tmp_path, capsys, edit, name, needle):
     path = _write_demo(tmp_path, edit)
     code, out, err = run_cli(capsys, "validate", path, name)
@@ -398,3 +427,13 @@ def test_malformed_action_set_action_section_or_trafo_exits_2(tmp_path, capsys, 
     code, out, err = run_cli(capsys, command, path, name)
     assert code == 2 and out == ""
     assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+
+def test_non_integer_seed_variable_exits_2(demo_workspace_path, capsys, monkeypatch):
+    monkeypatch.setenv("FELLBUND_SEED", "abc")
+    code, out, err = run_cli(capsys, "validate", demo_workspace_path, "z2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "FELLBUND_SEED" in err and "'abc'" in err
+    # an explicit --seed takes precedence and the variable is not read
+    code, _, _ = run_cli(capsys, "validate", demo_workspace_path, "z2", "--seed", "3")
+    assert code == 0

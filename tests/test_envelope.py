@@ -5,7 +5,7 @@ import fellbund._linalg as la
 from fellbund import gallery
 from fellbund.bundle import FellBundle
 from fellbund.envelope import (block_decomposition, coefficient_embedding_check,
-                               cstar_norm, envelope_algebra, per_object_norms,
+                               cstar_norm, envelope_algebra, per_object_norms, regular_at,
                                regular_rep_matrix, sharper_norm_bound)
 from fellbund.groupoid import FiniteGroupoid
 from fellbund.sections import (Section, convolve, i_norm, involute,
@@ -205,8 +205,7 @@ def test_z48_line_envelope_is_48_characters():
 def test_gram_borderline_notes_empty_for_clean_bundles():
     for name in ("z2-line", "a4", "m2-twisted"):
         b = gallery.shipped_bundles()[name]
-        env = envelope_algebra(b)
-        notes = [n for x in b.groupoid.objects for n in env.regular.at(x).borderline]
+        notes = [n for x in b.groupoid.objects for n in regular_at(b, x).borderline]
         assert notes == [], name
 
 

@@ -4,7 +4,7 @@ import pytest
 from fellbund import gallery
 from fellbund.bundle import FellBundle, subbundle_from_frames
 from fellbund.config import DEFAULT
-from fellbund.envelope import _cached_regular, regular_rep_matrix
+from fellbund.envelope import regular_at, regular_rep_matrix
 from fellbund.groupoid import trivial_group
 from fellbund.ideals import enumerate_fell_ideals
 from fellbund.sections import Section, convolve, i_norm, random_section
@@ -61,7 +61,7 @@ def test_regular_matrix_matches_per_block_loop(certify_bundles):
         G = bundle.groupoid
         for f in _sparse_sections(bundle, rng):
             for x in G.objects:
-                reg = _cached_regular(bundle, DEFAULT).at(x)
+                reg = regular_at(bundle, x, DEFAULT)
                 want = np.zeros((reg.dim, reg.dim), dtype=np.complex128)
                 for (h, g), tensor in reg.blocks.items():
                     if h not in f.entries:
@@ -92,8 +92,7 @@ def test_grouped_kernels_see_several_shape_groups(certify_bundles):
     # group holds arrows with different sources, each with its own rep
     mixed = gallery.a4_over_z2_bundle()
     assert len(mixed.conv_plan().groups) > 1
-    reg = _cached_regular(mixed, DEFAULT)
-    assert any(len(reg.at(x)._groups) > 1 for x in mixed.groupoid.objects)
+    assert any(len(regular_at(mixed, x)._groups) > 1 for x in mixed.groupoid.objects)
     assert len(mixed.norm_stacks()) > 1
     for bundle in (gallery.a4_bundle(), certify_bundles["m3-pair3"]):
         src = bundle.groupoid.src
@@ -108,6 +107,7 @@ def test_bundle_caches_return_the_same_object():
     assert bundle.norm_stacks() is bundle.norm_stacks()
     assert bundle.star_mult_tensor(g) is bundle.star_mult_tensor(g)
     assert bundle.unit_algebra_unit(x) is bundle.unit_algebra_unit(x)
+    assert regular_at(bundle, x) is regular_at(bundle, x)
 
 
 def test_missing_unit_raises_on_every_call():

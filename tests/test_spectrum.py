@@ -138,10 +138,10 @@ def test_bijection_check_across_gallery():
 def test_restrict_induce_extremes():
     b = gallery.a4_bundle()
     data = galois_data(b)
-    zero = np.zeros((0, data.env_dim_side ** 2), dtype=complex)
+    zero = np.zeros((0, data.images.shape[-1] ** 2), dtype=complex)
     r0 = restrict_ideal(data, zero)
     assert r0.shape[0] == 0
-    full_env = la.orth_rows(np.stack([m.reshape(-1) for m in data.env_mats]))
+    full_env = la.orth_rows(np.stack([m.reshape(-1) for m in data.images]))
     # the ideal generated by the full envelope is the envelope itself
     rfull = restrict_ideal(data, induce_ideal(data, restrict_ideal(data, full_env)))
     assert rfull.shape[0] == data.coeff_total
