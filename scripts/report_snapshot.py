@@ -9,9 +9,13 @@ on the ideal given by vectors on ``examples_ws/demo.json``, and
 ``validate``/``envelope``/``spectrum``/``quasi-orbits``/``ideals`` on every
 bundle of the seeded benchmark workspace ``perfbench/workloads.certify_workspace(seed)``,
 ``norms`` on a seeded section over its ``m3-pair3`` (M_3 fibres over the pair
-groupoid on three objects) added to that workspace, and ``validate`` on the seeded 1e-6 perturbation of ``a4-over-z2`` that
-``tests/test_witnesses.py`` checks, written as a structure-tensor workspace:
-its report lists norm-check witnesses with their residuals.  A last temp
+groupoid on three objects) added to that workspace, and ``validate`` on two
+bundles written as structure-tensor workspaces: the seeded 1e-6
+perturbation of ``a4-over-z2`` that ``tests/test_witnesses.py`` checks,
+whose report lists norm-check witnesses with their residuals, and the
+trivial line bundle over Z/8 with one ``mult`` entry's sign flipped, whose
+report lists associativity and anti-multiplicativity witnesses in triple
+and pair order.  A last temp
 workspace holds two twisted partial actions: one on the pair groupoid of
 {p, q} with fibres C and the diagonal C^2 (``validate`` and
 ``compile-action``), and Z/2 on M_2 with the ideal span{E12}, which has no
@@ -35,6 +39,8 @@ import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 DEMO_COMMANDS = [
     ["validate", "z2"],
@@ -61,33 +67,51 @@ DEMO_COMMANDS = [
 CERTIFY_COMMANDS = ["validate", "envelope", "spectrum", "quasi-orbits", "ideals"]
 
 
-def perturbed_workspace(fb) -> dict:
+def structure_workspace(fb, bundles: dict, seed: int) -> dict:
+    """The bundles (name -> FellBundle) as a structure-tensor workspace with
+    config seed ``seed``, each over its own groupoid, named ``{name}-base``."""
+    dump_complex, dump_matrix = fb.workspace.dump_complex, fb.workspace.dump_matrix
+    groupoids, specs = {}, {}
+    for name, b in bundles.items():
+        G = b.groupoid
+        groupoids[f"{name}-base"] = {"objects": list(G.objects),
+                           "arrows": [{"id": g, "src": G.src[g], "rng": G.rng[g]} for g in G.arrows],
+                           "units": dict(G.unit), "inv": dict(G.inv),
+                           "comp": [[g, h, k] for (g, h), k in G.comp.items()]}
+        specs[name] = {
+            "groupoid": f"{name}-base", "fibers": {g: {"dim": b.dims[g]} for g in G.arrows},
+            "mult": [[g, h, *map(int, index), dump_complex(t[index])]
+                     for (g, h), t in b.mult.items() for index in np.ndindex(t.shape)],
+            "inv": {g: dump_matrix(m) for g, m in b.inv.items()},
+            "unit_algebras": {x: {"n": int(r.shape[1]), "basis": [dump_matrix(m) for m in r]}
+                              for x, r in b.unit_rep.items()}}
+    return {"config": {"seed": seed}, "groupoids": groupoids, "bundles": specs}
+
+
+def perturbed_bundle(fb):
     """``perturbed(a4-over-z2, seed=len("a4-over-z2"))`` of
     tests/test_witnesses.py: every entry of every structure tensor plus 1e-6
-    times a seeded complex normal, as a structure-tensor workspace (config
-    seed 3, as there)."""
-    import numpy as np
+    times a seeded complex normal (validated with config seed 3, as there)."""
     b = fb.gallery.a4_over_z2_bundle()
-    G = b.groupoid
     rng = np.random.default_rng(len("a4-over-z2"))
 
     def noisy(tensors: dict) -> dict:
         return {k: t + 1e-6 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
                 for k, t in tensors.items()}
     mult, inv, unit_rep = noisy(b.mult), noisy(b.inv), noisy(b.unit_rep)
-    dump_complex, dump_matrix = fb.workspace.dump_complex, fb.workspace.dump_matrix
-    groupoid = {"objects": list(G.objects),
-                "arrows": [{"id": g, "src": G.src[g], "rng": G.rng[g]} for g in G.arrows],
-                "units": dict(G.unit), "inv": dict(G.inv),
-                "comp": [[g, h, k] for (g, h), k in G.comp.items()]}
-    bundle = {"groupoid": "G", "fibers": {g: {"dim": b.dims[g]} for g in G.arrows},
-              "mult": [[g, h, *map(int, index), dump_complex(t[index])]
-                       for (g, h), t in mult.items() for index in np.ndindex(t.shape)],
-              "inv": {g: dump_matrix(m) for g, m in inv.items()},
-              "unit_algebras": {x: {"n": int(r.shape[1]), "basis": [dump_matrix(m) for m in r]}
-                                for x, r in unit_rep.items()}}
-    return {"config": {"seed": 3}, "groupoids": {"G": groupoid},
-            "bundles": {"a4-over-z2-perturbed": bundle}}
+    return fb.FellBundle(b.groupoid, b.dims, mult, inv, unit_rep)
+
+
+def flipped_bundle(fb):
+    """The trivial line bundle over Z/8 (every structure tensor 1) with the
+    sign of mult[(g1, g2)] flipped: its report lists associativity witnesses
+    on every triple that meets that pair and anti-multiplicativity
+    witnesses on (g1, g2) and on (g6, g7), whose inverses reverse it."""
+    G = fb.groupoid.cyclic_group(8)
+    one = np.ones((1, 1, 1), dtype=np.complex128)
+    mult = {p: -one if p == ("g1", "g2") else one for p in fb.groupoid.composable_pairs(G)}
+    return fb.FellBundle(G, {g: 1 for g in G.arrows}, mult,
+                         {g: np.ones((1, 1)) for g in G.arrows}, {"pt": one})
 
 
 def actions_workspace() -> dict:
@@ -153,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     root = os.path.abspath(args.root)
     # the library and the benchmark's workspace generator of that checkout
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import fellbund
     import fellbund.cli
     import fellbund.gallery
     import fellbund.workspace
@@ -175,10 +200,13 @@ def main(argv: list[str] | None = None) -> int:
                 for cmd in CERTIFY_COMMANDS:
                     jobs.append((f"certify{seed} {cmd} {name}", [cmd, ws, name]))
             jobs.append((f"certify{seed} norms m3-pair3-seeded", ["norms", ws, "m3-pair3-seeded"]))
-        ws = os.path.join(tmp, "perturbed.json")
-        with open(ws, "w") as fh:
-            json.dump(perturbed_workspace(fellbund), fh)
-        jobs.append(("perturbed validate a4-over-z2", ["validate", ws, "a4-over-z2-perturbed"]))
+        for label, name, bundle, seed in (
+                ("perturbed", "a4-over-z2-perturbed", perturbed_bundle(fellbund), 3),
+                ("flipped", "z8-flipped", flipped_bundle(fellbund), 0)):
+            ws = os.path.join(tmp, f"{label}.json")
+            with open(ws, "w") as fh:
+                json.dump(structure_workspace(fellbund, {name: bundle}, seed), fh)
+            jobs.append((f"{label} validate {name.rsplit('-', 1)[0]}", ["validate", ws, name]))
         ws = os.path.join(tmp, "actions.json")
         with open(ws, "w") as fh:
             json.dump(actions_workspace(), fh)

@@ -42,6 +42,53 @@ def stacks(items: list[tuple[Array, ...]], size: Callable[[tuple], int] | None =
             yield part, tuple([np.array([items[p][i] for p in part]) for i in range(len(shapes))])
 
 
+class Stacks:
+    """Arrays stacked once per shape, read-only: item i is
+    ``arrays[group[i]][row[i]]``, the groups in order of first appearance
+    and the rows in item order."""
+
+    def __init__(self, items: list[Array]):
+        index: dict[tuple, int] = {}
+        members: list[list[Array]] = []
+        group, row = [], []
+        for a in items:
+            k = index.setdefault(a.shape, len(index))
+            if k == len(members):
+                members.append([])
+            group.append(k)
+            row.append(len(members[k]))
+            members[k].append(a)
+        self.group = np.array(group, dtype=np.intp)
+        self.row = np.array(row, dtype=np.intp)
+        self.arrays = tuple([np.array(m) for m in members])
+        for a in (self.group, self.row, *self.arrays):
+            a.flags.writeable = False
+
+
+def gathered(operands: list[tuple[Stacks, Array]], size: Callable[[tuple], int]
+             ) -> Iterator[tuple[Array, tuple[Array, ...]]]:
+    """``stacks`` for items given by index into stores stacked once: item t
+    has one operand per (st, idx) of ``operands``, item idx[t] of the
+    ``Stacks`` st.  Per group of items whose operands share their shapes, in
+    chunks of at most _STACK_CHUNK elements of ``size(shapes)`` per item:
+    the positions t of the chunk's items (ascending) and their operands,
+    gathered by row."""
+    key = np.zeros(len(operands[0][1]), dtype=np.intp)
+    for st, idx in operands:
+        if len(st.arrays) > 1:
+            key = key * len(st.arrays) + st.group[idx]
+    if not len(key):
+        return
+    order = np.argsort(key, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(key)]
+    for part in (order[a:b] for a, b in zip(bounds, bounds[1:])):
+        arrays = [st.arrays[st.group[idx[part[0]]]] for st, idx in operands]
+        step = max(1, _STACK_CHUNK // max(1, size(tuple([a.shape[1:] for a in arrays]))))
+        for start in range(0, len(part), step):
+            chunk = part[start:start + step]
+            yield chunk, tuple([a[st.row[idx[chunk]]] for a, (st, idx) in zip(arrays, operands)])
+
+
 def stacked(items: list[tuple[Array, ...]], fn: Callable[..., tuple],
             size: Callable[[tuple], int] | None = None) -> list[tuple]:
     """``fn`` on each chunk of ``stacks(items, size)``; ``fn`` returns a

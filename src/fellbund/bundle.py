@@ -15,6 +15,12 @@ with structure tensors:
 The matrix model (fibres given as subspaces of rectangular matrices, product
 = matrix product, involution = conjugate transpose) is a constructor for this
 structure, not a separate runtime representation.
+
+``FellBundle.structure()`` is the read-only structure store the validators
+read: ``mult`` stacked once per shape (d_gh, d_g, d_h) and ``inv`` per
+(d_{g^-1}, d_g), each with a (group, row) index per pair or arrow, beside the
+groupoid's integer tables.  ``validate_fell_bundle`` gathers its operands
+from it by index, per group of triples or pairs with equal shapes.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from . import _linalg as la
 from ._kernels import ConvolutionPlan
 from ._linalg import _STACK_CHUNK
 from .config import DEFAULT, Tolerances
-from .groupoid import FiniteGroupoid, composable_pairs, composable_triples, validate_groupoid
+from .groupoid import FiniteGroupoid, GroupoidTables, composable_pairs, validate_groupoid
 from .report import ValidationReport
 
 Array = np.ndarray
@@ -241,6 +247,10 @@ class FellBundle:
                 bottoms[c:c + step] = np.ldexp(spectra[:, 0], 2 * e)
         return norms, bottoms
 
+    def structure(self) -> "Structure":
+        """The structure tensors stacked once per shape (cached, read-only)."""
+        return self.memo("structure", lambda: Structure.of(self))
+
     def norm_stacks(self) -> list[tuple[list[str], Array, Array]]:
         """The arrows with a nonzero fibre, grouped by the shapes (d_g,
         d_{u(s(g))}, n_{s(g)}) in declared arrow order, each group with its
@@ -265,6 +275,32 @@ class FellBundle:
             tensors = [self.mult[(g, h)] for g, h in pairs]
             return ConvolutionPlan(self.offsets(), self.dims, self.total_dim, keys, tensors)
         return self.memo("conv_plan", build)
+
+
+class Structure(NamedTuple):
+    """The structure tensors of a bundle stacked once per shape, read-only,
+    with the groupoid's integer tables, for the validators to gather by index."""
+
+    tables: GroupoidTables
+    dims: Array       # (n,) d_g in arrow order
+    mult: la.Stacks   # mult[(g, h)] per composable pair, in ``tables.pairs`` order
+    inv: la.Stacks    # inv[g] per arrow
+    family: Array     # (n, 3) the pairs (u_{r(g)}, g), (g, u_{s(g)}), (g u_{s(g)}, g^-1)
+
+    @staticmethod
+    def of(bundle: FellBundle) -> "Structure":
+        T = bundle.groupoid.tables
+        g = np.arange(len(T.src))
+        us, dims = T.unit[T.src], np.array(list(bundle.dims.values()), dtype=np.intp)
+        gus = T.comp[g, us]
+        family = np.stack([T.pair[T.unit[T.rng], g], T.pair[g, us],
+                           np.where(gus >= 0, T.pair[gus, T.inv], -1)], axis=1)
+        if (family < 0).any():
+            raise ValueError("a unit or inverse composite is off the composable pairs")
+        for a in (dims, family):
+            a.flags.writeable = False
+        return Structure(T, dims, la.Stacks(list(bundle.mult.values())),
+                         la.Stacks(list(bundle.inv.values())), family)
 
 
 def _exponents(A: Array) -> Array:
@@ -391,9 +427,10 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
 
     Multilinear identities are verified exactly on structure tensors; the
     norm/positivity conditions additionally run on seeded random unit-norm
-    elements (``samples`` per fibre pair).  Each check runs as stacked numpy
-    calls (per group of triples or pairs with equal tensor shapes, per arrow,
-    per pair) and reports its violations in the order of the loops it replaces.
+    elements (``samples`` per fibre pair).  The identities gather their
+    operands by index from ``bundle.structure()`` and the groupoid's tables,
+    one stacked call per group of triples or pairs with equal tensor shapes;
+    every check reports its violations in the order of the loops it replaces.
     """
     G = bundle.groupoid
     tol = tols.tolerance
@@ -404,16 +441,10 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         return rep
 
     rng = np.random.default_rng(tols.seed)
-    mult, dims, comp = bundle.mult, bundle.dims, G.comp
+    mult, dims = bundle.mult, bundle.dims
+    T, S, arrows = G.tables, bundle.structure(), G.arrows
 
-    # associativity on composable triples, stacked by tensor shapes; size:
-    # the (d_ghk, d_g, d_h, d_k) products
-    _stacked_check(rep, tol, "associativity", composable_triples(G),
-                   lambda t: (mult[(comp[t[:2]], t[2])], mult[t[:2]],
-                              mult[(t[0], comp[t[1:]])], mult[t[1:]]),
-                   lambda s: s[0][0] * s[1][1] * s[1][2] * s[0][2],
-                   lambda lk, gh, gk, hk: np.einsum("tkml,tmij->tkijl", lk, gh),
-                   lambda lk, gh, gk, hk: np.einsum("tkim,tmjl->tkijl", gk, hk))
+    _associativity(rep, tol, S, arrows)
 
     # involution: (a*)* = a and (ab)* = b* a*
     for g in G.arrows:
@@ -421,14 +452,17 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         eye = bundle.inv[gi] @ np.conj(bundle.inv[g])
         res = float(np.linalg.norm(eye - np.eye(bundle.dims[g])))
         rep.check_residual(res, tol, "involution involutive", f"arrow {g}")
-    pairs = [(g, h) for g, h in composable_pairs(G) if dims[g] and dims[h]]
+    # the composable pairs with both fibres nonzero, by position in T.pairs
+    live = np.flatnonzero((S.dims[T.pairs[:, 0]] > 0) & (S.dims[T.pairs[:, 1]] > 0))
+    g, h = T.pairs[live, 0], T.pairs[live, 1]
     # size: the (d_{(gh)^-1}, d_g, d_h) products
-    _stacked_check(rep, tol, "involution anti-multiplicative", pairs,
-                   lambda p: (bundle.inv[comp[p]], mult[p], mult[(G.inv[p[1]], G.inv[p[0]])],
-                              bundle.inv[p[1]], bundle.inv[p[0]]),
-                   lambda s: s[0][0] * s[1][1] * s[1][2],
-                   lambda j_gh, m_gh, *_: np.einsum("tlk,tkij->tlij", j_gh, np.conj(m_gh)),
-                   lambda _, __, m_hg, j_h, j_g: np.einsum("tkab,taj,tbi->tkij", m_hg, j_h, j_g))
+    _gathered_check(rep, tol, "involution anti-multiplicative",
+                    [(S.inv, T.comp[g, h]), (S.mult, live), (S.mult, T.pair[T.inv[h], T.inv[g]]),
+                     (S.inv, h), (S.inv, g)],
+                    lambda s: s[0][0] * s[1][1] * s[1][2],
+                    lambda j_gh, m_gh, *_: np.einsum("tlk,tkij->tlij", j_gh, np.conj(m_gh)),
+                    lambda _, __, m_hg, j_h, j_g: np.einsum("tkab,taj,tbi->tkij", m_hg, j_h, j_g),
+                    lambda p: f"({arrows[g[p]]},{arrows[h[p]]})")
 
     # unit fibre representations are faithful *-homomorphisms with a unit
     for x in G.objects:
@@ -453,87 +487,7 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         except ValueError:
             rep.add("unit fibre has two-sided unit", f"object {x}")
 
-    # norm axioms and positivity, on basis and seeded random elements.  A
-    # random element t of A_g is rng.standard_normal(d) + 1j *
-    # rng.standard_normal(d), normalised, and skipped if zero (d = 0); the
-    # normals of successive draws come from one standard_normal call.
-    def elements(g: str, z: Array) -> tuple[Array, Array]:
-        """Rows (blocks, d_g + samples, d_g) of the basis and the random unit
-        elements of A_g, one block per row of the normals ``z`` (blocks,
-        samples, 2, d_g); and the mask of the elements kept (nonzero ones)."""
-        d, blocks = bundle.dims[g], z.shape[0]
-        v = z[:, :, 0] + 1j * z[:, :, 1]
-        n = la.row_norms(v.reshape(blocks * samples, d)).reshape(blocks, samples)
-        rows = np.empty((blocks, d + samples, d), dtype=np.complex128)
-        rows[:, :d] = np.eye(d)
-        rows[:, d:] = v / np.where(n > 0, n, 1.0)[:, :, None]
-        keep = np.ones((blocks, d + samples), dtype=bool)
-        keep[:, d:] = n > 0
-        return rows, keep
-
-    def label(g: str, keep: Array, r: int) -> str:
-        """Label of the r-th kept element of ``keep`` for A_g."""
-        i = int(np.flatnonzero(keep)[r]) % keep.shape[-1]
-        return f"basis {i}" if i < bundle.dims[g] else f"random {i - bundle.dims[g]}"
-
-    # every element is drawn first, in the old order (no draw depends on a norm)
-    drawn = [elements(g, rng.standard_normal((1, samples, 2, dims[g]))) for g in G.arrows]
-    E = [rows[keep] for rows, keep in drawn]
-    factors = []
-    for g, h in pairs:
-        # elements(h) is drawn afresh for each element of A_g, after that
-        # element's own draw, as in a nested loop over lazy draws: first one
-        # block for each basis element of A_g, then per random element t its
-        # own normals and one block.  (A nonzero fibre draws the zero vector
-        # with probability 0; a lazy loop would skip it and not draw the block
-        # after it, here that block is drawn and dropped.)
-        d, e = dims[g], dims[h]
-        head = d * samples * 2 * e
-        z = rng.standard_normal(head + samples * (2 * d + samples * 2 * e))
-        tail = z[head:].reshape(samples, -1)
-        rows_g, keep_g = elements(g, tail[:, :2 * d].reshape(1, samples, 2, d))
-        rows_h, keep_h = elements(h, np.concatenate([
-            z[:head].reshape(d, samples, 2, e), tail[:, 2 * d:].reshape(samples, samples, 2, e)]))
-        keep_h &= keep_g[0][:, None]
-        owner = np.repeat(np.arange(keep_g.sum()), keep_h.sum(axis=1)[keep_g[0]])
-        factors.append((rows_g[keep_g], rows_h[keep_h], keep_g, keep_h, owner))
-
-    # two norm-core calls: the elements, their stars (a* row by row as ``star_coords``
-    # forms it), the products and their factors; then the elements' a* a coordinates
-    requests = list(zip(G.arrows, E)) + [
-        (G.inv[g], np.matmul(bundle.inv[g], np.conj(e)[:, :, None])[:, :, 0])
-        for g, e in zip(G.arrows, E)] + [
-        (comp[p], np.einsum("kij,ri,rj->rk", mult[p], a[owner], b))
-        for p, (a, b, _, _, owner) in zip(pairs, factors)]
-    requests += [(g, a) for (g, _), (a, *_) in zip(pairs, factors)]
-    requests += [(h, b) for (_, h), (_, b, *_) in zip(pairs, factors)]
-    cuts = np.cumsum([len(rows) for _, rows in requests])[:-1]
-    norms, mins = (np.split(v, cuts) for v in bundle.norm_rows(requests))
-    units = np.split(bundle.norm_rows([(G.unit[G.src[g]], np.einsum(
-        "kij,mi,mj->mk", bundle.star_mult_tensor(g), np.conj(e), e))
-        for g, e in zip(G.arrows, E)])[0], cuts[:len(E) - 1])
-
-    # the flagged rows only, in the order of the element-at-a-time loops
-    for k, (g, (_, keep)) in enumerate(zip(G.arrows, drawn)):
-        na, mn, nstar, nu = norms[k], mins[k], norms[len(E) + k], units[k]
-        res_star, tol_star = np.abs(na - nstar), 10 * tol * np.maximum(1.0, na)
-        res_c, tol_c = np.abs(nu - na * na), 10 * tol * np.maximum(1.0, na * na)
-        flagged = ~(res_star <= tol_star) | (mn < -0.1 * tol) | ~(res_c <= tol_c)
-        for r in np.flatnonzero(flagged):
-            where = f"{g} {label(g, keep, r)}"
-            rep.check_residual(res_star[r], tol_star[r], "norm preserved by involution", where)
-            if mn[r] < -tol:
-                rep.add("a*a positive", where, residual=-float(mn[r]))
-            elif mn[r] < -0.1 * tol:
-                rep.note(f"borderline positivity at {where}: min eigenvalue {mn[r]:.3e}")
-            rep.check_residual(res_c[r], tol_c[r], "C*-identity |a*a| = |a|^2", where)
-    for k, ((g, h), (_, _, keep_g, keep_h, owner)) in enumerate(zip(pairs, factors)):
-        lhs, na, nb = (norms[2 * len(E) + j * len(pairs) + k] for j in range(3))
-        bound = na[owner] * nb
-        for r in np.flatnonzero(lhs > bound + 10 * tol * np.maximum(1.0, bound)):
-            rep.add("submultiplicativity",
-                    f"({g} {label(g, keep_g, owner[r])}, {h} {label(h, keep_h, r)})",
-                    residual=float(lhs[r] - bound[r]))
+    _norm_checks(rep, tol, bundle, S, live, rng, samples)
 
     # nondegeneracy: span(A_g A_{g^-1} A_g) = A_g, the products e_i e'_j e_k
     # of basis vectors of A_g, A_{g^-1}, A_g in (i, j, k) order
@@ -550,21 +504,233 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
     return rep
 
 
-def _stacked_check(rep: ValidationReport, tol: float, check: str, keys: list[tuple],
-                   operands: Callable[[tuple], tuple], size: Callable[[tuple], int],
-                   left: Callable[..., Array], right: Callable[..., Array]) -> None:
-    """Reports ``check``, in key order, where |left - right| > tol max(1, |left|),
-    both formed from the ``operands`` of the keys stacked by ``la.stacks``."""
-    items = [operands(k) for k in keys]
-    res, scale = np.zeros(len(items)), np.zeros(len(items))
-    for chunk, arrays in la.stacks(items, size):
+def _associativity(rep: ValidationReport, tol: float, S: Structure,
+                   arrows: tuple[str, ...]) -> None:
+    """Associativity on the composable triples (g, h, k): mult[(gh, k)] after
+    mult[(g, h)] against mult[(g, hk)] after mult[(h, k)]; size: the
+    (d_ghk, d_g, d_h, d_k) products."""
+    T = S.tables
+    triples = T.triples()
+    g, h, k = triples.T
+    _gathered_check(rep, tol, "associativity",
+                    [(S.mult, T.pair[T.comp[g, h], k]), (S.mult, T.pair[g, h]),
+                     (S.mult, T.pair[g, T.comp[h, k]]), (S.mult, T.pair[h, k])],
+                    lambda s: s[0][0] * s[1][1] * s[1][2] * s[0][2],
+                    lambda lk, gh, gk, hk: np.einsum("tkml,tmij->tkijl", lk, gh),
+                    lambda lk, gh, gk, hk: np.einsum("tkim,tmjl->tkijl", gk, hk),
+                    lambda t: "({},{},{})".format(*[arrows[i] for i in triples[t]]))
+
+
+def _gathered_check(rep: ValidationReport, tol: float, check: str,
+                    operands: list[tuple[la.Stacks, Array]], size: Callable[[tuple], int],
+                    left: Callable[..., Array], right: Callable[..., Array],
+                    where: Callable[[int], str]) -> None:
+    """Reports ``check`` at ``where(t)``, in item order, for the items t with
+    |left - right| > tol max(1, |left|), both formed from the operands of the
+    items gathered by ``la.gathered``."""
+    res, scale = np.zeros(len(operands[0][1])), np.zeros(len(operands[0][1]))
+    for chunk, arrays in la.gathered(operands, size):
         lhs = left(*arrays)
         scale[chunk] = la.row_norms(lhs)
         lhs -= right(*arrays)
         res[chunk] = la.row_norms(lhs)
-    for p in np.flatnonzero(~(res <= tol * np.maximum(1.0, scale))):
-        rep.check_residual(res[p], tol * max(1.0, float(scale[p])), check,
-                           "({})".format(",".join(keys[p])))
+    for t in np.flatnonzero(~(res <= tol * np.maximum(1.0, scale))):
+        rep.check_residual(res[t], tol * max(1.0, float(scale[t])), check, where(t))
+
+
+# A random element t of A_g is rng.standard_normal(d) + 1j * rng.standard_normal(d),
+# normalised, and dropped if zero (d = 0).  Successive draws concatenate, so the
+# normals of all draws of one phase come from one standard_normal call, cut per
+# draw; the elements are formed per group of equal dimensions.
+
+def _elements(d: int, z: Array) -> tuple[Array, Array]:
+    """Rows (blocks, d + samples, d) of the basis and the random unit elements
+    of a fibre of dimension d, one block per row of the normals ``z`` (blocks,
+    samples, 2, d); and the mask of the elements kept (nonzero ones)."""
+    blocks, samples = z.shape[:2]
+    v = z[:, :, 0] + 1j * z[:, :, 1]
+    n = la.row_norms(v.reshape(blocks * samples, d)).reshape(blocks, samples)
+    rows = np.empty((blocks, d + samples, d), dtype=np.complex128)
+    rows[:, :d] = np.eye(d)
+    rows[:, d:] = v / np.where(n > 0, n, 1.0)[:, :, None]
+    keep = np.ones((blocks, d + samples), dtype=bool)
+    keep[:, d:] = n > 0
+    return rows, keep
+
+
+def _draws(rng: np.random.Generator, lengths: Array) -> Callable[[Array], Array]:
+    """One standard_normal call for draws of the given lengths, in order;
+    returns the function giving the normals (m, length) of the draws of equal
+    length at the positions ``at``."""
+    z = rng.standard_normal(int(lengths.sum()))
+    start = np.cumsum(lengths) - lengths
+    return lambda at: z[start[at][:, None] + np.arange(lengths[at[0]])]
+
+
+def _arrow_elements(dims: Array, rng: np.random.Generator,
+                    samples: int) -> tuple[list[Array], list[Array]]:
+    """Per arrow, in order: its kept elements (m, d_g) and the mask (d_g +
+    samples,) they were kept by; the arrows draw in declared order."""
+    normals = _draws(rng, samples * 2 * dims)
+    E: list = [None] * len(dims)
+    keeps: list = [None] * len(dims)
+    for d in dict.fromkeys(dims.tolist()):
+        at = np.flatnonzero(dims == d)
+        rows, keep = _elements(d, normals(at).reshape(len(at), samples, 2, d))
+        for i, r, m in zip(at, rows, keep):
+            E[i], keeps[i] = r[m], m
+    return E, keeps
+
+
+def _norm_checks(rep: ValidationReport, tol: float, bundle: FellBundle, S: Structure,
+                 live: Array, rng: np.random.Generator, samples: int) -> None:
+    """The norm axioms and positivity, on basis and seeded random elements:
+    per arrow, the involution keeps the norm, a* a is positive and |a* a| =
+    |a|^2; per live pair (``live``: the places in ``tables.pairs`` of the
+    pairs with both fibres nonzero), |ab| <= |a| |b|.  Two norm-core calls,
+    the rows of the pair phase one request per arrow; the flagged rows are
+    reported in the order of the element-at-a-time loops."""
+    G, arrows = bundle.groupoid, bundle.groupoid.arrows
+    g, h = S.tables.pairs[live, 0], S.tables.pairs[live, 1]
+    E, keeps = _arrow_elements(S.dims, rng, samples)
+    counts = np.array([len(e) for e in E], dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    # the elements and their stars (a* row by row as ``star_coords`` forms it)
+    requests = list(zip(arrows, E)) + [
+        (G.inv[a], np.matmul(bundle.inv[a], np.conj(e)[:, :, None])[:, :, 0])
+        for a, e in zip(arrows, E)]
+
+    def ask(of: Array, rows: Array) -> Array:
+        """Queues the rows, row i in the fibre at arrow of[i], one request per
+        arrow; returns the rows' places in the norm core's output."""
+        order, at = np.argsort(of, kind="stable"), np.empty(len(of), dtype=np.intp)
+        at[order] = sum(len(r) for _, r in requests) + np.arange(len(of))
+        for part in np.split(order, np.flatnonzero(np.diff(of[order])) + 1):
+            if len(part):
+                requests.append((arrows[of[part[0]]], rows[part]))
+        return at
+
+    groups = [_pair_rows(S, live, first, *group, ask)
+              for group in _pair_elements(S, live, rng, samples)]
+    norms, mins = bundle.norm_rows(requests)
+    units = bundle.norm_rows([(G.unit[G.src[a]], np.einsum(
+        "kij,mi,mj->mk", bundle.star_mult_tensor(a), np.conj(e), e))
+        for a, e in zip(arrows, E)])[0]
+
+    def label(a: str, keep: Array, r: int) -> str:
+        """Label of the r-th kept element of ``keep`` for A_a."""
+        i = int(np.flatnonzero(keep)[r]) % keep.shape[-1]
+        return f"basis {i}" if i < bundle.dims[a] else f"random {i - bundle.dims[a]}"
+
+    n = int(counts.sum())
+    na, mn, nstar = norms[:n], mins[:n], norms[n:2 * n]
+    res_star, tol_star = np.abs(na - nstar), 10 * tol * np.maximum(1.0, na)
+    res_c, tol_c = np.abs(units - na * na), 10 * tol * np.maximum(1.0, na * na)
+    flagged = ~(res_star <= tol_star) | (mn < -0.1 * tol) | ~(res_c <= tol_c)
+    of = np.repeat(np.arange(len(E)), counts)
+    for row in np.flatnonzero(flagged):
+        i = of[row]
+        where = f"{arrows[i]} {label(arrows[i], keeps[i], row - first[i])}"
+        rep.check_residual(res_star[row], tol_star[row], "norm preserved by involution", where)
+        if mn[row] < -tol:
+            rep.add("a*a positive", where, residual=-float(mn[row]))
+        elif mn[row] < -0.1 * tol:
+            rep.note(f"borderline positivity at {where}: min eigenvalue {mn[row]:.3e}")
+        rep.check_residual(res_c[row], tol_c[row], "C*-identity |a*a| = |a|^2", where)
+    failing = []  # (pair, row of its b, group, row in the group, residual)
+    for k, grp in enumerate(groups):
+        lhs, bound = norms[grp.prods], norms[grp.a][grp.owner] * norms[grp.b]
+        rows = np.flatnonzero(lhs > bound + 10 * tol * np.maximum(1.0, bound))
+        q = np.repeat(np.arange(len(grp.at)), grp.per_b)[rows]
+        failing += zip(grp.at[q].tolist(), (rows - (np.cumsum(grp.per_b) - grp.per_b)[q]).tolist(),
+                       [k] * len(rows), rows.tolist(), (lhs - bound)[rows].tolist())
+    for pos, r, k, row, res in sorted(failing):
+        grp = groups[k]
+        q = int(np.searchsorted(grp.at, pos))
+        own = grp.owner[row] - (np.cumsum(grp.per_a) - grp.per_a)[q]
+        a, b = arrows[g[pos]], arrows[h[pos]]
+        rep.add("submultiplicativity",
+                f"({a} {label(a, grp.keep_g[q], own)}, {b} {label(b, grp.keep_h[q], r)})",
+                residual=res)
+
+
+class _PairRows(NamedTuple):
+    """One group of ``_pair_elements`` at the norm core."""
+
+    at: Array      # the pairs' places in ``live``, ascending
+    keep_g: Array  # (m, d_g + samples): the kept elements of A_g
+    keep_h: Array  # (m, d_g + samples, d_h + samples): the kept elements of A_h
+    per_a: Array   # (m,) kept elements of A_g per pair
+    per_b: Array   # (m,) kept elements of A_h per pair
+    owner: Array   # per kept b, in pair order, the row of its own a in the group
+    prods: Array   # the places in the norm core's output of the products a b,
+    a: Array       # of the a
+    b: Array       # and of the b, each in pair order
+
+
+def _pair_rows(S: Structure, live: Array, first: Array, at: Array, rows_g: Array,
+               keep_g: Array, rows_h: Array, keep_h: Array,
+               ask: Callable[[Array, Array], Array]) -> _PairRows:
+    """The norm-core rows of one group of ``_pair_elements``: the products a b
+    of each kept b with its own a (one einsum, per pair as "kij,ri,rj->rk"),
+    queued with ``ask``, and the kept a and b, each kind in pair order.  The
+    random a and b are queued too; a basis element of A_g reads the row of
+    the arrow's own elements (of A_g from ``first[g]`` on), whose norm is
+    the same."""
+    m, w, d = rows_g.shape
+    e = rows_h.shape[-1]
+    p = live[at]
+    g, h = S.tables.pairs[p, 0], S.tables.pairs[p, 1]
+    kept = keep_h.reshape(m, -1)
+    per_a, per_b = keep_g.sum(axis=1), kept.sum(axis=1)
+    M = S.mult.arrays[S.mult.group[p[0]]][S.mult.row[p]]
+    prods = np.einsum("tkij,tri,trj->trk", M, np.broadcast_to(
+        rows_g[:, :, None], rows_h.shape[:3] + (d,)).reshape(m, -1, d), rows_h.reshape(m, -1, e))
+    owner = np.broadcast_to((np.cumsum(keep_g) - 1).reshape(m, w)[:, :, None], keep_h.shape)
+
+    def places(of: Array, rows: Array, keep: Array, d: int) -> Array:
+        """The places of the kept rows (elements of A_{of}), basis ones read."""
+        i = np.broadcast_to(np.arange(keep.shape[-1]), keep.shape)[keep]
+        out = first[of] + i
+        out[i >= d] = ask(of[i >= d], rows[i >= d])
+        return out
+    a = places(np.repeat(g, per_a), rows_g[keep_g], keep_g, d)
+    b = places(np.repeat(h, per_b), rows_h.reshape(m, -1, e)[kept], keep_h, e)
+    return _PairRows(at, keep_g, keep_h, per_a, per_b, owner[keep_h],
+                     ask(np.repeat(S.tables.comp[g, h], per_b), prods[kept]), a, b)
+
+
+def _pair_elements(S: Structure, live: Array, rng: np.random.Generator,
+                   samples: int) -> Iterator[tuple[Array, ...]]:
+    """The elements of the composable pairs (g, h) at the positions ``live``
+    of ``tables.pairs``, per group of pairs with equal mult shapes: the
+    pairs' places in ``live`` (ascending), the basis and random elements of
+    A_g (m, d_g + samples, d_g) with their masks, and per element of A_g its
+    own block of elements of A_h (m, d_g + samples, d_h + samples, d_h) with
+    the masks (a block of a dropped element of A_g is dropped too).
+
+    As in a nested loop over lazy draws, the elements of A_h are drawn afresh
+    for each element of A_g, after that element's own draw: first one block
+    for each basis element of A_g, then per random element its own normals
+    and one block.  (A nonzero fibre draws the zero vector with probability
+    0; a lazy loop would skip it and not draw the block after it, here that
+    block is drawn and dropped.)"""
+    pairs = S.tables.pairs[live]
+    dg, dh = S.dims[pairs[:, 0]], S.dims[pairs[:, 1]]
+    head = dg * samples * 2 * dh
+    normals = _draws(rng, head + samples * (2 * dg + samples * 2 * dh))
+    group = S.mult.group[live]
+    for k in dict.fromkeys(group.tolist()):
+        at = np.flatnonzero(group == k)
+        m, d, e, z = len(at), int(dg[at[0]]), int(dh[at[0]]), normals(at)
+        tail = z[:, head[at[0]]:].reshape(m, samples, -1)
+        rows_g, keep_g = _elements(d, tail[:, :, :2 * d].reshape(m, samples, 2, d))
+        rows_h, keep_h = _elements(e, np.concatenate([
+            z[:, :head[at[0]]].reshape(m, d, samples, 2, e),
+            tail[:, :, 2 * d:].reshape(m, samples, samples, 2, e)], axis=1).reshape(
+                m * (d + samples), samples, 2, e))
+        yield (at, rows_g, keep_g, rows_h.reshape(m, d + samples, e + samples, e),
+               keep_h.reshape(m, d + samples, e + samples) & keep_g[:, :, None])
 
 
 # -- derived fibre data --------------------------------------------------------

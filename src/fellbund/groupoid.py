@@ -5,7 +5,9 @@ source/range/unit/inverse maps, and an explicit partial composition table
 (absent entry = undefined, never a sentinel).  All iteration follows the
 declared orders so downstream reports are deterministic.  The Haar system is
 fixed to counting measure on every fibre, so every integral in the section
-algebra becomes a plain sum.
+algebra becomes a plain sum.  ``FiniteGroupoid.tables`` holds the same
+data once more as read-only integer arrays (arrows and objects by declared
+index), which the validators read instead of walking the tuples.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .report import ValidationReport
 
@@ -84,6 +88,68 @@ class FiniteGroupoid:
     def can_compose(self, g: str, h: str) -> bool:
         return self.src[g] == self.rng[h]
 
+    @cached_property
+    def tables(self) -> "GroupoidTables":
+        """The integer tables of the groupoid (built once, read-only)."""
+        return GroupoidTables.of(self)
+
+
+class GroupoidTables(NamedTuple):
+    """A groupoid as integer arrays, arrows and objects by declared index.
+
+    ``comp[g, h]`` is the composite of a composable pair with an entry and -1
+    elsewhere, so an entry on a non-composable pair is never read as a
+    composite; ``pairs`` (P, 2) and ``triples()`` (T, 3) list the composable
+    pairs and triples in the order of ``composable_pairs`` and
+    ``composable_triples``, and ``pair[g, h]`` is the position of (g, h) in
+    ``pairs`` (-1 off them).  Every array is read-only.
+    """
+
+    src: np.ndarray   # (n,) object index of each arrow's source
+    rng: np.ndarray   # (n,) and of its range
+    inv: np.ndarray   # (n,) arrow index of each inverse
+    unit: np.ndarray  # (objects,) arrow index of each unit
+    comp: np.ndarray  # (n, n)
+    pairs: np.ndarray
+    pair: np.ndarray
+
+    @staticmethod
+    def of(G: FiniteGroupoid) -> "GroupoidTables":
+        at, obj = G.arrow_index, {x: i for i, x in enumerate(G.objects)}
+        src = np.array([obj[G.src[g]] for g in G.arrows], dtype=np.intp)
+        rng = np.array([obj[G.rng[g]] for g in G.arrows], dtype=np.intp)
+        n = len(G.arrows)
+        comp = np.full((n, n), -1, dtype=np.intp)
+        for (g, h), k in G.comp.items():
+            if G.src[g] == G.rng[h]:
+                comp[at[g], at[h]] = at[k]
+        first, h = _range_fiber_steps(rng, len(G.objects), src)
+        pair = np.full((n, n), -1, dtype=np.intp)
+        pair[first, h] = np.arange(len(first))
+        tables = GroupoidTables(src, rng, np.array([at[G.inv[g]] for g in G.arrows], dtype=np.intp),
+                                np.array([at[G.unit[x]] for x in G.objects], dtype=np.intp),
+                                comp, np.stack([first, h], axis=1), pair)
+        for a in tables:
+            a.flags.writeable = False
+        return tables
+
+    def triples(self) -> np.ndarray:
+        """(T, 3): every (g, h, k) with (g, h) and (h, k) composable (formed
+        on each call, not kept: T grows as the cube of the arrows)."""
+        first, k = _range_fiber_steps(self.rng, len(self.unit), self.src[self.pairs[:, 1]])
+        return np.concatenate([self.pairs[first], k[:, None]], axis=1)
+
+
+def _range_fiber_steps(rng: np.ndarray, objects: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each position i of ``at`` (object indices), in order, every arrow
+    of G^{at[i]} in declared order: the positions i, repeated, and the arrows."""
+    by_rng = np.argsort(rng, kind="stable")
+    count = np.bincount(rng, minlength=objects)
+    reps = count[at]
+    first = np.repeat(np.arange(len(at)), reps)
+    local = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+    return first, by_rng[(np.cumsum(count) - count)[at][first] + local]
+
 
 def composable_pairs(G: FiniteGroupoid) -> list[tuple[str, str]]:
     """All (g, h) with src(g) = rng(h), lexicographic in arrow indices; in
@@ -99,8 +165,10 @@ def composable_triples(G: FiniteGroupoid) -> list[tuple[str, str, str]]:
 
 def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom; the report lists each violation with the
-    witnessing arrows."""
+    witnessing arrows.  Composition is checked on ``G.tables``: the pairs and
+    triples are tested as arrays, and only the failing ones are walked."""
     rep = ValidationReport(f"groupoid({len(G.objects)} objects, {len(G.arrows)} arrows)")
+    T, arrows = G.tables, G.arrows
 
     for x in G.objects:
         u = G.unit[x]
@@ -108,50 +176,54 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
                     detail=f"unit {u} has src={G.src[u]} rng={G.rng[u]}")
 
     # composition defined exactly on matching pairs
-    for g, h in composable_pairs(G):
-        if (g, h) not in G.comp:
-            rep.add("composition missing", f"({g},{h})")
-    for (g, h) in G.comp:
-        if G.src[g] != G.rng[h]:
-            rep.add("composition defined on non-composable pair", f"({g},{h})")
+    g, h = T.pairs[:, 0], T.pairs[:, 1]
+    gh = T.comp[g, h]
+    for p in np.flatnonzero(gh < 0):
+        rep.add("composition missing", f"({arrows[g[p]]},{arrows[h[p]]})")
+    for (a, b) in G.comp:
+        if G.src[a] != G.rng[b]:
+            rep.add("composition defined on non-composable pair", f"({a},{b})")
 
-    # the entries on composable pairs; an entry elsewhere is reported above
-    # and never read as a composite
-    comp = {(g, h): k for (g, h), k in G.comp.items() if G.src[g] == G.rng[h]}
+    def composite(i: int, j: int) -> str | None:
+        """The entry of (i, j) in ``T.comp``; None for -1."""
+        k = T.comp[i, j]
+        return None if k < 0 else arrows[k]
 
-    for g in G.arrows:
-        ur, us = G.unit[G.rng[g]], G.unit[G.src[g]]
-        left, right = comp.get((ur, g)), comp.get((g, us))
-        if left is not None and left != g:
-            rep.add("left unit law", f"arrow {g}", detail=f"u·{g} = {left}")
-        if right is not None and right != g:
-            rep.add("right unit law", f"arrow {g}", detail=f"{g}·u = {right}")
-        gi = G.inv[g]
-        rep.require(G.src[gi] == G.rng[g] and G.rng[gi] == G.src[g],
-                    "inverse endpoints", f"arrow {g}")
-        ggi, gig = comp.get((g, gi)), comp.get((gi, g))
-        if ggi is not None and ggi != G.unit[G.rng[g]]:
-            rep.add("inverse axiom", f"arrow {g}",
-                    detail=f"{g}·{gi} = {ggi} != unit({G.rng[g]})")
-        if gig is not None and gig != G.unit[G.src[g]]:
-            rep.add("inverse axiom", f"arrow {g}",
-                    detail=f"{gi}·{g} = {gig} != unit({G.src[g]})")
-        rep.require(G.inv[gi] == g, "inverse involutive", f"arrow {g}")
+    for i, a in enumerate(arrows):
+        ur, us = T.unit[T.rng[i]], T.unit[T.src[i]]
+        left, right = composite(ur, i), composite(i, us)
+        if left is not None and left != a:
+            rep.add("left unit law", f"arrow {a}", detail=f"u·{a} = {left}")
+        if right is not None and right != a:
+            rep.add("right unit law", f"arrow {a}", detail=f"{a}·u = {right}")
+        ai = G.inv[a]
+        rep.require(G.src[ai] == G.rng[a] and G.rng[ai] == G.src[a],
+                    "inverse endpoints", f"arrow {a}")
+        aai, aia = composite(i, T.inv[i]), composite(T.inv[i], i)
+        if aai is not None and aai != G.unit[G.rng[a]]:
+            rep.add("inverse axiom", f"arrow {a}",
+                    detail=f"{a}·{ai} = {aai} != unit({G.rng[a]})")
+        if aia is not None and aia != G.unit[G.src[a]]:
+            rep.add("inverse axiom", f"arrow {a}",
+                    detail=f"{ai}·{a} = {aia} != unit({G.src[a]})")
+        rep.require(G.inv[ai] == a, "inverse involutive", f"arrow {a}")
 
-    for g, h in composable_pairs(G):
-        gh = comp.get((g, h))
-        if gh is not None:
-            rep.require(G.src[gh] == G.src[h] and G.rng[gh] == G.rng[g],
-                        "composite endpoints", f"({g},{h})")
+    known = gh >= 0
+    bad = known & ((T.src[np.where(known, gh, 0)] != T.src[h])
+                   | (T.rng[np.where(known, gh, 0)] != T.rng[g]))
+    for p in np.flatnonzero(bad):
+        rep.add("composite endpoints", f"({arrows[g[p]]},{arrows[h[p]]})")
 
-    for g, h, k in composable_triples(G):
-        gh, hk = comp.get((g, h)), comp.get((h, k))
-        if gh is None or hk is None:
-            continue
-        left, right = comp.get((gh, k)), comp.get((g, hk))
-        if left is not None and right is not None and left != right:
-            rep.add("associativity", f"({g},{h},{k})",
-                    detail=f"({g}{h}){k} = {left} != {right}")
+    # associativity where both sides are defined: (gh)k and g(hk)
+    g, h, k = T.triples().T
+    gh, hk = T.comp[g, h], T.comp[h, k]
+    known = (gh >= 0) & (hk >= 0)
+    left = np.where(known, T.comp[np.where(known, gh, 0), k], -1)
+    right = np.where(known, T.comp[g, np.where(known, hk, 0)], -1)
+    for t in np.flatnonzero((left >= 0) & (right >= 0) & (left != right)):
+        a, b, c = arrows[g[t]], arrows[h[t]], arrows[k[t]]
+        rep.add("associativity", f"({a},{b},{c})",
+                detail=f"({a}{b}){c} = {arrows[left[t]]} != {arrows[right[t]]}")
     return rep
 
 

@@ -5,7 +5,10 @@ multiplication on both sides; these are in bijection with invariant families
 of unit-fibre ideals (F_x = I at the unit arrow, I_g = F_{r(g)} . A_g).
 Quotient fibres are realised as orthogonal complements with projected
 structure tensors, so all downstream numerics reuse the same machinery, and
-the quotient hom is the orthogonal projection.
+the quotient hom is the orthogonal projection.  ``validate_invariant_family``,
+which the ideal enumeration calls once per candidate family, gathers its
+structure operands by index from ``FellBundle.structure()``, stacked once
+per bundle; only the family's frames are stacked per call.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -106,32 +109,47 @@ def validate_fell_ideal(I: FellIdeal, tols: Tolerances = DEFAULT) -> ValidationR
 def validate_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) -> ValidationReport:
     """Each F_x is a two-sided ideal of A_{u(x)}, and the family is invariant.
 
-    The ideal checks are one stacked product per object.  The per-arrow
-    checks run on groups of arrows whose operands share their shapes
-    (``la.stacks``): both product frames from one einsum and one
-    stacked SVD each, their containments and the one-sided criterion as
-    stacked residuals.  The violations come in the order of the loops
-    they replace, with the same residuals.
+    The operands are gathered by index (``la.gathered``): the structure
+    tensors from ``bundle.structure()``, stacked once per bundle, and the
+    frames, stacked once per call by shape.  The ideal checks are one
+    stacked product per group of objects with equal shapes.  The per-arrow
+    checks run on groups of arrows whose operands share their shapes: both
+    product frames from one einsum and one stacked SVD each, their
+    containments and the one-sided criterion as stacked residuals.  The
+    violations come in the order of the loops they replace, with the same
+    residuals.
     """
     bundle = F.bundle
     G = bundle.groupoid
     tol = tols.tolerance
     rep = ValidationReport("invariant family")
-    for x in G.objects:
-        u = G.unit[x]
-        M = bundle.mult[(u, u)]
+    T, S = G.tables, bundle.structure()
+    frames = la.Stacks([F.frames[x] for x in G.objects])
+    # per object x: mult[(u, u)] of its unit u, which is the pair (u_{r(u)}, u)
+    failing = []  # per chunk: the failing rows' objects, rows, residuals and bounds
+    for chunk, (M, Fx) in la.gathered([(S.mult, S.family[T.unit, 0]),
+                                       (frames, np.arange(len(G.objects)))], _object_stack_size):
+        t, r, du = Fx.shape
+        if not r * du:
+            continue  # no products
         # prods[i, j, 0] = F_i . e_j ("right"), prods[i, j, 1] = e_j . F_i ("left")
-        prods = np.einsum("skaj,ia->ijsk", np.stack([M, M.transpose(0, 2, 1)]), F.frames[x])
-        _report_residuals(rep, F.frames[x], prods, tol,
-                          lambda p: (f"fibre subspace is {('right', 'left')[p[2]]} ideal",
-                                     f"object {x}"))
-    arrows = list(G.arrows)
-    ranks = np.zeros((len(arrows), 2), dtype=np.intp)  # dims of the two product frames
-    equal = np.ones(len(arrows), dtype=bool)
-    one_sided: dict[int, tuple[Array, Array]] = {}  # failing arrows: residuals, bounds
-    for chunk, (L, Fr, R, Fs, M) in la.stacks(
-            [_arrow_operands(bundle, F, g) for g in arrows], _arrow_stack_size):
+        prods = np.einsum("tskaj,tia->tijsk", np.stack([M, M.transpose(0, 1, 3, 2)], axis=1), Fx)
+        failing.append(_failing_rows(chunk, *la.residuals_in_span(Fx, prods.reshape(t, -1, du)),
+                                     tol))
+    for x, p, res, bound in _in_order(failing):
+        rep.check_residual(res, bound, f"fibre subspace is {('right', 'left')[p % 2]} ideal",
+                           f"object {G.objects[x]}")
+    n = len(G.arrows)
+    ranks = np.zeros((n, 2), dtype=np.intp)  # dims of the two product frames
+    equal = np.ones(n, dtype=bool)
+    failing = []
+    # mult[(u_r, g)], F_{r(g)}, mult[(g, u_s)], F_{s(g)}, mult[(g . u_s, g^-1)]
+    for chunk, (L, Fr, R, Fs, M) in la.gathered(
+            [(S.mult, S.family[:, 0]), (frames, T.rng), (S.mult, S.family[:, 1]), (frames, T.src),
+             (S.mult, S.family[:, 2])], _arrow_stack_size):
         t, d = len(chunk), L.shape[1]
+        if not Fr.shape[1] and not Fs.shape[1]:
+            continue  # both product frames 0 and no one-sided products
         # span(F_{r(g)} . A_g): rows b . e_j; span(A_g . F_{s(g)}): rows e_j . b
         (lvh, lrank), (rvh, rrank) = (
             la.stacked_orth_rows(_left_products(L, Fr), tols.rank_threshold),
@@ -143,29 +161,43 @@ def validate_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) ->
         mid = np.einsum("taib,tkb->tika", R, Fs)
         out = np.einsum("tlaj,tika->tikjl", M, mid).reshape(
             t, d * Fs.shape[1] * M.shape[3], Fr.shape[2])
-        res, norms = la.residuals_in_span(Fr, out)
-        scale = tol * np.maximum(1.0, norms)
-        for i in np.flatnonzero((~(res <= scale)).any(axis=1)):
-            one_sided[chunk[i]] = (res[i], scale[i])
-    for pos, g in enumerate(arrows):
-        if not equal[pos]:
+        failing.append(_failing_rows(chunk, *la.residuals_in_span(Fr, out), tol))
+    # per arrow: invariance (row -1 sorts first), then the one-sided rows
+    invariance = [(pos, -1, 0.0, 0.0) for pos in np.flatnonzero(~equal).tolist()]
+    for pos, p, res, bound in sorted(invariance + _in_order(failing)):
+        g = G.arrows[pos]
+        if p < 0:
+            left, right = ranks[pos].tolist()
             rep.add("invariance F_{r(g)} A_g = A_g F_{s(g)}", f"arrow {g}",
-                    detail=f"left dim {ranks[pos, 0]}, right dim {ranks[pos, 1]}")
-        if pos in one_sided:
-            res, scale = one_sided[pos]
-            for p in np.flatnonzero(~(res <= scale)):
-                rep.check_residual(res[p], scale[p],
-                                   "one-sided criterion A_g F_{s} A_{g^-1} in F_{r}", f"arrow {g}")
+                    detail=f"left dim {left}, right dim {right}")
+        else:
+            rep.check_residual(res, bound, "one-sided criterion A_g F_{s} A_{g^-1} in F_{r}",
+                               f"arrow {g}")
     return rep
 
 
-def _arrow_operands(bundle: FellBundle, F: InvariantFamily, g: str) -> tuple[Array, ...]:
-    """mult[(u_r, g)], F_{r(g)}, mult[(g, u_s)], F_{s(g)}, mult[(g . u_s, g^-1)]."""
-    G = bundle.groupoid
-    x, y = G.rng[g], G.src[g]
-    us = G.unit[y]
-    return (bundle.mult[(G.unit[x], g)], F.frames[x], bundle.mult[(g, us)], F.frames[y],
-            bundle.mult[(G.comp[(g, us)], G.inv[g])])
+def _failing_rows(chunk: Array, res: Array, norms: Array, tol: float) -> tuple[Array, ...]:
+    """Of the residuals (t, m) of the chunk's items, those above tol max(1,
+    the row's norm): their items, rows, residuals and bounds."""
+    scale = tol * np.maximum(1.0, norms)
+    i, p = np.nonzero(~(res <= scale))
+    return chunk[i], p, res[i, p], scale[i, p]
+
+
+def _in_order(failing: list[tuple[Array, ...]]) -> list[tuple]:
+    """The failing rows of every chunk, (item, row, residual, bound), sorted
+    by item and then row."""
+    if not failing:
+        return []
+    item, row, res, bound = (np.concatenate(c) for c in zip(*failing))
+    order = np.lexsort((row, item))
+    return list(zip(*[a[order].tolist() for a in (item, row, res, bound)]))
+
+
+def _object_stack_size(shapes: tuple) -> int:
+    """Elements per object of its ideal products (dim F_x . d_u . 2 . d_u)."""
+    (du, _, _), (r, _) = shapes
+    return max(du ** 3, 2 * r * du * du)
 
 
 def _arrow_stack_size(shapes: tuple) -> int:
@@ -174,19 +206,6 @@ def _arrow_stack_size(shapes: tuple) -> int:
     (dg, _, _), (rx, du), _, (ry, _), (_, _, dgi) = shapes
     return max(max(math.prod(s) for s in shapes), rx * dg * dg, ry * dg * dg,
                dg * ry * dgi * du)
-
-
-def _report_residuals(rep: ValidationReport, frame: Array, vecs: Array, tol: float,
-                      witness: Callable[[tuple], tuple[str, str]]) -> None:
-    """Check that every vector of ``vecs`` (..., d) lies in span(frame), to
-    ``tol`` relative to its norm; ``witness(index)`` gives (check, where)."""
-    if not vecs.size:
-        return
-    res, norms = la.residuals_in_span(frame[None], vecs.reshape(1, -1, frame.shape[1]))
-    res, scale = res[0], tol * np.maximum(1.0, norms[0])
-    for p in np.flatnonzero(~(res <= scale)):
-        check, where = witness(np.unravel_index(p, vecs.shape[:-1]))
-        rep.check_residual(res[p], scale[p], check, where)
 
 
 def _left_product_frame(bundle: FellBundle, F: InvariantFamily, g: str,

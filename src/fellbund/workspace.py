@@ -343,6 +343,8 @@ class Workspace:
         spec = _object(table[name], where)
         bundle = self.bundle(_ref(spec, "bundle", where))
         if "invariant_family" in spec:
+            if "fibers" in spec:
+                raise WorkspaceError(f"{where}: give either fibers or invariant_family, not both")
             spectrum = fiber_spectrum(bundle, self.tols)
             keys = _block_keys(spec["invariant_family"], spectrum, f"{where}.invariant_family")
             family = family_from_subset(bundle, spectrum, keys, self.tols)

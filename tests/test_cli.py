@@ -365,6 +365,8 @@ def test_longhand_bundle_validates(tmp_path, capsys):
      "a4-pq", "ideals.a4-pq.fibers.p|e|p: expected a matrix (list of rows)"),
     (lambda raw: raw["ideals"]["a4-pq"]["fibers"].update({"p|e|p": [[1.0, 0.0]]}),
      "a4-pq", "ideals.a4-pq.fibers.p|e|p: vectors of length 2, want 1"),
+    (lambda raw: raw["ideals"]["a4-pq-by-blocks"].update(fibers={"nope": [[1.0]]}),
+     "a4-pq-by-blocks", "ideals.a4-pq-by-blocks: give either fibers or invariant_family"),
     (lambda raw: raw.update(config={"seed": "abc"}), "z2", "config.seed: expected an integer"),
     (lambda raw: raw.update(config=[1]), "z2", "config: expected an object"),
 ], ids=["mult-unknown-pair", "mult-non-composable-pair", "mult-index-out-of-range",
@@ -375,7 +377,7 @@ def test_longhand_bundle_validates(tmp_path, capsys):
         "matrix-fibers-list", "matrix-fibre-scalar", "matrix-obj-dims-float",
         "matrix-obj-dims-string", "matrix-obj-dims-unknown-object", "matrix-inconsistent-sizes",
         "matrix-fibre-unknown-arrow", "ideal-fibers-list", "ideal-unknown-arrow",
-        "ideal-fibre-scalar", "ideal-vector-wrong-length",
+        "ideal-fibre-scalar", "ideal-vector-wrong-length", "ideal-fibers-and-family",
         "config-seed-string", "config-list"])
 def test_malformed_structure_bundle_or_rep_exits_2(tmp_path, capsys, edit, name, needle):
     path = _write_demo(tmp_path, edit)
