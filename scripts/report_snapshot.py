@@ -155,7 +155,6 @@ def seeded_section(fb, raw: dict, bundle: str, seed: int) -> dict:
     nonzero fibre, in declared order, d standard normal real parts and then d
     imaginary parts from numpy's generator ``[seed, 19]``, so that every
     checkout reads the same coefficients."""
-    import numpy as np
     b = fb.workspace.Workspace.from_dict(raw).bundle(bundle)
     rng = np.random.default_rng([seed, 19])
     entries = {}
