@@ -21,7 +21,11 @@ workspace holds two twisted partial actions: one on the pair groupoid of
 ``compile-action``), and Z/2 on M_2 with the ideal span{E12}, which has no
 unit (``validate``: a report of witnesses).
 Each command's stdout goes to its own file under OUT, and ``exit_codes.txt``
-lists the exit status of every command.  fellbund is imported from
+lists the exit status of every command.  No command convolves or involutes,
+so ``section_kernels.txt`` adds the SHA-256 digests of the bytes of
+``convolve``, ``involute`` and ``i_norm`` on two seeded sections of every
+bundle above (the demo's, each certify workspace's and the two
+structure-tensor bundles).  fellbund is imported from
 CHECKOUT's ``src`` (default: the checkout holding this script), so two
 checkouts can be compared byte for byte:
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -165,6 +170,30 @@ def seeded_section(fb, raw: dict, bundle: str, seed: int) -> dict:
     return {"bundle": bundle, "entries": entries}
 
 
+def kernel_digests(fb, label: str, bundles: dict, seed: int) -> list[str]:
+    """Per bundle (name -> FellBundle), one line per kernel: the SHA-256 of
+    the bytes of convolve(xi, eta), involute(xi) and i_norm(xi), with xi
+    and eta drawn per arrow in declared order, d standard normal real parts
+    and then d imaginary parts, from numpy's generator ``[seed, 23]``."""
+    rng = np.random.default_rng([seed, 23])
+    lines = []
+    for name, b in bundles.items():
+        xi, eta = (fb.Section(b, {g: rng.standard_normal(b.dims[g])
+                                  + 1j * rng.standard_normal(b.dims[g])
+                                  for g in b.groupoid.arrows}) for _ in range(2))
+        for kernel, value in (("convolve", fb.convolve(xi, eta).pack()),
+                              ("involute", fb.involute(xi).pack()),
+                              ("i_norm", np.float64(fb.i_norm(xi)))):
+            digest = hashlib.sha256(value.tobytes()).hexdigest()
+            lines.append(f"{label} {name} {kernel} {digest}")
+    return lines
+
+
+def workspace_bundles(fb, raw: dict) -> dict:
+    ws = fb.workspace.Workspace.from_dict(raw)
+    return {name: ws.bundle(name) for name in ws.names("bundles")}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="directory for the report files (created)")
@@ -188,6 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         jobs.append(("demo " + " ".join(c.lstrip("-") for c in cmd), [cmd[0], demo, *cmd[1:]]))
     os.makedirs(args.out, exist_ok=True)
     codes = []
+    with open(demo) as fh:
+        digests = kernel_digests(fellbund, "demo", workspace_bundles(fellbund, json.load(fh)), 0)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             ws = os.path.join(tmp, f"certify-{seed}.json")
@@ -195,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
             raw["sections"] = {"m3-pair3-seeded": seeded_section(fellbund, raw, "m3-pair3", seed)}
             with open(ws, "w") as fh:
                 json.dump(raw, fh)
+            digests += kernel_digests(fellbund, f"certify{seed}", workspace_bundles(fellbund, raw),
+                                      seed)
             for name, *_ in CERTIFY_BUNDLES:
                 for cmd in CERTIFY_COMMANDS:
                     jobs.append((f"certify{seed} {cmd} {name}", [cmd, ws, name]))
@@ -203,8 +236,10 @@ def main(argv: list[str] | None = None) -> int:
                 ("perturbed", "a4-over-z2-perturbed", perturbed_bundle(fellbund), 3),
                 ("flipped", "z8-flipped", flipped_bundle(fellbund), 0)):
             ws = os.path.join(tmp, f"{label}.json")
+            raw = structure_workspace(fellbund, {name: bundle}, seed)
             with open(ws, "w") as fh:
-                json.dump(structure_workspace(fellbund, {name: bundle}, seed), fh)
+                json.dump(raw, fh)
+            digests += kernel_digests(fellbund, label, workspace_bundles(fellbund, raw), seed)
             jobs.append((f"{label} validate {name.rsplit('-', 1)[0]}", ["validate", ws, name]))
         ws = os.path.join(tmp, "actions.json")
         with open(ws, "w") as fh:
@@ -221,6 +256,8 @@ def main(argv: list[str] | None = None) -> int:
             codes.append(f"{code} {label}")
     with open(os.path.join(args.out, "exit_codes.txt"), "w") as fh:
         fh.write("\n".join(codes) + "\n")
+    with open(os.path.join(args.out, "section_kernels.txt"), "w") as fh:
+        fh.write("\n".join(digests) + "\n")
     print(f"{len(jobs)} reports written to {args.out}")
     return 0
 

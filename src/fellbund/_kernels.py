@@ -1,14 +1,13 @@
 """Convolution kernel.
 
 Section coefficients for a whole bundle are flattened into one complex
-vector.  A plan groups the composable pairs (h, k) whose three fibres are
-nonzero by their dimension triple (d_h, d_k, d_hk).  Each group keeps its
-multiplication tensors stacked as (P, d_hk, d_h * d_k) with the indices of
-A_h, A_k and A_hk in the packed vector.  A product is then one gather, one
-batched contraction of the stacked tensors with the outer products of the
-gathered blocks, and one scatter-add per group; the scatter is a
-``np.bincount`` on the real and on the imaginary parts, since many pairs
-share a target arrow.
+vector.  A plan keeps, per group of the bundle's ``mult`` store whose three
+fibre dimensions (d_hk, d_h, d_k) are nonzero, the stack as a (P, d_hk,
+d_h * d_k) view with the indices of A_h, A_k and A_hk in the packed vector.
+A product is then one gather, one batched contraction of the stacked
+tensors with the outer products of the gathered blocks, and one scatter-add
+per group; the scatter is a ``np.bincount`` on the real and on the
+imaginary parts, since many pairs share a target arrow.
 """
 
 from __future__ import annotations
@@ -16,41 +15,34 @@ from __future__ import annotations
 import numpy as np
 
 
-def _spans(starts: list[int], d: int) -> np.ndarray:
+def _spans(starts, d: int) -> np.ndarray:
     """Index rows start, ..., start + d - 1, one per start: shape (len, d)."""
-    return np.array(starts, dtype=np.intp)[:, None] + np.arange(d)
+    return np.asarray(starts, dtype=np.intp)[:, None] + np.arange(d)
 
 
 class ConvolutionPlan:
-    """Precomputed pair groups and stacked tensors for one bundle.
-
-    ``h_dim``, ``k_dim`` and ``o_dim`` list the fibre dimensions of every
-    composable pair, zero-dimensional ones included.
+    """Pair groups of one bundle's ``mult`` store (``la.Stacks`` in the order
+    of the groupoid's ``pairs``) with their packed positions.  ``h_dim``,
+    ``k_dim`` and ``o_dim`` list the fibre dimensions of every composable
+    pair, zero-dimensional ones included.
     """
 
-    def __init__(self, offsets: dict[str, int], dims: dict[str, int], total_dim: int,
-                 pairs, tensors):
-        self.total_dim = total_dim
-        self.h_dim = np.array([dims[h] for h, _, _ in pairs], dtype=np.int64)
-        self.k_dim = np.array([dims[k] for _, k, _ in pairs], dtype=np.int64)
-        self.o_dim = np.array([dims[o] for _, _, o in pairs], dtype=np.int64)
-
-        members: dict[tuple[int, int, int], list] = {}
-        for (h, k, o), tensor in zip(pairs, tensors):
-            shape = (dims[h], dims[k], dims[o])
-            if all(shape):
-                members.setdefault(shape, []).append((offsets[h], offsets[k], offsets[o],
-                                                      tensor))
+    def __init__(self, pairs: np.ndarray, comp: np.ndarray, dims: np.ndarray, mult):
+        h, k = pairs[:, 0], pairs[:, 1]
+        o = comp[h, k]
+        self.total_dim = int(dims.sum())
+        self.h_dim, self.k_dim, self.o_dim = (dims[a].astype(np.int64) for a in (h, k, o))
+        starts = np.cumsum(dims) - dims
 
         # per group: stacked tensors (P, d_o, d_h*d_k) and gather indices
         # (P, d_h), (P, d_k); the scatter indices of all groups, concatenated
-        self.groups = []
-        targets = []
-        for (dh, dk, do), group in members.items():
-            stack = np.array([t.reshape(do, dh * dk) for *_, t in group], dtype=np.complex128)
-            self.groups.append((stack, _spans([m[0] for m in group], dh),
-                                _spans([m[1] for m in group], dk)))
-            targets.append(_spans([m[2] for m in group], do).ravel())
+        self.groups, targets = [], []
+        for at, stack in mult.groups():
+            P, do, dh, dk = stack.shape
+            if do and dh and dk:
+                self.groups.append((stack.reshape(P, do, dh * dk), _spans(starts[h[at]], dh),
+                                    _spans(starts[k[at]], dk)))
+                targets.append(_spans(starts[o[at]], do).ravel())
         self.targets = (np.concatenate(targets) if targets
                         else np.zeros(0, dtype=np.intp))
 

@@ -25,6 +25,11 @@ def as_complex(a) -> Array:
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
 
 
+def readonly(a: Array) -> Array:
+    a.flags.writeable = False
+    return a
+
+
 def stacks(items: list[tuple[Array, ...]], size: Callable[[tuple], int] | None = None
            ) -> Iterator[tuple[list[int], tuple[Array, ...]]]:
     """The positions of the items (tuples of arrays) whose arrays share their
@@ -49,20 +54,24 @@ class Stacks:
 
     def __init__(self, items: list[Array]):
         index: dict[tuple, int] = {}
-        members: list[list[Array]] = []
-        group, row = [], []
-        for a in items:
-            k = index.setdefault(a.shape, len(index))
-            if k == len(members):
-                members.append([])
-            group.append(k)
+        group = [index.setdefault(a.shape, len(index)) for a in items]
+        members: list[list[Array]] = [[] for _ in index]
+        row = []
+        for k, a in zip(group, items):
             row.append(len(members[k]))
             members[k].append(a)
-        self.group = np.array(group, dtype=np.intp)
-        self.row = np.array(row, dtype=np.intp)
-        self.arrays = tuple([np.array(m) for m in members])
-        for a in (self.group, self.row, *self.arrays):
-            a.flags.writeable = False
+        self.group = readonly(np.array(group, dtype=np.intp))
+        self.row = readonly(np.array(row, dtype=np.intp))
+        self.arrays = tuple([readonly(np.array(m)) for m in members])
+
+    def __iter__(self) -> Iterator[Array]:
+        """The items in order, read-only views into their groups' stacks."""
+        return (self.arrays[k][r] for k, r in zip(self.group, self.row))
+
+    def groups(self) -> Iterator[tuple[Array, Array]]:
+        """Per group, in order: the positions of its items (ascending) and its stack."""
+        for k, stack in enumerate(self.arrays):
+            yield np.flatnonzero(self.group == k), stack
 
 
 def gathered(operands: list[tuple[Stacks, Array]], size: Callable[[tuple], int]

@@ -16,11 +16,12 @@ The matrix model (fibres given as subspaces of rectangular matrices, product
 = matrix product, involution = conjugate transpose) is a constructor for this
 structure, not a separate runtime representation.
 
-``FellBundle.structure()`` is the read-only structure store the validators
-read: ``mult`` stacked once per shape (d_gh, d_g, d_h) and ``inv`` per
-(d_{g^-1}, d_g), each with a (group, row) index per pair or arrow, beside the
-groupoid's integer tables.  ``validate_fell_bundle`` gathers its operands
-from it by index, per group of triples or pairs with equal shapes.
+The bundle owns the one copy of its structure tensors, read-only:
+``mult_stacks`` per shape (d_gh, d_g, d_h) and ``inv_stacks`` per
+(d_{g^-1}, d_g) (``la.Stacks``), with the ``mult``/``inv`` dicts as views.
+``structure()`` puts them beside the groupoid's integer tables for the
+validators, which gather their operands by index; the convolution plan, the
+section involution and the delta table of ``reps`` read views of their groups.
 """
 
 from __future__ import annotations
@@ -95,9 +96,14 @@ class FellBundle:
                  name: str = "bundle"):
         self.groupoid = groupoid
         self.dims = {g: int(dims[g]) for g in groupoid.arrows}
-        self.mult = {pair: la.as_complex(mult[pair]) for pair in composable_pairs(groupoid)}
-        self.inv = {g: la.as_complex(inv[g]) for g in groupoid.arrows}
-        self.unit_rep = {x: la.as_complex(unit_rep[x]) for x in groupoid.objects}
+        # the one copy of the structure tensors; the dicts hold read-only views into it
+        pairs = composable_pairs(groupoid)
+        self.mult_stacks = la.Stacks([la.as_complex(mult[p]) for p in pairs])
+        self.inv_stacks = la.Stacks([la.as_complex(inv[g]) for g in groupoid.arrows])
+        self.mult = dict(zip(pairs, self.mult_stacks))
+        self.inv = dict(zip(groupoid.arrows, self.inv_stacks))
+        self.unit_rep = {x: la.readonly(np.array(unit_rep[x], dtype=np.complex128, order="C"))
+                         for x in groupoid.objects}
         self.matrix_model = (None if matrix_model is None
                              else {g: la.as_complex(m) for g, m in matrix_model.items()})
         self.left_ideal_model = (None if left_ideal_model is None
@@ -173,9 +179,14 @@ class FellBundle:
         return self.memo(("unit", x), build)
 
     def star_mult_tensor(self, g: str) -> Array:
-        """T with T[:, i, j] = coordinates of e_i^* . e_j in A_{u(s(g))}."""
-        return self.memo(("star_mult", g), lambda: np.einsum(
-            "kaj,ai->kij", self.mult[(self.groupoid.inv[g], g)], self.inv[g]))
+        """T with T[:, i, j] = coordinates of e_i^* . e_j in A_{u(s(g))}; for
+        d_g > 0 a read-only view into its ``norm_stacks`` group (cached)."""
+        k, i = self._norm_index().get(g, (None, None))
+        return self.memo(("star_mult", g), lambda: self._star_mult(g) if k is None
+                         else self.norm_stacks()[k][1][i])
+
+    def _star_mult(self, g: str) -> Array:
+        return np.einsum("kaj,ai->kij", self.mult[(self.groupoid.inv[g], g)], self.inv[g])
 
     def star_mult_coords(self, g: str, a: Array, b: Array) -> Array:
         """Coordinates of a* . b in A_{u(s(g))}, for a, b in A_g."""
@@ -193,9 +204,7 @@ class FellBundle:
         of one ``norm_stacks`` group take one einsum for their a* a coordinates, one
         batched (1, d_u) @ (d_u, n^2) product and one ``eigvalsh``, in chunks of at most
         _STACK_CHUNK per-row stack elements.  A non-finite row raises ValueError naming its arrow."""
-        index = self.memo("norm_index", lambda: {  # arrow with d_g > 0 -> (group, place)
-            g: (k, i) for k, (arrows, _, _) in enumerate(self.norm_stacks())
-            for i, g in enumerate(arrows)})
+        index = self._norm_index()
         sizes = [len(rows) for _, rows in requests]
         ends = list(accumulate(sizes))
         members: dict[int, list[int]] = {}
@@ -247,8 +256,14 @@ class FellBundle:
                 bottoms[c:c + step] = np.ldexp(spectra[:, 0], 2 * e)
         return norms, bottoms
 
+    def _norm_index(self) -> dict[str, tuple[int, int]]:
+        """Per arrow with d_g > 0, its ``norm_stacks`` group and place (cached)."""
+        return self.memo("norm_index", lambda: {
+            g: (k, i) for k, (arrows, _, _) in enumerate(self.norm_stacks())
+            for i, g in enumerate(arrows)})
+
     def structure(self) -> "Structure":
-        """The structure tensors stacked once per shape (cached, read-only)."""
+        """The structure tensors with the groupoid's tables (cached, read-only)."""
         return self.memo("structure", lambda: Structure.of(self))
 
     def norm_stacks(self) -> list[tuple[list[str], Array, Array]]:
@@ -263,18 +278,15 @@ class FellBundle:
                 if self.dims[g]:
                     shape = (self.dims[g],) + self.unit_rep[G.src[g]].shape[:2]
                     groups.setdefault(shape, []).append(g)
-            return [(arrows, np.array([self.star_mult_tensor(g) for g in arrows]),
+            return [(arrows, la.readonly(np.array([self._star_mult(g) for g in arrows])),
                      np.array([self.unit_rep[G.src[g]] for g in arrows]))
                     for arrows in groups.values()]
         return self.memo("norm_stacks", build)
 
     def conv_plan(self) -> ConvolutionPlan:
-        def build() -> ConvolutionPlan:
-            pairs = composable_pairs(self.groupoid)
-            keys = [(g, h, self.groupoid.comp[(g, h)]) for g, h in pairs]
-            tensors = [self.mult[(g, h)] for g, h in pairs]
-            return ConvolutionPlan(self.offsets(), self.dims, self.total_dim, keys, tensors)
-        return self.memo("conv_plan", build)
+        T = self.groupoid.tables
+        return self.memo("conv_plan", lambda: ConvolutionPlan(
+            T.pairs, T.comp, np.fromiter(self.dims.values(), dtype=np.intp), self.mult_stacks))
 
 
 class Structure(NamedTuple):
@@ -291,16 +303,13 @@ class Structure(NamedTuple):
     def of(bundle: FellBundle) -> "Structure":
         T = bundle.groupoid.tables
         g = np.arange(len(T.src))
-        us, dims = T.unit[T.src], np.array(list(bundle.dims.values()), dtype=np.intp)
+        us, dims = T.unit[T.src], la.readonly(np.fromiter(bundle.dims.values(), dtype=np.intp))
         gus = T.comp[g, us]
-        family = np.stack([T.pair[T.unit[T.rng], g], T.pair[g, us],
-                           np.where(gus >= 0, T.pair[gus, T.inv], -1)], axis=1)
+        family = la.readonly(np.stack([T.pair[T.unit[T.rng], g], T.pair[g, us],
+                                       np.where(gus >= 0, T.pair[gus, T.inv], -1)], axis=1))
         if (family < 0).any():
             raise ValueError("a unit or inverse composite is off the composable pairs")
-        for a in (dims, family):
-            a.flags.writeable = False
-        return Structure(T, dims, la.Stacks(list(bundle.mult.values())),
-                         la.Stacks(list(bundle.inv.values())), family)
+        return Structure(T, dims, bundle.mult_stacks, bundle.inv_stacks, family)
 
 
 def _exponents(A: Array) -> Array:

@@ -164,11 +164,9 @@ def _direct_sum(bundle: FellBundle, coeffs: Array, tols: Tolerances) -> Array:
 def delta_images(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Array:
     """The read-only stack (total_dim, N, N) of Lambda(delta_{g,i}) in packed
     order, formed once per pair of thresholds from the identity coefficients."""
-    def build() -> Array:
-        images = _direct_sum(bundle, np.eye(bundle.total_dim, dtype=np.complex128), tols)
-        images.flags.writeable = False
-        return images
-    return bundle.memo(("delta_images", tols.tolerance, tols.rank_threshold), build)
+    key = ("delta_images", tols.tolerance, tols.rank_threshold)
+    return bundle.memo(key, lambda: la.readonly(
+        _direct_sum(bundle, np.eye(bundle.total_dim, dtype=np.complex128), tols)))
 
 
 def regular_rep_matrix(bundle: FellBundle, x: str, f: Section,

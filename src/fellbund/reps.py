@@ -17,10 +17,11 @@ basis images in delta order (``basis_sections``): ``validate_rep`` takes the
 S_g(e_i) straight from ``maps``, ``disintegrate`` the L(delta_{g,i}).  One
 core, ``_star_hom_residuals``, compares the stack with the involution and
 the structure constants in one contraction per stack of equal fibre
-shapes, through index tables built once per bundle (``_delta_table``);
-``disintegrate`` also checks that the products of non-composable basis
-images vanish, by a screen with one stacked QR and exact products only for
-the rows it cannot clear.  Witnesses come from the flagged entries, in the
+shapes, through index tables built once per bundle (``_delta_table``),
+whose stacks are transposed views of the bundle's ``mult`` and ``inv``
+stores; ``disintegrate`` also checks that the products of non-composable
+basis images vanish, by a screen with one stacked QR and exact products
+only for the rows it cannot clear.  Witnesses come from the flagged entries, in the
 order of the element-at-a-time loops these replace.
 """
 
@@ -32,11 +33,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import _linalg as la
+from ._kernels import _spans
 from .bundle import FellBundle, _exponents, _ldexp
 from .config import DEFAULT, Tolerances
 from .envelope import (envelope_algebra, induced_gram, irreducible_envelope_blocks,
                        regular_at)
-from .groupoid import composable_pairs
 from .report import ValidationReport
 from .sections import Section, basis_sections, unit_section
 
@@ -80,7 +81,8 @@ def validate_rep(R: FellRep, tols: Tolerances = DEFAULT) -> ValidationReport:
                 "({},{})".format(*table.deltas[n]), float(inv[n]))
     for k in np.flatnonzero(~(mult[0] <= tol * np.fmax(1.0, mult[1]))):
         rep.add("multiplicativity S_g S_h = S_{gh}",
-                "({},{})".format(*table.pairs[table.pair_of[k]]), float(mult[0, k]))
+                f"({table.deltas[table.rows[k]][0]},{table.deltas[table.cols[k]][0]})",
+                float(mult[0, k]))
     degenerate = True
     for x in G.objects:
         u = G.unit[x]
@@ -121,21 +123,19 @@ class _DeltaTable:
     in ``basis_sections`` order, for checking a stack X of their images.
 
     The products e_i^g e_j^h of composable basis elements are numbered in
-    the order (pair (g, h) of ``composable_pairs``, i, j); ``pair_of``,
-    ``rows`` and ``cols`` give each one's pair and the deltas of its
-    factors.  ``involution``: per stack of arrows g with equal (d_g,
-    d_{g^-1}), the deltas of g (t, d_g) and of g^-1 (t, d_{g^-1}) and
-    ``inv[g]`` transposed (t, d_g, d_{g^-1}).  ``products``: per stack of
-    pairs with equal (d_g, d_h, d_gh), the deltas of g, h and gh, the
-    coordinates of the products in A_gh (t, d_g d_h, d_gh) and the numbers
-    of the products (t, d_g d_h).  ``ranges``: per object z, the deltas
-    with r(g) = z, padded with N (an index past the last delta).
+    the order (pair (g, h) of ``composable_pairs``, i, j); ``rows`` and
+    ``cols`` give the deltas of each one's factors.  ``involution``: per
+    group of the bundle's ``inv`` store with d_g > 0, the deltas of g (t,
+    d_g) and of g^-1 (t, d_{g^-1}) and the stack transposed (t, d_g,
+    d_{g^-1}).  ``products``: per group of its ``mult`` store with d_g, d_h
+    > 0, the deltas of g, h and gh, the stack as the coordinates of the
+    products in A_gh (t, d_g d_h, d_gh), a transposed view, and the numbers
+    of the products (t, d_g d_h).  ``ranges``: per object z, the deltas with
+    r(g) = z, padded with N (an index past the last delta).
     """
 
     deltas: list[tuple[str, int]]
     src: Array
-    pairs: list[tuple[str, str]]
-    pair_of: Array
     rows: Array
     cols: Array
     involution: list[tuple[Array, ...]]
@@ -145,39 +145,34 @@ class _DeltaTable:
 
 def _delta_table(bundle: FellBundle) -> _DeltaTable:
     def build() -> _DeltaTable:
-        G = bundle.groupoid
-        off, dims = bundle.offsets(), bundle.dims
-        objects = {x: k for k, x in enumerate(G.objects)}
-        live = [g for g in G.arrows if dims[g]]
-        idx = {g: off[g] + np.arange(dims[g]) for g in G.arrows}
-        deltas = [(g, i) for g in live for i in range(dims[g])]
-        pairs = [(g, h) for g, h in composable_pairs(G) if dims[g] and dims[h]]
-        numbers, rows, cols = [], [], []
-        start = 0
-        for g, h in pairs:
-            numbers.append(start + np.arange(dims[g] * dims[h]))
-            start += dims[g] * dims[h]
-            rows.append(np.repeat(idx[g], dims[h]))
-            cols.append(np.tile(idx[h], dims[g]))
-        sizes = [len(k) for k in numbers]
-
-        def cat(parts: list[Array]) -> Array:
-            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-        # stacks of any length: the caller cuts them by the size of the images
-        involution = [arrays for _, arrays in la.stacks(
-            [(idx[g], idx[G.inv[g]], bundle.inv[g].T) for g in live], lambda shapes: 0)]
-        products = [arrays for _, arrays in la.stacks(
-            [(idx[g], idx[h], idx[G.comp[(g, h)]],
-              bundle.mult[(g, h)].reshape(-1, dims[g] * dims[h]).T, k)
-             for (g, h), k in zip(pairs, numbers)], lambda shapes: 0)]
-        by_range = [[k for g in live if G.rng[g] == x for k in idx[g]] for x in G.objects]
+        G, T = bundle.groupoid, bundle.groupoid.tables
+        dims = np.fromiter(bundle.dims.values(), dtype=np.intp)
+        starts = np.cumsum(dims) - dims
+        # the number of the first product of each pair with both fibres nonzero
+        live = (dims[T.pairs[:, 0]] > 0) & (dims[T.pairs[:, 1]] > 0)
+        sizes = dims[T.pairs[live, 0]] * dims[T.pairs[live, 1]]
+        first = np.zeros(len(T.pairs), dtype=np.intp)
+        first[live] = np.cumsum(sizes) - sizes
+        rows, cols = np.empty((2, sizes.sum()), dtype=np.intp)
+        involution = [(_spans(starts[at], J.shape[2]), _spans(starts[T.inv[at]], J.shape[1]),
+                       J.transpose(0, 2, 1)) for at, J in bundle.inv_stacks.groups() if J.shape[2]]
+        products = []
+        for at, M in bundle.mult_stacks.groups():
+            t, do, dg, dh = M.shape
+            if dg and dh:
+                g, h, numbers = T.pairs[at, 0], T.pairs[at, 1], _spans(first[at], dg * dh)
+                g_rows, h_rows = _spans(starts[g], dg), _spans(starts[h], dh)
+                rows[numbers], cols[numbers] = np.repeat(g_rows, dh, axis=1), np.tile(h_rows, dg)
+                products.append((g_rows, h_rows, _spans(starts[T.comp[g, h]], do),
+                                 M.reshape(t, do, dg * dh).transpose(0, 2, 1), numbers))
+        in_range = np.repeat(T.rng, dims)
+        by_range = [np.flatnonzero(in_range == z) for z in range(len(G.objects))]
         ranges = np.full((len(by_range), max(map(len, by_range), default=0)),
                          bundle.total_dim, dtype=np.intp)
         for z, members in enumerate(by_range):
             ranges[z, :len(members)] = members
-        return _DeltaTable(deltas, np.array([objects[G.src[g]] for g, _ in deltas], dtype=np.intp),
-                           pairs, np.repeat(np.arange(len(pairs), dtype=np.intp), sizes),
-                           cat(rows), cat(cols), involution, products, ranges)
+        return _DeltaTable([(g, i) for g in G.arrows for i in range(bundle.dims[g])],
+                           np.repeat(T.src, dims), rows, cols, involution, products, ranges)
     return bundle.memo("delta_table", build)
 
 

@@ -13,7 +13,8 @@ declared arrow order, each at ``bundle.offsets()[g]``.  Every operation
 works on that vector, with index tables built once per bundle and kept in
 ``bundle.memo``: convolution is one ``ConvolutionPlan.convolve``, sums and
 scalar multiples are one vector operation, the involution is one stacked
-``matmul`` per shape group (d_{g^-1}, d_g), a random section is one normal
+``matmul`` per group (d_{g^-1}, d_g) of the bundle's ``inv`` store (its
+stack read in place), a random section is one normal
 draw and one gather, and the I-norm feeds each ``norm_stacks`` group of
 fibres to the fibre-norm core at once.  ``entries``, the nonzero fibres in
 declared order, is derived from the vector on first use.
@@ -60,8 +61,7 @@ class Section:
         return self
 
     def _wrap(self, bundle: FellBundle, packed: Array) -> None:
-        packed.flags.writeable = False
-        self.bundle, self._packed, self._entries = bundle, packed, None
+        self.bundle, self._packed, self._entries = bundle, la.readonly(packed), None
 
     @property
     def entries(self) -> Mapping[str, Array]:
@@ -136,19 +136,14 @@ def convolve(xi: Section, eta: Section) -> Section:
 
 
 def _involution_groups(bundle: FellBundle) -> list[tuple[Array, Array, Array]]:
-    """Per shape (d_{g^-1}, d_g) of the arrows whose two fibres are nonzero:
-    their ``inv`` matrices stacked (P, d_{g^-1}, d_g), the positions of A_g
+    """Per group of the ``inv`` store whose two fibre dimensions (d_{g^-1},
+    d_g) are nonzero: its stack (P, d_{g^-1}, d_g), the positions of A_g
     (P, d_g) and of A_{g^-1} (P, d_{g^-1}) in the packed vector."""
     def build() -> list:
-        G, offsets = bundle.groupoid, bundle.offsets()
-        groups: dict[tuple[int, int], list[str]] = {}
-        for g in G.arrows:
-            if bundle.dims[g] and bundle.dims[G.inv[g]]:
-                groups.setdefault(bundle.inv[g].shape, []).append(g)
-        return [(np.array([bundle.inv[g] for g in arrows]),
-                 _spans([offsets[g] for g in arrows], d),
-                 _spans([offsets[G.inv[g]] for g in arrows], di))
-                for (di, d), arrows in groups.items()]
+        inverse = bundle.groupoid.tables.inv
+        starts = np.fromiter(bundle.offsets().values(), dtype=np.intp)
+        return [(J, _spans(starts[at], J.shape[2]), _spans(starts[inverse[at]], J.shape[1]))
+                for at, J in bundle.inv_stacks.groups() if J.shape[1] and J.shape[2]]
     return bundle.memo("involution_groups", build)
 
 
@@ -168,13 +163,10 @@ def _i_norm_tables(bundle: FellBundle) -> tuple[list[tuple[Array, Array]], Array
     index of its range and of its source object."""
     def build() -> tuple:
         G, offsets = bundle.groupoid, bundle.offsets()
-        place = {g: i for i, g in enumerate(G.arrows)}
-        obj = {x: i for i, x in enumerate(G.objects)}
         groups = [(_spans([offsets[g] for g in arrows], tensors.shape[-1]),
-                   np.array([place[g] for g in arrows], dtype=np.intp))
+                   np.array([G.arrow_index[g] for g in arrows], dtype=np.intp))
                   for arrows, tensors, _ in bundle.norm_stacks()]
-        return (groups, np.array([obj[G.rng[g]] for g in G.arrows], dtype=np.intp),
-                np.array([obj[G.src[g]] for g in G.arrows], dtype=np.intp))
+        return groups, G.tables.rng, G.tables.src
     return bundle.memo("i_norm_tables", build)
 
 

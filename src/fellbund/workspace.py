@@ -271,6 +271,10 @@ class Workspace:
             n = parse_count(_object(raw, f"{where}.unit_algebras.{x}").get("n"),
                             f"{where}.unit_algebras.{x}.n")
             mats = parse_matrices(raw.get("basis", []), f"{where}.unit_algebras.{x}")
+            for i, m in enumerate(mats):
+                if m.shape != (n, n):
+                    raise WorkspaceError(f"{where}.unit_algebras.{x}[{i}]: shape {m.shape}, "
+                                         f"want {(n, n)}")
             if len(mats) != dims[G.unit[x]]:
                 raise WorkspaceError(f"{where}.unit_algebras.{x}: "
                                      f"{len(mats)} matrices for fibre dim {dims[G.unit[x]]}")

@@ -331,6 +331,10 @@ def test_longhand_bundle_validates(tmp_path, capsys):
      "a4-long", "bundles.a4-long.mult: expected a list"),
     (lambda raw: _add_longhand_a4(raw)["unit_algebras"]["p"].update(basis=1.0),
      "a4-long", "bundles.a4-long.unit_algebras.p: expected a list of matrices"),
+    (lambda raw: _add_longhand_a4(raw)["unit_algebras"]["p"].update(n=3),
+     "a4-long", "bundles.a4-long.unit_algebras.p[0]: shape (1, 1), want (3, 3)"),
+    (lambda raw: _add_longhand_a4(raw)["unit_algebras"]["p"]["basis"].append(np.eye(2).tolist()),
+     "a4-long", "bundles.a4-long.unit_algebras.p[1]: shape (2, 2), want (1, 1)"),
     (lambda raw: raw["reps"]["sign"].update(dims=[1]),
      "sign", "reps.sign.dims: expected an object"),
     (lambda raw: raw["reps"]["sign"]["maps"].update(g1=-1.0),
@@ -372,6 +376,7 @@ def test_longhand_bundle_validates(tmp_path, capsys):
 ], ids=["mult-unknown-pair", "mult-non-composable-pair", "mult-index-out-of-range",
         "mult-negative-index", "fibre-not-an-object", "unit-algebra-without-n",
         "non-integer-dim", "negative-dim", "mult-not-a-list", "unit-basis-scalar",
+        "unit-basis-wrong-n", "unit-basis-ragged",
         "rep-dims-not-an-object", "rep-map-scalar", "rep-map-ragged-matrix",
         "rep-map-ragged-array", "rep-dims-float", "rep-dims-string",
         "matrix-fibers-list", "matrix-fibre-scalar", "matrix-obj-dims-float",

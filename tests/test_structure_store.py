@@ -6,7 +6,9 @@ instead of listing tuples and restacking.  These tests pin the index tables
 to the reference enumerations, the one-draw elements to the per-pair draw
 loop they replaced (bit for bit, generator state included), and the store's
 life: built once per bundle, read-only, and no tuple list or ``la.stacks``
-pass left in either validator.
+pass left in either validator.  The bundle owns the one copy of its ``mult``
+and ``inv`` tensors: the dicts, the convolution plan, the involution and the
+delta table of the representation checks all read views into it.
 """
 
 import tracemalloc
@@ -24,6 +26,8 @@ from fellbund.groupoid import (composable_pairs, composable_triples, cyclic_grou
                                pair_groupoid)
 from fellbund.ideals import (InvariantFamily, enumerate_fell_ideals,
                              validate_invariant_family)
+from fellbund.reps import _delta_table
+from fellbund.sections import _involution_groups, convolve, involute, random_section
 from fellbund.workspace import Workspace
 from test_groupoid import broken_table_groupoid
 
@@ -200,3 +204,56 @@ def test_store_rejects_a_unit_composite_off_the_composable_pairs():
     with pytest.raises(ValueError, match="off the composable pairs"):
         validate_invariant_family(InvariantFamily(b, {x: np.eye(1, dtype=complex)
                                                       for x in G.objects}))
+
+
+def test_the_bundle_owns_its_structure_tensors():
+    # a Z/3 line bundle with a twist, its tensors given as complex arrays,
+    # which the constructor could keep by reference; a twin built from copies
+    G = cyclic_group(3)
+    rng = np.random.default_rng(5)
+    phase = np.exp(2j * np.pi * rng.random(3))
+    phase[0] = 1.0  # e stays the unit
+    mult = {(g, h): np.full((1, 1, 1), phase[G.arrow_index[g]] * phase[G.arrow_index[h]]
+                            / phase[G.arrow_index[G.comp[(g, h)]]])
+            for g, h in composable_pairs(G)}
+    inv = {g: np.full((1, 1), phase[G.arrow_index[g]].conj() / phase[G.arrow_index[G.inv[g]]])
+           for g in G.arrows}
+    unit_rep = {"pt": np.ones((1, 1, 1), dtype=complex)}
+    b = bundle_module.FellBundle(G, {g: 1 for g in G.arrows}, mult, inv, unit_rep, name="z3")
+    twin = bundle_module.FellBundle(
+        G, {g: 1 for g in G.arrows}, {p: t.copy() for p, t in mult.items()},
+        {g: j.copy() for g, j in inv.items()}, {"pt": unit_rep["pt"].copy()}, name="z3")
+    for a in (*mult.values(), *inv.values(), *unit_rep.values()):
+        a[...] = 7.0
+    one = np.ones(1, dtype=complex)
+    for g, h in composable_pairs(G):
+        assert b.mult_coords(g, h, one, one).tobytes() == twin.mult_coords(g, h, one, one).tobytes()
+    (xi, eta), (xi2, eta2) = ([random_section(c, np.random.default_rng(s)) for s in (1, 2)]
+                              for c in (b, twin))
+    assert convolve(xi, eta).pack().tobytes() == convolve(xi2, eta2).pack().tobytes()
+    assert involute(xi).pack().tobytes() == involute(xi2).pack().tobytes()
+    assert validate_fell_bundle(b).to_json() == validate_fell_bundle(twin).to_json()
+    assert validate_fell_bundle(b).ok
+    # and the bundle's own tensors are read-only
+    for a in (b.mult[("e", "e")], b.inv["g1"], b.unit_rep["pt"]):
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_every_consumer_reads_the_one_copy(certify_bundles):
+    for name, b in element_cases(certify_bundles).items():
+        S = b.structure()
+        assert S.mult is b.mult_stacks and S.inv is b.inv_stacks, name
+        store = [*S.mult.arrays, *S.inv.arrays]
+
+        def owned(a):  # an empty array shares no memory
+            return a.size == 0 or any(np.shares_memory(a, s) for s in store)
+        assert all(owned(t) for t in (*b.mult.values(), *b.inv.values())), name
+        assert all(owned(stack) for stack, _, _ in b.conv_plan().groups), name
+        assert all(owned(J) for J, _, _ in _involution_groups(b)), name
+        table = _delta_table(b)
+        assert all(owned(J) for *_, J in table.involution), name
+        assert all(owned(M) for *_, M, _ in table.products), name
+        # the star_mult tensors: one copy, in the norm_stacks groups
+        for arrows, tensors, _ in b.norm_stacks():
+            assert all(np.shares_memory(b.star_mult_tensor(g), tensors) for g in arrows), name
