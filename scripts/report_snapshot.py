@@ -25,7 +25,11 @@ lists the exit status of every command.  No command convolves or involutes,
 so ``section_kernels.txt`` adds the SHA-256 digests of the bytes of
 ``convolve``, ``involute`` and ``i_norm`` on two seeded sections of every
 bundle above (the demo's, each certify workspace's and the two
-structure-tensor bundles).  fellbund is imported from
+structure-tensor bundles).  The ``envelope`` reports show only block sizes,
+so ``block_digests.txt`` adds, for each of those bundles, the SHA-256 of
+the sizes, multiplicities and projections of its envelope blocks and of
+the same with the irreducible frames (or the error the decomposition
+raises).  fellbund is imported from
 CHECKOUT's ``src`` (default: the checkout holding this script), so two
 checkouts can be compared byte for byte:
 
@@ -189,9 +193,34 @@ def kernel_digests(fb, label: str, bundles: dict, seed: int) -> list[str]:
     return lines
 
 
-def workspace_bundles(fb, raw: dict) -> dict:
+def block_digests(fb, label: str, bundles: dict, tols) -> list[str]:
+    """Per bundle (name -> FellBundle), one line: the SHA-256 of the size,
+    multiplicity and projection bytes of each block of ``envelope_algebra``
+    and then of each block of ``irreducible_envelope_blocks`` with its
+    irreducible frame, in the order fellbund sorts them; or the ValueError
+    the decomposition raises."""
+    lines = []
+    for name, b in bundles.items():
+        digest = hashlib.sha256()
+        try:
+            for blocks in (fb.envelope.envelope_algebra(b, tols).blocks,
+                           fb.envelope.irreducible_envelope_blocks(b, tols)):
+                for block in blocks:
+                    digest.update(np.array([block.size, block.multiplicity]).tobytes())
+                    digest.update(block.projection.tobytes())
+                    if block.irrep_frame is not None:
+                        digest.update(block.irrep_frame.tobytes())
+        except ValueError as exc:
+            lines.append(f"{label} {name} blocks error: {exc}")
+            continue
+        lines.append(f"{label} {name} blocks {digest.hexdigest()}")
+    return lines
+
+
+def workspace_bundles(fb, raw: dict) -> tuple[dict, object]:
+    """The bundles of a workspace (name -> FellBundle) and its tolerances."""
     ws = fb.workspace.Workspace.from_dict(raw)
-    return {name: ws.bundle(name) for name in ws.names("bundles")}
+    return {name: ws.bundle(name) for name in ws.names("bundles")}, ws.tols
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -207,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import fellbund
     import fellbund.cli
+    import fellbund.envelope
     import fellbund.gallery
     import fellbund.workspace
     from workloads import CERTIFY_BUNDLES, certify_workspace
@@ -216,9 +246,14 @@ def main(argv: list[str] | None = None) -> int:
     for cmd in DEMO_COMMANDS:
         jobs.append(("demo " + " ".join(c.lstrip("-") for c in cmd), [cmd[0], demo, *cmd[1:]]))
     os.makedirs(args.out, exist_ok=True)
-    codes = []
+    codes, kernels, blocks = [], [], []
+
+    def add_digests(label: str, raw: dict, seed: int) -> None:
+        bundles, tols = workspace_bundles(fellbund, raw)
+        kernels.extend(kernel_digests(fellbund, label, bundles, seed))
+        blocks.extend(block_digests(fellbund, label, bundles, tols))
     with open(demo) as fh:
-        digests = kernel_digests(fellbund, "demo", workspace_bundles(fellbund, json.load(fh)), 0)
+        add_digests("demo", json.load(fh), 0)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             ws = os.path.join(tmp, f"certify-{seed}.json")
@@ -226,8 +261,7 @@ def main(argv: list[str] | None = None) -> int:
             raw["sections"] = {"m3-pair3-seeded": seeded_section(fellbund, raw, "m3-pair3", seed)}
             with open(ws, "w") as fh:
                 json.dump(raw, fh)
-            digests += kernel_digests(fellbund, f"certify{seed}", workspace_bundles(fellbund, raw),
-                                      seed)
+            add_digests(f"certify{seed}", raw, seed)
             for name, *_ in CERTIFY_BUNDLES:
                 for cmd in CERTIFY_COMMANDS:
                     jobs.append((f"certify{seed} {cmd} {name}", [cmd, ws, name]))
@@ -239,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
             raw = structure_workspace(fellbund, {name: bundle}, seed)
             with open(ws, "w") as fh:
                 json.dump(raw, fh)
-            digests += kernel_digests(fellbund, label, workspace_bundles(fellbund, raw), seed)
+            add_digests(label, raw, seed)
             jobs.append((f"{label} validate {name.rsplit('-', 1)[0]}", ["validate", ws, name]))
         ws = os.path.join(tmp, "actions.json")
         with open(ws, "w") as fh:
@@ -257,7 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     with open(os.path.join(args.out, "exit_codes.txt"), "w") as fh:
         fh.write("\n".join(codes) + "\n")
     with open(os.path.join(args.out, "section_kernels.txt"), "w") as fh:
-        fh.write("\n".join(digests) + "\n")
+        fh.write("\n".join(kernels) + "\n")
+    with open(os.path.join(args.out, "block_digests.txt"), "w") as fh:
+        fh.write("\n".join(blocks) + "\n")
     print(f"{len(jobs)} reports written to {args.out}")
     return 0
 

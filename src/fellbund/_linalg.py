@@ -206,13 +206,19 @@ def null_space_rows(m: Array, rtol: float = 1e-10) -> Array:
 
     The full right factor is only needed when the system is wide; for tall
     systems the thin SVD already carries every candidate null direction.
+    With at least twice as many rows as columns, s and vh come from the SVD
+    of the R factor of m: LAPACK's own tall-matrix route (gesdd takes a QR
+    first), with the same bits, but without forming the left factor.
     """
     m = as_complex(np.atleast_2d(m))
     if m.shape[1] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     if m.shape[0] == 0 or not np.any(m):
         return np.eye(m.shape[1], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    if m.shape[0] >= 2 * m.shape[1]:
+        s, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))[1:]
+    else:
+        _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     cutoff = rtol * max(float(s[0]) if s.size else 0.0, 1.0)
     rows = [np.conj(vh[k]) for k in range(len(s)) if s[k] <= cutoff]
     rows += [np.conj(vh[k]) for k in range(len(s), vh.shape[0])]

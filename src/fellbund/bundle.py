@@ -87,6 +87,11 @@ class UnitFiberAlgebra:
         return rep
 
 
+def _owned(a) -> Array:
+    """A read-only complex copy of ``a`` that the bundle alone holds."""
+    return la.readonly(np.array(a, dtype=np.complex128, order="C"))
+
+
 class FellBundle:
     def __init__(self, groupoid: FiniteGroupoid, dims: Mapping[str, int],
                  mult: Mapping[tuple[str, str], Array], inv: Mapping[str, Array],
@@ -102,12 +107,12 @@ class FellBundle:
         self.inv_stacks = la.Stacks([la.as_complex(inv[g]) for g in groupoid.arrows])
         self.mult = dict(zip(pairs, self.mult_stacks))
         self.inv = dict(zip(groupoid.arrows, self.inv_stacks))
-        self.unit_rep = {x: la.readonly(np.array(unit_rep[x], dtype=np.complex128, order="C"))
-                         for x in groupoid.objects}
+        # the unit representations and the models are copied once, read-only
+        self.unit_rep = {x: _owned(unit_rep[x]) for x in groupoid.objects}
         self.matrix_model = (None if matrix_model is None
-                             else {g: la.as_complex(m) for g, m in matrix_model.items()})
+                             else {g: _owned(m) for g, m in matrix_model.items()})
         self.left_ideal_model = (None if left_ideal_model is None
-                                 else {g: la.as_complex(m) for g, m in left_ideal_model.items()})
+                                 else {g: _owned(m) for g, m in left_ideal_model.items()})
         self.name = name
         self._check_shapes()
         self._memo: dict[Hashable, Any] = {}

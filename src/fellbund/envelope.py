@@ -234,10 +234,6 @@ class SimpleBlock:
         return self.irrep_frame.conj() @ mat @ self.irrep_frame.T
 
 
-# elements per chunk of basis products held at once (16 MB of complex128)
-_PRODUCT_CHUNK = 1 << 20
-
-
 def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
                         want_irreps: bool = False) -> list[SimpleBlock]:
     """Simple summands of a matrix *-algebra given by a spanning stack.
@@ -250,8 +246,9 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
     to N (envelope images: one block per object).  Block by block, batched
     matmul gives the structure constants c[i, j, m] = tr(B_m* B_i B_j) and
     checks that the span is closed under products and adjoints.  The centre
-    is the null space of the d²×d system sum_k z_k (c[k,j,:] - c[j,k,:]) = 0
-    and the two-sided unit must solve a 2d²×d system in c.  A random
+    is the null space of the d²×d system sum_k z_k (c[k,j,:] - c[j,k,:]) = 0,
+    taken from its R factor, and the two-sided unit must solve the 2d²×d
+    system sum_j u_j c[j,i,:] = e_i = sum_j u_j c[i,j,:].  A random
     self-adjoint central element is diagonalised one block at a time; its
     eigenvalue clusters (gap ``cluster_gap``) give the minimal central
     projections, and the rank of V* B_k V on a cluster's eigenvectors V
@@ -259,7 +256,11 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
     a rank-one-projection search provides an irreducible frame per block.
 
     The cost is d²·sum_b n_b³ (plus d³·sum_b n_b² to contract the products),
-    against d·N²·d for the ambient commutation system.  Deterministic for a
+    against d·N²·d for the ambient commutation system.  The memory is c and
+    the commutator system, d³ complex entries each, of which at most two
+    arrays are held at once (the QR of the system copies it, so c is let go
+    meanwhile and formed again for the irrep frames), plus products and
+    checks in chunks of la._STACK_CHUNK elements.  Deterministic for a
     fixed seed; a stack that is not a unital *-algebra raises ValueError.
     """
     basis = la.stack_orth(list(basis), basis.shape[1], basis.shape[2], tols.rank_threshold)
@@ -269,11 +270,19 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
     parts = _common_blocks(basis)
     pieces = [basis[:, p[:, None], p[None, :]] for p in parts]
     tol = max(tols.tolerance, 1e-8)
-    c = _structure_constants(pieces, tol)
+    c = _structure_constants(pieces)
+    _check_product_closed(c, pieces, tol)
     _check_adjoint_closed(pieces, tol)
+    unit_coeff = _unit_coefficients(c, pieces, tol)
 
-    comm = c - c.transpose(1, 0, 2)          # comm[k, j] = coordinates of [B_k, B_j]
-    null = la.null_space_rows(comm.transpose(1, 2, 0).reshape(d * d, d), tols.rank_threshold)
+    # row (j, m), column k: coordinate m of [B_k, B_j], formed once in its own
+    # layout; c is let go while the centre is found (and formed again for the
+    # irrep frames), so that at most two d³ arrays are held at once: c and
+    # the system, or the system and the copy that its QR factorisation takes
+    comm = np.subtract(c.transpose(1, 2, 0), c.transpose(0, 2, 1), order="C")
+    del c
+    null = la.null_space_rows(comm.reshape(d * d, d), tols.rank_threshold)
+    del comm
     center_dim = null.shape[0]
     if center_dim == 0:
         raise ValueError("algebra has empty centre; spanning stack degenerate")
@@ -281,13 +290,13 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
     # the algebra may act degenerately on the ambient space (an ideal inside
     # a larger matrix algebra); its unit is then a proper support projection
     # and every central element carries a spurious kernel eigenvalue cluster
-    unit_coeff = _unit_coefficients(c, pieces, tol)
     if unit_coeff is None:
         raise ValueError("spanning stack is not a unital *-algebra")
     support = [np.tensordot(unit_coeff, p, axes=1) for p in pieces]
     support_rank = int(round(sum(float(np.real(np.trace(s))) for s in support)))
     degenerate = support_rank < N
 
+    c = _structure_constants(pieces) if want_irreps else None
     owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
     local = np.concatenate([np.arange(p.size) for p in parts])
     for attempt in range(24):
@@ -360,14 +369,21 @@ def _common_blocks(basis: Array) -> list[Array]:
     return parts
 
 
-def _structure_constants(pieces: list[Array], tol: float) -> Array:
+def _structure_constants(pieces: list[Array]) -> Array:
     """c[i, j, m] = tr(B_m* B_i B_j) from the diagonal blocks of an
-    HS-orthonormal stack; raises unless every B_i B_j lies in the span."""
+    HS-orthonormal stack."""
     d = pieces[0].shape[0]
     c = np.zeros((d, d, d), dtype=np.complex128)
     for p in pieces:
+        conj = p.conj()
         for rows, prods in _block_products(p):
-            c[rows] += np.tensordot(prods, p.conj(), axes=([2, 3], [1, 2]))
+            c[rows] += np.tensordot(prods, conj, axes=([2, 3], [1, 2]))
+    return c
+
+
+def _check_product_closed(c: Array, pieces: list[Array], tol: float) -> None:
+    """Raises unless every B_i B_j lies in the span: equals sum_m c[i, j, m] B_m."""
+    d = c.shape[0]
     miss = np.zeros((d, d))
     size = np.zeros((d, d))
     for p in pieces:
@@ -380,18 +396,22 @@ def _structure_constants(pieces: list[Array], tol: float) -> Array:
         raise ValueError(f"spanning stack is not closed under products: B_{i} B_{j} "
                          f"leaves the span (residual {worst[i, j]:.3e}); "
                          "input is not a *-algebra")
-    return c
+
+
+def _row_chunks(d: int, per_row: int):
+    """Slices of range(d) whose rows hold at most la._STACK_CHUNK elements
+    at ``per_row`` elements each (one row at least)."""
+    step = max(1, la._STACK_CHUNK // max(1, per_row))
+    return [slice(start, min(start + step, d)) for start in range(0, d, step)]
 
 
 def _block_products(p: Array):
     """(rows, B_i B_j for i in rows and every j) on one diagonal block, in
-    chunks of at most _PRODUCT_CHUNK elements."""
+    chunks of at most la._STACK_CHUNK elements."""
     d, n, _ = p.shape
     side = p.transpose(1, 0, 2).reshape(n, d * n)     # [B_1 | B_2 | ... | B_d]
-    step = max(1, _PRODUCT_CHUNK // (d * n * n))
-    for start in range(0, d, step):
-        rows = slice(start, min(start + step, d))
-        k = rows.stop - start
+    for rows in _row_chunks(d, d * n * n):
+        k = rows.stop - rows.start
         prods = (p[rows].reshape(k * n, n) @ side).reshape(k, n, d, n).transpose(0, 2, 1, 3)
         yield rows, prods
 
@@ -415,15 +435,15 @@ def _unit_coefficients(c: Array, pieces: list[Array], tol: float) -> Array | Non
     The unit p of a *-algebra A in Mat(N) is the HS projection of the
     identity onto A, because a(1 - p) = 0 for every a in A; so u_m =
     conj(tr B_m).  It is accepted only if it solves the 2d²×d unit system
-    sum_j u_j c[j,i,:] = e_i = sum_j u_j c[i,j,:] for every i.
+    sum_j u_j c[j,i,:] = e_i = sum_j u_j c[i,j,:] for every i, contracted
+    with c in place.
     """
     d = c.shape[0]
     u = np.conj(sum(np.trace(p, axis1=1, axis2=2) for p in pieces))
-    system = np.vstack([c.transpose(1, 2, 0).reshape(d * d, d),
-                        c.transpose(0, 2, 1).reshape(d * d, d)])
-    rhs = np.concatenate([np.eye(d).reshape(-1)] * 2)
-    miss = np.linalg.norm((system @ u - rhs).reshape(2 * d, d), axis=1)
-    return u if float(miss.max()) <= tol else None
+    left = (u @ c.reshape(d, d * d)).reshape(d, d)   # row i: sum_j u_j c[j, i, :]
+    right = u @ c                                     # row i: sum_j u_j c[i, j, :]
+    miss = max(float(np.linalg.norm(side - np.eye(d), axis=1).max()) for side in (left, right))
+    return u if miss <= tol else None
 
 
 def _block_sort_key(basis: Array):
@@ -456,13 +476,18 @@ def _irrep_frame(basis: Array, c: Array, proj: Array, size: int, mult: int,
         if frame.shape[0] != size:
             continue
         # the compression must be multiplicative: pi(B_i) pi(B_j) = pi(B_i B_j),
-        # with pi(B_i B_j) = sum_m c[i, j, m] pi(B_m)
+        # with pi(B_i B_j) = sum_m c[i, j, m] pi(B_m); checked in row chunks
         pi = frame.conj() @ basis @ frame.T
-        pab = np.tensordot(c, pi, axes=1)
-        err = np.linalg.norm(np.matmul(pi[:, None], pi[None]) - pab, axis=(2, 3))
-        if np.all(err <= 1e-7 * np.maximum(1.0, np.linalg.norm(pab, axis=(2, 3)))):
+        if all(_multiplicative(c[rows], pi[rows], pi) for rows in _row_chunks(d, d * size * size)):
             return frame
     return None
+
+
+def _multiplicative(c_rows: Array, pi_rows: Array, pi: Array) -> bool:
+    """Whether pi(B_i) pi(B_j) = sum_m c[i, j, m] pi(B_m) for the rows i given."""
+    pab = np.tensordot(c_rows, pi, axes=1)
+    err = np.linalg.norm(np.matmul(pi_rows[:, None], pi[None]) - pab, axis=(2, 3))
+    return bool(np.all(err <= 1e-7 * np.maximum(1.0, np.linalg.norm(pab, axis=(2, 3)))))
 
 
 # -- the envelope algebra ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import fellbund._linalg as la
 from fellbund import gallery
 from fellbund.bundle import FellBundle
 from fellbund.envelope import (block_decomposition, coefficient_embedding_check,
-                               cstar_norm, envelope_algebra, per_object_norms, regular_at,
-                               regular_rep_matrix, sharper_norm_bound)
+                               cstar_norm, delta_images, envelope_algebra, per_object_norms,
+                               regular_at, regular_rep_matrix, sharper_norm_bound)
 from fellbund.groupoid import FiniteGroupoid
 from fellbund.sections import (Section, convolve, i_norm, involute,
                                random_section, unit_section)
@@ -200,6 +202,23 @@ def test_z48_line_envelope_is_48_characters():
     assert env.block_summary() == [{"size": 1, "multiplicity": 1}] * 48
     total = sum(blk.projection for blk in env.blocks)
     np.testing.assert_allclose(total, np.eye(48), atol=1e-9)
+
+
+@pytest.mark.parametrize("want_irreps", [False, True])
+def test_m3_pair3_block_decomposition_stays_under_24_mb(certify_bundles, want_irreps):
+    # d = 81 images: each d³ array (the structure constants, the commutator
+    # system, the copy its QR takes) is 8.5 MB, and at most two are held at
+    # once; the products and the irrep check run in 1 MB row chunks
+    images = delta_images(certify_bundles["m3-pair3"])
+    tracemalloc.start()
+    try:
+        blocks = block_decomposition(images, want_irreps=want_irreps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(b.size, b.multiplicity) for b in blocks] == [(9, 3)]
+    assert all((b.irrep_frame is not None) == want_irreps for b in blocks)
+    assert peak <= 24e6, peak
 
 
 def test_gram_borderline_notes_empty_for_clean_bundles():

@@ -18,6 +18,50 @@ DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "examples_ws", "demo.json")
 
 
+def direct_null_space_rows(m, rtol=1e-10):
+    """``null_space_rows`` of a tall matrix through the thin SVD of m itself,
+    the route it took before the R factor."""
+    _, s, vh = np.linalg.svd(la.as_complex(m), full_matrices=False)
+    rows = [np.conj(vh[k]) for k in range(len(s)) if s[k] <= rtol * max(float(s[0]), 1.0)]
+    return la.orth_rows(np.array(rows), rtol) if rows else np.zeros((0, m.shape[1]), complex)
+
+
+def tall_matrices(seed):
+    """A seeded sweep of complex matrices with at least twice as many rows
+    as columns: full rank, rank-deficient, and with a zero column."""
+    rng = np.random.default_rng(seed)
+    for cols in (1, 2, 3, 5, 9, 16, 27):
+        for ratio in (2, 3, 7, 20):
+            rows = cols * ratio
+
+            def draw(*shape):
+                return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            yield f"{rows}x{cols}", draw(rows, cols)
+            if cols > 1:
+                rank = max(1, cols // 2)
+                yield f"{rows}x{cols} rank {rank}", draw(rows, rank) @ draw(rank, cols)
+            m = draw(rows, cols)
+            m[:, rng.integers(cols)] = 0
+            yield f"{rows}x{cols} zero column", m
+
+
+def test_null_space_rows_from_the_r_factor_equal_the_full_svd():
+    """For rows >= 2 cols, LAPACK's gesdd takes a QR first and the SVD of R,
+    so s and vh from the SVD of ``np.linalg.qr(m, mode="r")`` equal its own
+    bit for bit, and so do the null rows built from them."""
+    cases = 0
+    for label, m in tall_matrices(7):
+        _, s, vh = np.linalg.svd(m, full_matrices=False)
+        s_r, vh_r = np.linalg.svd(np.linalg.qr(m, mode="r"))[1:]
+        assert np.array_equal(s, s_r) and np.array_equal(vh, vh_r), (
+            f"{label}: this LAPACK's SVD of a tall matrix no longer equals the SVD "
+            "of its R factor bit for bit, so null_space_rows (and every block "
+            "decomposition's centre) changes in the last bits")
+        assert np.array_equal(la.null_space_rows(m), direct_null_space_rows(m)), label
+        cases += 1
+    assert cases == 7 * 4 * 3 - 4
+
+
 def test_orth_rows_rank_and_orthonormality():
     rng = np.random.default_rng(0)
     v = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))

@@ -18,6 +18,7 @@ import pytest
 
 import fellbund._linalg as la
 from fellbund import bundle as bundle_module
+from fellbund.actions import compile_to_fell_bundle, reconstruct_action
 from fellbund import gallery, groupoid as groupoid_module
 from fellbund.bundle import (_arrow_elements, _pair_elements, subbundle_from_frames,
                              validate_fell_bundle)
@@ -238,6 +239,40 @@ def test_the_bundle_owns_its_structure_tensors():
     for a in (b.mult[("e", "e")], b.inv["g1"], b.unit_rep["pt"]):
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+def test_the_bundle_owns_its_models():
+    """The left-ideal and matrix models are copied once, read-only: a later
+    write to the caller's arrays reaches neither the reconstruction nor the
+    validator."""
+    b = compile_to_fell_bundle(gallery.a4_action())
+    ideals = {g: np.array(m) for g, m in b.left_ideal_model.items()}
+    mine = bundle_module.FellBundle(b.groupoid, b.dims, b.mult, b.inv, b.unit_rep,
+                                    left_ideal_model=ideals, name=b.name)
+    want = reconstruct_action(mine)
+    report = validate_fell_bundle(mine).to_json()
+    for m in ideals.values():
+        m[...] = 7.0
+    got = reconstruct_action(mine)
+    for field in ("ideal_basis", "alpha", "w"):
+        before, after = getattr(want, field), getattr(got, field)
+        assert before.keys() == after.keys()
+        assert all(before[k].tobytes() == after[k].tobytes() for k in before), field
+    assert validate_fell_bundle(mine).to_json() == report
+    g = next(g for g, m in mine.left_ideal_model.items() if m.size)
+    with pytest.raises(ValueError):
+        mine.left_ideal_model[g][...] = 0
+    # MatrixModelBundle.to_fell_bundle hands over its own writable fibres
+    model = bundle_module.MatrixModelBundle(cyclic_group(2), {"e": [np.eye(1, dtype=complex)],
+                                                              "g1": [np.eye(1, dtype=complex)]})
+    line = model.to_fell_bundle()
+    report = validate_fell_bundle(line).to_json()
+    for stack in model.fibers.values():
+        stack[...] = 7.0
+    assert all((m == 1.0).all() for m in line.matrix_model.values())
+    assert validate_fell_bundle(line).to_json() == report
+    with pytest.raises(ValueError):
+        line.matrix_model["g1"][...] = 0
 
 
 def test_every_consumer_reads_the_one_copy(certify_bundles):
