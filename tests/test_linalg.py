@@ -49,7 +49,6 @@ def test_null_space_rows_from_the_r_factor_equal_the_full_svd():
     """For rows >= 2 cols, LAPACK's gesdd takes a QR first and the SVD of R,
     so s and vh from the SVD of ``np.linalg.qr(m, mode="r")`` equal its own
     bit for bit, and so do the null rows built from them."""
-    cases = 0
     for label, m in tall_matrices(7):
         _, s, vh = np.linalg.svd(m, full_matrices=False)
         s_r, vh_r = np.linalg.svd(np.linalg.qr(m, mode="r"))[1:]
@@ -58,8 +57,6 @@ def test_null_space_rows_from_the_r_factor_equal_the_full_svd():
             "of its R factor bit for bit, so null_space_rows (and every block "
             "decomposition's centre) changes in the last bits")
         assert np.array_equal(la.null_space_rows(m), direct_null_space_rows(m)), label
-        cases += 1
-    assert cases == 7 * 4 * 3 - 4
 
 
 def test_orth_rows_rank_and_orthonormality():
