@@ -25,11 +25,12 @@ lists the exit status of every command.  No command convolves or involutes,
 so ``section_kernels.txt`` adds the SHA-256 digests of the bytes of
 ``convolve``, ``involute`` and ``i_norm`` on two seeded sections of every
 bundle above (the demo's, each certify workspace's and the two
-structure-tensor bundles).  The ``envelope`` reports show only block sizes,
-so ``block_digests.txt`` adds, for each of those bundles, the SHA-256 of
-the sizes, multiplicities and projections of its envelope blocks and of
-the same with the irreducible frames (or the error the decomposition
-raises).  fellbund is imported from
+structure-tensor bundles).  The ``envelope`` and ``spectrum`` reports show
+only block sizes, so ``block_digests.txt`` adds, for each of those bundles,
+the SHA-256 of the sizes, multiplicities and projections of its envelope
+blocks and of the same with the irreducible frames, and the SHA-256 of the
+projections, coordinates and irreducible frames of its unit-fibre spectrum
+blocks (or the error either raises).  fellbund is imported from
 CHECKOUT's ``src`` (default: the checkout holding this script), so two
 checkouts can be compared byte for byte:
 
@@ -194,26 +195,40 @@ def kernel_digests(fb, label: str, bundles: dict, seed: int) -> list[str]:
 
 
 def block_digests(fb, label: str, bundles: dict, tols) -> list[str]:
-    """Per bundle (name -> FellBundle), one line: the SHA-256 of the size,
-    multiplicity and projection bytes of each block of ``envelope_algebra``
-    and then of each block of ``irreducible_envelope_blocks`` with its
-    irreducible frame, in the order fellbund sorts them; or the ValueError
-    the decomposition raises."""
+    """Per bundle (name -> FellBundle), two lines.  The first is the SHA-256
+    of the size, multiplicity and projection bytes of each block of
+    ``envelope_algebra`` and then of each block of
+    ``irreducible_envelope_blocks`` with its irreducible frame, in the order
+    fellbund sorts them.  The second is the SHA-256 of the dimension,
+    projection, unit-fibre coordinate and frame bytes of each
+    ``fiber_spectrum`` block, object by object.  A line holds the ValueError
+    instead, if one is raised."""
+    def envelope_bytes(b):
+        for blocks in (fb.envelope.envelope_algebra(b, tols).blocks,
+                       fb.envelope.irreducible_envelope_blocks(b, tols)):
+            for block in blocks:
+                yield np.array([block.size, block.multiplicity]).tobytes()
+                yield block.projection.tobytes()
+                if block.irrep_frame is not None:
+                    yield block.irrep_frame.tobytes()
+
+    def spectrum_bytes(b):
+        for block in fb.spectrum.fiber_spectrum(b, tols).blocks():
+            yield np.array([block.dim]).tobytes()
+            for array in (block.projection, block.coords, block.frame):
+                yield array.tobytes()
+
     lines = []
     for name, b in bundles.items():
-        digest = hashlib.sha256()
-        try:
-            for blocks in (fb.envelope.envelope_algebra(b, tols).blocks,
-                           fb.envelope.irreducible_envelope_blocks(b, tols)):
-                for block in blocks:
-                    digest.update(np.array([block.size, block.multiplicity]).tobytes())
-                    digest.update(block.projection.tobytes())
-                    if block.irrep_frame is not None:
-                        digest.update(block.irrep_frame.tobytes())
-        except ValueError as exc:
-            lines.append(f"{label} {name} blocks error: {exc}")
-            continue
-        lines.append(f"{label} {name} blocks {digest.hexdigest()}")
+        for kind, parts in (("blocks", envelope_bytes), ("spectrum", spectrum_bytes)):
+            digest = hashlib.sha256()
+            try:
+                for part in parts(b):
+                    digest.update(part)
+            except ValueError as exc:
+                lines.append(f"{label} {name} {kind} error: {exc}")
+                continue
+            lines.append(f"{label} {name} {kind} {digest.hexdigest()}")
     return lines
 
 
@@ -238,6 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     import fellbund.cli
     import fellbund.envelope
     import fellbund.gallery
+    import fellbund.spectrum
     import fellbund.workspace
     from workloads import CERTIFY_BUNDLES, certify_workspace
 

@@ -14,6 +14,13 @@ import os
 from dataclasses import dataclass
 
 
+def check_seed(value, where: str) -> int:
+    """An int seed >= 0 (not a bool or a float), else ValueError naming ``where``."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{where}: expected an integer >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerances:
     tolerance: float = 1e-9
@@ -26,6 +33,7 @@ class Tolerances:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        check_seed(self.seed, "seed")
 
 
 DEFAULT = Tolerances()
@@ -33,9 +41,6 @@ DEFAULT = Tolerances()
 
 def env_seed(default: int = 0) -> int:
     """Seed from FELLBUND_SEED if set, else ``default``; a value that is not
-    an integer raises ValueError naming the variable."""
-    raw = os.environ.get("FELLBUND_SEED")
-    try:
-        return default if raw is None else int(raw)
-    except ValueError:
-        raise ValueError(f"FELLBUND_SEED: expected an integer, got {raw!r}") from None
+    a decimal integer >= 0 raises ValueError naming the variable."""
+    raw = os.environ.get("FELLBUND_SEED", str(default))
+    return check_seed(int(raw) if raw.isascii() and raw.isdigit() else raw, "FELLBUND_SEED")

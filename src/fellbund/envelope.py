@@ -16,7 +16,7 @@ with a faithful C*-representation); the full norm is defined as this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,6 +221,9 @@ def sharper_norm_bound(bundle: FellBundle, f: Section,
 
 # -- block decomposition ---------------------------------------------------------
 
+_ATTEMPTS = 24  # seeded decomposition attempts, and salts of the irrep-frame search
+
+
 @dataclass
 class SimpleBlock:
     size: int
@@ -230,12 +233,11 @@ class SimpleBlock:
 
     def irrep(self, mat: Array) -> Array:
         if self.irrep_frame is None:
-            raise ValueError("block was decomposed without irrep frames")
+            raise ValueError("block has no irreducible frame; see irrep_frames")
         return self.irrep_frame.conj() @ mat @ self.irrep_frame.T
 
 
-def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
-                        want_irreps: bool = False) -> list[SimpleBlock]:
+def block_decomposition(basis: Array, tols: Tolerances = DEFAULT) -> list[SimpleBlock]:
     """Simple summands of a matrix *-algebra given by a spanning stack.
 
     The method is the seeded random central element of Murota, Kanno,
@@ -252,16 +254,16 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
     self-adjoint central element is diagonalised one block at a time; its
     eigenvalue clusters (gap ``cluster_gap``) give the minimal central
     projections, and the rank of V* B_k V on a cluster's eigenvectors V
-    identifies each corner with a full matrix algebra.  With ``want_irreps``
-    a rank-one-projection search provides an irreducible frame per block.
+    identifies each corner with a full matrix algebra.  The blocks carry no
+    irreducible frames; ``irrep_frames`` finds them on the blocks returned.
 
     The cost is d²·sum_b n_b³ (plus d³·sum_b n_b² to contract the products),
-    against d·N²·d for the ambient commutation system.  The memory is c and
-    the commutator system, d³ complex entries each, of which at most two
-    arrays are held at once (the QR of the system copies it, so c is let go
-    meanwhile and formed again for the irrep frames), plus products and
-    checks in chunks of la._STACK_CHUNK elements.  Deterministic for a
-    fixed seed; a stack that is not a unital *-algebra raises ValueError.
+    against d·N²·d for the ambient commutation system.  The memory is c, the
+    commutator system and the copy its QR takes, d³ complex entries each, of
+    which at most two are held at once (c is formed once, and let go before
+    the QR), plus products and checks in chunks of la._STACK_CHUNK elements.
+    Deterministic for a fixed seed; a stack that is not a unital *-algebra
+    raises ValueError.
     """
     basis = la.stack_orth(list(basis), basis.shape[1], basis.shape[2], tols.rank_threshold)
     d, N, _ = basis.shape
@@ -276,9 +278,7 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
     unit_coeff = _unit_coefficients(c, pieces, tol)
 
     # row (j, m), column k: coordinate m of [B_k, B_j], formed once in its own
-    # layout; c is let go while the centre is found (and formed again for the
-    # irrep frames), so that at most two d³ arrays are held at once: c and
-    # the system, or the system and the copy that its QR factorisation takes
+    # layout; c is let go before its QR copies the system: two d³ arrays at most
     comm = np.subtract(c.transpose(1, 2, 0), c.transpose(0, 2, 1), order="C")
     del c
     null = la.null_space_rows(comm.reshape(d * d, d), tols.rank_threshold)
@@ -296,10 +296,9 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
     support_rank = int(round(sum(float(np.real(np.trace(s))) for s in support)))
     degenerate = support_rank < N
 
-    c = _structure_constants(pieces) if want_irreps else None
     owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
     local = np.concatenate([np.arange(p.size) for p in parts])
-    for attempt in range(24):
+    for attempt in range(_ATTEMPTS):
         rng = np.random.default_rng(tols.seed + 7919 * attempt)
         coeff = rng.standard_normal(center_dim) + 1j * rng.standard_normal(center_dim)
         z = coeff @ null
@@ -331,14 +330,7 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
             proj = np.zeros((N, N), dtype=np.complex128)
             for b, v in frames.items():
                 proj[parts[b][:, None], parts[b][None, :]] = v @ v.conj().T
-            block = SimpleBlock(size, mult_total // size, proj)
-            if want_irreps:
-                frame = _irrep_frame(basis, c, proj, size, block.multiplicity, tols, attempt)
-                if frame is None:
-                    good = False
-                    break
-                block.irrep_frame = frame
-            blocks.append(block)
+            blocks.append(SimpleBlock(size, mult_total // size, proj))
         if good and sum(b.size ** 2 for b in blocks) == d:
             blocks.sort(key=_block_sort_key(basis))
             return blocks
@@ -398,19 +390,14 @@ def _check_product_closed(c: Array, pieces: list[Array], tol: float) -> None:
                          "input is not a *-algebra")
 
 
-def _row_chunks(d: int, per_row: int):
-    """Slices of range(d) whose rows hold at most la._STACK_CHUNK elements
-    at ``per_row`` elements each (one row at least)."""
-    step = max(1, la._STACK_CHUNK // max(1, per_row))
-    return [slice(start, min(start + step, d)) for start in range(0, d, step)]
-
-
 def _block_products(p: Array):
     """(rows, B_i B_j for i in rows and every j) on one diagonal block, in
-    chunks of at most la._STACK_CHUNK elements."""
+    chunks of at most la._STACK_CHUNK elements (one row at least)."""
     d, n, _ = p.shape
     side = p.transpose(1, 0, 2).reshape(n, d * n)     # [B_1 | B_2 | ... | B_d]
-    for rows in _row_chunks(d, d * n * n):
+    step = max(1, la._STACK_CHUNK // (d * n * n))
+    for start in range(0, d, step):
+        rows = slice(start, min(start + step, d))
         k = rows.stop - rows.start
         prods = (p[rows].reshape(k * n, n) @ side).reshape(k, n, d, n).transpose(0, 2, 1, 3)
         yield rows, prods
@@ -454,8 +441,30 @@ def _block_sort_key(basis: Array):
     return key
 
 
-def _irrep_frame(basis: Array, c: Array, proj: Array, size: int, mult: int,
+def irrep_frames(stack: Array, blocks: list[SimpleBlock],
+                 tols: Tolerances = DEFAULT) -> list[SimpleBlock]:
+    """The ``blocks`` of ``block_decomposition(stack, tols)``, each with an irreducible
+    frame searched in its own projection, with the seeds of the decomposition's attempts
+    as salts, on the stack orthonormalised as there; ValueError if no salt gives one."""
+    if not blocks:
+        return []
+    basis = la.stack_orth(list(stack), stack.shape[1], stack.shape[2], tols.rank_threshold)
+    out = []
+    for b in blocks:
+        frames = (_irrep_frame(basis, b.projection, b.size, b.multiplicity, tols, salt)
+                  for salt in range(_ATTEMPTS))
+        frame = next((f for f in frames if f is not None), None)
+        if frame is None:
+            raise ValueError(f"no irreducible frame for a block of size {b.size}")
+        out.append(replace(b, irrep_frame=frame))
+    return out
+
+
+def _irrep_frame(basis: Array, proj: Array, size: int, mult: int,
                  tols: Tolerances, salt: int) -> Array | None:
+    """Rows F (size, N) spanning an irreducible subspace in ``proj``, or None.
+    F is kept when its span is invariant, max_k ‖B_k Fᵀ − Fᵀ F̄ B_k Fᵀ‖ ≤ 1e-7:
+    on a *-closed HS-orthonormal stack, the same as F̄ · Fᵀ being multiplicative."""
     d = basis.shape[0]
     corner = proj @ basis @ proj
     for attempt in range(12):
@@ -475,19 +484,10 @@ def _irrep_frame(basis: Array, c: Array, proj: Array, size: int, mult: int,
         frame = la.orth_rows(orbit, tols.rank_threshold)
         if frame.shape[0] != size:
             continue
-        # the compression must be multiplicative: pi(B_i) pi(B_j) = pi(B_i B_j),
-        # with pi(B_i B_j) = sum_m c[i, j, m] pi(B_m); checked in row chunks
-        pi = frame.conj() @ basis @ frame.T
-        if all(_multiplicative(c[rows], pi[rows], pi) for rows in _row_chunks(d, d * size * size)):
+        image = basis @ frame.T                    # B_k Fᵀ, (d, N, size)
+        if np.linalg.norm(image - frame.T @ (frame.conj() @ image), axis=(1, 2)).max() <= 1e-7:
             return frame
     return None
-
-
-def _multiplicative(c_rows: Array, pi_rows: Array, pi: Array) -> bool:
-    """Whether pi(B_i) pi(B_j) = sum_m c[i, j, m] pi(B_m) for the rows i given."""
-    pab = np.tensordot(c_rows, pi, axes=1)
-    err = np.linalg.norm(np.matmul(pi_rows[:, None], pi[None]) - pab, axis=(2, 3))
-    return bool(np.all(err <= 1e-7 * np.maximum(1.0, np.linalg.norm(pab, axis=(2, 3)))))
 
 
 # -- the envelope algebra ---------------------------------------------------------
@@ -525,11 +525,8 @@ def _envelope_algebra(bundle: FellBundle, tols: Tolerances) -> EnvelopeAlgebra:
 def irreducible_envelope_blocks(bundle: FellBundle,
                                 tols: Tolerances = DEFAULT) -> list[SimpleBlock]:
     """Envelope blocks with irreducible frames, cached per bundle."""
-    def build() -> list[SimpleBlock]:
-        env = envelope_algebra(bundle, tols)
-        return block_decomposition(env.images, tols, want_irreps=True) \
-            if env.images.shape[0] else []
-    return bundle.memo(("irreps", tols), build)
+    env = envelope_algebra(bundle, tols)
+    return bundle.memo(("irreps", tols), lambda: irrep_frames(env.images, env.blocks, tols))
 
 
 def coefficient_embedding_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> ValidationReport:

@@ -20,7 +20,8 @@ import numpy as np
 from . import _linalg as la
 from .bundle import FellBundle
 from .config import DEFAULT, Tolerances
-from .envelope import SimpleBlock, block_decomposition, envelope_algebra, induced_fibre
+from .envelope import (SimpleBlock, block_decomposition, envelope_algebra, induced_fibre,
+                       irrep_frames)
 from .groupoid import FiniteGroupoid
 from .ideals import (InvariantFamily, enumerate_fell_ideals, ideal_from_invariant_family,
                      validate_invariant_family)
@@ -74,9 +75,8 @@ def _fiber_spectrum(bundle: FellBundle, tols: Tolerances) -> FiberSpectrum:
     G = bundle.groupoid
     by_object = {}
     for x in G.objects:
-        u = G.unit[x]
-        raw = block_decomposition(bundle.unit_rep[x], tols, want_irreps=True) \
-            if bundle.dims[u] else []
+        u, stack = G.unit[x], bundle.unit_rep[x]
+        raw = irrep_frames(stack, block_decomposition(stack, tols), tols) if bundle.dims[u] else []
         by_object[x] = []
         for i, b in enumerate(raw):
             coords, res = bundle.unit_coords(x, b.projection)

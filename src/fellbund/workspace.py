@@ -19,7 +19,7 @@ import numpy as np
 
 from .actions import TwistedPartialAction
 from .bundle import FellBundle, MatrixModelBundle, UnitFiberAlgebra
-from .config import Tolerances, env_seed
+from .config import Tolerances, check_seed, env_seed
 from .groupoid import (FiniteGroupoid, PartialActionOnSet, composable_pairs,
                        transformation_groupoid)
 from .ideals import FellIdeal, ideal_from_invariant_family
@@ -132,12 +132,9 @@ class Workspace:
     def from_dict(raw: dict, tolerance: float | None = None,
                   seed: int | None = None) -> "Workspace":
         cfg = _object(_object(raw, "workspace").get("config", {}), "config")
-        try:
-            cfg_seed = int(cfg.get("seed", 0))
-        except (TypeError, ValueError, OverflowError):
-            raise WorkspaceError(f"config.seed: expected an integer, got {cfg['seed']!r}") from None
         try:  # precedence: explicit CLI seed, then FELLBUND_SEED, then the config
-            chosen_seed = int(seed) if seed is not None else env_seed(cfg_seed)
+            cfg_seed = check_seed(cfg.get("seed", 0), "config.seed")
+            chosen_seed = check_seed(seed, "seed") if seed is not None else env_seed(cfg_seed)
         except ValueError as exc:
             raise WorkspaceError(str(exc)) from None
         # config values are checked even when overridden

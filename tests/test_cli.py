@@ -372,6 +372,12 @@ def test_longhand_bundle_validates(tmp_path, capsys):
     (lambda raw: raw["ideals"]["a4-pq-by-blocks"].update(fibers={"nope": [[1.0]]}),
      "a4-pq-by-blocks", "ideals.a4-pq-by-blocks: give either fibers or invariant_family"),
     (lambda raw: raw.update(config={"seed": "abc"}), "z2", "config.seed: expected an integer"),
+    (lambda raw: raw.update(config={"seed": 1.5}), "z2",
+     "config.seed: expected an integer >= 0, got 1.5"),
+    (lambda raw: raw.update(config={"seed": True}), "z2",
+     "config.seed: expected an integer >= 0, got True"),
+    (lambda raw: raw.update(config={"seed": -5}), "z2",
+     "config.seed: expected an integer >= 0, got -5"),
     (lambda raw: raw.update(config=[1]), "z2", "config: expected an object"),
 ], ids=["mult-unknown-pair", "mult-non-composable-pair", "mult-index-out-of-range",
         "mult-negative-index", "fibre-not-an-object", "unit-algebra-without-n",
@@ -383,7 +389,8 @@ def test_longhand_bundle_validates(tmp_path, capsys):
         "matrix-obj-dims-string", "matrix-obj-dims-unknown-object", "matrix-inconsistent-sizes",
         "matrix-fibre-unknown-arrow", "ideal-fibers-list", "ideal-unknown-arrow",
         "ideal-fibre-scalar", "ideal-vector-wrong-length", "ideal-fibers-and-family",
-        "config-seed-string", "config-list"])
+        "config-seed-string", "config-seed-float", "config-seed-bool", "config-seed-negative",
+        "config-list"])
 def test_malformed_structure_bundle_or_rep_exits_2(tmp_path, capsys, edit, name, needle):
     path = _write_demo(tmp_path, edit)
     code, out, err = run_cli(capsys, "validate", path, name)
@@ -444,3 +451,14 @@ def test_non_integer_seed_variable_exits_2(demo_workspace_path, capsys, monkeypa
     # an explicit --seed takes precedence and the variable is not read
     code, _, _ = run_cli(capsys, "validate", demo_workspace_path, "z2", "--seed", "3")
     assert code == 0
+    # a negative seed is a usage error before any command runs, whether it
+    # draws random numbers (envelope) or not (validate)
+    for command, name in (("envelope", "a4"), ("validate", "z2")):
+        monkeypatch.setenv("FELLBUND_SEED", "-5")
+        code, out, err = run_cli(capsys, command, demo_workspace_path, name)
+        assert code == 2 and out == "", command
+        assert "FELLBUND_SEED: expected an integer >= 0, got '-5'" in err, command
+        monkeypatch.delenv("FELLBUND_SEED")
+        code, out, err = run_cli(capsys, command, demo_workspace_path, name, "--seed", "-5")
+        assert code == 2 and out == "", command
+        assert err.startswith("error: seed: expected an integer >= 0, got -5"), command

@@ -7,11 +7,13 @@ import fellbund._linalg as la
 from fellbund import gallery
 from fellbund.bundle import FellBundle
 from fellbund.envelope import (block_decomposition, coefficient_embedding_check,
-                               cstar_norm, delta_images, envelope_algebra, per_object_norms,
+                               cstar_norm, delta_images, envelope_algebra,
+                               irreducible_envelope_blocks, irrep_frames, per_object_norms,
                                regular_at, regular_rep_matrix, sharper_norm_bound)
 from fellbund.groupoid import FiniteGroupoid
 from fellbund.sections import (Section, convolve, i_norm, involute,
                                random_section, unit_section)
+from fellbund.spectrum import fiber_spectrum
 
 
 def brute_center_dim(mats):
@@ -204,21 +206,94 @@ def test_z48_line_envelope_is_48_characters():
     np.testing.assert_allclose(total, np.eye(48), atol=1e-9)
 
 
-@pytest.mark.parametrize("want_irreps", [False, True])
-def test_m3_pair3_block_decomposition_stays_under_24_mb(certify_bundles, want_irreps):
+def test_m3_pair3_block_decomposition_stays_under_24_mb(certify_bundles):
     # d = 81 images: each d³ array (the structure constants, the commutator
     # system, the copy its QR takes) is 8.5 MB, and at most two are held at
-    # once; the products and the irrep check run in 1 MB row chunks
+    # once; the products run in 1 MB row chunks
     images = delta_images(certify_bundles["m3-pair3"])
     tracemalloc.start()
     try:
-        blocks = block_decomposition(images, want_irreps=want_irreps)
+        blocks = block_decomposition(images)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert [(b.size, b.multiplicity) for b in blocks] == [(9, 3)]
-    assert all((b.irrep_frame is not None) == want_irreps for b in blocks)
+    assert all(b.irrep_frame is None for b in blocks)
     assert peak <= 24e6, peak
+
+
+def test_irreducible_envelope_blocks_reuse_the_envelope_decomposition(certify_bundles,
+                                                                      monkeypatch):
+    # the frames are searched on the blocks envelope_algebra cached: no
+    # second decomposition, and no d³ array
+    import fellbund.envelope as envelope
+    bundle = certify_bundles["m3-pair3"]
+    env = envelope_algebra(bundle)
+    decomposed = []
+    real = envelope.block_decomposition
+    monkeypatch.setattr(envelope, "block_decomposition",
+                        lambda *args, **kwargs: decomposed.append(1) or real(*args, **kwargs))
+    tracemalloc.start()
+    try:
+        blocks = irreducible_envelope_blocks(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decomposed == []
+    assert [(b.size, b.multiplicity) for b in blocks] == [(9, 3)]
+    np.testing.assert_array_equal(blocks[0].projection, env.blocks[0].projection)
+    assert blocks[0].irrep_frame.shape == (9, env.images.shape[1])
+    assert peak <= 6e6, peak
+
+
+def assert_irreducible_star_hom(irrep, stack, size, where):
+    """Independent oracle: pi = ``irrep`` is a *-homomorphism onto M_size on
+    span(stack), checked on the products and adjoints of the stack itself:
+    pi(X) pi(Y) = pi(XY), pi(X*) = pi(X)* to 1e-9, and rank size²."""
+    stack = np.asarray(stack, dtype=complex)
+    pis = irrep(stack)
+    for x, px in zip(stack, pis):
+        err = np.linalg.norm(px @ pis - irrep(x @ stack), axis=(1, 2))
+        scale = max(1.0, float(np.linalg.norm(x)) * float(np.linalg.norm(stack, axis=(1, 2)).max()))
+        assert err.max() <= 1e-9 * scale, (where, err.max())
+    adj = irrep(stack.conj().transpose(0, 2, 1)) - pis.conj().transpose(0, 2, 1)
+    assert np.linalg.norm(adj, axis=(1, 2)).max() <= 1e-9, where
+    assert la.matrix_rank(pis.reshape(len(pis), -1), 1e-10) == size * size, where
+
+
+def test_irreducible_frames_are_star_homomorphisms(certify_bundles):
+    bundles = {**gallery.shipped_bundles(), **certify_bundles}
+    for name, b in bundles.items():
+        env = envelope_algebra(b)
+        for k, blk in enumerate(irreducible_envelope_blocks(b)):
+            assert_irreducible_star_hom(blk.irrep, env.images, blk.size, (name, "envelope", k))
+        for blk in fiber_spectrum(b).blocks():
+            assert_irreducible_star_hom(blk.irrep, b.unit_rep[blk.obj], blk.dim,
+                                        (name, "spectrum", blk.key))
+
+
+def test_irreducible_frames_on_degenerate_and_repeated_stacks():
+    rng = np.random.default_rng(11)
+    # M_2 in the top corner of Mat(3): the unit is a proper support projection
+    corner = [np.pad(_unit(2, i, j), ((0, 1), (0, 1))) for i in range(2) for j in range(2)]
+    # M_2 (x) 1_3 (+) M_1 (x) 1_2 under a random unitary: multiplicities 3 and 2
+    u = la.random_unitary(8, rng)
+    repeated = [u @ np.pad(np.kron(_unit(2, i, j), np.eye(3)), ((0, 2), (0, 2))) @ u.conj().T
+                for i in range(2) for j in range(2)]
+    repeated.append(u @ np.diag([0.0] * 6 + [1.0, 1.0]) @ u.conj().T)
+    for where, mats, shape in (("corner", corner, [(2, 1)]),
+                               ("repeated", repeated, [(1, 2), (2, 3)])):
+        stack = np.stack(mats)
+        blocks = irrep_frames(stack, block_decomposition(stack))
+        assert sorted((b.size, b.multiplicity) for b in blocks) == shape, where
+        for blk in blocks:
+            assert_irreducible_star_hom(blk.irrep, stack, blk.size, where)
+
+
+def test_a_block_without_a_frame_refuses_irrep():
+    blk = block_decomposition(np.stack([np.eye(2, dtype=complex)]))[0]
+    with pytest.raises(ValueError, match="no irreducible frame"):
+        blk.irrep(np.eye(2))
 
 
 def test_gram_borderline_notes_empty_for_clean_bundles():

@@ -144,6 +144,14 @@ def test_library_tolerances_must_be_positive_and_finite(key, value):
     assert getattr(Tolerances(**{key: 1e-3}), key) == 1e-3
 
 
+@pytest.mark.parametrize("value", [-1, 1.5, True, "3", None])
+def test_library_seed_must_be_a_non_negative_integer(value):
+    from fellbund.config import Tolerances
+    with pytest.raises(ValueError, match="seed: expected an integer >= 0"):
+        Tolerances(seed=value)
+    assert Tolerances(seed=0).seed == 0
+
+
 def test_tolerance_override_must_be_positive_and_finite():
     with pytest.raises(WorkspaceError, match="tolerance"):
         Workspace.from_dict({}, tolerance=-1.0)
