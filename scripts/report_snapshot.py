@@ -30,7 +30,12 @@ only block sizes, so ``block_digests.txt`` adds, for each of those bundles,
 the SHA-256 of the sizes, multiplicities and projections of its envelope
 blocks and of the same with the irreducible frames, and the SHA-256 of the
 projections, coordinates and irreducible frames of its unit-fibre spectrum
-blocks (or the error either raises).  fellbund is imported from
+blocks (or the error either raises).  ``block_characters.txt`` lists, for
+the same bundles, each envelope block and each spectrum block with its
+size, its multiplicity and its traces tr(P·Λ(δ_i)) (tr(P·ρ_x(e_i)) on the
+unit fibre at x) rounded to 6 decimals: two checkouts whose projections
+differ only in their last bits read the same there, while
+``block_digests.txt`` shows the change.  fellbund is imported from
 CHECKOUT's ``src`` (default: the checkout holding this script), so two
 checkouts can be compared byte for byte:
 
@@ -232,6 +237,42 @@ def block_digests(fb, label: str, bundles: dict, tols) -> list[str]:
     return lines
 
 
+def block_characters(fb, label: str, bundles: dict, tols) -> list[str]:
+    """Per bundle (name -> FellBundle), one line per block of
+    ``envelope_algebra`` and then per ``fiber_spectrum`` block, in the order
+    fellbund sorts them: its size, its multiplicity and the real and
+    imaginary parts of its traces tr(P·Λ(δ_i)) over the delta images (for a
+    spectrum block at x, tr(P·ρ_x(e_i)) over the unit fibre's
+    representation), rounded to 6 decimals, with -0 read as 0.  A ValueError
+    gives the line ``error``, without its message, which names the failing
+    check as each checkout words it."""
+    def traces(projection, stack) -> str:
+        values = np.round(np.einsum("ab,kba->k", projection, stack).view(np.float64), 6)
+        return " ".join(f"{v + 0.0:.6f}" for v in values)
+
+    def envelope_lines(b):
+        env = fb.envelope.envelope_algebra(b, tols)
+        for k, block in enumerate(env.blocks):
+            yield (f"envelope {k} size {block.size} mult {block.multiplicity} "
+                   f"traces {traces(block.projection, env.images)}")
+
+    def spectrum_lines(b):
+        for block in fb.spectrum.fiber_spectrum(b, tols).blocks():
+            mult = round(float(np.trace(block.projection).real)) // block.dim
+            yield (f"spectrum {block.obj} {block.index} size {block.dim} mult {mult} "
+                   f"traces {traces(block.projection, b.unit_rep[block.obj])}")
+
+    lines = []
+    for name, b in bundles.items():
+        for kind, parts in (("envelope", envelope_lines), ("spectrum", spectrum_lines)):
+            try:
+                got = list(parts(b))
+            except ValueError:
+                got = [f"{kind} error"]
+            lines.extend(f"{label} {name} {line}" for line in got)
+    return lines
+
+
 def workspace_bundles(fb, raw: dict) -> tuple[dict, object]:
     """The bundles of a workspace (name -> FellBundle) and its tolerances."""
     ws = fb.workspace.Workspace.from_dict(raw)
@@ -262,12 +303,13 @@ def main(argv: list[str] | None = None) -> int:
     for cmd in DEMO_COMMANDS:
         jobs.append(("demo " + " ".join(c.lstrip("-") for c in cmd), [cmd[0], demo, *cmd[1:]]))
     os.makedirs(args.out, exist_ok=True)
-    codes, kernels, blocks = [], [], []
+    codes, kernels, blocks, characters = [], [], [], []
 
     def add_digests(label: str, raw: dict, seed: int) -> None:
         bundles, tols = workspace_bundles(fellbund, raw)
         kernels.extend(kernel_digests(fellbund, label, bundles, seed))
         blocks.extend(block_digests(fellbund, label, bundles, tols))
+        characters.extend(block_characters(fellbund, label, bundles, tols))
     with open(demo) as fh:
         add_digests("demo", json.load(fh), 0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -310,6 +352,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n".join(kernels) + "\n")
     with open(os.path.join(args.out, "block_digests.txt"), "w") as fh:
         fh.write("\n".join(blocks) + "\n")
+    with open(os.path.join(args.out, "block_characters.txt"), "w") as fh:
+        fh.write("\n".join(characters) + "\n")
     print(f"{len(jobs)} reports written to {args.out}")
     return 0
 

@@ -696,6 +696,17 @@ def _w_solutions(dom, Ag, inter, Fh, M, unit_c, Fgh, rtol):
     return coeff, res, la.row_norms(target), np.sum(s > rtol * s[:, :1], axis=1)
 
 
+def _alpha_terms(P: Array, Fs: Array, Fi: Array, M: Array) -> tuple[Array, ...]:
+    """For stacks of presented ideals P (t, d, n, n), source-fibre frames Fs,
+    frames Fi of D_{g^-1} and tensors M = mult[(g, u_{s(g)})]: whether D_g
+    has a two-sided unit, its coordinates u (``la.algebra_units``), the
+    residuals of Fi off the span of Fs and alpha_g[c, m] =
+    sum_ij M[c, i, j] u_i a[m, j], with a the coordinates of Fi in Fs."""
+    u, ok = la._unit_coords(P, 1e-8)
+    coords, res, _ = _expand(Fs, Fi)
+    return ok, u, res, np.einsum("tcij,ti,tmj->tcm", M, u, coords)
+
+
 def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> TwistedPartialAction:
     """Recover (D, a, w) from a bundle presented by left ideals in r*F.
 
@@ -742,19 +753,23 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
         if not ok:
             raise ValueError(f"span(A_g A_g*) differs from the presented ideal at {g}")
 
-    units = dict(zip(G.arrows, la.algebra_units([P[g] for g in G.arrows])))
-    alpha: dict[str, Array] = {}
-    for g in G.arrows:
-        gi, us = G.inv[g], G.unit[G.src[g]]
-        alpha_g = np.zeros((bundle.dims[g], bundle.dims[gi]), dtype=np.complex128)
-        if bundle.dims[g]:
-            if units[g] is None:
-                raise ValueError(f"presented ideal at {g} has no unit")
-            a_coords, res, _ = _expand(F[us], F[gi])
-            if (res > 1e-7).any():
-                raise ValueError(f"D_{gi} does not sit inside the source fibre of {g}")
-            alpha_g = np.einsum("cij,i,mj->cm", bundle.mult[(g, us)], units[g], a_coords)
-        alpha[g] = alpha_g
+    # one stacked pass per shape: the unit of D_g (``la.algebra_units``), D_{g^-1}
+    # in the frame of the source fibre and alpha_g from both; each item keeps
+    # the bits of its own unit solve, ``_expand`` and einsum
+    live = [g for g in G.arrows if bundle.dims[g]]
+    units = {g: np.zeros(0, dtype=np.complex128) for g in G.arrows}
+    alpha = {g: np.zeros((bundle.dims[g], bundle.dims[G.inv[g]]), dtype=np.complex128)
+             for g in G.arrows}
+    # size: the d^2 products of the unit solve, as in ``la.algebra_units``
+    terms = dict(zip(live, la.stacked(
+        [(P[g], F[G.unit[G.src[g]]], F[G.inv[g]], bundle.mult[(g, G.unit[G.src[g]])])
+         for g in live], _alpha_terms, lambda s: s[0][0] * math.prod(s[0]))))
+    for g in live:
+        ok, units[g], res, alpha[g] = terms[g]
+        if not ok:
+            raise ValueError(f"presented ideal at {g} has no unit")
+        if (res > 1e-7).any():
+            raise ValueError(f"D_{G.inv[g]} does not sit inside the source fibre of {g}")
     fibers = {x: UnitFiberAlgebra(bundle.unit_dim(x), bundle.unit_rep[x])
               for x in G.objects}
     shell = TwistedPartialAction(G, fibers, P, alpha, {})

@@ -223,19 +223,21 @@ class FellBundle:
             # no gather when the rows are the group's arrows in order
             group = len(self.norm_stacks()[k][0])
             whole = len(A) == group and at == list(range(group))
-            out = slice(None) if len(A) == len(norms) else np.concatenate(
+            place = None if len(A) == len(norms) else np.concatenate(
                 [np.arange(ends[r] - sizes[r], ends[r]) for r in rs])
-            norms[out], bottoms[out] = self._group_norms(
-                k, A, None if whole else np.repeat(at, [sizes[r] for r in rs]))
+            self._group_norms(k, A, None if whole else np.repeat(at, [sizes[r] for r in rs]),
+                              norms, bottoms, place)
         return norms, bottoms
 
-    def _group_norms(self, k: int, A: Array, at: Array | None = None) -> tuple[Array, Array]:
+    def _group_norms(self, k: int, A: Array, at: Array | None, norms: Array,
+                     bottoms: Array | None, place: Array | None = None) -> None:
         """``norm_rows`` of the rows A (m, d) of the k-th ``norm_stacks`` group,
-        row i an element of the fibre at the group's arrow at[i]; ``at=None``
-        when the rows are the group's arrows in order, whose stacked tensors
-        are then sliced, not gathered."""
+        row i an element of the fibre at the group's arrow at[i], written to
+        ``norms[place[i]]`` and ``bottoms[place[i]]`` (``place=None``: to
+        position i; ``bottoms=None``: norms only), which are left as they are
+        where n_{s(g)} is 0; ``at=None`` when the rows are the group's arrows
+        in order, whose stacked tensors are then sliced, not gathered."""
         arrows, tensors, reps = self.norm_stacks()[k]
-        norms, bottoms = np.zeros(len(A)), np.zeros(len(A))
         d, du, n = tensors.shape[-1], reps.shape[1], reps.shape[-1]
         # per row: the row, its tensor and representation, a* a, n x n matrices
         step = max(1, la._STACK_CHUNK // (d + du * (d * d + n * n + 1) + 4 * n * n))
@@ -255,11 +257,13 @@ class FellBundle:
             mats = np.matmul(coords[:, None], reps[p].reshape(len(C), du, n * n))
             spectra = mats.real.reshape(len(C), 1) if n == 1 else \
                 np.linalg.eigvalsh(la.hermitian_part(mats.reshape(len(C), n, n)))
-            norms[c:c + step] = np.ldexp(np.sqrt(np.maximum(spectra[:, -1], 0.0)), e)
+            out = slice(c, c + step) if place is None else place[c:c + step]
+            norms[out] = np.ldexp(np.sqrt(np.maximum(spectra[:, -1], 0.0)), e)
+            if bottoms is None:
+                continue
             # the bottom of a* a for a row above 2^256 may exceed the float range
             with np.errstate(over="ignore") if biggest > 2.0 ** 256 else nullcontext():
-                bottoms[c:c + step] = np.ldexp(spectra[:, 0], 2 * e)
-        return norms, bottoms
+                bottoms[out] = np.ldexp(spectra[:, 0], 2 * e)
 
     def _norm_index(self) -> dict[str, tuple[int, int]]:
         """Per arrow with d_g > 0, its ``norm_stacks`` group and place (cached)."""

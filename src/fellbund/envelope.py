@@ -12,17 +12,32 @@ Lambda_x(f); the C*-norm of f is the largest operator norm over the objects.
 Faithfulness of the direct sum makes this the unique C*-norm on the section
 *-algebra, so full and reduced coincide here (finite-dimensional *-algebra
 with a faithful C*-representation); the full norm is defined as this one.
+
+The envelope C*(A) is the span of the images Lambda(delta_{g,i}), cut into
+its simple blocks by ``block_decomposition``.  That needs the algebra's
+structure constants, from one of two sources.  For a stack with no known
+structure (a unit fibre, any caller's matrices) they are formed from an
+HS-orthonormalised copy of the stack, and closure under products and
+adjoints and the two-sided unit are checked against them.  For a bundle's
+images (``envelope_algebra``) the images are kept as the basis and the
+constants are the bundle's own ``mult``/``inv`` tensors; the decomposition
+checks that the images multiply and take adjoints as those tensors say
+(exactly 0 on non-composable pairs) and that the units of the unit fibres
+add up to the identity.  The centre then lies on the isotropy arrows (a
+central z commutes with each Lambda(1_x), so z_g = 0 when r(g) != s(g)), and
+its commutator system has one column per isotropy coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import _linalg as la
 from ._kernels import _spans
-from .bundle import FellBundle, _exponents, _ldexp, ei
+from .bundle import FellBundle, Structure, _exponents, _ldexp, ei
 from .config import DEFAULT, Tolerances
 from .report import ValidationReport
 from .sections import Section, basis_sections, module_action, unit_section
@@ -237,38 +252,91 @@ class SimpleBlock:
         return self.irrep_frame.conj() @ mat @ self.irrep_frame.T
 
 
-def block_decomposition(basis: Array, tols: Tolerances = DEFAULT) -> list[SimpleBlock]:
+def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
+                        bundle: FellBundle | None = None) -> list[SimpleBlock]:
     """Simple summands of a matrix *-algebra given by a spanning stack.
 
     The method is the seeded random central element of Murota, Kanno,
     Kojima & Kojima ("A numerical algorithm for block-diagonal decomposition
     of matrix *-algebras", Japan J. Indust. Appl. Math. 27, 2010), worked in
-    coefficient space.  The stack is HS-orthonormalised to B_1..B_d and cut
-    along its finest common block-diagonal form, blocks of sizes n_b summing
-    to N (envelope images: one block per object).  Block by block, batched
-    matmul gives the structure constants c[i, j, m] = tr(B_m* B_i B_j) and
-    checks that the span is closed under products and adjoints.  The centre
-    is the null space of the d²×d system sum_k z_k (c[k,j,:] - c[j,k,:]) = 0,
-    taken from its R factor, and the two-sided unit must solve the 2d²×d
-    system sum_j u_j c[j,i,:] = e_i = sum_j u_j c[i,j,:].  A random
-    self-adjoint central element is diagonalised one block at a time; its
-    eigenvalue clusters (gap ``cluster_gap``) give the minimal central
-    projections, and the rank of V* B_k V on a cluster's eigenvectors V
-    identifies each corner with a full matrix algebra.  The blocks carry no
-    irreducible frames; ``irrep_frames`` finds them on the blocks returned.
+    coefficient space.  The stack is cut along its finest common
+    block-diagonal form, blocks of sizes n_b summing to N (envelope images:
+    one block per object or finer).  The structure constants come from one
+    of two sources.
 
-    The cost is d²·sum_b n_b³ (plus d³·sum_b n_b² to contract the products),
-    against d·N²·d for the ambient commutation system.  The memory is c, the
-    commutator system and the copy its QR takes, d³ complex entries each, of
-    which at most two are held at once (c is formed once, and let go before
-    the QR), plus products and checks in chunks of la._STACK_CHUNK elements.
-    Deterministic for a fixed seed; a stack that is not a unital *-algebra
-    raises ValueError.
+    * The stack route (any stack; ``bundle`` None).  The stack is
+      HS-orthonormalised to B_1..B_d.  Block by block, batched matmul gives
+      c[i, j, m] = tr(B_m* B_i B_j) and checks that the span is closed under
+      products and adjoints.  The centre is the null space of the d²×d
+      system sum_k z_k (c[k,j,:] - c[j,k,:]) = 0, taken from its R factor,
+      and the two-sided unit must solve the 2d²×d system
+      sum_j u_j c[j,i,:] = e_i = sum_j u_j c[i,j,:].
+    * The structure route (``bundle`` given, the stack its ``delta_images``).
+      The images Λ(δ_1..δ_d) are used as they are, and the product and
+      involution are the bundle's own ``mult``/``inv`` stacks, gathered by
+      the groupoid's tables.  A singular-values-only SVD of the images gives
+      their rank; below d they are no basis, and the stack route runs
+      instead.  Three checks make the bundle's tensors the algebra's:
+      Λ(δ_i)Λ(δ_j) = sum_k mult[k,i,j] Λ(δ_k) on every composable basis pair
+      and exactly 0 on the others (the column support of Λ(δ_i) misses the
+      row support of Λ(δ_j)); Λ(δ_i)* = Λ(δ_i*); and Λ(sum_x 1_x) = 1, with
+      1_x the unit of the fibre at x (``unit_algebra_unit``).  The centre
+      then lies on the isotropy coordinates: Λ(1_x) are orthogonal
+      idempotents summing to 1 (the unit check and the exact zeros), so
+      Λ(1_x) Λ(z) and Λ(z) Λ(1_x) keep the coordinates z_g with r(g) = x
+      and with s(g) = x, and a central z, whose images are independent, has
+      z_g = 0 whenever r(g) ≠ s(g).  Its commutator system [z, δ_j] = 0 is
+      formed sparsely on those columns.  No orthonormalising SVD and no d³
+      array is formed.
+
+    Then, on either route, a random self-adjoint central element is
+    diagonalised one block at a time; its eigenvalue clusters (gap
+    ``cluster_gap``) give the minimal central projections, and the rank of
+    V* B_k V on a cluster's eigenvectors V identifies each corner with a
+    full matrix algebra.  An attempt stands when sum size² is the rank of
+    the stack.  Blocks are sorted by size and multiplicity, and blocks that
+    tie on both by their rounded traces tr(P B_k) on the HS-orthonormalised
+    stack (formed for the structure route only when two blocks tie).  The
+    blocks carry no irreducible frames; ``irrep_frames`` finds them on the
+    blocks returned.
+
+    On the stack route the cost is d²·sum_b n_b³ (plus d³·sum_b n_b² to
+    contract the products), and the memory is c, the commutator system and
+    the copy its QR takes, d³ complex entries each, of which at most two are
+    held at once, plus products and checks in chunks of la._STACK_CHUNK
+    elements.  The structure route forms the products of the composable
+    pairs only, in the same chunks, and its commutator system has one column
+    per isotropy coordinate.  Deterministic for a fixed seed; a stack that
+    is not a unital *-algebra raises ValueError.
     """
-    basis = la.stack_orth(list(basis), basis.shape[1], basis.shape[2], tols.rank_threshold)
+    algebra = _bundle_algebra(basis, bundle, tols) if bundle is not None else None
+    if algebra is None:
+        algebra = _stack_algebra(basis, tols)
+    return [] if algebra is None else _central_blocks(algebra, basis.shape[1], tols)
+
+
+class _Algebra(NamedTuple):
+    """What the central-element attempts read, from either route: the
+    diagonal blocks of the spanning stack (d, n_b, n_b), their index sets,
+    the rows (centre dim, d) spanning the centre in its coordinates, the
+    unit's diagonal blocks when the unit is a proper support projection
+    (else None), the rank of the stack and its HS-orthonormal form (built
+    when called)."""
+    pieces: list[Array]
+    parts: list[Array]
+    centre: Array
+    support: list[Array] | None
+    rank: int
+    orthonormal: Callable[[], Array]
+
+
+def _stack_algebra(stack: Array, tols: Tolerances) -> _Algebra | None:
+    """The stack route: structure constants of the HS-orthonormalised stack;
+    None for a zero stack."""
+    basis = la.stack_orth(list(stack), stack.shape[1], stack.shape[2], tols.rank_threshold)
     d, N, _ = basis.shape
     if d == 0:
-        return []
+        return None
     parts = _common_blocks(basis)
     pieces = [basis[:, p[:, None], p[None, :]] for p in parts]
     tol = max(tols.tolerance, 1e-8)
@@ -283,8 +351,7 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT) -> list[Simple
     del c
     null = la.null_space_rows(comm.reshape(d * d, d), tols.rank_threshold)
     del comm
-    center_dim = null.shape[0]
-    if center_dim == 0:
+    if null.shape[0] == 0:
         raise ValueError("algebra has empty centre; spanning stack degenerate")
 
     # the algebra may act degenerately on the ambient space (an ideal inside
@@ -294,8 +361,16 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT) -> list[Simple
         raise ValueError("spanning stack is not a unital *-algebra")
     support = [np.tensordot(unit_coeff, p, axes=1) for p in pieces]
     support_rank = int(round(sum(float(np.real(np.trace(s))) for s in support)))
-    degenerate = support_rank < N
+    return _Algebra(pieces, parts, null, support if support_rank < N else None, d,
+                    lambda: basis)
 
+
+def _central_blocks(algebra: _Algebra, N: int, tols: Tolerances) -> list[SimpleBlock]:
+    """The seeded attempts: minimal central projections from the eigenvalue
+    clusters of a random self-adjoint central element, sorted."""
+    pieces, parts, null, support, _, _ = algebra
+    d, center_dim = pieces[0].shape[0], null.shape[0]
+    degenerate = support is not None
     owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
     local = np.concatenate([np.arange(p.size) for p in parts])
     for attempt in range(_ATTEMPTS):
@@ -331,8 +406,11 @@ def block_decomposition(basis: Array, tols: Tolerances = DEFAULT) -> list[Simple
             for b, v in frames.items():
                 proj[parts[b][:, None], parts[b][None, :]] = v @ v.conj().T
             blocks.append(SimpleBlock(size, mult_total // size, proj))
-        if good and sum(b.size ** 2 for b in blocks) == d:
-            blocks.sort(key=_block_sort_key(basis))
+        if good and sum(b.size ** 2 for b in blocks) == algebra.rank:
+            if len({(b.size, b.multiplicity) for b in blocks}) < len(blocks):
+                blocks.sort(key=_block_sort_key(algebra.orthonormal()))
+            else:
+                blocks.sort(key=lambda b: (b.size, b.multiplicity))
             return blocks
     raise ValueError("block decomposition did not stabilise; "
                      "input is likely not a *-closed algebra")
@@ -433,6 +511,161 @@ def _unit_coefficients(c: Array, pieces: list[Array], tol: float) -> Array | Non
     return u if miss <= tol else None
 
 
+def _bundle_algebra(images: Array, bundle: FellBundle, tols: Tolerances) -> _Algebra | None:
+    """The structure route on the delta images of ``bundle``; None when the
+    images are not linearly independent (the stack route then runs)."""
+    d, N, _ = images.shape
+    if N == 0:
+        return None
+    parts = _common_blocks(images)
+    pieces = [images[:, p[:, None], p[None, :]] for p in parts]
+    # the singular values of the stack, read off its diagonal blocks
+    s = np.linalg.svd(np.hstack([p.reshape(d, -1) for p in pieces]), compute_uv=False)
+    if len(s) < d or not s[-1] > tols.rank_threshold * s[0]:
+        return None
+    S = bundle.structure()
+    # per packed coordinate: its arrow; per arrow: its first coordinate
+    owner = np.repeat(np.arange(len(S.dims)), S.dims)
+    start = np.concatenate([[0], np.cumsum(S.dims)[:-1]])
+
+    def name(k: int) -> str:
+        return f"{bundle.groupoid.arrows[owner[k]]}[{k - start[owner[k]]}]"
+    tol = max(tols.tolerance, 1e-8)
+    _check_bundle_products(pieces, S, owner, start, name, tol)
+    _check_bundle_adjoints(pieces, S, start, name, tol)
+    unit = np.zeros(d, dtype=np.complex128)
+    for x, u in zip(bundle.groupoid.objects, S.tables.unit):
+        unit[start[u]:start[u] + S.dims[u]] = bundle.unit_algebra_unit(x)
+    miss = np.sqrt(sum(np.linalg.norm(np.tensordot(unit, p, axes=1) - np.eye(p.shape[1])) ** 2
+                       for p in pieces))
+    if miss > tol * max(1.0, np.sqrt(N)):
+        raise ValueError(f"the units of the unit fibres do not act as the identity "
+                         f"(residual {miss:.3e}); input is not a *-algebra")
+    centre = _isotropy_centre(S, owner, start, tols.rank_threshold)
+    if centre.shape[0] == 0:
+        raise ValueError("algebra has empty centre; spanning stack degenerate")
+    return _Algebra(pieces, parts, centre, None, d,
+                    lambda: la.stack_orth(list(images), N, N, tols.rank_threshold))
+
+
+def _rows_of(start: Array, arrows: Array, d: int) -> Array:
+    """(len(arrows), d): the rows of the packed coordinates 0..d-1 of each arrow."""
+    return start[arrows][:, None] + np.arange(d)
+
+
+def _check_bundle_products(pieces: list[Array], S: Structure, owner: Array, start: Array,
+                           name: Callable[[int], str], tol: float) -> None:
+    """Raises unless Λ(δ_i)Λ(δ_j) = sum_k mult[k, i, j] Λ(δ_k) on every
+    composable basis pair (residual at most tol times max(1, |product|)),
+    and unless the product is exactly 0 on the others: the column support
+    of Λ(δ_i) misses the row support of Λ(δ_j) on every diagonal block."""
+    T = S.tables
+    cols = np.hstack([(p != 0).any(axis=1) for p in pieces]).astype(float)
+    rows = np.hstack([(p != 0).any(axis=2) for p in pieces]).astype(float)
+    stray = (cols @ rows.T > 0) & (T.comp[owner[:, None], owner[None, :]] < 0)
+    if stray.any():
+        i, j = np.argwhere(stray)[0]
+        raise ValueError("spanning stack is not closed under products: at the basis pair "
+                         f"({name(i)},{name(j)}) of a non-composable pair the product is "
+                         "not exactly 0; input is not a *-algebra")
+    worst, where = 0.0, None
+    n2 = max(p.shape[1] ** 2 for p in pieces)
+    for pos, M in S.mult.groups():
+        P, dk, di, dj = M.shape
+        if not di * dj:
+            continue
+        step = max(1, la._STACK_CHUNK // (di * dj * n2))
+        for c in range(0, P, step):
+            g, h = T.pairs[pos[c:c + step]].T
+            left, right = _rows_of(start, g, di), _rows_of(start, h, dj)
+            out = _rows_of(start, T.comp[g, h], dk)
+            # the residual's coefficients: per pair, mult[:, i, j] as rows (i, j)
+            coeff = M[c:c + step].transpose(0, 2, 3, 1).reshape(len(g), di * dj, dk)
+            miss = np.zeros((len(g), di, dj))
+            size = np.zeros((len(g), di, dj))
+            for p in pieces:
+                n = p.shape[1]
+                prods = (p[left].reshape(len(g), di * n, n)
+                         @ p[right].transpose(0, 2, 1, 3).reshape(len(g), n, dj * n))
+                prods = prods.reshape(len(g), di, n, dj, n).transpose(0, 1, 3, 2, 4)
+                want = (coeff @ p[out].reshape(len(g), dk, n * n)).reshape(prods.shape)
+                miss += np.sum(np.abs(prods - want) ** 2, axis=(3, 4))
+                size += np.sum(np.abs(prods) ** 2, axis=(3, 4))
+            rel = np.sqrt(miss) / np.maximum(1.0, np.sqrt(size))
+            if rel.max() > worst:
+                t, i, j = np.unravel_index(int(np.argmax(rel)), rel.shape)
+                worst, where = float(rel.max()), (left[t, i], right[t, j])
+    if worst > tol:
+        i, j = where
+        raise ValueError("spanning stack is not closed under products: at the basis pair "
+                         f"({name(i)},{name(j)}) the product differs from its mult expansion "
+                         f"(residual {worst:.3e}); input is not a *-algebra")
+
+
+def _check_bundle_adjoints(pieces: list[Array], S: Structure, start: Array,
+                           name: Callable[[int], str], tol: float) -> None:
+    """Raises unless Λ(δ_i)* = Λ(δ_i*) = sum_k inv[g][k, i] Λ(δ_{g^-1, k}) for
+    every basis element i of every fibre A_g (residual at most tol times
+    max(1, |Λ(δ_i)|))."""
+    T = S.tables
+    for pos, J in S.inv.groups():
+        _, dgi, dg = J.shape
+        if not dg:
+            continue
+        own, mirror = _rows_of(start, pos, dg), _rows_of(start, T.inv[pos], dgi)
+        miss = np.zeros((len(pos), dg))
+        size = np.zeros((len(pos), dg))
+        for p in pieces:
+            n = p.shape[1]
+            adj = p[own].conj().transpose(0, 1, 3, 2)
+            want = (J.transpose(0, 2, 1) @ p[mirror].reshape(len(pos), dgi, n * n))
+            miss += np.sum(np.abs(adj - want.reshape(adj.shape)) ** 2, axis=(2, 3))
+            size += np.sum(np.abs(adj) ** 2, axis=(2, 3))
+        rel = np.sqrt(miss) / np.maximum(1.0, np.sqrt(size))
+        if rel.max() > tol:
+            t, i = np.unravel_index(int(np.argmax(rel)), rel.shape)
+            raise ValueError(f"spanning stack is not closed under adjoints: at {name(own[t, i])} "
+                             f"the adjoint differs from its inv expansion (residual "
+                             f"{rel.max():.3e}); input is not a *-algebra")
+
+
+def _isotropy_centre(S: Structure, owner: Array, start: Array, rtol: float) -> Array:
+    """Rows (centre dim, d) spanning the centre of the bundle's section
+    algebra in packed coordinates, zero off the isotropy arrows: the null
+    space of [z, δ_j] = 0 over every basis element j, with one column per
+    isotropy coordinate and one row per coordinate (j, m) of a commutator
+    that some product reaches."""
+    T, d = S.tables, len(owner)
+    iso = T.src == T.rng
+    columns = np.flatnonzero(iso[owner])
+    column = np.full(d, -1)
+    column[columns] = np.arange(len(columns))
+    rows, cols, vals = [], [], []
+    for pos, M in S.mult.groups():
+        _, dk, di, dj = M.shape
+        if not dk * di * dj:
+            continue
+        g, h = T.pairs[pos].T
+        out = _rows_of(start, T.comp[g, h], dk)[:, :, None, None]
+        left = _rows_of(start, g, di)[:, None, :, None]
+        right = _rows_of(start, h, dj)[:, None, None, :]
+        # z δ_j with z on the isotropy arrow g (plus), δ_j z with z on h (minus)
+        for on, z, j, sign in ((iso[g], left, right, 1.0), (iso[h], right, left, -1.0)):
+            if on.any():
+                rows.append(np.broadcast_to(j[on] * d + out[on], M[on].shape).ravel())
+                cols.append(np.broadcast_to(column[z[on]], M[on].shape).ravel())
+                vals.append(sign * M[on].ravel())
+    system = np.zeros((0, len(columns)), dtype=np.complex128)
+    if rows:
+        reached, at = np.unique(np.concatenate(rows), return_inverse=True)
+        system = np.zeros((len(reached), len(columns)), dtype=np.complex128)
+        np.add.at(system, (at, np.concatenate(cols)), np.concatenate(vals))
+    null = la.null_space_rows(system, rtol)
+    centre = np.zeros((null.shape[0], d), dtype=np.complex128)
+    centre[:, columns] = null
+    return centre
+
+
 def _block_sort_key(basis: Array):
     def key(b: SimpleBlock):
         traces = np.einsum("ab,kba->k", b.projection, basis)
@@ -516,7 +749,7 @@ def envelope_algebra(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Envelope
 def _envelope_algebra(bundle: FellBundle, tols: Tolerances) -> EnvelopeAlgebra:
     G = bundle.groupoid
     images = delta_images(bundle, tols)
-    blocks = block_decomposition(images, tols) if images.shape[0] else []
+    blocks = block_decomposition(images, tols, bundle) if images.shape[0] else []
     dim = sum(b.size ** 2 for b in blocks)
     return EnvelopeAlgebra(bundle, tols, {x: regular_at(bundle, x, tols).dim for x in G.objects},
                            images, dim, blocks, dim == bundle.total_dim)

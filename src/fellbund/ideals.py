@@ -588,7 +588,7 @@ def enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances = DEFAULT,
 
 
 def _enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances, cap: int) -> list[FellIdeal]:
-    from .spectrum import family_from_subset, fiber_spectrum
+    from .spectrum import fiber_spectrum, support_frame
     G = bundle.groupoid
     spec = fiber_spectrum(bundle, tols)
     counts = [len(spec.by_object[x]) for x in G.objects]
@@ -598,11 +598,16 @@ def _enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances, cap: int) -> li
     if total > cap:
         raise ValueError(f"{total} candidate families exceed the cap {cap}")
 
+    # per object, the frame of each subset of its blocks (bit i: block i),
+    # formed once as ``family_from_subset`` forms it, read-only: the
+    # candidates share them
+    frames = [[la.readonly(support_frame(bundle, x, [b for b in spec.by_object[x]
+                                                     if mask >> b.index & 1], tols))
+               for mask in range(2 ** c)] for x, c in zip(G.objects, counts)]
     found: list[FellIdeal] = []
     for combo in itertools.product(*[range(2 ** c) for c in counts]):
-        keys = {(x, bi) for xi, x in enumerate(G.objects) for bi in range(counts[xi])
-                if combo[xi] >> bi & 1}
-        family = family_from_subset(bundle, spec, keys, tols)
+        family = InvariantFamily(bundle, {x: frames[xi][mask] for xi, (x, mask)
+                                          in enumerate(zip(G.objects, combo))})
         if validate_invariant_family(family, tols).ok:
             found.append(ideal_from_invariant_family(family, tols))
     return found

@@ -178,7 +178,7 @@ def i_norm(xi: Section) -> float:
     groups, rng, src = _i_norm_tables(bundle)
     norms = np.zeros(len(rng))
     for k, (where, place) in enumerate(groups):
-        norms[place] = bundle._group_norms(k, xi._packed[where])[0]
+        bundle._group_norms(k, xi._packed[where], None, norms, None, place)
     objects = len(bundle.groupoid.objects)
     return float(max(np.bincount(rng, norms, objects).max(initial=0.0),
                      np.bincount(src, norms, objects).max(initial=0.0)))

@@ -209,12 +209,18 @@ def family_from_subset(bundle: FellBundle, spec: FiberSpectrum,
                        tols: Tolerances = DEFAULT) -> InvariantFamily:
     """F_x = the sum of p . A_{u(x)} over the blocks at x whose keys are in
     ``subset``."""
-    frames = {}
-    for x in bundle.groupoid.objects:
-        rows = [b.support for b in spec.by_object[x] if b.key in subset]
-        frames[x] = la.orth_rows(np.vstack(rows), tols.rank_threshold) if rows else \
-            np.zeros((0, bundle.dims[bundle.groupoid.unit[x]]), dtype=np.complex128)
-    return InvariantFamily(bundle, frames)
+    return InvariantFamily(bundle, {
+        x: support_frame(bundle, x, [b for b in spec.by_object[x] if b.key in subset], tols)
+        for x in bundle.groupoid.objects})
+
+
+def support_frame(bundle: FellBundle, x: str, blocks: list[SpectrumBlock],
+                  tols: Tolerances = DEFAULT) -> Array:
+    """Orthonormal rows spanning the sum of p . A_{u(x)} over ``blocks``, blocks
+    of the unit fibre at x, from their supports stacked in the order given."""
+    rows = [b.support for b in blocks]
+    return la.orth_rows(np.vstack(rows), tols.rank_threshold) if rows else \
+        np.zeros((0, bundle.dims[bundle.groupoid.unit[x]]), dtype=np.complex128)
 
 
 def ideal_bijection_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> ValidationReport:

@@ -222,6 +222,107 @@ def test_m3_pair3_block_decomposition_stays_under_24_mb(certify_bundles):
     assert peak <= 24e6, peak
 
 
+def structure_route_subjects(certify_bundles):
+    """Every shipped bundle, the compiled two-object action, the bundles
+    compiled from the seeded random actions (cyclic groups permuting matrix
+    blocks) and the seed-1 certify bundles."""
+    from fellbund.actions import compile_to_fell_bundle
+    from test_action_witnesses import two_object_action
+    from test_random_pipeline import SEEDS, random_instance
+    subjects = dict(gallery.shipped_bundles())
+    subjects["two objects"] = compile_to_fell_bundle(two_object_action())
+    subjects.update({f"random {seed}": compile_to_fell_bundle(random_instance(seed))
+                     for seed in SEEDS})
+    subjects.update({f"certify {name}": b for name, b in certify_bundles.items()})
+    return subjects
+
+
+def test_structure_route_blocks_equal_the_stack_route(certify_bundles, monkeypatch):
+    # the blocks read off the bundle's mult/inv tensors against those of the
+    # images alone: same sizes, multiplicities and order, the same projections
+    import fellbund.envelope as envelope
+    stack_route = envelope._stack_algebra
+    for name, b in structure_route_subjects(certify_bundles).items():
+        images = delta_images(b)
+        want = block_decomposition(images)
+        # the structure route runs, and does not fall back on the stack route
+        monkeypatch.setattr(envelope, "_stack_algebra", None)
+        got = block_decomposition(images, bundle=b)
+        monkeypatch.setattr(envelope, "_stack_algebra", stack_route)
+        assert [(x.size, x.multiplicity) for x in got] == \
+            [(x.size, x.multiplicity) for x in want], name
+        for x, y in zip(got, want):
+            np.testing.assert_allclose(x.projection, y.projection, rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+
+def flipped_z8_bundle():
+    """The trivial line bundle over Z/8 with the sign of mult[(g1, g2)]
+    flipped (``flipped_bundle`` of scripts/report_snapshot.py)."""
+    from fellbund.groupoid import composable_pairs, cyclic_group
+    G = cyclic_group(8)
+    one = np.ones((1, 1, 1), dtype=complex)
+    mult = {p: -one if p == ("g1", "g2") else one for p in composable_pairs(G)}
+    return FellBundle(G, {g: 1 for g in G.arrows}, mult,
+                      {g: np.ones((1, 1)) for g in G.arrows}, {"pt": one})
+
+
+def test_flipped_mult_sign_is_not_closed_under_products():
+    with pytest.raises(ValueError, match=r"not closed under products: at the basis pair "
+                                         r"\(g1\[0\],g2\[0\]\)"):
+        envelope_algebra(flipped_z8_bundle())
+
+
+def test_structure_route_checks_name_their_witness():
+    # the images of one bundle read with the tensors of another, which
+    # breaks one check at a time
+    from fellbund.groupoid import cyclic_group
+    z8 = gallery.trivial_line_bundle(cyclic_group(8))
+    images = delta_images(z8)
+    G, one = z8.groupoid, np.ones((1, 1, 1), dtype=complex)
+    flipped_inv = FellBundle(G, z8.dims, z8.mult, {g: (-1.0 if g == "g3" else 1.0) * m
+                                                   for g, m in z8.inv.items()}, z8.unit_rep)
+    with pytest.raises(ValueError, match=r"not closed under adjoints: at g3\[0\]"):
+        block_decomposition(images, bundle=flipped_inv)
+    halved_unit = FellBundle(G, z8.dims, z8.mult, z8.inv, {"pt": 2 * one})
+    with pytest.raises(ValueError, match="do not act as the identity"):
+        block_decomposition(images, bundle=halved_unit)
+    # Z/4 images over pair(2), which has four arrows too: a product of two
+    # non-composable arrows is not exactly 0
+    pair2 = gallery.pair_line_bundle(2)
+    z4 = delta_images(gallery.trivial_line_bundle(cyclic_group(4)))
+    with pytest.raises(ValueError, match="of a non-composable pair the product is not exactly 0"):
+        block_decomposition(z4, bundle=pair2)
+    # dependent images are no basis: the stack route decomposes them
+    z2 = gallery.z2_line_bundle()
+    twice = np.stack([np.eye(2, dtype=complex)] * 2)
+    got, want = block_decomposition(twice, bundle=z2), block_decomposition(twice)
+    assert [(b.size, b.multiplicity) for b in got] == [(1, 2)]
+    np.testing.assert_array_equal(got[0].projection, want[0].projection)
+
+
+def test_cold_m3_pair3_envelope_stays_under_18_5_mb_without_an_orthonormalising_svd(
+        certify_bundles, monkeypatch):
+    # 18.5 MB is the peak of the stack route's block_decomposition alone on
+    # these images; the envelope now forms the images, their regular
+    # representations and the blocks below it, with no stack_orth (one
+    # block: nothing ties) and no d³ array
+    import fellbund.envelope as envelope
+    orthonormalised = []
+    real = la.stack_orth
+    monkeypatch.setattr(la, "stack_orth",
+                        lambda *args, **kwargs: orthonormalised.append(1) or real(*args, **kwargs))
+    tracemalloc.start()
+    try:
+        env = envelope.envelope_algebra(certify_bundles["m3-pair3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert env.block_summary() == [{"size": 9, "multiplicity": 3}] and env.injective
+    assert orthonormalised == []
+    assert peak < 18.5e6, peak
+
+
 def test_irreducible_envelope_blocks_reuse_the_envelope_decomposition(certify_bundles,
                                                                       monkeypatch):
     # the frames are searched on the blocks envelope_algebra cached: no
