@@ -35,7 +35,10 @@ the same bundles, each envelope block and each spectrum block with its
 size, its multiplicity and its traces tr(P·Λ(δ_i)) (tr(P·ρ_x(e_i)) on the
 unit fibre at x) rounded to 6 decimals: two checkouts whose projections
 differ only in their last bits read the same there, while
-``block_digests.txt`` shows the change.  fellbund is imported from
+``block_digests.txt`` shows the change.  ``family_verdicts.txt`` lists,
+for the same bundles with at most 256 candidates in the Fell-ideal search,
+each candidate family with its block masks, its verdict and the SHA-256 of
+its ``validate_invariant_family`` report, residuals included.  fellbund is imported from
 CHECKOUT's ``src`` (default: the checkout holding this script), so two
 checkouts can be compared byte for byte:
 
@@ -50,6 +53,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -273,6 +277,40 @@ def block_characters(fb, label: str, bundles: dict, tols) -> list[str]:
     return lines
 
 
+def family_verdicts(fb, label: str, bundles: dict, tols, limit: int = 256) -> list[str]:
+    """Per bundle (name -> FellBundle) with at most ``limit`` candidate
+    families in the Fell-ideal search, one line per candidate, in the
+    search's order: its block masks per object, whether
+    ``validate_invariant_family`` passes and the SHA-256 of its report's
+    JSON with sorted keys, residuals included.  The search runs first and
+    the candidates are formed as it forms them, so a checkout that keeps
+    the search's checks reports what it recorded.  A ValueError from the
+    spectrum or the search gives the line ``error``."""
+    ideals, spectrum = fb.ideals, fb.spectrum
+    lines = []
+    for name, b in bundles.items():
+        try:
+            spec = spectrum.fiber_spectrum(b, tols)
+            G = b.groupoid
+            counts = [len(spec.by_object[x]) for x in G.objects]
+            if 2 ** sum(counts) > limit:
+                continue
+            ideals.enumerate_fell_ideals(b, tols)
+            frames = [[spectrum.support_frame(b, x, [k for k in spec.by_object[x]
+                                                     if mask >> k.index & 1], tols)
+                       for mask in range(2 ** c)] for x, c in zip(G.objects, counts)]
+            for combo in itertools.product(*[range(2 ** c) for c in counts]):
+                family = ideals.InvariantFamily(b, {x: frames[i][mask] for i, (x, mask)
+                                                    in enumerate(zip(G.objects, combo))})
+                rep = ideals.validate_invariant_family(family, tols)
+                digest = hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode())
+                lines.append(f"{label} {name} masks {','.join(map(str, combo))} "
+                             f"ok {rep.ok} {digest.hexdigest()}")
+        except ValueError:
+            lines.append(f"{label} {name} error")
+    return lines
+
+
 def workspace_bundles(fb, raw: dict) -> tuple[dict, object]:
     """The bundles of a workspace (name -> FellBundle) and its tolerances."""
     ws = fb.workspace.Workspace.from_dict(raw)
@@ -294,6 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     import fellbund.cli
     import fellbund.envelope
     import fellbund.gallery
+    import fellbund.ideals
     import fellbund.spectrum
     import fellbund.workspace
     from workloads import CERTIFY_BUNDLES, certify_workspace
@@ -303,13 +342,14 @@ def main(argv: list[str] | None = None) -> int:
     for cmd in DEMO_COMMANDS:
         jobs.append(("demo " + " ".join(c.lstrip("-") for c in cmd), [cmd[0], demo, *cmd[1:]]))
     os.makedirs(args.out, exist_ok=True)
-    codes, kernels, blocks, characters = [], [], [], []
+    codes, kernels, blocks, characters, verdicts = [], [], [], [], []
 
     def add_digests(label: str, raw: dict, seed: int) -> None:
         bundles, tols = workspace_bundles(fellbund, raw)
         kernels.extend(kernel_digests(fellbund, label, bundles, seed))
         blocks.extend(block_digests(fellbund, label, bundles, tols))
         characters.extend(block_characters(fellbund, label, bundles, tols))
+        verdicts.extend(family_verdicts(fellbund, label, bundles, tols))
     with open(demo) as fh:
         add_digests("demo", json.load(fh), 0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -354,6 +394,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n".join(blocks) + "\n")
     with open(os.path.join(args.out, "block_characters.txt"), "w") as fh:
         fh.write("\n".join(characters) + "\n")
+    with open(os.path.join(args.out, "family_verdicts.txt"), "w") as fh:
+        fh.write("\n".join(verdicts) + "\n")
     print(f"{len(jobs)} reports written to {args.out}")
     return 0
 

@@ -370,7 +370,7 @@ def stack_orth(mats, n: int, m: int, rtol: float = 1e-10) -> Array:
         return np.zeros((0, n, m), dtype=np.complex128)
     flat = np.stack([x.reshape(-1) for x in mats])
     q = orth_rows(flat, rtol)
-    return q.reshape(-1, n, m)
+    return q.reshape(q.shape[0], n, m)  # rank 0 when n * m == 0
 
 
 def stack_expand(stack: Array, mat: Array) -> tuple[Array, float]:

@@ -515,8 +515,8 @@ def _bundle_algebra(images: Array, bundle: FellBundle, tols: Tolerances) -> _Alg
     """The structure route on the delta images of ``bundle``; None when the
     images are not linearly independent (the stack route then runs)."""
     d, N, _ = images.shape
-    if N == 0:
-        return None
+    if not d * N:
+        return None  # an empty stack: the stack route finds no blocks
     parts = _common_blocks(images)
     pieces = [images[:, p[:, None], p[None, :]] for p in parts]
     # the singular values of the stack, read off its diagonal blocks

@@ -190,6 +190,15 @@ def test_block_decomposition_of_an_ideal_inside_a_larger_matrix_algebra():
     np.testing.assert_allclose(blocks[0].projection, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0), (0, 0, 0)])
+def test_block_decomposition_of_an_empty_stack_has_no_blocks(shape):
+    # no matrices, or matrices with no entries, span the zero algebra, on
+    # both routes: the structure route hands a 0 x 0 stack to the stack route
+    stack = np.zeros(shape, dtype=complex)
+    assert block_decomposition(stack) == []
+    assert block_decomposition(stack, bundle=gallery.a4_bundle()) == []
+
+
 def test_pair9_line_envelope_is_one_full_matrix_block():
     # C*(pair(9)) = M_9, and the regular representation holds 9 copies of C^9
     env = envelope_algebra(gallery.pair_line_bundle(9))

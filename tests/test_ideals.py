@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 
 import fellbund._linalg as la
 from fellbund import gallery
-from fellbund.bundle import BundleHom, validate_bundle_hom, validate_fell_bundle
+from fellbund.bundle import BundleHom, FellBundle, validate_bundle_hom, validate_fell_bundle
+from fellbund.config import DEFAULT
 from fellbund.envelope import envelope_algebra
 from fellbund.groupoid import trivial_group
 from fellbund.ideals import (FellIdeal, InvariantFamily, enumerate_fell_ideals,
@@ -11,6 +14,7 @@ from fellbund.ideals import (FellIdeal, InvariantFamily, enumerate_fell_ideals,
                              quotient_bundle, split_extension_from_hom,
                              split_exactness_verify, validate_fell_ideal,
                              validate_invariant_family)
+from fellbund.spectrum import fiber_spectrum, support_frame
 
 
 def a4_pq_family():
@@ -225,3 +229,122 @@ def test_split_extension_identity_and_zero():
     assert split_exactness_verify(E0).ok
     # zero hom gives the direct-sum extension: envelope dims add
     assert envelope_algebra(E0.total).dim == 2 * envelope_algebra(A).dim
+
+
+# -- the search's record of local checks ---------------------------------------
+
+def fresh(b):
+    """The same bundle with nothing derived yet: no recorded checks."""
+    return FellBundle(b.groupoid, b.dims, b.mult, b.inv, b.unit_rep)
+
+
+def search_candidates(b, tols=DEFAULT):
+    """The search's candidate families, formed as it forms them, in its order."""
+    spec = fiber_spectrum(b, tols)
+    G = b.groupoid
+    counts = [len(spec.by_object[x]) for x in G.objects]
+    frames = [[support_frame(b, x, [k for k in spec.by_object[x] if mask >> k.index & 1], tols)
+               for mask in range(2 ** c)] for x, c in zip(G.objects, counts)]
+    for combo in itertools.product(*[range(2 ** c) for c in counts]):
+        yield InvariantFamily(b, {x: frames[i][mask] for i, (x, mask)
+                                  in enumerate(zip(G.objects, combo))})
+
+
+def random_frames(b, rng):
+    """Per object, orthonormal rows of a seeded random rank in the unit fibre:
+    no sum of blocks, so the search has recorded none of them."""
+    out = {}
+    for x in b.groupoid.objects:
+        d = b.dims[b.groupoid.unit[x]]
+        r = int(rng.integers(0, d + 1))
+        out[x] = la.orth_rows(rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d)))
+    return out
+
+
+def search_bundles(certify_bundles):
+    from test_random_pipeline import SEEDS, random_instance
+    from fellbund.actions import compile_to_fell_bundle
+    yield from gallery.shipped_bundles().items()
+    yield from certify_bundles.items()
+    for seed in SEEDS:
+        yield f"random-{seed}", compile_to_fell_bundle(random_instance(seed))
+
+
+def test_recorded_verdicts_equal_fresh_ones(certify_bundles):
+    # after the search every candidate's report is read from its record; it
+    # must equal the report of a bundle that has recorded nothing, residuals
+    # included, and so must that of a family with random frames mixed in
+    rng = np.random.default_rng(21)
+    searched = 0
+    for name, b in search_bundles(certify_bundles):
+        candidates = list(search_candidates(b))
+        if len(candidates) > 256:
+            continue
+        enumerate_fell_ideals(b)
+        for F in candidates:
+            got = validate_invariant_family(F).to_json()
+            assert got == validate_invariant_family(InvariantFamily(fresh(b), F.frames)).to_json(), \
+                name
+        noise = random_frames(b, rng)
+        for x in b.groupoid.objects:
+            frames = dict(candidates[-1].frames, **{x: noise[x]})
+            got = validate_invariant_family(InvariantFamily(b, frames)).to_json()
+            assert got == validate_invariant_family(InvariantFamily(fresh(b), frames)).to_json(), \
+                (name, x)
+        searched += 1
+    assert searched >= 20
+
+
+def test_recorded_verdicts_follow_frame_content():
+    b, F = a4_pq_family()
+    frames = {x: f.copy() for x, f in F.frames.items()}
+    assert validate_invariant_family(InvariantFamily(b, frames)).ok
+    # changed in place: F_p = 0 . C is no longer invariant under the swap
+    frames["p"][0, 0] = 0.0
+    changed = validate_invariant_family(InvariantFamily(b, frames))
+    assert not changed.ok
+    assert changed.to_json() == validate_invariant_family(
+        InvariantFamily(fresh(b), frames)).to_json()
+    # given as float64: read by content, the verdicts of the complex frames
+    for values in ({"p": 1.0, "q": 1.0}, {"p": 0.0, "q": 1.0}, {"p": 0.5, "q": 1.0}):
+        real = {x: (np.full((1, 1), values[x]) if x in values else np.zeros((0, 1)))
+                for x in b.groupoid.objects}
+        want = validate_invariant_family(InvariantFamily(fresh(b), real)).to_json()
+        assert validate_invariant_family(InvariantFamily(b, real)).to_json() == want
+        assert want == validate_invariant_family(InvariantFamily(
+            fresh(b), {x: f.astype(complex) for x, f in real.items()})).to_json()
+    assert not validate_invariant_family(InvariantFamily(b, {
+        x: np.full((1, 1), 0.5) if x in "pq" else np.zeros((0, 1)) for x in "pqr"})).ok
+
+
+def test_search_runs_a_bounded_number_of_svd_passes(monkeypatch):
+    # pair(7) line: 7 objects with one block each, 128 candidates and 182
+    # distinct arrow checks; the SVDs run per group of equal shapes
+    b = gallery.pair_line_bundle(7)
+    fiber_spectrum(b)
+    calls = []
+    real = la.stacked_orth_rows
+    monkeypatch.setattr(la, "stacked_orth_rows", lambda v, rtol=1e-10: calls.append(v.shape)
+                        or real(v, rtol))
+    assert len(enumerate_fell_ideals(b)) == 2
+    # 7 nonempty subset frames, the two product frames of each of the 3
+    # frame-shape pairs with a nonzero frame, and one group per found ideal
+    # (zero or whole): not one pass per candidate
+    assert len(calls) <= 7 + 2 * 3 + 2 < 128
+
+
+def test_ideal_frames_equal_the_per_arrow_frames_bit_for_bit(certify_bundles):
+    # the stacked products and SVD give each arrow's frame as orth_rows on
+    # that arrow alone gives it
+    import fellbund.ideals as ideals
+    for name, b in [*gallery.shipped_bundles().items(), *certify_bundles.items()]:
+        G = b.groupoid
+        for I in enumerate_fell_ideals(b):
+            F = invariant_family_from_ideal(I)
+            got = ideal_from_invariant_family(F).frames
+            for g in G.arrows:
+                x = G.rng[g]
+                vecs = ideals._left_products(b.mult[(G.unit[x], g)][None], F.frames[x][None])
+                want = la.orth_rows(vecs[0], DEFAULT.rank_threshold)
+                assert got[g].shape == want.shape and got[g].dtype == want.dtype, (name, g)
+                assert got[g].tobytes() == want.tobytes(), (name, g)
