@@ -132,51 +132,53 @@ def validate_invariant_family(F: InvariantFamily, tols: Tolerances = DEFAULT) ->
                                       np.stack([objs, objs], axis=1),
                                       np.stack([arrs, T.rng, T.src], axis=1), tols)
     for x, rows in zip(G.objects, objects):
-        for p, res, bound in rows:
+        for p, res, bound in zip(*[a.tolist() for a in rows]):
             rep.check_residual(res, bound, f"fibre subspace is {('right', 'left')[p % 2]} ideal",
                                f"object {x}")
     for g, (left, right, equal, rows) in zip(G.arrows, arrows):
         if not equal:
             rep.add("invariance F_{r(g)} A_g = A_g F_{s(g)}", f"arrow {g}",
                     detail=f"left dim {left}, right dim {right}")
-        for _, res, bound in rows:
-            rep.check_residual(res, bound, "one-sided criterion A_g F_{s} A_{g^-1} in F_{r}",
-                               f"arrow {g}")
+        if rows:
+            for _, res, bound in zip(*[a.tolist() for a in rows]):
+                rep.check_residual(res, bound, "one-sided criterion A_g F_{s} A_{g^-1} in F_{r}",
+                                   f"arrow {g}")
     return rep
 
 
 def _family_results(bundle: FellBundle, frames: list[Array], object_items: Array,
-                    arrow_items: Array, tols: Tolerances) -> tuple[list, list]:
-    """The outcomes of the local checks, read from the bundle's record
-    (``bundle.memo``, per tolerances) or run for the items it lacks, in one
-    ``_family_checks`` pass, and recorded.  Object item (x, i) checks
-    ``frames[i]`` as F_x, arrow item (g, i, j) checks ``frames[i]`` and
-    ``frames[j]`` as F_{r(g)} and F_{s(g)}; an item is keyed by its index
-    and, per frame, the shape and bytes of its complex128 C-contiguous copy,
-    so a frame changed in place or given as float64 is checked by content."""
+                    arrow_items: Array, tols: Tolerances) -> list[list]:
+    """The outcomes of the local checks, per object item and per arrow
+    item, read from the bundle's record (``bundle.memo``, per tolerances)
+    or run for the items it lacks, in one ``_family_checks`` pass, and
+    recorded.  Object item (x, i) checks ``frames[i]`` as F_x, arrow item
+    (g, i, j) checks ``frames[i]`` and ``frames[j]`` as F_{r(g)} and
+    F_{s(g)}.  The record numbers each frame by the shape and bytes of its
+    complex128 C-contiguous copy and keys an item by its index and its
+    frames' numbers, so a frame changed in place or given as float64 is
+    checked by its content."""
     frames = [la.as_complex(f) for f in frames]
-    keys = [(f.shape, f.tobytes()) for f in frames]
-    objects, arrows = bundle.memo(("family checks", tols), lambda: ({}, {}))
-    object_keys = [(x, keys[i]) for x, i in object_items.tolist()]
-    arrow_keys = [(g, keys[i], keys[j]) for g, i, j in arrow_items.tolist()]
-    object_miss = [k for k, key in enumerate(object_keys) if key not in objects]
-    arrow_miss = [k for k, key in enumerate(arrow_keys) if key not in arrows]
-    if object_miss or arrow_miss:
-        done = _family_checks(bundle, frames, object_items[object_miss],
-                              arrow_items[arrow_miss], tols)
-        for record, item_keys, miss, results in zip((objects, arrows), (object_keys, arrow_keys),
-                                                   (object_miss, arrow_miss), done):
-            record.update(zip([item_keys[k] for k in miss], results))
-    return [objects[key] for key in object_keys], [arrows[key] for key in arrow_keys]
+    numbers, objects, arrows = bundle.memo(("family checks", tols), lambda: ({}, {}, {}))
+    n = [numbers.setdefault((f.shape, f.tobytes()), len(numbers)) for f in frames]
+    keys = ([(x, n[i]) for x, i in object_items.tolist()],
+            [(g, n[i], n[j]) for g, i, j in arrow_items.tolist()])
+    found = [[record.get(key) for key in ks] for record, ks in zip((objects, arrows), keys)]
+    miss = [[k for k, result in enumerate(f) if result is None] for f in found]
+    if miss[0] or miss[1]:
+        done = _family_checks(bundle, frames, object_items[miss[0]], arrow_items[miss[1]], tols)
+        for record, ks, f, m, results in zip((objects, arrows), keys, found, miss, done):
+            for k, result in zip(m, results):
+                record[ks[k]] = f[k] = result
+    return found
 
 
 def _family_checks(bundle: FellBundle, frames: list[Array], object_items: Array,
                    arrow_items: Array, tols: Tolerances) -> tuple[list, list]:
     """The local checks of invariant families, on the items of
-    ``_family_results``: per object item, the failing rows (row, residual,
-    bound) of its ideal check; per arrow item, the dims of its two product
-    frames, whether they are equal, and the failing rows of its one-sided
-    criterion.
+    ``_family_results``: per object item, the failing rows of its ideal
+    check (rows, residuals, bounds: read-only arrays); per arrow item, the
+    dims of its two product frames, whether they are equal, and the failing
+    rows of its one-sided criterion.
 
     The operands are gathered by index (``la.gathered``): the structure
     tensors from ``bundle.structure()``, stacked once per bundle, and the
@@ -238,16 +240,16 @@ def _failing_rows(chunk: Array, res: Array, norms: Array, tol: float) -> tuple[A
     return chunk[i], p, res[i, p], scale[i, p]
 
 
-def _rows_by_item(failing: list[tuple[Array, ...]], n: int) -> list[tuple]:
-    """The failing rows of every chunk, per item of n: its (row, residual,
-    bound), in row order."""
-    out: list[list] = [[] for _ in range(n)]
-    if failing:
-        item, row, res, bound = (np.concatenate(c) for c in zip(*failing))
-        order = np.lexsort((row, item))
-        for i, *rest in zip(*[a[order].tolist() for a in (item, row, res, bound)]):
-            out[i].append(tuple(rest))
-    return [tuple(rows) for rows in out]
+def _rows_by_item(failing: list[tuple[Array, ...]], n: int) -> list[tuple[Array, ...]]:
+    """The failing rows of every chunk, per item of n: its rows, residuals
+    and bounds in row order, read-only views into one sorted copy (``()``
+    for an item without failing rows)."""
+    cols = [np.concatenate(c) for c in zip(*failing)] if failing else \
+        [np.zeros(0, dtype=np.intp)] * 2 + [np.zeros(0)] * 2
+    order = np.lexsort(cols[1::-1])
+    item, row, res, bound = (la.readonly(c[order]) for c in cols)
+    cuts = np.searchsorted(item, np.arange(n + 1)).tolist()
+    return [(row[a:b], res[a:b], bound[a:b]) if b > a else () for a, b in zip(cuts, cuts[1:])]
 
 
 def _object_stack_size(shapes: tuple) -> int:
