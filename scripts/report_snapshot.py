@@ -38,9 +38,9 @@ differ only in their last bits read the same there, while
 ``block_digests.txt`` shows the change.  ``family_verdicts.txt`` lists,
 for the same bundles with at most 256 candidates in the Fell-ideal search,
 each candidate family with its block masks, its verdict and the SHA-256 of
-its ``validate_invariant_family`` report, residuals included.  fellbund is imported from
-CHECKOUT's ``src`` (default: the checkout holding this script), so two
-checkouts can be compared byte for byte:
+its ``validate_invariant_family`` report, residuals included.  fellbund is
+imported from CHECKOUT's ``src`` (default: the checkout holding this
+script), so two checkouts can be compared byte for byte:
 
     python3 scripts/report_snapshot.py /tmp/old --root ../old-checkout
     python3 scripts/report_snapshot.py /tmp/new
@@ -277,8 +277,8 @@ def block_characters(fb, label: str, bundles: dict, tols) -> list[str]:
     return lines
 
 
-def family_verdicts(fb, label: str, bundles: dict, tols, limit: int = 256) -> list[str]:
-    """Per bundle (name -> FellBundle) with at most ``limit`` candidate
+def family_verdicts(fb, label: str, bundles: dict, tols) -> list[str]:
+    """Per bundle (name -> FellBundle) with at most 256 candidate
     families in the Fell-ideal search, one line per candidate, in the
     search's order: its block masks per object, whether
     ``validate_invariant_family`` passes and the SHA-256 of its report's
@@ -293,7 +293,7 @@ def family_verdicts(fb, label: str, bundles: dict, tols, limit: int = 256) -> li
             spec = spectrum.fiber_spectrum(b, tols)
             G = b.groupoid
             counts = [len(spec.by_object[x]) for x in G.objects]
-            if 2 ** sum(counts) > limit:
+            if 2 ** sum(counts) > 256:
                 continue
             ideals.enumerate_fell_ideals(b, tols)
             frames = [[spectrum.support_frame(b, x, [k for k in spec.by_object[x]
