@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -37,7 +38,8 @@ from . import _linalg as la
 from ._kernels import ConvolutionPlan
 from ._linalg import _STACK_CHUNK
 from .config import DEFAULT, Tolerances
-from .groupoid import FiniteGroupoid, GroupoidTables, composable_pairs, validate_groupoid
+from .groupoid import (FiniteGroupoid, GroupoidTables, composable_pairs, trivial_group,
+                       validate_groupoid)
 from .report import ValidationReport
 
 Array = np.ndarray
@@ -175,13 +177,14 @@ class FellBundle:
         return la.solve_lstsq(la.flatten_stack(self.unit_rep[x]).T, mat.reshape(-1))
 
     def unit_algebra_unit(self, x: str) -> Array:
-        """Coordinates of the unit of A_{u(x)} (cached)."""
-        def build() -> Array:
-            c = la.algebra_unit(self.unit_rep[x])
-            if c is None:
-                raise ValueError(f"unit fibre at {x} has no two-sided unit")
-            return c
-        return self.memo(("unit", x), build)
+        """Coordinates of the unit of A_{u(x)}: solved for every object on
+        first use, by one ``la.algebra_units`` call (bit for bit the
+        one-stack solve), and cached."""
+        units = self.memo("units", lambda: dict(zip(self.groupoid.objects, la.algebra_units(
+            [self.unit_rep[x] for x in self.groupoid.objects]))))
+        if units[x] is None:
+            raise ValueError(f"unit fibre at {x} has no two-sided unit")
+        return units[x]
 
     def star_mult_tensor(self, g: str) -> Array:
         """T with T[:, i, j] = coordinates of e_i^* . e_j in A_{u(s(g))}; for
@@ -307,6 +310,7 @@ class Structure(NamedTuple):
     mult: la.Stacks   # mult[(g, h)] per composable pair, in ``tables.pairs`` order
     inv: la.Stacks    # inv[g] per arrow
     family: Array     # (n, 3) the pairs (u_{r(g)}, g), (g, u_{s(g)}), (g u_{s(g)}, g^-1)
+    arrows: tuple[str, ...]  # the arrow names, in order, for witnesses
 
     @staticmethod
     def of(bundle: FellBundle) -> "Structure":
@@ -318,7 +322,25 @@ class Structure(NamedTuple):
                                        np.where(gus >= 0, T.pair[gus, T.inv], -1)], axis=1))
         if (family < 0).any():
             raise ValueError("a unit or inverse composite is off the composable pairs")
-        return Structure(T, dims, bundle.mult_stacks, bundle.inv_stacks, family)
+        return Structure(T, dims, bundle.mult_stacks, bundle.inv_stacks, family,
+                         tuple(bundle.groupoid.arrows))
+
+    @staticmethod
+    def unit_fibre(bundle: FellBundle, x: str) -> "Structure":
+        """The unit fibre A_{u(x)} as a bundle over the trivial group: its one
+        arrow, named u(x), carries ``mult[(u, u)]`` and ``inv[u]``."""
+        u = bundle.groupoid.unit[x]
+        return Structure(_point_tables(), la.readonly(np.array([bundle.dims[u]], dtype=np.intp)),
+                         la.Stacks([bundle.mult[(u, u)]]), la.Stacks([bundle.inv[u]]),
+                         _POINT_FAMILY, (u,))
+
+
+@cache
+def _point_tables() -> GroupoidTables:
+    return trivial_group().tables
+
+
+_POINT_FAMILY = la.readonly(np.zeros((1, 3), dtype=np.intp))
 
 
 def _exponents(A: Array) -> Array:

@@ -14,24 +14,25 @@ Faithfulness of the direct sum makes this the unique C*-norm on the section
 with a faithful C*-representation); the full norm is defined as this one.
 
 The envelope C*(A) is the span of the images Lambda(delta_{g,i}), cut into
-its simple blocks by ``block_decomposition``.  That needs the algebra's
-structure constants, from one of two sources.  For a stack with no known
-structure (a unit fibre, any caller's matrices) they are formed from an
-HS-orthonormalised copy of the stack, and closure under products and
-adjoints and the two-sided unit are checked against them.  For a bundle's
-images (``envelope_algebra``) the images are kept as the basis and the
-constants are the bundle's own ``mult``/``inv`` tensors; the decomposition
-checks that the images multiply and take adjoints as those tensors say
-(exactly 0 on non-composable pairs) and that the units of the unit fibres
-add up to the identity.  The centre then lies on the isotropy arrows (a
-central z commutes with each Lambda(1_x), so z_g = 0 when r(g) != s(g)), and
-its commutator system has one column per isotropy coordinate.
+its simple blocks by ``block_decomposition``, which also cuts each unit
+fibre A_x (``spectrum.fiber_spectrum``).  There is one route for both: the
+images of a basis are kept as they are, and the product and involution are
+the structure tensors the bundle already stores (``FellBundle.structure``
+for the envelope, ``Structure.unit_fibre``, one arrow, for a unit fibre).
+The decomposition checks that the images are independent, multiply and take
+adjoints as those tensors say (exactly 0 on non-composable pairs), and that
+the image of the unit is a two-sided unit of every image: the identity, or
+the support projection of a degenerate unit representation.  The centre
+then lies on the isotropy arrows (a central z commutes with each
+Lambda(1_x), so z_g = 0 when r(g) != s(g)); its commutator system has one
+column per isotropy coordinate, every coordinate for a unit fibre.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -245,6 +246,9 @@ class SimpleBlock:
     multiplicity: int
     projection: Array       # minimal central projection in the ambient Mat(N)
     irrep_frame: Array | None = None  # (size, N): rows span an irreducible subspace
+    # the HS-orthonormalised stack, when the decomposition formed it to order
+    # tied blocks; ``irrep_frames`` reads it rather than forming it again
+    basis: Array | None = field(default=None, repr=False, compare=False)
 
     def irrep(self, mat: Array) -> Array:
         if self.irrep_frame is None:
@@ -252,131 +256,107 @@ class SimpleBlock:
         return self.irrep_frame.conj() @ mat @ self.irrep_frame.T
 
 
-def block_decomposition(basis: Array, tols: Tolerances = DEFAULT,
-                        bundle: FellBundle | None = None) -> list[SimpleBlock]:
-    """Simple summands of a matrix *-algebra given by a spanning stack.
+def block_decomposition(images: Array, structure: Structure, unit: Callable[[], Array],
+                        tols: Tolerances = DEFAULT) -> list[SimpleBlock]:
+    """Simple summands of the *-algebra that ``structure`` defines, given by
+    the stack (d, N, N) of the images of its basis, in packed order.
 
     The method is the seeded random central element of Murota, Kanno,
     Kojima & Kojima ("A numerical algorithm for block-diagonal decomposition
     of matrix *-algebras", Japan J. Indust. Appl. Math. 27, 2010), worked in
-    coefficient space.  The stack is cut along its finest common
-    block-diagonal form, blocks of sizes n_b summing to N (envelope images:
-    one block per object or finer).  The structure constants come from one
-    of two sources.
+    coefficient space.  Both finite-dimensional C*-algebras of the paper
+    take this one route: the envelope (``envelope_algebra``: the images
+    Λ(δ_1..δ_d) with the bundle's ``structure()``) and each unit fibre
+    (``spectrum.fiber_spectrum``: the images ρ_x(e_1..e_d) with
+    ``Structure.unit_fibre``, one arrow).  The product and involution are the
+    structure's ``mult``/``inv`` stacks, gathered by its tables, and
+    ``unit()`` gives the coordinates of the unit; it is asked for after the
+    product and adjoint checks, so a tensor that fails them is named before
+    a unit that is missing.
 
-    * The stack route (any stack; ``bundle`` None).  The stack is
-      HS-orthonormalised to B_1..B_d.  Block by block, batched matmul gives
-      c[i, j, m] = tr(B_m* B_i B_j) and checks that the span is closed under
-      products and adjoints.  The centre is the null space of the d²×d
-      system sum_k z_k (c[k,j,:] - c[j,k,:]) = 0, taken from its R factor,
-      and the two-sided unit must solve the 2d²×d system
-      sum_j u_j c[j,i,:] = e_i = sum_j u_j c[i,j,:].
-    * The structure route (``bundle`` given, the stack its ``delta_images``).
-      The images Λ(δ_1..δ_d) are used as they are, and the product and
-      involution are the bundle's own ``mult``/``inv`` stacks, gathered by
-      the groupoid's tables.  A singular-values-only SVD of the images gives
-      their rank; below d they are no basis, and the stack route runs
-      instead.  Three checks make the bundle's tensors the algebra's:
-      Λ(δ_i)Λ(δ_j) = sum_k mult[k,i,j] Λ(δ_k) on every composable basis pair
-      and exactly 0 on the others (the column support of Λ(δ_i) misses the
-      row support of Λ(δ_j)); Λ(δ_i)* = Λ(δ_i*); and Λ(sum_x 1_x) = 1, with
-      1_x the unit of the fibre at x (``unit_algebra_unit``).  The centre
-      then lies on the isotropy coordinates: Λ(1_x) are orthogonal
-      idempotents summing to 1 (the unit check and the exact zeros), so
-      Λ(1_x) Λ(z) and Λ(z) Λ(1_x) keep the coordinates z_g with r(g) = x
-      and with s(g) = x, and a central z, whose images are independent, has
-      z_g = 0 whenever r(g) ≠ s(g).  Its commutator system [z, δ_j] = 0 is
-      formed sparsely on those columns.  No orthonormalising SVD and no d³
-      array is formed.
+    The stack is cut along its finest common block-diagonal form, blocks of
+    sizes n_b summing to N (envelope images: one block per object or
+    finer).  A singular-values-only SVD of the images gives their rank;
+    below d they are no basis, and a ValueError names the rank.  Three
+    checks make the structure's tensors the algebra's:
+    B_iB_j = sum_k mult[k,i,j] B_k on every composable basis pair and
+    exactly 0 on the others (the column support of B_i misses the row
+    support of B_j); B_i* = B_{i*} by ``inv``; and U = sum_k u_k B_k is a
+    two-sided unit of every image.  U is then a projection (the span is
+    *-closed), either 1 or, where the images act degenerately on C^N (a
+    degenerate unit representation), the support projection, whose kernel
+    eigenvalue cluster the attempts set aside.  The centre lies on the
+    isotropy coordinates: the units 1_x of the unit fibres are orthogonal
+    idempotents adding up to the unit (the unit check and the exact zeros),
+    so a central z, whose images are independent, has z_g = 0 whenever
+    r(g) ≠ s(g).  A unit fibre's one arrow is a loop, so its centre is
+    solved on every coordinate.  The commutator system [z, δ_j] = 0 is
+    formed sparsely on those columns, with one row per commutator
+    coordinate that some product reaches (d² rows for a group or a unit
+    fibre, about d on a pair groupoid).
 
-    Then, on either route, a random self-adjoint central element is
-    diagonalised one block at a time; its eigenvalue clusters (gap
-    ``cluster_gap``) give the minimal central projections, and the rank of
-    V* B_k V on a cluster's eigenvectors V identifies each corner with a
-    full matrix algebra.  An attempt stands when sum size² is the rank of
-    the stack.  Blocks are sorted by size and multiplicity, and blocks that
-    tie on both by their rounded traces tr(P B_k) on the HS-orthonormalised
-    stack (formed for the structure route only when two blocks tie).  The
-    blocks carry no irreducible frames; ``irrep_frames`` finds them on the
-    blocks returned.
+    Then a random self-adjoint central element is diagonalised one block at
+    a time; its eigenvalue clusters (gap ``cluster_gap``) give the minimal
+    central projections, and the rank of V* B_k V on a cluster's
+    eigenvectors V identifies each corner with a full matrix algebra.  An
+    attempt stands when sum size² is d.  Blocks are sorted by size and
+    multiplicity, and blocks that tie on both by their rounded traces
+    tr(P B_k) on the HS-orthonormalised stack, which is formed only then and
+    kept with the blocks for ``irrep_frames``.  The blocks carry no
+    irreducible frames; ``irrep_frames`` finds them on the blocks returned.
 
-    On the stack route the cost is d²·sum_b n_b³ (plus d³·sum_b n_b² to
-    contract the products), and the memory is c, the commutator system and
-    the copy its QR takes, d³ complex entries each, of which at most two are
-    held at once, plus products and checks in chunks of la._STACK_CHUNK
-    elements.  The structure route forms the products of the composable
-    pairs only, in the same chunks, and its commutator system has one column
-    per isotropy coordinate.  Deterministic for a fixed seed; a stack that
-    is not a unital *-algebra raises ValueError.
+    The products of the composable pairs are formed in chunks of
+    la._STACK_CHUNK elements.  Deterministic for a fixed seed; images that
+    do not realise a unital *-algebra by these tensors raise ValueError.
     """
-    algebra = _bundle_algebra(basis, bundle, tols) if bundle is not None else None
-    if algebra is None:
-        algebra = _stack_algebra(basis, tols)
-    return [] if algebra is None else _central_blocks(algebra, basis.shape[1], tols)
+    d, N, _ = images.shape
+    if not d * N:
+        return []  # no matrices, or matrices with no entries: the zero algebra
+    S = structure
+    if d != int(S.dims.sum()):
+        raise ValueError(f"{d} images for a structure of {int(S.dims.sum())} coordinates")
+    parts = _common_blocks(images)
+    pieces = [images[:, p[:, None], p[None, :]] for p in parts]
+    # the singular values of the stack, read off its diagonal blocks
+    s = np.linalg.svd(np.hstack([p.reshape(d, -1) for p in pieces]), compute_uv=False)
+    rank = int(np.sum(s > tols.rank_threshold * s[0])) if s[0] > 0 else 0
+    if rank < d:
+        raise ValueError(f"the images are not linearly independent (rank {rank} of {d}); "
+                         "they are no basis of the algebra")
+    # per packed coordinate: its arrow; per arrow: its first coordinate
+    owner = np.repeat(np.arange(len(S.dims)), S.dims)
+    start = np.concatenate([[0], np.cumsum(S.dims)[:-1]])
 
-
-class _Algebra(NamedTuple):
-    """What the central-element attempts read, from either route: the
-    diagonal blocks of the spanning stack (d, n_b, n_b), their index sets,
-    the rows (centre dim, d) spanning the centre in its coordinates, the
-    unit's diagonal blocks when the unit is a proper support projection
-    (else None), the rank of the stack and its HS-orthonormal form (built
-    when called)."""
-    pieces: list[Array]
-    parts: list[Array]
-    centre: Array
-    support: list[Array] | None
-    rank: int
-    orthonormal: Callable[[], Array]
-
-
-def _stack_algebra(stack: Array, tols: Tolerances) -> _Algebra | None:
-    """The stack route: structure constants of the HS-orthonormalised stack;
-    None for a zero stack."""
-    basis = la.stack_orth(list(stack), stack.shape[1], stack.shape[2], tols.rank_threshold)
-    d, N, _ = basis.shape
-    if d == 0:
-        return None
-    parts = _common_blocks(basis)
-    pieces = [basis[:, p[:, None], p[None, :]] for p in parts]
+    def name(k: int) -> str:
+        return f"{S.arrows[owner[k]]}[{k - start[owner[k]]}]"
     tol = max(tols.tolerance, 1e-8)
-    c = _structure_constants(pieces)
-    _check_product_closed(c, pieces, tol)
-    _check_adjoint_closed(pieces, tol)
-    unit_coeff = _unit_coefficients(c, pieces, tol)
-
-    # row (j, m), column k: coordinate m of [B_k, B_j], formed once in its own
-    # layout; c is let go before its QR copies the system: two d³ arrays at most
-    comm = np.subtract(c.transpose(1, 2, 0), c.transpose(0, 2, 1), order="C")
-    del c
-    null = la.null_space_rows(comm.reshape(d * d, d), tols.rank_threshold)
-    del comm
-    if null.shape[0] == 0:
+    _check_bundle_products(pieces, S, owner, start, name, tol)
+    _check_bundle_adjoints(pieces, S, start, name, tol)
+    support = _unit_support(pieces, unit(), tol)
+    centre = _isotropy_centre(S, owner, start, tols.rank_threshold)
+    if centre.shape[0] == 0:
         raise ValueError("algebra has empty centre; spanning stack degenerate")
-
-    # the algebra may act degenerately on the ambient space (an ideal inside
-    # a larger matrix algebra); its unit is then a proper support projection
-    # and every central element carries a spurious kernel eigenvalue cluster
-    if unit_coeff is None:
-        raise ValueError("spanning stack is not a unital *-algebra")
-    support = [np.tensordot(unit_coeff, p, axes=1) for p in pieces]
-    support_rank = int(round(sum(float(np.real(np.trace(s))) for s in support)))
-    return _Algebra(pieces, parts, null, support if support_rank < N else None, d,
-                    lambda: basis)
+    return _central_blocks(pieces, parts, centre, support, tols,
+                           lambda: la.stack_orth(list(images), N, N, tols.rank_threshold))
 
 
-def _central_blocks(algebra: _Algebra, N: int, tols: Tolerances) -> list[SimpleBlock]:
-    """The seeded attempts: minimal central projections from the eigenvalue
-    clusters of a random self-adjoint central element, sorted."""
-    pieces, parts, null, support, _, _ = algebra
-    d, center_dim = pieces[0].shape[0], null.shape[0]
+def _central_blocks(pieces: list[Array], parts: list[Array], null: Array,
+                    support: list[Array] | None, tols: Tolerances,
+                    orthonormal: Callable[[], Array]) -> list[SimpleBlock]:
+    """The seeded attempts on the diagonal blocks ``pieces`` (d, n_b, n_b) of
+    a basis, on the index sets ``parts``: minimal central projections from
+    the eigenvalue clusters of a random self-adjoint central element (rows
+    of ``null`` span the centre in the basis coordinates), sorted, with
+    ``orthonormal()`` (the HS-orthonormalised stack) formed only to order
+    tied blocks.  ``support``: the unit's diagonal blocks when the unit is a
+    proper support projection, else None."""
+    d, N = pieces[0].shape[0], sum(p.size for p in parts)
+    center_dim = null.shape[0]
     degenerate = support is not None
     owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
     local = np.concatenate([np.arange(p.size) for p in parts])
     for attempt in range(_ATTEMPTS):
-        rng = np.random.default_rng(tols.seed + 7919 * attempt)
-        coeff = rng.standard_normal(center_dim) + 1j * rng.standard_normal(center_dim)
-        z = coeff @ null
+        z = _gaussian(tols.seed + 7919 * attempt, center_dim) @ null
         eigs = [np.linalg.eigh(la.hermitian_part(np.tensordot(z, p, axes=1))) for p in pieces]
         vals = np.concatenate([v for v, _ in eigs])
         clusters = la.cluster_eigenvalues(vals, tols.cluster_gap * max(1.0, float(np.abs(vals).max())))
@@ -406,14 +386,26 @@ def _central_blocks(algebra: _Algebra, N: int, tols: Tolerances) -> list[SimpleB
             for b, v in frames.items():
                 proj[parts[b][:, None], parts[b][None, :]] = v @ v.conj().T
             blocks.append(SimpleBlock(size, mult_total // size, proj))
-        if good and sum(b.size ** 2 for b in blocks) == algebra.rank:
+        if good and sum(b.size ** 2 for b in blocks) == d:
             if len({(b.size, b.multiplicity) for b in blocks}) < len(blocks):
-                blocks.sort(key=_block_sort_key(algebra.orthonormal()))
+                basis = orthonormal()
+                blocks.sort(key=_block_sort_key(basis))
+                for b in blocks:
+                    b.basis = basis
             else:
                 blocks.sort(key=lambda b: (b.size, b.multiplicity))
             return blocks
     raise ValueError("block decomposition did not stabilise; "
                      "input is likely not a *-closed algebra")
+
+
+@lru_cache(maxsize=1024)
+def _gaussian(seed: int, size: int) -> Array:
+    """(size,) complex coefficients from ``default_rng(seed)``: real parts
+    first, then imaginary parts, read-only and cached, since every attempt
+    with the same seed draws the same."""
+    rng = np.random.default_rng(seed)
+    return la.readonly(rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
 def _common_blocks(basis: Array) -> list[Array]:
@@ -439,113 +431,26 @@ def _common_blocks(basis: Array) -> list[Array]:
     return parts
 
 
-def _structure_constants(pieces: list[Array]) -> Array:
-    """c[i, j, m] = tr(B_m* B_i B_j) from the diagonal blocks of an
-    HS-orthonormal stack."""
-    d = pieces[0].shape[0]
-    c = np.zeros((d, d, d), dtype=np.complex128)
-    for p in pieces:
-        conj = p.conj()
-        for rows, prods in _block_products(p):
-            c[rows] += np.tensordot(prods, conj, axes=([2, 3], [1, 2]))
-    return c
-
-
-def _check_product_closed(c: Array, pieces: list[Array], tol: float) -> None:
-    """Raises unless every B_i B_j lies in the span: equals sum_m c[i, j, m] B_m."""
-    d = c.shape[0]
-    miss = np.zeros((d, d))
-    size = np.zeros((d, d))
-    for p in pieces:
-        for rows, prods in _block_products(p):
-            miss[rows] += np.sum(np.abs(prods - np.tensordot(c[rows], p, axes=1)) ** 2, axis=(2, 3))
-            size[rows] += np.sum(np.abs(prods) ** 2, axis=(2, 3))
-    worst = np.sqrt(miss) / np.maximum(1.0, np.sqrt(size))
-    if worst.max() > tol:
-        i, j = np.unravel_index(int(np.argmax(worst)), worst.shape)
-        raise ValueError(f"spanning stack is not closed under products: B_{i} B_{j} "
-                         f"leaves the span (residual {worst[i, j]:.3e}); "
-                         "input is not a *-algebra")
-
-
-def _block_products(p: Array):
-    """(rows, B_i B_j for i in rows and every j) on one diagonal block, in
-    chunks of at most la._STACK_CHUNK elements (one row at least)."""
-    d, n, _ = p.shape
-    side = p.transpose(1, 0, 2).reshape(n, d * n)     # [B_1 | B_2 | ... | B_d]
-    step = max(1, la._STACK_CHUNK // (d * n * n))
-    for start in range(0, d, step):
-        rows = slice(start, min(start + step, d))
-        k = rows.stop - rows.start
-        prods = (p[rows].reshape(k * n, n) @ side).reshape(k, n, d, n).transpose(0, 2, 1, 3)
-        yield rows, prods
-
-
-def _check_adjoint_closed(pieces: list[Array], tol: float) -> None:
-    """Raises unless every B_i* lies in the span of the HS-orthonormal stack."""
-    d = pieces[0].shape[0]
-    coeff = sum(np.einsum("mab,iba->im", p.conj(), p.conj()) for p in pieces)
-    miss = sum(np.linalg.norm((p.conj().transpose(0, 2, 1)
-                               - np.tensordot(coeff, p, axes=1)).reshape(d, -1), axis=1) ** 2
-               for p in pieces)
-    worst = float(np.sqrt(np.max(miss)))
-    if worst > tol:
-        raise ValueError(f"spanning stack is not closed under adjoints (residual "
-                         f"{worst:.3e}); input is not a *-algebra")
-
-
-def _unit_coefficients(c: Array, pieces: list[Array], tol: float) -> Array | None:
-    """Coefficients u of the two-sided unit, or None.
-
-    The unit p of a *-algebra A in Mat(N) is the HS projection of the
-    identity onto A, because a(1 - p) = 0 for every a in A; so u_m =
-    conj(tr B_m).  It is accepted only if it solves the 2d²×d unit system
-    sum_j u_j c[j,i,:] = e_i = sum_j u_j c[i,j,:] for every i, contracted
-    with c in place.
-    """
-    d = c.shape[0]
-    u = np.conj(sum(np.trace(p, axis1=1, axis2=2) for p in pieces))
-    left = (u @ c.reshape(d, d * d)).reshape(d, d)   # row i: sum_j u_j c[j, i, :]
-    right = u @ c                                     # row i: sum_j u_j c[i, j, :]
-    miss = max(float(np.linalg.norm(side - np.eye(d), axis=1).max()) for side in (left, right))
-    return u if miss <= tol else None
-
-
-def _bundle_algebra(images: Array, bundle: FellBundle, tols: Tolerances) -> _Algebra | None:
-    """The structure route on the delta images of ``bundle``; None when the
-    images are not linearly independent (the stack route then runs)."""
-    d, N, _ = images.shape
-    if not d * N:
-        return None  # an empty stack: the stack route finds no blocks
-    parts = _common_blocks(images)
-    pieces = [images[:, p[:, None], p[None, :]] for p in parts]
-    # the singular values of the stack, read off its diagonal blocks
-    s = np.linalg.svd(np.hstack([p.reshape(d, -1) for p in pieces]), compute_uv=False)
-    if len(s) < d or not s[-1] > tols.rank_threshold * s[0]:
+def _unit_support(pieces: list[Array], unit: Array, tol: float) -> list[Array] | None:
+    """None when U = sum_k u_k B_k is the identity (residual at most tol
+    times max(1, sqrt N)); else the diagonal blocks of U, when U is a
+    two-sided unit of every image (residuals at most tol times
+    max(1, |B_k|)); ValueError otherwise."""
+    support = [(unit @ p.reshape(len(unit), -1)).reshape(p.shape[1:]) for p in pieces]
+    N = sum(len(u) for u in support)
+    off = np.sqrt(sum(np.linalg.norm(u - np.eye(len(u))) ** 2 for u in support))
+    if off <= tol * max(1.0, np.sqrt(N)):
         return None
-    S = bundle.structure()
-    # per packed coordinate: its arrow; per arrow: its first coordinate
-    owner = np.repeat(np.arange(len(S.dims)), S.dims)
-    start = np.concatenate([[0], np.cumsum(S.dims)[:-1]])
-
-    def name(k: int) -> str:
-        return f"{bundle.groupoid.arrows[owner[k]]}[{k - start[owner[k]]}]"
-    tol = max(tols.tolerance, 1e-8)
-    _check_bundle_products(pieces, S, owner, start, name, tol)
-    _check_bundle_adjoints(pieces, S, start, name, tol)
-    unit = np.zeros(d, dtype=np.complex128)
-    for x, u in zip(bundle.groupoid.objects, S.tables.unit):
-        unit[start[u]:start[u] + S.dims[u]] = bundle.unit_algebra_unit(x)
-    miss = np.sqrt(sum(np.linalg.norm(np.tensordot(unit, p, axes=1) - np.eye(p.shape[1])) ** 2
-                       for p in pieces))
-    if miss > tol * max(1.0, np.sqrt(N)):
+    miss = np.zeros(pieces[0].shape[0])
+    size = np.zeros(pieces[0].shape[0])
+    for u, p in zip(support, pieces):
+        miss += np.sum(np.abs(u @ p - p) ** 2 + np.abs(p @ u - p) ** 2, axis=(1, 2))
+        size += np.sum(np.abs(p) ** 2, axis=(1, 2))
+    worst = float(np.max(np.sqrt(miss) / np.maximum(1.0, np.sqrt(size))))
+    if worst > tol:
         raise ValueError(f"the units of the unit fibres do not act as the identity "
-                         f"(residual {miss:.3e}); input is not a *-algebra")
-    centre = _isotropy_centre(S, owner, start, tols.rank_threshold)
-    if centre.shape[0] == 0:
-        raise ValueError("algebra has empty centre; spanning stack degenerate")
-    return _Algebra(pieces, parts, centre, None, d,
-                    lambda: la.stack_orth(list(images), N, N, tols.rank_threshold))
+                         f"(residual {worst:.3e}); input is not a *-algebra")
+    return support
 
 
 def _rows_of(start: Array, arrows: Array, d: int) -> Array:
@@ -555,19 +460,20 @@ def _rows_of(start: Array, arrows: Array, d: int) -> Array:
 
 def _check_bundle_products(pieces: list[Array], S: Structure, owner: Array, start: Array,
                            name: Callable[[int], str], tol: float) -> None:
-    """Raises unless Λ(δ_i)Λ(δ_j) = sum_k mult[k, i, j] Λ(δ_k) on every
-    composable basis pair (residual at most tol times max(1, |product|)),
-    and unless the product is exactly 0 on the others: the column support
-    of Λ(δ_i) misses the row support of Λ(δ_j) on every diagonal block."""
+    """Raises unless B_iB_j = sum_k mult[k, i, j] B_k on every composable
+    basis pair (residual at most tol times max(1, |product|)), and unless
+    the product is exactly 0 on the others: the column support of B_i
+    misses the row support of B_j on every diagonal block."""
     T = S.tables
-    cols = np.hstack([(p != 0).any(axis=1) for p in pieces]).astype(float)
-    rows = np.hstack([(p != 0).any(axis=2) for p in pieces]).astype(float)
-    stray = (cols @ rows.T > 0) & (T.comp[owner[:, None], owner[None, :]] < 0)
-    if stray.any():
-        i, j = np.argwhere(stray)[0]
-        raise ValueError("spanning stack is not closed under products: at the basis pair "
-                         f"({name(i)},{name(j)}) of a non-composable pair the product is "
-                         "not exactly 0; input is not a *-algebra")
+    if len(T.pairs) < len(T.src) ** 2:  # some pair is not composable
+        cols = np.hstack([(p != 0).any(axis=1) for p in pieces]).astype(float)
+        rows = np.hstack([(p != 0).any(axis=2) for p in pieces]).astype(float)
+        stray = (cols @ rows.T > 0) & (T.comp[owner[:, None], owner[None, :]] < 0)
+        if stray.any():
+            i, j = np.argwhere(stray)[0]
+            raise ValueError("spanning stack is not closed under products: at the basis pair "
+                             f"({name(i)},{name(j)}) of a non-composable pair the product is "
+                             "not exactly 0; input is not a *-algebra")
     worst, where = 0.0, None
     n2 = max(p.shape[1] ** 2 for p in pieces)
     for pos, M in S.mult.groups():
@@ -604,9 +510,9 @@ def _check_bundle_products(pieces: list[Array], S: Structure, owner: Array, star
 
 def _check_bundle_adjoints(pieces: list[Array], S: Structure, start: Array,
                            name: Callable[[int], str], tol: float) -> None:
-    """Raises unless Λ(δ_i)* = Λ(δ_i*) = sum_k inv[g][k, i] Λ(δ_{g^-1, k}) for
-    every basis element i of every fibre A_g (residual at most tol times
-    max(1, |Λ(δ_i)|))."""
+    """Raises unless B_i* = B_{i*} = sum_k inv[g][k, i] B_{g^-1, k} for every
+    basis element i of every fibre A_g (residual at most tol times
+    max(1, |B_i|))."""
     T = S.tables
     for pos, J in S.inv.groups():
         _, dgi, dg = J.shape
@@ -630,17 +536,21 @@ def _check_bundle_adjoints(pieces: list[Array], S: Structure, start: Array,
 
 
 def _isotropy_centre(S: Structure, owner: Array, start: Array, rtol: float) -> Array:
-    """Rows (centre dim, d) spanning the centre of the bundle's section
-    algebra in packed coordinates, zero off the isotropy arrows: the null
-    space of [z, δ_j] = 0 over every basis element j, with one column per
-    isotropy coordinate and one row per coordinate (j, m) of a commutator
-    that some product reaches."""
+    """Rows (centre dim, d) spanning the centre of the structure's algebra
+    in packed coordinates, zero off the isotropy arrows: the null space of
+    [z, δ_j] = 0 over every basis element j, with one column per isotropy
+    coordinate and one row per coordinate (j, m) of a commutator that some
+    product reaches, in ascending order of j·d + m.  The entries are summed
+    by ``np.bincount`` in the order the pairs list them."""
     T, d = S.tables, len(owner)
     iso = T.src == T.rng
     columns = np.flatnonzero(iso[owner])
+    width = len(columns)
+    if not width:
+        return np.zeros((0, d), dtype=np.complex128)
     column = np.full(d, -1)
-    column[columns] = np.arange(len(columns))
-    rows, cols, vals = [], [], []
+    column[columns] = np.arange(width)
+    keys, vals = [], []
     for pos, M in S.mult.groups():
         _, dk, di, dj = M.shape
         if not dk * di * dj:
@@ -649,18 +559,25 @@ def _isotropy_centre(S: Structure, owner: Array, start: Array, rtol: float) -> A
         out = _rows_of(start, T.comp[g, h], dk)[:, :, None, None]
         left = _rows_of(start, g, di)[:, None, :, None]
         right = _rows_of(start, h, dj)[:, None, None, :]
-        # z δ_j with z on the isotropy arrow g (plus), δ_j z with z on h (minus)
+        # z δ_j with z on the isotropy arrow g (plus), δ_j z with z on h (minus);
+        # the key of an entry is its row j·d + m times the width plus its column
         for on, z, j, sign in ((iso[g], left, right, 1.0), (iso[h], right, left, -1.0)):
             if on.any():
-                rows.append(np.broadcast_to(j[on] * d + out[on], M[on].shape).ravel())
-                cols.append(np.broadcast_to(column[z[on]], M[on].shape).ravel())
-                vals.append(sign * M[on].ravel())
-    system = np.zeros((0, len(columns)), dtype=np.complex128)
-    if rows:
-        reached, at = np.unique(np.concatenate(rows), return_inverse=True)
-        system = np.zeros((len(reached), len(columns)), dtype=np.complex128)
-        np.add.at(system, (at, np.concatenate(cols)), np.concatenate(vals))
-    null = la.null_space_rows(system, rtol)
+                sel = slice(None) if on.all() else on
+                keys.append(((j[sel] * d + out[sel]) * width + column[z[sel]]).ravel())
+                vals.append(sign * M[sel].ravel())
+    system = np.zeros((0, width), dtype=np.complex128)
+    if keys:
+        key, val = np.concatenate(keys), np.concatenate(vals)
+        row = key // width
+        reached = np.zeros(d * d, dtype=bool)
+        reached[row] = True
+        at = (np.cumsum(reached) - 1)[row] * width + key % width
+        size = int(np.count_nonzero(reached)) * width
+        system = np.empty(size, dtype=np.complex128)
+        system.real = np.bincount(at, val.real, size)
+        system.imag = np.bincount(at, val.imag, size)
+    null = la.null_space_rows(system.reshape(-1, width), rtol)
     centre = np.zeros((null.shape[0], d), dtype=np.complex128)
     centre[:, columns] = null
     return centre
@@ -676,12 +593,15 @@ def _block_sort_key(basis: Array):
 
 def irrep_frames(stack: Array, blocks: list[SimpleBlock],
                  tols: Tolerances = DEFAULT) -> list[SimpleBlock]:
-    """The ``blocks`` of ``block_decomposition(stack, tols)``, each with an irreducible
+    """The ``blocks`` of ``block_decomposition`` on ``stack``, each with an irreducible
     frame searched in its own projection, with the seeds of the decomposition's attempts
-    as salts, on the stack orthonormalised as there; ValueError if no salt gives one."""
+    as salts, on the HS-orthonormalised stack (the one the blocks carry, if the
+    decomposition formed it); ValueError if no salt gives one."""
     if not blocks:
         return []
-    basis = la.stack_orth(list(stack), stack.shape[1], stack.shape[2], tols.rank_threshold)
+    basis = blocks[0].basis
+    if basis is None:
+        basis = la.stack_orth(list(stack), stack.shape[1], stack.shape[2], tols.rank_threshold)
     out = []
     for b in blocks:
         frames = (_irrep_frame(basis, b.projection, b.size, b.multiplicity, tols, salt)
@@ -701,8 +621,7 @@ def _irrep_frame(basis: Array, proj: Array, size: int, mult: int,
     d = basis.shape[0]
     corner = proj @ basis @ proj
     for attempt in range(12):
-        rng = np.random.default_rng(tols.seed + 104729 * salt + 31 * attempt + 5)
-        coeff = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        coeff = _gaussian(tols.seed + 104729 * salt + 31 * attempt + 5, d)
         y = la.hermitian_part(np.tensordot(coeff, corner, axes=1))
         vals, vecs = np.linalg.eigh(y)
         clusters = la.cluster_eigenvalues(vals, tols.cluster_gap * max(1.0, float(np.abs(vals).max())))
@@ -749,7 +668,8 @@ def envelope_algebra(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Envelope
 def _envelope_algebra(bundle: FellBundle, tols: Tolerances) -> EnvelopeAlgebra:
     G = bundle.groupoid
     images = delta_images(bundle, tols)
-    blocks = block_decomposition(images, tols, bundle) if images.shape[0] else []
+    blocks = block_decomposition(images, bundle.structure(),
+                                 lambda: unit_section(bundle).pack(), tols)
     dim = sum(b.size ** 2 for b in blocks)
     return EnvelopeAlgebra(bundle, tols, {x: regular_at(bundle, x, tols).dim for x in G.objects},
                            images, dim, blocks, dim == bundle.total_dim)

@@ -18,7 +18,7 @@ from typing import Collection, Mapping
 import numpy as np
 
 from . import _linalg as la
-from .bundle import FellBundle
+from .bundle import FellBundle, Structure
 from .config import DEFAULT, Tolerances
 from .envelope import (SimpleBlock, block_decomposition, envelope_algebra, induced_fibre,
                        irrep_frames)
@@ -76,7 +76,9 @@ def _fiber_spectrum(bundle: FellBundle, tols: Tolerances) -> FiberSpectrum:
     by_object = {}
     for x in G.objects:
         u, stack = G.unit[x], bundle.unit_rep[x]
-        raw = irrep_frames(stack, block_decomposition(stack, tols), tols) if bundle.dims[u] else []
+        raw = irrep_frames(stack, block_decomposition(
+            stack, Structure.unit_fibre(bundle, x), lambda: bundle.unit_algebra_unit(x), tols),
+            tols) if bundle.dims[u] else []
         by_object[x] = []
         for i, b in enumerate(raw):
             coords, res = bundle.unit_coords(x, b.projection)

@@ -5,15 +5,28 @@ import pytest
 
 import fellbund._linalg as la
 from fellbund import gallery
-from fellbund.bundle import FellBundle
+from fellbund.bundle import FellBundle, Structure
 from fellbund.envelope import (block_decomposition, coefficient_embedding_check,
                                cstar_norm, delta_images, envelope_algebra,
                                irreducible_envelope_blocks, irrep_frames, per_object_norms,
                                regular_at, regular_rep_matrix, sharper_norm_bound)
-from fellbund.groupoid import FiniteGroupoid
+from fellbund.groupoid import FiniteGroupoid, trivial_group
 from fellbund.sections import (Section, convolve, i_norm, involute,
                                random_section, unit_section)
 from fellbund.spectrum import fiber_spectrum
+from stack_route import stack_blocks
+
+
+def envelope_blocks(bundle, images=None):
+    """The library route on the envelope images (default: the bundle's own)."""
+    images = delta_images(bundle) if images is None else images
+    return block_decomposition(images, bundle.structure(), lambda: unit_section(bundle).pack())
+
+
+def fibre_blocks(bundle, x):
+    """The library route on the unit fibre at x."""
+    return block_decomposition(bundle.unit_rep[x], Structure.unit_fibre(bundle, x),
+                               lambda: bundle.unit_algebra_unit(x))
 
 
 def brute_center_dim(mats):
@@ -139,7 +152,7 @@ def test_block_decomposition_random_conjugated_direct_sum():
         block[2, 2] = rng.standard_normal() + 1j * rng.standard_normal()
         block[3, 3] = rng.standard_normal() + 1j * rng.standard_normal()
         mats.append(u @ block @ u.conj().T)
-    blocks = block_decomposition(np.stack(mats))
+    blocks = stack_blocks(np.stack(mats))
     assert sorted((b.size, b.multiplicity) for b in blocks) == [(1, 1), (1, 1), (2, 1)]
 
 
@@ -154,16 +167,18 @@ def _independent(mats):
 
 def test_centre_dimension_matches_commutation_oracle():
     # one block per minimal central projection: the block count is the
-    # centre dimension, which the oracle reads off the ambient system
+    # centre dimension, which the oracle reads off the ambient system; the
+    # library reads the structure tensors, the stack route an independent
+    # spanning subset of the bare stack
     for name, b in gallery.shipped_bundles().items():
-        stacks = [("envelope", envelope_algebra(b).images)]
-        stacks += [(f"unit fibre {x}", b.unit_rep[x]) for x in b.groupoid.objects
-                   if b.unit_rep[x].shape[0]]
-        for where, stack in stacks:
+        stacks = [("envelope", envelope_algebra(b).images, envelope_blocks(b))]
+        stacks += [(f"unit fibre {x}", b.unit_rep[x], fibre_blocks(b, x))
+                   for x in b.groupoid.objects if b.unit_rep[x].shape[0]]
+        for where, stack, got in stacks:
             mats = _independent(list(stack))
-            blocks = block_decomposition(np.stack(mats))
-            assert len(blocks) == brute_center_dim(mats), (name, where)
-            assert sum(blk.size ** 2 for blk in blocks) == len(mats), (name, where)
+            for blocks in (got, stack_blocks(np.stack(mats))):
+                assert len(blocks) == brute_center_dim(mats), (name, where)
+                assert sum(blk.size ** 2 for blk in blocks) == len(mats), (name, where)
 
 
 def _unit(n, i, j):
@@ -179,24 +194,25 @@ def _unit(n, i, j):
 ], ids=["not-product-closed", "upper-triangular", "unit-plus-nilpotent"])
 def test_block_decomposition_rejects_non_star_algebras(mats):
     with pytest.raises(ValueError, match="not closed"):
-        block_decomposition(np.stack(mats))
+        stack_blocks(np.stack(mats))
 
 
 def test_block_decomposition_of_an_ideal_inside_a_larger_matrix_algebra():
     # M_2 in the top corner of Mat(3): the unit is a proper support projection
     mats = [np.pad(_unit(2, i, j), ((0, 1), (0, 1))) for i in range(2) for j in range(2)]
-    blocks = block_decomposition(np.stack(mats))
+    blocks = stack_blocks(np.stack(mats))
     assert [(blk.size, blk.multiplicity) for blk in blocks] == [(2, 1)]
     np.testing.assert_allclose(blocks[0].projection, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0), (0, 0, 0)])
 def test_block_decomposition_of_an_empty_stack_has_no_blocks(shape):
-    # no matrices, or matrices with no entries, span the zero algebra, on
-    # both routes: the structure route hands a 0 x 0 stack to the stack route
+    # no matrices, or matrices with no entries, span the zero algebra, in
+    # the library (before it reads the structure) and in the stack route
     stack = np.zeros(shape, dtype=complex)
-    assert block_decomposition(stack) == []
-    assert block_decomposition(stack, bundle=gallery.a4_bundle()) == []
+    a4 = gallery.a4_bundle()
+    assert block_decomposition(stack, a4.structure(), lambda: unit_section(a4).pack()) == []
+    assert stack_blocks(stack) == []
 
 
 def test_pair9_line_envelope_is_one_full_matrix_block():
@@ -216,13 +232,13 @@ def test_z48_line_envelope_is_48_characters():
 
 
 def test_m3_pair3_block_decomposition_stays_under_24_mb(certify_bundles):
-    # d = 81 images: each d³ array (the structure constants, the commutator
-    # system, the copy its QR takes) is 8.5 MB, and at most two are held at
-    # once; the products run in 1 MB row chunks
+    # the stack route: d = 81 images, each d³ array (the structure constants,
+    # the commutator system, the copy its QR takes) is 8.5 MB, and at most
+    # two are held at once; the products run in 1 MB row chunks
     images = delta_images(certify_bundles["m3-pair3"])
     tracemalloc.start()
     try:
-        blocks = block_decomposition(images)
+        blocks = stack_blocks(images)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -234,8 +250,14 @@ def test_m3_pair3_block_decomposition_stays_under_24_mb(certify_bundles):
 def structure_route_subjects(certify_bundles):
     """Every shipped bundle, the compiled two-object action, the bundles
     compiled from the seeded random actions (cyclic groups permuting matrix
-    blocks) and the seed-1 certify bundles."""
+    blocks) and the seed-1 certify bundles, and for each of them the
+    sub-bundle and the quotient bundle of every Fell ideal other than 0 and
+    the whole bundle.  Some of these unit fibres act degenerately: the unit
+    representation of the ideal over {p, q} of ``a4-over-z2`` is not unital
+    on C^{n_x}."""
     from fellbund.actions import compile_to_fell_bundle
+    from fellbund.bundle import subbundle_from_frames
+    from fellbund.ideals import enumerate_fell_ideals, quotient_bundle
     from test_action_witnesses import two_object_action
     from test_random_pipeline import SEEDS, random_instance
     subjects = dict(gallery.shipped_bundles())
@@ -243,26 +265,42 @@ def structure_route_subjects(certify_bundles):
     subjects.update({f"random {seed}": compile_to_fell_bundle(random_instance(seed))
                      for seed in SEEDS})
     subjects.update({f"certify {name}": b for name, b in certify_bundles.items()})
+    for name, b in list(subjects.items()):
+        proper = [I for I in enumerate_fell_ideals(b) if 0 < I.total_dim() < b.total_dim]
+        for k, I in enumerate(proper):
+            subjects[f"{name} ideal {k}"] = subbundle_from_frames(b, dict(I.frames))[0]
+            subjects[f"{name} quotient {k}"] = quotient_bundle(b, I)[0]
     return subjects
 
 
-def test_structure_route_blocks_equal_the_stack_route(certify_bundles, monkeypatch):
-    # the blocks read off the bundle's mult/inv tensors against those of the
-    # images alone: same sizes, multiplicities and order, the same projections
-    import fellbund.envelope as envelope
-    stack_route = envelope._stack_algebra
-    for name, b in structure_route_subjects(certify_bundles).items():
+def assert_same_blocks(got, want, where):
+    assert [(x.size, x.multiplicity) for x in got] == \
+        [(x.size, x.multiplicity) for x in want], where
+    for x, y in zip(got, want):
+        np.testing.assert_allclose(x.projection, y.projection, rtol=0, atol=1e-10,
+                                   err_msg=str(where))
+
+
+def test_structure_route_blocks_equal_the_stack_route(certify_bundles):
+    # the blocks read off the structure tensors against those of the images
+    # alone (the stack route of tests/stack_route.py): same sizes,
+    # multiplicities and order, the same projections; on the envelope and
+    # on every nonzero unit fibre, degenerate ones included
+    subjects = structure_route_subjects(certify_bundles)
+    assert len(subjects) == 58
+    fibres, degenerate = 0, 0
+    for name, b in subjects.items():
         images = delta_images(b)
-        want = block_decomposition(images)
-        # the structure route runs, and does not fall back on the stack route
-        monkeypatch.setattr(envelope, "_stack_algebra", None)
-        got = block_decomposition(images, bundle=b)
-        monkeypatch.setattr(envelope, "_stack_algebra", stack_route)
-        assert [(x.size, x.multiplicity) for x in got] == \
-            [(x.size, x.multiplicity) for x in want], name
-        for x, y in zip(got, want):
-            np.testing.assert_allclose(x.projection, y.projection, rtol=0, atol=1e-10,
-                                       err_msg=name)
+        assert_same_blocks(envelope_blocks(b), stack_blocks(images), (name, "envelope"))
+        for x in b.groupoid.objects:
+            stack = b.unit_rep[x]
+            if not stack.shape[0]:
+                continue
+            assert_same_blocks(fibre_blocks(b, x), stack_blocks(stack), (name, x))
+            unit = la.stack_combine(stack, b.unit_algebra_unit(x))
+            fibres += 1
+            degenerate += not np.allclose(unit, np.eye(len(unit)), atol=1e-9)
+    assert (fibres, degenerate) == (84, 29)
 
 
 def flipped_z8_bundle():
@@ -292,27 +330,67 @@ def test_structure_route_checks_name_their_witness():
     flipped_inv = FellBundle(G, z8.dims, z8.mult, {g: (-1.0 if g == "g3" else 1.0) * m
                                                    for g, m in z8.inv.items()}, z8.unit_rep)
     with pytest.raises(ValueError, match=r"not closed under adjoints: at g3\[0\]"):
-        block_decomposition(images, bundle=flipped_inv)
+        envelope_blocks(flipped_inv, images)
     halved_unit = FellBundle(G, z8.dims, z8.mult, z8.inv, {"pt": 2 * one})
     with pytest.raises(ValueError, match="do not act as the identity"):
-        block_decomposition(images, bundle=halved_unit)
+        envelope_blocks(halved_unit, images)
     # Z/4 images over pair(2), which has four arrows too: a product of two
     # non-composable arrows is not exactly 0
     pair2 = gallery.pair_line_bundle(2)
     z4 = delta_images(gallery.trivial_line_bundle(cyclic_group(4)))
     with pytest.raises(ValueError, match="of a non-composable pair the product is not exactly 0"):
-        block_decomposition(z4, bundle=pair2)
-    # dependent images are no basis: the stack route decomposes them
+        envelope_blocks(pair2, z4)
+    # dependent images are no basis, and the error names their rank
     z2 = gallery.z2_line_bundle()
     twice = np.stack([np.eye(2, dtype=complex)] * 2)
-    got, want = block_decomposition(twice, bundle=z2), block_decomposition(twice)
-    assert [(b.size, b.multiplicity) for b in got] == [(1, 2)]
-    np.testing.assert_array_equal(got[0].projection, want[0].projection)
+    with pytest.raises(ValueError, match=r"not linearly independent \(rank 1 of 2\)"):
+        envelope_blocks(z2, twice)
+    # and a stack of another length than the structure's coordinates
+    with pytest.raises(ValueError, match="3 images for a structure of 2 coordinates"):
+        envelope_blocks(z2, np.stack([np.eye(2, dtype=complex)] * 3))
+
+
+def test_a_unit_that_acts_on_part_of_the_space_is_a_support_projection():
+    # the algebra C + C represented on C^3 with a kernel: the
+    # unit's image diag(1, 1, 0) is a two-sided unit of both images, and the
+    # kernel is no block; half of it is a unit of neither
+    pq = np.stack([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]).astype(complex)
+    mult = np.zeros((2, 2, 2), dtype=complex)
+    mult[0, 0, 0] = mult[1, 1, 1] = 1.0
+    point = FellBundle(trivial_group(), {"e": 2}, {("e", "e"): mult},
+                       {"e": np.eye(2)}, {"pt": pq})
+    blocks = fibre_blocks(point, "pt")
+    assert [(b.size, b.multiplicity) for b in blocks] == [(1, 1), (1, 1)]
+    np.testing.assert_allclose(sum(b.projection for b in blocks), np.diag([1.0, 1.0, 0.0]),
+                               atol=1e-12)
+    with pytest.raises(ValueError, match="do not act as the identity"):
+        block_decomposition(pq, Structure.unit_fibre(point, "pt"), lambda: np.array([1.0, 0.5]))
+
+
+def test_one_orthonormal_basis_per_algebra(certify_bundles, monkeypatch):
+    # the HS-orthonormalised stack that orders tied blocks is the one the
+    # irreducible frames are searched on: at most one stack_orth per nonzero
+    # unit fibre, and one for the envelope of line-z8 (eight tied characters)
+    import fellbund.envelope as envelope
+    orthonormalised = []
+    real = la.stack_orth
+    monkeypatch.setattr(la, "stack_orth",
+                        lambda *args, **kwargs: orthonormalised.append(1) or real(*args, **kwargs))
+    for name, b in {**gallery.shipped_bundles(), **certify_bundles}.items():
+        orthonormalised.clear()
+        spec = fiber_spectrum(b)
+        live = sum(1 for x in b.groupoid.objects if b.unit_rep[x].shape[0])
+        assert len(orthonormalised) <= live, name
+        assert all(blk.frame is not None for blk in spec.blocks()), name
+    z8 = certify_bundles["line-z8"]
+    orthonormalised.clear()
+    blocks = envelope.irreducible_envelope_blocks(z8)
+    assert len(blocks) == 8 and len(orthonormalised) == 1
 
 
 def test_cold_m3_pair3_envelope_stays_under_18_5_mb_without_an_orthonormalising_svd(
         certify_bundles, monkeypatch):
-    # 18.5 MB is the peak of the stack route's block_decomposition alone on
+    # 18.5 MB is the peak of the stack route (tests/stack_route.py) alone on
     # these images; the envelope now forms the images, their regular
     # representations and the blocks below it, with no stack_orth (one
     # block: nothing ties) and no d³ array
@@ -394,14 +472,14 @@ def test_irreducible_frames_on_degenerate_and_repeated_stacks():
     for where, mats, shape in (("corner", corner, [(2, 1)]),
                                ("repeated", repeated, [(1, 2), (2, 3)])):
         stack = np.stack(mats)
-        blocks = irrep_frames(stack, block_decomposition(stack))
+        blocks = irrep_frames(stack, stack_blocks(stack))
         assert sorted((b.size, b.multiplicity) for b in blocks) == shape, where
         for blk in blocks:
             assert_irreducible_star_hom(blk.irrep, stack, blk.size, where)
 
 
 def test_a_block_without_a_frame_refuses_irrep():
-    blk = block_decomposition(np.stack([np.eye(2, dtype=complex)]))[0]
+    blk = envelope_algebra(gallery.z2_line_bundle()).blocks[0]
     with pytest.raises(ValueError, match="no irreducible frame"):
         blk.irrep(np.eye(2))
 
