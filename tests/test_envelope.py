@@ -253,8 +253,8 @@ def structure_route_subjects(certify_bundles):
     blocks) and the seed-1 certify bundles, and for each of them the
     sub-bundle and the quotient bundle of every Fell ideal other than 0 and
     the whole bundle.  Some of these unit fibres act degenerately: the unit
-    representation of the ideal over {p, q} of ``a4-over-z2`` is not unital
-    on C^{n_x}."""
+    representations at pt of the ideal and quotient bundles of
+    ``a4-over-z2`` are not unital on C^3."""
     from fellbund.actions import compile_to_fell_bundle
     from fellbund.bundle import subbundle_from_frames
     from fellbund.ideals import enumerate_fell_ideals, quotient_bundle
