@@ -38,7 +38,12 @@ differ only in their last bits read the same there, while
 ``block_digests.txt`` shows the change.  ``family_verdicts.txt`` lists,
 for the same bundles with at most 256 candidates in the Fell-ideal search,
 each candidate family with its block masks, its verdict and the SHA-256 of
-its ``validate_invariant_family`` report, residuals included.  fellbund is
+its ``validate_invariant_family`` report, residuals included.
+``structure_digests.txt`` lists, for the same bundles, the SHA-256 of the
+shape and bytes of each of its ``mult_stacks`` items in composable-pair
+order, of its ``inv_stacks`` items in arrow order and of its ``unit_rep``
+in object order, so that a change to how a bundle is built shows even
+where no report reads the last bits.  fellbund is
 imported from CHECKOUT's ``src`` (default: the checkout holding this
 script), so two checkouts can be compared byte for byte:
 
@@ -311,6 +316,22 @@ def family_verdicts(fb, label: str, bundles: dict, tols) -> list[str]:
     return lines
 
 
+def structure_digests(label: str, bundles: dict) -> list[str]:
+    """Per bundle (name -> FellBundle), one line per kind of structure
+    tensor: the SHA-256 of the shape and bytes of each ``mult_stacks`` item,
+    each ``inv_stacks`` item and each ``unit_rep`` matrix stack, in order."""
+    lines = []
+    for name, b in bundles.items():
+        for kind, tensors in (("mult", b.mult_stacks), ("inv", b.inv_stacks),
+                              ("unit_rep", [b.unit_rep[x] for x in b.groupoid.objects])):
+            digest = hashlib.sha256()
+            for t in tensors:
+                digest.update(np.array(t.shape).tobytes())
+                digest.update(np.ascontiguousarray(t).tobytes())
+            lines.append(f"{label} {name} {kind} {digest.hexdigest()}")
+    return lines
+
+
 def workspace_bundles(fb, raw: dict) -> tuple[dict, object]:
     """The bundles of a workspace (name -> FellBundle) and its tolerances."""
     ws = fb.workspace.Workspace.from_dict(raw)
@@ -342,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     for cmd in DEMO_COMMANDS:
         jobs.append(("demo " + " ".join(c.lstrip("-") for c in cmd), [cmd[0], demo, *cmd[1:]]))
     os.makedirs(args.out, exist_ok=True)
-    codes, kernels, blocks, characters, verdicts = [], [], [], [], []
+    codes, kernels, blocks, characters, verdicts, structures = [], [], [], [], [], []
 
     def add_digests(label: str, raw: dict, seed: int) -> None:
         bundles, tols = workspace_bundles(fellbund, raw)
@@ -350,6 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         blocks.extend(block_digests(fellbund, label, bundles, tols))
         characters.extend(block_characters(fellbund, label, bundles, tols))
         verdicts.extend(family_verdicts(fellbund, label, bundles, tols))
+        structures.extend(structure_digests(label, bundles))
     with open(demo) as fh:
         add_digests("demo", json.load(fh), 0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -396,6 +418,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n".join(characters) + "\n")
     with open(os.path.join(args.out, "family_verdicts.txt"), "w") as fh:
         fh.write("\n".join(verdicts) + "\n")
+    with open(os.path.join(args.out, "structure_digests.txt"), "w") as fh:
+        fh.write("\n".join(structures) + "\n")
     print(f"{len(jobs)} reports written to {args.out}")
     return 0
 

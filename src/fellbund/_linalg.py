@@ -16,8 +16,8 @@ import numpy as np
 Array = np.ndarray
 _EPS = float(np.finfo(float).eps)
 # elements per item times items per stack (1 MB of complex128): bounds the
-# memory of one stacked call; MatrixModelBundle.to_fell_bundle slices its
-# basis products by it too
+# memory of one stacked call, except that an item larger than it runs alone
+# (the matrix-model parse chunks its basis products by composable pair)
 _STACK_CHUNK = 1 << 16
 
 

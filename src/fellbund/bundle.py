@@ -26,6 +26,7 @@ section involution and the delta table of ``reps`` read views of their groups.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
@@ -371,13 +372,22 @@ class MatrixModelBundle:
                  obj_dims: Mapping[str, int] | None = None, rtol: float = 1e-10):
         self.groupoid = groupoid
         raw = {g: [la.as_complex(m) for m in fibers.get(g, [])] for g in groupoid.arrows}
+        # with an inf, orth_rows keeps no direction (s > rtol * inf fails) and
+        # the fibre silently becomes zero; a NaN breaks the SVD.  One pass finds
+        # the first matrix with a non-finite entry, reported where a loop over
+        # the matrices would have reached it
+        flat = [m for mats in raw.values() for m in mats]
+        bad = len(flat)
+        if flat and not np.isfinite(entries := np.concatenate(flat, axis=None)).all():
+            ends = np.cumsum([m.size for m in flat])
+            bad = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(entries))[0], "right"))
         dims: dict[str, int] = dict(obj_dims or {})
+        at = 0
         for g, mats in raw.items():
             for m in mats:
-                # with an inf, orth_rows keeps no direction (s > rtol * inf
-                # fails) and the fibre silently becomes zero; a NaN breaks the SVD
-                if not np.isfinite(m).all():
+                if at == bad:
                     raise ValueError(f"non-finite entry in a matrix of the fibre at arrow {g}")
+                at += 1
                 r, s = groupoid.rng[g], groupoid.src[g]
                 for obj, size in ((r, m.shape[0]), (s, m.shape[1])):
                     if dims.setdefault(obj, size) != size:
@@ -386,10 +396,15 @@ class MatrixModelBundle:
             if x not in dims:
                 raise ValueError(f"cannot infer matrix size at object {x}; pass obj_dims")
         self.obj_dims = dims
-        self.fibers = {
-            g: la.stack_orth(raw[g], dims[groupoid.rng[g]], dims[groupoid.src[g]], rtol)
-            for g in groupoid.arrows
-        }
+        # HS-orthonormalised as ``la.stack_orth`` does it, the fibres of one
+        # shape by one stacked SVD
+        shape = {g: (dims[groupoid.rng[g]], dims[groupoid.src[g]]) for g in groupoid.arrows}
+        self.fibers = {g: np.zeros((0, *shape[g]), dtype=np.complex128) for g in groupoid.arrows}
+        live = [g for g in groupoid.arrows if raw[g]]
+        for g, (vh, rank) in zip(live, la.stacked(
+                [(np.array(raw[g]).reshape(len(raw[g]), math.prod(shape[g])),) for g in live],
+                lambda v: la.stacked_orth_rows(v, rtol))):
+            self.fibers[g] = np.ascontiguousarray(vh[:rank]).reshape(rank, *shape[g])
 
     def validate(self, tol: float = 1e-9) -> ValidationReport:
         """Independent matrix-level validator: subspace containments only."""
@@ -421,41 +436,54 @@ class MatrixModelBundle:
     def dims(self, g: str) -> int:
         return self.fibers[g].shape[0]
 
-    def to_fell_bundle(self, rtol: float = 1e-10, name: str = "matrix bundle") -> FellBundle:
-        """Structure tensors from the matrix model: per composable pair, the
-        products of the basis pairs as stacked matmuls (over slices of the
-        basis of A_g, _STACK_CHUNK elements of products at a time), expanded
-        in the HS-orthonormal composite fibre by one stacked matrix-vector
-        product each; the involution the same way from the adjoints."""
+    def to_fell_bundle(self, name: str = "matrix bundle") -> FellBundle:
+        """Structure tensors from the matrix model, one stacked pass per
+        shape: for the composable pairs (g, h) whose fibres at g, h and gh
+        share their shapes, the products of all basis pairs by one batched
+        matmul, and their coefficients in the HS-orthonormal composite fibre
+        by one batched matrix-vector product per product, as ``la.stack_expand``
+        forms it (in chunks of at most _STACK_CHUNK elements of products, one
+        pair at least); the involution the same way from the adjoints."""
         G = self.groupoid
+        T = G.tables
         dims = {g: self.dims(g) for g in G.arrows}
-        flat = {g: la.flatten_stack(self.fibers[g]) for g in G.arrows}
-        mult = {}
-        for g, h in composable_pairs(G):
-            gh = G.comp[(g, h)]
-            n = flat[gh].shape[1]
-            tensor = np.empty((dims[gh], dims[g], dims[h]), dtype=np.complex128)
-            rows = max(1, _STACK_CHUNK // max(1, dims[h] * n))
-            for i in range(0, dims[g], rows):
-                prods = np.matmul(self.fibers[g][i:i + rows, None], self.fibers[h][None])
-                k = prods.shape[0]
-                tensor[:, i:i + k] = _expand(flat[gh], prods.reshape(k * dims[h], n)
-                                             ).reshape(dims[gh], k, dims[h])
-            mult[(g, h)] = tensor
-        inv = {}
-        for g in G.arrows:
-            adjoints = np.conj(self.fibers[g]).transpose(0, 2, 1)
-            inv[g] = _expand(flat[G.inv[g]], adjoints.reshape(dims[g], flat[G.inv[g]].shape[1]))
+        pairs = composable_pairs(G)
+        g, h = T.pairs[:, 0], T.pairs[:, 1]
+        gh = T.comp[g, h]
+        if (gh < 0).any():
+            raise ValueError("composable pair ({},{}) has no composite".format(
+                *pairs[int(np.flatnonzero(gh < 0)[0])]))
+        fibers = la.Stacks(list(self.fibers.values()))
+        mult: list = [None] * len(pairs)
+        # size: the (d_g, d_h, n_{r(g)}, n_{s(h)}) products
+        for chunk, (A, B, C) in la.gathered(
+                [(fibers, g), (fibers, h), (fibers, gh)],
+                lambda s: s[0][0] * s[1][0] * s[2][1] * s[2][2]):
+            t, dg, dh, (dgh, n, m) = len(chunk), A.shape[1], B.shape[1], C.shape[1:]
+            prods = np.matmul(A[:, :, None], B[:, None]).reshape(t, dg, dh, n * m, 1)
+            coeff = _expand(C.reshape(t, 1, 1, dgh, n * m), prods)
+            for p, tensor in zip(chunk, np.ascontiguousarray(coeff.transpose(0, 3, 1, 2))):
+                mult[p] = tensor
+        inv: list = [None] * len(G.arrows)
+        # size: the (d_g, n_{s(g)}, n_{r(g)}) adjoints
+        for chunk, (A, C) in la.gathered([(fibers, np.arange(len(G.arrows))), (fibers, T.inv)],
+                                         lambda s: math.prod(s[0])):
+            t, d, (di, n, m) = len(chunk), A.shape[1], C.shape[1:]
+            adjoints = np.conj(A).transpose(0, 1, 3, 2).reshape(t, d, n * m, 1)
+            coeff = _expand(C.reshape(t, 1, di, n * m), adjoints)
+            for a, tensor in zip(chunk, np.ascontiguousarray(coeff.transpose(0, 2, 1))):
+                inv[a] = tensor
         unit_rep = {x: self.fibers[G.unit[x]] for x in G.objects}
-        return FellBundle(G, dims, mult, inv, unit_rep,
+        return FellBundle(G, dims, dict(zip(pairs, mult)), dict(zip(G.arrows, inv)), unit_rep,
                           matrix_model=self.fibers, name=name)
 
 
 def _expand(flat: Array, mats: Array) -> Array:
-    """Coefficients (d, m) of the flattened matrices ``mats`` (m, N) in the
-    HS-orthonormal rows ``flat`` (d, N): one matrix-vector product per
-    matrix, as ``la.stack_expand`` forms it."""
-    return np.matmul(flat.conj(), mats[:, :, None])[:, :, 0].T
+    """Coefficients (..., d) of the flattened matrices ``mats`` (..., N, 1)
+    in the HS-orthonormal rows ``flat`` (..., d, N), broadcast against each
+    other: one matrix-vector product per matrix, as ``la.stack_expand``
+    forms it."""
+    return np.matmul(flat.conj(), mats)[..., 0]
 
 
 # -- validator -----------------------------------------------------------------
@@ -481,7 +509,6 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
         return rep
 
     rng = np.random.default_rng(tols.seed)
-    mult, dims = bundle.mult, bundle.dims
     T, S, arrows = G.tables, bundle.structure(), G.arrows
 
     _associativity(rep, tol, S, arrows)
@@ -500,8 +527,7 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
                     [(S.inv, T.comp[g, h]), (S.mult, live), (S.mult, T.pair[T.inv[h], T.inv[g]]),
                      (S.inv, h), (S.inv, g)],
                     lambda s: s[0][0] * s[1][1] * s[1][2],
-                    lambda j_gh, m_gh, *_: np.einsum("tlk,tkij->tlij", j_gh, np.conj(m_gh)),
-                    lambda _, __, m_hg, j_h, j_g: np.einsum("tkab,taj,tbi->tkij", m_hg, j_h, j_g),
+                    _star_of_product, _product_of_stars,
                     lambda p: f"({arrows[g[p]]},{arrows[h[p]]})")
 
     # unit fibre representations are faithful *-homomorphisms with a unit
@@ -529,19 +555,44 @@ def validate_fell_bundle(bundle: FellBundle, tols: Tolerances = DEFAULT,
 
     _norm_checks(rep, tol, bundle, S, live, rng, samples)
 
-    # nondegeneracy: span(A_g A_{g^-1} A_g) = A_g, the products e_i e'_j e_k
-    # of basis vectors of A_g, A_{g^-1}, A_g in (i, j, k) order
-    for g in G.arrows:
-        d = bundle.dims[g]
-        if d == 0:
-            continue
-        gi = G.inv[g]
-        u = G.unit[G.rng[g]]
-        vecs = np.einsum("lmk,mij->ijkl", mult[(u, g)], mult[(g, gi)])
-        span = la.orth_rows(vecs.reshape(d * dims[gi] * d, d), tols.rank_threshold)
-        rep.require(span.shape[0] == d, "nondegeneracy A_g A_g* A_g = A_g", f"arrow {g}",
-                    detail=f"span rank {span.shape[0]} of {d}")
+    _nondegeneracy(rep, tols.rank_threshold, S, arrows)
     return rep
+
+
+def _star_of_product(j_gh: Array, m_gh: Array, *_) -> Array:
+    """(e_i e_j)* per pair (t, l, i, j): inv[gh] after conj(mult[(g, h)])."""
+    (t, l, k), (i, j) = j_gh.shape, m_gh.shape[2:]
+    return np.matmul(j_gh, np.conj(m_gh).reshape(t, k, i * j)).reshape(t, l, i, j)
+
+
+def _product_of_stars(_, __, m_hg: Array, j_h: Array, j_g: Array) -> Array:
+    """e_j* e_i* per pair (t, k, i, j): (j_h^T M_k) j_g for each coordinate k
+    of M = mult[(h^-1, g^-1)], transposed."""
+    prods = np.matmul(np.matmul(np.swapaxes(j_h, 1, 2)[:, None], m_hg), j_g[:, None])
+    return np.swapaxes(prods, 2, 3)
+
+
+def _nondegeneracy(rep: ValidationReport, rtol: float, S: Structure,
+                   arrows: tuple[str, ...]) -> None:
+    """span(A_g A_{g^-1} A_g) = A_g for every arrow with d_g > 0: the
+    products e_i e'_j e_k of basis vectors of A_g, A_{g^-1}, A_g in (i, j, k)
+    order, mult[(g, g^-1)] then mult[(u_{r(g)}, g)], as one matmul and their
+    ranks by one ``la.stacked_orth_rows`` per group of arrows with equal
+    shapes; reported in arrow order."""
+    T = S.tables
+    live = np.flatnonzero(S.dims > 0)
+    rank = np.zeros(len(arrows), dtype=np.intp)
+    # size: the (d_g d_{g^-1} d_g, d_g) products
+    for chunk, (ug, ggi) in la.gathered([(S.mult, T.pair[T.unit[T.rng[live]], live]),
+                                        (S.mult, T.pair[live, T.inv[live]])],
+                                       lambda s: s[1][1] * s[1][2] * s[0][0] ** 2):
+        t, (d, m, _), di = len(chunk), ug.shape[1:], ggi.shape[3]
+        vecs = np.matmul(np.swapaxes(ggi.reshape(t, m, d * di), 1, 2),
+                         ug.transpose(0, 2, 3, 1).reshape(t, m, d * d))
+        rank[live[chunk]] = la.stacked_orth_rows(vecs.reshape(t, d * di * d, d), rtol)[1]
+    for a in live:
+        rep.require(rank[a] == S.dims[a], "nondegeneracy A_g A_g* A_g = A_g", f"arrow {arrows[a]}",
+                    detail=f"span rank {rank[a]} of {S.dims[a]}")
 
 
 def _associativity(rep: ValidationReport, tol: float, S: Structure,
@@ -556,9 +607,20 @@ def _associativity(rep: ValidationReport, tol: float, S: Structure,
                     [(S.mult, T.pair[T.comp[g, h], k]), (S.mult, T.pair[g, h]),
                      (S.mult, T.pair[g, T.comp[h, k]]), (S.mult, T.pair[h, k])],
                     lambda s: s[0][0] * s[1][1] * s[1][2] * s[0][2],
-                    lambda lk, gh, gk, hk: np.einsum("tkml,tmij->tkijl", lk, gh),
-                    lambda lk, gh, gk, hk: np.einsum("tkim,tmjl->tkijl", gk, hk),
+                    _left_bracketed, _right_bracketed,
                     lambda t: "({},{},{})".format(*[arrows[i] for i in triples[t]]))
+
+
+def _left_bracketed(lk: Array, gh: Array, *_) -> Array:
+    """(e_i e_j) e_l per triple (t, k, i, j, l): mult[(gh, k)] after mult[(g, h)]."""
+    (t, k, m, l), (i, j) = lk.shape, gh.shape[2:]
+    return np.matmul(np.swapaxes(gh.reshape(t, 1, m, i * j), 2, 3), lk).reshape(t, k, i, j, l)
+
+
+def _right_bracketed(_, __, gk: Array, hk: Array) -> Array:
+    """e_i (e_j e_l) per triple (t, k, i, j, l): mult[(g, hk)] after mult[(h, k)]."""
+    (t, k, i, m), (j, l) = gk.shape, hk.shape[2:]
+    return np.matmul(gk.reshape(t, k * i, m), hk.reshape(t, m, j * l)).reshape(t, k, i, j, l)
 
 
 def _gathered_check(rep: ValidationReport, tol: float, check: str,

@@ -212,8 +212,7 @@ class Workspace:
                                f"{where}.obj_dims")} or None
             try:
                 bundle = MatrixModelBundle(G, fibers, obj_dims,
-                                           self.tols.rank_threshold).to_fell_bundle(
-                    self.tols.rank_threshold, name=name)
+                                           self.tols.rank_threshold).to_fell_bundle(name=name)
             except ValueError as exc:
                 raise WorkspaceError(f"{where}: {exc}") from exc
         else:

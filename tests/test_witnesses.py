@@ -14,7 +14,7 @@ import fellbund._linalg as la
 from fellbund import gallery
 from fellbund.bundle import FellBundle, validate_fell_bundle
 from fellbund.config import DEFAULT, Tolerances
-from fellbund.groupoid import composable_pairs, cyclic_group
+from fellbund.groupoid import composable_pairs, composable_triples, cyclic_group
 from fellbund.ideals import InvariantFamily, validate_invariant_family
 
 
@@ -191,3 +191,60 @@ def test_family_ideal_checks_match_loop_reference(name):
     got = [(v.check, v.where, v.residual) for v in rep.violations if "ideal" in v.check]
     want = loop_family_residuals(F, DEFAULT)
     assert want and got == want
+
+
+# The associativity and anti-multiplicativity checks form their products as
+# batched matmuls; the einsum loops below are their references.  The sums run
+# in another order, so the residuals agree to a relative 1e-9, not bit for bit.
+
+IDENTITY_CHECKS = {"associativity", "involution anti-multiplicative"}
+
+
+def loop_identity_checks(bundle, tol):
+    """(check, where, residual) of associativity per composable triple and
+    of (ab)* = b* a* per composable pair with both fibres nonzero, in the
+    validator's order."""
+    G, mult, inv = bundle.groupoid, bundle.mult, bundle.inv
+    out = []
+
+    def check(left, right, name, where):
+        res, scale = np.linalg.norm(left - right), np.linalg.norm(left)
+        if not res <= tol * max(1.0, scale):
+            out.append((name, where, res))
+
+    for g, h, k in composable_triples(G):
+        gh, hk = G.comp[(g, h)], G.comp[(h, k)]
+        check(np.einsum("kml,mij->kijl", mult[(gh, k)], mult[(g, h)]),
+              np.einsum("kim,mjl->kijl", mult[(g, hk)], mult[(h, k)]),
+              "associativity", f"({g},{h},{k})")
+    for g, h in composable_pairs(G):
+        if bundle.dims[g] and bundle.dims[h]:
+            check(np.einsum("lk,kij->lij", inv[G.comp[(g, h)]], np.conj(mult[(g, h)])),
+                  np.einsum("kab,aj,bi->kij", mult[(G.inv[h], G.inv[g])], inv[h], inv[g]),
+                  "involution anti-multiplicative", f"({g},{h})")
+    return out
+
+
+def flipped_z8_line():
+    """The trivial line bundle over Z/8 with the sign of mult[(g1, g2)]
+    flipped, as ``scripts/report_snapshot.py`` validates it."""
+    G = cyclic_group(8)
+    one = np.ones((1, 1, 1), dtype=np.complex128)
+    mult = {p: -one if p == ("g1", "g2") else one for p in composable_pairs(G)}
+    return FellBundle(G, {g: 1 for g in G.arrows}, mult,
+                      {g: np.ones((1, 1)) for g in G.arrows}, {"pt": one})
+
+
+@pytest.mark.parametrize("name", ["z8-flipped", "a4-over-z2-perturbed", "m3-pair3-perturbed"])
+def test_identity_checks_match_loop_reference(certify_bundles, name):
+    b = {"z8-flipped": flipped_z8_line,
+         "a4-over-z2-perturbed": lambda: perturbed(gallery.a4_over_z2_bundle(),
+                                                   seed=len("a4-over-z2")),
+         "m3-pair3-perturbed": lambda: perturbed(certify_bundles["m3-pair3"],
+                                                 seed=len("m3-pair3"))}[name]()
+    got = [(v.check, v.where, v.residual) for v in validate_fell_bundle(b).violations
+           if v.check in IDENTITY_CHECKS]
+    want = loop_identity_checks(b, DEFAULT.tolerance)
+    assert {c for c, _, _ in want} == IDENTITY_CHECKS
+    assert [(c, w) for c, w, _ in got] == [(c, w) for c, w, _ in want]
+    np.testing.assert_allclose([r for _, _, r in got], [r for _, _, r in want], rtol=1e-9, atol=0)
