@@ -43,7 +43,10 @@ its ``validate_invariant_family`` report, residuals included.
 shape and bytes of each of its ``mult_stacks`` items in composable-pair
 order, of its ``inv_stacks`` items in arrow order and of its ``unit_rep``
 in object order, so that a change to how a bundle is built shows even
-where no report reads the last bits.  fellbund is
+where no report reads the last bits.  ``regular_digests.txt`` does the same
+for the regular representation: per bundle and object, the SHA-256 of the
+shape and bytes of each summand's Gram quotient maps phi and psi and of
+its K blocks (or the error building it raises).  fellbund is
 imported from CHECKOUT's ``src`` (default: the checkout holding this
 script), so two checkouts can be compared byte for byte:
 
@@ -332,6 +335,35 @@ def structure_digests(label: str, bundles: dict) -> list[str]:
     return lines
 
 
+def regular_digests(fb, label: str, bundles: dict, tols) -> list[str]:
+    """Per bundle (name -> FellBundle) and object x, one line: the SHA-256
+    of phi and psi of each summand g in G_x of ``regular_at(bundle, x)``, in
+    declared order, each with the name g, and then of each K block with its
+    key "h,g", in the order it holds them; every array by its shape and
+    bytes.  A line holds the ValueError instead, if one is raised."""
+    def parts(b, x):
+        reg = fb.envelope.regular_at(b, x, tols)
+        named = [(g, a) for g in reg.summands for a in (reg.phi[g], reg.psi[g])]
+        named += [(",".join(key), block) for key, block in reg.blocks.items()]
+        for key, a in named:
+            yield key.encode()
+            yield np.array(a.shape).tobytes()
+            yield np.ascontiguousarray(a).tobytes()
+
+    lines = []
+    for name, b in bundles.items():
+        for x in b.groupoid.objects:
+            digest = hashlib.sha256()
+            try:
+                for part in parts(b, x):
+                    digest.update(part)
+            except ValueError as exc:
+                lines.append(f"{label} {name} {x} error: {exc}")
+                continue
+            lines.append(f"{label} {name} {x} {digest.hexdigest()}")
+    return lines
+
+
 def workspace_bundles(fb, raw: dict) -> tuple[dict, object]:
     """The bundles of a workspace (name -> FellBundle) and its tolerances."""
     ws = fb.workspace.Workspace.from_dict(raw)
@@ -363,7 +395,8 @@ def main(argv: list[str] | None = None) -> int:
     for cmd in DEMO_COMMANDS:
         jobs.append(("demo " + " ".join(c.lstrip("-") for c in cmd), [cmd[0], demo, *cmd[1:]]))
     os.makedirs(args.out, exist_ok=True)
-    codes, kernels, blocks, characters, verdicts, structures = [], [], [], [], [], []
+    codes, kernels, blocks, characters, verdicts, structures, regulars = \
+        [], [], [], [], [], [], []
 
     def add_digests(label: str, raw: dict, seed: int) -> None:
         bundles, tols = workspace_bundles(fellbund, raw)
@@ -372,6 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         characters.extend(block_characters(fellbund, label, bundles, tols))
         verdicts.extend(family_verdicts(fellbund, label, bundles, tols))
         structures.extend(structure_digests(label, bundles))
+        regulars.extend(regular_digests(fellbund, label, bundles, tols))
     with open(demo) as fh:
         add_digests("demo", json.load(fh), 0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -420,6 +454,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n".join(verdicts) + "\n")
     with open(os.path.join(args.out, "structure_digests.txt"), "w") as fh:
         fh.write("\n".join(structures) + "\n")
+    with open(os.path.join(args.out, "regular_digests.txt"), "w") as fh:
+        fh.write("\n".join(regulars) + "\n")
     print(f"{len(jobs)} reports written to {args.out}")
     return 0
 

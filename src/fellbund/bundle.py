@@ -37,10 +37,9 @@ import numpy as np
 
 from . import _linalg as la
 from ._kernels import ConvolutionPlan
-from ._linalg import _STACK_CHUNK
 from .config import DEFAULT, Tolerances
-from .groupoid import (FiniteGroupoid, GroupoidTables, composable_pairs, trivial_group,
-                       validate_groupoid)
+from .groupoid import (FiniteGroupoid, GroupoidTables, composable_pairs, missing_composite,
+                       trivial_group, validate_groupoid)
 from .report import ValidationReport
 
 Array = np.ndarray
@@ -122,6 +121,8 @@ class FellBundle:
 
     def _check_shapes(self) -> None:
         G = self.groupoid
+        if gap := missing_composite(G):
+            raise ValueError("composable pair ({},{}) has no composite".format(*gap))
         for (g, h), m in self.mult.items():
             want = (self.dims[G.comp[(g, h)]], self.dims[g], self.dims[h])
             if m.shape != want:
@@ -212,7 +213,7 @@ class FellBundle:
         max |a|, and scaled back, so a* a neither overflows nor underflows.  The rows
         of one ``norm_stacks`` group take one einsum for their a* a coordinates, one
         batched (1, d_u) @ (d_u, n^2) product and one ``eigvalsh``, in chunks of at most
-        _STACK_CHUNK per-row stack elements.  A non-finite row raises ValueError naming its arrow."""
+        la._STACK_CHUNK per-row stack elements.  A non-finite row raises ValueError naming its arrow."""
         index = self._norm_index()
         sizes = [len(rows) for _, rows in requests]
         ends = list(accumulate(sizes))
@@ -442,17 +443,16 @@ class MatrixModelBundle:
         share their shapes, the products of all basis pairs by one batched
         matmul, and their coefficients in the HS-orthonormal composite fibre
         by one batched matrix-vector product per product, as ``la.stack_expand``
-        forms it (in chunks of at most _STACK_CHUNK elements of products, one
+        forms it (in chunks of at most la._STACK_CHUNK elements of products, one
         pair at least); the involution the same way from the adjoints."""
         G = self.groupoid
         T = G.tables
         dims = {g: self.dims(g) for g in G.arrows}
         pairs = composable_pairs(G)
+        if gap := missing_composite(G):
+            raise ValueError("composable pair ({},{}) has no composite".format(*gap))
         g, h = T.pairs[:, 0], T.pairs[:, 1]
         gh = T.comp[g, h]
-        if (gh < 0).any():
-            raise ValueError("composable pair ({},{}) has no composite".format(
-                *pairs[int(np.flatnonzero(gh < 0)[0])]))
         fibers = la.Stacks(list(self.fibers.values()))
         mult: list = [None] * len(pairs)
         # size: the (d_g, d_h, n_{r(g)}, n_{s(h)}) products

@@ -13,6 +13,13 @@ Faithfulness of the direct sum makes this the unique C*-norm on the section
 *-algebra, so full and reduced coincide here (finite-dimensional *-algebra
 with a faithful C*-representation); the full norm is defined as this one.
 
+Every induced space A_g (x)_{A_{s(g)}} C^m has its Gram quotient cut in one
+place, ``induced_fibres``: one einsum and one batched ``eigh`` per stack of
+items of one shape.  The regular representation takes the quotients of all
+arrows at once (``regular_quotients``, one pass per ``norm_stacks`` group),
+and the dual action of ``spectrum`` takes them with an irrep of a unit-fibre
+block in place of the unit representation.
+
 The envelope C*(A) is the span of the images Lambda(delta_{g,i}), cut into
 its simple blocks by ``block_decomposition``, which also cuts each unit
 fibre A_x (``spectrum.fiber_spectrum``).  There is one route for both: the
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,40 +53,100 @@ from .sections import Section, basis_sections, module_action, unit_section
 Array = np.ndarray
 
 
+def induced_grams(tensors: Array, reps: Array) -> Array:
+    """Gram matrices (A, d·m, d·m) of the induced spaces A_g (x) C^m of a
+    stack of items of one shape, each given by the ``star_mult_tensor`` of
+    its arrow (A, d_u, d, d) and a representation of the unit fibre at s(g),
+    one (m, m) matrix per basis element (A, d_u, m, m): entry ((i, v), (j, w))
+    is <e_i (x) e_v, e_j (x) e_w> = rep(e_i* e_j)[v, w].  One einsum; equal bit
+    for bit to one einsum per item."""
+    A, _, d, _ = tensors.shape
+    raw = d * reps.shape[-1]
+    return np.einsum("akij,akvw->aivjw", tensors, reps).reshape(A, raw, raw)
+
+
 def induced_gram(bundle: FellBundle, g: str, rep_stack: Array) -> Array:
-    """Gram matrix of A_g (x) C^m for a representation of the unit fibre at
-    s(g), given as one (m, m) matrix per basis element: entry ((i, v), (j, w))
-    is <e_i (x) e_v, e_j (x) e_w> = rep(e_i* e_j)[v, w]."""
-    raw = bundle.dims[g] * rep_stack.shape[1]
-    return np.einsum("kij,kvw->ivjw", bundle.star_mult_tensor(g), rep_stack).reshape(raw, raw)
+    """``induced_grams`` of the one item (g, rep_stack)."""
+    return induced_grams(bundle.star_mult_tensor(g)[None], rep_stack[None])[0]
 
 
-def induced_fibre(bundle: FellBundle, g: str, rep_stack: Array,
-                  tols: Tolerances = DEFAULT) -> tuple[Array, Array, int]:
-    """Gram quotient of the induced space A_g (x)_{A_{s(g)}} C^m.
+class InducedFibre(NamedTuple):
+    """The Gram quotient of one induced space A_g (x)_{A_{s(g)}} C^m."""
 
-    The eigenvectors of ``induced_gram`` above rank_threshold·max(top, 1)
-    span the quotient.  Returns phi (q, d·m), which maps A_g (x) C^m onto
+    phi: Array  # (q, d·m): onto the quotient, with phi* phi the Gram matrix
+    psi: Array  # (d·m, q): its right inverse
+    shaky: int  # eigenvalues within a decade of the rank cut
+
+
+class InducedFibres(NamedTuple):
+    """``induced_fibres`` of a stack of A items whose Gram matrices are r x r."""
+
+    vals: Array               # (A, r) the eigenvalues of the Gram matrices, ascending
+    vecs: Array               # (A, r, r) their eigenvectors
+    keep: Array               # (A, r) the eigenvalues above the rank cut
+    shaky: Array              # (A,) the eigenvalues within a decade of the cut
+    errors: list[str | None]  # per item, why its Gram matrix is not positive, or None
+
+    def fibre(self, a: int) -> InducedFibre:
+        """The quotient of item a, formed on request; ValueError when its
+        Gram matrix is not positive."""
+        if self.errors[a] is not None:
+            raise ValueError(self.errors[a])
+        lam, v = self.vals[a, self.keep[a]], self.vecs[a][:, self.keep[a]]
+        return InducedFibre(np.sqrt(lam)[:, None] * v.conj().T, v / np.sqrt(lam)[None, :],
+                            int(self.shaky[a]))
+
+
+def _zero_fibres(count: int) -> InducedFibres:
+    """``induced_fibres`` of items with 0 x 0 Gram matrices: zero quotients."""
+    return InducedFibres(np.zeros((count, 0)), np.zeros((count, 0, 0), dtype=np.complex128),
+                         np.zeros((count, 0), dtype=bool), np.zeros(count, dtype=np.intp),
+                         [None] * count)
+
+
+def induced_fibres(bundle: FellBundle, arrows: list[str], tensors: Array, reps: Array,
+                   tols: Tolerances = DEFAULT) -> InducedFibres:
+    """Gram quotients of the induced spaces A_g (x)_{A_{s(g)}} C^m of a stack
+    of items of one shape, item a at the arrow ``arrows[a]`` (``induced_grams``
+    reads ``tensors`` and ``reps``): one einsum forms the Gram matrices and
+    one batched ``eigh`` eigendecomposes them.
+
+    Per item, the eigenvectors above rank_threshold·max(top, 1) span the
+    quotient.  ``fibre(a)`` gives phi (q, d·m), which maps A_g (x) C^m onto
     the quotient with phi* phi the Gram matrix, its right inverse psi
     (d·m, q), and the number of eigenvalues within a decade of the cut (the
-    quotient dimension may flip under a small change of threshold).  Raises
-    ValueError when the Gram matrix is not positive.
-    """
-    raw = bundle.dims[g] * rep_stack.shape[1]
-    if raw == 0:
-        empty = np.zeros((0, 0), dtype=np.complex128)
-        return empty, empty, 0
-    vals, vecs = np.linalg.eigh(la.hermitian_part(induced_gram(bundle, g, rep_stack)))
-    top = max(float(vals[-1]), 0.0)
-    cut = tols.rank_threshold * max(top, 1.0)
-    if float(vals[0]) < -max(tols.tolerance, cut):
-        raise ValueError(f"Gram matrix at ({bundle.groupoid.src[g]},{g}) is not positive "
-                         f"(min eigenvalue {vals[0]:.3e}); bundle invalid")
-    keep = vals > cut
-    lam = vals[keep]
-    v = vecs[:, keep]
-    shaky = int(np.sum((vals > cut / 10) & (vals <= cut * 10)))
-    return np.sqrt(lam)[:, None] * v.conj().T, v / np.sqrt(lam)[None, :], shaky
+    quotient dimension may flip under a small change of threshold); it
+    raises ValueError when the bottom eigenvalue lies below
+    -max(tolerance, cut).  Equal bit for bit to one einsum and one ``eigh``
+    per item."""
+    A, _, d, _ = tensors.shape
+    if not d * reps.shape[-1]:
+        return _zero_fibres(A)
+    vals, vecs = np.linalg.eigh(la.hermitian_part(induced_grams(tensors, reps)))
+    cut = tols.rank_threshold * np.maximum(np.maximum(vals[:, -1], 0.0), 1.0)
+    errors: list[str | None] = [None] * A
+    for a in np.flatnonzero(vals[:, 0] < -np.maximum(tols.tolerance, cut)).tolist():
+        errors[a] = (f"Gram matrix at ({bundle.groupoid.src[arrows[a]]},{arrows[a]}) is not "
+                     f"positive (min eigenvalue {vals[a, 0]:.3e}); bundle invalid")
+    shaky = np.sum((vals > cut[:, None] / 10) & (vals <= cut[:, None] * 10), axis=1)
+    return InducedFibres(vals, vecs, vals > cut[:, None], shaky, errors)
+
+
+def regular_quotients(bundle: FellBundle,
+                      tols: Tolerances = DEFAULT) -> dict[str, tuple[InducedFibres, int]]:
+    """Per arrow g, the stack and place of the Gram quotient of A_g (x) C^n
+    with C^n carrying the unit representation at s(g): one
+    ``induced_fibres`` pass per ``norm_stacks`` group, which stacks exactly
+    these tensors and representations; a zero fibre has a zero quotient.
+    Built on first use and cached on the bundle under the two thresholds it
+    reads."""
+    def build() -> dict[str, tuple[InducedFibres, int]]:
+        out = dict.fromkeys(bundle.groupoid.arrows, (_zero_fibres(1), 0))
+        for arrows, tensors, reps in bundle.norm_stacks():
+            stack = induced_fibres(bundle, arrows, tensors, reps, tols)
+            out.update((g, (stack, a)) for a, g in enumerate(arrows))
+        return out
+    return bundle.memo(("quotients", tols.tolerance, tols.rank_threshold), build)
 
 
 class RegularRepAt:
@@ -93,8 +160,10 @@ class RegularRepAt:
         self.psi: dict[str, Array] = {}
         self.quot_dim: dict[str, int] = {}
         self.borderline: list[str] = []
+        quotients = regular_quotients(bundle, tols)
         for g in self.summands:
-            phi, psi, shaky = induced_fibre(bundle, g, bundle.unit_rep[x], tols)
+            stack, a = quotients[g]
+            phi, psi, shaky = stack.fibre(a)
             if shaky:
                 self.borderline.append(
                     f"({x},{g}): {shaky} Gram eigenvalue(s) within a decade "
@@ -119,8 +188,8 @@ class RegularRepAt:
             if self.quot_dim[g] == 0:
                 continue
             psi3 = self.psi[g].reshape(bundle.dims[g], n, self.quot_dim[g])
-            for h in G.arrows:
-                if G.src[h] != G.rng[g] or bundle.dims[h] == 0:
+            for h in G.source_fiber(G.rng[g]):
+                if bundle.dims[h] == 0:
                     continue
                 out = G.comp[(h, g)]
                 if self.quot_dim[out] == 0:

@@ -157,6 +157,14 @@ def composable_pairs(G: FiniteGroupoid) -> list[tuple[str, str]]:
     return [(g, h) for g in G.arrows for h in G.range_fiber(G.src[g])]
 
 
+def missing_composite(G: FiniteGroupoid) -> tuple[str, str] | None:
+    """The first composable pair, in ``composable_pairs`` order, that the
+    composition table leaves without a composite; None if there is none."""
+    T = G.tables
+    gaps = np.flatnonzero(T.comp[T.pairs[:, 0], T.pairs[:, 1]] < 0)
+    return (G.arrows[T.pairs[gaps[0], 0]], G.arrows[T.pairs[gaps[0], 1]]) if len(gaps) else None
+
+
 def composable_triples(G: FiniteGroupoid) -> list[tuple[str, str, str]]:
     """All (g, h, k) with src(g) = rng(h) and src(h) = rng(k), lexicographic."""
     return [(g, h, k) for g in G.arrows for h in G.range_fiber(G.src[g])

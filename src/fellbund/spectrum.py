@@ -4,14 +4,19 @@ The spectrum of a finite-dimensional fibre algebra is its list of matrix
 blocks.  An arrow g acts partially on the blocks of the source fibre: pi is
 in the domain iff it survives on span(A_g* A_g), and then left
 multiplication on the Gram quotient of A_g (x)_pi C^{dim pi} is irreducible
-and selects a unique block of the range fibre.  Finite spectra are discrete,
-so quasi-orbits are plain orbits (recorded in reports, not silently
-assumed).
+and selects a unique block of the range fibre.  ``dual_images`` finds the
+images of many (arrow, block) items in one stacked pass per shape: the Gram
+quotients from ``envelope.induced_fibres``, the block from one trace per
+item against the projections of the range fibre's blocks; the dual groupoid
+takes all its arrows from one call and composes them by target block.
+Finite spectra are discrete, so quasi-orbits are plain orbits (recorded in
+reports, not silently assumed).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Collection, Mapping
 
@@ -20,7 +25,7 @@ import numpy as np
 from . import _linalg as la
 from .bundle import FellBundle, Structure
 from .config import DEFAULT, Tolerances
-from .envelope import (SimpleBlock, block_decomposition, envelope_algebra, induced_fibre,
+from .envelope import (SimpleBlock, block_decomposition, envelope_algebra, induced_fibres,
                        irrep_frames)
 from .groupoid import FiniteGroupoid
 from .ideals import (InvariantFamily, enumerate_fell_ideals, ideal_from_invariant_family,
@@ -72,22 +77,32 @@ def fiber_spectrum(bundle: FellBundle, tols: Tolerances = DEFAULT) -> FiberSpect
 
 
 def _fiber_spectrum(bundle: FellBundle, tols: Tolerances) -> FiberSpectrum:
+    """The blocks of every unit fibre, then their unit-fibre coordinates by
+    one stacked least-squares solve and their supports by one stacked
+    ``orth_rows`` per shape (bit for bit one ``unit_coords`` and one
+    ``orth_rows`` per block)."""
     G = bundle.groupoid
-    by_object = {}
+    found = []  # (object, block) in object order
     for x in G.objects:
-        u, stack = G.unit[x], bundle.unit_rep[x]
-        raw = irrep_frames(stack, block_decomposition(
-            stack, Structure.unit_fibre(bundle, x), lambda: bundle.unit_algebra_unit(x), tols),
-            tols) if bundle.dims[u] else []
-        by_object[x] = []
-        for i, b in enumerate(raw):
-            coords, res = bundle.unit_coords(x, b.projection)
-            if res > 1e-7 * max(1.0, float(np.linalg.norm(b.projection))):
-                raise ValueError(f"central projection at {x} left the unit fibre")
-            # columns of the left-multiplication matrix: coordinates of p . e_j
-            support = la.orth_rows(left_matrix(bundle, u, u, coords).T, tols.rank_threshold)
-            by_object[x].append(SpectrumBlock(x, i, b.size, b.projection, b.irrep_frame,
-                                              coords, support))
+        stack = bundle.unit_rep[x]
+        if bundle.dims[G.unit[x]]:
+            found += [(x, b) for b in irrep_frames(stack, block_decomposition(
+                stack, Structure.unit_fibre(bundle, x),
+                lambda: bundle.unit_algebra_unit(x), tols), tols)]
+    solved = la.stacked([(la.flatten_stack(bundle.unit_rep[x]).T, b.projection.reshape(-1))
+                         for x, b in found], lambda a, p: la.stacked_lstsq(a, p)[:2])
+    for (x, b), (_, res) in zip(found, solved):
+        if res > 1e-7 * max(1.0, float(np.linalg.norm(b.projection))):
+            raise ValueError(f"central projection at {x} left the unit fibre")
+    # columns of the left-multiplication matrix: coordinates of p . e_j
+    supports = la.stacked([(left_matrix(bundle, G.unit[x], G.unit[x], coords).T,)
+                           for (x, _), (coords, _) in zip(found, solved)],
+                          lambda v: la.stacked_orth_rows(v, tols.rank_threshold))
+    by_object: dict[str, list[SpectrumBlock]] = {x: [] for x in G.objects}
+    for (x, b), (coords, _), (vh, rank) in zip(found, solved, supports):
+        by_object[x].append(SpectrumBlock(x, len(by_object[x]), b.size, b.projection,
+                                          b.irrep_frame, coords,
+                                          np.ascontiguousarray(vh[:rank])))
     return FiberSpectrum(bundle, by_object)
 
 
@@ -95,29 +110,62 @@ def dual_arrow_action(bundle: FellBundle, spec: FiberSpectrum, g: str,
                       block: SpectrumBlock,
                       tols: Tolerances = DEFAULT) -> SpectrumBlock | None:
     """Image of a source-fibre block under the arrow, or None if undefined
-    (the Gram quotient of A_g (x)_pi C^{dim pi} is zero).  Raises ValueError
-    when that Gram matrix is not positive."""
-    G = bundle.groupoid
-    if block.obj != G.src[g]:
+    (the Gram quotient of A_g (x)_pi C^{dim pi} is zero): ``dual_images`` of
+    the one item.  Raises ValueError when that Gram matrix is not positive."""
+    if block.obj != bundle.groupoid.src[g]:
         raise ValueError(f"block at {block.obj} is not in the source fibre of {g}")
-    Rpi = np.stack([block.irrep(m) for m in bundle.unit_rep[block.obj]])
-    phi, psi, _ = induced_fibre(bundle, g, Rpi, tols)
-    if phi.shape[0] == 0:
-        return None
+    return dual_images(bundle, spec, [(g, block)], tols)[0]
 
-    y = G.rng[g]
-    u = G.unit[y]
-    target = None
-    for cand in spec.by_object[y]:
-        # left multiplication by the projection on A_g (x) C^{dim pi}
-        op = np.kron(left_matrix(bundle, u, g, cand.coords), np.eye(block.dim))
-        compressed = phi @ op @ psi
-        tr = abs(complex(np.trace(compressed)))
-        if tr > 1e-6:
-            if target is not None:
-                raise ValueError(f"dual action at {g} hit two blocks of {y}")
-            target = cand
-    return target
+
+def dual_images(bundle: FellBundle, spec: FiberSpectrum,
+                items: list[tuple[str, SpectrumBlock]],
+                tols: Tolerances = DEFAULT) -> list[SpectrumBlock | None]:
+    """The image of each item (g, a block pi of the fibre at s(g)) under the
+    dual action, or None where it is undefined, in one stacked pass per
+    shape.
+
+    ``induced_fibres`` cuts the Gram quotients of A_g (x)_pi C^{dim pi}.  The
+    image is the block of the range fibre whose projection p acts on the
+    quotient with nonzero trace: tr(kron(L_p, 1) P), with P the projection
+    on the kept eigenvectors and L_p left multiplication by p on A_g, is
+    sum_i p_i W_i with W_i = sum_{k, j, v} mult[(u, g)][k, i, j] P[(j, v), (k, v)].
+    Per stack, one einsum forms W and one product its traces against every
+    block of that unit-fibre dimension; a zero quotient has no nonzero
+    trace, and the action is undefined there.  A Gram matrix that is not
+    positive or an image that hits two blocks raises ValueError, the first
+    in item order."""
+    G = bundle.groupoid
+    at = {x: i for i, x in enumerate(G.objects)}
+    blocks = {b.key: b for _, b in items}
+    irreps = {k: np.stack([b.irrep(m) for m in bundle.unit_rep[b.obj]]) for k, b in blocks.items()}
+    candidates: dict[int, list[SpectrumBlock]] = {}  # the image blocks by unit-fibre dimension
+    for c in spec.blocks():
+        candidates.setdefault(len(c.coords), []).append(c)
+    errors: list[str | None] = [None] * len(items)
+    hits: list[list[SpectrumBlock]] = [[] for _ in items]
+    # per item: the star-mult tensor, the irrep, and mult[(u, g)] at u = u(r(g))
+    operands = [(bundle.star_mult_tensor(g), irreps[b.key], bundle.mult[(G.unit[G.rng[g]], g)])
+                for g, b in items]
+    for part, (T, R, M) in la.stacks(operands, lambda s: max(math.prod(s[0]),
+                                                               (s[0][-1] * s[1][-1]) ** 2)):
+        stack = induced_fibres(bundle, [items[p][0] for p in part], T, R, tols)
+        (t, _, d, _), m, du = T.shape, R.shape[-1], M.shape[2]
+        proj = (stack.vecs * stack.keep[:, None, :]) @ stack.vecs.conj().swapaxes(1, 2)
+        w = np.einsum("tkij,tjvkv->ti", M, proj.reshape(t, d, m, d, m))
+        cands = candidates.get(du, [])
+        coords = np.array([c.coords for c in cands]).reshape(len(cands), du)
+        ranges = np.array([at[G.rng[items[p][0]]] for p in part])
+        hit = (np.abs(w @ coords.T) > 1e-6) & (np.array([at[c.obj] for c in cands]) == ranges[:, None])
+        for p, error, row in zip(part, stack.errors, hit.tolist()):
+            errors[p], hits[p] = error, [c for c, h in zip(cands, row) if h]
+    out = []
+    for (g, _), error, found in zip(items, errors, hits):
+        if error is not None:
+            raise ValueError(error)
+        if len(found) > 1:
+            raise ValueError(f"dual action at {g} hit two blocks of {G.rng[g]}")
+        out.append(found[0] if found else None)
+    return out
 
 
 def left_matrix(bundle: FellBundle, u: str, g: str, coords: Array) -> Array:
@@ -148,26 +196,23 @@ def _dual_groupoid(bundle: FellBundle, tols: Tolerances) -> DualGroupoid:
     def arrow_name(g: str, key: tuple[str, int]) -> str:
         return f"{g}|{key[0]}:{key[1]}"
 
+    items = [(g, b) for g in G.arrows for b in spec.by_object[G.src[g]]]
     arrows, src, rng, data = [], {}, {}, {}
-    for g in G.arrows:
-        for b in spec.by_object[G.src[g]]:
-            img = dual_arrow_action(bundle, spec, g, b, tols)
-            if img is None:
-                continue
-            a = arrow_name(g, b.key)
-            arrows.append(a)
-            src[a], rng[a] = node[b.key], node[img.key]
-            data[a] = (g, b.key, img.key)
+    for (g, b), img in zip(items, dual_images(bundle, spec, items, tols)):
+        if img is None:
+            continue
+        a = arrow_name(g, b.key)
+        arrows.append(a)
+        src[a], rng[a] = node[b.key], node[img.key]
+        data[a] = (g, b.key, img.key)
     unit = {node[b.key]: arrow_name(G.unit[b.obj], b.key) for b in spec.blocks()}
     inv_map = {a: arrow_name(G.inv[g], tkey) for a, (g, _, tkey) in data.items()}
-    comp = {}
-    for a1 in arrows:
-        g1, s1, t1 = data[a1]
-        for a2 in arrows:
-            g2, s2, t2 = data[a2]
-            if s1 != t2 or not G.can_compose(g1, g2):
-                continue
-            comp[(a1, a2)] = arrow_name(G.comp[(g1, g2)], s2)
+    # a1 a2 is defined where a1 starts at the block where a2 ends
+    ending: dict[str, list[str]] = {}
+    for a in arrows:
+        ending.setdefault(rng[a], []).append(a)
+    comp = {(a1, a2): arrow_name(G.comp[(data[a1][0], data[a2][0])], data[a2][1])
+            for a1 in arrows for a2 in ending.get(src[a1], ())}
     H = FiniteGroupoid.from_data(objects, arrows, src, rng, unit, inv_map, comp)
     return DualGroupoid(H, node, data)
 

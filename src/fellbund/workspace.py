@@ -21,7 +21,7 @@ from .actions import TwistedPartialAction
 from .bundle import FellBundle, MatrixModelBundle, UnitFiberAlgebra
 from .config import Tolerances, check_seed, env_seed
 from .groupoid import (FiniteGroupoid, PartialActionOnSet, composable_pairs,
-                       transformation_groupoid)
+                       missing_composite, transformation_groupoid)
 from .ideals import FellIdeal, ideal_from_invariant_family
 from .reps import FellRep
 from .sections import Section
@@ -230,6 +230,8 @@ class Workspace:
                 raise WorkspaceError(f"{where}.fibers: missing arrow {g!r}")
             dims[g] = parse_count(_object(entry, f"{where}.fibers.{g}").get("dim"),
                                   f"{where}.fibers.{g}.dim")
+        if gap := missing_composite(G):
+            raise WorkspaceError("{}: composable pair ({},{}) has no composite".format(where, *gap))
         mult = {(g, h): np.zeros((dims[G.comp[(g, h)]], dims[g], dims[h]), dtype=np.complex128)
                 for g, h in composable_pairs(G)}
         entries = spec.get("mult", [])

@@ -53,6 +53,16 @@ def test_broken_involution_rejected():
                     "norm preserved by involution"}
 
 
+def test_bundle_over_a_groupoid_without_a_composite_names_the_pair():
+    G = cyclic_group(2)
+    H = type(G).from_data(G.objects, G.arrows, G.src, G.rng, G.unit, G.inv,
+                          {p: k for p, k in G.comp.items() if p != ("g1", "g1")})
+    one = np.ones((1, 1, 1))
+    mult = {(g, h): one for g in H.arrows for h in H.arrows}
+    with pytest.raises(ValueError, match=r"^composable pair \(g1,g1\) has no composite$"):
+        FellBundle(H, {"e": 1, "g1": 1}, mult, {g: np.eye(1) for g in H.arrows}, {"pt": one})
+
+
 def test_fiber_norm_examples():
     m2 = gallery.matrix_bundle_over_point(2)
     ident, _ = la.stack_expand(m2.unit_rep["pt"], np.eye(2))

@@ -310,6 +310,30 @@ def test_longhand_bundle_validates(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+def _add_gap_bundles(raw):
+    """Z/2 without the composite of (g1, g1) as ``z2-gap``, with a line
+    bundle over it in the matrix form (``gap-matrix``) and in the
+    structure-tensor form (``gap-long``)."""
+    z2 = raw["groupoids"]["z2"]
+    raw["groupoids"]["z2-gap"] = {**z2, "comp": [c for c in z2["comp"] if c[:2] != ["g1", "g1"]]}
+    raw["bundles"]["gap-matrix"] = {"groupoid": "z2-gap", "model": "matrix",
+                                    "fibers": {"e": [[[1.0]]], "g1": [[[1.0]]]}}
+    raw["bundles"]["gap-long"] = {
+        "groupoid": "z2-gap", "fibers": {"e": {"dim": 1}, "g1": {"dim": 1}},
+        "mult": [["e", "e", 0, 0, 0, 1.0], ["e", "g1", 0, 0, 0, 1.0], ["g1", "e", 0, 0, 0, 1.0]],
+        "inv": {"e": [[1.0]], "g1": [[1.0]]},
+        "unit_algebras": {"pt": {"n": 1, "basis": [[[1.0]]]}}}
+
+
+@pytest.mark.parametrize("name", ["gap-matrix", "gap-long"])
+def test_bundle_over_a_groupoid_without_a_composite_exits_2(tmp_path, capsys, name):
+    # the structure-tensor form ended in a KeyError traceback, exit 1
+    path = _write_demo(tmp_path, _add_gap_bundles)
+    code, out, err = run_cli(capsys, "validate", path, name)
+    assert code == 2 and out == ""
+    assert err == f"error: bundles.{name}: composable pair (g1,g1) has no composite\n"
+
+
 @pytest.mark.parametrize("edit, name, needle", [
     (lambda raw: _add_longhand_a4(raw)["mult"].append(["p|e|p", "zz", 0, 0, 0, 1.0]),
      "a4-long", "('p|e|p', 'zz') is not a composable pair"),

@@ -1,12 +1,13 @@
 """Loop references for the induced-fibre Gram quotient.
 
-``envelope.induced_fibre`` builds the Gram quotient of A_g (x) C^m once for
-the regular representation (C^m carries the unit representation) and for
-the dual action (C^m carries an irrep of a unit-fibre block).  The two
-quotient loops it replaced are kept here: the regular quotient must agree
-bit for bit, and the dual groupoid must have the same arrows as under the
-old rule, whose rank cut was rank_threshold·top with an early return for
-top <= rank_threshold.
+``envelope.induced_fibres`` builds the Gram quotients of A_g (x) C^m, one
+stacked pass per shape, for the regular representation (C^m carries the
+unit representation) and for the dual action (C^m carries an irrep of a
+unit-fibre block).  The quotient loops it replaced are kept here: the
+regular quotient must agree bit for bit, the dual groupoid must have the
+same arrows as under the old rule, whose rank cut was rank_threshold·top
+with an early return for top <= rank_threshold, and the same composition
+table as the arrows² loop that built it.
 """
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 import fellbund._linalg as la
 from fellbund import gallery
 from fellbund.config import DEFAULT
-from fellbund.envelope import RegularRepAt
+from fellbund.bundle import FellBundle
+from fellbund.envelope import RegularRepAt, regular_at
+from fellbund.groupoid import FiniteGroupoid
 from fellbund.spectrum import dual_arrow_action, dual_groupoid, fiber_spectrum, left_matrix
 from test_envelope import negative_gram_bundle
 
@@ -125,3 +128,74 @@ def test_dual_action_rejects_a_non_positive_gram():
     assert loop_dual_arrow_action(bad, spec, "g1", block, DEFAULT) is None
     with pytest.raises(ValueError, match=r"Gram matrix at \(pt,g1\) is not positive"):
         dual_arrow_action(bad, spec, "g1", block)
+
+
+# -- reference: the arrows² composition loop of the dual groupoid ----------------
+
+def loop_dual_composition(bundle, arrow_data):
+    G = bundle.groupoid
+    comp = {}
+    for a1, (g1, s1, t1) in arrow_data.items():
+        for a2, (g2, s2, t2) in arrow_data.items():
+            if s1 != t2 or not G.can_compose(g1, g2):
+                continue
+            comp[(a1, a2)] = f"{G.comp[(g1, g2)]}|{s2[0]}:{s2[1]}"
+    return comp
+
+
+def test_dual_composition_matches_the_arrows_squared_loop(every_bundle):
+    for name, bundle in every_bundle.items():
+        dual = dual_groupoid(bundle, DEFAULT)
+        # the same entries in the same order
+        assert list(dual.groupoid.comp.items()) == \
+            list(loop_dual_composition(bundle, dual.arrow_data).items()), name
+
+
+@pytest.mark.parametrize("name", ["line-pair7", "line-z24"])
+def test_quotients_take_one_eigh_per_gram_shape(monkeypatch, certify_bundles, name):
+    bundle = certify_bundles[name]
+    fiber_spectrum(bundle)  # its block decompositions take eigh calls of their own
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    arrows = len(bundle.groupoid.arrows)
+    for x in bundle.groupoid.objects:
+        regular_at(bundle, x)
+    assert shapes == [(arrows, 1, 1)]  # one Gram shape, one stacked eigh
+    shapes.clear()
+    dual_groupoid(bundle)
+    assert shapes == [(arrows, 1, 1)]  # one block per unit fibre: one item per arrow
+
+
+def negative_gram_beside_a_point():
+    """``negative_gram_bundle`` beside a second object q, whose one arrow is
+    its unit with fibre C: only the summand (pt, g1) has a Gram matrix that
+    is not positive."""
+    bad = negative_gram_bundle()
+    G = bad.groupoid
+    H = FiniteGroupoid.from_data(
+        [*G.objects, "q"], [*G.arrows, "uq"], {**G.src, "uq": "q"}, {**G.rng, "uq": "q"},
+        {**G.unit, "q": "uq"}, {**G.inv, "uq": "uq"}, {**G.comp, ("uq", "uq"): "uq"})
+    one = np.ones((1, 1, 1), dtype=complex)
+    return FellBundle(H, {**bad.dims, "uq": 1}, {**bad.mult, ("uq", "uq"): one},
+                      {**bad.inv, "uq": np.eye(1)}, {**bad.unit_rep, "q": one})
+
+
+def test_a_non_positive_gram_fails_only_where_its_summand_is():
+    bad = negative_gram_beside_a_point()
+    message = r"^Gram matrix at \(pt,g1\) is not positive"
+    assert regular_at(bad, "q").dim == 1
+    with pytest.raises(ValueError, match=message):
+        regular_at(bad, "pt")
+    spec = fiber_spectrum(bad)
+    for g, x in (("uq", "q"), ("e", "pt")):
+        block = spec.by_object[x][0]
+        assert dual_arrow_action(bad, spec, g, block) is block
+    with pytest.raises(ValueError, match=message):
+        dual_arrow_action(bad, spec, "g1", spec.by_object["pt"][0])
+    with pytest.raises(ValueError, match=message):
+        dual_groupoid(bad)

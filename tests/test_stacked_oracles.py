@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import fellbund._linalg as la
-from fellbund import bundle as bundle_module
 from fellbund import gallery
 from fellbund.bundle import MatrixModelBundle
 from fellbund.config import DEFAULT
@@ -246,6 +245,6 @@ def test_parse_with_zero_dimensional_fibres_is_bit_identical_to_loop_reference()
 
 def test_parse_in_one_row_slices_is_bit_identical_to_loop_reference(monkeypatch, certify_raw):
     models = gallery_models(monkeypatch) + list(certify_models(certify_raw))
-    monkeypatch.setattr(bundle_module, "_STACK_CHUNK", 1)
+    monkeypatch.setattr(la, "_STACK_CHUNK", 1)
     for model in models + list(zero_fibre_models()):
         assert_parse_matches_loop_reference(model)
