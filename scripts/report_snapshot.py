@@ -46,9 +46,13 @@ in object order, so that a change to how a bundle is built shows even
 where no report reads the last bits.  ``regular_digests.txt`` does the same
 for the regular representation: per bundle and object, the SHA-256 of the
 shape and bytes of each summand's Gram quotient maps phi and psi and of
-its K blocks (or the error building it raises).  fellbund is
-imported from CHECKOUT's ``src`` (default: the checkout holding this
-script), so two checkouts can be compared byte for byte:
+its K blocks (or the error building it raises).  ``galois_reports.txt``
+holds, for each bundle of the demo and of each certify workspace with at
+most 16 delta images and at most 2^10 ideal pairs (2^(S+P), for S
+unit-spectrum blocks and P envelope blocks), the JSON of its
+``galois_check`` report, keys sorted: the check runs in no CLI command.
+fellbund is imported from CHECKOUT's ``src`` (default: the checkout
+holding this script), so two checkouts can be compared byte for byte:
 
     python3 scripts/report_snapshot.py /tmp/old --root ../old-checkout
     python3 scripts/report_snapshot.py /tmp/new
@@ -364,6 +368,28 @@ def regular_digests(fb, label: str, bundles: dict, tols) -> list[str]:
     return lines
 
 
+def galois_reports(fb, label: str, bundles: dict, tols) -> list[str]:
+    """Per bundle (name -> FellBundle) with at most 16 delta images and at
+    most 2^10 pairs of a coefficient ideal and an envelope ideal, one line:
+    the JSON of ``galois_check``, keys sorted.  A ValueError gives the line
+    ``error``.  The bounds read only the bundle, its spectrum and its
+    envelope, so every checkout reports the same bundles."""
+    lines = []
+    for name, b in bundles.items():
+        try:
+            if b.total_dim > 16:
+                continue
+            blocks = len(fb.spectrum.fiber_spectrum(b, tols).blocks()) + \
+                len(fb.envelope.envelope_algebra(b, tols).blocks)
+            if blocks > 10:  # 2^blocks ideal pairs
+                continue
+            report = fb.spectrum.galois_check(b, tols).to_json()
+            lines.append(f"{label} {name} {json.dumps(report, sort_keys=True)}")
+        except ValueError:
+            lines.append(f"{label} {name} error")
+    return lines
+
+
 def workspace_bundles(fb, raw: dict) -> tuple[dict, object]:
     """The bundles of a workspace (name -> FellBundle) and its tolerances."""
     ws = fb.workspace.Workspace.from_dict(raw)
@@ -395,10 +421,10 @@ def main(argv: list[str] | None = None) -> int:
     for cmd in DEMO_COMMANDS:
         jobs.append(("demo " + " ".join(c.lstrip("-") for c in cmd), [cmd[0], demo, *cmd[1:]]))
     os.makedirs(args.out, exist_ok=True)
-    codes, kernels, blocks, characters, verdicts, structures, regulars = \
-        [], [], [], [], [], [], []
+    codes, kernels, blocks, characters, verdicts, structures, regulars, galois = \
+        [], [], [], [], [], [], [], []
 
-    def add_digests(label: str, raw: dict, seed: int) -> None:
+    def add_digests(label: str, raw: dict, seed: int, with_galois: bool = True) -> None:
         bundles, tols = workspace_bundles(fellbund, raw)
         kernels.extend(kernel_digests(fellbund, label, bundles, seed))
         blocks.extend(block_digests(fellbund, label, bundles, tols))
@@ -406,6 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         verdicts.extend(family_verdicts(fellbund, label, bundles, tols))
         structures.extend(structure_digests(label, bundles))
         regulars.extend(regular_digests(fellbund, label, bundles, tols))
+        if with_galois:
+            galois.extend(galois_reports(fellbund, label, bundles, tols))
     with open(demo) as fh:
         add_digests("demo", json.load(fh), 0)
     with tempfile.TemporaryDirectory() as tmp:
@@ -427,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
             raw = structure_workspace(fellbund, {name: bundle}, seed)
             with open(ws, "w") as fh:
                 json.dump(raw, fh)
-            add_digests(label, raw, seed)
+            add_digests(label, raw, seed, with_galois=False)
             jobs.append((f"{label} validate {name.rsplit('-', 1)[0]}", ["validate", ws, name]))
         ws = os.path.join(tmp, "actions.json")
         with open(ws, "w") as fh:
@@ -456,6 +484,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n".join(structures) + "\n")
     with open(os.path.join(args.out, "regular_digests.txt"), "w") as fh:
         fh.write("\n".join(regulars) + "\n")
+    with open(os.path.join(args.out, "galois_reports.txt"), "w") as fh:
+        fh.write("\n".join(galois) + "\n")
     print(f"{len(jobs)} reports written to {args.out}")
     return 0
 

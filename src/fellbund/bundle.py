@@ -143,9 +143,6 @@ class FellBundle:
 
     # -- basic fibre operations ------------------------------------------------
 
-    def fiber_dim(self, g: str) -> int:
-        return self.dims[g]
-
     def unit_dim(self, x: str) -> int:
         return int(self.unit_rep[x].shape[1])
 

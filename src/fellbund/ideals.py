@@ -37,6 +37,8 @@ from .sections import basis_sections, induced_hom
 
 Array = np.ndarray
 
+ENUMERATION_CAP = 1 << 20  # Fell-ideal candidates, invariant subsets, Galois ideal pairs
+
 
 @dataclass
 class FellIdeal:
@@ -639,7 +641,7 @@ def split_exactness_verify(E: SplitExtension, tols: Tolerances = DEFAULT) -> Val
 # -- enumeration -------------------------------------------------------------------
 
 def enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances = DEFAULT,
-                          cap: int = 1 << 20) -> list[FellIdeal]:
+                          cap: int = ENUMERATION_CAP) -> list[FellIdeal]:
     """Exhaustive search over families generated by central block supports.
 
     Sufficient because every invariant family of unit-fibre ideals is a sum

@@ -11,6 +11,11 @@ item against the projections of the range fibre's blocks; the dual groupoid
 takes all its arrows from one call and composes them by target block.
 Finite spectra are discrete, so quasi-orbits are plain orbits (recorded in
 reports, not silently assumed).
+
+Every ideal of the envelope or of B = (+) A_x is a sum of blocks, so the
+Galois connection between them reads off one table: ``incidence`` holds
+the rank tr(z_P phi(p_s)) for each envelope block P and spectrum block s,
+and ``galois_check`` induces and restricts ideals as bitsets of blocks.
 """
 
 from __future__ import annotations
@@ -25,13 +30,11 @@ import numpy as np
 from . import _linalg as la
 from .bundle import FellBundle, Structure
 from .config import DEFAULT, Tolerances
-from .envelope import (SimpleBlock, block_decomposition, envelope_algebra, induced_fibres,
-                       irrep_frames)
+from .envelope import block_decomposition, envelope_algebra, induced_fibres, irrep_frames
 from .groupoid import FiniteGroupoid
-from .ideals import (InvariantFamily, enumerate_fell_ideals, ideal_from_invariant_family,
-                     validate_invariant_family)
+from .ideals import (ENUMERATION_CAP, InvariantFamily, enumerate_fell_ideals,
+                     ideal_from_invariant_family, validate_invariant_family)
 from .report import ValidationReport
-from .sections import Section
 
 Array = np.ndarray
 
@@ -61,9 +64,6 @@ class FiberSpectrum:
 
     def blocks(self) -> list[SpectrumBlock]:
         return [b for x in self.bundle.groupoid.objects for b in self.by_object[x]]
-
-    def block(self, key: tuple[str, int]) -> SpectrumBlock:
-        return self.by_object[key[0]][key[1]]
 
 
 def fiber_spectrum(bundle: FellBundle, tols: Tolerances = DEFAULT) -> FiberSpectrum:
@@ -239,15 +239,13 @@ def quasi_orbits(bundle: FellBundle, tols: Tolerances = DEFAULT) -> list[list[tu
 
 
 def invariant_subsets(bundle: FellBundle, tols: Tolerances = DEFAULT,
-                      cap: int = 1 << 20) -> list[frozenset[tuple[str, int]]]:
+                      cap: int = ENUMERATION_CAP) -> list[frozenset[tuple[str, int]]]:
     """All dual-invariant subsets of spectrum blocks: unions of orbits."""
     orbits = quasi_orbits(bundle, tols)
     if 2 ** len(orbits) > cap:
         raise ValueError("too many orbits to enumerate invariant subsets")
-    out = []
-    for r in range(len(orbits) + 1):
-        for combo in itertools.combinations(range(len(orbits)), r):
-            out.append(frozenset(k for i in combo for k in orbits[i]))
+    out = [frozenset(k for i, orbit in enumerate(orbits) if mask >> i & 1 for k in orbit)
+           for mask in _subset_masks(len(orbits))]
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
@@ -274,7 +272,7 @@ def ideal_bijection_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Val
     """Invariant spectrum subsets <-> Fell ideals is a lattice isomorphism,
     cross-checked against independent exhaustive enumeration."""
     rep = ValidationReport("spectrum/ideal bijection")
-    spec = fiber_spectrum(bundle, tols)
+    spec, arrows = fiber_spectrum(bundle, tols), bundle.groupoid.arrows
     subsets = invariant_subsets(bundle, tols)
     ideals = []
     for s in subsets:
@@ -286,186 +284,109 @@ def ideal_bijection_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Val
     rep.require(len(enumerated) == len(subsets),
                 "counts agree with exhaustive enumeration", "lattice",
                 detail=f"{len(enumerated)} enumerated vs {len(subsets)} subsets")
-    matched = 0
-    for I in ideals:
-        for J in enumerated:
-            if all(la.frame_eq(I.frames[g], J.frames[g], 1e-7)
-                   for g in bundle.groupoid.arrows):
-                matched += 1
-                break
+    matched = sum(any(all(la.frame_eq(I.frames[g], J.frames[g], 1e-7) for g in arrows)
+                      for J in enumerated) for I in ideals)
     rep.require(matched == len(ideals), "bijection onto enumerated ideals", "lattice",
                 detail=f"matched {matched} of {len(ideals)}")
-    for i, si in enumerate(subsets):
-        for j, sj in enumerate(subsets):
-            if si <= sj:
-                contained = all(la.frame_leq(ideals[i].frames[g], ideals[j].frames[g], 1e-7)
-                                for g in bundle.groupoid.arrows)
-                rep.require(contained, "order preserved", f"{sorted(si)} <= {sorted(sj)}")
+    for (si, I), (sj, J) in itertools.product(zip(subsets, ideals), repeat=2):
+        if si <= sj:
+            rep.require(all(la.frame_leq(I.frames[g], J.frames[g], 1e-7) for g in arrows),
+                        "order preserved", f"{sorted(si)} <= {sorted(sj)}")
     rep.note(f"{len(quasi_orbits(bundle, tols))} quasi-orbit(s); finite spectra are "
              "discrete, so quasi-orbits coincide with orbits")
     return rep
 
 
-# -- induction / restriction against the envelope ---------------------------------
+# -- the Galois connection from one incidence table ------------------------------
 
-@dataclass
-class GaloisData:
-    bundle: FellBundle
-    images: Array                  # the envelope's Lambda(delta) stack
-    units: Array                   # its rows at the unit-fibre deltas: phi of B's basis
-    env_blocks: list[SimpleBlock]
-
-    @property
-    def coeff_total(self) -> int:
-        return self.units.shape[0]
-
-
-def galois_data(bundle: FellBundle, tols: Tolerances = DEFAULT) -> GaloisData:
-    env = envelope_algebra(bundle, tols)
-    G = bundle.groupoid
-    offsets = bundle.offsets()
-    rows = [offsets[G.unit[x]] + i for x in G.objects for i in range(bundle.dims[G.unit[x]])]
-    return GaloisData(bundle, env.images, env.images[rows], env.blocks)
+def incidence(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Array:
+    """The table tr(z_P phi(p_s)), rows the envelope blocks P and columns the
+    ``fiber_spectrum`` blocks s, from one einsum.  z_P is block P's central
+    projection and phi(p_s) = sum_k coords_k Lambda(delta_k), over the unit
+    fibre at s's object, the image of block s's projection.  Both are
+    projections and z_P is central, so the entry is the rank of z_P phi(p_s)."""
+    env, blocks = envelope_algebra(bundle, tols), fiber_spectrum(bundle, tols).blocks()
+    offsets, unit = bundle.offsets(), bundle.groupoid.unit
+    coeffs = np.zeros((len(blocks), bundle.total_dim), dtype=np.complex128)
+    for s, b in enumerate(blocks):
+        coeffs[s, offsets[unit[b.obj]]:offsets[unit[b.obj]] + len(b.coords)] = b.coords
+    z = np.array([P.projection for P in env.blocks]).reshape(-1, *env.images.shape[1:])
+    return np.einsum("pba,sk,kab->ps", z, coeffs, env.images, optimize=True)
 
 
-def coefficient_ideals(data: GaloisData, tols: Tolerances = DEFAULT) -> list[Array]:
-    """All ideals of the coefficient algebra B = (+) A_x: block-supported
-    coordinate frames."""
-    blocks = fiber_spectrum(data.bundle, tols).blocks()
-    return [_coefficient_frame(data, [blocks[i] for i in combo], tols)
-            for r in range(len(blocks) + 1)
-            for combo in itertools.combinations(range(len(blocks)), r)]
-
-
-def _coefficient_frame(data: GaloisData, blocks: list[SpectrumBlock],
-                       tols: Tolerances) -> Array:
-    """Orthonormal frame of the sum of the blocks' supports, embedded in the
-    coordinates of B = (+) A_x."""
-    G = data.bundle.groupoid
-    starts = dict(zip(G.objects, itertools.accumulate(
-        (data.bundle.dims[G.unit[x]] for x in G.objects), initial=0)))
-    rows = np.zeros((sum(b.support.shape[0] for b in blocks), data.coeff_total),
-                    dtype=np.complex128)
-    pos = 0
-    for b in blocks:
-        k, d = b.support.shape
-        start = starts[b.obj]
-        rows[pos:pos + k, start:start + d] = b.support
-        pos += k
-    return la.orth_rows(rows, tols.rank_threshold)
-
-
-def envelope_ideals(data: GaloisData, tols: Tolerances = DEFAULT) -> list[Array]:
-    """All ideals of the envelope: block-supported frames of flattened matrices."""
-    out = []
-    nblocks = len(data.env_blocks)
-    for r in range(nblocks + 1):
-        for combo in itertools.combinations(range(nblocks), r):
-            vecs = []
-            for i in combo:
-                p = data.env_blocks[i].projection
-                for m in data.images:
-                    vecs.append((p @ m).reshape(-1))
-            side2 = data.images.shape[-1] ** 2
-            out.append(la.orth_rows(np.array(vecs) if vecs else np.zeros((0, side2)),
-                                    tols.rank_threshold))
-    return out
-
-
-def phi_of(data: GaloisData, coeff: Array) -> Array:
-    return np.tensordot(coeff, data.units, axes=1)
-
-
-def induce_ideal(data: GaloisData, family_frame: Array,
-                 tols: Tolerances = DEFAULT) -> Array:
-    """i(I): the two-sided ideal of the envelope generated by phi(I)."""
-    side2 = data.images.shape[-1] ** 2
-    vecs = []
-    for row in family_frame:
-        mid = phi_of(data, row)
-        for a in data.images:
-            for b in data.images:
-                vecs.append((a @ mid @ b).reshape(-1))
-    return la.orth_rows(np.array(vecs) if vecs else np.zeros((0, side2)),
-                        tols.rank_threshold)
-
-
-def restrict_ideal(data: GaloisData, env_ideal_frame: Array,
-                   tols: Tolerances = DEFAULT) -> Array:
-    """r(J) = phi^{-1}(J), since the envelope is unital and phi lands in it."""
-    rows = []
-    for i in range(data.coeff_total):
-        v = np.zeros(data.coeff_total, dtype=np.complex128)
-        v[i] = 1.0
-        m = phi_of(data, v).reshape(-1)
-        rows.append(m - la.frame_project(env_ideal_frame, m))
-    system = np.stack(rows).T  # columns indexed by coefficient coordinates
-    return la.null_space_rows(system, tols.rank_threshold)
+def _subset_masks(n: int) -> list[int]:
+    """The subsets of range(n) as bitsets, by size and then in
+    ``itertools.combinations`` order: the numbering of the ideals."""
+    return [sum(1 << i for i in combo) for r in range(n + 1)
+            for combo in itertools.combinations(range(n), r)]
 
 
 def galois_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> ValidationReport:
-    """I <= r(J) iff i(I) <= J on all enumerated ideal pairs, plus the
-    retraction identities and the characterisation of restricted/induced
-    ideals."""
-    rep = ValidationReport("galois connection")
-    data = galois_data(bundle, tols)
-    b_ideals = coefficient_ideals(data, tols)
-    e_ideals = envelope_ideals(data, tols)
+    """I <= r(J) iff i(I) <= J on all pairs of ideals, plus the retraction
+    identities and the characterisation of restricted/induced ideals.
 
-    for bi, I in enumerate(b_ideals):
-        iI = induce_ideal(data, I, tols)
-        riI = restrict_ideal(data, iI, tols)
-        iriI = induce_ideal(data, riI, tols)
-        rep.require(la.frame_eq(iriI, iI, 1e-7), "i r i = i", f"B-ideal {bi}")
-        for ei_, J in enumerate(e_ideals):
-            rJ = restrict_ideal(data, J, tols)
-            left = la.frame_leq(I, rJ, 1e-7)
-            right = la.frame_leq(iI, J, 1e-7)
-            rep.require(left == right, "I <= r(J) iff i(I) <= J",
-                        f"(B-ideal {bi}, env-ideal {ei_})")
-    for ei_, J in enumerate(e_ideals):
-        rJ = restrict_ideal(data, J, tols)
-        irJ = induce_ideal(data, rJ, tols)
-        rirJ = restrict_ideal(data, irJ, tols)
-        rep.require(la.frame_eq(rirJ, rJ, 1e-7), "r i r = r", f"env-ideal {ei_}")
+    An ideal of B = (+) A_x or of the envelope is the sum of the blocks it
+    contains: a bitset, numbered by ``_subset_masks``.  The ideal that a
+    projection generates is the sum of the blocks it meets, so, with r the
+    ``incidence`` table rounded to integers, i(S) = {P : r[P, s] > 0 for some
+    s in S} and r(T) = {s : every P with r[P, s] > 0 lies in T}.  A trace
+    farther than 1e-6 from an integer is a violation at its (envelope block,
+    spectrum block).  Raises ValueError, before any pair, when the 2^{S+P}
+    ideal pairs exceed ``ENUMERATION_CAP``."""
+    traces = incidence(bundle, tols)
+    ranks = np.rint(traces.real).astype(np.int64)
+    n_env, n_spec = ranks.shape
+    if (pairs := 2 ** (n_spec + n_env)) > ENUMERATION_CAP:
+        raise ValueError(f"{pairs} ideal pairs exceed the cap {ENUMERATION_CAP}")
+    rep = ValidationReport("galois connection")
+    blocks = fiber_spectrum(bundle, tols).blocks()
+    off = np.abs(traces - ranks)
+    for p, s in zip(*np.nonzero(off > 1e-6)):
+        rep.add("incidence trace is an integer",
+                f"(env-block {p}, spectrum block {blocks[s].obj}:{blocks[s].index})",
+                float(off[p, s]))
+    # i and r on every bitset: i(S) adds the blocks that S's lowest block meets to i of the rest
+    meets = [sum(1 << p for p in np.flatnonzero(col > 0).tolist()) for col in ranks.T]
+    induce = [0] * (1 << n_spec)
+    for S in range(1, 1 << n_spec):
+        induce[S] = induce[S & (S - 1)] | meets[(S & -S).bit_length() - 1]
+    restrict = [sum(1 << s for s, m in enumerate(meets) if not m & ~T) for T in range(1 << n_env)]
+
+    e_ideals = _subset_masks(n_env)
+    for bi, S in enumerate(_subset_masks(n_spec)):
+        iS = induce[S]
+        rep.require(induce[restrict[iS]] == iS, "i r i = i", f"B-ideal {bi}")
+        for ei_, T in enumerate(e_ideals):
+            if (not S & ~restrict[T]) != (not iS & ~T):
+                rep.add("I <= r(J) iff i(I) <= J", f"(B-ideal {bi}, env-ideal {ei_})")
+    for ei_, T in enumerate(e_ideals):
+        rep.require(restrict[induce[restrict[T]]] == restrict[T], "r i r = r", f"env-ideal {ei_}")
 
     # restricted ideals are exactly the invariant families
-    blocks = fiber_spectrum(bundle, tols).blocks()
-    invariant = [_coefficient_frame(data, [b for b in blocks if b.key in s], tols)
-                 for s in invariant_subsets(bundle, tols)]
-    restricted = []
-    for J in e_ideals:
-        rJ = restrict_ideal(data, J, tols)
-        if not any(la.frame_eq(rJ, seen, 1e-7) for seen in restricted):
-            restricted.append(rJ)
+    column = {b.key: s for s, b in enumerate(blocks)}
+    invariant = {sum(1 << column[k] for k in U) for U in invariant_subsets(bundle, tols)}
+    restricted, induced = set(restrict), set(induce)
     rep.require(len(restricted) == len(invariant),
                 "restricted ideals are exactly the invariant ones", "counts",
                 detail=f"{len(restricted)} restricted vs {len(invariant)} invariant")
-    for rJ in restricted:
-        rep.require(any(la.frame_eq(rJ, inv, 1e-7) for inv in invariant),
-                    "restricted ideal is invariant", "families")
+    for rT in restricted:
+        rep.require(rT in invariant, "restricted ideal is invariant", "families")
 
-    # induced ideals are exactly the section algebras of Fell ideals
-    fell = enumerate_fell_ideals(bundle, tols)
-    env = envelope_algebra(bundle, tols)
-    fell_frames = []
-    for I in fell:
-        sub_vecs = []
-        for g in bundle.groupoid.arrows:
-            for row in I.frames[g]:
-                sub_vecs.append(env.lambda_of(Section(bundle, {g: row})).reshape(-1))
-        fell_frames.append(la.orth_rows(np.array(sub_vecs) if sub_vecs
-                                        else np.zeros((0, data.images.shape[-1] ** 2)),
-                                        tols.rank_threshold))
-    induced = []
-    for I in b_ideals:
-        iI = induce_ideal(data, I, tols)
-        if not any(la.frame_eq(iI, seen, 1e-7) for seen in induced):
-            induced.append(iI)
-    rep.require(len(induced) == len(fell_frames),
+    # induced ideals are exactly the section algebras of Fell ideals: C*(I) meets
+    # block P where ||z_P Lambda(v)|| > 1e-7 max(1, ||Lambda(v)||) for a row v of
+    # I's frames (Frobenius norms, ||z_P M||^2 = tr(z_P M M*))
+    env, offsets = envelope_algebra(bundle, tols), bundle.offsets()
+    z = np.array([P.projection for P in env.blocks]).reshape(-1, *env.images.shape[1:])
+    fell = []
+    for I in enumerate_fell_ideals(bundle, tols):
+        lam = np.concatenate([np.tensordot(I.frames[g], env.images[offsets[g]:offsets[g] + d], 1)
+                              for g, d in bundle.dims.items() if d])
+        weight = np.einsum("pab,rba->pr", z, lam @ lam.conj().swapaxes(1, 2)).real
+        bound = 1e-7 * np.maximum(1.0, np.linalg.norm(lam, axis=(1, 2)))
+        fell.append(sum(1 << p for p in np.flatnonzero((weight > bound ** 2).any(1)).tolist()))
+    rep.require(len(induced) == len(fell),
                 "induced ideals are exactly C* of Fell ideals", "counts",
-                detail=f"{len(induced)} induced vs {len(fell_frames)} Fell ideals")
-    for iI in induced:
-        rep.require(any(la.frame_eq(iI, ff, 1e-7) for ff in fell_frames),
-                    "induced ideal comes from a Fell ideal", "frames")
+                detail=f"{len(induced)} induced vs {len(fell)} Fell ideals")
+    for iS in induced:
+        rep.require(iS in fell, "induced ideal comes from a Fell ideal", "frames")
     return rep

@@ -24,6 +24,8 @@ from fellbund.report import ValidationReport
 from fellbund.sections import (Section, basis_sections, induced_hom, module_action,
                                random_section, unit_section)
 
+import galois_route
+
 # a tolerance below every nonzero residual: each check reports its residual
 EXACT = Tolerances(tolerance=1e-300)
 
@@ -225,17 +227,34 @@ def per_section_galois_data(bundle, tols=DEFAULT):
                                 tols)
              for x in G.objects for i in range(bundle.dims[G.unit[x]])]
     stack = per_delta_stack(bundle, tols)
-    return spectrum.GaloisData(bundle, stack,
-                               np.array(units, dtype=np.complex128).reshape(-1, *stack.shape[1:]),
-                               envelope_algebra(bundle, tols).blocks)
+    return galois_route.GaloisData(bundle, stack,
+                                   np.array(units, dtype=np.complex128).reshape(-1, *stack.shape[1:]),
+                                   envelope_algebra(bundle, tols).blocks)
+
+
+def per_section_incidence(data, tols=DEFAULT):
+    """tr(z_P phi(p_s)) with phi(p_s) formed from ``data``'s unit images by
+    ``phi_of``, one spectrum block at a time."""
+    G = data.bundle.groupoid
+    starts = dict(zip(G.objects, np.cumsum([0] + [data.bundle.dims[G.unit[x]]
+                                                 for x in G.objects]).tolist()))
+    phis = []
+    for b in spectrum.fiber_spectrum(data.bundle, tols).blocks():
+        coeff = np.zeros(data.coeff_total, dtype=np.complex128)
+        coeff[starts[b.obj]:starts[b.obj] + len(b.coords)] = b.coords
+        phis.append(galois_route.phi_of(data, coeff))
+    return np.array([[np.trace(P.projection @ phi) for phi in phis] for P in data.env_blocks])
 
 
 @pytest.mark.parametrize("name", ["z2-line", "a4", "a4-over-z2", "klein-twisted",
                                   "z2-swap-compiled", "pair2-line"])
 def test_galois_report_matches_per_section_reference(name, monkeypatch):
     b = gallery.shipped_bundles()[name]
-    data, ref = spectrum.galois_data(b), per_section_galois_data(b)
+    data, ref = galois_route.galois_data(b), per_section_galois_data(b)
     assert same_bits(data.units, ref.units) and same_bits(data.images, ref.images), name
+    table, traces = spectrum.incidence(b), per_section_incidence(ref)
+    assert np.abs(table - traces).max() <= 1e-12, name
+    assert np.array_equal(np.rint(table.real), np.rint(traces.real)), name
     got = spectrum.galois_check(b).to_json()
-    monkeypatch.setattr(spectrum, "galois_data", lambda bundle, tols=DEFAULT: ref)
-    assert got == spectrum.galois_check(b).to_json(), name
+    monkeypatch.setattr(galois_route, "galois_data", lambda bundle, tols=DEFAULT: ref)
+    assert got == galois_route.galois_check(b).to_json(), name

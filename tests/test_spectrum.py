@@ -7,9 +7,10 @@ from fellbund.bundle import UnitFiberAlgebra
 from fellbund.groupoid import cyclic_group, validate_groupoid
 from fellbund.ideals import enumerate_fell_ideals
 from fellbund.spectrum import (dual_arrow_action, dual_groupoid, fiber_spectrum,
-                               galois_check, galois_data, ideal_bijection_check,
-                               induce_ideal, invariant_subsets, quasi_orbits,
-                               restrict_ideal)
+                               galois_check, ideal_bijection_check, invariant_subsets,
+                               quasi_orbits)
+
+from galois_route import galois_data, induce_ideal, restrict_ideal
 
 
 def units_only_bundle():
