@@ -28,7 +28,8 @@ from .ideals import (FellIdeal, InvariantFamily, SplitExtension,
                      validate_fell_ideal, validate_invariant_family)
 from .spectrum import (DualGroupoid, FiberSpectrum, dual_arrow_action,
                        dual_groupoid, fiber_spectrum, galois_check,
-                       ideal_bijection_check, incidence, invariant_subsets, quasi_orbits)
+                       ideal_bijection_check, incidence, invariant_subsets, lattice,
+                       quasi_orbits)
 from .reps import (FellRep, disintegrate, integrate, intertwiner_check,
                    random_fellrep, regular_fellrep, validate_rep)
 from .trafo import assemble_over_base, trafo_isomorphism_check
@@ -53,7 +54,7 @@ __all__ = [
     "split_extension_from_hom", "validate_fell_ideal", "validate_invariant_family",
     "DualGroupoid", "FiberSpectrum", "dual_arrow_action", "dual_groupoid",
     "fiber_spectrum", "galois_check", "ideal_bijection_check", "incidence",
-    "invariant_subsets", "quasi_orbits",
+    "invariant_subsets", "lattice", "quasi_orbits",
     "FellRep", "disintegrate", "integrate", "intertwiner_check",
     "random_fellrep", "regular_fellrep", "validate_rep",
     "assemble_over_base", "trafo_isomorphism_check",

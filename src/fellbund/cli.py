@@ -24,8 +24,7 @@ from .ideals import enumerate_fell_ideals, exactness_verify, validate_fell_ideal
 from .report import ValidationReport
 from .reps import integrate, random_fellrep, validate_rep
 from .sections import i_norm, random_section
-from .spectrum import (dual_groupoid, fiber_spectrum, ideal_bijection_check,
-                       invariant_subsets, quasi_orbits)
+from .spectrum import dual_groupoid, fiber_spectrum, ideal_bijection_check, lattice, quasi_orbits
 from .trafo import assemble_over_base, trafo_isomorphism_check
 from .workspace import Workspace, WorkspaceError
 
@@ -205,17 +204,15 @@ def _spectrum_payload(ws: Workspace, name: str) -> dict:
     bundle = ws.bundle(name)
     spec = fiber_spectrum(bundle, ws.tols)
     dual = dual_groupoid(bundle, ws.tols)
-    orbits = quasi_orbits(bundle, ws.tols)
-    subsets = invariant_subsets(bundle, ws.tols)
-    fell = enumerate_fell_ideals(bundle, ws.tols)
+    lat = lattice(bundle, ws.tols)
     return {
         "bundle": name,
         "objects": [[b.obj, b.index, b.dim] for b in spec.blocks()],
         "arrows": [[g, list(skey), list(tkey)]
                    for (g, skey, tkey) in dual.arrow_data.values()],
-        "orbits": [[list(k) for k in orbit] for orbit in orbits],
-        "invariant_subsets": len(subsets),
-        "fell_ideals": len(fell),
+        "orbits": [[list(k) for k in orbit] for orbit in quasi_orbits(bundle, ws.tols)],
+        "invariant_subsets": len(lat.invariant),
+        "fell_ideals": len(lat.fell),
         "note": "finite spectra are discrete; quasi-orbits coincide with orbits",
     }
 

@@ -37,7 +37,7 @@ from .sections import basis_sections, induced_hom
 
 Array = np.ndarray
 
-ENUMERATION_CAP = 1 << 20  # Fell-ideal candidates, invariant subsets, Galois ideal pairs
+ENUMERATION_CAP = 1 << 20  # Fell-ideal candidates, invariant subsets, Galois coefficient ideals
 
 
 @dataclass
@@ -654,23 +654,31 @@ def enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances = DEFAULT,
     on each pair of subset frames at its range and source (at a loop, each
     subset with itself).  On a pair(7) line that is 14 object and 182 arrow
     checks in place of 128 candidates x 56.  Each candidate is then
-    validated from that record.  The search runs
-    once per bundle, tolerances and cap (``bundle.memo``); each call returns
-    a fresh list.
+    validated from that record.  The search runs once per bundle,
+    tolerances and cap (``bundle.memo``) and keeps each ideal's blocks
+    (``fell_ideal_masks``); each call returns a fresh list.
     """
-    return list(bundle.memo(("fell_ideals", tols, cap),
-                            lambda: _enumerate_fell_ideals(bundle, tols, cap)))
+    return [I for I, _ in _fell_search(bundle, tols, cap)]
 
 
-def _enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances, cap: int) -> list[FellIdeal]:
+def fell_ideal_masks(bundle: FellBundle, tols: Tolerances = DEFAULT) -> list[int]:
+    """The ideals of ``enumerate_fell_ideals``, in order, as bitsets of ``blocks()``."""
+    enumerate_fell_ideals(bundle, tols)  # the search, so that traces name it
+    return [mask for _, mask in _fell_search(bundle, tols, ENUMERATION_CAP)]
+
+
+def _fell_search(bundle: FellBundle, tols: Tolerances, cap: int) -> list[tuple[FellIdeal, int]]:
+    return bundle.memo(("fell_ideals", tols, cap),
+                       lambda: _enumerate_fell_ideals(bundle, tols, cap))
+
+
+def _enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances,
+                           cap: int) -> list[tuple[FellIdeal, int]]:
     from .spectrum import fiber_spectrum, support_frame
     G = bundle.groupoid
     spec = fiber_spectrum(bundle, tols)
     counts = [len(spec.by_object[x]) for x in G.objects]
-    total = 1
-    for c in counts:
-        total *= 2 ** c
-    if total > cap:
+    if (total := 2 ** sum(counts)) > cap:
         raise ValueError(f"{total} candidate families exceed the cap {cap}")
 
     # per object, the frame of each subset of its blocks (bit i: block i),
@@ -692,10 +700,12 @@ def _enumerate_fell_ideals(bundle: FellBundle, tols: Tolerances, cap: int) -> li
                     np.array([(x, start[x] + mask) for x, c in enumerate(counts)
                               for mask in range(2 ** c)], dtype=np.intp).reshape(-1, 2),
                     np.array(arrow_items, dtype=np.intp).reshape(-1, 3), tols)
-    found: list[FellIdeal] = []
+    offset = np.cumsum([0] + counts).tolist()  # of each object's blocks in the bitset
+    found: list[tuple[FellIdeal, int]] = []
     for combo in itertools.product(*[range(2 ** c) for c in counts]):
         family = InvariantFamily(bundle, {x: frames[xi][mask] for xi, (x, mask)
                                           in enumerate(zip(G.objects, combo))})
         if validate_invariant_family(family, tols).ok:
-            found.append(ideal_from_invariant_family(family, tols))
+            found.append((ideal_from_invariant_family(family, tols),
+                          sum(mask << at for mask, at in zip(combo, offset))))
     return found

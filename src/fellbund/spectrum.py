@@ -10,7 +10,8 @@ quotients from ``envelope.induced_fibres``, the block from one trace per
 item against the projections of the range fibre's blocks; the dual groupoid
 takes all its arrows from one call and composes them by target block.
 Finite spectra are discrete, so quasi-orbits are plain orbits (recorded in
-reports, not silently assumed).
+reports, not silently assumed).  ``lattice`` holds the orbits, their unions
+and the Fell ideals of the search as bitsets of spectrum blocks.
 
 Every ideal of the envelope or of B = (+) A_x is a sum of blocks, so the
 Galois connection between them reads off one table: ``incidence`` holds
@@ -32,8 +33,7 @@ from .bundle import FellBundle, Structure
 from .config import DEFAULT, Tolerances
 from .envelope import block_decomposition, envelope_algebra, induced_fibres, irrep_frames
 from .groupoid import FiniteGroupoid
-from .ideals import (ENUMERATION_CAP, InvariantFamily, enumerate_fell_ideals,
-                     ideal_from_invariant_family, validate_invariant_family)
+from .ideals import ENUMERATION_CAP, InvariantFamily, enumerate_fell_ideals, fell_ideal_masks
 from .report import ValidationReport
 
 Array = np.ndarray
@@ -217,36 +217,51 @@ def _dual_groupoid(bundle: FellBundle, tols: Tolerances) -> DualGroupoid:
     return DualGroupoid(H, node, data)
 
 
+@dataclass(frozen=True)
+class IdealLattice:
+    """Bitsets of spectrum blocks (bit i: ``keys[i]``); no reference to the bundle."""
+    keys: tuple[tuple[str, int], ...]
+    orbits: tuple[int, ...]     # in ``quasi_orbits`` order
+    invariant: tuple[int, ...]  # unions of orbits: by size, then in combinations order
+    fell: tuple[int, ...]       # the ideals of ``enumerate_fell_ideals``, in its order
+
+    def keys_of(self, mask: int) -> list[tuple[str, int]]:
+        return [k for i, k in enumerate(self.keys) if mask >> i & 1]
+
+
+def lattice(bundle: FellBundle, tols: Tolerances = DEFAULT) -> IdealLattice:
+    """The invariant sets, unions of the orbits of the dual arrows, and the
+    Fell ideals of the search, which never reads the dual groupoid: two
+    independent routes to one lattice, built once per bundle and tolerances
+    (``bundle.memo``) without the envelope.  Raises ValueError past
+    ``ENUMERATION_CAP`` Fell-ideal candidates, which bounds the 2^orbits too."""
+    return bundle.memo(("lattice", tols), lambda: _lattice(bundle, tols))
+
+
+def _lattice(bundle: FellBundle, tols: Tolerances) -> IdealLattice:
+    fell = tuple(fell_ideal_masks(bundle, tols))  # first, for its cap
+    keys = tuple(b.key for b in fiber_spectrum(bundle, tols).blocks())
+    bit = {k: 1 << i for i, k in enumerate(keys)}
+    orbit = dict(bit)  # of a block: the targets of the dual arrows from it
+    for _, skey, tkey in dual_groupoid(bundle, tols).arrow_data.values():
+        orbit[skey] |= bit[tkey]
+    orbits = sorted(set(orbit.values()), key=lambda m: [k for k in keys if m & bit[k]])
+    invariant = [sum(c) for r in range(len(orbits) + 1) for c in itertools.combinations(orbits, r)]
+    return IdealLattice(keys, tuple(orbits), tuple(invariant), fell)
+
+
 def quasi_orbits(bundle: FellBundle, tols: Tolerances = DEFAULT) -> list[list[tuple[str, int]]]:
     """Orbit partition of the spectrum; quasi-orbits = orbits (discrete)."""
-    dual = dual_groupoid(bundle, tols)
-    parent = {k: k for k in dual.node_of_block}
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for a, (g, skey, tkey) in dual.arrow_data.items():
-        ra, rb = find(skey), find(tkey)
-        if ra != rb:
-            parent[rb] = ra
-    orbits: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for k in dual.node_of_block:
-        orbits.setdefault(find(k), []).append(k)
-    return [sorted(v) for v in sorted(orbits.values())]
+    lat = lattice(bundle, tols)
+    return [sorted(lat.keys_of(o)) for o in lat.orbits]
 
 
-def invariant_subsets(bundle: FellBundle, tols: Tolerances = DEFAULT,
-                      cap: int = ENUMERATION_CAP) -> list[frozenset[tuple[str, int]]]:
+def invariant_subsets(bundle: FellBundle,
+                      tols: Tolerances = DEFAULT) -> list[frozenset[tuple[str, int]]]:
     """All dual-invariant subsets of spectrum blocks: unions of orbits."""
-    orbits = quasi_orbits(bundle, tols)
-    if 2 ** len(orbits) > cap:
-        raise ValueError("too many orbits to enumerate invariant subsets")
-    out = [frozenset(k for i, orbit in enumerate(orbits) if mask >> i & 1 for k in orbit)
-           for mask in _subset_masks(len(orbits))]
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    lat = lattice(bundle, tols)
+    return sorted((frozenset(lat.keys_of(m)) for m in lat.invariant),
+                  key=lambda s: (len(s), sorted(s)))
 
 
 def family_from_subset(bundle: FellBundle, spec: FiberSpectrum,
@@ -269,30 +284,23 @@ def support_frame(bundle: FellBundle, x: str, blocks: list[SpectrumBlock],
 
 
 def ideal_bijection_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> ValidationReport:
-    """Invariant spectrum subsets <-> Fell ideals is a lattice isomorphism,
-    cross-checked against independent exhaustive enumeration."""
+    """Invariant spectrum subsets <-> Fell ideals is a lattice isomorphism:
+    the two sides of ``lattice`` are one set of bitsets, and the Fell
+    ideals' frames nest at each covering pair U <= U + O (U invariant, O an
+    orbit outside it), which generate the order."""
     rep = ValidationReport("spectrum/ideal bijection")
-    spec, arrows = fiber_spectrum(bundle, tols), bundle.groupoid.arrows
-    subsets = invariant_subsets(bundle, tols)
-    ideals = []
-    for s in subsets:
-        fam = family_from_subset(bundle, spec, s, tols)
-        r = validate_invariant_family(fam, tols)
-        rep.require(r.ok, "subset family invariant", f"subset {sorted(s)}")
-        ideals.append(ideal_from_invariant_family(fam, tols))
-    enumerated = enumerate_fell_ideals(bundle, tols)
-    rep.require(len(enumerated) == len(subsets),
+    lat, arrows = lattice(bundle, tols), bundle.groupoid.arrows
+    ideal = dict(zip(lat.fell, enumerate_fell_ideals(bundle, tols)))
+    for U in lat.invariant:
+        rep.require(U in ideal, "subset family invariant", f"subset {sorted(lat.keys_of(U))}")
+        for V in (U | O for O in lat.orbits if not O & U and U in ideal and U | O in ideal):
+            rep.require(all(la.frame_leq(ideal[U].frames[g], ideal[V].frames[g], 1e-7)
+                            for g in arrows), "order preserved",
+                        f"{sorted(lat.keys_of(U))} <= {sorted(lat.keys_of(V))}")
+    rep.require(len(lat.fell) == len(lat.invariant),
                 "counts agree with exhaustive enumeration", "lattice",
-                detail=f"{len(enumerated)} enumerated vs {len(subsets)} subsets")
-    matched = sum(any(all(la.frame_eq(I.frames[g], J.frames[g], 1e-7) for g in arrows)
-                      for J in enumerated) for I in ideals)
-    rep.require(matched == len(ideals), "bijection onto enumerated ideals", "lattice",
-                detail=f"matched {matched} of {len(ideals)}")
-    for (si, I), (sj, J) in itertools.product(zip(subsets, ideals), repeat=2):
-        if si <= sj:
-            rep.require(all(la.frame_leq(I.frames[g], J.frames[g], 1e-7) for g in arrows),
-                        "order preserved", f"{sorted(si)} <= {sorted(sj)}")
-    rep.note(f"{len(quasi_orbits(bundle, tols))} quasi-orbit(s); finite spectra are "
+                detail=f"{len(lat.fell)} enumerated vs {len(lat.invariant)} subsets")
+    rep.note(f"{len(lat.orbits)} quasi-orbit(s); finite spectra are "
              "discrete, so quasi-orbits coincide with orbits")
     return rep
 
@@ -314,58 +322,40 @@ def incidence(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Array:
     return np.einsum("pba,sk,kab->ps", z, coeffs, env.images, optimize=True)
 
 
-def _subset_masks(n: int) -> list[int]:
-    """The subsets of range(n) as bitsets, by size and then in
-    ``itertools.combinations`` order: the numbering of the ideals."""
-    return [sum(1 << i for i in combo) for r in range(n + 1)
-            for combo in itertools.combinations(range(n), r)]
-
-
 def galois_check(bundle: FellBundle, tols: Tolerances = DEFAULT) -> ValidationReport:
-    """I <= r(J) iff i(I) <= J on all pairs of ideals, plus the retraction
-    identities and the characterisation of restricted/induced ideals.
+    """The restricted ideals are exactly the invariant ones, and the induced
+    ideals exactly the C*-algebras of the Fell ideals.
 
-    An ideal of B = (+) A_x or of the envelope is the sum of the blocks it
-    contains: a bitset, numbered by ``_subset_masks``.  The ideal that a
-    projection generates is the sum of the blocks it meets, so, with r the
-    ``incidence`` table rounded to integers, i(S) = {P : r[P, s] > 0 for some
-    s in S} and r(T) = {s : every P with r[P, s] > 0 lies in T}.  A trace
-    farther than 1e-6 from an integer is a violation at its (envelope block,
-    spectrum block).  Raises ValueError, before any pair, when the 2^{S+P}
-    ideal pairs exceed ``ENUMERATION_CAP``."""
+    An ideal of B = (+) A_x or of the envelope is the bitset of the blocks
+    it contains, and the ideal a projection generates is the sum of the
+    blocks it meets, so, with r the ``incidence`` table rounded to integers,
+    i(S) = {P : r[P, s] > 0 for some s in S} and r(T) = {s : every P with
+    r[P, s] > 0 lies in T}.  Read off one table, i and r form a Galois
+    connection, so r i r = r and the restricted ideals are the r(i(S)) over
+    the 2^S ideals S of B.  A trace farther than 1e-6 from an integer is a
+    violation at its (envelope block, spectrum block).  Raises ValueError,
+    before the envelope is built, past ``ENUMERATION_CAP`` ideals of B."""
+    blocks = fiber_spectrum(bundle, tols).blocks()
+    if (sets := 2 ** len(blocks)) > ENUMERATION_CAP:
+        raise ValueError(f"{sets} coefficient ideals exceed the cap {ENUMERATION_CAP}")
     traces = incidence(bundle, tols)
     ranks = np.rint(traces.real).astype(np.int64)
-    n_env, n_spec = ranks.shape
-    if (pairs := 2 ** (n_spec + n_env)) > ENUMERATION_CAP:
-        raise ValueError(f"{pairs} ideal pairs exceed the cap {ENUMERATION_CAP}")
     rep = ValidationReport("galois connection")
-    blocks = fiber_spectrum(bundle, tols).blocks()
     off = np.abs(traces - ranks)
     for p, s in zip(*np.nonzero(off > 1e-6)):
         rep.add("incidence trace is an integer",
                 f"(env-block {p}, spectrum block {blocks[s].obj}:{blocks[s].index})",
                 float(off[p, s]))
-    # i and r on every bitset: i(S) adds the blocks that S's lowest block meets to i of the rest
+    # i on every bitset: i(S) adds the blocks that S's lowest block meets to i of the rest
     meets = [sum(1 << p for p in np.flatnonzero(col > 0).tolist()) for col in ranks.T]
-    induce = [0] * (1 << n_spec)
-    for S in range(1, 1 << n_spec):
+    induce = [0] * sets
+    for S in range(1, sets):
         induce[S] = induce[S & (S - 1)] | meets[(S & -S).bit_length() - 1]
-    restrict = [sum(1 << s for s, m in enumerate(meets) if not m & ~T) for T in range(1 << n_env)]
-
-    e_ideals = _subset_masks(n_env)
-    for bi, S in enumerate(_subset_masks(n_spec)):
-        iS = induce[S]
-        rep.require(induce[restrict[iS]] == iS, "i r i = i", f"B-ideal {bi}")
-        for ei_, T in enumerate(e_ideals):
-            if (not S & ~restrict[T]) != (not iS & ~T):
-                rep.add("I <= r(J) iff i(I) <= J", f"(B-ideal {bi}, env-ideal {ei_})")
-    for ei_, T in enumerate(e_ideals):
-        rep.require(restrict[induce[restrict[T]]] == restrict[T], "r i r = r", f"env-ideal {ei_}")
+    induced = set(induce)
+    restricted = {sum(1 << s for s, m in enumerate(meets) if not m & ~T) for T in induced}
 
     # restricted ideals are exactly the invariant families
-    column = {b.key: s for s, b in enumerate(blocks)}
-    invariant = {sum(1 << column[k] for k in U) for U in invariant_subsets(bundle, tols)}
-    restricted, induced = set(restrict), set(induce)
+    invariant = set(lattice(bundle, tols).invariant)
     rep.require(len(restricted) == len(invariant),
                 "restricted ideals are exactly the invariant ones", "counts",
                 detail=f"{len(restricted)} restricted vs {len(invariant)} invariant")

@@ -108,3 +108,15 @@ def certify_raw():
 def certify_bundles(certify_raw):
     ws = Workspace.from_dict(certify_raw)
     return {name: ws.bundle(name) for name in ws.names("bundles")}
+
+
+@pytest.fixture
+def certify_bundles_by_seed():
+    """The certify workspace's bundles for seeds 1 and 4, by (seed, name),
+    from the copies kept as data."""
+    out = {}
+    for seed in (1, 4):
+        with open(os.path.join(DATA, f"certify_seed{seed}.json")) as fh:
+            ws = Workspace.from_dict(json.load(fh))
+        out.update({(seed, name): ws.bundle(name) for name in ws.names("bundles")})
+    return out

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import fellbund._linalg as la
-from fellbund import gallery, spectrum
+from fellbund import gallery, ideals, spectrum
+from fellbund.bundle import MatrixModelBundle
 from fellbund.envelope import envelope_algebra
+from fellbund.groupoid import trivial_group
 from fellbund.spectrum import galois_check, incidence
 
 import galois_route
@@ -111,10 +113,41 @@ def test_galois_check_reaches_the_larger_pair_lines(certify_bundles, name):
     assert report.ok, report.summary()
 
 
-def test_pair_count_is_capped_before_enumerating(certify_bundles, monkeypatch):
-    # one spectrum block and 24 envelope blocks: 2^25 pairs
-    b = certify_bundles["line-z24"]
-    # the enumeration starts with _subset_masks: a call would raise TypeError
-    monkeypatch.setattr(spectrum, "_subset_masks", None)
-    with pytest.raises(ValueError, match="33554432 ideal pairs exceed the cap 1048576"):
+def test_connection_identities_hold_on_the_frames(oracle_bundles):
+    # i and r read off one table satisfy these by construction, so the
+    # library no longer checks them; on the frames they are statements
+    for name, b in oracle_bundles.items():
+        report = galois_route.connection_identities(b)
+        assert report.ok, (name, report.summary())
+
+
+def test_connection_identities_catch_a_wrong_restriction(monkeypatch):
+    # r(J) = 0 for every J: i r i = i fails on every nonzero ideal of B
+    b = gallery.a4_bundle()
+    n_spec = len(spectrum.fiber_spectrum(b).blocks())
+    monkeypatch.setattr(galois_route, "restrict_ideal",
+                        lambda data, frame, tols=None: np.zeros((0, data.coeff_total), complex))
+    checks = {(v.check, v.where) for v in galois_route.connection_identities(b).violations}
+    assert {("i r i = i", f"B-ideal {bi}") for bi in range(1, 2 ** n_spec)} <= checks
+    assert any(check == "I <= r(J) iff i(I) <= J" for check, _ in checks)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_galois_check_passes_on_line_z24(certify_bundles_by_seed, seed):
+    # one spectrum block and 24 envelope blocks: 2 ideals of B to induce
+    report = galois_check(certify_bundles_by_seed[(seed, "line-z24")])
+    assert report.ok and report.violations == [], report.summary()
+
+
+def test_coefficient_ideals_are_capped_before_the_envelope(monkeypatch):
+    # one object whose unit fibre is the diagonal C^21: 21 spectrum blocks
+    mats = [np.diag(row).astype(complex) for row in np.eye(21)]
+    b = MatrixModelBundle(trivial_group(), {"e": mats}).to_fell_bundle()
+    assert len(spectrum.fiber_spectrum(b).blocks()) == 21
+
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before the cap")
+    monkeypatch.setattr(spectrum, "envelope_algebra", fail)
+    monkeypatch.setattr(ideals, "_enumerate_fell_ideals", fail)
+    with pytest.raises(ValueError, match="2097152 coefficient ideals exceed the cap 1048576"):
         galois_check(b)

@@ -181,7 +181,7 @@ def test_spectrum_and_ideals_commands_decompose_each_unit_fibre_once(
                         lambda b, tols: duals.append(b) or real_dual(b, tols))
     a4 = gallery.a4_bundle()
     unit_stacks = [a4.unit_rep[x].shape for x in a4.groupoid.objects]
-    for command in ("spectrum", "ideals"):
+    for command in ("spectrum", "ideals", "quasi-orbits"):
         decomposed.clear()
         duals.clear()
         assert main([command, demo_workspace_path, "a4"]) == 0
