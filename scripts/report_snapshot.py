@@ -22,10 +22,14 @@ workspace holds two twisted partial actions: one on the pair groupoid of
 unit (``validate``: a report of witnesses).
 Each command's stdout goes to its own file under OUT, and ``exit_codes.txt``
 lists the exit status of every command.  No command convolves or involutes,
-so ``section_kernels.txt`` adds the SHA-256 digests of the bytes of
-``convolve``, ``involute`` and ``i_norm`` on two seeded sections of every
+and only the two ``norms`` commands print a C*-norm, so
+``section_kernels.txt`` adds, for two seeded sections xi and eta of every
 bundle above (the demo's, each certify workspace's and the two
-structure-tensor bundles).  The ``envelope`` and ``spectrum`` reports show
+structure-tensor bundles), the SHA-256 digests of the bytes of
+``convolve(xi, eta)``, ``involute(xi)`` and ``i_norm(xi)``, and of each
+section's ``per_object_norms`` values in object order, ``cstar_norm`` and
+``envelope_algebra(b).lambda_of`` (or the error these raise).  The
+``envelope`` and ``spectrum`` reports show
 only block sizes, so ``block_digests.txt`` adds, for each of those bundles,
 the SHA-256 of the sizes, multiplicities and projections of its envelope
 blocks and of the same with the irreducible frames, and the SHA-256 of the
@@ -196,11 +200,19 @@ def seeded_section(fb, raw: dict, bundle: str, seed: int) -> dict:
     return {"bundle": bundle, "entries": entries}
 
 
-def kernel_digests(fb, label: str, bundles: dict, seed: int) -> list[str]:
+def kernel_digests(fb, label: str, bundles: dict, seed: int, tols) -> list[str]:
     """Per bundle (name -> FellBundle), one line per kernel: the SHA-256 of
-    the bytes of convolve(xi, eta), involute(xi) and i_norm(xi), with xi
-    and eta drawn per arrow in declared order, d standard normal real parts
-    and then d imaginary parts, from numpy's generator ``[seed, 23]``."""
+    the bytes of convolve(xi, eta), involute(xi) and i_norm(xi), and, for
+    each of xi and eta, of its ``per_object_norms`` values in object order,
+    its ``cstar_norm`` and ``envelope_algebra(b).lambda_of``, with xi and
+    eta drawn per arrow in declared order, d standard normal real parts and
+    then d imaginary parts, from numpy's generator ``[seed, 23]``.  A norm
+    line holds the ValueError instead, if one is raised."""
+    def norms(b, f):
+        yield "per_object_norms", np.array(list(fb.envelope.per_object_norms(b, f, tols).values()))
+        yield "cstar_norm", np.float64(fb.cstar_norm(b, f, tols))
+        yield "lambda_of", fb.envelope_algebra(b, tols).lambda_of(f)
+
     rng = np.random.default_rng([seed, 23])
     lines = []
     for name, b in bundles.items():
@@ -212,6 +224,13 @@ def kernel_digests(fb, label: str, bundles: dict, seed: int) -> list[str]:
                               ("i_norm", np.float64(fb.i_norm(xi)))):
             digest = hashlib.sha256(value.tobytes()).hexdigest()
             lines.append(f"{label} {name} {kernel} {digest}")
+        for which, f in (("xi", xi), ("eta", eta)):
+            try:
+                for kernel, value in norms(b, f):
+                    digest = hashlib.sha256(value.tobytes()).hexdigest()
+                    lines.append(f"{label} {name} {kernel}({which}) {digest}")
+            except ValueError as exc:
+                lines.append(f"{label} {name} norms({which}) error: {exc}")
     return lines
 
 
@@ -426,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def add_digests(label: str, raw: dict, seed: int, with_galois: bool = True) -> None:
         bundles, tols = workspace_bundles(fellbund, raw)
-        kernels.extend(kernel_digests(fellbund, label, bundles, seed))
+        kernels.extend(kernel_digests(fellbund, label, bundles, seed, tols))
         blocks.extend(block_digests(fellbund, label, bundles, tols))
         characters.extend(block_characters(fellbund, label, bundles, tols))
         verdicts.extend(family_verdicts(fellbund, label, bundles, tols))

@@ -153,6 +153,8 @@ class RegularRepAt:
     """Quotient coordinates of the induced space at one object."""
 
     def __init__(self, bundle: FellBundle, x: str, tols: Tolerances = DEFAULT):
+        if x not in bundle.groupoid.unit:
+            raise ValueError(f"unknown object {x!r}")
         self.bundle = bundle
         self.x = x
         self.summands = list(bundle.groupoid.source_fiber(x))
@@ -218,10 +220,15 @@ class RegularRepAt:
         """Matrices of left convolution by the sections packed in ``coeffs``
         (..., total_dim), of shape (..., dim, dim): one gather, contraction
         and block assignment per group of block shapes."""
-        out = np.zeros(coeffs.shape[:-1] + (self.dim, self.dim), dtype=np.complex128)
-        for stack, coeff, rows, cols in self._groups:
-            out[..., rows, cols] = np.einsum("pqmr,...pm->...pqr", stack, coeffs.take(coeff, -1))
-        return out
+        return _assemble(self._groups, self.dim, coeffs)
+
+
+def _assemble(groups: list[tuple[Array, Array, Array, Array]], dim: int, coeffs: Array) -> Array:
+    """The (..., dim, dim) matrices that ``groups`` form from ``coeffs`` (..., total_dim)."""
+    out = np.zeros(coeffs.shape[:-1] + (dim, dim), dtype=np.complex128)
+    for stack, coeff, rows, cols in groups:
+        out[..., rows, cols] = np.einsum("pqmr,...pm->...pqr", stack, coeffs.take(coeff, -1))
+    return out
 
 
 def regular_at(bundle: FellBundle, x: str, tols: Tolerances = DEFAULT) -> RegularRepAt:
@@ -232,30 +239,59 @@ def regular_at(bundle: FellBundle, x: str, tols: Tolerances = DEFAULT) -> Regula
                        lambda: RegularRepAt(bundle, x, tols))
 
 
+class _DirectSumPlan(NamedTuple):
+    """Lambda at every object at once, as arrays only (no bundle): per block
+    shape, all objects' ``RegularRepAt._groups`` concatenated, rows and columns
+    shifted into the direct sum of dim N; per nonzero object dim n, the objects'
+    positions and the rows (K, n, 1) and columns (K, 1, n) of their blocks."""
+
+    dim: int
+    groups: list[tuple[Array, Array, Array, Array]]
+    classes: list[tuple[list[int], Array, Array]]
+
+
+def _direct_sum_plan(bundle: FellBundle, tols: Tolerances) -> _DirectSumPlan:
+    """The plan of ``_direct_sum``, built once per pair of thresholds."""
+    def build() -> _DirectSumPlan:
+        regs = [regular_at(bundle, x, tols) for x in bundle.groupoid.objects]
+        starts = np.cumsum([0] + [reg.dim for reg in regs]).tolist()
+        shapes: dict[tuple[int, ...], list[tuple[Array, ...]]] = {}
+        sizes: dict[int, list[int]] = {}
+        for p, (reg, at) in enumerate(zip(regs, starts)):
+            for stack, coeff, rows, cols in reg._groups:
+                shapes.setdefault(stack.shape[1:], []).append((stack, coeff, rows + at, cols + at))
+            sizes.setdefault(reg.dim, []).append(p)
+        spans = {n: _spans([starts[p] for p in part], n) for n, part in sizes.items() if n}
+        return _DirectSumPlan(starts[-1], [tuple(np.concatenate(a) for a in zip(*members))
+                                           for members in shapes.values()],
+                              [(sizes[n], s[:, :, None], s[:, None, :]) for n, s in spans.items()])
+    return bundle.memo(("direct_sum", tols.tolerance, tols.rank_threshold), build)
+
+
 def _direct_sum(bundle: FellBundle, coeffs: Array, tols: Tolerances) -> Array:
     """Lambda of the sections packed in ``coeffs`` (..., total_dim): the
-    matrices at the objects down the diagonal, in declared object order."""
-    blocks = [regular_at(bundle, x, tols).matrix(coeffs) for x in bundle.groupoid.objects]
-    dim = sum(b.shape[-1] for b in blocks)
-    out = np.zeros(coeffs.shape[:-1] + (dim, dim), dtype=np.complex128)
-    pos = 0
-    for b in blocks:
-        n = b.shape[-1]
-        out[..., pos:pos + n, pos:pos + n] = b
-        pos += n
-    return out
+    matrices at the objects down the diagonal, in declared object order,
+    formed by one einsum and assignment per block shape of the plan."""
+    plan = _direct_sum_plan(bundle, tols)
+    return _assemble(plan.groups, plan.dim, coeffs)
 
 
 def delta_images(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Array:
     """The read-only stack (total_dim, N, N) of Lambda(delta_{g,i}) in packed
-    order, formed once per pair of thresholds from the identity coefficients."""
+    order: ``_direct_sum`` of the identity coefficients, once per pair of thresholds."""
     key = ("delta_images", tols.tolerance, tols.rank_threshold)
     return bundle.memo(key, lambda: la.readonly(
         _direct_sum(bundle, np.eye(bundle.total_dim, dtype=np.complex128), tols)))
 
 
+def _over(bundle: FellBundle, f: Section) -> None:
+    if f.bundle is not bundle:
+        raise ValueError("section does not live over the bundle")
+
+
 def regular_rep_matrix(bundle: FellBundle, x: str, f: Section,
                        tols: Tolerances = DEFAULT) -> Array:
+    _over(bundle, f)
     return regular_at(bundle, x, tols).matrix(f.pack())
 
 
@@ -265,17 +301,19 @@ def cstar_norm(bundle: FellBundle, f: Section, tols: Tolerances = DEFAULT) -> fl
 
 def per_object_norms(bundle: FellBundle, f: Section,
                      tols: Tolerances = DEFAULT) -> dict[str, float]:
+    """||Lambda_x(f)|| per object x: Lambda(f) by the direct-sum plan, and one SVD
+    of its diagonal blocks per object dim; an object of dim 0 reads 0.0."""
+    _over(bundle, f)
     coeffs = f.pack()
     if not np.isfinite(coeffs).all():  # one check: the norm core names the arrow
         f.bundle.norm_rows([(g, v[None]) for g, v in f.entries.items()])
     objects = bundle.groupoid.objects
-    # one SVD per stack of equal-size matrices; an empty matrix has norm 0
+    plan = _direct_sum_plan(bundle, tols)
+    lam = _assemble(plan.groups, plan.dim, coeffs)
     norms = dict.fromkeys(objects, 0.0)
-    for part, (stack,) in la.stacks([(regular_at(bundle, x, tols).matrix(coeffs),)
-                                     for x in objects]):
-        if stack.size:
-            norms.update(zip([objects[p] for p in part],
-                             np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()))
+    for part, rows, cols in plan.classes:
+        norms.update(zip([objects[p] for p in part],
+                         np.linalg.svd(lam[rows, cols], compute_uv=False)[:, 0].tolist()))
     return norms
 
 
@@ -286,6 +324,7 @@ def sharper_norm_bound(bundle: FellBundle, f: Section,
     Computed for f / 2^e, with 2^e the power of two just above the largest
     coefficient of f, and scaled back: the products f(g) f(g)* and
     f(g)* f(g) stay in range for any finite f."""
+    _over(bundle, f)
     G = bundle.groupoid
     e = int(max((_exponents(v) for v in f.entries.values()), default=0))
     n_r = {x: np.zeros((bundle.unit_dim(x), bundle.unit_dim(x)), dtype=np.complex128)

@@ -98,4 +98,4 @@ def test_m2_twisted_roundtrip_under_random_sections():
     for g in b.groupoid.arrows:
         assert np.linalg.norm(b.inv[g] - b2.inv[g]) < 1e-10
     f = random_section(b, rng)
-    assert abs(cstar_norm(b, f) - cstar_norm(b2, f)) < 1e-9
+    assert abs(cstar_norm(b, f) - cstar_norm(b2, Section(b2, dict(f.entries)))) < 1e-9

@@ -522,6 +522,19 @@ def test_non_positive_gram_signals_invalid_bundle():
         regular_rep_matrix(bad, "pt", unit_section(bad))
 
 
+def test_norms_reject_a_section_over_another_bundle():
+    line, a4 = gallery.z2_line_bundle(), gallery.a4_bundle()
+    rng = np.random.default_rng(27)
+    norms = (cstar_norm, per_object_norms, sharper_norm_bound,
+             lambda b, f: regular_rep_matrix(b, b.groupoid.objects[0], f))
+    for norm in norms:
+        for b, other in ((line, a4), (a4, line)):
+            with pytest.raises(ValueError, match="section does not live over the bundle"):
+                norm(b, random_section(other, rng))
+    with pytest.raises(ValueError, match="unknown object 'nope'"):
+        regular_rep_matrix(a4, "nope", random_section(a4, rng))
+
+
 def test_coefficient_embedding():
     for name in ("trivial-M2", "z2-line", "a4-over-z2", "klein-twisted"):
         b = gallery.shipped_bundles()[name]

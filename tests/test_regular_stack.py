@@ -1,23 +1,27 @@
 """The stored Lambda(delta) stack against the per-section loops it replaced.
 
-``delta_images`` forms Lambda of every delta section with one
-``RegularRepAt.matrix`` call per object.  The references below are the
-per-section computations that came before it, kept as oracles: one 1-D
-contraction per group of block shapes for each section, placed down the
-diagonal object by object.  The stack must equal them bit for bit (signed
-zeros included), and the exactness, coefficient-embedding and Galois reports
-built on it must equal the reports of the per-section code.
+``delta_images`` forms Lambda of every delta section from the bundle's
+direct-sum plan: one einsum and assignment per block shape, for all objects
+at once.  The references below are the per-section computations that came
+before it, kept as oracles: one 1-D contraction per group of block shapes
+for each section, placed down the diagonal object by object.  The stack
+must equal them bit for bit (signed zeros included), and the exactness,
+coefficient-embedding and Galois reports built on it must equal the reports
+of the per-section code.  The plan itself is built once per pair of
+thresholds, during the envelope build, and no read of Lambda or of the
+norms calls ``RegularRepAt.matrix`` after it.
 """
 
 import numpy as np
 import pytest
 
 import fellbund._linalg as la
-from fellbund import gallery, spectrum
+from fellbund import envelope, gallery, spectrum
 from fellbund.bundle import ei, subbundle_from_frames
 from fellbund.config import DEFAULT, Tolerances
-from fellbund.envelope import (coefficient_embedding_check, delta_images, envelope_algebra,
-                               regular_at)
+from fellbund.envelope import (RegularRepAt, coefficient_embedding_check, cstar_norm,
+                               delta_images, envelope_algebra, per_object_norms, regular_at,
+                               regular_rep_matrix)
 from fellbund.ideals import (ExactnessReport, enumerate_fell_ideals, exactness_verify,
                              quotient_bundle)
 from fellbund.report import ValidationReport
@@ -25,6 +29,7 @@ from fellbund.sections import (Section, basis_sections, induced_hom, module_acti
                                random_section, unit_section)
 
 import galois_route
+from test_sections import _oracle_bundles
 
 # a tolerance below every nonzero residual: each check reports its residual
 EXACT = Tolerances(tolerance=1e-300)
@@ -96,6 +101,60 @@ def test_empty_bundle_has_an_empty_stack():
     dim = sum(regular_at(zero, x).dim for x in zero.groupoid.objects)
     assert stack.shape == (0, dim, dim)
     assert envelope_algebra(zero).blocks == [] and envelope_algebra(zero).injective
+
+
+# -- the direct-sum plan ---------------------------------------------------------
+
+def test_plan_is_built_once_per_threshold_pair_and_shared_across_seeds(monkeypatch):
+    built = []
+    plan_type = envelope._DirectSumPlan
+    monkeypatch.setattr(envelope, "_DirectSumPlan",
+                        lambda *fields: built.append(fields) or plan_type(*fields))
+    b = gallery.a4_partial_bundle()
+    plan = envelope._direct_sum_plan(b, DEFAULT)
+    for tols in (DEFAULT, Tolerances(seed=5), Tolerances(seed=9)):
+        f = random_section(b, np.random.default_rng(tols.seed))
+        cstar_norm(b, f, tols), envelope_algebra(b, tols).lambda_of(f), delta_images(b, tols)
+        assert envelope._direct_sum_plan(b, tols) is plan
+    assert len(built) == 1
+    sharper = Tolerances(rank_threshold=1e-11)
+    cstar_norm(b, random_section(b, np.random.default_rng(1)), sharper)
+    assert len(built) == 2 and envelope._direct_sum_plan(b, sharper) is not plan
+
+
+def test_reads_through_the_plan_make_no_matrix_call(monkeypatch, certify_bundles):
+    calls = []
+    matrix = RegularRepAt.matrix
+    monkeypatch.setattr(RegularRepAt, "matrix",
+                        lambda self, coeffs: calls.append(self.x) or matrix(self, coeffs))
+    rng = np.random.default_rng(27)
+    for name, b in _oracle_bundles(certify_bundles).items():
+        env = envelope_algebra(b)  # builds the plan
+        f = random_section(b, rng)
+        cstar_norm(b, f), per_object_norms(b, f), env.lambda_of(f)
+        delta_images(b, Tolerances(seed=3))
+        assert calls == [], name
+    regular_rep_matrix(b, b.groupoid.objects[0], f)
+    assert calls == [b.groupoid.objects[0]]  # the wrapper counts
+
+
+@pytest.mark.parametrize("name, dims", [("a4-partial", [2, 2, 1]), ("a4-ideal-sub", [2, 2, 0])])
+def test_plan_reads_mixed_and_zero_object_dims(name, dims, certify_bundles):
+    b = _oracle_bundles(certify_bundles)[name]
+    objects = b.groupoid.objects
+    assert [regular_at(b, x).dim for x in objects] == dims
+    f = random_section(b, np.random.default_rng(5))
+    lam, norms = envelope_algebra(b).lambda_of(f), per_object_norms(b, f)
+    pos = 0
+    for x, n in zip(objects, dims):
+        block = regular_rep_matrix(b, x, f)
+        assert same_bits(lam[pos:pos + n, pos:pos + n], block), (name, x)
+        assert not lam[pos:pos + n, :pos].any() and not lam[pos:pos + n, pos + n:].any()
+        assert norms[x] == (np.linalg.svd(block, compute_uv=False)[0] if n else 0.0), (name, x)
+        pos += n
+    assert list(norms) == list(objects) and cstar_norm(b, f) == max(norms.values())
+    if not dims[-1]:
+        assert norms[objects[-1]] == 0.0 and type(norms[objects[-1]]) is float
 
 
 # -- coefficient embedding -------------------------------------------------------
