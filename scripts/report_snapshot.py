@@ -55,6 +55,14 @@ holds, for each bundle of the demo and of each certify workspace with at
 most 16 delta images and at most 2^10 ideal pairs (2^(S+P), for S
 unit-spectrum blocks and P envelope blocks), the JSON of its
 ``galois_check`` report, keys sorted: the check runs in no CLI command.
+``action_digests.txt`` pins the twisted partial actions' bits, which the
+CLI prints only as residuals: for the five gallery actions of the
+benchmark's ``roundtrip`` workload (``perfbench/workloads.ACTIONS``), the
+demo's two actions and the temp workspace's two, the SHA-256 of the
+``validate_action`` report's JSON (keys sorted), of the ``mult`` and ``inv``
+items of ``compile_to_fell_bundle`` and of the ``ideal_basis``, ``alpha``
+and ``w`` of ``reconstruct_action`` of that bundle (or the error compiling
+or reconstructing raises).
 fellbund is imported from CHECKOUT's ``src`` (default: the checkout
 holding this script), so two checkouts can be compared byte for byte:
 
@@ -409,6 +417,51 @@ def galois_reports(fb, label: str, bundles: dict, tols) -> list[str]:
     return lines
 
 
+def action_digests(fb, label: str, actions: dict, tols) -> list[str]:
+    """Per twisted partial action (name -> TwistedPartialAction), one line
+    for the SHA-256 of its ``validate_action`` report's JSON with sorted
+    keys, then one line per kind of array: the ``mult`` items (composable-
+    pair order) and ``inv`` items (arrow order) of ``compile_to_fell_bundle``,
+    and the ``ideal_basis`` and ``alpha`` items (arrow order) and ``w`` items
+    (composable-pair order) of ``reconstruct_action`` of that bundle, each
+    digest over the shape and bytes of its items in order.  Where compiling
+    or reconstructing raises a ValueError, its line holds the error's first
+    line (the report's digest already pins the rest)."""
+    actions_module, groupoid_module = fb.actions, fb.groupoid
+
+    def digest(arrays) -> str:
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.array(np.shape(a)).tobytes())
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    lines = []
+    for name, T in actions.items():
+        report = actions_module.validate_action(T, tols).to_json()
+        text = json.dumps(report, sort_keys=True).encode()
+        lines.append(f"{label} {name} report {hashlib.sha256(text).hexdigest()}")
+        G = T.groupoid
+        pairs = groupoid_module.composable_pairs(G)
+        try:
+            b = actions_module.compile_to_fell_bundle(T, tols)
+        except ValueError as exc:
+            lines.append(f"{label} {name} compile error: {str(exc).splitlines()[0]}")
+            continue
+        lines.append(f"{label} {name} mult {digest(b.mult[p] for p in pairs)}")
+        lines.append(f"{label} {name} inv {digest(b.inv[g] for g in G.arrows)}")
+        try:
+            R = actions_module.reconstruct_action(b, tols)
+        except ValueError as exc:
+            lines.append(f"{label} {name} reconstruct error: {str(exc).splitlines()[0]}")
+            continue
+        for kind, arrays in (("ideal_basis", [R.ideal_basis[g] for g in G.arrows]),
+                             ("alpha", [R.alpha[g] for g in G.arrows]),
+                             ("w", [R.w[p] for p in pairs])):
+            lines.append(f"{label} {name} {kind} {digest(arrays)}")
+    return lines
+
+
 def workspace_bundles(fb, raw: dict) -> tuple[dict, object]:
     """The bundles of a workspace (name -> FellBundle) and its tolerances."""
     ws = fb.workspace.Workspace.from_dict(raw)
@@ -427,13 +480,14 @@ def main(argv: list[str] | None = None) -> int:
     # the library and the benchmark's workspace generator of that checkout
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import fellbund
+    import fellbund.actions
     import fellbund.cli
     import fellbund.envelope
     import fellbund.gallery
     import fellbund.ideals
     import fellbund.spectrum
     import fellbund.workspace
-    from workloads import CERTIFY_BUNDLES, certify_workspace
+    from workloads import ACTIONS, CERTIFY_BUNDLES, certify_workspace
 
     jobs = []  # (file name, argv)
     demo = os.path.join(root, "examples_ws", "demo.json")
@@ -454,7 +508,15 @@ def main(argv: list[str] | None = None) -> int:
         if with_galois:
             galois.extend(galois_reports(fellbund, label, bundles, tols))
     with open(demo) as fh:
-        add_digests("demo", json.load(fh), 0)
+        demo_raw = json.load(fh)
+    add_digests("demo", demo_raw, 0)
+    actions = action_digests(fellbund, "gallery",
+                             {a: getattr(fellbund.gallery, a)() for a in ACTIONS},
+                             fellbund.DEFAULT)
+    for label, raw in (("demo", demo_raw), ("actions", actions_workspace())):
+        ws = fellbund.workspace.Workspace.from_dict(raw)
+        actions += action_digests(fellbund, label, {a: ws.action(a) for a in ws.names("actions")},
+                                  ws.tols)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             ws = os.path.join(tmp, f"certify-{seed}.json")
@@ -505,6 +567,8 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n".join(regulars) + "\n")
     with open(os.path.join(args.out, "galois_reports.txt"), "w") as fh:
         fh.write("\n".join(galois) + "\n")
+    with open(os.path.join(args.out, "action_digests.txt"), "w") as fh:
+        fh.write("\n".join(actions) + "\n")
     print(f"{len(jobs)} reports written to {args.out}")
     return 0
 

@@ -3,13 +3,14 @@
 Subspaces of C^N are stored as matrices with orthonormal rows ("frames").
 Matrix subspaces use the same machinery after flattening.  The single rank
 convention lives here: singular values below rtol * (largest singular value)
-count as zero.
+count as zero.  So does the one stacking mechanism: ``Stacks`` stacks arrays
+once per shape, and ``gathered`` hands kernels their items by index.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,47 +27,37 @@ def as_complex(a) -> Array:
 
 
 def readonly(a: Array) -> Array:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
-
-
-def stacks(items: list[tuple[Array, ...]], size: Callable[[tuple], int] | None = None
-           ) -> Iterator[tuple[list[int], tuple[Array, ...]]]:
-    """The positions of the items (tuples of arrays) whose arrays share their
-    shapes, with those arrays stacked along a new first axis: per group of
-    equal shapes, in chunks of at most _STACK_CHUNK elements of
-    ``size(shapes)`` per item (default: the item's largest array)."""
-    groups: dict[tuple, list[int]] = {}
-    for pos, arrays in enumerate(items):
-        groups.setdefault(tuple([a.shape for a in arrays]), []).append(pos)
-    for shapes, positions in groups.items():
-        per = size(shapes) if size else max((math.prod(s) for s in shapes), default=0)
-        step = max(1, _STACK_CHUNK // max(1, per))
-        for start in range(0, len(positions), step):
-            part = positions[start:start + step]
-            yield part, tuple([np.array([items[p][i] for p in part]) for i in range(len(shapes))])
 
 
 class Stacks:
     """Arrays stacked once per shape, read-only: item i is
     ``arrays[group[i]][row[i]]``, the groups in order of first appearance
-    and the rows in item order."""
+    and the rows in item order.  The one place that groups arrays by shape:
+    ``gathered`` reads items of stores like this by index."""
 
     def __init__(self, items: list[Array]):
         index: dict[tuple, int] = {}
         group = [index.setdefault(a.shape, len(index)) for a in items]
-        members: list[list[Array]] = [[] for _ in index]
-        row = []
-        for k, a in zip(group, items):
-            row.append(len(members[k]))
-            members[k].append(a)
-        self.group = readonly(np.array(group, dtype=np.intp))
-        self.row = readonly(np.array(row, dtype=np.intp))
+        if len(index) == 1:
+            members, group, row = [items], np.zeros(len(items), dtype=np.intp), np.arange(len(items))
+        else:
+            members, row = [[] for _ in index], []
+            for k, a in zip(group, items):
+                row.append(len(members[k]))
+                members[k].append(a)
+        self.group = readonly(np.asarray(group, dtype=np.intp))
+        self.row = readonly(np.asarray(row, dtype=np.intp))
         self.arrays = tuple([readonly(np.array(m)) for m in members])
 
     def __iter__(self) -> Iterator[Array]:
         """The items in order, read-only views into their groups' stacks."""
-        return (self.arrays[k][r] for k, r in zip(self.group, self.row))
+        return (self.arrays[k][r] for k, r in zip(self.group.tolist(), self.row.tolist()))
+
+    def sizes(self, axis: int = 0) -> Array:
+        """Each item's length along ``axis``."""
+        return np.array([a.shape[axis + 1] for a in self.arrays], dtype=np.intp)[self.group]
 
     def groups(self) -> Iterator[tuple[Array, Array]]:
         """Per group, in order: the positions of its items (ascending) and its stack."""
@@ -74,37 +65,51 @@ class Stacks:
             yield np.flatnonzero(self.group == k), stack
 
 
-def gathered(operands: list[tuple[Stacks, Array]], size: Callable[[tuple], int]
+def gathered(operands: list[tuple[Stacks, Array]], size: Callable[[tuple], int] | None = None
              ) -> Iterator[tuple[Array, tuple[Array, ...]]]:
-    """``stacks`` for items given by index into stores stacked once: item t
-    has one operand per (st, idx) of ``operands``, item idx[t] of the
-    ``Stacks`` st.  Per group of items whose operands share their shapes, in
-    chunks of at most _STACK_CHUNK elements of ``size(shapes)`` per item:
+    """Items given by index into stores stacked once (``Stacks``): item t has
+    one operand per (st, idx) of ``operands``, item idx[t] of st.  Per group
+    of items whose operands share their shapes (the groups in order of first
+    appearance), in chunks of at most _STACK_CHUNK elements of
+    ``size(shapes)`` per item (default: the item's largest array; an item
+    larger than that runs alone, and a zero-size item counts as one element):
     the positions t of the chunk's items (ascending) and their operands,
     gathered by row."""
-    key = np.zeros(len(operands[0][1]), dtype=np.intp)
-    for st, idx in operands:
-        if len(st.arrays) > 1:
-            key = key * len(st.arrays) + st.group[idx]
-    if not len(key):
-        return
-    order = np.argsort(key, kind="stable")
-    bounds = [0, *(np.flatnonzero(np.diff(key[order])) + 1).tolist(), len(key)]
-    for part in (order[a:b] for a, b in zip(bounds, bounds[1:])):
-        arrays = [st.arrays[st.group[idx[part[0]]]] for st, idx in operands]
-        step = max(1, _STACK_CHUNK // max(1, size(tuple([a.shape[1:] for a in arrays]))))
-        for start in range(0, len(part), step):
-            chunk = part[start:start + step]
-            yield chunk, tuple([a[st.row[idx[chunk]]] for a, (st, idx) in zip(arrays, operands)])
+    n = len(operands[0][1])
+    # per item, its groups in the stores of more than one shape: its part
+    split = [st.group.take(idx).tolist() for st, idx in operands if len(st.arrays) > 1]
+    parts: dict[tuple, Sequence[int]] = {}
+    for t, key in enumerate(zip(*split)):
+        parts.setdefault(key, []).append(t)
+    # the items part by part, and per operand their rows in their groups' stacks
+    if split:
+        order = np.array([t for part in parts.values() for t in part], dtype=np.intp)
+        rows = [st.row.take(idx.take(order)) if len(st.arrays) > 1 else idx.take(order)
+                for st, idx in operands]
+    else:
+        parts = {(): range(n)} if n else {}
+        order, rows = np.arange(n), [np.asarray(idx, dtype=np.intp) for _, idx in operands]
+    end = 0
+    for key, part in parts.items():
+        groups = iter(key)
+        arrays = [st.arrays[next(groups)] if len(st.arrays) > 1 else st.arrays[0]
+                  for st, _ in operands]
+        shapes = tuple([a.shape[1:] for a in arrays])
+        per = size(shapes) if size else max([math.prod(s) for s in shapes])
+        step = max(1, _STACK_CHUNK // max(1, per))
+        start, end = end, end + len(part)
+        for a in range(start, end, step):
+            b = min(end, a + step)
+            yield order[a:b], tuple([s.take(r[a:b], axis=0) for s, r in zip(arrays, rows)])
 
 
-def stacked(items: list[tuple[Array, ...]], fn: Callable[..., tuple],
+def stacked(operands: list[tuple[Stacks, Array]], fn: Callable[..., tuple],
             size: Callable[[tuple], int] | None = None) -> list[tuple]:
-    """``fn`` on each chunk of ``stacks(items, size)``; ``fn`` returns a
+    """``fn`` on each chunk of ``gathered(operands, size)``; ``fn`` returns a
     tuple of stacks, and each item gets the tuple of its rows, in item order."""
-    out: list = [None] * len(items)
-    for positions, arrays in stacks(items, size):
-        for pos, rows in zip(positions, zip(*fn(*arrays))):
+    out: list = [None] * len(operands[0][1])
+    for chunk, arrays in gathered(operands, size):
+        for pos, rows in zip(chunk.tolist(), zip(*fn(*arrays))):
             out[pos] = rows
     return out
 
@@ -235,31 +240,37 @@ def frame_intersection(a: Array, b: Array, dim: int, rtol: float = 1e-10) -> Arr
     """
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((0, dim), dtype=np.complex128)
-    return frame_intersections([(a, b)], rtol)[0]
+    one = np.zeros(1, dtype=np.intp)
+    return np.array(next(iter(frame_intersections((Stacks([a]), one), (Stacks([b]), one), rtol))))
 
 
-def frame_intersections(pairs: list[tuple[Array, Array]], rtol: float = 1e-10) -> list[Array]:
-    """``frame_intersection`` of each pair of frames (r_a, d), (r_b, d).
+def frame_intersections(a: tuple[Stacks, Array], b: tuple[Stacks, Array],
+                        rtol: float = 1e-10) -> Stacks:
+    """``frame_intersection`` of each item t of the frames a[1][t] of the
+    store a[0] (r_a, d) and b[1][t] of b[0] (r_b, d), index arrays both,
+    stacked (``Stacks``).
 
     Equal bit for bit to one ``frame_intersection`` per pair, in two
     stacked passes: the pairs of equal shapes form their complement
     projections with one batched matmul and take one stacked SVD of them,
     and the null rows of equal shape share one ``stacked_orth_rows``.
     """
-    out = [np.zeros((0, a.shape[1]), dtype=np.complex128) for a, _ in pairs]
-    live = [i for i, (a, b) in enumerate(pairs) if a.shape[0] and b.shape[0]]
-    null = []
+    (sa, ia), (sb, ib) = a, b
+    out = [np.zeros((0, d), dtype=np.complex128) for d in sa.sizes(1)[ia]]
+    live = np.flatnonzero(sa.sizes()[ia] * sb.sizes()[ib])
+    null, rows = [], []
     for i, (full, some, cut, vh) in zip(live, stacked(
-            [pairs[i] for i in live], lambda a, b: _null_directions(a, b, rtol),
+            [(sa, ia[live]), (sb, ib[live])], lambda a, b: _null_directions(a, b, rtol),
             lambda shapes: 2 * shapes[0][1] ** 2)):
         if full:
             out[i] = vh
         elif some:
-            null.append((i, np.conj(vh[cut])))
-    rows = stacked([(v,) for _, v in null], lambda v: stacked_orth_rows(v, rtol))
-    for (i, _), (vh, rank) in zip(null, rows):
-        out[i] = np.ascontiguousarray(vh[:rank])
-    return out
+            null.append(i)
+            rows.append(np.conj(vh[cut]))
+    for i, (vh, rank) in zip(null, stacked([(Stacks(rows), np.arange(len(rows)))],
+                                           lambda v: stacked_orth_rows(v, rtol))):
+        out[i] = vh[:rank]
+    return Stacks(out)
 
 
 def _null_directions(a: Array, b: Array, rtol: float) -> tuple[Array, Array, Array, Array]:
@@ -397,17 +408,16 @@ def algebra_unit(stack: Array, tol: float = 1e-8) -> Array | None:
     for any *-closed matrix algebra or ideal (finite-dimensional
     C*-algebras are unital).
     """
-    return algebra_units([stack], tol)[0]
+    return algebra_units(Stacks([stack]), tol)[0]
 
 
-def algebra_units(stacks: list[Array], tol: float = 1e-8) -> list[Array | None]:
-    """``algebra_unit`` of each stack (d, n, n); the stacks of equal shape
-    are solved together by ``stacked_lstsq``."""
-    live = [i for i, stack in enumerate(stacks) if stack.shape[0]]
-    out: list = [np.zeros(0, dtype=np.complex128) for _ in stacks]
+def algebra_units(stacks: Stacks, tol: float = 1e-8) -> list[Array | None]:
+    """``algebra_unit`` of each item (d, n, n) of the store; the items of
+    equal shape are solved together by ``stacked_lstsq``."""
+    live = np.flatnonzero(stacks.sizes())
+    out: list = [np.zeros(0, dtype=np.complex128) for _ in stacks.group]
     # size: the d^2 products B_j B_i of each stack
-    for i, (c, ok) in zip(live, stacked([(stacks[i],) for i in live],
-                                        lambda s_: _unit_coords(s_, tol),
+    for i, (c, ok) in zip(live, stacked([(stacks, live)], lambda s_: _unit_coords(s_, tol),
                                         lambda shapes: shapes[0][0] * math.prod(shapes[0]))):
         out[i] = c if ok else None
     return out

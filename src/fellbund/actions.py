@@ -19,30 +19,23 @@ Every a_g acts through one operator on row-major flattened matrices,
 F_g the rows of the flattened ideal basis of D_g: a_g(b) = A_g vec(b), and a
 stack of matrices maps with one matmul.
 
-Each call builds one table (``_tables``): the frames F_g and operators A_g,
-the intersections D_{g^-1} ∩ D_h of the composable pairs (g, h) (which are
-also the D_g ∩ D_{gh}, at the pair (g^-1, gh)), the units of the ideals
-and of the D_g ∩ D_{gh} from one ``algebra_units`` call, and for the
-validator the triple intersections (D_{g^-1} ∩ D_h) ∩ D_{hk}.  Each
-intersection list takes two ``_linalg.stacks`` passes, so the table takes
-five.  The validator then checks the axioms in one stacked pass per stage,
-each over the items of equal shapes: the arrows (the ideals in their fibres,
-the rank and *-homomorphism residuals of a_g, the normalisation of w, the
-derived identities at g and A_g^{-1}), the composable pairs (w in its
-ideal, conditions 6 and 7, the derived domain identity) and the composable
-triples (the cocycle identity), eight passes in all.  Every stage flags its
-items at once; witnesses are read off the flagged items only, in the order
-of the element-at-a-time loops kept in tests/test_action_witnesses.py.
-``compile_to_fell_bundle`` compiles from the table of its own validation
-(A_g^{-1} included), in two more passes; ``reconstruct_action``,
-``restrict_action`` and ``build`` take the parts they need.  Nothing is kept
-on the action, and nothing is cached across calls: callers may replace its
-maps.
+Each call stacks its operands once, in stores (``la.Stacks``, built by
+``_tables``): per arrow the frames F_g, the operators A_g and the ideals D_g;
+per composable pair (g, h) the intersections D_{g^-1} ∩ D_h (D_g ∩ D_{gh} is
+the one at (g^-1, gh)), w and the units; per triple (D_{g^-1} ∩ D_h) ∩ D_{hk}.
+Every stage (arrows, pairs, triples, the products and involutes of
+``compile_to_fell_bundle``, the passes of ``reconstruct_action``) gathers its
+operands from the stores by the index arrays of ``G.tables`` (``la.gathered``),
+one stacked pass per group of items of equal shapes.  A stage flags its items
+at once, and witnesses are read off the flagged items only, in the order of the
+element-at-a-time loops kept in tests/test_action_witnesses.py.  Nothing is
+kept on the action, and nothing is cached across calls: callers may replace
+its maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import math
@@ -79,11 +72,9 @@ class TwistedPartialAction:
         entries of the wrong shape, are errors."""
         w = w or {}
         for label, table in (("ideals", ideals), ("alpha", alpha)):
-            unknown = [g for g in table if g not in G.rng]
-            if unknown:
+            if unknown := [g for g in table if g not in G.rng]:
                 raise ValueError(f"{label}: unknown arrow {unknown[0]!r}")
-        stray = [key for key in w if key not in G.comp]
-        if stray:
+        if stray := [key for key in w if key not in G.comp]:
             raise ValueError(f"w: {stray[0]!r} is not a composable pair")
         basis: dict[str, Array] = {}
         for g in G.arrows:
@@ -98,7 +89,8 @@ class TwistedPartialAction:
             if stack.shape[0]:
                 gram = la.flatten_stack(stack)
                 gram = gram.conj() @ gram.T
-                if np.linalg.norm(gram - np.eye(stack.shape[0])) > 1e-8:
+                # an overflowing Gram matrix holds NaN, which no comparison passes
+                if not np.linalg.norm(gram - np.eye(stack.shape[0])) <= 1e-8:
                     raise ValueError(f"ideal basis at {g} is not HS-orthonormal")
             basis[g] = stack
         for x in G.objects:
@@ -121,10 +113,9 @@ class TwistedPartialAction:
             if (g, h) in w and not scalar[(g, h)] and np.shape(w[(g, h)]) != (n, n):
                 raise ValueError(f"w({g},{h}) has shape {np.shape(w[(g, h)])}, want {(n, n)}")
         need = [key for key in pairs if key not in w or scalar[key]]
-        units = _tables(act, rtol).inter_units if need else {}
-        for g, h in need:
-            if units[(g, h)] is None:
-                raise ValueError(f"intersection ideal at ({g},{h}) has no unit")
+        units = dict(zip(pairs, _tables(act, rtol).units[len(G.arrows):])) if need else {}
+        if unitless := [key for key in need if units[key] is None]:
+            raise ValueError("intersection ideal at ({},{}) has no unit".format(*unitless[0]))
         act.w = {key: (complex(w[key]) * units[key] if scalar[key]
                        else la.as_complex(w[key]) if key in w else units[key])
                  for key in pairs}
@@ -144,9 +135,14 @@ class TwistedPartialAction:
         return (alpha_operator(self, g) @ la.as_complex(mat).reshape(-1)).reshape(n, n)
 
     def apply_alpha_inv(self, g: str, mat: Array) -> Array:
-        """a_g^{-1} (matrix inverse of the stored map), D_g -> D_{g^-1}."""
+        """a_g^{-1} (matrix inverse of the stored map), D_g -> D_{g^-1}, through
+        F_{g^-1}^T a_g^{-1} conj(F_g); a_g must be invertible."""
+        fg, fgi = _frame(self, g), _frame(self, self.groupoid.inv[g])
         n = self.n_at(self.groupoid.src[g])
-        return (alpha_inverse_operator(self, g) @ la.as_complex(mat).reshape(-1)).reshape(n, n)
+        if fg.shape[0] == 0:
+            return np.zeros((n, n), dtype=np.complex128)
+        op = fgi.T @ np.linalg.solve(self.alpha[g], fg.conj())
+        return (op @ la.as_complex(mat).reshape(-1)).reshape(n, n)
 
 
 def alpha_operator(T: TwistedPartialAction, g: str) -> Array:
@@ -155,20 +151,8 @@ def alpha_operator(T: TwistedPartialAction, g: str) -> Array:
     return _operator(T.alpha[g], _frame(T, g), _frame(T, T.groupoid.inv[g]))
 
 
-def alpha_inverse_operator(T: TwistedPartialAction, g: str) -> Array:
-    """F_{g^-1}^T a_g^{-1} conj(F_g), the inverse of ``alpha_operator`` on
-    D_g, shape (n_{s(g)}^2, n_{r(g)}^2); a_g must be invertible."""
-    return _inverse_operator(T.alpha[g], _frame(T, g), _frame(T, T.groupoid.inv[g]))
-
-
 def _operator(a: Array, fg: Array, fgi: Array) -> Array:
     return fg.T @ (a @ fgi.conj())
-
-
-def _inverse_operator(a: Array, fg: Array, fgi: Array) -> Array:
-    if fg.shape[0] == 0:
-        return np.zeros((fgi.shape[1], fg.shape[1]), dtype=np.complex128)
-    return fgi.T @ np.linalg.solve(a, fg.conj())
 
 
 # -- the per-call table --------------------------------------------------------------
@@ -198,49 +182,40 @@ def _expand(frames: Array, vectors: Array) -> tuple[Array, Array, Array]:
     return coords, _norms(diff), _norms(vectors)
 
 
-def _intersections(G: FiniteGroupoid, frames: Mapping[str, Array],
-                   rtol: float) -> dict[tuple[str, str], Array]:
-    """Frame of D_{g^-1} ∩ D_h, keyed (g^-1, h), for every composable pair
-    (g, h); the same table holds D_g ∩ D_{gh} under (g, gh)."""
-    keys = [(G.inv[g], h) for g, h in composable_pairs(G)]
-    return dict(zip(keys, la.frame_intersections([(frames[a], frames[b]) for a, b in keys],
-                                                 rtol)))
-
-
 @dataclass
 class _Table:
-    """What the checks of one action are built from, formed once per call:
-    units are None where the span has no two-sided unit."""
-    frames: dict[str, Array]                          # F_g, (k_g, n_{r(g)}^2)
-    ops: dict[str, Array]                             # A_g
-    inter: dict[tuple[str, str], Array]               # D_{g^-1} ∩ D_h under (g^-1, h)
-    units: dict[str, Array | None]                    # of D_g, per arrow
-    inter_units: dict[tuple[str, str], Array | None]  # of D_g ∩ D_{gh}, per pair (g, h)
-    triples: list[Array]                              # (D_{g^-1} ∩ D_h) ∩ D_{hk}, per triple
-    inv_ops: dict[str, Array] = field(default_factory=dict)  # A_g^{-1}, once validated
+    """What the checks of one action are built from, stacked once per call and
+    read by the index arrays of ``G.tables``; a unit is None where there is none,
+    and A_g^{-1} is zero where a_g is not invertible."""
+    frames: la.Stacks       # per arrow F_g, (k_g, n_{r(g)}^2)
+    ops: la.Stacks          # per arrow A_g
+    inter: la.Stacks        # per pair (g, h) the frame of D_{g^-1} ∩ D_h
+    tgt: Array              # per pair (g, h) the pair (g^-1, gh), where inter holds D_g ∩ D_{gh}
+    ideals: la.Stacks       # per arrow D_g (k_g, n, n), then per pair (g, h) D_g ∩ D_{gh}
+    units: list             # the unit (n, n) of each of those
+    unit_store: la.Stacks   # the units, zero where there is none
+    w: la.Stacks | None = None   # per pair w(g, h), from the validator
+    inv_ops: list | None = None  # per arrow A_g^{-1}, from the validator
 
 
-def _tables(T: TwistedPartialAction, rtol: float, triples: bool = False) -> _Table:
-    """The table of T: frames, operators, pair intersections (two stacked
-    passes), the units of the ideals and of the D_g ∩ D_{gh} (one
-    ``algebra_units`` pass) and, if asked, the triple intersections (two
-    passes)."""
-    G = T.groupoid
-    frames = {g: _frame(T, g) for g in G.arrows}
-    ops = {g: _operator(T.alpha[g], frames[g], frames[G.inv[g]]) for g in G.arrows}
-    inter = _intersections(G, frames, rtol)
-    pairs = composable_pairs(G)
-    stacks = [T.ideal_basis[g] for g in G.arrows] + [
-        inter[(g, G.comp[(g, h)])].reshape(-1, T.n_at(G.rng[g]), T.n_at(G.rng[g]))
-        for g, h in pairs]
+def _tables(T: TwistedPartialAction, rtol: float) -> _Table:
+    """The table of T: frames, operators, pair intersections (two stacked passes)
+    and the units of the ideals and of the D_g ∩ D_{gh} (one ``algebra_units`` pass)."""
+    G, I = T.groupoid, T.groupoid.tables
+    g, h = I.pairs.T
+    frames = la.Stacks([_frame(T, a) for a in G.arrows])
+    ops = la.Stacks([_operator(T.alpha[a], _frame(T, a), _frame(T, G.inv[a])) for a in G.arrows])
+    inter = la.frame_intersections((frames, I.inv[g]), (frames, h), rtol)
+    tgt = I.pair[I.inv[g], I.comp[g, h]]
+    frame, n = list(inter), [T.n_at(x) for x in G.objects]
+    stacks = [T.ideal_basis[a] for a in G.arrows] + [
+        frame[q].reshape(-1, n[x], n[x]) for q, x in zip(tgt.tolist(), I.rng[g].tolist())]
+    ideals = la.Stacks(stacks)
     units = [None if c is None else (c @ la.flatten_stack(s)).reshape(s.shape[1:])
-             for s, c in zip(stacks, la.algebra_units(stacks))]
-    split = len(G.arrows)
-    frames3 = la.frame_intersections(
-        [(inter[(G.inv[g], h)], frames[G.comp[(h, k)]]) for g, h, k in composable_triples(G)],
-        rtol) if triples else []
-    return _Table(frames, ops, inter, dict(zip(G.arrows, units[:split])),
-                  dict(zip(pairs, units[split:])), frames3)
+             for s, c in zip(stacks, la.algebra_units(ideals))]
+    return _Table(frames, ops, inter, tgt, ideals, units, la.Stacks(
+        [np.zeros(s.shape[1:], dtype=np.complex128) if u is None else u
+         for s, u in zip(stacks, units)]))
 
 
 # -- validation ------------------------------------------------------------------
@@ -251,21 +226,13 @@ _UNIT = "ideal has a two-sided unit"
 
 def _non_finite(T: TwistedPartialAction, rep: ValidationReport) -> None:
     G = T.groupoid
-    pairs = composable_pairs(G)
-    data = ([T.fibers[x].basis for x in G.objects] + [T.ideal_basis[g] for g in G.arrows]
-            + [T.alpha[g] for g in G.arrows] + [T.w[p] for p in pairs])
-    if np.isfinite(np.concatenate([np.zeros(0)] + [np.ravel(a) for a in data])).all():
-        return
-    for x in G.objects:
-        if not np.isfinite(T.fibers[x].basis).all():
-            rep.add(_FINITE, f"object {x}", detail="fibre basis")
-    for g in G.arrows:
-        for label, data in (("ideal basis", T.ideal_basis[g]), ("alpha", T.alpha[g])):
-            if not np.isfinite(data).all():
-                rep.add(_FINITE, f"arrow {g}", detail=label)
-    for g, h in pairs:
-        if not np.isfinite(T.w[(g, h)]).all():
-            rep.add(_FINITE, f"({g},{h})", detail="w")
+    data = ([(f"object {x}", "fibre basis", T.fibers[x].basis) for x in G.objects]
+            + [(f"arrow {g}", label, a) for g in G.arrows
+               for label, a in (("ideal basis", T.ideal_basis[g]), ("alpha", T.alpha[g]))]
+            + [(f"({g},{h})", "w", T.w[(g, h)]) for g, h in composable_pairs(G)])
+    for where, label, a in data:
+        if not np.isfinite(a).all():
+            rep.add(_FINITE, where, detail=label)
 
 
 def _any(mask: Array) -> Array:
@@ -456,21 +423,20 @@ def _validated(T: TwistedPartialAction, tols: Tolerances) -> tuple[ValidationRep
         if np.shape(T.alpha[g]) != want:
             raise ValueError(f"alpha at {g} has shape {np.shape(T.alpha[g])}, want {want}")
     pairs, triples = composable_pairs(G), composable_triples(G)
-    B, w = T.ideal_basis, T.w
-    tab = _tables(T, rtol, triples=True)
-    frames, ops = tab.frames, tab.ops
-    dom = {(g, h): tab.inter[(G.inv[g], h)] for g, h in pairs}
-    tgt = {(g, h): tab.inter[(g, G.comp[(g, h)])] for g, h in pairs}
-
-    def unit(q: Array | None, n: int) -> Array:
-        return np.zeros((n, n), dtype=np.complex128) if q is None else q
+    tab = _tables(T, rtol)
+    I, arrows, at = G.tables, np.arange(len(G.arrows)), np.arange(len(pairs))
+    pg, ph = I.pairs.T
+    units = dict(zip([*G.arrows, *pairs], tab.units))
+    tgt_dim = dict(zip(pairs, tab.inter.sizes()[tab.tgt]))
+    tab.w = la.Stacks([T.w[p] for p in pairs])
 
     # size: the k_g . d . 2 products b B, B b, or the k^2 products a_i a_j and their images
-    arrow = {g: _Arrow(*row) for g, row in zip(G.arrows, la.stacked(
-        [(B[g], T.fibers[G.rng[g]].basis, T.alpha[g], B[G.inv[g]], ops[g], ops[G.inv[g]],
-          w[(g, G.unit[G.src[g]])], w[(G.unit[G.rng[g]], g)],
-          unit(tab.units[g], T.n_at(G.rng[g])), w[(G.inv[g], g)], w[(g, G.inv[g])])
-         for g in G.arrows],
+    arrow = {a: _Arrow(*row) for a, row in zip(G.arrows, la.stacked(
+        [(tab.ideals, arrows), (la.Stacks([T.fibers[x].basis for x in G.objects]), I.rng),
+         (la.Stacks([T.alpha[g] for g in G.arrows]), arrows), (tab.ideals, I.inv),
+         (tab.ops, arrows), (tab.ops, I.inv), (tab.w, I.pair[arrows, I.unit[I.src]]),
+         (tab.w, I.pair[I.unit[I.rng], arrows]), (tab.unit_store, arrows),
+         (tab.w, I.pair[I.inv, arrows]), (tab.w, I.pair[arrows, I.inv])],
         lambda *arrays: _arrow_residuals(*arrays, tol, rtol),
         lambda s: max(2 * s[0][0] * math.prod(s[1]), s[3][0] ** 2 * max(s[4]))))}
 
@@ -490,13 +456,14 @@ def _validated(T: TwistedPartialAction, tols: Tolerances) -> tuple[ValidationRep
         rep.require(a.equal, "D at unit equals fibre algebra", f"object {x}")
         rep.check_residual(a.alpha_unit, tol, "alpha at unit is identity", f"object {x}")
     for g, a in arrow.items():
-        if tab.units[g] is None:
+        if units[g] is None:
             rep.add(_UNIT, f"arrow {g}")
             continue
         for res, label in zip(a.normal, ("w(g, unit)", "w(unit, g)")):
             rep.check_residual(res, tol, f"normalisation {label} = 1", f"arrow {g}")
 
     # alpha is a *-isomorphism D_{g^-1} -> D_g
+    invertible = set()
     for g, a in arrow.items():
         gi = G.inv[g]
         kg, kgi = T.ideal_dim(g), T.ideal_dim(gi)
@@ -507,28 +474,30 @@ def _validated(T: TwistedPartialAction, tols: Tolerances) -> tuple[ValidationRep
         if a.rank != kg:
             rep.add("alpha invertible", f"arrow {g}")
             continue
-        tab.inv_ops[g] = a.inv_op
+        invertible.add(g)
         if not a.alpha_bad:
             continue
         for i in np.flatnonzero(~(a.star <= tol) | a.mult_bad.any(axis=1)):
             rep.check_residual(a.star[i], tol, "alpha star-preserving", f"{g}, basis {i}")
             for j in np.flatnonzero(a.mult_bad[i]):
                 rep.add("alpha multiplicative", f"{g}, basis ({i},{j})", float(a.mult[i, j]))
+    tab.inv_ops = [a.inv_op for a in arrow.values()]
 
     # w unitary in its ideal; conditions 6 and 7; the derived domain identity
     pair = {p: _Pair(*row) for p, row in zip(pairs, la.stacked(
-        [(w[p], tgt[p], unit(tab.inter_units[p], len(w[p])), dom[p], ops[p[0]], ops[p[1]],
-          ops[G.inv[p[1]]], ops[G.comp[p]], frames[G.comp[p]]) for p in pairs],
+        [(tab.w, at), (tab.inter, tab.tgt), (tab.unit_store, len(arrows) + at), (tab.inter, at),
+         (tab.ops, pg), (tab.ops, ph), (tab.ops, I.inv[ph]), (tab.ops, I.comp[pg, ph]),
+         (tab.frames, I.comp[pg, ph])],
         lambda *arrays: _pair_residuals(*arrays, tol, rtol)))}
     for (g, h), p in pair.items():
-        unitless = tab.inter_units[(g, h)] is None
+        unitless = units[(g, h)] is None
         if not (p.w_bad or unitless):
             continue
         rep.check_residual(p.supported, tol * max(1.0, float(p.wnorm)),
                            "w supported on intersection ideal", f"({g},{h})")
         if unitless:
             rep.add(_UNIT, f"({g},{h})", detail=f"D_{g} ∩ D_{G.comp[(g, h)]}")
-        elif tgt[(g, h)].shape[0]:
+        elif tgt_dim[(g, h)]:
             for res, side in zip(p.unitary, ("w w*", "w* w")):
                 rep.check_residual(res, tol, f"unitarity {side} = unit", f"({g},{h})")
     for (g, h), p in pair.items():                                      # condition 6
@@ -542,9 +511,12 @@ def _validated(T: TwistedPartialAction, tols: Tolerances) -> tuple[ValidationRep
                         f"({g},{h})", float(p.c7[i]))
 
     # condition 8 (cocycle identity on the stated domain)
+    tg, th, tk = I.triples().T
+    gh, hk = I.pair[tg, th], I.comp[th, tk]
     rows = la.stacked(
-        [(a, ops[g], w[(h, k)], w[(g, G.comp[(h, k)])], w[(g, h)], w[(G.comp[(g, h)], k)])
-         for a, (g, h, k) in zip(tab.triples, triples)],
+        [(la.frame_intersections((tab.inter, gh), (tab.frames, hk), rtol), np.arange(len(tg))),
+         (tab.ops, tg), (tab.w, I.pair[th, tk]), (tab.w, I.pair[tg, hk]), (tab.w, gh),
+         (tab.w, I.pair[I.comp[tg, th], tk])],
         lambda *arrays: _cocycle_residuals(*arrays, tol))
     for (g, h, k), (res, norms, flagged) in zip(triples, rows):
         if flagged:
@@ -556,12 +528,12 @@ def _validated(T: TwistedPartialAction, tols: Tolerances) -> tuple[ValidationRep
         if not p.spans:
             rep.note(f"derived domain identity failed at ({g},{h}): "
                      f"alpha_g(D_g^-1 ∩ D_h) has dim {p.rank}, "
-                     f"D_g ∩ D_gh has dim {tgt[(g, h)].shape[0]}")
+                     f"D_g ∩ D_gh has dim {tgt_dim[(g, h)]}")
     for g, a in arrow.items():
         if a.unitary > 1e-7:
             rep.note(f"derived unitary identity alpha_g(w(g^-1,g)) = w(g,g^-1) "
                      f"failed at {g} (residual {a.unitary:.3e})")
-        if g in tab.inv_ops:
+        if g in invertible:
             for i in np.flatnonzero(a.inverse_bad):
                 rep.note(f"derived inverse identity failed at {g}[{i}] "
                          f"(residual {a.inverse[i]:.3e})")
@@ -588,12 +560,13 @@ def _products(Bg, Bh, Ag, Ag_inv, w, Fgh):
             _any(res > 1e-7 * np.maximum(1.0, norms)))
 
 
-def _involutes(Bg, Ag_inv, w_star, Fgi):
-    """Coordinates (t, k_{g^-1}, k_g) in D_{g^-1} of a_g^{-1}(a_i^*) w(g^-1,g)^*
-    for the basis a_i of D_g, with their residuals and norms (t, k_g), and
-    whether any residual exceeds 1e-7 times max(1, its norm)."""
+def _involutes(Bg, Ag_inv, w_back, Fgi):
+    """Coordinates (t, k_{g^-1}, k_g) in D_{g^-1} of a_g^{-1}(a_i^*) w_back^*
+    for the basis a_i of D_g and w_back = w(g^-1,g), with their residuals and
+    norms (t, k_g), and whether any residual exceeds 1e-7 times max(1, its norm)."""
     t, k, n = Bg.shape[:3]
-    ns = w_star.shape[-1]
+    ns = w_back.shape[-1]
+    w_star = np.ascontiguousarray(_t(w_back).conj())
     img = (_t(Bg).conj().reshape(t, k, n * n) @ _t(Ag_inv)).reshape(t, k, ns, ns)
     coords, res, norms = _expand(Fgi, (img @ w_star[:, None]).reshape(t, k, ns * ns))
     return _t(coords), res, norms, _any(res > 1e-7 * np.maximum(1.0, norms))
@@ -623,23 +596,23 @@ def compile_to_fell_bundle(T: TwistedPartialAction, tols: Tolerances = DEFAULT,
 def _compiled(T: TwistedPartialAction, tab: _Table, name: str | None) -> FellBundle:
     """``compile_to_fell_bundle`` of an action that passed validation, from
     the table of that validation."""
-    G = T.groupoid
-    B = T.ideal_basis
+    G, I, B = T.groupoid, T.groupoid.tables, T.ideal_basis
     dims = {g: T.ideal_dim(g) for g in G.arrows}
-    frames, ops, inv_ops = tab.frames, tab.ops, tab.inv_ops
-    pairs = composable_pairs(G)
-    mult = {}
+    pairs, arrows = composable_pairs(G), np.arange(len(G.arrows))
+    pg, ph = I.pairs.T
+    mult, inv_ops = {}, la.Stacks(tab.inv_ops)
     # size: the k_g . k_h products and their images
-    rows = la.stacked([(B[g], B[h], ops[g], inv_ops[g], T.w[(g, h)], frames[G.comp[(g, h)]])
-                       for g, h in pairs], _products, lambda s: s[0][0] * s[1][0] * max(s[2]))
+    rows = la.stacked([(tab.ideals, pg), (tab.ideals, ph), (tab.ops, pg), (inv_ops, pg),
+                       (tab.w, np.arange(len(pairs))), (tab.frames, I.comp[pg, ph])],
+                      _products, lambda s: s[0][0] * s[1][0] * max(s[2]))
     for (g, h), (tensor, res, norms, flagged) in zip(pairs, rows):
         if flagged:
             bad = _first_failure(res, norms, 1e-7)
             raise ValueError(f"product left D_{G.comp[(g, h)]} (residual {res[bad]:.3e})")
         mult[(g, h)] = np.ascontiguousarray(tensor)
     inv = {}
-    rows = la.stacked([(B[g], inv_ops[g], T.w[(G.inv[g], g)].conj().T, frames[G.inv[g]])
-                       for g in G.arrows], _involutes)
+    rows = la.stacked([(tab.ideals, arrows), (inv_ops, arrows), (tab.w, I.pair[I.inv, arrows]),
+                       (tab.frames, I.inv)], _involutes)
     for g, (mat, res, norms, flagged) in zip(G.arrows, rows):
         if flagged:
             bad = _first_failure(res, norms, 1e-7)
@@ -714,20 +687,21 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
     fibre at its range, and left multiplication by unit-fibre elements agrees
     with the bundle product.  a_g is read off from the right module action
     through the unit of D_g, and w(g,h) is solved from the product formula;
-    a rank-deficient system is reported as an error.  Of the table it takes
-    the frames and the pair intersections.
+    a rank-deficient system is reported as an error.
     """
     if bundle.left_ideal_model is None:
         raise ValueError("bundle carries no left-ideal presentation")
-    G = bundle.groupoid
+    G, S = bundle.groupoid, bundle.structure()
+    I, arrows = G.tables, np.arange(len(G.arrows))
     P = {g: bundle.left_ideal_model[g] for g in G.arrows}
-    F = {g: la.flatten_stack(P[g]) for g in G.arrows}
-    U = {g: G.unit[G.rng[g]] for g in G.arrows}
+    presented = la.Stacks(list(P.values()))
+    F = la.Stacks([la.flatten_stack(P[g]) for g in G.arrows])
 
-    ranked = [g for g in G.arrows if P[g].shape[0] == bundle.dims[g]]
+    ranked = np.flatnonzero(presented.sizes() == S.dims)
     # size: the d_u . k products U_i P_j
-    rows = dict(zip(ranked, la.stacked(
-        [(bundle.unit_rep[G.rng[g]], P[g], bundle.mult[(U[g], g)], F[g]) for g in ranked],
+    rows = dict(zip([G.arrows[a] for a in ranked], la.stacked(
+        [(la.Stacks([bundle.unit_rep[x] for x in G.objects]), I.rng[ranked]), (presented, ranked),
+         (S.mult, S.family[ranked, 0]), (F, ranked)],
         _left_module, lambda s: s[0][0] * math.prod(s[1]))))
     for g in G.arrows:
         if g not in rows:
@@ -745,8 +719,8 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
 
     # range ideals D_g = span(A_g A_g*) must match the presentation
     # size: the k^2 products of A_g A_g^*, as matrices
-    spans = la.stacked([(bundle.mult[(g, G.inv[g])], bundle.inv[g], F[U[g]], F[g])
-                        for g in G.arrows],
+    spans = la.stacked([(S.mult, I.pair[arrows, I.inv]), (S.inv, arrows),
+                        (F, I.unit[I.rng]), (F, arrows)],
                        lambda M, inv, Pu, Fg: _range_spans(M, inv, Pu, Fg, tols.rank_threshold),
                        lambda s: math.prod(s[1]) * s[2][1])
     for g, (ok,) in zip(G.arrows, spans):
@@ -756,16 +730,15 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
     # one stacked pass per shape: the unit of D_g (``la.algebra_units``), D_{g^-1}
     # in the frame of the source fibre and alpha_g from both; each item keeps
     # the bits of its own unit solve, ``_expand`` and einsum
-    live = [g for g in G.arrows if bundle.dims[g]]
+    live = np.flatnonzero(S.dims)
     units = {g: np.zeros(0, dtype=np.complex128) for g in G.arrows}
     alpha = {g: np.zeros((bundle.dims[g], bundle.dims[G.inv[g]]), dtype=np.complex128)
              for g in G.arrows}
     # size: the d^2 products of the unit solve, as in ``la.algebra_units``
-    terms = dict(zip(live, la.stacked(
-        [(P[g], F[G.unit[G.src[g]]], F[G.inv[g]], bundle.mult[(g, G.unit[G.src[g]])])
-         for g in live], _alpha_terms, lambda s: s[0][0] * math.prod(s[0]))))
-    for g in live:
-        ok, units[g], res, alpha[g] = terms[g]
+    terms = la.stacked([(presented, live), (F, I.unit[I.src[live]]), (F, I.inv[live]),
+                        (S.mult, S.family[live, 1])],
+                       _alpha_terms, lambda s: s[0][0] * math.prod(s[0]))
+    for g, (ok, units[g], res, alpha[g]) in zip([G.arrows[a] for a in live], terms):
         if not ok:
             raise ValueError(f"presented ideal at {g} has no unit")
         if (res > 1e-7).any():
@@ -774,29 +747,32 @@ def reconstruct_action(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Twiste
               for x in G.objects}
     shell = TwistedPartialAction(G, fibers, P, alpha, {})
 
-    inter = _intersections(G, F, tols.rank_threshold)
-    ops = {g: _operator(alpha[g], F[g], F[G.inv[g]]) for g in G.arrows}
-    pairs = [(g, h) for g, h in composable_pairs(G) if inter[(g, G.comp[(g, h)])].shape[0]]
+    pg, ph = I.pairs.T
+    inter = la.frame_intersections((F, I.inv[pg]), (F, ph), tols.rank_threshold)
+    tgt = I.pair[I.inv[pg], I.comp[pg, ph]]
+    ops = la.Stacks([_operator(alpha[g], la.flatten_stack(P[g]), la.flatten_stack(P[G.inv[g]]))
+                     for g in G.arrows])
+    solvable = np.flatnonzero(inter.sizes()[tgt])
     # size: the r * m products a_g(b) q_m
-    solved = dict(zip(pairs, la.stacked(
-        [(inter[(G.inv[g], h)], ops[g], inter[(g, G.comp[(g, h)])], F[h], bundle.mult[(g, h)],
-          units[g], F[G.comp[(g, h)]]) for g, h in pairs],
+    solved = dict(zip(solvable.tolist(), la.stacked(
+        [(inter, solvable), (ops, pg[solvable]), (inter, tgt[solvable]), (F, ph[solvable]),
+         (S.mult, solvable), (la.Stacks(list(units.values())), pg[solvable]),
+         (F, I.comp[pg, ph][solvable])],
         lambda *arrays: _w_solutions(*arrays, tols.rank_threshold),
         lambda s: s[0][0] * math.prod(s[2]))))
+    frame = list(inter)
     w: dict[tuple[str, str], Array] = {}
-    for g, h in composable_pairs(G):
+    for p, (g, h) in enumerate(composable_pairs(G)):
         n = bundle.unit_dim(G.rng[g])
-        stack = inter[(g, G.comp[(g, h)])].reshape(-1, n, n)
-        if (g, h) not in solved:
+        stack = frame[tgt[p]].reshape(-1, n, n)
+        if p not in solved:
             w[(g, h)] = np.zeros((n, n), dtype=np.complex128)
             continue
-        coeff, res, norm, rank = solved[(g, h)]
+        coeff, res, norm, rank = solved[p]
         if rank < stack.shape[0]:
-            raise ValueError(f"w({g},{h}) is underdetermined "
-                             "(intersection ideal mismatch)")
+            raise ValueError(f"w({g},{h}) is underdetermined (intersection ideal mismatch)")
         if res > 1e-6 * max(1.0, float(norm)):
-            raise ValueError(f"product formula inconsistent at ({g},{h}) "
-                             f"(residual {res:.3e})")
+            raise ValueError(f"product formula inconsistent at ({g},{h}) (residual {res:.3e})")
         w[(g, h)] = la.stack_combine(stack, coeff)
     shell.w = w
     return shell
@@ -845,26 +821,25 @@ def restrict_action(T: TwistedPartialAction, family: Mapping[str, list],
     New domains D'_g = D_g ∩ F'_{r(g)} ∩ a_g(D_{g^-1} ∩ F'_{s(g)}); alpha and
     w restrict.  Validate the result before compiling.
     """
-    G = T.groupoid
-    rtol = tols.rank_threshold
+    G, I = T.groupoid, T.groupoid.tables
+    rtol, arrows = tols.rank_threshold, np.arange(len(G.arrows))
     new_fibers = {}
-    fam_frame = {}
     for x in G.objects:
         n = T.n_at(x)
         stack = la.stack_orth([la.as_complex(m) for m in family.get(x, [])], n, n, rtol)
         new_fibers[x] = UnitFiberAlgebra(n, stack)
-        fam_frame[x] = la.flatten_stack(stack)
 
     ops = {g: alpha_operator(T, g) for g in G.arrows}
     # D_g ∩ F'_{r(g)}, then D_{g^-1} ∩ F'_{s(g)}, in one call
     both = la.frame_intersections(
-        [(_frame(T, g), fam_frame[G.rng[g]]) for g in G.arrows]
-        + [(_frame(T, G.inv[g]), fam_frame[G.src[g]]) for g in G.arrows], rtol)
-    s1, dom = both[:len(G.arrows)], both[len(G.arrows):]
-    images = la.stacked([(d @ ops[g].T,) for g, d in zip(G.arrows, dom)],
+        (la.Stacks([_frame(T, g) for g in G.arrows]), np.concatenate([arrows, I.inv])),
+        (la.Stacks([la.flatten_stack(new_fibers[x].basis) for x in G.objects]),
+         np.concatenate([I.rng, I.src])), rtol)
+    dom = list(both)[len(arrows):]
+    images = la.stacked([(la.Stacks([d @ ops[g].T for g, d in zip(G.arrows, dom)]), arrows)],
                         lambda v: la.stacked_orth_rows(v, rtol))
     frames = la.frame_intersections(
-        [(a, vh[:rank]) for a, (vh, rank) in zip(s1, images)], rtol)
+        (both, arrows), (la.Stacks([vh[:rank] for vh, rank in images]), arrows), rtol)
     new_basis = {g: f.reshape(-1, T.n_at(G.rng[g]), T.n_at(G.rng[g]))
                  for g, f in zip(G.arrows, frames)}
     for x in G.objects:
@@ -879,9 +854,8 @@ def restrict_action(T: TwistedPartialAction, family: Mapping[str, list],
         alpha[g] = np.ascontiguousarray(coords.T)
 
     shell = TwistedPartialAction(G, new_fibers, new_basis, alpha, {})
-    units = _tables(shell, rtol).inter_units
-    for g, h in composable_pairs(G):
-        if units[(g, h)] is None:
-            raise ValueError(f"intersection ideal at ({g},{h}) has no unit")
+    units = dict(zip(composable_pairs(G), _tables(shell, rtol).units[len(G.arrows):]))
+    if unitless := [key for key, unit in units.items() if unit is None]:
+        raise ValueError("intersection ideal at ({},{}) has no unit".format(*unitless[0]))
     shell.w = {p: units[p] @ T.w[p] @ units[p] for p in units}
     return shell

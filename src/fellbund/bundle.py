@@ -55,8 +55,10 @@ class UnitFiberAlgebra:
     @staticmethod
     def from_matrices(n: int, mats: Iterable[Array], rtol: float = 1e-10) -> "UnitFiberAlgebra":
         """Keeps an already HS-orthonormal basis as given (callers may index
-        into it); anything else is orthonormalised by SVD."""
+        into it); anything else is orthonormalised by SVD.  All are n x n."""
         mats = [la.as_complex(m) for m in mats]
+        if bad := [m.shape for m in mats if m.shape != (n, n)]:
+            raise ValueError(f"expected {n}x{n} matrices, got shape {bad[0]}")
         if mats:
             flat = np.stack([m.reshape(-1) for m in mats])
             gram = flat.conj() @ flat.T
@@ -180,7 +182,7 @@ class FellBundle:
         first use, by one ``la.algebra_units`` call (bit for bit the
         one-stack solve), and cached."""
         units = self.memo("units", lambda: dict(zip(self.groupoid.objects, la.algebra_units(
-            [self.unit_rep[x] for x in self.groupoid.objects]))))
+            la.Stacks([self.unit_rep[x] for x in self.groupoid.objects])))))
         if units[x] is None:
             raise ValueError(f"unit fibre at {x} has no two-sided unit")
         return units[x]
@@ -399,9 +401,10 @@ class MatrixModelBundle:
         shape = {g: (dims[groupoid.rng[g]], dims[groupoid.src[g]]) for g in groupoid.arrows}
         self.fibers = {g: np.zeros((0, *shape[g]), dtype=np.complex128) for g in groupoid.arrows}
         live = [g for g in groupoid.arrows if raw[g]]
+        vectors = la.Stacks([np.array(raw[g]).reshape(len(raw[g]), math.prod(shape[g]))
+                             for g in live])
         for g, (vh, rank) in zip(live, la.stacked(
-                [(np.array(raw[g]).reshape(len(raw[g]), math.prod(shape[g])),) for g in live],
-                lambda v: la.stacked_orth_rows(v, rtol))):
+                [(vectors, np.arange(len(live)))], lambda v: la.stacked_orth_rows(v, rtol))):
             self.fibers[g] = np.ascontiguousarray(vh[:rank]).reshape(rank, *shape[g])
 
     def validate(self, tol: float = 1e-9) -> ValidationReport:

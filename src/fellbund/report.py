@@ -8,6 +8,7 @@ instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -46,6 +47,9 @@ class ValidationReport:
         return not self.violations
 
     def add(self, check: str, where: str, residual: float | None = None, detail: str = "") -> None:
+        """A violation; a residual that overflowed is named in the detail instead."""
+        if residual is not None and not math.isfinite(residual):
+            residual, detail = None, "; ".join(filter(None, [detail, "residual overflows"]))
         self.violations.append(Violation(check, where, residual, detail))
 
     def require(self, condition: bool, check: str, where: str,

@@ -89,14 +89,16 @@ def _fiber_spectrum(bundle: FellBundle, tols: Tolerances) -> FiberSpectrum:
             found += [(x, b) for b in irrep_frames(stack, block_decomposition(
                 stack, Structure.unit_fibre(bundle, x),
                 lambda: bundle.unit_algebra_unit(x), tols), tols)]
-    solved = la.stacked([(la.flatten_stack(bundle.unit_rep[x]).T, b.projection.reshape(-1))
-                         for x, b in found], lambda a, p: la.stacked_lstsq(a, p)[:2])
+    items = np.arange(len(found))
+    solved = la.stacked([(la.Stacks([la.flatten_stack(bundle.unit_rep[x]).T for x, _ in found]),
+                          items), (la.Stacks([b.projection.reshape(-1) for _, b in found]), items)],
+                        lambda a, p: la.stacked_lstsq(a, p)[:2])
     for (x, b), (_, res) in zip(found, solved):
         if res > 1e-7 * max(1.0, float(np.linalg.norm(b.projection))):
             raise ValueError(f"central projection at {x} left the unit fibre")
     # columns of the left-multiplication matrix: coordinates of p . e_j
-    supports = la.stacked([(left_matrix(bundle, G.unit[x], G.unit[x], coords).T,)
-                           for (x, _), (coords, _) in zip(found, solved)],
+    supports = la.stacked([(la.Stacks([left_matrix(bundle, G.unit[x], G.unit[x], coords).T
+                                       for (x, _), (coords, _) in zip(found, solved)]), items)],
                           lambda v: la.stacked_orth_rows(v, tols.rank_threshold))
     by_object: dict[str, list[SpectrumBlock]] = {x: [] for x in G.objects}
     for (x, b), (coords, _), (vh, rank) in zip(found, solved, supports):
@@ -144,17 +146,20 @@ def dual_images(bundle: FellBundle, spec: FiberSpectrum,
     errors: list[str | None] = [None] * len(items)
     hits: list[list[SpectrumBlock]] = [[] for _ in items]
     # per item: the star-mult tensor, the irrep, and mult[(u, g)] at u = u(r(g))
-    operands = [(bundle.star_mult_tensor(g), irreps[b.key], bundle.mult[(G.unit[G.rng[g]], g)])
-                for g, b in items]
-    for part, (T, R, M) in la.stacks(operands, lambda s: max(math.prod(s[0]),
-                                                               (s[0][-1] * s[1][-1]) ** 2)):
+    tables, every = G.tables, np.arange(len(items))
+    arrows = np.array([G.arrow_index[g] for g, _ in items], dtype=np.intp)
+    operands = [(la.Stacks([bundle.star_mult_tensor(g) for g, _ in items]), every),
+                (la.Stacks([irreps[b.key] for _, b in items]), every),
+                (bundle.mult_stacks, tables.pair[tables.unit[tables.rng[arrows]], arrows])]
+    for part, (T, R, M) in la.gathered(operands, lambda s: max(math.prod(s[0]),
+                                                                 (s[0][-1] * s[1][-1]) ** 2)):
         stack = induced_fibres(bundle, [items[p][0] for p in part], T, R, tols)
         (t, _, d, _), m, du = T.shape, R.shape[-1], M.shape[2]
         proj = (stack.vecs * stack.keep[:, None, :]) @ stack.vecs.conj().swapaxes(1, 2)
         w = np.einsum("tkij,tjvkv->ti", M, proj.reshape(t, d, m, d, m))
         cands = candidates.get(du, [])
         coords = np.array([c.coords for c in cands]).reshape(len(cands), du)
-        ranges = np.array([at[G.rng[items[p][0]]] for p in part])
+        ranges = tables.rng[arrows[part]]
         hit = (np.abs(w @ coords.T) > 1e-6) & (np.array([at[c.obj] for c in cands]) == ranges[:, None])
         for p, error, row in zip(part, stack.errors, hit.tolist()):
             errors[p], hits[p] = error, [c for c, h in zip(cands, row) if h]

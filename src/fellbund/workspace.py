@@ -299,7 +299,10 @@ class Workspace:
             raw = _object(raw, f"{where}.fibers.{x}")
             n = parse_count(raw.get("n"), f"{where}.fibers.{x}.n")
             mats = parse_matrices(raw.get("basis", []), f"{where}.fibers.{x}")
-            fibers[x] = UnitFiberAlgebra.from_matrices(n, mats, self.tols.rank_threshold)
+            try:
+                fibers[x] = UnitFiberAlgebra.from_matrices(n, mats, self.tols.rank_threshold)
+            except ValueError as exc:
+                raise WorkspaceError(f"{where}.fibers.{x}: {exc}") from exc
         ideals = {g: parse_matrices(mats, f"{where}.ideals.{g}")
                   for g, mats in _object(spec.get("ideals", {}), f"{where}.ideals").items()}
         alpha = {g: parse_matrix(m, f"{where}.alpha.{g}")

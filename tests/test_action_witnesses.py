@@ -585,12 +585,12 @@ ACTION_PASSES = {"validate": 8, "compile": 10, "reconstruct": 6}
 def test_action_layer_makes_few_stacked_passes(monkeypatch, name):
     T = getattr(gallery, name)()
     calls = []
-    stacks = la.stacks
+    gathered = la.gathered
 
-    def counted(items, size=None):
-        calls.append(len(items))
-        return stacks(items, size)
-    monkeypatch.setattr(la, "stacks", counted)
+    def counted(operands, size=None):
+        calls.append(len(operands[0][1]))
+        return gathered(operands, size)
+    monkeypatch.setattr(la, "gathered", counted)
     counts = {}
     for step, run in (("validate", lambda: validate_action(T)),
                       ("compile", lambda: compile_to_fell_bundle(T)),

@@ -394,3 +394,11 @@ def test_non_finite_section_norms_raise_naming_the_arrow(bad):
             norm(f)
     with pytest.raises(ValueError, match=r"arrow r\|g1\|r"):
         b.norm_rows([("p|e|p", np.ones((2, 1))), ("r|g1|r", np.array([[1.0], [bad]]))])
+
+
+def test_unit_fibre_algebra_rejects_matrices_of_the_wrong_size():
+    with pytest.raises(ValueError, match=r"expected 2x2 matrices, got shape \(3, 3\)"):
+        UnitFiberAlgebra.from_matrices(2, [np.diag([1.0, 0.0, 0.0])])
+    with pytest.raises(ValueError, match="expected 2x2 matrices"):
+        UnitFiberAlgebra.from_matrices(2, [np.eye(2), np.ones((2, 1))])
+    assert UnitFiberAlgebra.from_matrices(2, [np.eye(2)]).dim == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fellbund.cli import build_parser, main
+from fellbund.report import ValidationReport
 
 
 def run_cli(capsys, *argv):
@@ -465,6 +466,58 @@ def test_malformed_action_set_action_section_or_trafo_exits_2(tmp_path, capsys, 
     code, out, err = run_cli(capsys, command, path, name)
     assert code == 2 and out == ""
     assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "compile-action"])
+@pytest.mark.parametrize("edit, needle", [
+    # the Gram matrix of this basis overflows to NaN, which the
+    # orthonormality test must not pass
+    (lambda act: act["ideals"].update(g1=[[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
+     "actions.swap-c2: ideal basis at g1 is not HS-orthonormal"),
+    (lambda act: act["fibers"].update(pt={"n": 2, "basis": [np.diag([1.0, 0.0, 0.0]).tolist()]}),
+     "actions.swap-c2.fibers.pt: expected 2x2 matrices, got shape (3, 3)"),
+], ids=["ideal-gram-overflows", "fibre-basis-wrong-size"])
+def test_action_with_overflowing_ideal_or_wrong_size_fibre_exits_2(tmp_path, capsys, edit,
+                                                                   needle, command):
+    path = _write_demo(tmp_path, lambda raw: edit(raw["actions"]["swap-c2"]))
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, command, path, "swap-c2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "compile-action"])
+@pytest.mark.parametrize("edit, witnesses", [
+    (lambda act: act["alpha"].update(g1=[[0.0, 1e308], [1e308, 0.0]]),
+     {("alpha multiplicative", "g1, basis (0,0)"), ("alpha multiplicative", "g1, basis (1,1)"),
+      ("twisted composition alpha_g alpha_h = Ad(w) alpha_{gh}", "(g1,g1)")}),
+    (lambda act: act.update(w={"g1,g1": 1e308}),
+     {("unitarity w w* = unit", "(g1,g1)"), ("unitarity w* w = unit", "(g1,g1)"),
+      ("twisted composition alpha_g alpha_h = Ad(w) alpha_{gh}", "(g1,g1)")}),
+], ids=["alpha-overflows", "w-overflows"])
+def test_overflowing_action_report_is_json_with_its_witnesses(tmp_path, capsys, edit, witnesses,
+                                                              command):
+    path = _write_demo(tmp_path, lambda raw: edit(raw["actions"]["swap-c2"]))
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, command, path, "swap-c2")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert witnesses <= {(v["check"], v["where"]) for v in payload["violations"]}
+    # residuals that overflowed are left out and named; the rest are finite
+    overflowed = [v for v in payload["violations"] if "residual" not in v]
+    assert overflowed and all(v["detail"] == "residual overflows" for v in overflowed)
+
+
+def test_report_leaves_out_a_residual_that_overflowed():
+    rep = ValidationReport("overflow")
+    rep.add("a", "x", float("nan"))
+    rep.check_residual(float("inf"), 1.0, "b", "y", detail="d")
+    rep.add("c", "z", 2.0)
+    assert [v.to_json() for v in rep.violations] == [
+        {"check": "a", "where": "x", "detail": "residual overflows"},
+        {"check": "b", "where": "y", "detail": "d; residual overflows"},
+        {"check": "c", "where": "z", "residual": 2.0}]
 
 
 def test_non_integer_seed_variable_exits_2(demo_workspace_path, capsys, monkeypatch):

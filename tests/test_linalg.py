@@ -194,11 +194,18 @@ def random_frame_pairs(seed, count=200):
     return pairs
 
 
+def stores(items):
+    """The items' operands as one store per position, each item read by its index."""
+    index = np.arange(len(items))
+    return [(la.Stacks([item[k] for item in items]), index) for k in range(len(items[0]))]
+
+
 def test_frame_intersections_equal_one_pair_at_a_time_bit_for_bit():
     pairs = random_frame_pairs(3)
-    together = la.frame_intersections(pairs)
+    together = la.frame_intersections(*stores(pairs))
+    assert len(together.group) == len(pairs)
     for (a, b), got in zip(pairs, together):
-        want = la.frame_intersections([(a, b)])[0]
+        want = next(iter(la.frame_intersections(*stores([(a, b)]))))
         assert got.shape == want.shape and np.array_equal(got, want)
         assert la.frame_contains(a, got, 1e-9) and la.frame_contains(b, got, 1e-9)
         # dim(A ∩ B) = dim A + dim B - dim(A + B)
@@ -218,7 +225,7 @@ def test_algebra_units_equal_one_stack_at_a_time():
         if rng.random() < 0.2:
             mats = [np.eye(n, k=1)] if n > 1 else []
         stacks.append(la.stack_orth(mats, n, n))
-    together = la.algebra_units(stacks)
+    together = la.algebra_units(la.Stacks(stacks))
     for stack, got in zip(stacks, together):
         want = la.algebra_unit(stack)
         assert (got is None) == (want is None)
@@ -241,31 +248,48 @@ def mixed_items():
 
 def test_stacks_group_by_shapes_and_stacked_keeps_item_order():
     items = mixed_items()
-    chunks = list(la.stacks(items))
-    assert [pos for pos, _ in chunks] == [[0, 2, 5], [1, 4], [3, 6]]
+    operands = stores(items)
+    assert [len(st.arrays) for st, _ in operands] == [3, 2]
+    for k, (st, _) in enumerate(operands):
+        assert all(np.array_equal(a, item[k]) for a, item in zip(st, items))
+    chunks = list(la.gathered(operands))
+    assert [pos.tolist() for pos, _ in chunks] == [[0, 2, 5], [1, 4], [3, 6]]
     for pos, arrays in chunks:
         for k, array in enumerate(arrays):
             assert np.array_equal(array, np.stack([items[p][k] for p in pos]))
-    rows = la.stacked(items, lambda a, v: (a @ v[:, :, None], a.shape[1] + np.zeros(len(a))))
+    rows = la.stacked(operands, lambda a, v: (a @ v[:, :, None], a.shape[1] + np.zeros(len(a))))
     for (a, v), (prod, height) in zip(items, rows):
         assert np.array_equal(prod, a @ v[:, None])
         assert height == a.shape[0]
-    assert list(la.stacks([])) == [] and la.stacked([], lambda: ()) == []
+    # an index may repeat and reorder the store's items; positions are the
+    # index's, and the groups come in order of first appearance
+    (st, _), (sv, _) = operands
+    pick = np.array([5, 0, 3, 0, 1])
+    chunks = list(la.gathered([(st, pick), (sv, pick)]))
+    assert [pos.tolist() for pos, _ in chunks] == [[0, 1, 3], [2], [4]]
+    for pos, arrays in chunks:
+        for k, array in enumerate(arrays):
+            assert np.array_equal(array, np.stack([items[p][k] for p in pick[pos]]))
+    empty = la.Stacks([])
+    assert list(la.gathered([(empty, [])])) == [] and la.stacked([(empty, [])], lambda: ()) == []
 
 
 def test_stacks_cap_each_chunk_at_the_element_budget(monkeypatch):
     items = [(np.zeros((2, 3)),) for _ in range(7)]
-    assert [pos for pos, _ in la.stacks(items)] == [list(range(7))]
+
+    def chunks(items, size=None):
+        return [pos.tolist() for pos, _ in la.gathered(stores(items), size)]
+    assert chunks(items) == [list(range(7))]
     monkeypatch.setattr(la, "_STACK_CHUNK", 13)
     # default size: 6 elements per item, so 2 items per chunk
-    assert [pos for pos, _ in la.stacks(items)] == [[0, 1], [2, 3], [4, 5], [6]]
+    assert chunks(items) == [[0, 1], [2, 3], [4, 5], [6]]
     # a size larger than the budget still stacks one item at a time
-    assert [pos for pos, _ in la.stacks(items, lambda s: 100)] == [[p] for p in range(7)]
-    assert [pos for pos, _ in la.stacks(items, lambda s: 4)] == [[0, 1, 2], [3, 4, 5], [6]]
+    assert chunks(items, lambda s: 100) == [[p] for p in range(7)]
+    assert chunks(items, lambda s: 4) == [[0, 1, 2], [3, 4, 5], [6]]
     # zero-size items count as one element
     empty = [(np.zeros((0, 3)),) for _ in range(20)]
-    assert [len(pos) for pos, _ in la.stacks(empty)] == [13, 7]
-    rows = la.stacked(items + empty, lambda a: (a.shape[1] + np.zeros(len(a)),))
+    assert [len(pos) for pos in chunks(empty)] == [13, 7]
+    rows = la.stacked(stores(items + empty), lambda a: (a.shape[1] + np.zeros(len(a)),))
     assert [r for (r,) in rows] == [2] * 7 + [0] * 20
 
 

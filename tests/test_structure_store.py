@@ -5,10 +5,13 @@ operands by index from ``FellBundle.structure()`` and ``FiniteGroupoid.tables``
 instead of listing tuples and restacking.  These tests pin the index tables
 to the reference enumerations, the one-draw elements to the per-pair draw
 loop they replaced (bit for bit, generator state included), and the store's
-life: built once per bundle, read-only, and no tuple list or ``la.stacks``
-pass left in either validator.  The bundle owns the one copy of its ``mult``
-and ``inv`` tensors: the dicts, the convolution plan, the involution and the
-delta table of the representation checks all read views into it.
+life: built once per bundle, read-only, and no tuple list or ``la.stacked``
+scatter in either validator, which read the stores through ``la.gathered``
+alone.  (``la.Stacks`` is the one place that stacks arrays by shape; the
+action layer reads its per-call stores through ``la.gathered`` too.)  The
+bundle owns the one copy of its ``mult`` and ``inv`` tensors: the dicts,
+the convolution plan, the involution and the delta table of the
+representation checks all read views into it.
 """
 
 import tracemalloc
@@ -177,7 +180,7 @@ def test_validators_list_no_tuples_and_restack_nothing(monkeypatch, certify_bund
         # by la.algebra_units; that cache is not a per-call restack
         for x in b.groupoid.objects:
             b.unit_algebra_unit(x)
-    for module, name in ((la, "stacks"), (groupoid_module, "composable_triples"),
+    for module, name in ((la, "stacked"), (groupoid_module, "composable_triples"),
                          (bundle_module, "composable_pairs")):
         monkeypatch.setattr(module, name, forbidden)
     for b in bundles:
