@@ -88,8 +88,8 @@ class TwistedPartialAction:
                 raise ValueError(f"ideal basis at {g} has non-finite entries")
             if stack.shape[0]:
                 gram = la.flatten_stack(stack)
-                gram = gram.conj() @ gram.T
-                # an overflowing Gram matrix holds NaN, which no comparison passes
+                with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the test below
+                    gram = gram.conj() @ gram.T
                 if not np.linalg.norm(gram - np.eye(stack.shape[0])) <= 1e-8:
                     raise ValueError(f"ideal basis at {g} is not HS-orthonormal")
             basis[g] = stack
@@ -405,6 +405,7 @@ def validate_action(T: TwistedPartialAction, tols: Tolerances = DEFAULT) -> Vali
     return _validated(T, tols)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the report names a residual that overflows
 def _validated(T: TwistedPartialAction, tols: Tolerances) -> tuple[ValidationReport,
                                                                    _Table | None]:
     """``validate_action``'s report, with the table it was checked on (None
@@ -422,7 +423,7 @@ def _validated(T: TwistedPartialAction, tols: Tolerances) -> tuple[ValidationRep
         want = (T.ideal_dim(g), T.ideal_dim(G.inv[g]))
         if np.shape(T.alpha[g]) != want:
             raise ValueError(f"alpha at {g} has shape {np.shape(T.alpha[g])}, want {want}")
-    pairs, triples = composable_pairs(G), composable_triples(G)
+    pairs = composable_pairs(G)
     tab = _tables(T, rtol)
     I, arrows, at = G.tables, np.arange(len(G.arrows)), np.arange(len(pairs))
     pg, ph = I.pairs.T
@@ -518,10 +519,11 @@ def _validated(T: TwistedPartialAction, tols: Tolerances) -> tuple[ValidationRep
          (tab.ops, tg), (tab.w, I.pair[th, tk]), (tab.w, I.pair[tg, hk]), (tab.w, gh),
          (tab.w, I.pair[I.comp[tg, th], tk])],
         lambda *arrays: _cocycle_residuals(*arrays, tol))
-    for (g, h, k), (res, norms, flagged) in zip(triples, rows):
+    for t, (res, norms, flagged) in enumerate(rows):
         if flagged:
+            where = ",".join(G.arrows[a] for a in (tg[t], th[t], tk[t]))
             for i in np.flatnonzero(~(res <= tol * (np.maximum(1.0, norms + 1.0)))):
-                rep.add("cocycle identity", f"({g},{h},{k})", float(res[i]))
+                rep.add("cocycle identity", f"({where})", float(res[i]))
 
     # derived diagnostics (failures signal numerical trouble, not user error)
     for (g, h), p in pair.items():

@@ -171,15 +171,15 @@ def cmd_compile_action(ws: Workspace, args) -> tuple[dict, bool]:
 
 def cmd_norms(ws: Workspace, args) -> tuple[dict, bool]:
     f = ws.section(args.name)
-    bundle = f.bundle
-    c = cstar_norm(bundle, f, ws.tols)
-    i = i_norm(f)
+    envelope_algebra(f.bundle, ws.tols)  # its checks make Lambda a *-representation
+    norms = per_object_norms(f.bundle, f, ws.tols)
+    c, i = max(norms.values(), default=0.0), i_norm(f)
     payload = {
         "section": args.name,
         "i_norm": i,
         "cstar_norm": c,
-        "sharper_upper_bound": sharper_norm_bound(bundle, f, ws.tols),
-        "per_object_norms": per_object_norms(bundle, f, ws.tols),
+        "sharper_upper_bound": sharper_norm_bound(f.bundle, f, ws.tols),
+        "per_object_norms": norms,
     }
     # relative, so that it holds at every scale of f
     return payload, c <= i + ws.tols.tolerance * max(1.0, i)

@@ -16,9 +16,11 @@ with a faithful C*-representation); the full norm is defined as this one.
 Every induced space A_g (x)_{A_{s(g)}} C^m has its Gram quotient cut in one
 place, ``induced_fibres``: one einsum and one batched ``eigh`` per stack of
 items of one shape.  The regular representation takes the quotients of all
-arrows at once (``regular_quotients``, one pass per ``norm_stacks`` group),
-and the dual action of ``spectrum`` takes them with an irrep of a unit-fibre
-block in place of the unit representation.
+arrows at once (``regular_quotients``, one pass per ``norm_stacks`` group)
+into one store per bundle (``_direct_sum_plan``) that holds each block of
+Lambda once, in one ``la.Stacks``: Lambda(f), ``delta_images`` and the norms
+read it, and ``RegularRepAt`` is a view of it at one object.  The dual action
+of ``spectrum`` takes the quotients with an irrep in place of the unit rep.
 
 The envelope C*(A) is the span of the images Lambda(delta_{g,i}), cut into
 its simple blocks by ``block_decomposition``, which also cuts each unit
@@ -149,78 +151,105 @@ def regular_quotients(bundle: FellBundle,
     return bundle.memo(("quotients", tols.tolerance, tols.rank_threshold), build)
 
 
+class _DirectSumPlan(NamedTuple):
+    """Lambda = sum of the Lambda_x as arrays only, objects and each G_x in
+    declared order.  Item t of ``blocks`` is K[q_out, m, q_in] of ``keys[t]``
+    = (h, g): A_h's m-th basis element from the summand at g to the one at
+    h.g (d_h, q_g, q_hg > 0), g over G_x, h over G_{r(g)}.  Per group: its
+    stack, the packed positions (P, m) of A_h's coefficients and the rows
+    (P, q_out, 1), columns (P, 1, q_in) of its blocks in the direct sum (one
+    writer each: h = (h.g).g^-1)."""
+
+    fibres: dict[str, InducedFibre]  # per arrow, zero where its Gram matrix is not positive
+    errors: dict[str, str]           # per such arrow, why not
+    offsets: dict[str, int]          # per arrow, its summand's first row
+    starts: list[int]                # per object, then N: its first row
+    items: list[int]                 # per object, then the count: its first item
+    keys: list[tuple[str, str]]
+    blocks: la.Stacks
+    groups: list[tuple[Array, Array, Array, Array]]
+    classes: list[tuple[list[int], Array, Array]]  # per object dim n > 0: objects, rows, cols
+
+
+def _direct_sum_plan(bundle: FellBundle, tols: Tolerances, whole: bool = True) -> _DirectSumPlan:
+    """The regular store of ``bundle``, built once per pair of thresholds from
+    ``regular_quotients``: one einsum per K block, every block held once.
+    With ``whole``, the first error of ``errors`` is raised as ValueError."""
+    def build() -> _DirectSumPlan:
+        G, quotients, packed = bundle.groupoid, regular_quotients(bundle, tols), bundle.offsets()
+        fibres, errors, offsets, q = {}, {}, {}, {}
+        keys, tensors, starts, items = [], [], [0], [0]
+        for x in G.objects:
+            pos, n = starts[-1], bundle.unit_dim(x)
+            for g in G.source_fiber(x):
+                stack, a = quotients[g]
+                if stack.errors[a] is not None:
+                    errors[g], stack, a = stack.errors[a], _zero_fibres(1), 0
+                fibres[g] = stack.fibre(a)
+                q[g] = len(fibres[g].phi)
+                offsets[g], pos = pos, pos + q[g]
+            for g in G.source_fiber(x):
+                psi = fibres[g].psi.reshape(bundle.dims[g], n, q[g])
+                for h in G.source_fiber(G.rng[g]):
+                    out = G.comp[(h, g)]
+                    if q[g] and bundle.dims[h] and q[out]:
+                        phi = fibres[out].phi.reshape(q[out], bundle.dims[out], n)
+                        tensors.append(np.einsum("qov,omi,ivp->qmp", phi, bundle.mult[(h, g)], psi))
+                        keys.append((h, g))
+            starts.append(pos)
+            items.append(len(keys))
+        blocks, groups, sizes = la.Stacks(tensors), [], {}
+        for where, stack in blocks.groups():
+            hs, gs = zip(*[keys[t] for t in where.tolist()])
+            _, q_out, m, q_in = stack.shape
+            groups.append((stack, _spans([packed[h] for h in hs], m),
+                           _spans([offsets[G.comp[k]] for k in zip(hs, gs)], q_out)[:, :, None],
+                           _spans([offsets[g] for g in gs], q_in)[:, None, :]))
+        for p, n in enumerate(np.diff(starts).tolist()):
+            sizes.setdefault(n, []).append(p)
+        spans = {n: _spans([starts[p] for p in part], n) for n, part in sizes.items() if n}
+        return _DirectSumPlan(fibres, errors, offsets, starts, items, keys, blocks, groups,
+                              [(sizes[n], s[:, :, None], s[:, None, :]) for n, s in spans.items()])
+    plan = bundle.memo(("regular_store", tols.tolerance, tols.rank_threshold), build)
+    if whole and plan.errors:
+        raise ValueError(next(iter(plan.errors.values())))
+    return plan
+
+
 class RegularRepAt:
-    """Quotient coordinates of the induced space at one object."""
+    """Lambda_x, a view of the bundle's regular store (``_direct_sum_plan``):
+    ``blocks`` holds the K[(h, g)] of x as read-only views into the store."""
 
     def __init__(self, bundle: FellBundle, x: str, tols: Tolerances = DEFAULT):
         if x not in bundle.groupoid.unit:
             raise ValueError(f"unknown object {x!r}")
-        self.bundle = bundle
-        self.x = x
-        self.summands = list(bundle.groupoid.source_fiber(x))
-        self.phi: dict[str, Array] = {}
-        self.psi: dict[str, Array] = {}
-        self.quot_dim: dict[str, int] = {}
-        self.borderline: list[str] = []
-        quotients = regular_quotients(bundle, tols)
-        for g in self.summands:
-            stack, a = quotients[g]
-            phi, psi, shaky = stack.fibre(a)
-            if shaky:
-                self.borderline.append(
-                    f"({x},{g}): {shaky} Gram eigenvalue(s) within a decade "
-                    f"of the rank threshold; quotient dimension may be unstable")
-            self.phi[g], self.psi[g], self.quot_dim[g] = phi, psi, phi.shape[0]
-        self.offsets: dict[str, int] = {}
-        pos = 0
-        for g in self.summands:
-            self.offsets[g] = pos
-            pos += self.quot_dim[g]
-        self.dim = pos
-        self.blocks: dict[tuple[str, str], Array] = {}
-        self._build_blocks(bundle.unit_dim(x))
-
-    def _build_blocks(self, n: int) -> None:
-        """K[(h, g)][q_out, m, q_in]: action of the m-th basis element of A_h
-        mapping the summand at g into the summand at h.g.  The blocks of equal
-        shape are stacked; ``blocks`` holds views into the stacks."""
-        bundle, G = self.bundle, self.bundle.groupoid
-        by_shape: dict[tuple[int, ...], list[tuple[str, str]]] = {}
-        for g in self.summands:
-            if self.quot_dim[g] == 0:
-                continue
-            psi3 = self.psi[g].reshape(bundle.dims[g], n, self.quot_dim[g])
-            for h in G.source_fiber(G.rng[g]):
-                if bundle.dims[h] == 0:
-                    continue
-                out = G.comp[(h, g)]
-                if self.quot_dim[out] == 0:
-                    continue
-                phi3 = self.phi[out].reshape(self.quot_dim[out], bundle.dims[out], n)
-                tensor = np.einsum("qov,omi,ivp->qmp", phi3, bundle.mult[(h, g)], psi3)
-                self.blocks[(h, g)] = tensor
-                by_shape.setdefault(tensor.shape, []).append((h, g))
-        # per shape (q_out, m, q_in): the stacked tensors (P, q_out, m, q_in),
-        # the positions of the coefficients of A_h in the packed section
-        # (P, m), and the rows (P, q_out, 1) and columns (P, 1, q_in) of the
-        # blocks; h = target.g^-1 is unique, so each block has one writer
-        packed = bundle.offsets()
-        self._groups = []
-        for (q_out, m, q_in), keys in by_shape.items():
-            stack = np.array([self.blocks[key] for key in keys])
-            for key, view in zip(keys, stack):
-                self.blocks[key] = view
-            self._groups.append((
-                stack,
-                _spans([packed[h] for h, _ in keys], m),
-                _spans([self.offsets[G.comp[key]] for key in keys], q_out)[:, :, None],
-                _spans([self.offsets[g] for _, g in keys], q_in)[:, None, :]))
+        store = _direct_sum_plan(bundle, tols, whole=False)
+        self.x, self.summands = x, list(bundle.groupoid.source_fiber(x))
+        if bad := [store.errors[g] for g in self.summands if g in store.errors]:
+            raise ValueError(bad[0])
+        self.phi = {g: store.fibres[g].phi for g in self.summands}
+        self.psi = {g: store.fibres[g].psi for g in self.summands}
+        self.quot_dim = {g: len(self.phi[g]) for g in self.summands}
+        self.borderline = [f"({x},{g}): {store.fibres[g].shaky} Gram eigenvalue(s) within a "
+                           "decade of the rank threshold; quotient dimension may be unstable"
+                           for g in self.summands if store.fibres[g].shaky]
+        p = bundle.groupoid.objects.index(x)
+        start, lo, hi = store.starts[p], store.items[p], store.items[p + 1]
+        self.dim = store.starts[p + 1] - start
+        self.offsets = {g: store.offsets[g] - start for g in self.summands}
+        group, row = store.blocks.group[lo:hi].tolist(), store.blocks.row[lo:hi].tolist()
+        self.blocks = {key: store.blocks.arrays[k][r]
+                       for key, k, r in zip(store.keys[lo:hi], group, row)}
+        self._slices = []  # per group that holds blocks of x: its rows, placed locally
+        for k in dict.fromkeys(group):
+            stack, coeff, rows, cols = store.groups[k]
+            a = row[group.index(k)]
+            at = slice(a, a + group.count(k))
+            self._slices.append((stack[at], coeff[at], rows[at] - start, cols[at] - start))
 
     def matrix(self, coeffs: Array) -> Array:
-        """Matrices of left convolution by the sections packed in ``coeffs``
-        (..., total_dim), of shape (..., dim, dim): one gather, contraction
-        and block assignment per group of block shapes."""
-        return _assemble(self._groups, self.dim, coeffs)
+        """Lambda_x (..., dim, dim) of the sections packed in ``coeffs`` (..., total_dim)."""
+        return _assemble(self._slices, self.dim, coeffs)
 
 
 def _assemble(groups: list[tuple[Array, Array, Array, Array]], dim: int, coeffs: Array) -> Array:
@@ -232,48 +261,17 @@ def _assemble(groups: list[tuple[Array, Array, Array, Array]], dim: int, coeffs:
 
 
 def regular_at(bundle: FellBundle, x: str, tols: Tolerances = DEFAULT) -> RegularRepAt:
-    """The regular representation at x, built on first use and cached on the
-    bundle; the Gram quotient uses only the two thresholds, so seeded runs
-    share it."""
+    """The view at x, built on first use and cached under the store's two thresholds."""
     return bundle.memo(("regular", x, tols.tolerance, tols.rank_threshold),
                        lambda: RegularRepAt(bundle, x, tols))
-
-
-class _DirectSumPlan(NamedTuple):
-    """Lambda at every object at once, as arrays only (no bundle): per block
-    shape, all objects' ``RegularRepAt._groups`` concatenated, rows and columns
-    shifted into the direct sum of dim N; per nonzero object dim n, the objects'
-    positions and the rows (K, n, 1) and columns (K, 1, n) of their blocks."""
-
-    dim: int
-    groups: list[tuple[Array, Array, Array, Array]]
-    classes: list[tuple[list[int], Array, Array]]
-
-
-def _direct_sum_plan(bundle: FellBundle, tols: Tolerances) -> _DirectSumPlan:
-    """The plan of ``_direct_sum``, built once per pair of thresholds."""
-    def build() -> _DirectSumPlan:
-        regs = [regular_at(bundle, x, tols) for x in bundle.groupoid.objects]
-        starts = np.cumsum([0] + [reg.dim for reg in regs]).tolist()
-        shapes: dict[tuple[int, ...], list[tuple[Array, ...]]] = {}
-        sizes: dict[int, list[int]] = {}
-        for p, (reg, at) in enumerate(zip(regs, starts)):
-            for stack, coeff, rows, cols in reg._groups:
-                shapes.setdefault(stack.shape[1:], []).append((stack, coeff, rows + at, cols + at))
-            sizes.setdefault(reg.dim, []).append(p)
-        spans = {n: _spans([starts[p] for p in part], n) for n, part in sizes.items() if n}
-        return _DirectSumPlan(starts[-1], [tuple(np.concatenate(a) for a in zip(*members))
-                                           for members in shapes.values()],
-                              [(sizes[n], s[:, :, None], s[:, None, :]) for n, s in spans.items()])
-    return bundle.memo(("direct_sum", tols.tolerance, tols.rank_threshold), build)
 
 
 def _direct_sum(bundle: FellBundle, coeffs: Array, tols: Tolerances) -> Array:
     """Lambda of the sections packed in ``coeffs`` (..., total_dim): the
     matrices at the objects down the diagonal, in declared object order,
-    formed by one einsum and assignment per block shape of the plan."""
+    formed by one einsum and assignment per group of the regular store."""
     plan = _direct_sum_plan(bundle, tols)
-    return _assemble(plan.groups, plan.dim, coeffs)
+    return _assemble(plan.groups, plan.starts[-1], coeffs)
 
 
 def delta_images(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Array:
@@ -301,15 +299,14 @@ def cstar_norm(bundle: FellBundle, f: Section, tols: Tolerances = DEFAULT) -> fl
 
 def per_object_norms(bundle: FellBundle, f: Section,
                      tols: Tolerances = DEFAULT) -> dict[str, float]:
-    """||Lambda_x(f)|| per object x: Lambda(f) by the direct-sum plan, and one SVD
+    """||Lambda_x(f)|| per object x: Lambda(f) by the regular store, and one SVD
     of its diagonal blocks per object dim; an object of dim 0 reads 0.0."""
     _over(bundle, f)
     coeffs = f.pack()
     if not np.isfinite(coeffs).all():  # one check: the norm core names the arrow
         f.bundle.norm_rows([(g, v[None]) for g, v in f.entries.items()])
-    objects = bundle.groupoid.objects
-    plan = _direct_sum_plan(bundle, tols)
-    lam = _assemble(plan.groups, plan.dim, coeffs)
+    objects, plan = bundle.groupoid.objects, _direct_sum_plan(bundle, tols)
+    lam = _assemble(plan.groups, plan.starts[-1], coeffs)
     norms = dict.fromkeys(objects, 0.0)
     for part, rows, cols in plan.classes:
         norms.update(zip([objects[p] for p in part],
@@ -774,12 +771,12 @@ def envelope_algebra(bundle: FellBundle, tols: Tolerances = DEFAULT) -> Envelope
 
 
 def _envelope_algebra(bundle: FellBundle, tols: Tolerances) -> EnvelopeAlgebra:
-    G = bundle.groupoid
     images = delta_images(bundle, tols)
     blocks = block_decomposition(images, bundle.structure(),
                                  lambda: unit_section(bundle).pack(), tols)
     dim = sum(b.size ** 2 for b in blocks)
-    return EnvelopeAlgebra(bundle, tols, {x: regular_at(bundle, x, tols).dim for x in G.objects},
+    dims = np.diff(_direct_sum_plan(bundle, tols).starts).tolist()
+    return EnvelopeAlgebra(bundle, tols, dict(zip(bundle.groupoid.objects, dims)),
                            images, dim, blocks, dim == bundle.total_dim)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -507,6 +508,51 @@ def test_overflowing_action_report_is_json_with_its_witnesses(tmp_path, capsys, 
     # residuals that overflowed are left out and named; the rest are finite
     overflowed = [v for v in payload["violations"] if "residual" not in v]
     assert overflowed and all(v["detail"] == "residual overflows" for v in overflowed)
+
+
+@pytest.mark.parametrize("command", ["validate", "compile-action"])
+@pytest.mark.parametrize("edit", [
+    lambda act: act["alpha"].update(g1=[[0.0, 1e308], [1e308, 0.0]]),
+    lambda act: act["ideals"].update(g1=[[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]),
+], ids=["alpha-overflows", "ideal-gram-overflows"])
+def test_overflowing_action_input_warns_nothing(tmp_path, capsys, edit, command):
+    # the same report as with numpy's warnings silenced, and no RuntimeWarning
+    path = _write_demo(tmp_path, lambda raw: edit(raw["actions"]["swap-c2"]))
+    with np.errstate(all="ignore"):
+        quiet = run_cli(capsys, command, path, "swap-c2")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(capsys, command, path, "swap-c2") == quiet
+    assert [str(w.message) for w in caught] == []
+    assert quiet[2] == "" or quiet[2].startswith("error: actions.swap-c2: ideal basis")
+
+
+def _add_flipped_z8(raw):
+    """The trivial line bundle over Z/8 with the sign of mult[(g1, g2)]
+    flipped, in the structure-tensor form, as ``z8-flipped``, and the section
+    ``flipped-ones``, 1 on every arrow."""
+    from fellbund.groupoid import cyclic_group
+    G = cyclic_group(8)
+    raw["groupoids"]["z8-cyclic"] = {
+        "objects": list(G.objects), "units": dict(G.unit), "inv": dict(G.inv),
+        "arrows": [{"id": g, "src": G.src[g], "rng": G.rng[g]} for g in G.arrows],
+        "comp": [[g, h, k] for (g, h), k in G.comp.items()]}
+    raw["bundles"]["z8-flipped"] = {
+        "groupoid": "z8-cyclic", "fibers": {g: {"dim": 1} for g in G.arrows},
+        "mult": [[g, h, 0, 0, 0, -1.0 if (g, h) == ("g1", "g2") else 1.0] for g, h in G.comp],
+        "inv": {g: [[1.0]] for g in G.arrows},
+        "unit_algebras": {"pt": {"n": 1, "basis": [[[1.0]]]}}}
+    raw["sections"]["flipped-ones"] = {"bundle": "z8-flipped",
+                                       "entries": {g: [1.0] for g in G.arrows}}
+
+
+def test_norms_on_a_bundle_that_is_no_fell_bundle_exits_1(tmp_path, capsys):
+    path = _write_demo(tmp_path, _add_flipped_z8)
+    code, out, _ = run_cli(capsys, "validate", path, "z8-flipped")
+    assert code == 1 and json.loads(out)["ok"] is False
+    code, out, err = run_cli(capsys, "norms", path, "flipped-ones")
+    assert code == 1 and out == ""
+    assert err.startswith("error: spanning stack is not closed under products")
 
 
 def test_report_leaves_out_a_residual_that_overflowed():

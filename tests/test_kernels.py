@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fellbund import gallery
+from fellbund import envelope, gallery
 from fellbund.bundle import FellBundle, subbundle_from_frames
 from fellbund.config import DEFAULT
 from fellbund.envelope import regular_at, regular_rep_matrix
@@ -87,12 +87,12 @@ def test_i_norm_matches_per_arrow_fiber_norm_sums(certify_bundles):
 
 def test_grouped_kernels_see_several_shape_groups(certify_bundles):
     # a4-over-z2 mixes fibre dimensions 1 and 2: several (d_h, d_k, d_hk)
-    # groups in the convolution plan, several block shapes in Lambda_x and
-    # several fibre shapes in the I-norm; on a4 and m3-pair3 one I-norm
-    # group holds arrows with different sources, each with its own rep
+    # groups in the convolution plan, several block shapes in the regular
+    # store and several fibre shapes in the I-norm; on a4 and m3-pair3 one
+    # I-norm group holds arrows with different sources, each with its own rep
     mixed = gallery.a4_over_z2_bundle()
     assert len(mixed.conv_plan().groups) > 1
-    assert any(len(regular_at(mixed, x)._groups) > 1 for x in mixed.groupoid.objects)
+    assert len(envelope._direct_sum_plan(mixed, DEFAULT).groups) > 1
     assert len(mixed.norm_stacks()) > 1
     for bundle in (gallery.a4_bundle(), certify_bundles["m3-pair3"]):
         src = bundle.groupoid.src

@@ -37,11 +37,15 @@ EXACT = Tolerances(tolerance=1e-300)
 
 def per_section_matrix(bundle, x, coeffs, tols):
     """Lambda_x of one packed section, as formed before the stack: one 1-D
-    contraction per group of block shapes."""
+    contraction and one assignment per K block."""
     reg = regular_at(bundle, x, tols)
+    G, packed = bundle.groupoid, bundle.offsets()
     out = np.zeros((reg.dim, reg.dim), dtype=np.complex128)
-    for stack, coeff, rows, cols in reg._groups:
-        out[rows, cols] = np.einsum("pqmr,pm->pqr", stack, coeffs[coeff])
+    for (h, g), block in reg.blocks.items():
+        q_out, m, q_in = block.shape
+        o, i = reg.offsets[G.comp[(h, g)]], reg.offsets[g]
+        out[o:o + q_out, i:i + q_in] = np.einsum("qmr,m->qr", block,
+                                                 coeffs[packed[h]:packed[h] + m])
     return out
 
 
@@ -155,6 +159,31 @@ def test_plan_reads_mixed_and_zero_object_dims(name, dims, certify_bundles):
     assert list(norms) == list(objects) and cstar_norm(b, f) == max(norms.values())
     if not dims[-1]:
         assert norms[objects[-1]] == 0.0 and type(norms[objects[-1]]) is float
+
+
+# -- the regular store and its per-object views ----------------------------------
+
+@pytest.mark.parametrize("name", ["a4-over-z2", "a4-ideal-sub"])
+def test_views_hold_no_block_of_their_own_and_match_lambda(name, certify_bundles):
+    b = _oracle_bundles(certify_bundles)[name]
+    store = envelope._direct_sum_plan(b, DEFAULT)
+    env = envelope_algebra(b)
+    objects = b.groupoid.objects
+    # every K block is held once, in the store, and each view reads it there
+    views = [regular_at(b, x) for x in objects]
+    assert sum(len(reg.blocks) for reg in views) == len(store.keys) > 0
+    for x, reg in zip(objects, views):
+        for key, block in reg.blocks.items():
+            assert any(np.shares_memory(block, a) for a in store.blocks.arrays), (name, x, key)
+    # signed zeros: a section of negative zeros gives zeros of both signs
+    sections = [random_section(b, np.random.default_rng(8)),
+                Section(b, {g: np.full(b.dims[g], -0.0) for g in b.groupoid.arrows})]
+    for f in sections:
+        lam, pos = env.lambda_of(f), 0
+        for x, reg in zip(objects, views):
+            assert same_bits(regular_rep_matrix(b, x, f), lam[pos:pos + reg.dim, pos:pos + reg.dim])
+            pos += reg.dim
+        assert pos == lam.shape[0]
 
 
 # -- coefficient embedding -------------------------------------------------------
