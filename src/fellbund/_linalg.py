@@ -4,13 +4,17 @@ Subspaces of C^N are stored as matrices with orthonormal rows ("frames").
 Matrix subspaces use the same machinery after flattening.  The single rank
 convention lives here: singular values below rtol * (largest singular value)
 count as zero.  So does the one stacking mechanism: ``Stacks`` stacks arrays
-once per shape, and ``gathered`` hands kernels their items by index.
+once per shape (``Stacks.mapped`` maps a store one group at a time), and
+``gathered`` hands kernels their items by index; a store of one shape and a
+gather from such stores alone take no grouping step.  ``frame_intersections``
+forms each frame's complement once per store and takes one stacked SVD per
+ambient width.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,15 +42,18 @@ class Stacks:
     ``gathered`` reads items of stores like this by index."""
 
     def __init__(self, items: list[Array]):
+        shapes = [a.shape for a in items]
+        if shapes and shapes.count(shapes[0]) == len(shapes):
+            self.group = readonly(np.zeros(len(items), dtype=np.intp))
+            self.row = readonly(np.arange(len(items), dtype=np.intp))
+            self.arrays = (readonly(np.array(items)),)
+            return
         index: dict[tuple, int] = {}
-        group = [index.setdefault(a.shape, len(index)) for a in items]
-        if len(index) == 1:
-            members, group, row = [items], np.zeros(len(items), dtype=np.intp), np.arange(len(items))
-        else:
-            members, row = [[] for _ in index], []
-            for k, a in zip(group, items):
-                row.append(len(members[k]))
-                members[k].append(a)
+        group = [index.setdefault(shape, len(index)) for shape in shapes]
+        members, row = [[] for _ in index], []
+        for k, a in zip(group, items):
+            row.append(len(members[k]))
+            members[k].append(a)
         self.group = readonly(np.asarray(group, dtype=np.intp))
         self.row = readonly(np.asarray(row, dtype=np.intp))
         self.arrays = tuple([readonly(np.array(m)) for m in members])
@@ -64,6 +71,17 @@ class Stacks:
         for k, stack in enumerate(self.arrays):
             yield np.flatnonzero(self.group == k), stack
 
+    def mapped(self, fn: Callable[[Array], Array]) -> "Stacks":
+        """The store of ``fn`` of each item, from one ``fn`` call per group
+        on its stack (``fn`` maps a stack item by item); groups whose
+        results share their item shape merge."""
+        out = [fn(stack) for stack in self.arrays]
+        if len({a.shape[1:] for a in out}) < len(out):
+            return Stacks([out[k][r] for k, r in zip(self.group.tolist(), self.row.tolist())])
+        new = object.__new__(Stacks)
+        new.group, new.row, new.arrays = self.group, self.row, tuple(map(readonly, out))
+        return new
+
 
 def gathered(operands: list[tuple[Stacks, Array]], size: Callable[[tuple], int] | None = None
              ) -> Iterator[tuple[Array, tuple[Array, ...]]]:
@@ -76,31 +94,43 @@ def gathered(operands: list[tuple[Stacks, Array]], size: Callable[[tuple], int] 
     the positions t of the chunk's items (ascending) and their operands,
     gathered by row."""
     n = len(operands[0][1])
+    if not n:
+        return
+    stores = [st.arrays for st, _ in operands]
+    if max(map(len, stores)) == 1:
+        # one part: the items in order, read straight from each store's one stack
+        arrays = [a[0] for a in stores]
+        step = _step(arrays, size)
+        if step >= n:
+            yield np.arange(n), tuple([s.take(idx, axis=0) for s, (_, idx) in zip(arrays, operands)])
+            return
+        for a in range(0, n, step):
+            yield np.arange(a, min(n, a + step)), tuple([s.take(idx[a:a + step], axis=0)
+                                                         for s, (_, idx) in zip(arrays, operands)])
+        return
+    many = [len(a) > 1 for a in stores]
+    # per operand, its items' rows in their groups' stacks
+    rows = [st.row.take(idx) if m else idx for (st, idx), m in zip(operands, many)]
     # per item, its groups in the stores of more than one shape: its part
-    split = [st.group.take(idx).tolist() for st, idx in operands if len(st.arrays) > 1]
-    parts: dict[tuple, Sequence[int]] = {}
+    split = [st.group.take(idx).tolist() for (st, idx), m in zip(operands, many) if m]
+    parts: dict[tuple, list[int]] = {}
     for t, key in enumerate(zip(*split)):
         parts.setdefault(key, []).append(t)
-    # the items part by part, and per operand their rows in their groups' stacks
-    if split:
-        order = np.array([t for part in parts.values() for t in part], dtype=np.intp)
-        rows = [st.row.take(idx.take(order)) if len(st.arrays) > 1 else idx.take(order)
-                for st, idx in operands]
-    else:
-        parts = {(): range(n)} if n else {}
-        order, rows = np.arange(n), [np.asarray(idx, dtype=np.intp) for _, idx in operands]
-    end = 0
     for key, part in parts.items():
         groups = iter(key)
-        arrays = [st.arrays[next(groups)] if len(st.arrays) > 1 else st.arrays[0]
-                  for st, _ in operands]
-        shapes = tuple([a.shape[1:] for a in arrays])
-        per = size(shapes) if size else max([math.prod(s) for s in shapes])
-        step = max(1, _STACK_CHUNK // max(1, per))
-        start, end = end, end + len(part)
-        for a in range(start, end, step):
-            b = min(end, a + step)
-            yield order[a:b], tuple([s.take(r[a:b], axis=0) for s, r in zip(arrays, rows)])
+        arrays = [a[next(groups)] if m else a[0] for a, m in zip(stores, many)]
+        step, part = _step(arrays, size), np.array(part, dtype=np.intp)
+        for a in range(0, len(part), step):
+            at = part[a:a + step]
+            yield at, tuple([s.take(r.take(at), axis=0) for s, r in zip(arrays, rows)])
+
+
+def _step(arrays: list[Array], size: Callable[[tuple], int] | None) -> int:
+    """Items per chunk of ``gathered`` whose operands are items of the
+    stacks ``arrays``: at most _STACK_CHUNK elements of ``size`` each."""
+    per = (size(tuple([s.shape[1:] for s in arrays])) if size
+           else max([s.size // len(s) for s in arrays]))
+    return max(1, _STACK_CHUNK // max(1, per))
 
 
 def stacked(operands: list[tuple[Stacks, Array]], fn: Callable[..., tuple],
@@ -251,48 +281,67 @@ def frame_intersections(a: tuple[Stacks, Array], b: tuple[Stacks, Array],
     stacked (``Stacks``).
 
     Equal bit for bit to one ``frame_intersection`` per pair, in two
-    stacked passes: the pairs of equal shapes form their complement
-    projections with one batched matmul and take one stacked SVD of them,
-    and the null rows of equal shape share one ``stacked_orth_rows``.
+    stacked passes.  The complement projection I - F^T conj(F) of each
+    frame is formed once, one batched matmul per group of its store (once
+    for both sides when they read the same store); it is (d, d) whatever
+    the rank, so the pairs of equal d gather theirs by index and take one
+    stacked SVD of them, and the null rows of equal shape share one
+    ``stacked_orth_rows``.
     """
     (sa, ia), (sb, ib) = a, b
     out = [np.zeros((0, d), dtype=np.complex128) for d in sa.sizes(1)[ia]]
     live = np.flatnonzero(sa.sizes()[ia] * sb.sizes()[ib])
+    if not len(live):
+        return Stacks(out)
+    ca = sa.mapped(_complements)
+    cb = ca if sb is sa else sb.mapped(_complements)
     null, rows = [], []
-    for i, (full, some, cut, vh) in zip(live, stacked(
-            [(sa, ia[live]), (sb, ib[live])], lambda a, b: _null_directions(a, b, rtol),
-            lambda shapes: 2 * shapes[0][1] ** 2)):
-        if full:
-            out[i] = vh
-        elif some:
-            null.append(i)
-            rows.append(np.conj(vh[cut]))
+    for chunk, (pa, pb) in gathered([(ca, ia[live]), (cb, ib[live])],
+                                    lambda shapes: 2 * shapes[0][0] ** 2):
+        full, cut, vh = _null_directions(pa, pb, rtol)
+        for i, j in zip(live[chunk[full]].tolist(), np.flatnonzero(full).tolist()):
+            out[i] = vh[j]
+        count = cut.sum(axis=1)
+        if some := np.flatnonzero(count).tolist():
+            null += live[chunk[some]].tolist()
+            rows += np.split(np.conj(vh[cut]), np.cumsum(count[some])[:-1])
     for i, (vh, rank) in zip(null, stacked([(Stacks(rows), np.arange(len(rows)))],
                                            lambda v: stacked_orth_rows(v, rtol))):
         out[i] = vh[:rank]
     return Stacks(out)
 
 
-def _null_directions(a: Array, b: Array, rtol: float) -> tuple[Array, Array, Array, Array]:
-    """For the frames a (t, r_a, d) and b (t, r_b, d): whether both
-    complement projections vanish (v lies in both spans iff both
-    complements kill it), and of the other items the right singular vectors
-    vh (t, d, d) of the complements stacked (2d, d), the mask (t, d) of
-    those whose singular values are at most rtol times max(1, the largest)
-    and whether each item has any; items with vanishing complements keep
-    the identity as vh."""
-    t, _, d = a.shape
-    eye = np.eye(d, dtype=np.complex128)
-    m = np.concatenate([eye - np.swapaxes(a, 1, 2) @ a.conj(),
-                        eye - np.swapaxes(b, 1, 2) @ b.conj()], axis=1)
+def _complements(frames: Array) -> Array:
+    """I - F^T conj(F) (t, d, d) of the frames F (t, r, d); for r = 0 none
+    (t, 0, 0): such a frame meets nothing, and it stays out of the stacks
+    of the frames of positive rank."""
+    t, r, d = frames.shape
+    if not r:
+        return np.zeros((t, 0, 0), dtype=np.complex128)
+    return np.eye(d, dtype=np.complex128) - np.swapaxes(frames, 1, 2) @ frames.conj()
+
+
+def _null_directions(a: Array, b: Array, rtol: float) -> tuple[Array, Array, Array]:
+    """For the complement projections a, b (t, d, d) of two frames: whether
+    both vanish (v lies in both spans iff both complements kill it), and of
+    the other items the right singular vectors vh (t, d, d) of the
+    complements stacked (2d, d) and the mask (t, d) of those whose singular
+    values are at most rtol times max(1, the largest); items whose
+    complements vanish take no SVD and keep the identity as vh and an
+    empty mask."""
+    t, d, _ = a.shape
+    m = np.concatenate([a, b], axis=1)
     full = ~m.reshape(t, -1).any(axis=1)
-    vh = np.repeat(eye[None], t, axis=0)
+    if not full.any():
+        _, s, vh = np.linalg.svd(m, full_matrices=False)
+        return full, s <= rtol * np.maximum(s[:, :1], 1.0), vh
+    vh = np.repeat(np.eye(d, dtype=np.complex128)[None], t, axis=0)
     cut = np.zeros((t, d), dtype=bool)
     if not full.all():
         _, s, v = np.linalg.svd(m[~full], full_matrices=False)
         vh[~full] = v
         cut[~full] = s <= rtol * np.maximum(s[:, :1], 1.0)
-    return full, cut.any(axis=1), cut, vh
+    return full, cut, vh
 
 
 def frame_complement(frame: Array, dim: int, rtol: float = 1e-10) -> Array:

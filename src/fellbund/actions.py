@@ -26,11 +26,16 @@ the one at (g^-1, gh)), w and the units; per triple (D_{g^-1} ∩ D_h) ∩ D_{hk
 Every stage (arrows, pairs, triples, the products and involutes of
 ``compile_to_fell_bundle``, the passes of ``reconstruct_action``) gathers its
 operands from the stores by the index arrays of ``G.tables`` (``la.gathered``),
-one stacked pass per group of items of equal shapes.  A stage flags its items
-at once, and witnesses are read off the flagged items only, in the order of the
-element-at-a-time loops kept in tests/test_action_witnesses.py.  Nothing is
-kept on the action, and nothing is cached across calls: callers may replace
-its maps.
+one stacked pass per group of items of equal shapes.  The intersections (the
+pairs of ``_tables``, the triples of the cocycle stage, the domains of
+``reconstruct_action`` and ``restrict_action``) come from
+``la.frame_intersections``: each frame's complement is formed once per
+store, and the pairs of one ambient width share one SVD, whatever their
+ranks; the triples are ``G.tables.triples()``, built once per groupoid.  A
+stage flags its items at once, and witnesses are read off the flagged items
+only, in the order of the element-at-a-time loops kept in
+tests/test_action_witnesses.py.  Nothing is kept on the action, and nothing
+is cached across calls: callers may replace its maps.
 """
 
 from __future__ import annotations

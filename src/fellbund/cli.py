@@ -17,7 +17,7 @@ import numpy as np
 from . import _linalg as la
 from .actions import _compiled, _validated, validate_action
 from .bundle import saturation_check, validate_fell_bundle
-from .envelope import (cstar_norm, envelope_algebra, per_object_norms, regular_at,
+from .envelope import (borderline_notes, cstar_norm, envelope_algebra, per_object_norms,
                        sharper_norm_bound)
 from .groupoid import validate_groupoid, validate_partial_action
 from .ideals import enumerate_fell_ideals, exactness_verify, validate_fell_ideal
@@ -187,8 +187,7 @@ def cmd_norms(ws: Workspace, args) -> tuple[dict, bool]:
 
 def cmd_envelope(ws: Workspace, args) -> tuple[dict, bool]:
     env = envelope_algebra(ws.bundle(args.name), ws.tols)
-    notes = [n for x in env.bundle.groupoid.objects
-             for n in regular_at(env.bundle, x, ws.tols).borderline]
+    notes = borderline_notes(env.bundle, ws.tols)
     payload = {
         "bundle": args.name,
         "blocks": env.block_summary(),

@@ -140,15 +140,14 @@ def regular_quotients(bundle: FellBundle,
     with C^n carrying the unit representation at s(g): one
     ``induced_fibres`` pass per ``norm_stacks`` group, which stacks exactly
     these tensors and representations; a zero fibre has a zero quotient.
-    Built on first use and cached on the bundle under the two thresholds it
-    reads."""
-    def build() -> dict[str, tuple[InducedFibres, int]]:
-        out = dict.fromkeys(bundle.groupoid.arrows, (_zero_fibres(1), 0))
-        for arrows, tensors, reps in bundle.norm_stacks():
-            stack = induced_fibres(bundle, arrows, tensors, reps, tols)
-            out.update((g, (stack, a)) for a, g in enumerate(arrows))
-        return out
-    return bundle.memo(("quotients", tols.tolerance, tols.rank_threshold), build)
+    Formed for the regular store (``_direct_sum_plan``) and not kept: the
+    store holds the quotients, and nothing reads the eigendecompositions
+    again."""
+    out = dict.fromkeys(bundle.groupoid.arrows, (_zero_fibres(1), 0))
+    for arrows, tensors, reps in bundle.norm_stacks():
+        stack = induced_fibres(bundle, arrows, tensors, reps, tols)
+        out.update((g, (stack, a)) for a, g in enumerate(arrows))
+    return out
 
 
 class _DirectSumPlan(NamedTuple):
@@ -230,9 +229,7 @@ class RegularRepAt:
         self.phi = {g: store.fibres[g].phi for g in self.summands}
         self.psi = {g: store.fibres[g].psi for g in self.summands}
         self.quot_dim = {g: len(self.phi[g]) for g in self.summands}
-        self.borderline = [f"({x},{g}): {store.fibres[g].shaky} Gram eigenvalue(s) within a "
-                           "decade of the rank threshold; quotient dimension may be unstable"
-                           for g in self.summands if store.fibres[g].shaky]
+        self.borderline = _borderline(store, x, self.summands)
         p = bundle.groupoid.objects.index(x)
         start, lo, hi = store.starts[p], store.items[p], store.items[p + 1]
         self.dim = store.starts[p + 1] - start
@@ -250,6 +247,21 @@ class RegularRepAt:
     def matrix(self, coeffs: Array) -> Array:
         """Lambda_x (..., dim, dim) of the sections packed in ``coeffs`` (..., total_dim)."""
         return _assemble(self._slices, self.dim, coeffs)
+
+
+def _borderline(store: _DirectSumPlan, x: str, summands: list[str]) -> list[str]:
+    """The summands g of Lambda_x whose Gram quotients have eigenvalues
+    within a decade of the rank cut, as notes."""
+    return [f"({x},{g}): {store.fibres[g].shaky} Gram eigenvalue(s) within a decade of "
+            "the rank threshold; quotient dimension may be unstable"
+            for g in summands if store.fibres[g].shaky]
+
+
+def borderline_notes(bundle: FellBundle, tols: Tolerances = DEFAULT) -> list[str]:
+    """``RegularRepAt.borderline`` of every object in declared order, read
+    from the regular store without building the views."""
+    store, G = _direct_sum_plan(bundle, tols), bundle.groupoid
+    return [note for x in G.objects for note in _borderline(store, x, G.source_fiber(x))]
 
 
 def _assemble(groups: list[tuple[Array, Array, Array, Array]], dim: int, coeffs: Array) -> Array:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -94,7 +94,8 @@ class FiniteGroupoid:
         return GroupoidTables.of(self)
 
 
-class GroupoidTables(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class GroupoidTables:
     """A groupoid as integer arrays, arrows and objects by declared index.
 
     ``comp[g, h]`` is the composite of a composable pair with an entry and -1
@@ -129,15 +130,22 @@ class GroupoidTables(NamedTuple):
         tables = GroupoidTables(src, rng, np.array([at[G.inv[g]] for g in G.arrows], dtype=np.intp),
                                 np.array([at[G.unit[x]] for x in G.objects], dtype=np.intp),
                                 comp, np.stack([first, h], axis=1), pair)
-        for a in tables:
+        for a in vars(tables).values():
             a.flags.writeable = False
         return tables
 
     def triples(self) -> np.ndarray:
-        """(T, 3): every (g, h, k) with (g, h) and (h, k) composable (formed
-        on each call, not kept: T grows as the cube of the arrows)."""
+        """(T, 3): every (g, h, k) with (g, h) and (h, k) composable; built
+        on the first call and kept (``of`` stays cheap for callers that
+        never ask: T grows as the cube of the arrows)."""
+        return self._triples
+
+    @cached_property
+    def _triples(self) -> np.ndarray:
         first, k = _range_fiber_steps(self.rng, len(self.unit), self.src[self.pairs[:, 1]])
-        return np.concatenate([self.pairs[first], k[:, None]], axis=1)
+        out = np.concatenate([self.pairs[first], k[:, None]], axis=1)
+        out.flags.writeable = False
+        return out
 
 
 def _range_fiber_steps(rng: np.ndarray, objects: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

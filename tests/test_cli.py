@@ -1,11 +1,14 @@
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fellbund.cli import build_parser, main
+from fellbund import envelope
+from fellbund.cli import build_parser, cmd_envelope, main
 from fellbund.report import ValidationReport
+from fellbund.workspace import Workspace
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +45,23 @@ def test_envelope_command(demo_workspace_path, capsys):
     assert code == 0
     assert payload["dim"] == 6
     assert {"size": 2, "multiplicity": 2} in payload["blocks"]
+
+
+def test_envelope_command_builds_no_regular_view(certify_raw, monkeypatch):
+    """``cmd_envelope`` reads its borderline notes off the regular store: no
+    ``RegularRepAt`` is built, and the notes are the views' notes."""
+    ws = Workspace.from_dict(certify_raw)
+    names = ws.names("bundles")
+    built = []
+    monkeypatch.setattr(envelope.RegularRepAt, "__init__",
+                        lambda self, *args: built.append(args[1]))
+    payloads = {name: cmd_envelope(ws, SimpleNamespace(name=name))[0] for name in names}
+    assert built == []
+    monkeypatch.undo()
+    for name in names:
+        b = ws.bundle(name)
+        views = [n for x in b.groupoid.objects for n in envelope.regular_at(b, x, ws.tols).borderline]
+        assert payloads[name]["gram_notes"] == views, name
 
 
 def test_exactness_command(demo_workspace_path, capsys):

@@ -6,9 +6,11 @@ import pytest
 import fellbund._linalg as la
 from fellbund import gallery
 from fellbund.bundle import FellBundle, Structure
-from fellbund.envelope import (block_decomposition, coefficient_embedding_check,
-                               cstar_norm, delta_images, envelope_algebra,
-                               irreducible_envelope_blocks, irrep_frames, per_object_norms,
+from fellbund.config import Tolerances
+from fellbund.envelope import (block_decomposition, borderline_notes,
+                               coefficient_embedding_check, cstar_norm, delta_images,
+                               envelope_algebra, irreducible_envelope_blocks, irrep_frames,
+                               per_object_norms,
                                regular_at, regular_rep_matrix, sharper_norm_bound)
 from fellbund.groupoid import FiniteGroupoid, trivial_group
 from fellbund.sections import (Section, convolve, i_norm, involute,
@@ -489,6 +491,36 @@ def test_gram_borderline_notes_empty_for_clean_bundles():
         b = gallery.shipped_bundles()[name]
         notes = [n for x in b.groupoid.objects for n in regular_at(b, x).borderline]
         assert notes == [], name
+
+
+def test_borderline_notes_read_from_the_store_equal_the_views():
+    """With a rank threshold near the Gram eigenvalues some quotients are
+    borderline: the notes read off the store are the views' notes."""
+    tols = Tolerances(rank_threshold=0.5)
+    seen = 0
+    for name, b in gallery.shipped_bundles().items():
+        try:
+            want = [n for x in b.groupoid.objects for n in regular_at(b, x, tols).borderline]
+        except ValueError:
+            continue
+        assert borderline_notes(b, tols) == want, name
+        seen += len(want)
+    assert seen
+
+
+def test_envelope_memo_keeps_no_gram_eigendecompositions(certify_bundles):
+    """The regular store keeps the quotients; the eigendecompositions they
+    were cut from (``InducedFibres``: vals, vecs, keep) are not kept."""
+    def walk(value):
+        yield value
+        children = value.values() if isinstance(value, dict) else (
+            value if isinstance(value, (list, tuple)) else ())
+        for child in children:
+            yield from walk(child)
+    for name, b in certify_bundles.items():
+        envelope_algebra(b)
+        assert not [v for v in walk(list(b._memo.values()))
+                    if {"vals", "vecs", "keep"} & set(getattr(type(v), "_fields", ()))], name
 
 
 def test_per_object_norms_and_determinism():

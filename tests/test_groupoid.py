@@ -63,6 +63,15 @@ def test_triples_are_consistent():
     assert len(composable_triples(G)) == 16
 
 
+def test_triples_table_built_once_on_request_and_read_only():
+    G = pair_groupoid(["a", "b", "c"])
+    T = G.tables
+    assert "_triples" not in vars(T)  # building the tables does not build the triples
+    first = T.triples()
+    assert T.triples() is first and not first.flags.writeable
+    assert [tuple(G.arrows[i] for i in t) for t in first] == composable_triples(G)
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         FiniteGroupoid.from_data(["x", "x"], ["e"], {"e": "x"}, {"e": "x"},

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from fellbund import _linalg as la
 from fellbund import gallery
@@ -211,6 +212,84 @@ def test_frame_intersections_equal_one_pair_at_a_time_bit_for_bit():
         # dim(A ∩ B) = dim A + dim B - dim(A + B)
         span = la.orth_rows(np.vstack([a, b])) if a.shape[0] + b.shape[0] else a
         assert got.shape[0] == a.shape[0] + b.shape[0] - span.shape[0]
+
+
+def intersection_one_pair(a, b, rtol=1e-10):
+    """span(a) ∩ span(b) as the complement pass forms it for one pair: the
+    complements I - F^T conj(F) stacked (2d, d), one SVD, and the right
+    singular vectors at or below the cut orthonormalised once more."""
+    d = a.shape[1]
+    if not (a.shape[0] and b.shape[0]):
+        return np.zeros((0, d), dtype=complex)
+    eye = np.eye(d, dtype=complex)
+    m = np.concatenate([eye - np.swapaxes(f, 1, 2) @ f.conj() for f in (a[None], b[None])], axis=1)
+    if not m.any():
+        return eye
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    cut = s[0] <= rtol * max(s[0, 0], 1.0)
+    if not cut.any():
+        return np.zeros((0, d), dtype=complex)
+    vh, rank = la.stacked_orth_rows(np.conj(vh[0][cut])[None], rtol)
+    return vh[0, :rank[0]]
+
+
+def pass_one_svds(monkeypatch):
+    """Count the SVDs of stacked complements (t, 2d, d) from here on."""
+    svd, calls = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        if a.shape[-2] == 2 * a.shape[-1]:
+            calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_a4_pair_intersections_take_one_svd_per_width(monkeypatch):
+    T = gallery.a4_action()
+    G, I = T.groupoid, T.groupoid.tables
+    frames = la.Stacks([la.flatten_stack(T.ideal_basis[g]) for g in G.arrows])
+    g, h = I.pairs.T
+    ranks = {(frames.sizes()[a], frames.sizes()[b]) for a, b in zip(I.inv[g], h)}
+    assert len(ranks) == 4 and len(set(frames.sizes(1).tolist())) == 1
+    calls = pass_one_svds(monkeypatch)
+    inter = la.frame_intersections((frames, I.inv[g]), (frames, h), DEFAULT.rank_threshold)
+    assert len(calls) == 1 and calls[0][0] == len(g)
+    for got, a, b in zip(inter, I.inv[g], h):
+        want = intersection_one_pair(list(frames)[a], list(frames)[b], DEFAULT.rank_threshold)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("chunk", [None, 300])
+def test_one_store_on_both_sides_equals_one_pair_at_a_time(monkeypatch, chunk):
+    """Repeated and reordered indices into one store (its complements formed
+    once for both sides), and a budget that splits each width into chunks:
+    bit for bit the pass of one pair at a time, one pass-1 SVD per chunk."""
+    frames = [f for pair in random_frame_pairs(5, 60) for f in pair]
+    store = la.Stacks(frames)
+    rng = np.random.default_rng(11)
+    ia = np.concatenate([np.arange(len(frames)), rng.integers(0, len(frames), 80)])
+    widths = store.sizes(1)
+    ib = np.array([rng.choice(np.flatnonzero(widths == widths[a])) for a in ia])
+    if chunk:
+        monkeypatch.setattr(la, "_STACK_CHUNK", chunk)
+    calls = pass_one_svds(monkeypatch)
+    together = la.frame_intersections((store, ia), (store, ib))
+    assert len(together.group) == len(ia)
+    live = store.sizes()[ia] * store.sizes()[ib] > 0
+    step = {d: max(1, la._STACK_CHUNK // (2 * d * d)) for d in set(widths.tolist())}
+    per_width = {d: np.sum(live & (widths[ia] == d)) for d in step}
+    assert len(calls) <= sum(-(-n // step[d]) for d, n in per_width.items())
+    if chunk:
+        assert len(calls) > len([d for d, n in per_width.items() if n])
+    else:
+        assert len(calls) <= len(per_width)
+    nonempty = 0
+    for got, a, b in zip(together, ia, ib):
+        want = intersection_one_pair(frames[a], frames[b])
+        assert got.shape == want.shape and np.array_equal(got, want)
+        nonempty += len(got) > 0
+    assert nonempty > len(ia) // 2
 
 
 def test_algebra_units_equal_one_stack_at_a_time():
