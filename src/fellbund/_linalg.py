@@ -101,9 +101,6 @@ def gathered(operands: list[tuple[Stacks, Array]], size: Callable[[tuple], int] 
         # one part: the items in order, read straight from each store's one stack
         arrays = [a[0] for a in stores]
         step = _step(arrays, size)
-        if step >= n:
-            yield np.arange(n), tuple([s.take(idx, axis=0) for s, (_, idx) in zip(arrays, operands)])
-            return
         for a in range(0, n, step):
             yield np.arange(a, min(n, a + step)), tuple([s.take(idx[a:a + step], axis=0)
                                                          for s, (_, idx) in zip(arrays, operands)])
@@ -291,8 +288,6 @@ def frame_intersections(a: tuple[Stacks, Array], b: tuple[Stacks, Array],
     (sa, ia), (sb, ib) = a, b
     out = [np.zeros((0, d), dtype=np.complex128) for d in sa.sizes(1)[ia]]
     live = np.flatnonzero(sa.sizes()[ia] * sb.sizes()[ib])
-    if not len(live):
-        return Stacks(out)
     ca = sa.mapped(_complements)
     cb = ca if sb is sa else sb.mapped(_complements)
     null, rows = [], []
@@ -332,9 +327,6 @@ def _null_directions(a: Array, b: Array, rtol: float) -> tuple[Array, Array, Arr
     t, d, _ = a.shape
     m = np.concatenate([a, b], axis=1)
     full = ~m.reshape(t, -1).any(axis=1)
-    if not full.any():
-        _, s, vh = np.linalg.svd(m, full_matrices=False)
-        return full, s <= rtol * np.maximum(s[:, :1], 1.0), vh
     vh = np.repeat(np.eye(d, dtype=np.complex128)[None], t, axis=0)
     cut = np.zeros((t, d), dtype=bool)
     if not full.all():
